@@ -14,11 +14,9 @@ from fiberphase import (
     helix_path,
     phase_decomposition,
     spherical_angles,
-    spin1_matrices,
 )
 
 cone = np.pi / 3
-spin = spin1_matrices()
 path = helix_path(cone_angle=cone, omega=1.0, k_mag=1.0, n_cycles=1.0, n_steps=4096)
 angles = spherical_angles(path)
 closed_form = 2.0 * np.pi * (1.0 - np.cos(cone))
@@ -26,8 +24,8 @@ closed_form = 2.0 * np.pi * (1.0 - np.cos(cone))
 print(f"cone half-angle {np.degrees(cone):.1f} deg, swept solid angle {closed_form:.6f} rad\n")
 print("sigma   total(T)      dynamical(T)  geometric(T)  closed form")
 for polarization in (+1, -1):
-    traj = evolve(path, spin, polarization)
-    dec = phase_decomposition(traj, path, spin)
+    traj = evolve(path, polarization)
+    dec = phase_decomposition(traj, path)
     target = analytic_noncyclic_phase(angles, polarization, path.n_samples - 1)
     print(
         f"  {polarization:+d}   {dec.total[-1]:+.6f}    {dec.dynamical[-1]:+.2e}     "

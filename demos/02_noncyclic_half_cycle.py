@@ -14,18 +14,16 @@ from fiberphase import (
     helix_path,
     phase_decomposition,
     spherical_angles,
-    spin1_matrices,
 )
 
 cone = np.pi / 3
-spin = spin1_matrices()
 path = helix_path(cone_angle=cone, omega=1.0, k_mag=1.0, n_cycles=0.5, n_steps=2048)
 angles = spherical_angles(path)
 
 print("half turn of the cone (azimuth 0 -> pi), cone half-angle 60 deg\n")
 print("sigma   overlap geometric   transport integral   |difference|")
 for polarization in (+1, -1):
-    dec = phase_decomposition(evolve(path, spin, polarization), path, spin)
+    dec = phase_decomposition(evolve(path, polarization), path)
     target = analytic_noncyclic_phase(angles, polarization, path.n_samples - 1)
     diff = abs(dec.geometric[-1] - target)
     print(f"  {polarization:+d}      {dec.geometric[-1]:+.6f}           {target:+.6f}          {diff:.2e}")
@@ -33,7 +31,7 @@ for polarization in (+1, -1):
 
 # quarter-turn checkpoint: the two splits legitimately part ways mid-path
 quarter = path.n_samples // 2
-dec = phase_decomposition(evolve(path, spin, +1), path, spin)
+dec = phase_decomposition(evolve(path, +1), path)
 print(
     f"\nat the quarter turn the overlap split gives {dec.geometric[quarter]:+.4f} rad while"
     f"\nthe transport integral gives {analytic_noncyclic_phase(angles, +1, quarter):+.4f} rad;"

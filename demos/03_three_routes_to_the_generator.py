@@ -46,7 +46,7 @@ for n in (512, 1024, 2048):
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n)
     print(
         f"  {n:7d}   {rotation_gap(p):.3e}      {motion_residual(p).max():.3e}"
-        f"         {invariant_residual_series(p, spin).max():.3e}"
+        f"         {invariant_residual_series(p).max():.3e}"
     )
 print("  (gap halves per refinement; the circle residuals superconverge /")
 print("   sit at rounding because the second-order error term cancels)")
@@ -56,13 +56,13 @@ print("  n_steps   motion residual   invariant residual")
 previous = None
 for n in (512, 1024, 2048):
     p = wobble_path(n)
-    m, i = motion_residual(p).max(), invariant_residual_series(p, spin).max()
+    m, i = motion_residual(p).max(), invariant_residual_series(p).max()
     note = "" if previous is None else f"   (ratios {previous[0] / m:.2f}, {previous[1] / i:.2f})"
     print(f"  {n:7d}   {m:.3e}         {i:.3e}{note}")
     previous = (m, i)
 print("  (both quarter per refinement: genuine second order)")
 
 p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 512)
-wrong = invariant_residual_series(p, spin, scale=2.0).max()
+wrong = invariant_residual_series(p, scale=2.0).max()
 print(f"\nnegative control: doubling the generator leaves residual {wrong:.3f} = O(1)")
 assert wrong > 0.1

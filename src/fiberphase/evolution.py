@@ -13,6 +13,13 @@ projection onto k_hat of a polarization-sigma photon is **-sigma**.  With
 this labeling a right-handed photon on a counterclockwise cone of half-angle
 c gains +2 pi (1 - cos c) per cycle, matching the occupation-number phase
 formulas in :mod:`fiberphase.fock`.
+
+Because h . S lies in so(3), every kernel here works on 3-vectors, not on
+3x3 matrices: in the Cartesian representation (S_i)_jk = -i eps_ijk the
+step exp(-i theta n . S) is the real rotation by theta about n (closed-form
+Rodrigues formula), <psi|S|psi> = 2 Re psi x Im psi, and the residual
+follows from [a . S, b . S] = i (a x b) . S with ||v . S||_F = sqrt(2) |v|.
+States are stored in the angular-momentum basis of :mod:`fiberphase.spin`.
 """
 from __future__ import annotations
 
@@ -21,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FiberPath, SphericalAngles, derivative_uniform, k_dot, rotation_vector, solid_angle_series
-from .spin import SpinTriple, helicity_eigenstates, spin1_matrices
+from .geometry import FiberPath, SphericalAngles, k_dot, rotation_vector, solid_angle_series
+from .spin import CARTESIAN_FROM_ANGULAR, SpinTriple, helicity_eigenstates
 
 __all__ = [
     "HamiltonianSample",
@@ -115,38 +122,85 @@ def hamiltonian_from_rotation(path: FiberPath, spin: SpinTriple, i: int) -> np.n
     return spin.along(theta / path.dt)
 
 
-def evolve(path: FiberPath, spin: SpinTriple | None = None, polarization: int = +1) -> SpinorTrajectory:
+def _rotate(x, axis, sin, vers):
+    """Rodrigues rotation x + sin (n x x) + (1 - cos) n x (n x x) about unit n.
+
+    ``sin`` and ``vers`` = 1 - cos of the angle carry a trailing length-1
+    axis so they broadcast against ``x``.  Adding only the small corrections
+    to ``x`` keeps per-step rounding relative to the angle, and a zero axis
+    is the exact identity.
+    """
+    turn = np.cross(axis, x)
+    return x + turn * sin + np.cross(axis, turn) * vers
+
+
+def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     """Propagate a circularly polarized photon spinor along the path.
 
     The initial state is the gauge-fixed eigenstate of k_hat(t0) . S with
     eigenvalue ``-polarization`` (receiver handedness convention).  Each step
     applies the exact unitary exp(-i H_mid dt) with H_mid built from the
-    midpoint-interpolated coefficient vector and exponentiated through its
-    spectral decomposition, so norms are preserved to rounding.
+    midpoint-interpolated coefficient vector h_mid.  In the Cartesian
+    representation (S_i)_jk = -i eps_ijk that unitary is the real rotation by
+    |h_mid| dt about h_mid (closed-form Rodrigues formula), so norms are
+    preserved to rounding.  The steps are composed by a two-level scan over
+    about sqrt(n) blocks of sqrt(n) steps: the block rotations are built
+    across all blocks at once, the state is carried over the block starts,
+    and then every block is filled in at once.
     """
     if polarization not in (-1, +1):
         raise ValueError(
             f"polarization must be +1 (right) or -1 (left), got {polarization!r}; "
             "helicity-0 photon states are unphysical for transverse light"
         )
-    if spin is None:
-        spin = spin1_matrices()
     h = hamiltonian_coefficients(path)
     h_mid = 0.5 * (h[:-1] + h[1:])
-    smat = spin.as_array()
-    mats = np.einsum("si,sjk->ijk", h_mid.T, smat)
-    w, v = np.linalg.eigh(mats)
-    phases = np.exp(-1j * w * path.dt)
-    steps = np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
+    n_steps = len(h_mid)
+    size = int(np.ceil(np.sqrt(n_steps)))
+    n_blocks = -(-n_steps // size)
 
-    states = np.empty((path.n_samples, 3), dtype=complex)
-    states[0] = helicity_eigenstates(path.k_hat[0], spin).state(-polarization)
-    for i in range(path.n_samples - 1):
-        states[i + 1] = steps[i] @ states[i]
+    # per-step axis and angle, padded with identity steps to fill the last block
+    rate = np.linalg.norm(h_mid, axis=1)
+    axis = np.zeros((n_blocks * size, 3))
+    np.divide(h_mid, rate[:, None], out=axis[:n_steps], where=rate[:, None] > 0.0)
+    angle = np.zeros((n_blocks * size, 1))
+    angle[:n_steps, 0] = rate * path.dt
+    sin = np.sin(angle)
+    vers = 2.0 * np.sin(0.5 * angle) ** 2
+    axis, sin, vers = (a.reshape(n_blocks, size, -1) for a in (axis, sin, vers))
+
+    # block rotations: row k of frames[b] is the image of the unit vector e_k
+    frames = np.broadcast_to(np.eye(3), (n_blocks, 3, 3)).copy()
+    for j in range(size):
+        frames = _rotate(frames, axis[:, j, None], sin[:, j, None], vers[:, j, None])
+
+    start = helicity_eigenstates(path.k_hat[0]).state(-polarization)
+    states = np.empty((n_blocks * size + 1, 3), dtype=complex)
+    blocks = states[:-1].reshape(n_blocks, size, 3)
+    current = CARTESIAN_FROM_ANGULAR @ start
+    for b in range(n_blocks):
+        blocks[b, 0] = current
+        current = current @ frames[b]
+    states[-1] = current
+    for j in range(size - 1):
+        blocks[:, j + 1] = _rotate(blocks[:, j], axis[:, j], sin[:, j], vers[:, j])
+
+    # back to the angular-momentum basis: psi_ang = C^dagger psi_cart
+    states = states[: path.n_samples] @ CARTESIAN_FROM_ANGULAR.conj()
     return SpinorTrajectory(times=path.times, states=states, polarization=polarization)
 
 
-def invariant_residual(path: FiberPath, spin: SpinTriple, i: int) -> float:
+def _spin_vectors(states: np.ndarray) -> np.ndarray:
+    """<psi|S|psi> at every sample, shape (n, 3).
+
+    With psi in Cartesian form, psi^dagger S_i psi = -i (psi* x psi)_i
+    = 2 (Re psi x Im psi)_i.
+    """
+    cart = states @ CARTESIAN_FROM_ANGULAR.T
+    return 2.0 * np.cross(cart.real, cart.imag)
+
+
+def invariant_residual(path: FiberPath, i: int) -> float:
     """Frobenius norm of  dI/dt + (1/i)[I, H]  at interior sample ``i``.
 
     I(t) = k_hat(t) . S is differentiated by central differences and H is the
@@ -156,32 +210,26 @@ def invariant_residual(path: FiberPath, spin: SpinTriple, i: int) -> float:
     n = path.n_samples
     if not 1 <= i <= n - 2:
         raise IndexError(f"invariant residual needs an interior sample, got {i} of {n}")
-    return float(invariant_residual_series(path, spin)[i - 1])
+    return float(invariant_residual_series(path)[i - 1])
 
 
-def invariant_residual_series(path: FiberPath, spin: SpinTriple | None = None, scale: float = 1.0) -> np.ndarray:
+def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:
     """Residuals at all interior samples (length n-2); ``scale`` multiplies H.
 
-    ``scale`` != 1 is a negative control: any generator other than the
-    effective one leaves an O(1) residual.
+    From [a . S, b . S] = i (a x b) . S and ||v . S||_F = sqrt(2) |v|, the
+    residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
+    difference.  ``scale`` != 1 is a negative control: any generator other
+    than the effective one leaves an O(1) residual.
     """
-    if spin is None:
-        spin = spin1_matrices()
-    smat = spin.as_array()
-    inv = np.einsum("si,sjk->ijk", path.k_hat.T, smat)
-    ham = np.einsum("si,sjk->ijk", (scale * hamiltonian_coefficients(path)).T, smat)
-    d_inv = (inv[2:] - inv[:-2]) / (2.0 * path.dt)
-    comm = inv[1:-1] @ ham[1:-1] - ham[1:-1] @ inv[1:-1]
-    return np.linalg.norm(d_inv + comm / 1j, axis=(1, 2))
+    kh = path.k_hat
+    vec = (kh[2:] - kh[:-2]) / (2.0 * path.dt)
+    vec += np.cross(kh[1:-1], scale * hamiltonian_coefficients(path)[1:-1])
+    return np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
 
 
-def helicity_expectations(traj: SpinorTrajectory, path: FiberPath, spin: SpinTriple | None = None) -> np.ndarray:
+def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray:
     """<psi | k_hat . S | psi> at every sample; conserved at -polarization."""
-    if spin is None:
-        spin = spin1_matrices()
-    smat = spin.as_array()
-    ops = np.einsum("si,sjk->ijk", path.k_hat.T, smat)
-    return np.real(np.einsum("nj,njk,nk->n", traj.states.conj(), ops, traj.states))
+    return np.einsum("ni,ni->n", path.k_hat, _spin_vectors(traj.states))
 
 
 def _unwrap_with_flags(overlaps: np.ndarray):
@@ -203,26 +251,22 @@ def _unwrap_with_flags(overlaps: np.ndarray):
     return total, flagged
 
 
-def phase_decomposition(traj: SpinorTrajectory, path: FiberPath, spin: SpinTriple | None = None) -> PhaseDecomposition:
+def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecomposition:
     """Split the accumulated phase into total, dynamical and geometric parts.
 
     The total is the unwrapped overlap phase arg <psi(0)|psi(t)>; the
-    dynamical part integrates -<H> by the trapezoidal rule on the shared
-    grid; the geometric part is their difference.  Samples passing nearly
-    orthogonal to the initial state are flagged and bridged by interpolation
-    (an :class:`OrthogonalPassageWarning` is emitted).
+    dynamical part integrates -<H> = -h . <S> by the trapezoidal rule on the
+    shared grid; the geometric part is their difference.  Samples passing
+    nearly orthogonal to the initial state are flagged and bridged by
+    interpolation (an :class:`OrthogonalPassageWarning` is emitted).
     """
     if traj.states.shape[0] != path.n_samples:
         raise ValueError("trajectory and path do not share a time grid")
-    if spin is None:
-        spin = spin1_matrices()
     overlaps = traj.states @ traj.states[0].conj()
     total, flagged = _unwrap_with_flags(overlaps)
     total = total - total[0]
 
-    smat = spin.as_array()
-    ham = np.einsum("si,sjk->ijk", hamiltonian_coefficients(path).T, smat)
-    energy = np.real(np.einsum("nj,njk,nk->n", traj.states.conj(), ham, traj.states))
+    energy = np.einsum("ni,ni->n", hamiltonian_coefficients(path), _spin_vectors(traj.states))
     dt = path.dt
     dynamical = np.empty_like(energy)
     dynamical[0] = 0.0

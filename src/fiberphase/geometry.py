@@ -49,8 +49,10 @@ class FiberPath:
             raise ValueError("path needs at least 3 samples")
         if kh.shape != (len(t), 3):
             raise ValueError(f"k_hat shape {kh.shape} does not match {len(t)} samples")
-        if self.k_mag <= 0:
-            raise ValueError("k_mag must be positive")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
+            raise ValueError("times and k_hat must be finite")
+        if not (np.isfinite(self.k_mag) and self.k_mag > 0):
+            raise ValueError(f"k_mag must be a positive finite number, got {self.k_mag!r}")
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise ValueError("times must be strictly increasing")
@@ -101,10 +103,10 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     """
     if not 0.0 <= cone_angle <= np.pi:
         raise ValueError(f"cone_angle must lie in [0, pi], got {cone_angle!r}")
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    if n_cycles <= 0:
-        raise ValueError("n_cycles must be positive")
+    if not (np.isfinite(omega) and omega != 0):
+        raise ValueError(f"omega must be finite and nonzero, got {omega!r}")
+    if not 0 < n_cycles < np.inf:
+        raise ValueError(f"n_cycles must be positive and finite, got {n_cycles!r}")
     n_steps = int(n_steps)
     if n_steps < 16 * n_cycles:
         raise ValueError("need at least 16 steps per cycle")
@@ -127,12 +129,19 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     polar = np.arccos(np.clip(kh[:, 2], -1.0, 1.0))
     raw = np.arctan2(kh[:, 1], kh[:, 0])
     off_pole = np.hypot(kh[:, 0], kh[:, 1]) >= POLE_SIN_TOL
-    azimuth = np.empty_like(raw)
-    previous = 0.0
-    for i in range(len(raw)):
-        if off_pole[i]:
-            previous = raw[i] + 2.0 * np.pi * np.round((previous - raw[i]) / (2.0 * np.pi))
-        azimuth[i] = previous
+    off = raw[off_pole]
+    # np.unwrap picks the branches; rounding once more against the previous
+    # unwrapped sample rebuilds the sequential rule
+    # azimuth_i = raw_i + 2 pi round((azimuth_{i-1} - raw_i) / 2 pi), from 0,
+    # bit for bit (only a step within rounding of pi could round differently)
+    prev = np.zeros_like(off)
+    prev[1:] = np.unwrap(off)[:-1]
+    off_azimuth = off + 2.0 * np.pi * np.round((prev - off) / (2.0 * np.pi))
+    # a pole sample repeats the last off-pole value, or 0 before any
+    last = np.cumsum(off_pole) - 1
+    seen = last >= 0
+    azimuth = np.zeros_like(raw)
+    azimuth[seen] = off_azimuth[last[seen]]
     return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth)
 
 

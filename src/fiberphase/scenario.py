@@ -178,6 +178,13 @@ def _parse_medium(cfg):
         raise ScenarioError(f"medium: {exc}") from None
 
 
+def _positive_number(value, field):
+    """``value`` as a float if it is a finite positive number (NaN and Infinity are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (0 < value < float("inf")):
+        raise ScenarioError(f"{field}: expected a positive finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_common(cfg):
     pols = _parse_polarizations(cfg)
     nl, nr = _parse_occupations(cfg)
@@ -186,13 +193,11 @@ def _parse_common(cfg):
     except ValueError as exc:
         raise ScenarioError(f"ordering: {exc}") from None
     medium = _parse_medium(cfg)
-    k0 = cfg.get("k0", 1.0)
-    if isinstance(k0, bool) or not isinstance(k0, (int, float)) or k0 <= 0:
-        raise ScenarioError(f"k0: expected a positive number, got {k0!r}")
+    k0 = _positive_number(cfg.get("k0", 1.0), "k0")
     chamber = cfg.get("chamber_length")
-    if chamber is not None and (isinstance(chamber, bool) or not isinstance(chamber, (int, float)) or chamber <= 0):
-        raise ScenarioError(f"chamber_length: expected a positive number, got {chamber!r}")
-    return pols, nl, nr, ordering, medium, float(k0), None if chamber is None else float(chamber)
+    if chamber is not None:
+        chamber = _positive_number(chamber, "chamber_length")
+    return pols, nl, nr, ordering, medium, k0, chamber
 
 
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, eps3=1.0, mu1=1.0, mu2=0.0, mu3=1.0)
@@ -200,19 +205,18 @@ FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, eps3=1.0, mu1=1.0, mu2=0
 
 def compute_scenario(path, polarizations, n_left, n_right, ordering, medium, k0, chamber_length):
     """Run every pipeline stage on one path; returns a dict of arrays/values."""
-    spin_ops = spin.spin1_matrices()
     angles = geometry.spherical_angles(path)
     n = path.n_samples
 
     per_sigma = {}
     for pol in polarizations:
-        traj = evolution.evolve(path, spin_ops, pol)
+        traj = evolution.evolve(path, pol)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
-            dec = evolution.phase_decomposition(traj, path, spin_ops)
+            dec = evolution.phase_decomposition(traj, path)
         for item in caught:
             print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
-        hel = evolution.helicity_expectations(traj, path, spin_ops)
+        hel = evolution.helicity_expectations(traj, path)
         per_sigma[pol] = {
             "decomposition": dec,
             "analytic": evolution.analytic_noncyclic_phase(angles, pol),
@@ -220,7 +224,7 @@ def compute_scenario(path, polarizations, n_left, n_right, ordering, medium, k0,
             "helicity_drift": np.abs(hel - hel[0]),
         }
 
-    inv = evolution.invariant_residual_series(path, spin_ops)
+    inv = evolution.invariant_residual_series(path)
     inv_full = np.concatenate([[inv[0]], inv, [inv[-1]]])  # pad ends with nearest interior
     motion = geometry.motion_residual(path)
 
@@ -267,34 +271,39 @@ def _check_finite(result, polarizations):
 
 
 def write_results_csv(filename, path, result, polarizations):
-    angles = result["angles"]
-    lines = [",".join(RESULT_COLUMNS)]
-    for pol in polarizations:
-        block = result["per_sigma"][pol]
-        dec = block["decomposition"]
-        for i in range(path.n_samples):
-            row = [
-                str(pol),
-                _fmt(path.times[i]),
-                _fmt(angles.polar[i]),
-                _fmt(angles.azimuth[i]),
-                _fmt(dec.total[i]),
-                _fmt(dec.dynamical[i]),
-                _fmt(dec.geometric[i]),
-                _fmt(block["analytic"][i]),
-                _fmt(result["quantal"][i]),
-                _fmt(result["vacuum_left"][i]),
-                _fmt(result["vacuum_right"][i]),
-                _fmt(result["vacuum_net_series"][i]),
-                _fmt(block["norm_drift"][i]),
-                _fmt(block["helicity_drift"][i]),
-                _fmt(result["invariant_residual"][i]),
-                _fmt(result["motion_residual"][i]),
-                "1" if dec.flagged[i] else "0",
-            ]
-            lines.append(",".join(row))
+    """Write results.csv one row at a time, so no list of rows is held in memory."""
     with open(filename, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(RESULT_COLUMNS) + "\n")
+        for pol in polarizations:
+            fh.writelines(row + "\n" for row in _result_rows(path, result, pol))
+
+
+def _result_rows(path, result, pol):
+    """The formatted results.csv rows of polarization ``pol``."""
+    angles = result["angles"]
+    block = result["per_sigma"][pol]
+    dec = block["decomposition"]
+    for i in range(path.n_samples):
+        row = [
+            str(pol),
+            _fmt(path.times[i]),
+            _fmt(angles.polar[i]),
+            _fmt(angles.azimuth[i]),
+            _fmt(dec.total[i]),
+            _fmt(dec.dynamical[i]),
+            _fmt(dec.geometric[i]),
+            _fmt(block["analytic"][i]),
+            _fmt(result["quantal"][i]),
+            _fmt(result["vacuum_left"][i]),
+            _fmt(result["vacuum_right"][i]),
+            _fmt(result["vacuum_net_series"][i]),
+            _fmt(block["norm_drift"][i]),
+            _fmt(block["helicity_drift"][i]),
+            _fmt(result["invariant_residual"][i]),
+            _fmt(result["motion_residual"][i]),
+            "1" if dec.flagged[i] else "0",
+        ]
+        yield ",".join(row)
 
 
 def _write_plot(filename, times, values):
@@ -373,8 +382,12 @@ def summarize(result, path, polarizations, n_left, n_right, ordering, medium, k0
 
 
 def _write_summary(out_dir, summary):
+    try:
+        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise NumericalError("non-finite value in summary.json") from None
     with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
@@ -464,9 +477,9 @@ def _sweep_rows_steps(cfg, base_dir, values):
                 row[f"{kind}_order"] = None
             else:
                 prev = rows[i - 1][f"max_{kind}_residual"]
-                ratio = prev / cur if cur > 0 else float("inf")
+                ratio = prev / cur if cur > 0 else None  # no ratio to an exact zero
                 row[f"{kind}_ratio"] = ratio
-                row[f"{kind}_order"] = float(np.log2(ratio)) if np.isfinite(ratio) and ratio > 0 else None
+                row[f"{kind}_order"] = float(np.log2(ratio)) if ratio else None
             row[f"{kind}_at_rounding_floor"] = bool(cur < floor)
     return rows
 

@@ -37,7 +37,7 @@ def test_criterion_1_cyclic_adiabatic_phase():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096)
     errors = {}
     for pol, expected in ((+1, np.pi), (-1, -np.pi)):
-        dec = phase_decomposition(evolve(path, S, pol), path, S)
+        dec = phase_decomposition(evolve(path, pol), path)
         errors[pol] = abs(dec.geometric[-1] - expected)
     elapsed = time.perf_counter() - start
     ok = errors[+1] < 1e-3 and errors[-1] < 1e-3 and elapsed < 1.0
@@ -104,8 +104,8 @@ def test_criterion_5_method_consistency():
     gap_ratio = _max_rotation_gap(coarse) / _max_rotation_gap(fine)
     ok_a = 1.8 <= gap_ratio <= 2.5
 
-    inv_coarse = float(invariant_residual_series(coarse, S).max())
-    inv_fine = float(invariant_residual_series(fine, S).max())
+    inv_coarse = float(invariant_residual_series(coarse).max())
+    inv_fine = float(invariant_residual_series(fine).max())
     at_floor = inv_coarse < ROUNDING_FLOOR and inv_fine < ROUNDING_FLOOR
     ok_b = inv_coarse < 1e-3 and (at_floor or inv_coarse / inv_fine > 3.5)
 
@@ -132,7 +132,7 @@ def test_criterion_6_noncyclic_formula():
     path = helix_path(np.pi / 3, 1.0, 1.0, 0.5, 2048)
     worst = 0.0
     for pol in (+1, -1):
-        dec = phase_decomposition(evolve(path, S, pol), path, S)
+        dec = phase_decomposition(evolve(path, pol), path)
         worst = max(worst, abs(dec.geometric[-1] - pol * np.pi / 2))
     ok = worst < 5e-3
     _report(6, "noncyclic formula", ok, f"max |geo(half cycle) - sigma*pi/2| = {worst:.2e} (tol 5e-3)")
@@ -147,11 +147,11 @@ def test_criterion_7_property_suite(tmp_path):
     ok_comm = comm <= 1e-15  # rounding floor of fl(1/sqrt2)^2; see README
 
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 10000)
-    traj = evolve(path, S, +1)
+    traj = evolve(path, +1)
     norm_drift = float(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max())
     ok_norm = norm_drift < 1e-10
 
-    hel = helicity_expectations(traj, path, S)
+    hel = helicity_expectations(traj, path)
     hel_drift = float(np.abs(hel - hel[0]).max())
     ok_hel = hel_drift < 1e-5
 

@@ -188,6 +188,94 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch):
     assert main(["run", config, "--quiet"]) == 3
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k0", float("nan")),
+    ("k0", float("inf")),
+    ("chamber_length", float("nan")),
+    ("path.omega", float("nan")),
+    ("path.k_mag", float("nan")),
+])
+def test_non_finite_config_exits_2(tmp_path, capsys, field, value):
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"]["n_steps"] = 128
+    if field.startswith("path."):
+        cfg["path"][field[5:]] = value
+    else:
+        cfg[field] = value
+    config = write_config(tmp_path, "nonfinite.json", cfg)
+    text = (tmp_path / "nonfinite.json").read_text()
+    assert "NaN" in text or "Infinity" in text
+    assert main(["run", config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert field.split(".")[-1] in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+def test_non_finite_summary_exits_3_without_writing(tmp_path, monkeypatch):
+    import fiberphase.scenario as scenario_mod
+
+    original = scenario_mod.summarize
+
+    def poisoned(*args, **kwargs):
+        summary = original(*args, **kwargs)
+        summary["quantal_final"] = float("nan")
+        return summary
+
+    monkeypatch.setattr(scenario_mod, "summarize", poisoned)
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"]["n_steps"] = 128
+    config = write_config(tmp_path, "nan_summary.json", cfg)
+    assert main(["run", config, "--quiet"]) == 3
+    assert not (out / "summary.json").exists()
+
+
+def _joined_results_csv(path, result, polarizations):
+    """The writer write_results_csv replaced (every row in one list, joined): the byte oracle."""
+    from fiberphase.scenario import RESULT_COLUMNS, _fmt
+
+    angles = result["angles"]
+    lines = [",".join(RESULT_COLUMNS)]
+    for pol in polarizations:
+        block = result["per_sigma"][pol]
+        dec = block["decomposition"]
+        for i in range(path.n_samples):
+            values = [path.times[i], angles.polar[i], angles.azimuth[i], dec.total[i],
+                      dec.dynamical[i], dec.geometric[i], block["analytic"][i], result["quantal"][i],
+                      result["vacuum_left"][i], result["vacuum_right"][i],
+                      result["vacuum_net_series"][i], block["norm_drift"][i],
+                      block["helicity_drift"][i], result["invariant_residual"][i],
+                      result["motion_residual"][i]]
+            row = [str(pol)] + [_fmt(v) for v in values] + ["1" if dec.flagged[i] else "0"]
+            lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_results_csv_streaming_is_byte_identical(tmp_path):
+    import fiberphase.scenario as scenario_mod
+    from fiberphase.fock import Ordering
+    from fiberphase.geometry import helix_path
+
+    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
+    pols = [1, -1]
+    result = scenario_mod.compute_scenario(p, pols, 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    filename = tmp_path / "results.csv"
+    scenario_mod.write_results_csv(str(filename), p, result, pols)
+    written = filename.read_bytes()
+    assert written == _joined_results_csv(p, result, pols)
+    lines = written.decode().split("\n")
+    assert len(lines) == 1 + 2 * p.n_samples + 1 and lines[-1] == ""
+
+
 def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = helix_cfg(out)
@@ -238,6 +326,20 @@ def test_sweep_n_steps_convergence(tmp_path):
     assert rows[1]["invariant_ratio"] > 3.5 or rows[1]["invariant_at_rounding_floor"]
     assert rows[1]["max_motion_residual"] < 1e-3
     assert rows[1]["max_invariant_residual"] < 1e-3
+
+
+def test_sweep_n_steps_exact_zero_residual_stays_valid_json(tmp_path):
+    # on the pole the residuals are exactly zero: no ratio, and no Infinity in summary.json
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"]["cone_angle"] = 0.0
+    cfg["sweep"] = {"parameter": "n_steps", "values": [128, 256]}
+    config = write_config(tmp_path, "pole_sweep.json", cfg)
+    assert main(["sweep", config, "--quiet"]) == 0
+    rows = _strict_json((out / "summary.json").read_text())["rows"]
+    assert rows[1]["max_invariant_residual"] == 0.0
+    assert rows[1]["invariant_ratio"] is None and rows[1]["invariant_order"] is None
+    assert rows[1]["invariant_at_rounding_floor"]
 
 
 def test_sweep_occupations_linear(tmp_path):

@@ -14,7 +14,7 @@ from fiberphase.evolution import (
     phase_decomposition,
 )
 from fiberphase.geometry import FiberPath, helix_path, spherical_angles
-from fiberphase.spin import spin1_matrices
+from fiberphase.spin import helicity_eigenstates, spin1_matrices
 
 S = spin1_matrices()
 
@@ -85,44 +85,44 @@ def test_rotation_hamiltonian_helix_agreement():
 
 def test_evolve_constant_path_freezes_state():
     p = constant_path()
-    traj = evolve(p, S, +1)
+    traj = evolve(p, +1)
     assert np.abs(traj.states - traj.states[0]).max() < 1e-14
 
 
 def test_evolve_rejects_zero_polarization():
     p = constant_path()
     with pytest.raises(ValueError, match="polarization"):
-        evolve(p, S, 0)
+        evolve(p, 0)
 
 
 def test_evolve_initial_state_spin_projection():
     # receiver handedness: right-handed (+1) light carries spin projection -1
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     for pol in (+1, -1):
-        traj = evolve(p, S, pol)
-        hel = helicity_expectations(traj, p, S)
+        traj = evolve(p, pol)
+        hel = helicity_expectations(traj, p)
         assert abs(hel[0] - (-pol)) < 1e-12
         assert traj.spin_projection == -pol
 
 
 def test_evolve_cyclic_return_unit_overlap():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096)
-    traj = evolve(p, S, +1)
+    traj = evolve(p, +1)
     overlap = np.vdot(traj.states[0], traj.states[-1])
     assert abs(abs(overlap) - 1.0) < 1e-6
 
 
 def test_evolve_norm_preservation():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 2048)
-    traj = evolve(p, S, -1)
+    traj = evolve(p, -1)
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
 def test_evolve_helicity_conserved_on_equator():
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 1024)
-    traj = evolve(p, S, +1)
-    hel = helicity_expectations(traj, p, S)
+    traj = evolve(p, +1)
+    hel = helicity_expectations(traj, p)
     assert np.abs(hel - hel[0]).max() < 1e-6
 
 
@@ -130,12 +130,12 @@ def test_evolve_helicity_conserved_on_equator():
 
 def test_invariant_residual_constant_path():
     p = constant_path()
-    assert invariant_residual(p, S, 5) == 0.0
+    assert invariant_residual(p, 5) == 0.0
 
 
 def test_invariant_residual_helix_small():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 512)
-    assert invariant_residual_series(p, S).max() < 1e-3
+    assert invariant_residual_series(p).max() < 1e-3
 
 
 def test_invariant_residual_second_order_generic():
@@ -147,30 +147,30 @@ def test_invariant_residual_second_order_generic():
         kh = np.stack([np.sin(lam) * np.cos(t), np.sin(lam) * np.sin(t), np.cos(lam)], axis=1)
         return FiberPath(times=t, k_hat=kh, k_mag=1.0)
 
-    r1 = invariant_residual_series(wobble(512), S).max()
-    r2 = invariant_residual_series(wobble(1024), S).max()
+    r1 = invariant_residual_series(wobble(512)).max()
+    r2 = invariant_residual_series(wobble(1024)).max()
     assert 3.5 < r1 / r2 < 4.5
 
 
 def test_invariant_residual_negative_control():
     # a wrong generator (here 2H) leaves an O(1) residual, not O(dt^2)
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 512)
-    assert invariant_residual_series(p, S, scale=2.0).max() > 0.1
+    assert invariant_residual_series(p, scale=2.0).max() > 0.1
 
 
 def test_invariant_residual_rejects_boundary():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 64)
     with pytest.raises(IndexError):
-        invariant_residual(p, S, 0)
+        invariant_residual(p, 0)
     with pytest.raises(IndexError):
-        invariant_residual(p, S, p.n_samples - 1)
+        invariant_residual(p, p.n_samples - 1)
 
 
 # ------------------------------------------------------- phase_decomposition
 
 def test_phases_constant_path_all_zero():
     p = constant_path()
-    dec = phase_decomposition(evolve(p, S, +1), p, S)
+    dec = phase_decomposition(evolve(p, +1), p)
     for series in (dec.total, dec.dynamical, dec.geometric):
         assert np.abs(series).max() < 1e-12
     assert not dec.flagged.any()
@@ -178,7 +178,7 @@ def test_phases_constant_path_all_zero():
 
 def test_phases_start_at_zero_and_stay_continuous():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    dec = phase_decomposition(evolve(p, S, +1), p, S)
+    dec = phase_decomposition(evolve(p, +1), p)
     assert dec.total[0] == 0.0
     assert dec.dynamical[0] == 0.0
     assert dec.geometric[0] == 0.0
@@ -189,23 +189,23 @@ def test_phases_start_at_zero_and_stay_continuous():
 def test_cyclic_geometric_phase_both_polarizations():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096)
     for pol, expected in ((+1, np.pi), (-1, -np.pi)):
-        dec = phase_decomposition(evolve(p, S, pol), p, S)
+        dec = phase_decomposition(evolve(p, pol), p)
         assert abs(dec.geometric[-1] - expected) < 1e-3
 
 
 def test_half_cycle_matches_closed_form():
     p = helix_path(np.pi / 3, 1.0, 1.0, 0.5, 2048)
     for pol in (+1, -1):
-        dec = phase_decomposition(evolve(p, S, pol), p, S)
+        dec = phase_decomposition(evolve(p, pol), p)
         assert abs(dec.geometric[-1] - pol * np.pi / 2) < 5e-3
 
 
 def test_orthogonal_passage_flagged_on_equator():
     # the overlap touches zero half way around the equator
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 4096)
-    traj = evolve(p, S, +1)
+    traj = evolve(p, +1)
     with pytest.warns(OrthogonalPassageWarning):
-        dec = phase_decomposition(traj, p, S)
+        dec = phase_decomposition(traj, p)
     assert dec.flagged.any()
     assert np.all(np.isfinite(dec.total))
 
@@ -213,9 +213,9 @@ def test_orthogonal_passage_flagged_on_equator():
 def test_phase_decomposition_grid_mismatch():
     p1 = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 128)
     p2 = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
-    traj = evolve(p1, S, +1)
+    traj = evolve(p1, +1)
     with pytest.raises(ValueError, match="grid"):
-        phase_decomposition(traj, p2, S)
+        phase_decomposition(traj, p2)
 
 
 # -------------------------------------------------- analytic_noncyclic_phase
@@ -246,6 +246,107 @@ def test_numeric_matches_analytic_at_cycle_end():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096)
     ang = spherical_angles(p)
     for pol in (+1, -1):
-        dec = phase_decomposition(evolve(p, S, pol), p, S)
+        dec = phase_decomposition(evolve(p, pol), p)
         target = analytic_noncyclic_phase(ang, pol, p.n_samples - 1)
         assert abs(dec.geometric[-1] - target) < 1e-3
+
+
+# ------------------------------------------- dense 3x3 oracles for the kernels
+#
+# The matrix forms the vector kernels replace: a per-step eigh exponential,
+# the commutator Frobenius residual and einsum expectations.
+
+def _wobble(n):
+    t = np.linspace(0.0, 2.0 * np.pi, n + 1)
+    lam = np.pi / 3 + 0.3 * np.sin(t)
+    kh = np.stack([np.sin(lam) * np.cos(t), np.sin(lam) * np.sin(t), np.cos(lam)], axis=1)
+    return FiberPath(times=t, k_hat=kh, k_mag=1.0)
+
+
+ORACLE_PATHS = [
+    pytest.param(lambda: helix_path(np.pi / 3, 1.0, 2.0, 1.0, 512), id="helix-512"),
+    pytest.param(lambda: helix_path(0.9, -1.0, 1.0, 1.0, 4096), id="clockwise-helix-4096"),
+    pytest.param(lambda: _wobble(512), id="wobble-512"),
+    pytest.param(lambda: _wobble(4096), id="wobble-4096"),
+]
+
+
+def _operators(vectors):
+    return np.einsum("ni,ijk->njk", vectors, S.as_array())
+
+
+def _dense_states(path, pol):
+    h = hamiltonian_coefficients(path)
+    w, v = np.linalg.eigh(_operators(0.5 * (h[:-1] + h[1:])))
+    steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * path.dt), v.conj())
+    states = np.empty((path.n_samples, 3), dtype=complex)
+    states[0] = helicity_eigenstates(path.k_hat[0]).state(-pol)
+    for i, step in enumerate(steps):
+        states[i + 1] = step @ states[i]
+    return states
+
+
+def _dense_expectation(states, vectors):
+    return np.real(np.einsum("nj,njk,nk->n", states.conj(), _operators(vectors), states))
+
+
+def _dense_residual(path, scale):
+    inv = _operators(path.k_hat)
+    ham = _operators(scale * hamiltonian_coefficients(path))
+    comm = inv[1:-1] @ ham[1:-1] - ham[1:-1] @ inv[1:-1]
+    return np.linalg.norm((inv[2:] - inv[:-2]) / (2.0 * path.dt) + comm / 1j, axis=(1, 2))
+
+
+@pytest.mark.parametrize("make_path", ORACLE_PATHS)
+@pytest.mark.parametrize("pol", [+1, -1])
+def test_evolve_matches_dense_exponential(make_path, pol):
+    p = make_path()
+    traj = evolve(p, pol)
+    assert np.abs(traj.states - _dense_states(p, pol)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make_path", ORACLE_PATHS)
+@pytest.mark.parametrize("pol", [+1, -1])
+def test_expectations_match_dense_operators(make_path, pol):
+    p = make_path()
+    traj = evolve(p, pol)
+    assert np.abs(helicity_expectations(traj, p) - _dense_expectation(traj.states, p.k_hat)).max() <= 1e-12
+    dec = phase_decomposition(traj, p)
+    energy = _dense_expectation(traj.states, hamiltonian_coefficients(p))
+    dynamical = np.concatenate([[0.0], np.cumsum((energy[1:] + energy[:-1]) * (-0.5 * p.dt))])
+    assert np.abs(dec.dynamical - dynamical).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make_path", ORACLE_PATHS)
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_invariant_residual_matches_commutator_form(make_path, scale):
+    p = make_path()
+    assert np.abs(invariant_residual_series(p, scale=scale) - _dense_residual(p, scale)).max() <= 1e-12
+
+
+def test_evolve_block_scan_any_length():
+    # step counts around the sqrt(n) x sqrt(n) block edges, including a
+    # padded last block and a single block
+    for n in (2, 3, 15, 16, 17, 63, 64, 65):
+        t = np.linspace(0.0, 0.2 * n, n + 1)
+        lam = 1.0 + 0.2 * np.sin(t)
+        kh = np.stack([np.sin(lam) * np.cos(t), np.sin(lam) * np.sin(t), np.cos(lam)], axis=1)
+        p = FiberPath(times=t, k_hat=kh, k_mag=1.0)
+        assert np.abs(evolve(p, -1).states - _dense_states(p, -1)).max() <= 1e-13
+
+
+def test_compute_scenario_memory_budget():
+    import tracemalloc
+
+    from fiberphase.fock import Ordering
+    from fiberphase.scenario import compute_scenario
+
+    n_steps = 100_000
+    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+    tracemalloc.start()
+    try:
+        compute_scenario(p, [1, -1], 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_steps < 600  # bytes per step

@@ -84,6 +84,40 @@ def test_angles_reconstruct_path():
         assert np.abs(rebuilt - p.k_hat).max() < 1e-9
 
 
+def _sequential_azimuth(path):
+    """The per-sample loop spherical_angles replaced: the bitwise oracle."""
+    kh = path.k_hat
+    raw = np.arctan2(kh[:, 1], kh[:, 0])
+    off_pole = np.hypot(kh[:, 0], kh[:, 1]) >= 1e-9
+    azimuth = np.empty_like(raw)
+    previous = 0.0
+    for i in range(len(raw)):
+        if off_pole[i]:
+            previous = raw[i] + 2.0 * np.pi * np.round((previous - raw[i]) / (2.0 * np.pi))
+        azimuth[i] = previous
+    return azimuth
+
+
+def _meridian(t, y_sign=1.0):
+    # great circle through both poles; y is a signed zero, so the raw azimuth
+    # jumps by pi at every pole crossing and can be -0.0
+    return FiberPath(times=t, k_hat=np.stack([np.sin(t), y_sign * 0.0 * t, np.cos(t)], axis=1), k_mag=1.0)
+
+
+@pytest.mark.parametrize("make_path", [
+    *(pytest.param(lambda c=c: helix_path(c, 1.0, 1.0, 3.0, 3000), id=f"helix-{c:.2f}")
+      for c in (0.1, 0.9, np.pi / 2, 2.8)),
+    pytest.param(lambda: helix_path(0.9, -2.0, 1.0, 40.0, 20000), id="clockwise-40-cycles"),
+    pytest.param(lambda: helix_path(0.0, 1.0, 1.0, 1.0, 64), id="on-pole"),
+    pytest.param(lambda: _meridian(np.linspace(-1.0, 1.0, 2001)), id="pole-crossing"),
+    pytest.param(lambda: _meridian(np.linspace(0.0, 6.0 * np.pi, 20001), -1.0), id="meridian-3-cycles"),
+    pytest.param(lambda: wobble_path(4096), id="wobble"),
+])
+def test_azimuth_bitwise_matches_sequential_rule(make_path):
+    p = make_path()
+    assert spherical_angles(p).azimuth.tobytes() == _sequential_azimuth(p).tobytes()
+
+
 # ----------------------------------------------------------------- FiberPath
 
 def test_path_rejects_nonuniform_grid():
@@ -110,6 +144,20 @@ def test_path_rejects_coarse_sampling():
 def test_path_rejects_too_few_samples():
     with pytest.raises(ValueError, match="3 samples"):
         FiberPath(times=np.array([0.0, 1.0]), k_hat=np.tile([0, 0, 1.0], (2, 1)), k_mag=1.0)
+
+
+@pytest.mark.parametrize("field", ["times", "k_hat", "k_mag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_path_rejects_non_finite(field, bad):
+    t = np.linspace(0, 1, 4)
+    kh = np.tile([0.0, 0.0, 1.0], (4, 1))
+    args = {"times": t, "k_hat": kh, "k_mag": 1.0}
+    if field == "k_mag":
+        args["k_mag"] = bad
+    else:
+        args[field][2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        FiberPath(**args)
 
 
 # --------------------------------------------------------------------- k_dot
