@@ -7,7 +7,9 @@ loaded from a file.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -211,35 +213,39 @@ def load_path(filename) -> FiberPath:
     """Read a trajectory from a line-oriented text file.
 
     Each record holds four whitespace-separated floats ``t kx ky kz``;
-    ``#`` starts a comment.  The magnitude is inferred from the first record
-    and every subsequent vector norm must match it within 1e-6 (relative).
+    ``#`` starts a comment.  Every value must be finite.  The magnitude is
+    inferred from the first record and every subsequent vector norm must
+    match it within 1e-6 (relative).  The parsed values go into one flat
+    float64 buffer, 32 bytes per record.
     """
-    times, vecs = [], []
+    buf = array("d")
     with open(filename) as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            parts = line.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = body.split()
             if len(parts) != 4:
                 raise ValueError(f"{filename}:{lineno}: expected 4 fields 't kx ky kz', got {len(parts)}")
             try:
                 rec = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{filename}:{lineno}: {exc}") from None
-            times.append(rec[0])
-            vecs.append(rec[1:])
-    if len(times) < 3:
-        raise ValueError(f"{filename}: path needs at least 3 samples, got {len(times)}")
-    vecs = np.asarray(vecs, dtype=float)
+            if not all(map(isfinite, rec)):
+                token = next(p for p, v in zip(parts, rec) if not isfinite(v))
+                raise ValueError(f"{filename}:{lineno}: non-finite value {token!r}")
+            buf.extend(rec)
+    data = np.frombuffer(buf, dtype=float).reshape(-1, 4)
+    if len(data) < 3:
+        raise ValueError(f"{filename}: path needs at least 3 samples, got {len(data)}")
+    vecs = data[:, 1:]
     norms = np.linalg.norm(vecs, axis=1)
-    k_mag = norms[0]
+    k_mag = float(norms[0])
     if k_mag <= 0:
         raise ValueError(f"{filename}: first sample has zero wave vector")
     if np.max(np.abs(norms - k_mag)) > 1e-6 * k_mag:
         j = int(np.argmax(np.abs(norms - k_mag)))
         raise ValueError(
-            f"{filename}: |k| varies along the path (sample {j}: {norms[j]!r} vs {k_mag!r}); "
+            f"{filename}: |k| varies along the path (sample {j}: {float(norms[j])!r} vs {k_mag!r}); "
             "only constant-magnitude trajectories are supported"
         )
-    return FiberPath(times=np.asarray(times), k_hat=vecs / norms[:, None], k_mag=float(k_mag))
+    return FiberPath(times=data[:, 0].copy(), k_hat=vecs / norms[:, None], k_mag=k_mag)

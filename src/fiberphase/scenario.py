@@ -123,7 +123,6 @@ def build_path(cfg, base_dir=".") -> geometry.FiberPath:
         filename = _require(section, "filename", str, "path.filename")
         if not os.path.isabs(filename):
             filename = os.path.join(base_dir, filename)
-        n_steps = None
         try:
             loaded = geometry.load_path(filename)
         except ValueError as exc:
@@ -489,7 +488,6 @@ def _sweep_rows_occupations(cfg, base_dir, values):
     _, _, _, ordering, _, _, _ = _parse_common(cfg)
     angles = geometry.spherical_angles(path)
     swept = float(geometry.solid_angle_series(angles)[-1])
-    half = 0.5 if ordering is fock.Ordering.SYMMETRIC else 0.0
     rows = []
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:
@@ -502,8 +500,8 @@ def _sweep_rows_occupations(cfg, base_dir, values):
             "n_left": nl,
             "n_right": nr,
             "quantal": float((nr - nl) * swept),
-            "phi_left": -(nl + half) * swept,
-            "phi_right": +(nr + half) * swept,
+            "phi_left": -fock._weight(nl, ordering) * swept,
+            "phi_right": +fock._weight(nr, ordering) * swept,
         })
     rows.sort(key=lambda r: (r["n_left"], r["n_right"]))
     return rows

@@ -136,6 +136,28 @@ def test_run_file_path_source(tmp_path):
     assert abs(summary["phases"]["+1"]["analytic"] - np.pi) < 1e-6
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_run_file_path_non_finite_token_exits_2(tmp_path, capsys, token):
+    from fiberphase.geometry import helix_path
+
+    p = helix_path(np.pi / 3, 1.0, 2.0, 1.0, 128)
+    lines = [
+        f"{float(t)!r} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
+        for t, v in zip(p.times, p.k_vectors())
+    ]
+    lines[49] = f"{float(p.times[49])!r} {token} 0 0"
+    traj = tmp_path / "traj.txt"
+    traj.write_text("# imported path\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), path={"type": "file", "filename": "traj.txt"})
+    config = write_config(tmp_path, "filepath.json", cfg)
+    assert main(["run", config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"traj.txt:51: non-finite value {token!r}" in err
+    assert "Traceback" not in err and "np.float64" not in err
+    assert not (out / "summary.json").exists()
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -354,6 +376,35 @@ def test_sweep_occupations_linear(tmp_path):
     for n, row in enumerate(rows):
         assert row["n_right"] == n
         assert abs(row["quantal"] - n * slope) < 1e-6
+
+
+@pytest.mark.parametrize("ordering", ["symmetric", "normal"])
+def test_sweep_occupations_matches_inline_weights(tmp_path, ordering):
+    from fiberphase import geometry
+    from fiberphase.scenario import _fmt, build_path
+
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), ordering=ordering)
+    cfg["path"]["n_steps"] = 256
+    pairs = [[3, 1], [0, 0], [0, 2], [7, 4]]
+    cfg["sweep"] = {"parameter": "occupations", "values": pairs}
+    config = write_config(tmp_path, "osweep.json", cfg)
+    assert main(["sweep", config, "--quiet"]) == 0
+
+    # the weights as they were written inline before the sweep reused fock._weight
+    swept = float(geometry.solid_angle_series(geometry.spherical_angles(build_path(cfg)))[-1])
+    half = 0.5 if ordering == "symmetric" else 0.0
+    expected = [
+        {"n_left": nl, "n_right": nr, "quantal": float((nr - nl) * swept),
+         "phi_left": -(nl + half) * swept, "phi_right": +(nr + half) * swept}
+        for nl, nr in sorted(pairs)
+    ]
+    assert read_summary(str(out))["rows"] == expected
+    lines = ["n_left,n_right,quantal,phi_left,phi_right"] + [
+        f"{r['n_left']},{r['n_right']},{_fmt(r['quantal'])},{_fmt(r['phi_left'])},{_fmt(r['phi_right'])}"
+        for r in expected
+    ]
+    assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_sweep_requires_sweep_section(tmp_path):

@@ -287,3 +287,162 @@ def test_load_path_rejects_malformed_record(tmp_path):
     filename.write_text("0 1 0\n")
     with pytest.raises(ValueError, match="expected 4 fields"):
         load_path(filename)
+
+
+def _list_loader(filename):
+    """The former list-of-lists loader, kept as a bitwise oracle for load_path."""
+    times, vecs = [], []
+    with open(filename) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if len(parts) != 4:
+                raise ValueError(f"{filename}:{lineno}: expected 4 fields 't kx ky kz', got {len(parts)}")
+            try:
+                rec = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{filename}:{lineno}: {exc}") from None
+            times.append(rec[0])
+            vecs.append(rec[1:])
+    if len(times) < 3:
+        raise ValueError(f"{filename}: path needs at least 3 samples, got {len(times)}")
+    vecs = np.asarray(vecs, dtype=float)
+    norms = np.linalg.norm(vecs, axis=1)
+    k_mag = norms[0]
+    if k_mag <= 0:
+        raise ValueError(f"{filename}: first sample has zero wave vector")
+    if np.max(np.abs(norms - k_mag)) > 1e-6 * k_mag:
+        raise ValueError(f"{filename}: |k| varies along the path")
+    return FiberPath(times=np.asarray(times), k_hat=vecs / norms[:, None], k_mag=float(k_mag))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _mixed_format_text():
+    """A valid 1e3-magnitude loop written with every accepted layout quirk."""
+    t = np.arange(40) * 0.5
+    phi = 2.0 * np.pi * np.arange(40) / 39
+    k = 1e3 * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+    lines = [
+        "# imported trajectory",
+        "#   columns: t kx ky kz",
+        "",
+        "0 1e3 0 -0.0  # first sample, inline comment",
+        "   ",
+        ".5\t" + "\t".join(repr(float(v)) for v in k[1]),
+        "\t",
+        "+1. " + " ".join(repr(float(v)) for v in k[2]) + "\t# tab before the comment",
+    ]
+    for i in range(3, 40):
+        lines.append(f"  {float(t[i])!r}  {float(k[i, 0])!r} {float(k[i, 1])!r}\t{float(k[i, 2])!r}  ")
+        if i % 9 == 0:
+            lines.append("# a comment between records")
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_load_path_bitwise_matches_list_oracle(tmp_path):
+    filename = tmp_path / "mixed.txt"
+    filename.write_bytes(_mixed_format_text().encode())
+    assert b"\r\n" in filename.read_bytes()
+    loaded, oracle = load_path(filename), _list_loader(filename)
+    assert loaded.n_samples == 40
+    assert _same_bits(loaded.times, oracle.times)
+    assert _same_bits(loaded.k_hat, oracle.k_hat)
+    assert loaded.k_mag == oracle.k_mag == 1e3
+    assert np.signbit(loaded.k_hat[0, 2])  # the -0.0 survives
+    assert loaded.times.flags.c_contiguous and loaded.k_hat.flags.c_contiguous
+
+
+def test_load_path_bitwise_matches_list_oracle_on_loop(tmp_path):
+    phi = np.linspace(0.0, 2.0 * np.pi, 2001)
+    theta = 1.1 + 0.3 * np.sin(3.0 * phi)
+    rows = np.column_stack([phi, np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    filename = tmp_path / "loop.txt"
+    filename.write_text("# loop\n" + ("%.16e %.16e %.16e %.16e\n" * len(rows)) % tuple(rows.ravel()))
+    loaded, oracle = load_path(filename), _list_loader(filename)
+    assert _same_bits(loaded.times, oracle.times)
+    assert _same_bits(loaded.k_hat, oracle.k_hat)
+    assert loaded.k_mag == oracle.k_mag
+
+
+def _ten_line_file(tmp_path, line7):
+    lines = ["# header"] + [f"{0.1 * i!r} 1 {0.01 * i!r} 0" for i in range(9)]
+    lines[6] = line7
+    filename = tmp_path / "ten.txt"
+    filename.write_text("\n".join(lines) + "\n")
+    return filename
+
+
+@pytest.mark.parametrize("line7, detail", [
+    ("0.5 1 0.05", "expected 4 fields 't kx ky kz', got 3"),
+    ("0.5 1 0.05 0 0", "expected 4 fields 't kx ky kz', got 5"),
+    ("0.5 1 abc 0", "could not convert string to float: 'abc'"),
+])
+def test_load_path_record_errors_name_the_line(tmp_path, line7, detail):
+    filename = _ten_line_file(tmp_path, line7)
+    for loader in (load_path, _list_loader):
+        with pytest.raises(ValueError) as info:
+            loader(filename)
+        assert str(info.value) == f"{filename}:7: {detail}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# two records only\n0 1 0 0\n\n0.1 1 0 0\n", "path needs at least 3 samples, got 2"),
+    ("# nothing but comments\n\n   \n", "path needs at least 3 samples, got 0"),
+    ("0 0 0 0\n0.1 1 0 0\n0.2 1 0 0\n", "first sample has zero wave vector"),
+])
+def test_load_path_file_errors(tmp_path, text, message):
+    filename = tmp_path / "bad.txt"
+    filename.write_text(text)
+    for loader in (load_path, _list_loader):
+        with pytest.raises(ValueError) as info:
+            loader(filename)
+        assert str(info.value) == f"{filename}: {message}"
+
+
+def test_load_path_varying_magnitude_message(tmp_path):
+    filename = tmp_path / "bad.txt"
+    filename.write_text("0 1 0 0\n0.1 0.99 0.1 0\n0.2 1.25 0 0\n")
+    with pytest.raises(ValueError) as info:
+        load_path(filename)
+    assert str(info.value) == (
+        f"{filename}: |k| varies along the path (sample 2: 1.25 vs 1.0); "
+        "only constant-magnitude trajectories are supported"
+    )
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "NaN", "+inf", "1e999"])
+def test_load_path_rejects_non_finite_token(tmp_path, token):
+    filename = _ten_line_file(tmp_path, f"0.5 1 {token} 0")
+    with pytest.raises(ValueError) as info:
+        load_path(filename)
+    assert str(info.value) == f"{filename}:7: non-finite value {token!r}"
+
+
+def test_load_path_non_finite_reported_before_later_errors(tmp_path):
+    filename = tmp_path / "bad.txt"
+    filename.write_text("0 1 0 0\n0.1 nan 0 0\n0.2 1 0\n")
+    with pytest.raises(ValueError, match=r":2: non-finite value 'nan'$"):
+        load_path(filename)
+
+
+def test_load_path_memory_budget(tmp_path):
+    import tracemalloc
+
+    n = 100_000
+    phi = np.linspace(0.0, 2.0 * np.pi, n)
+    rows = np.column_stack([phi, 0.6 * np.cos(phi), 0.6 * np.sin(phi), np.full(n, 0.8)])
+    filename = tmp_path / "big.txt"
+    filename.write_text(("%.16e %.16e %.16e %.16e\n" * n) % tuple(rows.ravel()))
+    tracemalloc.start()
+    try:
+        path = load_path(filename)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.n_samples == n
+    assert peak / n < 200  # bytes per sample
