@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import FiberPath, SphericalAngles, k_dot, rotation_vector, solid_angle_series
+from .geometry import FiberPath, SphericalAngles, _read_only, rotation_vector, solid_angle_series
 from .spin import CARTESIAN_FROM_ANGULAR, SpinTriple, helicity_eigenstates
 
 __all__ = [
@@ -78,6 +79,16 @@ class SpinorTrajectory:
     def spin_projection(self) -> int:
         return -self.polarization
 
+    @cached_property
+    def spin_vectors(self) -> np.ndarray:
+        """<psi|S|psi> at every sample, shape (n, 3), computed once and read-only.
+
+        With psi in Cartesian form, psi^dagger S_i psi = -i (psi* x psi)_i
+        = 2 (Re psi x Im psi)_i.
+        """
+        cart = self.states @ CARTESIAN_FROM_ANGULAR.T
+        return _read_only(2.0 * np.cross(cart.real, cart.imag))
+
 
 @dataclass(frozen=True)
 class PhaseDecomposition:
@@ -98,9 +109,11 @@ class PhaseDecomposition:
 
 
 def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
-    """Coefficient vectors h(t_i) = (k x k_dot)/k^2 at every sample, shape (n, 3)."""
-    k = path.k_vectors()
-    return np.cross(k, k_dot(path)) / path.k_mag**2
+    """Coefficient vectors h(t_i) = (k x k_dot)/k^2 at every sample, shape (n, 3).
+
+    This is the path's cached, read-only :attr:`FiberPath.h`.
+    """
+    return path.h
 
 
 def effective_hamiltonian(path: FiberPath, spin: SpinTriple, i: int) -> HamiltonianSample:
@@ -159,14 +172,18 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     size = int(np.ceil(np.sqrt(n_steps)))
     n_blocks = -(-n_steps // size)
 
-    # per-step axis and angle, padded with identity steps to fill the last block
+    # per-step axis and angle, padded with identity steps to fill the last block;
+    # each per-step array is freed as soon as its last reader has run
     rate = np.linalg.norm(h_mid, axis=1)
     axis = np.zeros((n_blocks * size, 3))
     np.divide(h_mid, rate[:, None], out=axis[:n_steps], where=rate[:, None] > 0.0)
+    del h_mid
     angle = np.zeros((n_blocks * size, 1))
     angle[:n_steps, 0] = rate * path.dt
+    del rate
     sin = np.sin(angle)
     vers = 2.0 * np.sin(0.5 * angle) ** 2
+    del angle
     axis, sin, vers = (a.reshape(n_blocks, size, -1) for a in (axis, sin, vers))
 
     # block rotations: row k of frames[b] is the image of the unit vector e_k
@@ -184,20 +201,11 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     states[-1] = current
     for j in range(size - 1):
         blocks[:, j + 1] = _rotate(blocks[:, j], axis[:, j], sin[:, j], vers[:, j])
+    del axis, sin, vers
 
     # back to the angular-momentum basis: psi_ang = C^dagger psi_cart
     states = states[: path.n_samples] @ CARTESIAN_FROM_ANGULAR.conj()
     return SpinorTrajectory(times=path.times, states=states, polarization=polarization)
-
-
-def _spin_vectors(states: np.ndarray) -> np.ndarray:
-    """<psi|S|psi> at every sample, shape (n, 3).
-
-    With psi in Cartesian form, psi^dagger S_i psi = -i (psi* x psi)_i
-    = 2 (Re psi x Im psi)_i.
-    """
-    cart = states @ CARTESIAN_FROM_ANGULAR.T
-    return 2.0 * np.cross(cart.real, cart.imag)
 
 
 def invariant_residual(path: FiberPath, i: int) -> float:
@@ -229,7 +237,7 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
 
 def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray:
     """<psi | k_hat . S | psi> at every sample; conserved at -polarization."""
-    return np.einsum("ni,ni->n", path.k_hat, _spin_vectors(traj.states))
+    return np.einsum("ni,ni->n", path.k_hat, traj.spin_vectors)
 
 
 def _unwrap_with_flags(overlaps: np.ndarray):
@@ -266,7 +274,7 @@ def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecompo
     total, flagged = _unwrap_with_flags(overlaps)
     total = total - total[0]
 
-    energy = np.einsum("ni,ni->n", hamiltonian_coefficients(path), _spin_vectors(traj.states))
+    energy = np.einsum("ni,ni->n", hamiltonian_coefficients(path), traj.spin_vectors)
     dt = path.dt
     dynamical = np.empty_like(energy)
     dynamical[0] = 0.0
@@ -290,7 +298,6 @@ def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int, i: int 
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    series = polarization * solid_angle_series(angles)
     if i is None:
-        return series
-    return float(series[i])
+        return polarization * solid_angle_series(angles)
+    return float(polarization * solid_angle_series(angles)[i])

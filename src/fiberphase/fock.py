@@ -116,10 +116,9 @@ def quantal_geometric_phase(n_left, n_right, angles: SphericalAngles, i: int | N
     """
     n_left = _check_occupation(n_left, "n_left")
     n_right = _check_occupation(n_right, "n_right")
-    series = (n_right - n_left) * solid_angle_series(angles)
     if i is None:
-        return series
-    return float(series[i])
+        return (n_right - n_left) * solid_angle_series(angles)
+    return float((n_right - n_left) * solid_angle_series(angles)[i])
 
 
 def vacuum_phase(polarization, angles: SphericalAngles, i: int | None = None):
@@ -131,10 +130,9 @@ def vacuum_phase(polarization, angles: SphericalAngles, i: int | None = None):
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    series = polarization * 0.5 * solid_angle_series(angles)
     if i is None:
-        return series
-    return float(series[i])
+        return polarization * 0.5 * solid_angle_series(angles)
+    return float(polarization * 0.5 * solid_angle_series(angles)[i])
 
 
 def mode_weights(ladder: FockLadder):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -29,6 +30,12 @@ __all__ = [
 POLE_SIN_TOL = 1e-9  # below this sin(polar), the azimuth is held constant
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values`` with writing switched off, so a cached series can be shared."""
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class FiberPath:
     """Sampled wave-vector direction trajectory with constant magnitude.
@@ -36,6 +43,9 @@ class FiberPath:
     times      : strictly increasing, uniformly spaced sample instants
     k_hat      : (n, 3) array of unit vectors
     k_mag      : positive wave-vector magnitude (inverse length)
+
+    The generator coefficients ``h`` are computed on first use and cached;
+    the path's arrays must not be modified after that.
     """
 
     times: np.ndarray
@@ -81,6 +91,14 @@ class FiberPath:
         """Full wave vectors k_mag * k_hat, shape (n, 3)."""
         return self.k_mag * self.k_hat
 
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Generator coefficients (k x k_dot)/k^2 at every sample, shape (n, 3), read-only.
+
+        Every stage that needs the generator reads this one array.
+        """
+        return _read_only(np.cross(self.k_vectors(), k_dot(self)) / self.k_mag**2)
+
 
 @dataclass(frozen=True)
 class SphericalAngles:
@@ -89,11 +107,24 @@ class SphericalAngles:
     polar   : angle from the +z axis, in [0, pi]
     azimuth : unwrapped azimuthal angle (continuous branch, jump < pi per step)
     times   : the originating sample grid
+
+    The swept solid angle is computed on first use and cached.
     """
 
     times: np.ndarray
     polar: np.ndarray
     azimuth: np.ndarray
+
+    @cached_property
+    def solid_angle(self) -> np.ndarray:
+        """Cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`."""
+        dt = float(self.times[1] - self.times[0])
+        rate = derivative_uniform(self.azimuth, dt)
+        integrand = rate * (1.0 - np.cos(self.polar))
+        out = np.empty_like(integrand)
+        out[0] = 0.0
+        np.cumsum((integrand[1:] + integrand[:-1]) * (0.5 * dt), out=out[1:])
+        return _read_only(out)
 
 
 def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
@@ -199,14 +230,9 @@ def solid_angle_series(angles: SphericalAngles) -> np.ndarray:
 
     Trapezoidal rule with the azimuth rate from ``derivative_uniform``; this is
     the common kernel of the transport, occupation-number and vacuum phases.
+    The series is computed once per ``angles`` and returned read-only.
     """
-    dt = float(angles.times[1] - angles.times[0])
-    rate = derivative_uniform(angles.azimuth, dt)
-    integrand = rate * (1.0 - np.cos(angles.polar))
-    out = np.empty_like(integrand)
-    out[0] = 0.0
-    np.cumsum((integrand[1:] + integrand[:-1]) * (0.5 * dt), out=out[1:])
-    return out
+    return angles.solid_angle
 
 
 def load_path(filename) -> FiberPath:

@@ -202,26 +202,33 @@ def _parse_common(cfg):
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, eps3=1.0, mu1=1.0, mu2=0.0, mu3=1.0)
 
 
+def _sigma_block(path, angles, pol):
+    """The per-polarization results; the trajectory is freed on return."""
+    traj = evolution.evolve(path, pol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
+        dec = evolution.phase_decomposition(traj, path)
+    for item in caught:
+        print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
+    hel = evolution.helicity_expectations(traj, path)
+    return {
+        "decomposition": dec,
+        "analytic": evolution.analytic_noncyclic_phase(angles, pol),
+        "norm_drift": np.abs(np.linalg.norm(traj.states, axis=1) - 1.0),
+        "helicity_drift": np.abs(hel - hel[0]),
+    }
+
+
 def compute_scenario(path, polarizations, n_left, n_right, ordering, medium, k0, chamber_length):
-    """Run every pipeline stage on one path; returns a dict of arrays/values."""
+    """Run every pipeline stage on one path; returns a dict of arrays/values.
+
+    Each stage reads the path's cached series (``path.h``, ``angles.solid_angle``);
+    each polarization's trajectory is freed before the next one is evolved.
+    """
     angles = geometry.spherical_angles(path)
     n = path.n_samples
 
-    per_sigma = {}
-    for pol in polarizations:
-        traj = evolution.evolve(path, pol)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
-            dec = evolution.phase_decomposition(traj, path)
-        for item in caught:
-            print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
-        hel = evolution.helicity_expectations(traj, path)
-        per_sigma[pol] = {
-            "decomposition": dec,
-            "analytic": evolution.analytic_noncyclic_phase(angles, pol),
-            "norm_drift": np.abs(np.linalg.norm(traj.states, axis=1) - 1.0),
-            "helicity_drift": np.abs(hel - hel[0]),
-        }
+    per_sigma = {pol: _sigma_block(path, angles, pol) for pol in polarizations}
 
     inv = evolution.invariant_residual_series(path)
     inv_full = np.concatenate([[inv[0]], inv, [inv[-1]]])  # pad ends with nearest interior
@@ -389,15 +396,21 @@ def _write_summary(out_dir, summary):
         fh.write(text + "\n")
 
 
+def _output_dir(cfg, out_dir):
+    """``out_dir`` if given, else the config's ``output_dir`` (default 'out'), as a string."""
+    out_dir = out_dir or cfg.get("output_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ScenarioError(f"output_dir: expected a string, got {out_dir!r}")
+    return out_dir
+
+
 def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     """Execute a 'run' scenario; returns the summary dict after writing files."""
     cfg = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     path = build_path(cfg, base_dir)
     pols, nl, nr, ordering, medium, k0, chamber = _parse_common(cfg)
-    out_dir = out_dir or cfg.get("output_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ScenarioError(f"output_dir: expected a string, got {out_dir!r}")
+    out_dir = _output_dir(cfg, out_dir)
 
     result = compute_scenario(path, pols, nl, nr, ordering, medium, k0, chamber)
     _check_finite(result, pols)
@@ -421,51 +434,56 @@ _SWEEPABLE = ("cone_angle", "n_steps", "occupations")
 
 
 def _require_helix_path(cfg, parameter):
-    if cfg.get("path", {}).get("type") != "helix":
+    if _require(cfg, "path", dict).get("type") != "helix":
         raise ScenarioError(f"sweep.parameter '{parameter}' needs a helix path source")
+
+
+# Each sweep point is computed in its own call, which returns only the point's
+# row, so one point's path and arrays are freed before the next is built.
+
+def _cone_row(cfg, base_dir, value):
+    cone = parse_angle(value, "sweep.values")
+    sub = json.loads(json.dumps(cfg))
+    sub["path"]["cone_angle"] = cone
+    path = build_path(sub, base_dir)
+    pols, nl, nr, ordering, medium, k0, chamber = _parse_common(sub)
+    result = compute_scenario(path, pols, nl, nr, ordering, medium, k0, chamber)
+    _check_finite(result, pols)
+    row = {"cone_angle": cone}
+    for pol in pols:
+        suffix = _SIGMA_SUFFIX[pol]
+        dec = result["per_sigma"][pol]["decomposition"]
+        row[f"geometric_{suffix}"] = float(dec.geometric[-1])
+        row[f"analytic_{suffix}"] = float(result["per_sigma"][pol]["analytic"][-1])
+        row[f"flagged_{suffix}"] = int(dec.flagged.sum())
+    row["quantal"] = float(result["quantal"][-1])
+    row["vacuum_net"] = float(result["vacuum_net"].phase)
+    return row
 
 
 def _sweep_rows_cone(cfg, base_dir, values):
     _require_helix_path(cfg, "cone_angle")
-    rows = []
-    for value in values:
-        cone = parse_angle(value, "sweep.values")
-        sub = json.loads(json.dumps(cfg))
-        sub["path"]["cone_angle"] = cone
-        path = build_path(sub, base_dir)
-        pols, nl, nr, ordering, medium, k0, chamber = _parse_common(sub)
-        result = compute_scenario(path, pols, nl, nr, ordering, medium, k0, chamber)
-        _check_finite(result, pols)
-        row = {"cone_angle": cone}
-        for pol in pols:
-            suffix = _SIGMA_SUFFIX[pol]
-            dec = result["per_sigma"][pol]["decomposition"]
-            row[f"geometric_{suffix}"] = float(dec.geometric[-1])
-            row[f"analytic_{suffix}"] = float(result["per_sigma"][pol]["analytic"][-1])
-            row[f"flagged_{suffix}"] = int(dec.flagged.sum())
-        row["quantal"] = float(result["quantal"][-1])
-        row["vacuum_net"] = float(result["vacuum_net"].phase)
-        rows.append(row)
+    rows = [_cone_row(cfg, base_dir, value) for value in values]
     rows.sort(key=lambda r: r["cone_angle"])
     return rows
 
 
+def _steps_row(cfg, base_dir, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 64:
+        raise ScenarioError(f"sweep.values: n_steps entries must be integers >= 64, got {value!r}")
+    sub = json.loads(json.dumps(cfg))
+    sub["path"]["n_steps"] = value
+    path = build_path(sub, base_dir)
+    return {
+        "n_steps": value,
+        "max_invariant_residual": float(evolution.invariant_residual_series(path).max()),
+        "max_motion_residual": float(geometry.motion_residual(path).max()),
+    }
+
+
 def _sweep_rows_steps(cfg, base_dir, values):
     _require_helix_path(cfg, "n_steps")
-    rows = []
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 64:
-            raise ScenarioError(f"sweep.values: n_steps entries must be integers >= 64, got {value!r}")
-        sub = json.loads(json.dumps(cfg))
-        sub["path"]["n_steps"] = value
-        path = build_path(sub, base_dir)
-        inv = evolution.invariant_residual_series(path)
-        motion = geometry.motion_residual(path)
-        rows.append({
-            "n_steps": value,
-            "max_invariant_residual": float(inv.max()),
-            "max_motion_residual": float(motion.max()),
-        })
+    rows = [_steps_row(cfg, base_dir, value) for value in values]
     rows.sort(key=lambda r: r["n_steps"])
     floor = 1e-10
     for i, row in enumerate(rows):
@@ -518,7 +536,7 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
     values = sweep.get("values")
     if not isinstance(values, list) or not values:
         raise ScenarioError("sweep.values: expected a nonempty list")
-    out_dir = out_dir or cfg.get("output_dir", "out")
+    out_dir = _output_dir(cfg, out_dir)
 
     if parameter == "cone_angle":
         rows = _sweep_rows_cone(cfg, base_dir, values)

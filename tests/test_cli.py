@@ -419,6 +419,34 @@ def test_sweep_rejects_empty_values(tmp_path):
     assert main(["sweep", config]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_string_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = helix_cfg(5)
+    cfg["path"]["n_steps"] = 128
+    cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
+    config = write_config(tmp_path, "outdir.json", cfg)
+    assert main([command, config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "output_dir: expected a string, got 5" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("summary.json"))
+
+
+@pytest.mark.parametrize("parameter", ["cone_angle", "n_steps"])
+@pytest.mark.parametrize("section", [[1], "helix", None])
+def test_sweep_non_object_path_exits_2(tmp_path, monkeypatch, capsys, parameter, section):
+    monkeypatch.chdir(tmp_path)
+    cfg = helix_cfg("out", path=section)
+    cfg["sweep"] = {"parameter": parameter, "values": [128]}
+    config = write_config(tmp_path, "badpath.json", cfg)
+    assert main(["sweep", config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"path: expected dict, got {section!r}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("summary.json"))
+
+
 # ---------------------------------------------------------------------- check
 
 def test_check_passes(capsys):

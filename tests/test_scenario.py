@@ -1,0 +1,188 @@
+"""compute_scenario computes each per-path series once and frees what it no longer reads.
+
+The oracle runs the public stage functions on a fresh, never-cached copy of
+the path for every call, so a stale or shared cached series would show up as
+a bitwise difference.
+"""
+import json
+import sys
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from fiberphase import evolution, fock, geometry, media
+from fiberphase.evolution import (
+    analytic_noncyclic_phase,
+    evolve,
+    hamiltonian_coefficients,
+    helicity_expectations,
+    invariant_residual_series,
+    phase_decomposition,
+)
+from fiberphase.fock import Ordering
+from fiberphase.geometry import FiberPath, helix_path, load_path, solid_angle_series, spherical_angles
+from fiberphase.scenario import FREE_SPACE, compute_scenario, run_sweep
+
+GYROTROPIC = media.GyrotropicMedium(eps1=2.0, eps2=3.0, mu1=2.0, mu2=1.0)  # left mode evanescent
+
+
+def _fresh(path):
+    return FiberPath(times=path.times.copy(), k_hat=path.k_hat.copy(), k_mag=path.k_mag)
+
+
+def _angles(path):
+    return spherical_angles(_fresh(path))
+
+
+def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
+    """compute_scenario's arrays from the stage functions, each on a fresh path copy."""
+    per_sigma = {}
+    for pol in pols:
+        states = evolve(_fresh(path), pol).states
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+            dec = phase_decomposition(evolve(_fresh(path), pol), _fresh(path))
+        hel = helicity_expectations(evolve(_fresh(path), pol), _fresh(path))
+        per_sigma[pol] = {
+            "total": dec.total,
+            "dynamical": dec.dynamical,
+            "geometric": dec.geometric,
+            "flagged": dec.flagged,
+            "analytic": analytic_noncyclic_phase(_angles(path), pol),
+            "norm_drift": np.abs(np.linalg.norm(states, axis=1) - 1.0),
+            "helicity_drift": np.abs(hel - hel[0]),
+        }
+    inv = invariant_residual_series(_fresh(path))
+    net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), path.n_samples - 1, chamber)
+    vac_left = fock.vacuum_phase(-1, _angles(path))
+    vac_right = fock.vacuum_phase(+1, _angles(path))
+    net_series = np.zeros(path.n_samples)
+    if net.plus_survives:
+        net_series = net_series + vac_right
+    if net.minus_survives:
+        net_series = net_series + vac_left
+    angles = _angles(path)
+    return {
+        "polar": angles.polar,
+        "azimuth": angles.azimuth,
+        "per_sigma": per_sigma,
+        "invariant_residual": np.concatenate([[inv[0]], inv, [inv[-1]]]),
+        "motion_residual": geometry.motion_residual(_fresh(path)),
+        "vacuum_left": vac_left,
+        "vacuum_right": vac_right,
+        "vacuum_net_series": net_series,
+        "quantal": fock.quantal_geometric_phase(n_left, n_right, _angles(path)),
+        "vacuum_net": net,
+    }
+
+
+def _assert_bitwise(got, want, label):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+def _wobble_file(tmp_path):
+    t = np.linspace(0.0, 4.0 * np.pi, 3001)
+    polar = 0.9 + 0.3 * np.sin(3.0 * t)
+    azimuth = t + 0.2 * np.cos(2.0 * t)
+    k = 2.5 * np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+    filename = tmp_path / "wobble.txt"
+    np.savetxt(filename, np.column_stack([t, k]), fmt="%.17g")
+    return load_path(str(filename))
+
+
+CASES = {
+    # name: (path builder, n_left, n_right, medium, k0, chamber)
+    "helix-pi/3": (lambda tmp: helix_path(np.pi / 3, 1.0, 2.0, 1.0, 2000), 0, 1, None, 1.0, None),
+    "equator-flagged": (lambda tmp: helix_path(np.pi / 2, 1.0, 1.0, 2.0, 2000), 2, 1, GYROTROPIC, 1.0, 10.0),
+    "wobble-file": (_wobble_file, 3, 0, GYROTROPIC, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
+    make, nl, nr, medium, k0, chamber = CASES[case]
+    path = make(tmp_path)
+    got = compute_scenario(path, pols, nl, nr, Ordering.SYMMETRIC, medium, k0, chamber)
+    want = _oracle(path, pols, nl, nr, medium, k0, chamber)
+
+    _assert_bitwise(got["angles"].polar, want["polar"], "polar")
+    _assert_bitwise(got["angles"].azimuth, want["azimuth"], "azimuth")
+    for pol in pols:
+        block, ref = got["per_sigma"][pol], want["per_sigma"][pol]
+        dec = block["decomposition"]
+        for key in ("total", "dynamical", "geometric", "flagged"):
+            _assert_bitwise(getattr(dec, key), ref[key], f"{pol} {key}")
+        for key in ("analytic", "norm_drift", "helicity_drift"):
+            _assert_bitwise(block[key], ref[key], f"{pol} {key}")
+    for key in ("invariant_residual", "motion_residual", "vacuum_left", "vacuum_right", "vacuum_net_series", "quantal"):
+        _assert_bitwise(got[key], want[key], key)
+    assert got["vacuum_net"] == want["vacuum_net"]
+    if case == "equator-flagged":
+        assert all(got["per_sigma"][pol]["decomposition"].flagged.any() for pol in pols)
+
+
+def test_cached_series_are_shared_and_read_only():
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
+    angles = spherical_angles(path)
+    traj = evolve(path, +1)
+    assert hamiltonian_coefficients(path) is path.h
+    assert solid_angle_series(angles) is angles.solid_angle
+    helicity_expectations(traj, path)
+    spin_vectors = traj.spin_vectors
+    phase_decomposition(traj, path)
+    assert traj.spin_vectors is spin_vectors
+    for series in (path.h, angles.solid_angle, traj.spin_vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            series[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            series += 1.0
+    # derived series are new, writable arrays
+    assert analytic_noncyclic_phase(angles, -1).flags.writeable
+    assert fock.vacuum_phase(+1, angles).flags.writeable
+
+
+def test_k_dot_computed_at_most_twice_per_scenario(monkeypatch):
+    original = geometry.k_dot
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    # rebind every module attribute that holds k_dot, so imports by name count too
+    for name, module in list(sys.modules.items()):
+        if name == "fiberphase" or name.startswith("fiberphase."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
+    compute_scenario(path, [1, -1], 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
+    assert len(calls) <= 2
+
+
+def _sweep_peak(tmp_path, values):
+    cfg = {
+        "path": {"type": "helix", "cone_angle": 0.7, "omega": 1.0, "k_mag": 1.0, "n_cycles": 1.0, "n_steps": 50_000},
+        "polarizations": [1, -1],
+        "sweep": {"parameter": "cone_angle", "values": values},
+    }
+    config = tmp_path / f"sweep{len(values)}.json"
+    config.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        run_sweep(str(config), str(tmp_path / f"out{len(values)}"), quiet=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
+    one = _sweep_peak(tmp_path, ["40 deg"])
+    two = _sweep_peak(tmp_path, ["40 deg", "50 deg"])
+    assert two <= 1.1 * one, (one, two)
