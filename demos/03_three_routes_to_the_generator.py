@@ -13,23 +13,19 @@
 import numpy as np
 
 from fiberphase import (
-    effective_hamiltonian,
-    hamiltonian_from_rotation,
     helix_path,
     invariant_residual_series,
     motion_residual,
-    spin1_matrices,
+    rotation_vectors,
 )
 from fiberphase.geometry import FiberPath
 
-spin = spin1_matrices()
-
 
 def rotation_gap(path):
-    return max(
-        np.linalg.norm(hamiltonian_from_rotation(path, spin, i) - effective_hamiltonian(path, spin, i).matrix)
-        for i in range(path.n_samples - 1)
-    )
+    # largest Frobenius gap between (theta/dt) . S and h . S over the steps;
+    # ||v . S||_F = sqrt(2) |v| for any 3-vector v
+    step_gap = np.linalg.norm(rotation_vectors(path) / path.dt - path.h[:-1], axis=1)
+    return np.sqrt(2.0) * step_gap.max()
 
 
 def wobble_path(n_steps):

@@ -11,12 +11,9 @@ from .evolution import (
     PhaseDecomposition,
     SpinorTrajectory,
     analytic_noncyclic_phase,
-    effective_hamiltonian,
     evolve,
     hamiltonian_coefficients,
-    hamiltonian_from_rotation,
     helicity_expectations,
-    invariant_residual,
     invariant_residual_series,
     phase_decomposition,
 )
@@ -24,10 +21,7 @@ from .fock import (
     FockLadder,
     Ordering,
     cyclic_phases,
-    fock_weight_operator,
-    mode_phase_operators,
     mode_weights,
-    number_operator,
     phase_spectrum,
     quantal_geometric_phase,
     vacuum_phase,
@@ -39,7 +33,7 @@ from .geometry import (
     k_dot,
     load_path,
     motion_residual,
-    rotation_vector,
+    rotation_vectors,
     solid_angle_series,
     spherical_angles,
 )

@@ -29,19 +29,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import FiberPath, SphericalAngles, _read_only, rotation_vector, solid_angle_series
-from .spin import CARTESIAN_FROM_ANGULAR, SpinTriple, helicity_eigenstates
+from .geometry import FiberPath, SphericalAngles, _read_only, solid_angle_series
+from .spin import CARTESIAN_FROM_ANGULAR, helicity_eigenstates
 
 __all__ = [
-    "HamiltonianSample",
     "SpinorTrajectory",
     "PhaseDecomposition",
     "OrthogonalPassageWarning",
     "hamiltonian_coefficients",
-    "effective_hamiltonian",
-    "hamiltonian_from_rotation",
     "evolve",
-    "invariant_residual",
     "invariant_residual_series",
     "phase_decomposition",
     "analytic_noncyclic_phase",
@@ -53,14 +49,6 @@ OVERLAP_FLOOR = 1e-9  # below this |<psi0|psi>|, the total phase is flagged
 
 class OrthogonalPassageWarning(UserWarning):
     """The running state passed (nearly) orthogonal to the initial one."""
-
-
-@dataclass(frozen=True)
-class HamiltonianSample:
-    """Generator at one sample: coefficient 3-vector h and the matrix h . S."""
-
-    h: np.ndarray
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -111,28 +99,11 @@ class PhaseDecomposition:
 def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
     """Coefficient vectors h(t_i) = (k x k_dot)/k^2 at every sample, shape (n, 3).
 
-    This is the path's cached, read-only :attr:`FiberPath.h`.
+    This is the path's cached, read-only :attr:`FiberPath.h`.  The
+    finite-rotation route, ``geometry.rotation_vectors(path) / path.dt``,
+    agrees with ``h[:-1]`` to first order in dt.
     """
     return path.h
-
-
-def effective_hamiltonian(path: FiberPath, spin: SpinTriple, i: int) -> HamiltonianSample:
-    """Generator (k x k_dot)/k^2 . S at sample ``i``."""
-    n = path.n_samples
-    if not 0 <= i < n:
-        raise IndexError(f"sample index {i} out of range [0, {n})")
-    h = hamiltonian_coefficients(path)[i]
-    return HamiltonianSample(h=h, matrix=spin.along(h))
-
-
-def hamiltonian_from_rotation(path: FiberPath, spin: SpinTriple, i: int) -> np.ndarray:
-    """Generator built from the finite rotation between samples i and i+1.
-
-    Returns (theta_i / dt) . S with theta_i the infinitesimal rotation vector;
-    agrees with :func:`effective_hamiltonian` to first order in dt.
-    """
-    theta = rotation_vector(path, i)
-    return spin.along(theta / path.dt)
 
 
 def _rotate(x, axis, sin, vers):
@@ -206,19 +177,6 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     # back to the angular-momentum basis: psi_ang = C^dagger psi_cart
     states = states[: path.n_samples] @ CARTESIAN_FROM_ANGULAR.conj()
     return SpinorTrajectory(times=path.times, states=states, polarization=polarization)
-
-
-def invariant_residual(path: FiberPath, i: int) -> float:
-    """Frobenius norm of  dI/dt + (1/i)[I, H]  at interior sample ``i``.
-
-    I(t) = k_hat(t) . S is differentiated by central differences and H is the
-    effective generator at the same sample; the combination vanishes to
-    discretization order because that H solves the equation exactly.
-    """
-    n = path.n_samples
-    if not 1 <= i <= n - 2:
-        raise IndexError(f"invariant residual needs an interior sample, got {i} of {n}")
-    return float(invariant_residual_series(path)[i - 1])
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:

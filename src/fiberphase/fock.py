@@ -5,7 +5,7 @@ occupation basis: the left-handed mode contributes -weight_L(n_L) * W and the
 right-handed mode +weight_R(n_R) * W, where the weight per mode is n under
 normal ordering and n + 1/2 under symmetric (Weyl) ordering.  The +-1/2
 pieces are the zero-point contribution; they cancel in the sum, which is why
-the per-mode operators are exposed separately and never only as a total.
+the per-mode weights are exposed separately and never only as a total.
 """
 from __future__ import annotations
 
@@ -23,9 +23,6 @@ __all__ = [
     "quantal_geometric_phase",
     "vacuum_phase",
     "mode_weights",
-    "fock_weight_operator",
-    "mode_phase_operators",
-    "number_operator",
     "phase_spectrum",
 ]
 
@@ -136,10 +133,14 @@ def vacuum_phase(polarization, angles: SphericalAngles, i: int | None = None):
 
 
 def mode_weights(ladder: FockLadder):
-    """Diagonal weight arrays (weight_left, weight_right) over the basis.
+    """Per-mode weight arrays (weight_left, weight_right) over the basis.
 
     Entry b of weight_left is weight(n_left(b)) and likewise for the right
-    mode; under symmetric ordering each is its occupation plus one half.
+    mode; under symmetric ordering each is its occupation plus one half, under
+    normal ordering the occupation itself.  Over a swept solid angle W, basis
+    state b gains -weight_left[b] * W in the left mode and +weight_right[b] * W
+    in the right one; at the vacuum under symmetric ordering these are the
+    -1/2 and +1/2 that cancel in the sum.
     """
     per = ladder.n_max + 1
     occ = np.arange(per, dtype=float)
@@ -147,42 +148,6 @@ def mode_weights(ladder: FockLadder):
     weight_left = np.repeat(w, per)
     weight_right = np.tile(w, per)
     return weight_left, weight_right
-
-
-def mode_phase_operators(ladder: FockLadder):
-    """Signed per-mode phase generators (G_left, G_right), diagonal.
-
-    The phase of basis state |n_left, n_right> over a swept solid angle W is
-    G_left * W for the left mode and G_right * W for the right one, i.e.
-    G_left = -diag(weight_left) and G_right = +diag(weight_right).  At the
-    vacuum state under symmetric ordering the entries are -1/2 and +1/2;
-    keeping them separate is what stops the zero-point pieces from silently
-    cancelling.
-    """
-    wl, wr = mode_weights(ladder)
-    return np.diag(-wl), np.diag(+wr)
-
-
-def fock_weight_operator(ladder: FockLadder) -> np.ndarray:
-    """Combined phase generator: diag of weight_right - weight_left.
-
-    The total phase over a swept solid angle W is this operator times W; use
-    :func:`mode_phase_operators` when the zero-point halves must stay
-    visible, since they cancel in this combination.
-    """
-    wl, wr = mode_weights(ladder)
-    return np.diag(wr - wl)
-
-
-def number_operator(ladder: FockLadder, mode: str) -> np.ndarray:
-    """Diagonal occupation operator for mode 'left' or 'right' (exact integers)."""
-    per = ladder.n_max + 1
-    occ = np.arange(per, dtype=float)
-    if mode == "left":
-        return np.diag(np.repeat(occ, per))
-    if mode == "right":
-        return np.diag(np.tile(occ, per))
-    raise ValueError(f"mode must be 'left' or 'right', got {mode!r}")
 
 
 def phase_spectrum(ladder: FockLadder, cone_angle) -> np.ndarray:

@@ -21,7 +21,7 @@ __all__ = [
     "spherical_angles",
     "k_dot",
     "motion_residual",
-    "rotation_vector",
+    "rotation_vectors",
     "load_path",
     "solid_angle_series",
     "derivative_uniform",
@@ -212,17 +212,14 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     return np.linalg.norm(kd + np.cross(k, np.cross(k, kd)) / k2, axis=1)
 
 
-def rotation_vector(path: FiberPath, i: int) -> np.ndarray:
-    """Infinitesimal rotation vector (k_i x k_{i+1}) / k^2 between samples i, i+1.
+def rotation_vectors(path: FiberPath) -> np.ndarray:
+    """Infinitesimal rotation vectors (k_i x k_{i+1}) / k^2 of every step, shape (n-1, 3).
 
-    Its direction is the rotation axis taking k_hat(t_i) into k_hat(t_{i+1})
-    and its norm approximates the angle between them to third order in dt.
+    Row i points along the axis taking k_hat(t_i) into k_hat(t_{i+1}) and its
+    norm approximates the angle between them to third order in dt.
     """
-    n = path.n_samples
-    if not 0 <= i < n - 1:
-        raise IndexError(f"sample index {i} out of range [0, {n - 1})")
     k = path.k_vectors()
-    return np.cross(k[i], k[i + 1]) / path.k_mag**2
+    return np.cross(k[:-1], k[1:]) / path.k_mag**2
 
 
 def solid_angle_series(angles: SphericalAngles) -> np.ndarray:

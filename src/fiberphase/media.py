@@ -31,21 +31,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GyrotropicMedium:
-    """Tensor parameters of a gyrotropic medium (dimensionless).
+    """Transverse tensor parameters of a gyrotropic medium (dimensionless).
 
-    eps3 and mu3 are carried for completeness; the on-axis dispersion along
-    the third axis does not involve them.
+    The on-axis dispersion along the third axis involves only these
+    transverse components, so the axial ones are not held.
     """
 
     eps1: float
     eps2: float
-    eps3: float = 1.0
     mu1: float = 1.0
     mu2: float = 0.0
-    mu3: float = 1.0
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "eps3", "mu1", "mu2", "mu3"):
+        for name in ("eps1", "eps2", "mu1", "mu2"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 

@@ -139,23 +139,26 @@ def _parse_polarizations(cfg):
         raise ScenarioError(f"polarizations: expected a nonempty list, got {values!r}")
     out = []
     for v in values:
-        if v not in (-1, +1):
-            raise ScenarioError(f"polarizations: entries must be +1 or -1, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, int) or v not in (-1, +1):
+            raise ScenarioError(f"polarizations: entries must be the integers 1 or -1, got {v!r}")
         if v not in out:
             out.append(v)
     return out
+
+
+def _occupation(n, field):
+    """``n`` if it is an integer in [0, 2**52); from 2**52 on, n + 1/2 is not exact in float64."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n < 2**52:
+        raise ScenarioError(f"{field}: expected a nonnegative integer below 2**52, got {n!r}")
+    return n
 
 
 def _parse_occupations(cfg):
     occ = cfg.get("occupations", {"n_left": 0, "n_right": 0})
     if not isinstance(occ, dict):
         raise ScenarioError(f"occupations: expected an object, got {occ!r}")
-    nl = occ.get("n_left", 0)
-    nr = occ.get("n_right", 0)
-    for name, n in (("occupations.n_left", nl), ("occupations.n_right", nr)):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ScenarioError(f"{name}: expected a nonnegative integer, got {n!r}")
-    return nl, nr
+    return (_occupation(occ.get("n_left", 0), "occupations.n_left"),
+            _occupation(occ.get("n_right", 0), "occupations.n_right"))
 
 
 def _parse_medium(cfg):
@@ -164,10 +167,10 @@ def _parse_medium(cfg):
         return None
     if not isinstance(raw, dict):
         raise ScenarioError(f"medium: expected an object, got {raw!r}")
-    kwargs = {}
-    for name in ("eps1", "eps2", "eps3", "mu1", "mu2", "mu3"):
-        if name in raw:
-            kwargs[name] = _require(raw, name, float, f"medium.{name}")
+    for name in raw:
+        if name not in ("eps1", "eps2", "mu1", "mu2"):
+            raise ScenarioError(f"medium.{name}: unknown key; a medium takes eps1, eps2, mu1 and mu2")
+    kwargs = {name: _require(raw, name, float, f"medium.{name}") for name in raw}
     for name in ("eps1", "eps2"):
         if name not in kwargs:
             raise ScenarioError(f"medium.{name}: required when a medium is given")
@@ -199,7 +202,7 @@ def _parse_common(cfg):
     return pols, nl, nr, ordering, medium, k0, chamber
 
 
-FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, eps3=1.0, mu1=1.0, mu2=0.0, mu3=1.0)
+FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
 def _sigma_block(path, angles, pol):
@@ -397,10 +400,12 @@ def _write_summary(out_dir, summary):
 
 
 def _output_dir(cfg, out_dir):
-    """``out_dir`` if given, else the config's ``output_dir`` (default 'out'), as a string."""
+    """``out_dir`` if given, else the config's ``output_dir`` (default 'out'), as a nonempty string."""
     out_dir = out_dir or cfg.get("output_dir", "out")
     if not isinstance(out_dir, str):
         raise ScenarioError(f"output_dir: expected a string, got {out_dir!r}")
+    if not out_dir:
+        raise ScenarioError("output_dir: expected a directory name, got ''")
     return out_dir
 
 
@@ -408,9 +413,9 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     """Execute a 'run' scenario; returns the summary dict after writing files."""
     cfg = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
+    out_dir = _output_dir(cfg, out_dir)
     path = build_path(cfg, base_dir)
     pols, nl, nr, ordering, medium, k0, chamber = _parse_common(cfg)
-    out_dir = _output_dir(cfg, out_dir)
 
     result = compute_scenario(path, pols, nl, nr, ordering, medium, k0, chamber)
     _check_finite(result, pols)
@@ -441,13 +446,16 @@ def _require_helix_path(cfg, parameter):
 # Each sweep point is computed in its own call, which returns only the point's
 # row, so one point's path and arrays are freed before the next is built.
 
-def _cone_row(cfg, base_dir, value):
+def _with_path_value(cfg, key, value):
+    """``cfg`` with ``path[key]`` replaced; the other sections are shared, not copied."""
+    return {**cfg, "path": {**cfg["path"], key: value}}
+
+
+def _cone_row(cfg, base_dir, value, common):
     cone = parse_angle(value, "sweep.values")
-    sub = json.loads(json.dumps(cfg))
-    sub["path"]["cone_angle"] = cone
-    path = build_path(sub, base_dir)
-    pols, nl, nr, ordering, medium, k0, chamber = _parse_common(sub)
-    result = compute_scenario(path, pols, nl, nr, ordering, medium, k0, chamber)
+    path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
+    pols = common[0]
+    result = compute_scenario(path, *common)
     _check_finite(result, pols)
     row = {"cone_angle": cone}
     for pol in pols:
@@ -461,9 +469,9 @@ def _cone_row(cfg, base_dir, value):
     return row
 
 
-def _sweep_rows_cone(cfg, base_dir, values):
+def _sweep_rows_cone(cfg, base_dir, values, common):
     _require_helix_path(cfg, "cone_angle")
-    rows = [_cone_row(cfg, base_dir, value) for value in values]
+    rows = [_cone_row(cfg, base_dir, value, common) for value in values]
     rows.sort(key=lambda r: r["cone_angle"])
     return rows
 
@@ -471,9 +479,7 @@ def _sweep_rows_cone(cfg, base_dir, values):
 def _steps_row(cfg, base_dir, value):
     if isinstance(value, bool) or not isinstance(value, int) or value < 64:
         raise ScenarioError(f"sweep.values: n_steps entries must be integers >= 64, got {value!r}")
-    sub = json.loads(json.dumps(cfg))
-    sub["path"]["n_steps"] = value
-    path = build_path(sub, base_dir)
+    path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
     return {
         "n_steps": value,
         "max_invariant_residual": float(evolution.invariant_residual_series(path).max()),
@@ -501,19 +507,16 @@ def _sweep_rows_steps(cfg, base_dir, values):
     return rows
 
 
-def _sweep_rows_occupations(cfg, base_dir, values):
+def _sweep_rows_occupations(cfg, base_dir, values, ordering):
     path = build_path(cfg, base_dir)
-    _, _, _, ordering, _, _, _ = _parse_common(cfg)
     angles = geometry.spherical_angles(path)
     swept = float(geometry.solid_angle_series(angles)[-1])
     rows = []
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ScenarioError(f"sweep.values: occupation entries must be [n_left, n_right] pairs, got {pair!r}")
-        nl, nr = pair
-        for name, n in (("n_left", nl), ("n_right", nr)):
-            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise ScenarioError(f"sweep.values: {name} must be a nonnegative integer, got {n!r}")
+        nl = _occupation(pair[0], "sweep.values: n_left")
+        nr = _occupation(pair[1], "sweep.values: n_right")
         rows.append({
             "n_left": nl,
             "n_right": nr,
@@ -537,13 +540,14 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
     if not isinstance(values, list) or not values:
         raise ScenarioError("sweep.values: expected a nonempty list")
     out_dir = _output_dir(cfg, out_dir)
+    common = _parse_common(cfg)
 
     if parameter == "cone_angle":
-        rows = _sweep_rows_cone(cfg, base_dir, values)
+        rows = _sweep_rows_cone(cfg, base_dir, values, common)
     elif parameter == "n_steps":
         rows = _sweep_rows_steps(cfg, base_dir, values)
     else:
-        rows = _sweep_rows_occupations(cfg, base_dir, values)
+        rows = _sweep_rows_occupations(cfg, base_dir, values, ordering=common[3])
 
     os.makedirs(out_dir, exist_ok=True)
     columns = list(rows[0].keys())

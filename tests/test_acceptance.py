@@ -11,15 +11,14 @@ import numpy as np
 
 from fiberphase.cli import main as cli_main
 from fiberphase.evolution import (
-    effective_hamiltonian,
     evolve,
-    hamiltonian_from_rotation,
+    hamiltonian_coefficients,
     helicity_expectations,
     invariant_residual_series,
     phase_decomposition,
 )
 from fiberphase.fock import Ordering, cyclic_phases, vacuum_phase
-from fiberphase.geometry import helix_path, motion_residual, spherical_angles
+from fiberphase.geometry import helix_path, motion_residual, rotation_vectors, spherical_angles
 from fiberphase.media import GyrotropicMedium, net_vacuum_phase, refractive_indices_squared
 from fiberphase.spin import spin1_matrices
 
@@ -90,10 +89,26 @@ def test_criterion_4_ordering_ledger():
 
 
 def _max_rotation_gap(path):
+    """Largest Frobenius gap between the finite-rotation generator (theta/dt) . S
+    and h . S over the steps, as ||(theta/dt - h) . S||_F = sqrt(2) |theta/dt - h|."""
+    gaps = np.linalg.norm(rotation_vectors(path) / path.dt - hamiltonian_coefficients(path)[:-1], axis=1)
+    return float(np.sqrt(2.0) * gaps.max())
+
+
+def _dense_max_rotation_gap(path):
+    """Oracle: the same gap from the 3x3 matrices, one step at a time."""
+    theta, h = rotation_vectors(path), hamiltonian_coefficients(path)
     return max(
-        float(np.linalg.norm(hamiltonian_from_rotation(path, S, i) - effective_hamiltonian(path, S, i).matrix))
+        float(np.linalg.norm(S.along(theta[i] / path.dt) - S.along(h[i])))
         for i in range(path.n_samples - 1)
     )
+
+
+def test_rotation_gap_matches_dense_frobenius_gap():
+    for n_steps in (1024, 2048):
+        path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+        dense = _dense_max_rotation_gap(path)
+        assert abs(_max_rotation_gap(path) - dense) <= 1e-15 * dense
 
 
 def test_criterion_5_method_consistency():

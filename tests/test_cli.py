@@ -433,6 +433,104 @@ def test_non_string_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
     assert not list(tmp_path.rglob("summary.json"))
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_empty_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = helix_cfg("")
+    cfg["path"]["n_steps"] = 128
+    cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
+    config = write_config(tmp_path, "outdir.json", cfg)
+    assert main([command, config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "output_dir" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("summary.json"))
+
+
+@pytest.mark.parametrize("values", [[1.0, -1], [1, -1.0], [True]])
+def test_non_integer_polarizations_exit_2(tmp_path, capsys, values):
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), polarizations=values)
+    cfg["path"]["n_steps"] = 128
+    config = write_config(tmp_path, "pols.json", cfg)
+    assert main(["run", config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "polarizations" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [2**52, 10**400, -1, 1.0, True], ids=["2**52", "10**400", "-1", "1.0", "true"])
+@pytest.mark.parametrize("side", ["n_left", "n_right"])
+def test_out_of_range_occupation_exits_2(tmp_path, capsys, side, n):
+    out = tmp_path / "out"
+    occupations = {"n_left": 0, "n_right": 0, side: n}
+    cfg = helix_cfg(str(out), occupations=occupations)
+    cfg["path"]["n_steps"] = 128
+    config = write_config(tmp_path, "occ.json", cfg)
+    assert main(["run", config, "--quiet"]) == 2
+    pair = [occupations["n_left"], occupations["n_right"]]
+    cfg["occupations"] = {"n_left": 0, "n_right": 0}
+    cfg["sweep"] = {"parameter": "occupations", "values": [[0, 1], pair]}
+    config = write_config(tmp_path, "occ_sweep.json", cfg)
+    assert main(["sweep", config, "--quiet"]) == 2
+    run_err, sweep_err = capsys.readouterr().err.splitlines()
+    assert f"occupations.{side}:" in run_err
+    assert f"sweep.values: {side}:" in sweep_err
+    assert "Traceback" not in run_err + sweep_err
+    assert not out.exists()
+
+
+def test_largest_exact_occupation_is_accepted(tmp_path):
+    out = tmp_path / "out"
+    n = 2**52 - 1
+    cfg = helix_cfg(str(out), occupations={"n_left": n, "n_right": 0})
+    cfg["path"]["n_steps"] = 128
+    cfg["sweep"] = {"parameter": "occupations", "values": [[0, n]]}
+    config = write_config(tmp_path, "occ.json", cfg)
+    assert main(["run", config, "--quiet"]) == 0
+    assert read_summary(str(out))["occupations"]["n_left"] == n
+    assert main(["sweep", config, "--quiet"]) == 0
+    assert read_summary(str(out))["rows"][0]["n_right"] == n
+
+
+@pytest.mark.parametrize("key", ["eps3", "mu3", "epsilon1"])
+def test_unknown_medium_key_exits_2(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), medium={"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0, key: 1.0})
+    cfg["path"]["n_steps"] = 128
+    config = write_config(tmp_path, "medium.json", cfg)
+    assert main(["run", config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"medium.{key}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("cone_angle", ["30 deg"]),
+    ("n_steps", [128]),
+    ("occupations", [[0, 1]]),
+])
+@pytest.mark.parametrize("field, value", [
+    ("polarizations", "garbage"),
+    ("ordering", "sideways"),
+    ("k0", -1),
+    ("medium", [3]),
+])
+def test_sweep_validates_common_fields(tmp_path, capsys, parameter, values, field, value):
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), **{field: value})
+    cfg["path"]["n_steps"] = 128
+    cfg["sweep"] = {"parameter": parameter, "values": values}
+    config = write_config(tmp_path, "common.json", cfg)
+    assert main(["sweep", config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("parameter", ["cone_angle", "n_steps"])
 @pytest.mark.parametrize("section", [[1], "helix", None])
 def test_sweep_non_object_path_exits_2(tmp_path, monkeypatch, capsys, parameter, section):

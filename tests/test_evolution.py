@@ -4,16 +4,13 @@ import pytest
 from fiberphase.evolution import (
     OrthogonalPassageWarning,
     analytic_noncyclic_phase,
-    effective_hamiltonian,
     evolve,
     hamiltonian_coefficients,
-    hamiltonian_from_rotation,
     helicity_expectations,
-    invariant_residual,
     invariant_residual_series,
     phase_decomposition,
 )
-from fiberphase.geometry import FiberPath, helix_path, spherical_angles
+from fiberphase.geometry import FiberPath, helix_path, rotation_vectors, spherical_angles
 from fiberphase.spin import helicity_eigenstates, spin1_matrices
 
 S = spin1_matrices()
@@ -27,9 +24,9 @@ def constant_path(n=64):
 
 def test_effective_hamiltonian_constant_path():
     p = constant_path()
-    sample = effective_hamiltonian(p, S, 10)
-    assert np.abs(sample.h).max() == 0.0
-    assert np.abs(sample.matrix).max() == 0.0
+    h = hamiltonian_coefficients(p)
+    assert np.abs(h).max() == 0.0
+    assert np.abs(S.along(h[10])).max() == 0.0
 
 
 def test_effective_hamiltonian_equator_closed_form():
@@ -38,8 +35,8 @@ def test_effective_hamiltonian_equator_closed_form():
     h = hamiltonian_coefficients(p)
     assert np.abs(h - np.array([0.0, 0.0, 1.0])).max() < 1e-3
     assert np.abs(np.linalg.norm(h, axis=1) - 1.0).max() < 1e-3
-    sample = effective_hamiltonian(p, S, 17)
-    assert np.abs(sample.matrix - sample.matrix.conj().T).max() < 1e-12
+    matrix = S.along(h[17])
+    assert np.abs(matrix - matrix.conj().T).max() < 1e-12
 
 
 def test_effective_hamiltonian_helix_z_component():
@@ -56,18 +53,17 @@ def test_hamiltonian_coefficient_orthogonal_to_direction():
     assert np.abs(np.einsum("ni,ni->n", h, p.k_hat)).max() < p.dt**2
 
 
-# --------------------------------------------------- hamiltonian_from_rotation
+# ------------------------------------------ finite-rotation route (theta/dt)
 
 def test_rotation_hamiltonian_constant_path():
     p = constant_path()
-    assert np.abs(hamiltonian_from_rotation(p, S, 5)).max() == 0.0
+    assert np.abs(rotation_vectors(p) / p.dt).max() == 0.0
 
 
 def _max_gap(path):
-    return max(
-        np.linalg.norm(hamiltonian_from_rotation(path, S, i) - effective_hamiltonian(path, S, i).matrix)
-        for i in range(path.n_samples - 1)
-    )
+    # ||(theta/dt - h) . S||_F = sqrt(2) |theta/dt - h| at every step
+    gaps = np.linalg.norm(rotation_vectors(path) / path.dt - hamiltonian_coefficients(path)[:-1], axis=1)
+    return np.sqrt(2.0) * gaps.max()
 
 
 def test_rotation_hamiltonian_equator_agreement():
@@ -130,7 +126,9 @@ def test_evolve_helicity_conserved_on_equator():
 
 def test_invariant_residual_constant_path():
     p = constant_path()
-    assert invariant_residual(p, 5) == 0.0
+    series = invariant_residual_series(p)
+    assert series.shape == (p.n_samples - 2,)  # interior samples only
+    assert np.abs(series).max() == 0.0
 
 
 def test_invariant_residual_helix_small():
@@ -156,14 +154,6 @@ def test_invariant_residual_negative_control():
     # a wrong generator (here 2H) leaves an O(1) residual, not O(dt^2)
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 512)
     assert invariant_residual_series(p, scale=2.0).max() > 0.1
-
-
-def test_invariant_residual_rejects_boundary():
-    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 64)
-    with pytest.raises(IndexError):
-        invariant_residual(p, 0)
-    with pytest.raises(IndexError):
-        invariant_residual(p, p.n_samples - 1)
 
 
 # ------------------------------------------------------- phase_decomposition

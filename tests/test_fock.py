@@ -5,10 +5,7 @@ from fiberphase.fock import (
     FockLadder,
     Ordering,
     cyclic_phases,
-    fock_weight_operator,
-    mode_phase_operators,
     mode_weights,
-    number_operator,
     phase_spectrum,
     quantal_geometric_phase,
     vacuum_phase,
@@ -151,12 +148,18 @@ def test_ladder_rejects_bad_truncation():
         FockLadder(n_max=0)
 
 
+def _occupations(ladder):
+    """Oracle: n_left and n_right of every basis state, from the labels."""
+    labels = np.array(ladder.labels(), dtype=float)
+    return labels[:, 0], labels[:, 1]
+
+
 def test_number_operators_integer_spectrum():
-    ladder = FockLadder(n_max=4)
-    for mode in ("left", "right"):
-        op = number_operator(ladder, mode)
-        values = np.diag(op)
+    # under normal ordering the weights are the occupation numbers themselves
+    ladder = FockLadder(n_max=4, ordering=Ordering.NORMAL)
+    for values, occ in zip(mode_weights(ladder), _occupations(ladder)):
         assert np.array_equal(values, values.astype(int).astype(float))
+        assert np.array_equal(values, occ)
         assert values.min() == 0.0
         assert values.max() == 4.0
 
@@ -164,8 +167,7 @@ def test_number_operators_integer_spectrum():
 def test_mode_weights_symmetric_offset_exact():
     ladder = FockLadder(n_max=6, ordering=Ordering.SYMMETRIC)
     wl, wr = mode_weights(ladder)
-    nl = np.diag(number_operator(ladder, "left"))
-    nr = np.diag(number_operator(ladder, "right"))
+    nl, nr = _occupations(ladder)
     assert np.array_equal(wl - nl, np.full(ladder.dim, 0.5))
     assert np.array_equal(wr - nr, np.full(ladder.dim, 0.5))
 
@@ -178,18 +180,20 @@ def test_mode_weights_normal_vacuum_deleted():
 
 
 def test_phase_operator_entries():
+    # signed per-mode phase weights: -weight_left and +weight_right per unit W
     ladder = FockLadder(n_max=3, ordering=Ordering.SYMMETRIC)
-    gen_l, gen_r = mode_phase_operators(ladder)
-    combined = fock_weight_operator(ladder)
+    wl, wr = mode_weights(ladder)
+    gen_l, gen_r, combined = -wl, +wr, wr - wl
     b = ladder.index(0, 0)
-    assert (np.diag(gen_l)[b], np.diag(gen_r)[b]) == (-0.5, +0.5)
-    assert np.diag(combined)[b] == 0.0
+    assert (gen_l[b], gen_r[b]) == (-0.5, +0.5)
+    assert combined[b] == 0.0
     b = ladder.index(2, 1)
-    assert (np.diag(gen_l)[b], np.diag(gen_r)[b]) == (-2.5, +1.5)
-    assert np.diag(combined)[b] == -1.0
+    assert (gen_l[b], gen_r[b]) == (-2.5, +1.5)
+    assert combined[b] == -1.0
     assert np.array_equal(gen_l + gen_r, combined)
     norm = FockLadder(n_max=3, ordering=Ordering.NORMAL)
-    assert np.diag(fock_weight_operator(norm))[norm.index(0, 0)] == 0.0
+    wl, wr = mode_weights(norm)
+    assert (wr - wl)[norm.index(0, 0)] == 0.0
 
 
 # -------------------------------------------------------------- phase_spectrum

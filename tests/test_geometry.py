@@ -7,7 +7,7 @@ from fiberphase.geometry import (
     k_dot,
     load_path,
     motion_residual,
-    rotation_vector,
+    rotation_vectors,
     solid_angle_series,
     spherical_angles,
 )
@@ -211,18 +211,20 @@ def test_motion_residual_helix_refinement():
     assert r1 / r2 > 3.5
 
 
-# ----------------------------------------------------------- rotation_vector
+# ---------------------------------------------------------- rotation_vectors
 
 def test_rotation_vector_constant_path():
     p = helix_path(0.0, 1.0, 1.0, 1.0, 64)
-    assert np.abs(rotation_vector(p, 10)).max() == 0.0
+    theta = rotation_vectors(p)
+    assert theta.shape == (p.n_samples - 1, 3)  # one vector per step
+    assert np.abs(theta).max() == 0.0
 
 
 def test_rotation_vector_equator():
     # oracle: (cos t, sin t, 0) x (cos t', sin t', 0) = (0, 0, sin dt)
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 256)
     dt = p.dt
-    theta = rotation_vector(p, 0)
+    theta = rotation_vectors(p)
     assert np.abs(theta - np.array([0.0, 0.0, dt])).max() < dt**3
 
 
@@ -231,17 +233,17 @@ def test_rotation_vector_matches_k_dot():
     kd = k_dot(p)
     k = p.k_vectors()
     dt = p.dt
-    for i in (0, 100, 400):
-        expected = np.cross(k[i], kd[i]) / p.k_mag**2 * dt
-        assert np.abs(rotation_vector(p, i) - expected).max() < 5.0 * dt**2
+    expected = np.cross(k[:-1], kd[:-1]) / p.k_mag**2 * dt
+    assert np.abs(rotation_vectors(p) - expected).max() < 5.0 * dt**2
 
 
-def test_rotation_vector_index_range():
-    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 64)
-    with pytest.raises(IndexError):
-        rotation_vector(p, p.n_samples - 1)
-    with pytest.raises(IndexError):
-        rotation_vector(p, -1)
+@pytest.mark.parametrize("k_mag", [1.0, 2.5])
+def test_rotation_vectors_match_per_step_cross_products(k_mag):
+    # oracle: the per-step formula (k_i x k_{i+1}) / k^2, one sample pair at a time
+    p = wobble_path(256, k_mag=k_mag)
+    k = p.k_vectors()
+    expected = np.array([np.cross(k[i], k[i + 1]) / p.k_mag**2 for i in range(p.n_samples - 1)])
+    assert np.array_equal(rotation_vectors(p), expected)
 
 
 # --------------------------------------------------------- solid angle series
