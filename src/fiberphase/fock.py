@@ -50,8 +50,9 @@ def _weight(n, ordering: Ordering) -> float:
 
 
 def _check_occupation(n, name) -> int:
-    if n != int(n) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    """``n`` as an int if it is an integer in [0, 2**52); from 2**52 on, n + 1/2 is not exact in float64."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < 2**52:
+        raise ValueError(f"{name}: expected a nonnegative integer below 2**52, got {n!r}")
     return int(n)
 
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,14 +144,14 @@ def _parse_polarizations(cfg):
             raise ScenarioError(f"polarizations: entries must be the integers 1 or -1, got {v!r}")
         if v not in out:
             out.append(v)
-    return out
+    return tuple(out)
 
 
 def _occupation(n, field):
-    """``n`` if it is an integer in [0, 2**52); from 2**52 on, n + 1/2 is not exact in float64."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n < 2**52:
-        raise ScenarioError(f"{field}: expected a nonnegative integer below 2**52, got {n!r}")
-    return n
+    try:
+        return fock._check_occupation(n, field)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _parse_occupations(cfg):
@@ -187,7 +188,20 @@ def _positive_number(value, field):
     return float(value)
 
 
-def _parse_common(cfg):
+@dataclass(frozen=True)
+class Scenario:
+    """The parsed config fields that every point of a run or sweep shares."""
+
+    polarizations: tuple[int, ...]
+    n_left: int
+    n_right: int
+    ordering: fock.Ordering
+    medium: media.GyrotropicMedium | None
+    k0: float
+    chamber_length: float | None
+
+
+def _parse_common(cfg) -> Scenario:
     pols = _parse_polarizations(cfg)
     nl, nr = _parse_occupations(cfg)
     try:
@@ -199,14 +213,14 @@ def _parse_common(cfg):
     chamber = cfg.get("chamber_length")
     if chamber is not None:
         chamber = _positive_number(chamber, "chamber_length")
-    return pols, nl, nr, ordering, medium, k0, chamber
+    return Scenario(pols, nl, nr, ordering, medium, k0, chamber)
 
 
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
-def _sigma_block(path, angles, pol):
-    """The per-polarization results; the trajectory is freed on return."""
+def _sigma_table(path, angles, pol):
+    """The results.csv columns of polarization ``pol``; the trajectory is freed on return."""
     traj = evolution.evolve(path, pol)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
@@ -215,23 +229,28 @@ def _sigma_block(path, angles, pol):
         print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
     hel = evolution.helicity_expectations(traj, path)
     return {
-        "decomposition": dec,
-        "analytic": evolution.analytic_noncyclic_phase(angles, pol),
+        "phase_total": dec.total,
+        "phase_dynamical": dec.dynamical,
+        "phase_geometric": dec.geometric,
+        "phase_analytic": evolution.analytic_noncyclic_phase(angles, pol),
         "norm_drift": np.abs(np.linalg.norm(traj.states, axis=1) - 1.0),
         "helicity_drift": np.abs(hel - hel[0]),
+        "flagged": dec.flagged,
     }
 
 
-def compute_scenario(path, polarizations, n_left, n_right, ordering, medium, k0, chamber_length):
-    """Run every pipeline stage on one path; returns a dict of arrays/values.
+def compute_scenario(path, scenario: Scenario):
+    """Run every pipeline stage on one path; returns the results.csv columns by name.
 
-    Each stage reads the path's cached series (``path.h``, ``angles.solid_angle``);
-    each polarization's trajectory is freed before the next one is evolved.
+    ``columns`` holds the columns every polarization shares, ``per_sigma[pol]``
+    the rest.  Each stage reads the path's cached series (``path.h``,
+    ``angles.solid_angle``); each trajectory is freed before the next one is
+    evolved, and the angles with their cached W when this returns.
     """
     angles = geometry.spherical_angles(path)
     n = path.n_samples
 
-    per_sigma = {pol: _sigma_block(path, angles, pol) for pol in polarizations}
+    per_sigma = {pol: _sigma_table(path, angles, pol) for pol in scenario.polarizations}
 
     inv = evolution.invariant_residual_series(path)
     inv_full = np.concatenate([[inv[0]], inv, [inv[-1]]])  # pad ends with nearest interior
@@ -239,26 +258,31 @@ def compute_scenario(path, polarizations, n_left, n_right, ordering, medium, k0,
 
     vac_left = fock.vacuum_phase(-1, angles)
     vac_right = fock.vacuum_phase(+1, angles)
-    quantal = fock.quantal_geometric_phase(n_left, n_right, angles)
+    quantal = fock.quantal_geometric_phase(scenario.n_left, scenario.n_right, angles)
 
     net_series = np.zeros(n)
-    net_final = media.net_vacuum_phase(medium or FREE_SPACE, k0, angles, n - 1, chamber_length)
+    net_final = media.net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, angles, n - 1, scenario.chamber_length)
     if net_final.plus_survives:
         net_series = net_series + vac_right
     if net_final.minus_survives:
         net_series = net_series + vac_left
 
-    return {
-        "angles": angles,
-        "per_sigma": per_sigma,
+    columns = {
+        "t": path.times,
+        "lambda": angles.polar,
+        "gamma": angles.azimuth,
+        "phase_quantal": quantal,
+        "phase_vacuum_L": vac_left,
+        "phase_vacuum_R": vac_right,
+        "phase_vacuum_net": net_series,
         "invariant_residual": inv_full,
         "motion_residual": motion,
-        "vacuum_left": vac_left,
-        "vacuum_right": vac_right,
-        "vacuum_net_series": net_series,
+    }
+    return {
+        "columns": columns,
+        "per_sigma": per_sigma,
         "vacuum_net": net_final,
-        "quantal": quantal,
-        "mode_status": media.mode_status(medium) if medium is not None else None,
+        "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
     }
 
 
@@ -266,53 +290,27 @@ def _fmt(x) -> str:
     return f"{x:.16e}"
 
 
-def _check_finite(result, polarizations):
-    arrays = [result["invariant_residual"], result["motion_residual"], result["quantal"],
-              result["vacuum_left"], result["vacuum_right"], result["vacuum_net_series"]]
-    for pol in polarizations:
-        block = result["per_sigma"][pol]
-        arrays += [block["decomposition"].total, block["decomposition"].dynamical,
-                   block["decomposition"].geometric, block["analytic"],
-                   block["norm_drift"], block["helicity_drift"]]
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("non-finite value detected in results")
+def _check_finite(result):
+    for table in (result["columns"], *result["per_sigma"].values()):
+        for values in table.values():
+            if not np.all(np.isfinite(values)):
+                raise NumericalError("non-finite value detected in results")
 
 
-def write_results_csv(filename, path, result, polarizations):
+def write_results_csv(filename, result):
     """Write results.csv one row at a time, so no list of rows is held in memory."""
     with open(filename, "w", newline="\n") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for pol in polarizations:
-            fh.writelines(row + "\n" for row in _result_rows(path, result, pol))
+        for pol in result["per_sigma"]:
+            fh.writelines(row + "\n" for row in _result_rows(result, pol))
 
 
-def _result_rows(path, result, pol):
-    """The formatted results.csv rows of polarization ``pol``."""
-    angles = result["angles"]
-    block = result["per_sigma"][pol]
-    dec = block["decomposition"]
-    for i in range(path.n_samples):
-        row = [
-            str(pol),
-            _fmt(path.times[i]),
-            _fmt(angles.polar[i]),
-            _fmt(angles.azimuth[i]),
-            _fmt(dec.total[i]),
-            _fmt(dec.dynamical[i]),
-            _fmt(dec.geometric[i]),
-            _fmt(block["analytic"][i]),
-            _fmt(result["quantal"][i]),
-            _fmt(result["vacuum_left"][i]),
-            _fmt(result["vacuum_right"][i]),
-            _fmt(result["vacuum_net_series"][i]),
-            _fmt(block["norm_drift"][i]),
-            _fmt(block["helicity_drift"][i]),
-            _fmt(result["invariant_residual"][i]),
-            _fmt(result["motion_residual"][i]),
-            "1" if dec.flagged[i] else "0",
-        ]
-        yield ",".join(row)
+def _result_rows(result, pol):
+    """The formatted results.csv rows of polarization ``pol``: sigma, the float columns, flagged."""
+    table = {**result["columns"], **result["per_sigma"][pol]}
+    floats = zip(*(table[name] for name in RESULT_COLUMNS[1:-1]))
+    for values, flag in zip(floats, table["flagged"]):
+        yield ",".join([str(pol), *map(_fmt, values), "1" if flag else "0"])
 
 
 def _write_plot(filename, times, values):
@@ -321,32 +319,25 @@ def _write_plot(filename, times, values):
             fh.write(f"{_fmt(t)} {_fmt(v)}\n")
 
 
-def write_plot_files(out_dir, path, result, polarizations):
-    t = path.times
-    for pol in polarizations:
-        suffix = _SIGMA_SUFFIX[pol]
-        dec = result["per_sigma"][pol]["decomposition"]
-        _write_plot(os.path.join(out_dir, f"plot_total_{suffix}.dat"), t, dec.total)
-        _write_plot(os.path.join(out_dir, f"plot_geometric_{suffix}.dat"), t, dec.geometric)
-        _write_plot(os.path.join(out_dir, f"plot_analytic_{suffix}.dat"), t, result["per_sigma"][pol]["analytic"])
-    _write_plot(os.path.join(out_dir, "plot_quantal.dat"), t, result["quantal"])
-    _write_plot(os.path.join(out_dir, "plot_vacuum_net.dat"), t, result["vacuum_net_series"])
+def write_plot_files(out_dir, result):
+    t = result["columns"]["t"]
+    for pol, table in result["per_sigma"].items():
+        for kind in ("total", "geometric", "analytic"):
+            _write_plot(os.path.join(out_dir, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat"), t, table[f"phase_{kind}"])
+    for kind in ("quantal", "vacuum_net"):
+        _write_plot(os.path.join(out_dir, f"plot_{kind}.dat"), t, result["columns"][f"phase_{kind}"])
 
 
-def summarize(result, path, polarizations, n_left, n_right, ordering, medium, k0, chamber_length):
+def summarize(result, path, scenario: Scenario):
     phases = {}
-    for pol in polarizations:
-        block = result["per_sigma"][pol]
-        dec = block["decomposition"]
+    for pol, table in result["per_sigma"].items():
         phases[f"{pol:+d}"] = {
-            "total": float(dec.total[-1]),
-            "dynamical": float(dec.dynamical[-1]),
-            "geometric": float(dec.geometric[-1]),
-            "analytic": float(block["analytic"][-1]),
-            "flagged_samples": int(dec.flagged.sum()),
-            "max_norm_drift": float(block["norm_drift"].max()),
-            "max_helicity_drift": float(block["helicity_drift"].max()),
+            **{kind: float(table[f"phase_{kind}"][-1]) for kind in ("total", "dynamical", "geometric", "analytic")},
+            "flagged_samples": int(table["flagged"].sum()),
+            "max_norm_drift": float(table["norm_drift"].max()),
+            "max_helicity_drift": float(table["helicity_drift"].max()),
         }
+    columns = result["columns"]
     net = result["vacuum_net"]
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -356,24 +347,25 @@ def summarize(result, path, polarizations, n_left, n_right, ordering, medium, k0
             "k_mag": path.k_mag,
             "duration": float(path.times[-1] - path.times[0]),
         },
-        "ordering": ordering.value,
-        "occupations": {"n_left": n_left, "n_right": n_right},
+        "ordering": scenario.ordering.value,
+        "occupations": {"n_left": scenario.n_left, "n_right": scenario.n_right},
         "phases": phases,
-        "quantal_final": float(result["quantal"][-1]),
+        "quantal_final": float(columns["phase_quantal"][-1]),
         "vacuum": {
-            "left_final": float(result["vacuum_left"][-1]),
-            "right_final": float(result["vacuum_right"][-1]),
+            "left_final": float(columns["phase_vacuum_L"][-1]),
+            "right_final": float(columns["phase_vacuum_R"][-1]),
             "net_final": float(net.phase),
             "plus_survives": bool(net.plus_survives),
             "minus_survives": bool(net.minus_survives),
             "no_propagating_modes": bool(net.no_propagating_modes),
         },
         "diagnostics": {
-            "max_invariant_residual": float(result["invariant_residual"].max()),
-            "max_motion_residual": float(result["motion_residual"].max()),
+            "max_invariant_residual": float(columns["invariant_residual"].max()),
+            "max_motion_residual": float(columns["motion_residual"].max()),
         },
-        "k0": k0,
-        "chamber_length": chamber_length,
+        "k0": scenario.k0,
+        "chamber_length": scenario.chamber_length,
+        "medium": None,
     }
     status = result["mode_status"]
     if status is not None:
@@ -382,11 +374,9 @@ def summarize(result, path, polarizations, n_left, n_right, ordering, medium, k0
             "n2_minus": float(status.n2_minus),
             "plus_propagates": bool(status.plus_propagates),
             "minus_propagates": bool(status.minus_propagates),
-            "k_plus": media.effective_wave_vector(medium, k0, +1),
-            "k_minus": media.effective_wave_vector(medium, k0, -1),
+            "k_plus": media.effective_wave_vector(scenario.medium, scenario.k0, +1),
+            "k_minus": media.effective_wave_vector(scenario.medium, scenario.k0, -1),
         }
-    else:
-        summary["medium"] = None
     return summary
 
 
@@ -401,7 +391,8 @@ def _write_summary(out_dir, summary):
 
 def _output_dir(cfg, out_dir):
     """``out_dir`` if given, else the config's ``output_dir`` (default 'out'), as a nonempty string."""
-    out_dir = out_dir or cfg.get("output_dir", "out")
+    if out_dir is None:
+        out_dir = cfg.get("output_dir", "out")
     if not isinstance(out_dir, str):
         raise ScenarioError(f"output_dir: expected a string, got {out_dir!r}")
     if not out_dir:
@@ -415,17 +406,17 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_dir = _output_dir(cfg, out_dir)
     path = build_path(cfg, base_dir)
-    pols, nl, nr, ordering, medium, k0, chamber = _parse_common(cfg)
+    scenario = _parse_common(cfg)
 
-    result = compute_scenario(path, pols, nl, nr, ordering, medium, k0, chamber)
-    _check_finite(result, pols)
+    result = compute_scenario(path, scenario)
+    _check_finite(result)
 
     os.makedirs(out_dir, exist_ok=True)
-    write_results_csv(os.path.join(out_dir, "results.csv"), path, result, pols)
-    summary = summarize(result, path, pols, nl, nr, ordering, medium, k0, chamber)
+    write_results_csv(os.path.join(out_dir, "results.csv"), result)
+    summary = summarize(result, path, scenario)
     summary["command"] = "run"
     _write_summary(out_dir, summary)
-    write_plot_files(out_dir, path, result, pols)
+    write_plot_files(out_dir, result)
     if not quiet:
         print(f"wrote {out_dir}/results.csv, summary.json and plot files")
         for key in sorted(summary["phases"]):
@@ -451,27 +442,25 @@ def _with_path_value(cfg, key, value):
     return {**cfg, "path": {**cfg["path"], key: value}}
 
 
-def _cone_row(cfg, base_dir, value, common):
+def _cone_row(cfg, base_dir, value, scenario):
     cone = parse_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
-    pols = common[0]
-    result = compute_scenario(path, *common)
-    _check_finite(result, pols)
+    result = compute_scenario(path, scenario)
+    _check_finite(result)
     row = {"cone_angle": cone}
-    for pol in pols:
+    for pol, table in result["per_sigma"].items():
         suffix = _SIGMA_SUFFIX[pol]
-        dec = result["per_sigma"][pol]["decomposition"]
-        row[f"geometric_{suffix}"] = float(dec.geometric[-1])
-        row[f"analytic_{suffix}"] = float(result["per_sigma"][pol]["analytic"][-1])
-        row[f"flagged_{suffix}"] = int(dec.flagged.sum())
-    row["quantal"] = float(result["quantal"][-1])
+        row[f"geometric_{suffix}"] = float(table["phase_geometric"][-1])
+        row[f"analytic_{suffix}"] = float(table["phase_analytic"][-1])
+        row[f"flagged_{suffix}"] = int(table["flagged"].sum())
+    row["quantal"] = float(result["columns"]["phase_quantal"][-1])
     row["vacuum_net"] = float(result["vacuum_net"].phase)
     return row
 
 
-def _sweep_rows_cone(cfg, base_dir, values, common):
+def _sweep_rows_cone(cfg, base_dir, values, scenario):
     _require_helix_path(cfg, "cone_angle")
-    rows = [_cone_row(cfg, base_dir, value, common) for value in values]
+    rows = [_cone_row(cfg, base_dir, value, scenario) for value in values]
     rows.sort(key=lambda r: r["cone_angle"])
     return rows
 
@@ -540,14 +529,14 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
     if not isinstance(values, list) or not values:
         raise ScenarioError("sweep.values: expected a nonempty list")
     out_dir = _output_dir(cfg, out_dir)
-    common = _parse_common(cfg)
+    scenario = _parse_common(cfg)
 
     if parameter == "cone_angle":
-        rows = _sweep_rows_cone(cfg, base_dir, values, common)
+        rows = _sweep_rows_cone(cfg, base_dir, values, scenario)
     elif parameter == "n_steps":
         rows = _sweep_rows_steps(cfg, base_dir, values)
     else:
-        rows = _sweep_rows_occupations(cfg, base_dir, values, ordering=common[3])
+        rows = _sweep_rows_occupations(cfg, base_dir, values, scenario.ordering)
 
     os.makedirs(out_dir, exist_ok=True)
     columns = list(rows[0].keys())

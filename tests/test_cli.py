@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fiberphase.cli import main
+from fiberphase.scenario import RESULT_COLUMNS
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -193,21 +194,26 @@ def test_unwritable_output_exits_4(tmp_path):
     assert main(["run", config, "--quiet"]) == 4
 
 
-def test_non_finite_results_exit_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("column", RESULT_COLUMNS[1:-1])  # every float column; sigma and flagged are not floats
+def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
     import fiberphase.scenario as scenario_mod
 
     original = scenario_mod.compute_scenario
 
     def poisoned(*args, **kwargs):
         result = original(*args, **kwargs)
-        result["quantal"] = np.full_like(result["quantal"], np.nan)
+        # poison the column in the last table that holds it, so every table is checked
+        table = [t for t in (result["columns"], *result["per_sigma"].values()) if column in t][-1]
+        table[column] = np.full_like(table[column], np.nan)
         return result
 
     monkeypatch.setattr(scenario_mod, "compute_scenario", poisoned)
-    cfg = helix_cfg(str(tmp_path / "out"))
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
     cfg["path"]["n_steps"] = 128
     config = write_config(tmp_path, "nan.json", cfg)
     assert main(["run", config, "--quiet"]) == 3
+    assert not (out / "results.csv").exists()
 
 
 def _strict_json(text):
@@ -261,23 +267,22 @@ def test_non_finite_summary_exits_3_without_writing(tmp_path, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
-def _joined_results_csv(path, result, polarizations):
+def _joined_results_csv(path, angles, result, polarizations):
     """The writer write_results_csv replaced (every row in one list, joined): the byte oracle."""
-    from fiberphase.scenario import RESULT_COLUMNS, _fmt
+    from fiberphase.scenario import _fmt
 
-    angles = result["angles"]
+    shared = result["columns"]
     lines = [",".join(RESULT_COLUMNS)]
     for pol in polarizations:
         block = result["per_sigma"][pol]
-        dec = block["decomposition"]
         for i in range(path.n_samples):
-            values = [path.times[i], angles.polar[i], angles.azimuth[i], dec.total[i],
-                      dec.dynamical[i], dec.geometric[i], block["analytic"][i], result["quantal"][i],
-                      result["vacuum_left"][i], result["vacuum_right"][i],
-                      result["vacuum_net_series"][i], block["norm_drift"][i],
-                      block["helicity_drift"][i], result["invariant_residual"][i],
-                      result["motion_residual"][i]]
-            row = [str(pol)] + [_fmt(v) for v in values] + ["1" if dec.flagged[i] else "0"]
+            values = [path.times[i], angles.polar[i], angles.azimuth[i], block["phase_total"][i],
+                      block["phase_dynamical"][i], block["phase_geometric"][i], block["phase_analytic"][i],
+                      shared["phase_quantal"][i], shared["phase_vacuum_L"][i], shared["phase_vacuum_R"][i],
+                      shared["phase_vacuum_net"][i], block["norm_drift"][i],
+                      block["helicity_drift"][i], shared["invariant_residual"][i],
+                      shared["motion_residual"][i]]
+            row = [str(pol)] + [_fmt(v) for v in values] + ["1" if block["flagged"][i] else "0"]
             lines.append(",".join(row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -285,15 +290,16 @@ def _joined_results_csv(path, result, polarizations):
 def test_results_csv_streaming_is_byte_identical(tmp_path):
     import fiberphase.scenario as scenario_mod
     from fiberphase.fock import Ordering
-    from fiberphase.geometry import helix_path
+    from fiberphase.geometry import helix_path, spherical_angles
 
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
-    pols = [1, -1]
-    result = scenario_mod.compute_scenario(p, pols, 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    pols = (1, -1)
+    scenario = scenario_mod.Scenario(pols, 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    result = scenario_mod.compute_scenario(p, scenario)
     filename = tmp_path / "results.csv"
-    scenario_mod.write_results_csv(str(filename), p, result, pols)
+    scenario_mod.write_results_csv(str(filename), result)
     written = filename.read_bytes()
-    assert written == _joined_results_csv(p, result, pols)
+    assert written == _joined_results_csv(p, spherical_angles(p), result, pols)
     lines = written.decode().split("\n")
     assert len(lines) == 1 + 2 * p.n_samples + 1 and lines[-1] == ""
 
@@ -436,15 +442,17 @@ def test_non_string_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_empty_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
-    cfg = helix_cfg("")
-    cfg["path"]["n_steps"] = 128
-    cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
-    config = write_config(tmp_path, "outdir.json", cfg)
-    assert main([command, config, "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert "output_dir" in err
-    assert "Traceback" not in err
-    assert not list(tmp_path.rglob("summary.json"))
+    # an empty output_dir in the config, and an explicit --out "" over a valid one
+    for output_dir, extra in (("", []), ("out", ["--out", ""])):
+        cfg = helix_cfg(output_dir)
+        cfg["path"]["n_steps"] = 128
+        cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
+        config = write_config(tmp_path, "outdir.json", cfg)
+        assert main([command, config, "--quiet", *extra]) == 2, extra
+        err = capsys.readouterr().err
+        assert "output_dir: expected a directory name, got ''" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("summary.json"))
 
 
 @pytest.mark.parametrize("values", [[1.0, -1], [1, -1.0], [True]])

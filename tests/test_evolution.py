@@ -329,13 +329,13 @@ def test_compute_scenario_memory_budget():
     import tracemalloc
 
     from fiberphase.fock import Ordering
-    from fiberphase.scenario import compute_scenario
+    from fiberphase.scenario import Scenario, compute_scenario
 
     n_steps = 100_000
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
     tracemalloc.start()
     try:
-        compute_scenario(p, [1, -1], 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+        compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -51,6 +51,30 @@ def test_cyclic_phases_rejects_bad_input():
         cyclic_phases(0, 0, 1.0, "weyl")
 
 
+OCCUPATION_CALLS = {
+    "cyclic_phases": lambda nl, nr: cyclic_phases(nl, nr, 1.0),
+    "quantal_geometric_phase": lambda nl, nr: quantal_geometric_phase(nl, nr, helix_angles(np.pi / 3, n_steps=64)),
+    "FockLadder.index": lambda nl, nr: FockLadder(n_max=3).index(nl, nr),
+}
+
+
+@pytest.mark.parametrize("n", [True, 2.0, -1, 2**52, 2**53 + 1, 10**400, np.float64(1.0)],
+                         ids=["true", "2.0", "-1", "2**52", "2**53+1", "10**400", "np.float64"])
+@pytest.mark.parametrize("side", ["n_left", "n_right"])
+@pytest.mark.parametrize("call", sorted(OCCUPATION_CALLS))
+def test_occupation_must_be_an_exact_nonnegative_integer(call, side, n):
+    occupations = {"n_left": 0, "n_right": 0, side: n}
+    with pytest.raises(ValueError, match=rf"^{side}: expected a nonnegative integer below 2\*\*52, got "):
+        OCCUPATION_CALLS[call](occupations["n_left"], occupations["n_right"])
+
+
+@pytest.mark.parametrize("call", sorted(OCCUPATION_CALLS))
+def test_numpy_integer_occupations_are_accepted(call):
+    # taken as Python ints, so an unsigned n_left cannot wrap n_right - n_left
+    got = OCCUPATION_CALLS[call](np.uint8(2), np.int64(1))
+    assert np.array_equal(got, OCCUPATION_CALLS[call](2, 1))
+
+
 def test_ordering_difference_is_exactly_the_half_weights():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -23,7 +23,7 @@ from fiberphase.evolution import (
 )
 from fiberphase.fock import Ordering
 from fiberphase.geometry import FiberPath, helix_path, load_path, solid_angle_series, spherical_angles
-from fiberphase.scenario import FREE_SPACE, compute_scenario, run_sweep
+from fiberphase.scenario import FREE_SPACE, RESULT_COLUMNS, Scenario, compute_scenario, run_sweep
 
 GYROTROPIC = media.GyrotropicMedium(eps1=2.0, eps2=3.0, mu1=2.0, mu2=1.0)  # left mode evanescent
 
@@ -46,11 +46,11 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
             dec = phase_decomposition(evolve(_fresh(path), pol), _fresh(path))
         hel = helicity_expectations(evolve(_fresh(path), pol), _fresh(path))
         per_sigma[pol] = {
-            "total": dec.total,
-            "dynamical": dec.dynamical,
-            "geometric": dec.geometric,
+            "phase_total": dec.total,
+            "phase_dynamical": dec.dynamical,
+            "phase_geometric": dec.geometric,
             "flagged": dec.flagged,
-            "analytic": analytic_noncyclic_phase(_angles(path), pol),
+            "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
             "norm_drift": np.abs(np.linalg.norm(states, axis=1) - 1.0),
             "helicity_drift": np.abs(hel - hel[0]),
         }
@@ -64,18 +64,18 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
     if net.minus_survives:
         net_series = net_series + vac_left
     angles = _angles(path)
-    return {
-        "polar": angles.polar,
-        "azimuth": angles.azimuth,
-        "per_sigma": per_sigma,
+    columns = {
+        "t": _fresh(path).times,
+        "lambda": angles.polar,
+        "gamma": angles.azimuth,
+        "phase_quantal": fock.quantal_geometric_phase(n_left, n_right, _angles(path)),
+        "phase_vacuum_L": vac_left,
+        "phase_vacuum_R": vac_right,
+        "phase_vacuum_net": net_series,
         "invariant_residual": np.concatenate([[inv[0]], inv, [inv[-1]]]),
         "motion_residual": geometry.motion_residual(_fresh(path)),
-        "vacuum_left": vac_left,
-        "vacuum_right": vac_right,
-        "vacuum_net_series": net_series,
-        "quantal": fock.quantal_geometric_phase(n_left, n_right, _angles(path)),
-        "vacuum_net": net,
     }
+    return {"columns": columns, "per_sigma": per_sigma, "vacuum_net": net}
 
 
 def _assert_bitwise(got, want, label):
@@ -107,23 +107,28 @@ CASES = {
 def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
     make, nl, nr, medium, k0, chamber = CASES[case]
     path = make(tmp_path)
-    got = compute_scenario(path, pols, nl, nr, Ordering.SYMMETRIC, medium, k0, chamber)
+    got = compute_scenario(path, Scenario(tuple(pols), nl, nr, Ordering.SYMMETRIC, medium, k0, chamber))
     want = _oracle(path, pols, nl, nr, medium, k0, chamber)
 
-    _assert_bitwise(got["angles"].polar, want["polar"], "polar")
-    _assert_bitwise(got["angles"].azimuth, want["azimuth"], "azimuth")
-    for pol in pols:
-        block, ref = got["per_sigma"][pol], want["per_sigma"][pol]
-        dec = block["decomposition"]
-        for key in ("total", "dynamical", "geometric", "flagged"):
-            _assert_bitwise(getattr(dec, key), ref[key], f"{pol} {key}")
-        for key in ("analytic", "norm_drift", "helicity_drift"):
-            _assert_bitwise(block[key], ref[key], f"{pol} {key}")
-    for key in ("invariant_residual", "motion_residual", "vacuum_left", "vacuum_right", "vacuum_net_series", "quantal"):
-        _assert_bitwise(got[key], want[key], key)
+    assert list(got["per_sigma"]) == pols
+    for table, ref, label in [(got["columns"], want["columns"], "shared"),
+                              *((got["per_sigma"][pol], want["per_sigma"][pol], pol) for pol in pols)]:
+        assert table.keys() == ref.keys(), label
+        for key in ref:
+            _assert_bitwise(table[key], ref[key], f"{label} {key}")
     assert got["vacuum_net"] == want["vacuum_net"]
     if case == "equator-flagged":
-        assert all(got["per_sigma"][pol]["decomposition"].flagged.any() for pol in pols)
+        assert all(got["per_sigma"][pol]["flagged"].any() for pol in pols)
+
+
+def test_result_tables_partition_the_csv_columns():
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
+    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    shared = list(result["columns"])
+    for pol in (1, -1):
+        own = list(result["per_sigma"][pol])
+        # each results.csv column after sigma lives in exactly one table, and none is missing
+        assert sorted(shared + own) == sorted(RESULT_COLUMNS[1:])
 
 
 def test_cached_series_are_shared_and_read_only():
@@ -161,7 +166,7 @@ def test_k_dot_computed_at_most_twice_per_scenario(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    compute_scenario(path, [1, -1], 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
+    compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     assert len(calls) <= 2
 
 
