@@ -75,7 +75,10 @@ class SpinorTrajectory:
         = 2 (Re psi x Im psi)_i.
         """
         cart = self.states @ CARTESIAN_FROM_ANGULAR.T
-        return _read_only(2.0 * np.cross(cart.real, cart.imag))
+        out = np.cross(cart.real, cart.imag)
+        del cart
+        out *= 2.0
+        return _read_only(out)
 
 
 @dataclass(frozen=True)

@@ -219,24 +219,39 @@ def _parse_common(cfg) -> Scenario:
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
-def _sigma_table(path, angles, pol):
-    """The results.csv columns of polarization ``pol``; the trajectory is freed on return."""
-    traj = evolution.evolve(path, pol)
+def _sigma_tables(path, angles, polarizations):
+    """The results.csv columns of each polarization, from one propagation.
+
+    Only the first polarization is evolved, and its trajectory is freed
+    before the tables are built.  Every step is a real rotation in the
+    Cartesian representation, so the opposite helicity is the conjugate
+    state, psi_{-s} = e^{i a} conj psi_s: its total, dynamical and geometric
+    phases are negated (as 0.0 - x, so no -0.0 appears), and it shares the
+    read-only norm drift, helicity drift (<S> only flips sign) and flags.
+    It repeats the first polarization's warnings under its own label.
+    """
+    first = polarizations[0]
+    traj = evolution.evolve(path, first)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
         dec = evolution.phase_decomposition(traj, path)
-    for item in caught:
-        print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
     hel = evolution.helicity_expectations(traj, path)
-    return {
-        "phase_total": dec.total,
-        "phase_dynamical": dec.dynamical,
-        "phase_geometric": dec.geometric,
-        "phase_analytic": evolution.analytic_noncyclic_phase(angles, pol),
-        "norm_drift": np.abs(np.linalg.norm(traj.states, axis=1) - 1.0),
-        "helicity_drift": np.abs(hel - hel[0]),
-        "flagged": dec.flagged,
+    shared = {
+        "norm_drift": geometry._read_only(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)),
+        "helicity_drift": geometry._read_only(np.abs(hel - hel[0])),
+        "flagged": geometry._read_only(dec.flagged),
     }
+    del traj, hel
+    signed = {"phase_total": dec.total, "phase_dynamical": dec.dynamical, "phase_geometric": dec.geometric}
+
+    tables = {}
+    for pol in polarizations:
+        for item in caught:
+            print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
+        if pol != first:
+            signed = {name: np.subtract(0.0, values) for name, values in signed.items()}
+        tables[pol] = {**signed, "phase_analytic": evolution.analytic_noncyclic_phase(angles, pol), **shared}
+    return tables
 
 
 def compute_scenario(path, scenario: Scenario):
@@ -244,13 +259,15 @@ def compute_scenario(path, scenario: Scenario):
 
     ``columns`` holds the columns every polarization shares, ``per_sigma[pol]``
     the rest.  Each stage reads the path's cached series (``path.h``,
-    ``angles.solid_angle``); each trajectory is freed before the next one is
-    evolved, and the angles with their cached W when this returns.
+    ``angles.solid_angle``).  One ``evolve`` serves every polarization: the
+    first is propagated and the other derived by conjugation (see
+    ``_sigma_tables``).  The trajectory is freed before the residuals are
+    computed, and the angles with their cached W when this returns.
     """
     angles = geometry.spherical_angles(path)
     n = path.n_samples
 
-    per_sigma = {pol: _sigma_table(path, angles, pol) for pol in scenario.polarizations}
+    per_sigma = _sigma_tables(path, angles, scenario.polarizations)
 
     inv = evolution.invariant_residual_series(path)
     inv_full = np.concatenate([[inv[0]], inv, [inv[-1]]])  # pad ends with nearest interior

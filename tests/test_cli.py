@@ -316,6 +316,37 @@ def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):
     assert summary["phases"]["+1"]["flagged_samples"] > 0
 
 
+def _equator_two_cycles(tmp_path, pols):
+    out = str(tmp_path / "out")
+    cfg = helix_cfg(out, polarizations=pols)
+    cfg["path"].update(cone_angle=np.pi / 2, n_cycles=2.0, n_steps=5000)
+    return out, write_config(tmp_path, "equator.json", cfg)
+
+
+@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
+def test_each_polarization_reports_its_orthogonal_passages(tmp_path, capsys, pols):
+    # the second polarization is derived from the first, yet it still prints
+    # its own line, in config order and with its own label
+    _, config = _equator_two_cycles(tmp_path, pols)
+    assert main(["run", config, "--quiet"]) == 0
+    tail = ("2 sample(s) passed within 1e-09 of orthogonality; "
+            "their total phase is interpolated from neighbours\n")
+    assert capsys.readouterr().err == "".join(f"warning: sigma={pol:+d}: {tail}" for pol in pols)
+
+
+@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
+def test_derived_phases_start_at_positive_zero(tmp_path, pols):
+    # negating the first polarization's phases must not write -0.0 at t = 0
+    out, config = _equator_two_cycles(tmp_path, pols)
+    assert main(["run", config, "--quiet"]) == 0
+    with open(os.path.join(out, "results.csv")) as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    header, derived = rows[0], str(pols[1])
+    first_row = dict(zip(header, next(row for row in rows[1:] if row[0] == derived)))
+    for kind in ("total", "dynamical", "geometric"):
+        assert first_row[f"phase_{kind}"] == "0.0000000000000000e+00", kind
+
+
 # --------------------------------------------------------------------- sweeps
 
 def test_sweep_cone_angle(tmp_path):

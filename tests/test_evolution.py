@@ -340,3 +340,22 @@ def test_compute_scenario_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak / n_steps < 600  # bytes per step
+
+
+def test_compute_scenario_evolves_once_within_budget():
+    # one evolve serves both polarizations, so the transient working set of a
+    # second decomposition is gone (315 B/step when each one was evolved)
+    import tracemalloc
+
+    from fiberphase.fock import Ordering
+    from fiberphase.scenario import Scenario, compute_scenario
+
+    n_steps = 100_000
+    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+    tracemalloc.start()
+    try:
+        compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_steps < 280  # bytes per step

@@ -211,6 +211,35 @@ def test_motion_residual_helix_refinement():
     assert r1 / r2 > 3.5
 
 
+def _cross_product_motion_residual(path):
+    """The residual's defining form |k_dot + k x (k x k_dot)/k^2|, kept as the oracle."""
+    k = path.k_vectors()
+    kd = k_dot(path)
+    return np.linalg.norm(kd + np.cross(k, np.cross(k, kd)) / path.k_mag**2, axis=1)
+
+
+def _wobble_file(tmp_path):
+    t = np.linspace(0.0, 4.0 * np.pi, 3001)
+    polar = 0.9 + 0.3 * np.sin(3.0 * t)
+    azimuth = t + 0.2 * np.cos(2.0 * t)
+    k = 2.5 * np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+    filename = tmp_path / "wobble.txt"
+    np.savetxt(filename, np.column_stack([t, k]), fmt="%.17g")
+    return load_path(str(filename))
+
+
+@pytest.mark.parametrize("make_path", [
+    lambda tmp: helix_path(0.9, 1.0, 1.0, 1.0, 100_000),
+    _wobble_file,
+    lambda tmp: wobble_path(4096),
+], ids=["helix", "wobble-file", "varying-cone"])
+def test_motion_residual_matches_cross_product_form(tmp_path, make_path):
+    # k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot); the two forms differ
+    # only by the rounding of the cross products, O(eps |k_dot|)
+    p = make_path(tmp_path)
+    assert np.abs(motion_residual(p) - _cross_product_motion_residual(p)).max() <= 1e-15
+
+
 # ---------------------------------------------------------- rotation_vectors
 
 def test_rotation_vector_constant_path():

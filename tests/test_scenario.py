@@ -37,18 +37,25 @@ def _angles(path):
 
 
 def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
-    """compute_scenario's arrays from the stage functions, each on a fresh path copy."""
+    """compute_scenario's arrays from the stage functions, each on a fresh path copy.
+
+    Only the first polarization is evolved; the other is its conjugate, with
+    the three transported phases negated (as 0.0 - x) and the drifts and
+    flags unchanged.
+    """
+    first = pols[0]
+    states = evolve(_fresh(path), first).states
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        dec = phase_decomposition(evolve(_fresh(path), first), _fresh(path))
+    hel = helicity_expectations(evolve(_fresh(path), first), _fresh(path))
     per_sigma = {}
     for pol in pols:
-        states = evolve(_fresh(path), pol).states
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
-            dec = phase_decomposition(evolve(_fresh(path), pol), _fresh(path))
-        hel = helicity_expectations(evolve(_fresh(path), pol), _fresh(path))
+        sign = (lambda x: x) if pol == first else (lambda x: 0.0 - x)
         per_sigma[pol] = {
-            "phase_total": dec.total,
-            "phase_dynamical": dec.dynamical,
-            "phase_geometric": dec.geometric,
+            "phase_total": sign(dec.total),
+            "phase_dynamical": sign(dec.dynamical),
+            "phase_geometric": sign(dec.geometric),
             "flagged": dec.flagged,
             "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
             "norm_drift": np.abs(np.linalg.norm(states, axis=1) - 1.0),
@@ -191,3 +198,65 @@ def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
     one = _sweep_peak(tmp_path, ["40 deg"])
     two = _sweep_peak(tmp_path, ["40 deg", "50 deg"])
     assert two <= 1.1 * one, (one, two)
+
+
+DERIVED_CASES = {
+    "helix-pi/3": lambda tmp: helix_path(np.pi / 3, 1.0, 2.0, 1.0, 2000),
+    "helix-clockwise": lambda tmp: helix_path(np.pi / 3, -1.0, 1.0, 1.0, 2000),
+    "wobble-file": _wobble_file,
+    "equator-flagged": lambda tmp: helix_path(np.pi / 2, 1.0, 1.0, 2.0, 2000),
+}
+
+
+@pytest.mark.parametrize("first", [1, -1])
+@pytest.mark.parametrize("case", sorted(DERIVED_CASES))
+def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
+    path = DERIVED_CASES[case](tmp_path)
+    got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
+    derived = got["per_sigma"][-first]
+
+    traj = evolve(_fresh(path), -first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        dec = phase_decomposition(traj, _fresh(path))
+    hel = helicity_expectations(traj, _fresh(path))
+    assert np.array_equal(derived["flagged"], dec.flagged)
+    if case == "equator-flagged":
+        assert dec.flagged.any()
+    # phases are only trustworthy away from the orthogonal passage
+    clear = np.abs(traj.states @ traj.states[0].conj()) > 1e-3
+    for kind in ("total", "dynamical", "geometric"):
+        assert np.abs(derived[f"phase_{kind}"] - getattr(dec, kind))[clear].max() <= 1e-12, kind
+    assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
+    assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
+    # the drifts and flags are one read-only array shared by both polarizations
+    for name in ("norm_drift", "helicity_drift", "flagged"):
+        assert derived[name] is got["per_sigma"][first][name]
+        assert not derived[name].flags.writeable
+
+
+def _count_calls(monkeypatch, original):
+    """Replace ``original`` in every fiberphase module that holds it; returns the call list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fiberphase" or name.startswith("fiberphase."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
+def test_one_propagation_per_scenario(monkeypatch, pols):
+    counted = {fn.__name__: _count_calls(monkeypatch, fn)
+               for fn in (evolve, phase_decomposition, helicity_expectations)}
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
+    result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    assert list(result["per_sigma"]) == list(pols)
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
+    assert counted["evolve"][0][1] == pols[0]
