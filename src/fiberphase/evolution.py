@@ -75,7 +75,7 @@ class SpinorTrajectory:
         = 2 (Re psi x Im psi)_i.
         """
         cart = self.states @ CARTESIAN_FROM_ANGULAR.T
-        out = np.cross(cart.real, cart.imag)
+        out = _cross(cart.real, cart.imag)
         del cart
         out *= 2.0
         return _read_only(out)
@@ -107,6 +107,22 @@ def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
     agrees with ``h[:-1]`` to first order in dt.
     """
     return path.h
+
+
+def _cross(a, b):
+    """``np.cross(a, b)`` over the last axis (length 3), without copying the operands.
+
+    Component i is a_j b_k - a_k b_j with the same float operations as
+    ``np.cross``, so the result is bitwise equal; the only scratch is one
+    component-sized array.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    tmp = np.empty(out.shape[:-1])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        np.multiply(a[..., k], b[..., j], out=tmp)
+        out[..., i] -= tmp
+    return out
 
 
 def _rotate(x, axis, sin, vers):
@@ -188,12 +204,21 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     From [a . S, b . S] = i (a x b) . S and ||v . S||_F = sqrt(2) |v|, the
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
-    than the effective one leaves an O(1) residual.
+    than the effective one leaves an O(1) residual.  The float operations are
+    those of the whole-array expression, done in place.
     """
     kh = path.k_hat
-    vec = (kh[2:] - kh[:-2]) / (2.0 * path.dt)
-    vec += np.cross(kh[1:-1], scale * hamiltonian_coefficients(path)[1:-1])
-    return np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
+    turn = _cross(kh[1:-1], scale * hamiltonian_coefficients(path)[1:-1])
+    vec = np.subtract(kh[2:], kh[:-2])
+    vec /= 2.0 * path.dt
+    vec += turn
+    del turn
+    np.square(vec, out=vec)
+    residual = np.add.reduce(vec, axis=1)
+    del vec
+    np.sqrt(residual, out=residual)
+    residual *= np.sqrt(2.0)
+    return residual
 
 
 def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray:

@@ -119,15 +119,19 @@ def quantal_geometric_phase(n_left, n_right, angles: SphericalAngles, i: int | N
     return float((n_right - n_left) * solid_angle_series(angles)[i])
 
 
-def vacuum_phase(polarization, angles: SphericalAngles, i: int | None = None):
+def vacuum_phase(polarization, angles: SphericalAngles, i: int | None = None, ordering=Ordering.SYMMETRIC):
     """Zero-point phase sigma * W(t_i) / 2 of one circular mode.
 
     The two polarizations carry opposite halves, so their sum vanishes
     identically; isolating one of them is the point of the gyrotropic
-    suppression scheme in :mod:`fiberphase.media`.
+    suppression scheme in :mod:`fiberphase.media`.  Normal ordering deletes
+    the zero-point term (its weight is 0), so the phase is then +0.0 at
+    every sample.
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
+    if Ordering.coerce(ordering) is Ordering.NORMAL:
+        return np.zeros(len(angles.times)) if i is None else 0.0
     if i is None:
         return polarization * 0.5 * solid_angle_series(angles)
     return float(polarization * 0.5 * solid_angle_series(angles)[i])

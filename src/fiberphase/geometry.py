@@ -28,12 +28,31 @@ __all__ = [
 ]
 
 POLE_SIN_TOL = 1e-9  # below this sin(polar), the azimuth is held constant
+_CHUNK_ROWS = 1 << 14  # rows per chunk of a row-norm pass; bounds its temporaries
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
     """``values`` with writing switched off, so a cached series can be shared."""
     values.flags.writeable = False
     return values
+
+
+def _row_norms(x: np.ndarray, adjacent: bool = False) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``, or of ``np.diff(x, axis=0)`` when ``adjacent``.
+
+    Computed ``_CHUNK_ROWS`` rows at a time (with a one-row overlap for the
+    differences), so only one chunk of temporaries exists at once.  Each row
+    is reduced on its own, so the result is bitwise that of the whole-array
+    form.
+    """
+    lag = int(adjacent)
+    out = np.empty(len(x) - lag)
+    for start in range(0, len(out), _CHUNK_ROWS):
+        rows = x[start : start + _CHUNK_ROWS + lag]
+        if adjacent:
+            rows = np.diff(rows, axis=0)
+        out[start : start + _CHUNK_ROWS] = np.linalg.norm(rows, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,6 +62,12 @@ class FiberPath:
     times      : strictly increasing, uniformly spaced sample instants
     k_hat      : (n, 3) array of unit vectors
     k_mag      : positive wave-vector magnitude (inverse length)
+
+    Construction checks the samples: finite, a strictly increasing uniform
+    grid, unit vectors within 1e-9 and adjacent steps below 0.5.  Beyond
+    one float and a few bools per sample, the checks hold only one chunk of
+    temporaries: the row norms go in chunks (see ``_row_norms``) and the
+    grid check works in place.
 
     The generator coefficients ``h`` are computed on first use and cached;
     the path's arrays must not be modified after that.
@@ -68,13 +93,17 @@ class FiberPath:
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.max(np.abs(dt - dt[0])) > 1e-6 * dt[0]:
+        dt0 = dt[0]
+        np.subtract(dt, dt0, out=dt)
+        if np.max(np.abs(dt, out=dt)) > 1e-6 * dt0:
             raise ValueError("time grid must be uniform")
-        norms = np.linalg.norm(kh, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        del dt
+        norms = _row_norms(kh)
+        norms -= 1.0
+        if np.max(np.abs(norms, out=norms)) > 1e-9:
             raise ValueError("k_hat samples must be unit vectors (within 1e-9)")
-        steps = np.linalg.norm(np.diff(kh, axis=0), axis=1)
-        if np.max(steps) >= 0.5:
+        del norms
+        if np.max(_row_norms(kh, adjacent=True)) >= 0.5:
             raise ValueError(
                 "adjacent k_hat samples differ by >= 0.5; grid too coarse for finite differencing"
             )
@@ -156,25 +185,40 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     At samples where the direction is (anti)parallel to z within
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
-    is taken, so steps stay below pi.
+    is taken, so steps stay below pi.  Each float operation writes into an
+    output or a reused buffer, and a path that never meets a pole skips the
+    pole fill, which would be the identity.
     """
     kh = path.k_hat
-    polar = np.arccos(np.clip(kh[:, 2], -1.0, 1.0))
-    raw = np.arctan2(kh[:, 1], kh[:, 0])
-    off_pole = np.hypot(kh[:, 0], kh[:, 1]) >= POLE_SIN_TOL
-    off = raw[off_pole]
+    polar = np.clip(kh[:, 2], -1.0, 1.0)
+    np.arccos(polar, out=polar)
+    raw = np.hypot(kh[:, 0], kh[:, 1])  # sin(polar) first, then the raw azimuth
+    off_pole = raw >= POLE_SIN_TOL
+    np.arctan2(kh[:, 1], kh[:, 0], out=raw)
+    everywhere = bool(off_pole.all())
+    off = raw if everywhere else raw[off_pole]
     # np.unwrap picks the branches; rounding once more against the previous
     # unwrapped sample rebuilds the sequential rule
     # azimuth_i = raw_i + 2 pi round((azimuth_{i-1} - raw_i) / 2 pi), from 0,
     # bit for bit (only a step within rounding of pi could round differently)
-    prev = np.zeros_like(off)
-    prev[1:] = np.unwrap(off)[:-1]
-    off_azimuth = off + 2.0 * np.pi * np.round((prev - off) / (2.0 * np.pi))
-    # a pole sample repeats the last off-pole value, or 0 before any
+    shifted = np.unwrap(off[:-1])
+    unwrapped = np.zeros_like(off)
+    unwrapped[1:] = shifted
+    del shifted
+    np.subtract(unwrapped, off, out=unwrapped)
+    unwrapped /= 2.0 * np.pi
+    np.round(unwrapped, out=unwrapped)
+    unwrapped *= 2.0 * np.pi
+    unwrapped += off
+    if everywhere:
+        return SphericalAngles(times=path.times, polar=polar, azimuth=unwrapped)
+    # a pole sample repeats the last off-pole value, or 0 before any; `off`
+    # is a copy here, so the raw buffer can take the result
     last = np.cumsum(off_pole) - 1
     seen = last >= 0
-    azimuth = np.zeros_like(raw)
-    azimuth[seen] = off_azimuth[last[seen]]
+    azimuth = raw
+    azimuth.fill(0.0)
+    azimuth[seen] = unwrapped[last[seen]]
     return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth)
 
 
@@ -239,7 +283,9 @@ def load_path(filename) -> FiberPath:
     ``#`` starts a comment.  Every value must be finite.  The magnitude is
     inferred from the first record and every subsequent vector norm must
     match it within 1e-6 (relative).  The parsed values go into one flat
-    float64 buffer, 32 bytes per record.
+    float64 buffer, 32 bytes per record; the norms are taken in chunks
+    (``_row_norms``), and the buffer is dropped once ``times`` and ``k_hat``
+    are built, before ``FiberPath`` checks them.
     """
     buf = array("d")
     with open(filename) as fh:
@@ -261,14 +307,20 @@ def load_path(filename) -> FiberPath:
     if len(data) < 3:
         raise ValueError(f"{filename}: path needs at least 3 samples, got {len(data)}")
     vecs = data[:, 1:]
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = _row_norms(vecs)
     k_mag = float(norms[0])
     if k_mag <= 0:
         raise ValueError(f"{filename}: first sample has zero wave vector")
-    if np.max(np.abs(norms - k_mag)) > 1e-6 * k_mag:
-        j = int(np.argmax(np.abs(norms - k_mag)))
+    deviation = np.subtract(norms, k_mag)
+    np.abs(deviation, out=deviation)
+    if np.max(deviation) > 1e-6 * k_mag:
+        j = int(np.argmax(deviation))
         raise ValueError(
             f"{filename}: |k| varies along the path (sample {j}: {float(norms[j])!r} vs {k_mag!r}); "
             "only constant-magnitude trajectories are supported"
         )
-    return FiberPath(times=data[:, 0].copy(), k_hat=vecs / norms[:, None], k_mag=k_mag)
+    del deviation
+    k_hat = vecs / norms[:, None]
+    times = data[:, 0].copy()
+    del data, vecs, norms, buf
+    return FiberPath(times=times, k_hat=k_hat, k_mag=k_mag)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import vacuum_phase
+from .fock import Ordering, vacuum_phase
 from .geometry import SphericalAngles
 
 __all__ = [
@@ -125,6 +125,7 @@ def net_vacuum_phase(
     angles: SphericalAngles,
     i: int | None = None,
     chamber_length=None,
+    ordering=Ordering.SYMMETRIC,
 ) -> NetVacuumPhase:
     """Sum of the zero-point phases of the circular modes that survive.
 
@@ -132,7 +133,8 @@ def net_vacuum_phase(
     length is given, its in-medium wave vector is not expelled.  Both modes
     surviving gives exact cancellation (phase 0); exactly one surviving
     leaves +-W(t_i)/2; none surviving gives 0 with
-    ``no_propagating_modes`` set.
+    ``no_propagating_modes`` set.  Under normal ordering there is no
+    zero-point term, so the phase is 0 whichever modes survive.
     """
     if i is None:
         i = len(angles.times) - 1
@@ -141,5 +143,5 @@ def net_vacuum_phase(
     for pol in (+1, -1):
         surv[pol] = _survives(medium, k0, chamber_length, pol)
         if surv[pol]:
-            phase += vacuum_phase(pol, angles, i)
+            phase += vacuum_phase(pol, angles, i, ordering)
     return NetVacuumPhase(phase=phase, plus_survives=surv[+1], minus_survives=surv[-1])

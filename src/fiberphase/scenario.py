@@ -262,7 +262,9 @@ def compute_scenario(path, scenario: Scenario):
     ``angles.solid_angle``).  One ``evolve`` serves every polarization: the
     first is propagated and the other derived by conjugation (see
     ``_sigma_tables``).  The trajectory is freed before the residuals are
-    computed, and the angles with their cached W when this returns.
+    computed, and the angles with their cached W when this returns.  Under
+    normal ordering the zero-point weight is 0, so the three vacuum columns
+    and the net vacuum phase are 0.
     """
     angles = geometry.spherical_angles(path)
     n = path.n_samples
@@ -273,12 +275,14 @@ def compute_scenario(path, scenario: Scenario):
     inv_full = np.concatenate([[inv[0]], inv, [inv[-1]]])  # pad ends with nearest interior
     motion = geometry.motion_residual(path)
 
-    vac_left = fock.vacuum_phase(-1, angles)
-    vac_right = fock.vacuum_phase(+1, angles)
+    vac_left = fock.vacuum_phase(-1, angles, ordering=scenario.ordering)
+    vac_right = fock.vacuum_phase(+1, angles, ordering=scenario.ordering)
     quantal = fock.quantal_geometric_phase(scenario.n_left, scenario.n_right, angles)
 
     net_series = np.zeros(n)
-    net_final = media.net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, angles, n - 1, scenario.chamber_length)
+    net_final = media.net_vacuum_phase(
+        scenario.medium or FREE_SPACE, scenario.k0, angles, n - 1, scenario.chamber_length, scenario.ordering
+    )
     if net_final.plus_survives:
         net_series = net_series + vac_right
     if net_final.minus_survives:

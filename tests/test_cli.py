@@ -95,6 +95,41 @@ def test_run_gyrotropic_scenario(tmp_path):
     assert abs(summary["vacuum"]["net_final"] - np.pi / 2) < 1e-12
 
 
+def test_normal_ordering_deletes_the_vacuum_columns(tmp_path):
+    # the zero-point weight is 1/2 under symmetric and 0 under normal ordering;
+    # the medium suppresses the left mode, so the net vacuum phase moves too
+    gyro = {"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0}
+    tables, summaries = {}, {}
+    for ordering in ("symmetric", "normal"):
+        out = tmp_path / ordering
+        cfg = helix_cfg(str(out), ordering=ordering, medium=gyro)
+        cfg["path"]["n_steps"] = 512
+        assert main(["run", write_config(tmp_path, f"{ordering}.json", cfg), "--quiet"]) == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        assert lines[0] == ",".join(RESULT_COLUMNS)
+        tables[ordering] = [line.split(",") for line in lines[1:]]
+        summaries[ordering] = read_summary(str(out))
+
+    vacuum = {"phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net"}
+    changed = set()
+    for sym_row, norm_row in zip(tables["symmetric"], tables["normal"], strict=True):
+        for name, sym, norm in zip(RESULT_COLUMNS, sym_row, norm_row, strict=True):
+            if name in vacuum:
+                assert norm == "0.0000000000000000e+00", (name, norm)
+            if sym != norm:
+                changed.add(name)
+    assert changed == vacuum
+
+    sym, norm = summaries["symmetric"], summaries["normal"]
+    assert abs(sym["vacuum"]["net_final"] - np.pi / 2) < 1e-12
+    assert norm["vacuum"]["left_final"] == norm["vacuum"]["right_final"] == norm["vacuum"]["net_final"] == 0.0
+    assert norm["ordering"] == "normal"
+    for summary in (sym, norm):
+        del summary["vacuum"]["left_final"], summary["vacuum"]["right_final"], summary["vacuum"]["net_final"]
+        del summary["ordering"]
+    assert sym == norm
+
+
 def test_run_deterministic_outputs(tmp_path):
     config = write_config(tmp_path, "helix.json", helix_cfg(str(tmp_path / "a")))
     assert main(["run", config, "--quiet"]) == 0

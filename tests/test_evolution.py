@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fiberphase import evolution
 from fiberphase.evolution import (
     OrthogonalPassageWarning,
     analytic_noncyclic_phase,
@@ -11,7 +12,7 @@ from fiberphase.evolution import (
     phase_decomposition,
 )
 from fiberphase.geometry import FiberPath, helix_path, rotation_vectors, spherical_angles
-from fiberphase.spin import helicity_eigenstates, spin1_matrices
+from fiberphase.spin import CARTESIAN_FROM_ANGULAR, helicity_eigenstates, spin1_matrices
 
 S = spin1_matrices()
 
@@ -359,3 +360,49 @@ def test_compute_scenario_evolves_once_within_budget():
     finally:
         tracemalloc.stop()
     assert peak / n_steps < 280  # bytes per step
+
+
+# ------------------------------------------------- cross product without copies
+
+@pytest.mark.parametrize("shapes", [((1000, 3), (1000, 3)), ((7, 1, 3), (7, 3, 3)), ((3,), (5, 3))])
+def test_private_cross_is_bitwise_np_cross(shapes):
+    rng = np.random.default_rng(11)
+    a, b = (rng.normal(size=shape) for shape in shapes)
+    assert evolution._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    z = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))  # strided real/imag views
+    assert evolution._cross(z.real, z.imag).tobytes() == np.cross(z.real, z.imag).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_kernels_match_whole_array_forms_bitwise(scale):
+    # the expressions the in-place kernels replaced, kept as bitwise oracles
+    p = helix_path(0.9, 1.0, 2.0, 2.0, 5000)
+    kh = p.k_hat
+    vec = (kh[2:] - kh[:-2]) / (2.0 * p.dt)
+    vec += np.cross(kh[1:-1], scale * hamiltonian_coefficients(p)[1:-1])
+    want = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
+    assert invariant_residual_series(p, scale).tobytes() == want.tobytes()
+    traj = evolve(p, -1)
+    cart = traj.states @ CARTESIAN_FROM_ANGULAR.T
+    assert traj.spin_vectors.tobytes() == (2.0 * np.cross(cart.real, cart.imag)).tobytes()
+
+
+def test_cross_product_kernels_memory_budget():
+    # np.cross copies both operands: 128 B/step for either kernel before
+    import tracemalloc
+
+    n_steps = 100_000
+    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+    traj = evolve(p, 1)
+    hamiltonian_coefficients(p)  # cached before tracing
+    tracemalloc.start()
+    try:
+        invariant_residual_series(p, 2.0)
+        residual = tracemalloc.get_traced_memory()[1] / n_steps
+        tracemalloc.reset_peak()
+        traj.spin_vectors
+        spin = tracemalloc.get_traced_memory()[1] / n_steps
+    finally:
+        tracemalloc.stop()
+    assert residual < 70, residual
+    assert spin < 100, spin

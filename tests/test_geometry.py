@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fiberphase import geometry
 from fiberphase.geometry import (
     FiberPath,
     helix_path,
@@ -388,12 +389,19 @@ def test_load_path_bitwise_matches_list_oracle(tmp_path):
     assert loaded.times.flags.c_contiguous and loaded.k_hat.flags.c_contiguous
 
 
-def test_load_path_bitwise_matches_list_oracle_on_loop(tmp_path):
-    phi = np.linspace(0.0, 2.0 * np.pi, 2001)
+def _loop_file(tmp_path, n, k_mag=1.0):
+    """A closed loop theta = 1.1 + 0.3 sin 3 phi of n records, 17 significant digits."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n)
     theta = 1.1 + 0.3 * np.sin(3.0 * phi)
-    rows = np.column_stack([phi, np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    k = k_mag * np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+    rows = np.column_stack([phi, k])
     filename = tmp_path / "loop.txt"
-    filename.write_text("# loop\n" + ("%.16e %.16e %.16e %.16e\n" * len(rows)) % tuple(rows.ravel()))
+    filename.write_text("# loop\n" + ("%.16e %.16e %.16e %.16e\n" * n) % tuple(rows.ravel()))
+    return filename
+
+
+def test_load_path_bitwise_matches_list_oracle_on_loop(tmp_path):
+    filename = _loop_file(tmp_path, 2001)
     loaded, oracle = load_path(filename), _list_loader(filename)
     assert _same_bits(loaded.times, oracle.times)
     assert _same_bits(loaded.k_hat, oracle.k_hat)
@@ -477,3 +485,112 @@ def test_load_path_memory_budget(tmp_path):
         tracemalloc.stop()
     assert path.n_samples == n
     assert peak / n < 200  # bytes per sample
+
+
+# ---------------------------------------------------- chunked row-norm passes
+
+CHUNK = geometry._CHUNK_ROWS
+N_CHUNKED = 2 * CHUNK + 5  # three chunks, the last one short
+BOUNDARY_ROWS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, N_CHUNKED - 1]
+
+UNIFORM = "time grid must be uniform"
+NOT_UNIT = "k_hat samples must be unit vectors (within 1e-9)"
+COARSE = "adjacent k_hat samples differ by >= 0.5; grid too coarse for finite differencing"
+
+
+def _slow_cone(n):
+    t = 1e-3 * np.arange(n)
+    return t, np.stack([0.6 * np.cos(t), 0.6 * np.sin(t), np.full(n, 0.8)], axis=1)
+
+
+def test_chunked_checks_accept_a_clean_multi_chunk_path():
+    t, kh = _slow_cone(N_CHUNKED)
+    assert FiberPath(times=t, k_hat=kh, k_mag=1.0).n_samples == N_CHUNKED
+
+
+@pytest.mark.parametrize("row", BOUNDARY_ROWS)
+def test_non_uniform_time_at_chunk_boundary(row):
+    t, kh = _slow_cone(N_CHUNKED)
+    t[row] += 0.3e-3
+    with pytest.raises(ValueError) as info:
+        FiberPath(times=t, k_hat=kh, k_mag=1.0)
+    assert str(info.value) == UNIFORM
+
+
+@pytest.mark.parametrize("row", BOUNDARY_ROWS)
+def test_non_unit_sample_at_chunk_boundary(row):
+    t, kh = _slow_cone(N_CHUNKED)
+    kh[row] *= 1.0 + 2e-9
+    with pytest.raises(ValueError) as info:
+        FiberPath(times=t, k_hat=kh, k_mag=1.0)
+    assert str(info.value) == NOT_UNIT
+
+
+@pytest.mark.parametrize("row", BOUNDARY_ROWS)
+def test_coarse_step_at_chunk_boundary(row):
+    # a constant direction that turns by 0.6 rad between rows row-1 and row:
+    # the only large step straddles the chunk edge when row is a chunk start
+    t = 1e-3 * np.arange(N_CHUNKED)
+    kh = np.tile([0.0, 0.0, 1.0], (N_CHUNKED, 1))
+    kh[row:] = [np.sin(0.6), 0.0, np.cos(0.6)]
+    with pytest.raises(ValueError) as info:
+        FiberPath(times=t, k_hat=kh, k_mag=1.0)
+    assert str(info.value) == COARSE
+
+
+@pytest.mark.parametrize("adjacent", [False, True])
+def test_row_norms_bitwise_match_whole_array_norm(adjacent):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(N_CHUNKED, 3))
+    whole = np.linalg.norm(np.diff(x, axis=0) if adjacent else x, axis=1)
+    assert _same_bits(geometry._row_norms(x, adjacent), whole)
+
+
+def test_load_path_bitwise_matches_list_oracle_across_chunks(tmp_path):
+    filename = _loop_file(tmp_path, N_CHUNKED, k_mag=2.5)
+    loaded, oracle = load_path(filename), _list_loader(filename)
+    assert loaded.n_samples == N_CHUNKED
+    assert _same_bits(loaded.times, oracle.times)
+    assert _same_bits(loaded.k_hat, oracle.k_hat)
+    assert loaded.k_mag == oracle.k_mag
+
+
+@pytest.mark.parametrize("row", BOUNDARY_ROWS)
+def test_load_path_names_a_varying_magnitude_past_the_first_chunk(tmp_path, row):
+    t = 1e-3 * np.arange(N_CHUNKED)
+    rows = np.column_stack([t, np.zeros(N_CHUNKED), np.zeros(N_CHUNKED), np.ones(N_CHUNKED)])
+    rows[row, 3] = 1.25
+    filename = tmp_path / "jump.txt"
+    filename.write_text(("%r %r %r %r\n" * N_CHUNKED) % tuple(rows.ravel().tolist()))
+    with pytest.raises(ValueError) as info:
+        load_path(filename)
+    assert str(info.value) == (
+        f"{filename}: |k| varies along the path (sample {row}: 1.25 vs 1.0); "
+        "only constant-magnitude trajectories are supported"
+    )
+
+
+def test_path_layers_memory_budget(tmp_path):
+    # each layer holds its outputs, one chunk and O(n) scratch; with full-size
+    # temporaries in validation and norms these were 153, 153 and 112 B/sample
+    import tracemalloc
+
+    n = 100_000
+    filename = _loop_file(tmp_path, n)
+    tracemalloc.start()
+    try:
+        path = load_path(filename)
+        loaded = tracemalloc.get_traced_memory()[1] / n
+        tracemalloc.reset_peak()
+        spherical_angles(path)
+        angles = tracemalloc.get_traced_memory()[1] / n  # the path is still held
+        del path
+        tracemalloc.reset_peak()
+        helix = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n - 1)
+        helix_peak = tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+    assert helix.n_samples == n
+    assert loaded < 90, loaded
+    assert angles < 110, angles
+    assert helix_peak < 90, helix_peak
