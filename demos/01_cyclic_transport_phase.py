@@ -26,7 +26,7 @@ print("sigma   total(T)      dynamical(T)  geometric(T)  closed form")
 for polarization in (+1, -1):
     traj = evolve(path, polarization)
     dec = phase_decomposition(traj, path)
-    target = analytic_noncyclic_phase(angles, polarization, path.n_samples - 1)
+    target = analytic_noncyclic_phase(angles, polarization)[-1]
     print(
         f"  {polarization:+d}   {dec.total[-1]:+.6f}    {dec.dynamical[-1]:+.2e}     "
         f"{dec.geometric[-1]:+.6f}     {target:+.6f}"

@@ -24,7 +24,7 @@ print("half turn of the cone (azimuth 0 -> pi), cone half-angle 60 deg\n")
 print("sigma   overlap geometric   transport integral   |difference|")
 for polarization in (+1, -1):
     dec = phase_decomposition(evolve(path, polarization), path)
-    target = analytic_noncyclic_phase(angles, polarization, path.n_samples - 1)
+    target = analytic_noncyclic_phase(angles, polarization)[-1]
     diff = abs(dec.geometric[-1] - target)
     print(f"  {polarization:+d}      {dec.geometric[-1]:+.6f}           {target:+.6f}          {diff:.2e}")
     assert diff < 5e-3
@@ -34,6 +34,6 @@ quarter = path.n_samples // 2
 dec = phase_decomposition(evolve(path, +1), path)
 print(
     f"\nat the quarter turn the overlap split gives {dec.geometric[quarter]:+.4f} rad while"
-    f"\nthe transport integral gives {analytic_noncyclic_phase(angles, +1, quarter):+.4f} rad;"
+    f"\nthe transport integral gives {analytic_noncyclic_phase(angles, +1)[quarter]:+.4f} rad;"
     "\nthey rejoin at every half turn, where the overlap is purely real."
 )

@@ -42,7 +42,7 @@ path = helix_path(cone, 1.0, 1.0, 1.0, 1024)
 angles = spherical_angles(path)
 last = path.n_samples - 1
 print(f"\ntime-resolved on the sampled helix (final values):")
-print(f"  vacuum R: {vacuum_phase(+1, angles, last):+.6f}   vacuum L: {vacuum_phase(-1, angles, last):+.6f}")
-print(f"  sum:      {vacuum_phase(+1, angles, last) + vacuum_phase(-1, angles, last):+.6f}  (cancels identically)")
-print(f"  one right photon, quantal phase: {quantal_geometric_phase(0, 1, angles, last):+.6f}")
-assert vacuum_phase(+1, angles, last) + vacuum_phase(-1, angles, last) == 0.0
+print(f"  vacuum R: {vacuum_phase(+1, angles)[last]:+.6f}   vacuum L: {vacuum_phase(-1, angles)[last]:+.6f}")
+print(f"  sum:      {vacuum_phase(+1, angles)[last] + vacuum_phase(-1, angles)[last]:+.6f}  (cancels identically)")
+print(f"  one right photon, quantal phase: {quantal_geometric_phase(0, 1, angles)[last]:+.6f}")
+assert vacuum_phase(+1, angles)[last] + vacuum_phase(-1, angles)[last] == 0.0

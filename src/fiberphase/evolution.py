@@ -275,15 +275,12 @@ def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecompo
     )
 
 
-def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int, i: int | None = None):
-    """Closed-form transport phase  sigma * Int_0^t azimuth_rate (1 - cos polar) dt'.
+def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):
+    """Closed-form transport phase series  sigma * Int_0^t azimuth_rate (1 - cos polar) dt'.
 
-    Returns the value at sample ``i``, or the whole series when ``i`` is None.
     Reduces to sigma * 2 pi (1 - cos c) per full cycle of a cone of
     half-angle c.
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    if i is None:
-        return polarization * solid_angle_series(angles)
-    return float(polarization * solid_angle_series(angles)[i])
+    return polarization * solid_angle_series(angles)

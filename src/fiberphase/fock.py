@@ -106,35 +106,29 @@ def cyclic_phases(n_left, n_right, cone_angle, ordering=Ordering.SYMMETRIC):
     return -_weight(n_left, ordering) * cycle, +_weight(n_right, ordering) * cycle
 
 
-def quantal_geometric_phase(n_left, n_right, angles: SphericalAngles, i: int | None = None):
-    """Occupation-difference phase (n_right - n_left) * W(t_i).
+def quantal_geometric_phase(n_left, n_right, angles: SphericalAngles):
+    """Occupation-difference phase series (n_right - n_left) * W(t).
 
     W is the cumulative swept solid angle of the trajectory; the zero-point
     halves cancel in this difference, so ordering does not enter.
     """
     n_left = _check_occupation(n_left, "n_left")
     n_right = _check_occupation(n_right, "n_right")
-    if i is None:
-        return (n_right - n_left) * solid_angle_series(angles)
-    return float((n_right - n_left) * solid_angle_series(angles)[i])
+    return (n_right - n_left) * solid_angle_series(angles)
 
 
-def vacuum_phase(polarization, angles: SphericalAngles, i: int | None = None, ordering=Ordering.SYMMETRIC):
-    """Zero-point phase sigma * W(t_i) / 2 of one circular mode.
+def vacuum_phase(polarization, angles: SphericalAngles, ordering=Ordering.SYMMETRIC):
+    """Zero-point phase series sigma * W(t) / 2 of one circular mode.
 
     The two polarizations carry opposite halves, so their sum vanishes
     identically; isolating one of them is the point of the gyrotropic
     suppression scheme in :mod:`fiberphase.media`.  Normal ordering deletes
-    the zero-point term (its weight is 0), so the phase is then +0.0 at
-    every sample.
+    the zero-point term (its weight is 0), so the phase is then 0.0 at
+    every sample; adding 0.0 writes no sample as -0.0.
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    if Ordering.coerce(ordering) is Ordering.NORMAL:
-        return np.zeros(len(angles.times)) if i is None else 0.0
-    if i is None:
-        return polarization * 0.5 * solid_angle_series(angles)
-    return float(polarization * 0.5 * solid_angle_series(angles)[i])
+    return polarization * _weight(0, Ordering.coerce(ordering)) * solid_angle_series(angles) + 0.0
 
 
 def mode_weights(ladder: FockLadder):

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import Ordering, vacuum_phase
-from .geometry import SphericalAngles
+from .fock import Ordering, _weight
+from .geometry import SphericalAngles, solid_angle_series
 
 __all__ = [
     "GyrotropicMedium",
@@ -123,25 +123,20 @@ def net_vacuum_phase(
     medium: GyrotropicMedium,
     k0,
     angles: SphericalAngles,
-    i: int | None = None,
     chamber_length=None,
     ordering=Ordering.SYMMETRIC,
 ) -> NetVacuumPhase:
-    """Sum of the zero-point phases of the circular modes that survive.
+    """Sum of the final zero-point phases of the circular modes that survive.
 
     A mode survives when its index squared is positive and, if a chamber
     length is given, its in-medium wave vector is not expelled.  Both modes
     surviving gives exact cancellation (phase 0); exactly one surviving
-    leaves +-W(t_i)/2; none surviving gives 0 with
-    ``no_propagating_modes`` set.  Under normal ordering there is no
-    zero-point term, so the phase is 0 whichever modes survive.
+    leaves +-W/2, with W the swept solid angle at the last sample; none
+    surviving gives 0 with ``no_propagating_modes`` set.  Under normal
+    ordering there is no zero-point term, so the phase is 0 whichever modes
+    survive.
     """
-    if i is None:
-        i = len(angles.times) - 1
-    phase = 0.0
-    surv = {}
-    for pol in (+1, -1):
-        surv[pol] = _survives(medium, k0, chamber_length, pol)
-        if surv[pol]:
-            phase += vacuum_phase(pol, angles, i, ordering)
+    surv = {pol: _survives(medium, k0, chamber_length, pol) for pol in (+1, -1)}
+    swept = float(solid_angle_series(angles)[-1])
+    phase = 0.0 + _weight(0, Ordering.coerce(ordering)) * swept * (surv[+1] - surv[-1])
     return NetVacuumPhase(phase=phase, plus_survives=surv[+1], minus_survives=surv[-1])

@@ -85,18 +85,31 @@ def _require(cfg, key, kind, field=None):
     return value
 
 
+def _check_keys(section, known, prefix=""):
+    """Reject the first key of ``section`` that is not in ``known``, naming it ``prefix + key``."""
+    for key in section:
+        if key not in known:
+            raise ScenarioError(f"{prefix}{key}: unknown key; expected {', '.join(known)}")
+
+
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ScenarioError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: nested too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ScenarioError(f"{path}: top level must be an object")
+    _check_keys(cfg, ("path", "polarizations", "occupations", "ordering", "medium", "k0", "chamber_length",
+                      "output_dir", "sweep"))
     return cfg
 
 
@@ -104,6 +117,7 @@ def build_path(cfg, base_dir=".") -> geometry.FiberPath:
     section = _require(cfg, "path", dict)
     kind = section.get("type")
     if kind == "helix":
+        _check_keys(section, ("type", "cone_angle", "omega", "k_mag", "n_cycles", "n_steps"), "path.")
         if "cone_angle" not in section:
             raise ScenarioError("missing required field 'path.cone_angle'")
         cone = parse_angle(section["cone_angle"], "path.cone_angle")
@@ -121,6 +135,7 @@ def build_path(cfg, base_dir=".") -> geometry.FiberPath:
         except ValueError as exc:
             raise ScenarioError(f"path: {exc}") from None
     if kind == "file":
+        _check_keys(section, ("type", "filename"), "path.")
         filename = _require(section, "filename", str, "path.filename")
         if not os.path.isabs(filename):
             filename = os.path.join(base_dir, filename)
@@ -158,6 +173,7 @@ def _parse_occupations(cfg):
     occ = cfg.get("occupations", {"n_left": 0, "n_right": 0})
     if not isinstance(occ, dict):
         raise ScenarioError(f"occupations: expected an object, got {occ!r}")
+    _check_keys(occ, ("n_left", "n_right"), "occupations.")
     return (_occupation(occ.get("n_left", 0), "occupations.n_left"),
             _occupation(occ.get("n_right", 0), "occupations.n_right"))
 
@@ -168,9 +184,7 @@ def _parse_medium(cfg):
         return None
     if not isinstance(raw, dict):
         raise ScenarioError(f"medium: expected an object, got {raw!r}")
-    for name in raw:
-        if name not in ("eps1", "eps2", "mu1", "mu2"):
-            raise ScenarioError(f"medium.{name}: unknown key; a medium takes eps1, eps2, mu1 and mu2")
+    _check_keys(raw, ("eps1", "eps2", "mu1", "mu2"), "medium.")
     kwargs = {name: _require(raw, name, float, f"medium.{name}") for name in raw}
     for name in ("eps1", "eps2"):
         if name not in kwargs:
@@ -219,92 +233,80 @@ def _parse_common(cfg) -> Scenario:
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
-def _sigma_tables(path, angles, polarizations):
-    """The results.csv columns of each polarization, from one propagation.
+def compute_scenario(path, scenario: Scenario):
+    """Run every pipeline stage on one path; returns one results.csv table per polarization.
 
-    Only the first polarization is evolved, and its trajectory is freed
-    before the tables are built.  Every step is a real rotation in the
-    Cartesian representation, so the opposite helicity is the conjugate
-    state, psi_{-s} = e^{i a} conj psi_s: its total, dynamical and geometric
-    phases are negated (as 0.0 - x, so no -0.0 appears), and it shares the
-    read-only norm drift, helicity drift (<S> only flips sign) and flags.
-    It repeats the first polarization's warnings under its own label.
+    ``tables[pol]`` maps every results.csv column after ``sigma`` to a
+    ``(series, weight)`` pair; the column is ``series * weight + 0.0``.  The
+    phases proportional to the swept solid angle hold the one cached ``W``,
+    with weights sigma (analytic), n_R - n_L (quantal), -+z (vacuum L/R) and
+    z * (plus survives - minus survives) (vacuum net), where z is the
+    zero-point weight: 1/2, or 0 under normal ordering.  Only the first
+    polarization is evolved: every step is a real rotation in the Cartesian
+    representation, so the opposite helicity is the conjugate state,
+    psi_{-s} = e^{i a} conj psi_s.  Its total, dynamical and geometric phases
+    are the first's series with weight -1, and it shares the read-only drifts
+    (<S> only flips sign) and flags, and repeats the warnings under its own
+    label.  Every other weight is 1.  The trajectory is freed before the
+    residuals are computed.
     """
-    first = polarizations[0]
+    angles = geometry.spherical_angles(path)
+    first = scenario.polarizations[0]
     traj = evolution.evolve(path, first)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
         dec = evolution.phase_decomposition(traj, path)
     hel = evolution.helicity_expectations(traj, path)
     shared = {
-        "norm_drift": geometry._read_only(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)),
-        "helicity_drift": geometry._read_only(np.abs(hel - hel[0])),
-        "flagged": geometry._read_only(dec.flagged),
+        "norm_drift": (geometry._read_only(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)), 1.0),
+        "helicity_drift": (geometry._read_only(np.abs(hel - hel[0])), 1.0),
+        "flagged": (geometry._read_only(dec.flagged), 1.0),
     }
     del traj, hel
-    signed = {"phase_total": dec.total, "phase_dynamical": dec.dynamical, "phase_geometric": dec.geometric}
-
-    tables = {}
-    for pol in polarizations:
-        for item in caught:
-            print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
-        if pol != first:
-            signed = {name: np.subtract(0.0, values) for name, values in signed.items()}
-        tables[pol] = {**signed, "phase_analytic": evolution.analytic_noncyclic_phase(angles, pol), **shared}
-    return tables
-
-
-def compute_scenario(path, scenario: Scenario):
-    """Run every pipeline stage on one path; returns the results.csv columns by name.
-
-    ``columns`` holds the columns every polarization shares, ``per_sigma[pol]``
-    the rest.  Each stage reads the path's cached series (``path.h``,
-    ``angles.solid_angle``).  One ``evolve`` serves every polarization: the
-    first is propagated and the other derived by conjugation (see
-    ``_sigma_tables``).  The trajectory is freed before the residuals are
-    computed, and the angles with their cached W when this returns.  Under
-    normal ordering the zero-point weight is 0, so the three vacuum columns
-    and the net vacuum phase are 0.
-    """
-    angles = geometry.spherical_angles(path)
-    n = path.n_samples
-
-    per_sigma = _sigma_tables(path, angles, scenario.polarizations)
+    phases = {f"phase_{kind}": geometry._read_only(getattr(dec, kind)) for kind in ("total", "dynamical", "geometric")}
 
     inv = evolution.invariant_residual_series(path)
-    inv_full = np.concatenate([[inv[0]], inv, [inv[-1]]])  # pad ends with nearest interior
-    motion = geometry.motion_residual(path)
-
-    vac_left = fock.vacuum_phase(-1, angles, ordering=scenario.ordering)
-    vac_right = fock.vacuum_phase(+1, angles, ordering=scenario.ordering)
-    quantal = fock.quantal_geometric_phase(scenario.n_left, scenario.n_right, angles)
-
-    net_series = np.zeros(n)
-    net_final = media.net_vacuum_phase(
-        scenario.medium or FREE_SPACE, scenario.k0, angles, n - 1, scenario.chamber_length, scenario.ordering
+    net = media.net_vacuum_phase(
+        scenario.medium or FREE_SPACE, scenario.k0, angles, scenario.chamber_length, scenario.ordering
     )
-    if net_final.plus_survives:
-        net_series = net_series + vac_right
-    if net_final.minus_survives:
-        net_series = net_series + vac_left
-
-    columns = {
-        "t": path.times,
-        "lambda": angles.polar,
-        "gamma": angles.azimuth,
-        "phase_quantal": quantal,
-        "phase_vacuum_L": vac_left,
-        "phase_vacuum_R": vac_right,
-        "phase_vacuum_net": net_series,
-        "invariant_residual": inv_full,
-        "motion_residual": motion,
-    }
+    w = geometry.solid_angle_series(angles)
+    z = fock._weight(0, scenario.ordering)
+    shared.update({
+        "t": (path.times, 1.0),
+        "lambda": (angles.polar, 1.0),
+        "gamma": (angles.azimuth, 1.0),
+        "phase_quantal": (w, float(scenario.n_right - scenario.n_left)),
+        "phase_vacuum_L": (w, -z),
+        "phase_vacuum_R": (w, +z),
+        "phase_vacuum_net": (w, z * (net.plus_survives - net.minus_survives)),
+        "invariant_residual": (np.concatenate([[inv[0]], inv, [inv[-1]]]), 1.0),  # pad ends with nearest interior
+        "motion_residual": (geometry.motion_residual(path), 1.0),
+    })
+    tables = {}
+    for pol in scenario.polarizations:
+        for item in caught:
+            print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
+        sign = 1.0 if pol == first else -1.0
+        tables[pol] = {
+            **shared,
+            **{name: (series, sign) for name, series in phases.items()},
+            "phase_analytic": (w, float(pol)),
+        }
     return {
-        "columns": columns,
-        "per_sigma": per_sigma,
-        "vacuum_net": net_final,
+        "tables": tables,
+        "vacuum_net": net,
         "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
     }
+
+
+def _values(pair, rows=slice(None)):
+    """Rows of the column ``series * weight + 0.0``; the + 0.0 turns -0.0 into 0.0 and nothing else."""
+    series, weight = pair
+    return series[rows] * weight + 0.0
+
+
+def _final(pair) -> float:
+    return float(_values(pair, -1))
 
 
 def _fmt(x) -> str:
@@ -312,53 +314,58 @@ def _fmt(x) -> str:
 
 
 def _check_finite(result):
-    for table in (result["columns"], *result["per_sigma"].values()):
-        for values in table.values():
-            if not np.all(np.isfinite(values)):
-                raise NumericalError("non-finite value detected in results")
+    """Raise NumericalError on a non-finite value; each distinct series is checked once."""
+    distinct = {id(series): series for table in result["tables"].values() for series, _ in table.values()}
+    if not all(np.all(np.isfinite(series)) for series in distinct.values()):
+        raise NumericalError("non-finite value detected in results")
+
+
+_WRITE_ROWS = 1024  # samples per writer chunk, whose columns are held as lists of Python floats
+
+
+def _blocks(table, names):
+    """The named columns of ``table`` as lists of Python floats, one chunk of samples at a time."""
+    n = len(table[names[0]][0])
+    for start in range(0, n, _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        yield [_values(table[name], rows).tolist() for name in names]
 
 
 def write_results_csv(filename, result):
-    """Write results.csv one row at a time, so no list of rows is held in memory."""
+    """Write results.csv in chunks of samples, so no full-length column of rows is held."""
     with open(filename, "w", newline="\n") as fh:
         fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for pol in result["per_sigma"]:
-            fh.writelines(row + "\n" for row in _result_rows(result, pol))
+        for pol, table in result["tables"].items():
+            for columns in _blocks(table, RESULT_COLUMNS[1:]):
+                fh.writelines(
+                    ",".join([str(pol), *map(_fmt, values), "1" if flag else "0"]) + "\n"
+                    for *values, flag in zip(*columns)
+                )
 
 
-def _result_rows(result, pol):
-    """The formatted results.csv rows of polarization ``pol``: sigma, the float columns, flagged."""
-    table = {**result["columns"], **result["per_sigma"][pol]}
-    floats = zip(*(table[name] for name in RESULT_COLUMNS[1:-1]))
-    for values, flag in zip(floats, table["flagged"]):
-        yield ",".join([str(pol), *map(_fmt, values), "1" if flag else "0"])
-
-
-def _write_plot(filename, times, values):
+def _write_plot(filename, table, column):
     with open(filename, "w", newline="\n") as fh:
-        for t, v in zip(times, values):
-            fh.write(f"{_fmt(t)} {_fmt(v)}\n")
+        for times, values in _blocks(table, ("t", column)):
+            fh.writelines(f"{_fmt(t)} {_fmt(v)}\n" for t, v in zip(times, values))
 
 
 def write_plot_files(out_dir, result):
-    t = result["columns"]["t"]
-    for pol, table in result["per_sigma"].items():
+    for pol, table in result["tables"].items():
         for kind in ("total", "geometric", "analytic"):
-            _write_plot(os.path.join(out_dir, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat"), t, table[f"phase_{kind}"])
-    for kind in ("quantal", "vacuum_net"):
-        _write_plot(os.path.join(out_dir, f"plot_{kind}.dat"), t, result["columns"][f"phase_{kind}"])
+            _write_plot(os.path.join(out_dir, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat"), table, f"phase_{kind}")
+    for kind in ("quantal", "vacuum_net"):  # the same pair in every table
+        _write_plot(os.path.join(out_dir, f"plot_{kind}.dat"), table, f"phase_{kind}")
 
 
 def summarize(result, path, scenario: Scenario):
     phases = {}
-    for pol, table in result["per_sigma"].items():
+    for pol, table in result["tables"].items():
         phases[f"{pol:+d}"] = {
-            **{kind: float(table[f"phase_{kind}"][-1]) for kind in ("total", "dynamical", "geometric", "analytic")},
-            "flagged_samples": int(table["flagged"].sum()),
-            "max_norm_drift": float(table["norm_drift"].max()),
-            "max_helicity_drift": float(table["helicity_drift"].max()),
+            **{kind: _final(table[f"phase_{kind}"]) for kind in ("total", "dynamical", "geometric", "analytic")},
+            "flagged_samples": int(_values(table["flagged"]).sum()),
+            "max_norm_drift": float(_values(table["norm_drift"]).max()),
+            "max_helicity_drift": float(_values(table["helicity_drift"]).max()),
         }
-    columns = result["columns"]
     net = result["vacuum_net"]
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -371,18 +378,19 @@ def summarize(result, path, scenario: Scenario):
         "ordering": scenario.ordering.value,
         "occupations": {"n_left": scenario.n_left, "n_right": scenario.n_right},
         "phases": phases,
-        "quantal_final": float(columns["phase_quantal"][-1]),
+        # the last table's shared pairs are the same in every table
+        "quantal_final": _final(table["phase_quantal"]),
         "vacuum": {
-            "left_final": float(columns["phase_vacuum_L"][-1]),
-            "right_final": float(columns["phase_vacuum_R"][-1]),
+            "left_final": _final(table["phase_vacuum_L"]),
+            "right_final": _final(table["phase_vacuum_R"]),
             "net_final": float(net.phase),
             "plus_survives": bool(net.plus_survives),
             "minus_survives": bool(net.minus_survives),
             "no_propagating_modes": bool(net.no_propagating_modes),
         },
         "diagnostics": {
-            "max_invariant_residual": float(columns["invariant_residual"].max()),
-            "max_motion_residual": float(columns["motion_residual"].max()),
+            "max_invariant_residual": float(_values(table["invariant_residual"]).max()),
+            "max_motion_residual": float(_values(table["motion_residual"]).max()),
         },
         "k0": scenario.k0,
         "chamber_length": scenario.chamber_length,
@@ -469,12 +477,12 @@ def _cone_row(cfg, base_dir, value, scenario):
     result = compute_scenario(path, scenario)
     _check_finite(result)
     row = {"cone_angle": cone}
-    for pol, table in result["per_sigma"].items():
+    for pol, table in result["tables"].items():
         suffix = _SIGMA_SUFFIX[pol]
-        row[f"geometric_{suffix}"] = float(table["phase_geometric"][-1])
-        row[f"analytic_{suffix}"] = float(table["phase_analytic"][-1])
-        row[f"flagged_{suffix}"] = int(table["flagged"].sum())
-    row["quantal"] = float(result["columns"]["phase_quantal"][-1])
+        row[f"geometric_{suffix}"] = _final(table["phase_geometric"])
+        row[f"analytic_{suffix}"] = _final(table["phase_analytic"])
+        row[f"flagged_{suffix}"] = int(_values(table["flagged"]).sum())
+    row["quantal"] = _final(table["phase_quantal"])
     row["vacuum_net"] = float(result["vacuum_net"].phase)
     return row
 
@@ -520,7 +528,7 @@ def _sweep_rows_steps(cfg, base_dir, values):
 def _sweep_rows_occupations(cfg, base_dir, values, ordering):
     path = build_path(cfg, base_dir)
     angles = geometry.spherical_angles(path)
-    swept = float(geometry.solid_angle_series(angles)[-1])
+    w = geometry.solid_angle_series(angles)
     rows = []
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:
@@ -530,9 +538,9 @@ def _sweep_rows_occupations(cfg, base_dir, values, ordering):
         rows.append({
             "n_left": nl,
             "n_right": nr,
-            "quantal": float((nr - nl) * swept),
-            "phi_left": -fock._weight(nl, ordering) * swept,
-            "phi_right": +fock._weight(nr, ordering) * swept,
+            "quantal": _final((w, float(nr - nl))),
+            "phi_left": _final((w, -fock._weight(nl, ordering))),
+            "phi_right": _final((w, +fock._weight(nr, ordering))),
         })
     rows.sort(key=lambda r: (r["n_left"], r["n_right"]))
     return rows
@@ -543,6 +551,7 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
     cfg = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     sweep = _require(cfg, "sweep", dict)
+    _check_keys(sweep, ("parameter", "values"), "sweep.")
     parameter = sweep.get("parameter")
     if parameter not in _SWEEPABLE:
         raise ScenarioError(f"sweep.parameter must be one of {_SWEEPABLE}, got {parameter!r}")

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberphase.cli import main
 from fiberphase.scenario import RESULT_COLUMNS
@@ -237,9 +239,10 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
 
     def poisoned(*args, **kwargs):
         result = original(*args, **kwargs)
-        # poison the column in the last table that holds it, so every table is checked
-        table = [t for t in (result["columns"], *result["per_sigma"].values()) if column in t][-1]
-        table[column] = np.full_like(table[column], np.nan)
+        # poison the column's series in the last table only, so every table is checked
+        table = list(result["tables"].values())[-1]
+        series, weight = table[column]
+        table[column] = (np.full_like(series, np.nan), weight)
         return result
 
     monkeypatch.setattr(scenario_mod, "compute_scenario", poisoned)
@@ -302,41 +305,80 @@ def test_non_finite_summary_exits_3_without_writing(tmp_path, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
-def _joined_results_csv(path, angles, result, polarizations):
-    """The writer write_results_csv replaced (every row in one list, joined): the byte oracle."""
-    from fiberphase.scenario import _fmt
+def _joined_outputs(result):
+    """results.csv and the plot files as the writers' whole-array join: the byte oracle.
 
-    shared = result["columns"]
+    Each column is computed whole as series * weight + 0.0 and every file is
+    joined from one list of lines.
+    """
+    from fiberphase.scenario import _SIGMA_SUFFIX, _fmt
+
+    def column(table, name):
+        series, weight = table[name]
+        return series * weight + 0.0
+
     lines = [",".join(RESULT_COLUMNS)]
-    for pol in polarizations:
-        block = result["per_sigma"][pol]
-        for i in range(path.n_samples):
-            values = [path.times[i], angles.polar[i], angles.azimuth[i], block["phase_total"][i],
-                      block["phase_dynamical"][i], block["phase_geometric"][i], block["phase_analytic"][i],
-                      shared["phase_quantal"][i], shared["phase_vacuum_L"][i], shared["phase_vacuum_R"][i],
-                      shared["phase_vacuum_net"][i], block["norm_drift"][i],
-                      block["helicity_drift"][i], shared["invariant_residual"][i],
-                      shared["motion_residual"][i]]
-            row = [str(pol)] + [_fmt(v) for v in values] + ["1" if block["flagged"][i] else "0"]
+    plots = {}
+    for pol, table in result["tables"].items():
+        columns = [column(table, name) for name in RESULT_COLUMNS[1:]]
+        for i in range(len(columns[0])):
+            row = [str(pol)] + [_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]
             lines.append(",".join(row))
-    return ("\n".join(lines) + "\n").encode()
+        names = [(f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat", f"phase_{kind}") for kind in ("total", "geometric", "analytic")]
+        names += [(f"plot_{kind}.dat", f"phase_{kind}") for kind in ("quantal", "vacuum_net")]
+        for filename, name in names:
+            t, values = column(table, "t"), column(table, name)
+            plots[filename] = "".join(f"{_fmt(t[i])} {_fmt(values[i])}\n" for i in range(len(t))).encode()
+    return ("\n".join(lines) + "\n").encode(), plots
+
+
+def _written(tmp_path, result):
+    import fiberphase.scenario as scenario_mod
+
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    scenario_mod.write_results_csv(str(tmp_path / "results.csv"), result)
+    scenario_mod.write_plot_files(str(tmp_path), result)
+    plots = {f.name: f.read_bytes() for f in tmp_path.glob("plot_*.dat")}
+    return (tmp_path / "results.csv").read_bytes(), plots
 
 
 def test_results_csv_streaming_is_byte_identical(tmp_path):
     import fiberphase.scenario as scenario_mod
     from fiberphase.fock import Ordering
-    from fiberphase.geometry import helix_path, spherical_angles
+    from fiberphase.geometry import helix_path
 
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
-    pols = (1, -1)
-    scenario = scenario_mod.Scenario(pols, 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    scenario = scenario_mod.Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
     result = scenario_mod.compute_scenario(p, scenario)
-    filename = tmp_path / "results.csv"
-    scenario_mod.write_results_csv(str(filename), result)
-    written = filename.read_bytes()
-    assert written == _joined_results_csv(p, spherical_angles(p), result, pols)
+    written, plots = _written(tmp_path, result)
+    assert (written, plots) == _joined_outputs(result)
     lines = written.decode().split("\n")
     assert len(lines) == 1 + 2 * p.n_samples + 1 and lines[-1] == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), chunk=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       pols=st.sampled_from([(1, -1), (-1, 1), (1,), (-1,)]))
+def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed, pols):
+    # random series with zeros of both signs, at lengths below, at and past multiples of the chunk
+    import fiberphase.scenario as scenario_mod
+
+    rng = np.random.default_rng(seed)
+
+    def series():
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        values[rng.random(n) < 0.2] = 0.0
+        values[rng.random(n) < 0.2] = -0.0
+        return values
+
+    weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
+    shared = {name: (series(), float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
+    shared["flagged"] = (rng.random(n) < 0.3, 1.0)
+    tables = {pol: {**shared, "phase_total": (shared["phase_total"][0], float(pol))} for pol in pols}
+    result = {"tables": tables}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)
+        assert _written(tmp_path_factory.mktemp("chunked"), result) == _joined_outputs(result)
 
 
 def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):
@@ -380,6 +422,35 @@ def test_derived_phases_start_at_positive_zero(tmp_path, pols):
     first_row = dict(zip(header, next(row for row in rows[1:] if row[0] == derived)))
     for kind in ("total", "dynamical", "geometric"):
         assert first_row[f"phase_{kind}"] == "0.0000000000000000e+00", kind
+
+
+def _has_negative_zero(value):
+    if isinstance(value, dict):
+        return any(_has_negative_zero(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_has_negative_zero(v) for v in value)
+    return isinstance(value, float) and value == 0.0 and np.signbit(value)
+
+
+def test_no_output_writes_negative_zero(tmp_path):
+    # clockwise, so W < 0: n_R - n_L = 0, the normal-ordering zero-point weight
+    # and sigma = -1 all multiply a negative W at t > 0 and W[0] = 0 at t = 0
+    cfg = helix_cfg(str(tmp_path / "run"), polarizations=[-1, 1], ordering="normal",
+                    occupations={"n_left": 2, "n_right": 2})
+    cfg["path"].update(omega=-1.0, n_steps=512)
+    assert main(["run", write_config(tmp_path, "run.json", cfg), "--quiet"]) == 0
+    cfg.update(output_dir=str(tmp_path / "sweep"), sweep={"parameter": "occupations", "values": [[0, 0], [2, 2], [3, 1]]})
+    assert main(["sweep", write_config(tmp_path, "sweep.json", cfg), "--quiet"]) == 0
+
+    written = sorted((tmp_path / "run").glob("*.*")) + sorted((tmp_path / "sweep").glob("*.*"))
+    assert {f.name for f in written} >= {"results.csv", "plot_analytic_L.dat", "plot_quantal.dat", "sweep.csv"}
+    for f in written:
+        text = f.read_text()
+        if f.suffix == ".json":
+            assert not _has_negative_zero(json.loads(text)), f
+        else:
+            assert "-0.0000000000000000e+00" not in text, f
+    assert read_summary(str(tmp_path / "run"))["quantal_final"] == 0.0
 
 
 # --------------------------------------------------------------------- sweeps
@@ -463,12 +534,13 @@ def test_sweep_occupations_matches_inline_weights(tmp_path, ordering):
     config = write_config(tmp_path, "osweep.json", cfg)
     assert main(["sweep", config, "--quiet"]) == 0
 
-    # the weights as they were written inline before the sweep reused fock._weight
+    # the weights as they were written inline before the sweep reused fock._weight;
+    # + 0.0 writes a zero phase as 0.0, never -0.0
     swept = float(geometry.solid_angle_series(geometry.spherical_angles(build_path(cfg)))[-1])
     half = 0.5 if ordering == "symmetric" else 0.0
     expected = [
-        {"n_left": nl, "n_right": nr, "quantal": float((nr - nl) * swept),
-         "phi_left": -(nl + half) * swept, "phi_right": +(nr + half) * swept}
+        {"n_left": nl, "n_right": nr, "quantal": float((nr - nl) * swept) + 0.0,
+         "phi_left": -(nl + half) * swept + 0.0, "phi_right": +(nr + half) * swept + 0.0}
         for nl, nr in sorted(pairs)
     ]
     assert read_summary(str(out))["rows"] == expected
@@ -579,6 +651,41 @@ def test_unknown_medium_key_exits_2(tmp_path, capsys, key):
     assert f"medium.{key}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, path", [
+    ("run", None, "ordring", None),
+    ("sweep", None, "ordring", None),
+    ("run", "occupations", "n_lft", None),
+    ("run", "path", "radius", None),
+    ("sweep", "path", "n_step", None),
+    ("run", "path", "n_steps", {"type": "file", "filename": "traj.txt"}),  # the keys depend on the path type
+    ("sweep", "sweep", "value", None),
+])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, section, key, path):
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"]["n_steps"] = 128
+    if path is not None:
+        cfg["path"] = path
+    cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
+    (cfg if section is None else cfg[section])[key] = 3
+    config = write_config(tmp_path, "typo.json", cfg)
+    assert main([command, config, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key if section is None else f'{section}.{key}'}: unknown key" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"path": "\xff"}', b"[" * 100_000], ids=["not-utf8", "deep-nesting"])
+def test_unreadable_config_exits_2_without_traceback(tmp_path, capsys, content):
+    config = tmp_path / "bad.json"
+    config.write_bytes(content)
+    assert main(["run", str(config), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {config}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("parameter, values", [

@@ -217,13 +217,13 @@ def test_analytic_phase_full_cycle():
         ang = spherical_angles(p)
         expected = 2.0 * np.pi * (1.0 - np.cos(cone))
         for pol in (+1, -1):
-            assert abs(analytic_noncyclic_phase(ang, pol, p.n_samples - 1) - pol * expected) < 1e-9
+            assert abs(analytic_noncyclic_phase(ang, pol)[-1] - pol * expected) < 1e-9
 
 
 def test_analytic_phase_half_cycle():
     p = helix_path(np.pi / 3, 1.0, 1.0, 0.5, 256)
     ang = spherical_angles(p)
-    assert abs(analytic_noncyclic_phase(ang, +1, p.n_samples - 1) - np.pi / 2) < 1e-9
+    assert abs(analytic_noncyclic_phase(ang, +1)[-1] - np.pi / 2) < 1e-9
 
 
 def test_analytic_phase_pole_path_vanishes():
@@ -238,7 +238,7 @@ def test_numeric_matches_analytic_at_cycle_end():
     ang = spherical_angles(p)
     for pol in (+1, -1):
         dec = phase_decomposition(evolve(p, pol), p)
-        target = analytic_noncyclic_phase(ang, pol, p.n_samples - 1)
+        target = analytic_noncyclic_phase(ang, pol)[-1]
         assert abs(dec.geometric[-1] - target) < 1e-3
 
 

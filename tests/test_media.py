@@ -169,10 +169,3 @@ def test_net_phase_sign_flips_with_surviving_mode():
     b = net_vacuum_phase(flipped, 1.0, ang)
     assert b.minus_survives and not b.plus_survives
     assert a.phase == -b.phase
-
-
-def test_net_phase_time_resolved():
-    ang = helix_angles(np.pi / 3)
-    mid = len(ang.times) // 2
-    net = net_vacuum_phase(ONE_MODE, 1.0, ang, i=mid)
-    assert abs(net.phase - np.pi / 4) < 1e-6

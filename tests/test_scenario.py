@@ -23,7 +23,7 @@ from fiberphase.evolution import (
 )
 from fiberphase.fock import Ordering
 from fiberphase.geometry import FiberPath, helix_path, load_path, solid_angle_series, spherical_angles
-from fiberphase.scenario import FREE_SPACE, RESULT_COLUMNS, Scenario, compute_scenario, run_sweep
+from fiberphase.scenario import FREE_SPACE, RESULT_COLUMNS, Scenario, _values, compute_scenario, run_sweep
 
 GYROTROPIC = media.GyrotropicMedium(eps1=2.0, eps2=3.0, mu1=2.0, mu2=1.0)  # left mode evanescent
 
@@ -36,12 +36,12 @@ def _angles(path):
     return spherical_angles(_fresh(path))
 
 
-def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
-    """compute_scenario's arrays from the stage functions, each on a fresh path copy.
+def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
+    """compute_scenario's columns from the stage functions, each on a fresh path copy, plus 0.0.
 
     Only the first polarization is evolved; the other is its conjugate, with
     the three transported phases negated (as 0.0 - x) and the drifts and
-    flags unchanged.
+    flags unchanged.  Every column gets + 0.0, which only turns -0.0 into 0.0.
     """
     first = pols[0]
     states = evolve(_fresh(path), first).states
@@ -49,29 +49,17 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         dec = phase_decomposition(evolve(_fresh(path), first), _fresh(path))
     hel = helicity_expectations(evolve(_fresh(path), first), _fresh(path))
-    per_sigma = {}
-    for pol in pols:
-        sign = (lambda x: x) if pol == first else (lambda x: 0.0 - x)
-        per_sigma[pol] = {
-            "phase_total": sign(dec.total),
-            "phase_dynamical": sign(dec.dynamical),
-            "phase_geometric": sign(dec.geometric),
-            "flagged": dec.flagged,
-            "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
-            "norm_drift": np.abs(np.linalg.norm(states, axis=1) - 1.0),
-            "helicity_drift": np.abs(hel - hel[0]),
-        }
     inv = invariant_residual_series(_fresh(path))
-    net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), path.n_samples - 1, chamber)
-    vac_left = fock.vacuum_phase(-1, _angles(path))
-    vac_right = fock.vacuum_phase(+1, _angles(path))
+    net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
+    vac_left = fock.vacuum_phase(-1, _angles(path), ordering)
+    vac_right = fock.vacuum_phase(+1, _angles(path), ordering)
     net_series = np.zeros(path.n_samples)
     if net.plus_survives:
         net_series = net_series + vac_right
     if net.minus_survives:
         net_series = net_series + vac_left
     angles = _angles(path)
-    columns = {
+    shared = {
         "t": _fresh(path).times,
         "lambda": angles.polar,
         "gamma": angles.azimuth,
@@ -79,10 +67,24 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber):
         "phase_vacuum_L": vac_left,
         "phase_vacuum_R": vac_right,
         "phase_vacuum_net": net_series,
+        "norm_drift": np.abs(np.linalg.norm(states, axis=1) - 1.0),
+        "helicity_drift": np.abs(hel - hel[0]),
         "invariant_residual": np.concatenate([[inv[0]], inv, [inv[-1]]]),
         "motion_residual": geometry.motion_residual(_fresh(path)),
+        "flagged": dec.flagged,
     }
-    return {"columns": columns, "per_sigma": per_sigma, "vacuum_net": net}
+    tables = {}
+    for pol in pols:
+        sign = (lambda x: x) if pol == first else (lambda x: 0.0 - x)
+        columns = {
+            **shared,
+            "phase_total": sign(dec.total),
+            "phase_dynamical": sign(dec.dynamical),
+            "phase_geometric": sign(dec.geometric),
+            "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
+        }
+        tables[pol] = {name: values + 0.0 for name, values in columns.items()}
+    return {"tables": tables, "vacuum_net": net}
 
 
 def _assert_bitwise(got, want, label):
@@ -102,40 +104,59 @@ def _wobble_file(tmp_path):
 
 
 CASES = {
-    # name: (path builder, n_left, n_right, medium, k0, chamber)
-    "helix-pi/3": (lambda tmp: helix_path(np.pi / 3, 1.0, 2.0, 1.0, 2000), 0, 1, None, 1.0, None),
-    "equator-flagged": (lambda tmp: helix_path(np.pi / 2, 1.0, 1.0, 2.0, 2000), 2, 1, GYROTROPIC, 1.0, 10.0),
-    "wobble-file": (_wobble_file, 3, 0, GYROTROPIC, 1.0, None),
+    # name: (path builder, n_left, n_right, medium, k0, chamber, ordering)
+    "helix-pi/3": (lambda tmp: helix_path(np.pi / 3, 1.0, 2.0, 1.0, 2000), 0, 1, None, 1.0, None, Ordering.SYMMETRIC),
+    "equator-flagged": (lambda tmp: helix_path(np.pi / 2, 1.0, 1.0, 2.0, 2000), 2, 1, GYROTROPIC, 1.0, 10.0,
+                        Ordering.SYMMETRIC),
+    "wobble-file": (_wobble_file, 3, 0, GYROTROPIC, 1.0, None, Ordering.SYMMETRIC),
+    # clockwise: W < 0, so the zero weights of n_R - n_L and normal ordering meet negative W
+    "clockwise-normal": (lambda tmp: helix_path(np.pi / 3, -1.0, 1.0, 1.0, 2000), 2, 2, GYROTROPIC, 1.0, None,
+                         Ordering.NORMAL),
 }
+W_WEIGHTS = {"phase_quantal", "phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net", "phase_analytic"}
 
 
 @pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
-    make, nl, nr, medium, k0, chamber = CASES[case]
+    make, nl, nr, medium, k0, chamber, ordering = CASES[case]
     path = make(tmp_path)
-    got = compute_scenario(path, Scenario(tuple(pols), nl, nr, Ordering.SYMMETRIC, medium, k0, chamber))
-    want = _oracle(path, pols, nl, nr, medium, k0, chamber)
+    got = compute_scenario(path, Scenario(tuple(pols), nl, nr, ordering, medium, k0, chamber))
+    want = _oracle(path, pols, nl, nr, medium, k0, chamber, ordering)
 
-    assert list(got["per_sigma"]) == pols
-    for table, ref, label in [(got["columns"], want["columns"], "shared"),
-                              *((got["per_sigma"][pol], want["per_sigma"][pol], pol) for pol in pols)]:
-        assert table.keys() == ref.keys(), label
+    assert list(got["tables"]) == pols
+    for pol in pols:
+        table, ref = got["tables"][pol], want["tables"][pol]
+        assert table.keys() == ref.keys(), pol
         for key in ref:
-            _assert_bitwise(table[key], ref[key], f"{label} {key}")
+            _assert_bitwise(_values(table[key]), ref[key], f"{pol} {key}")
     assert got["vacuum_net"] == want["vacuum_net"]
     if case == "equator-flagged":
-        assert all(got["per_sigma"][pol]["flagged"].any() for pol in pols)
+        assert all(_values(got["tables"][pol]["flagged"]).any() for pol in pols)
 
 
-def test_result_tables_partition_the_csv_columns():
+def test_result_tables_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
-    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    shared = list(result["columns"])
-    for pol in (1, -1):
-        own = list(result["per_sigma"][pol])
-        # each results.csv column after sigma lives in exactly one table, and none is missing
-        assert sorted(shared + own) == sorted(RESULT_COLUMNS[1:])
+    result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    first, derived = result["tables"][1], result["tables"][-1]
+    w = first["phase_analytic"][0]
+    _assert_bitwise(w, solid_angle_series(_angles(path)), "W")
+    for pol, table in result["tables"].items():
+        # every results.csv column after sigma, each a (series, weight) pair
+        assert sorted(table) == sorted(RESULT_COLUMNS[1:])
+        # the W-proportional columns all hold the one W, and differ only in their weights
+        assert {id(table[name][0]) for name in W_WEIGHTS} == {id(w)}
+        assert {name: table[name][1] for name in W_WEIGHTS} == {
+            "phase_quantal": 3.0, "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
+            "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
+            "phase_analytic": float(pol),
+        }
+    for name in RESULT_COLUMNS[1:]:
+        if name not in W_WEIGHTS:
+            # the derived polarization holds the evolved one's series
+            assert derived[name][0] is first[name][0], name
+            assert first[name][1] == 1.0
+            assert derived[name][1] == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
 
 
 def test_cached_series_are_shared_and_read_only():
@@ -194,6 +215,20 @@ def _sweep_peak(tmp_path, values):
     return peak
 
 
+def test_result_holds_one_W_and_no_derived_columns():
+    # 170 B/step when each multiple of W and the derived phases were held as arrays
+    n_steps = 100_000
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+    tracemalloc.start()
+    try:
+        result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / n_steps <= 120  # bytes per step
+    assert len(result["tables"]) == 2
+
+
 def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
     one = _sweep_peak(tmp_path, ["40 deg"])
     two = _sweep_peak(tmp_path, ["40 deg", "50 deg"])
@@ -213,7 +248,7 @@ DERIVED_CASES = {
 def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     path = DERIVED_CASES[case](tmp_path)
     got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
-    derived = got["per_sigma"][-first]
+    derived = {name: _values(pair) for name, pair in got["tables"][-first].items()}
 
     traj = evolve(_fresh(path), -first)
     with warnings.catch_warnings():
@@ -229,10 +264,11 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
         assert np.abs(derived[f"phase_{kind}"] - getattr(dec, kind))[clear].max() <= 1e-12, kind
     assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
-    # the drifts and flags are one read-only array shared by both polarizations
-    for name in ("norm_drift", "helicity_drift", "flagged"):
-        assert derived[name] is got["per_sigma"][first][name]
-        assert not derived[name].flags.writeable
+    # the phases, drifts and flags are one read-only series shared by both polarizations
+    for name in ("phase_total", "phase_dynamical", "phase_geometric", "norm_drift", "helicity_drift", "flagged"):
+        series = got["tables"][-first][name][0]
+        assert series is got["tables"][first][name][0]
+        assert not series.flags.writeable
 
 
 def _count_calls(monkeypatch, original):
@@ -257,6 +293,6 @@ def test_one_propagation_per_scenario(monkeypatch, pols):
                for fn in (evolve, phase_decomposition, helicity_expectations)}
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
     result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    assert list(result["per_sigma"]) == list(pols)
+    assert list(result["tables"]) == list(pols)
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
     assert counted["evolve"][0][1] == pols[0]
