@@ -7,9 +7,11 @@ loaded from a file.
 """
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import isfinite
 
 import numpy as np
@@ -28,7 +30,8 @@ __all__ = [
 ]
 
 POLE_SIN_TOL = 1e-9  # below this sin(polar), the azimuth is held constant
-_CHUNK_ROWS = 1 << 14  # rows per chunk of a row-norm pass; bounds its temporaries
+_CHUNK_ROWS = 1 << 14  # rows per chunk of a row-wise pass; bounds its temporaries
+_PARSE_LINES = 1 << 13  # lines per parse block of load_path; bounds the lines held at once
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -146,13 +149,28 @@ class SphericalAngles:
 
     @cached_property
     def solid_angle(self) -> np.ndarray:
-        """Cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`."""
+        """Cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`.
+
+        Built ``_CHUNK_ROWS`` samples at a time: each block takes the
+        azimuth rate over a window one sample wider on each side (so
+        ``derivative_uniform``'s one-sided stencils only land on the ends of
+        the path), and the running total enters the block's first trapezoid
+        term, which is where a whole-array cumsum adds it.  The result is
+        bitwise that of the whole-array form.
+        """
         dt = float(self.times[1] - self.times[0])
-        rate = derivative_uniform(self.azimuth, dt)
-        integrand = rate * (1.0 - np.cos(self.polar))
-        out = np.empty_like(integrand)
+        n = len(self.polar)
+        out = np.empty(n)
         out[0] = 0.0
-        np.cumsum((integrand[1:] + integrand[:-1]) * (0.5 * dt), out=out[1:])
+        for start in range(1, n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n)
+            lo = max(start - 2, 0)  # the integrand is needed at samples start-1 .. stop-1
+            rate = derivative_uniform(self.azimuth[lo : min(stop + 1, n)], dt)[start - 1 - lo : stop - lo]
+            integrand = rate * (1.0 - np.cos(self.polar[start - 1 : stop]))
+            terms = (integrand[1:] + integrand[:-1]) * (0.5 * dt)
+            if start > 1:
+                terms[0] += out[start - 1]
+            np.cumsum(terms, out=out[start:stop])
         return _read_only(out)
 
 
@@ -179,15 +197,70 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     return FiberPath(times=t, k_hat=kh, k_mag=float(k_mag))
 
 
+def _unwrap_corrections(dd: np.ndarray) -> np.ndarray:
+    """``np.unwrap``'s branch corrections (period 2 pi) of the steps ``dd``, as numpy computes them."""
+    low, high = -np.pi, np.pi
+    correction = np.mod(dd - low, 2 * np.pi) + low
+    np.copyto(correction, high, where=(correction == low) & (dd > 0))
+    correction -= dd
+    np.copyto(correction, 0, where=np.abs(dd) < np.pi)
+    return correction
+
+
+def _unwrap_in_place(q: np.ndarray) -> None:
+    """Replace the raw azimuths ``q`` by their branches, ``_CHUNK_ROWS`` samples at a time.
+
+    The whole-array form is ``prior = [0, np.unwrap(q[:-1])]`` and then
+    ``q + 2 pi round((prior - q) / 2 pi)``: np.unwrap picks the branches, and
+    rounding once more against the previous unwrapped sample rebuilds the
+    sequential rule azimuth_i = q_i + 2 pi round((azimuth_{i-1} - q_i) / 2 pi)
+    from 0, bit for bit (only a step within rounding of pi could round
+    differently).  Each block recomputes np.unwrap's corrections from the two
+    raw values before it, which it carries because ``q`` is overwritten, and
+    the running total of the corrections enters the block's first
+    correction, which is where np.unwrap's cumsum adds it; so the result is
+    bitwise the whole-array one.
+    """
+    head = np.empty(0)  # raw values of the (up to) two samples before the block
+    total = None  # running total of the corrections
+    for start in range(0, len(q), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, len(q))
+        raw = np.concatenate([head, q[start:stop]])  # raw[j] is q[a + j], a = start - len(head)
+        # corrections of the steps of q[:-1] that end at samples start-1 .. stop-2
+        corrections = _unwrap_corrections(np.diff(raw[:-1]))
+        if len(corrections):
+            if total is not None:
+                corrections[0] += total
+            np.cumsum(corrections, out=corrections)
+            total = corrections[-1]
+        # prior[i - start] is np.unwrap(q[:-1])[i - 1]: 0 for i = 0, q[0] for
+        # i = 1, and from i = 2 on q[i-1] plus the corrections up to it
+        a = start - len(head)
+        prior = np.empty(stop - start)
+        first = min(max(start, 2), stop)
+        prior[: first - start] = [0.0, raw[0]][start:first]
+        np.add(raw[first - 1 - a : -1], corrections[: stop - first], out=prior[first - start :])
+        current = raw[start - a :]
+        prior -= current
+        prior /= 2.0 * np.pi
+        np.round(prior, out=prior)
+        prior *= 2.0 * np.pi
+        prior += current
+        q[start:stop] = prior
+        head = raw[-2:].copy()
+
+
 def spherical_angles(path: FiberPath) -> SphericalAngles:
     """Polar angle and continuously unwrapped azimuth of the path.
 
     At samples where the direction is (anti)parallel to z within
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
-    is taken, so steps stay below pi.  Each float operation writes into an
-    output or a reused buffer, and a path that never meets a pole skips the
-    pole fill, which would be the identity.
+    is taken, so steps stay below pi.  The raw azimuth buffer is unwrapped
+    in place, one chunk at a time (see ``_unwrap_in_place``), and becomes the
+    azimuth; beyond the two outputs a path that never meets a pole adds one
+    bool per sample and one chunk of temporaries, and skips the pole fill,
+    which would be the identity.
     """
     kh = path.k_hat
     polar = np.clip(kh[:, 2], -1.0, 1.0)
@@ -195,30 +268,17 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     raw = np.hypot(kh[:, 0], kh[:, 1])  # sin(polar) first, then the raw azimuth
     off_pole = raw >= POLE_SIN_TOL
     np.arctan2(kh[:, 1], kh[:, 0], out=raw)
-    everywhere = bool(off_pole.all())
-    off = raw if everywhere else raw[off_pole]
-    # np.unwrap picks the branches; rounding once more against the previous
-    # unwrapped sample rebuilds the sequential rule
-    # azimuth_i = raw_i + 2 pi round((azimuth_{i-1} - raw_i) / 2 pi), from 0,
-    # bit for bit (only a step within rounding of pi could round differently)
-    shifted = np.unwrap(off[:-1])
-    unwrapped = np.zeros_like(off)
-    unwrapped[1:] = shifted
-    del shifted
-    np.subtract(unwrapped, off, out=unwrapped)
-    unwrapped /= 2.0 * np.pi
-    np.round(unwrapped, out=unwrapped)
-    unwrapped *= 2.0 * np.pi
-    unwrapped += off
-    if everywhere:
-        return SphericalAngles(times=path.times, polar=polar, azimuth=unwrapped)
-    # a pole sample repeats the last off-pole value, or 0 before any; `off`
-    # is a copy here, so the raw buffer can take the result
+    if off_pole.all():
+        _unwrap_in_place(raw)
+        return SphericalAngles(times=path.times, polar=polar, azimuth=raw)
+    # a pole sample repeats the last off-pole value, or 0 before any
+    off = raw[off_pole]
+    _unwrap_in_place(off)
     last = np.cumsum(off_pole) - 1
     seen = last >= 0
     azimuth = raw
     azimuth.fill(0.0)
-    azimuth[seen] = unwrapped[last[seen]]
+    azimuth[seen] = off[last[seen]]
     return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth)
 
 
@@ -276,38 +336,87 @@ def solid_angle_series(angles: SphericalAngles) -> np.ndarray:
     return angles.solid_angle
 
 
+def _parse_records(filename, lines, lineno, times, vecs):
+    """Parse ``lines`` record by record, appending to ``times`` and ``vecs``.
+
+    ``lineno`` is the number of lines before them in the file.  This is the
+    only place that decides which tokens are accepted and that words an
+    error.
+    """
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{filename}:{lineno}: expected 4 fields 't kx ky kz', got {len(parts)}")
+        try:
+            rec = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{filename}:{lineno}: {exc}") from None
+        if not all(map(isfinite, rec)):
+            token = next(p for p, v in zip(parts, rec) if not isfinite(v))
+            raise ValueError(f"{filename}:{lineno}: non-finite value {token!r}")
+        times.append(rec[0])
+        vecs.extend(rec[1:])
+
+
+def _fast_block(lines):
+    """``np.loadtxt``'s parse of ``lines``, if it is a finite (m, 4) array; else None.
+
+    np.loadtxt accepts a subset of what ``float`` accepts (it rejects
+    ``1_0`` and non-ASCII digits) and splits on the same whitespace, so a
+    block it parses holds the values ``_parse_records`` would give; any
+    other block goes to ``_parse_records``, which accepts or rejects it.
+    """
+    with warnings.catch_warnings():
+        # a block of comments and blank lines is no error here
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            block = np.loadtxt(lines, comments="#", ndmin=2)
+        except ValueError:
+            return None
+    if block.shape[1] != 4 or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _read_records(filename):
+    """The file's times and vectors as two flat float64 buffers, read one block of lines at a time."""
+    times, vecs = array("d"), array("d")
+    with open(filename) as fh:
+        lineno = 0
+        while lines := list(islice(fh, _PARSE_LINES)):
+            block = _fast_block(lines)
+            if block is None:
+                _parse_records(filename, lines, lineno, times, vecs)
+            else:
+                times.frombytes(block[:, 0].tobytes())
+                vecs.frombytes(block[:, 1:].tobytes())
+            lineno += len(lines)
+            del lines, block  # before the next block is read
+    return times, vecs
+
+
 def load_path(filename) -> FiberPath:
     """Read a trajectory from a line-oriented text file.
 
     Each record holds four whitespace-separated floats ``t kx ky kz``;
     ``#`` starts a comment.  Every value must be finite.  The magnitude is
     inferred from the first record and every subsequent vector norm must
-    match it within 1e-6 (relative).  The parsed values go into one flat
-    float64 buffer, 32 bytes per record; the norms are taken in chunks
-    (``_row_norms``), and the buffer is dropped once ``times`` and ``k_hat``
-    are built, before ``FiberPath`` checks them.
+    match it within 1e-6 (relative).  The file is read ``_PARSE_LINES``
+    lines at a time; ``np.loadtxt`` parses each block, and a block it
+    cannot parse into finite records (or that holds an error) goes through
+    the per-line parser ``_parse_records``, so every accepted token and
+    every message is that parser's.  The times and vectors go into two
+    float64 buffers, which become ``times`` and ``k_hat``: the vectors are
+    normalised in place and the norms are taken in chunks (``_row_norms``),
+    so nothing is held twice.
     """
-    buf = array("d")
-    with open(filename) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{filename}:{lineno}: expected 4 fields 't kx ky kz', got {len(parts)}")
-            try:
-                rec = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{filename}:{lineno}: {exc}") from None
-            if not all(map(isfinite, rec)):
-                token = next(p for p, v in zip(parts, rec) if not isfinite(v))
-                raise ValueError(f"{filename}:{lineno}: non-finite value {token!r}")
-            buf.extend(rec)
-    data = np.frombuffer(buf, dtype=float).reshape(-1, 4)
-    if len(data) < 3:
-        raise ValueError(f"{filename}: path needs at least 3 samples, got {len(data)}")
-    vecs = data[:, 1:]
-    norms = _row_norms(vecs)
+    times, vecs = _read_records(filename)
+    if len(times) < 3:
+        raise ValueError(f"{filename}: path needs at least 3 samples, got {len(times)}")
+    k_hat = np.frombuffer(vecs, dtype=float).reshape(-1, 3)  # the wave vectors, normalised below
+    norms = _row_norms(k_hat)
     k_mag = float(norms[0])
     if k_mag <= 0:
         raise ValueError(f"{filename}: first sample has zero wave vector")
@@ -320,7 +429,6 @@ def load_path(filename) -> FiberPath:
             "only constant-magnitude trajectories are supported"
         )
     del deviation
-    k_hat = vecs / norms[:, None]
-    times = data[:, 0].copy()
-    del data, vecs, norms, buf
-    return FiberPath(times=times, k_hat=k_hat, k_mag=k_mag)
+    k_hat /= norms[:, None]
+    del norms
+    return FiberPath(times=np.frombuffer(times, dtype=float), k_hat=k_hat, k_mag=k_mag)

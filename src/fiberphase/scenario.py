@@ -436,6 +436,8 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     out_dir = _output_dir(cfg, out_dir)
     path = build_path(cfg, base_dir)
     scenario = _parse_common(cfg)
+    if "sweep" in cfg:
+        raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
     result = compute_scenario(path, scenario)
     _check_finite(result)
@@ -455,7 +457,14 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     return summary
 
 
-_SWEEPABLE = ("cone_angle", "n_steps", "occupations")
+# The top-level fields a sweep over each parameter never reads; a config that
+# gives one is rejected rather than silently ignored.
+_UNREAD = {
+    "cone_angle": (),
+    "n_steps": ("polarizations", "occupations", "ordering", "medium", "k0", "chamber_length"),
+    "occupations": ("occupations", "polarizations", "medium", "k0", "chamber_length"),
+}
+_SWEEPABLE = tuple(_UNREAD)
 
 
 def _require_helix_path(cfg, parameter):
@@ -488,7 +497,6 @@ def _cone_row(cfg, base_dir, value, scenario):
 
 
 def _sweep_rows_cone(cfg, base_dir, values, scenario):
-    _require_helix_path(cfg, "cone_angle")
     rows = [_cone_row(cfg, base_dir, value, scenario) for value in values]
     rows.sort(key=lambda r: r["cone_angle"])
     return rows
@@ -506,7 +514,6 @@ def _steps_row(cfg, base_dir, value):
 
 
 def _sweep_rows_steps(cfg, base_dir, values):
-    _require_helix_path(cfg, "n_steps")
     rows = [_steps_row(cfg, base_dir, value) for value in values]
     rows.sort(key=lambda r: r["n_steps"])
     floor = 1e-10
@@ -526,8 +533,7 @@ def _sweep_rows_steps(cfg, base_dir, values):
 
 
 def _sweep_rows_occupations(cfg, base_dir, values, ordering):
-    path = build_path(cfg, base_dir)
-    angles = geometry.spherical_angles(path)
+    angles = geometry.spherical_angles(build_path(cfg, base_dir))  # W needs the angles, not the path
     w = geometry.solid_angle_series(angles)
     rows = []
     for pair in values:
@@ -560,6 +566,11 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
         raise ScenarioError("sweep.values: expected a nonempty list")
     out_dir = _output_dir(cfg, out_dir)
     scenario = _parse_common(cfg)
+    if parameter != "occupations":
+        _require_helix_path(cfg, parameter)
+    for key in cfg:
+        if key in _UNREAD[parameter]:
+            raise ScenarioError(f"{key}: not read by a sweep over '{parameter}'; remove it")
 
     if parameter == "cone_angle":
         rows = _sweep_rows_cone(cfg, base_dir, values, scenario)

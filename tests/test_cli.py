@@ -40,6 +40,21 @@ def helix_cfg(out_dir, **overrides):
     return cfg
 
 
+# The top-level fields that a sweep over each parameter never reads, and so rejects.
+UNREAD_BY_SWEEP = {
+    "cone_angle": (),
+    "n_steps": ("polarizations", "occupations", "ordering", "medium", "k0", "chamber_length"),
+    "occupations": ("occupations", "polarizations", "medium", "k0", "chamber_length"),
+}
+
+
+def sweep_cfg(cfg, parameter, values):
+    """``cfg`` with a sweep section and without the fields that this sweep never reads."""
+    out = {key: value for key, value in cfg.items() if key not in UNREAD_BY_SWEEP[parameter]}
+    out["sweep"] = {"parameter": parameter, "values": values}
+    return out
+
+
 def read_summary(out_dir):
     with open(os.path.join(out_dir, "summary.json")) as fh:
         return json.load(fh)
@@ -439,7 +454,8 @@ def test_no_output_writes_negative_zero(tmp_path):
                     occupations={"n_left": 2, "n_right": 2})
     cfg["path"].update(omega=-1.0, n_steps=512)
     assert main(["run", write_config(tmp_path, "run.json", cfg), "--quiet"]) == 0
-    cfg.update(output_dir=str(tmp_path / "sweep"), sweep={"parameter": "occupations", "values": [[0, 0], [2, 2], [3, 1]]})
+    cfg = sweep_cfg(cfg, "occupations", [[0, 0], [2, 2], [3, 1]])
+    cfg["output_dir"] = str(tmp_path / "sweep")
     assert main(["sweep", write_config(tmp_path, "sweep.json", cfg), "--quiet"]) == 0
 
     written = sorted((tmp_path / "run").glob("*.*")) + sorted((tmp_path / "sweep").glob("*.*"))
@@ -479,8 +495,7 @@ def test_sweep_cone_angle(tmp_path):
 
 def test_sweep_n_steps_convergence(tmp_path):
     out = str(tmp_path / "out")
-    cfg = helix_cfg(out)
-    cfg["sweep"] = {"parameter": "n_steps", "values": [512, 1024]}
+    cfg = sweep_cfg(helix_cfg(out), "n_steps", [512, 1024])
     config = write_config(tmp_path, "nsweep.json", cfg)
     assert main(["sweep", config, "--quiet"]) == 0
     rows = read_summary(out)["rows"]
@@ -496,9 +511,8 @@ def test_sweep_n_steps_convergence(tmp_path):
 def test_sweep_n_steps_exact_zero_residual_stays_valid_json(tmp_path):
     # on the pole the residuals are exactly zero: no ratio, and no Infinity in summary.json
     out = tmp_path / "out"
-    cfg = helix_cfg(str(out))
+    cfg = sweep_cfg(helix_cfg(str(out)), "n_steps", [128, 256])
     cfg["path"]["cone_angle"] = 0.0
-    cfg["sweep"] = {"parameter": "n_steps", "values": [128, 256]}
     config = write_config(tmp_path, "pole_sweep.json", cfg)
     assert main(["sweep", config, "--quiet"]) == 0
     rows = _strict_json((out / "summary.json").read_text())["rows"]
@@ -509,9 +523,8 @@ def test_sweep_n_steps_exact_zero_residual_stays_valid_json(tmp_path):
 
 def test_sweep_occupations_linear(tmp_path):
     out = str(tmp_path / "out")
-    cfg = helix_cfg(out)
+    cfg = sweep_cfg(helix_cfg(out), "occupations", [[0, n] for n in range(5)])
     cfg["path"]["n_steps"] = 256
-    cfg["sweep"] = {"parameter": "occupations", "values": [[0, n] for n in range(5)]}
     config = write_config(tmp_path, "osweep.json", cfg)
     assert main(["sweep", config, "--quiet"]) == 0
     rows = read_summary(out)["rows"]
@@ -527,10 +540,9 @@ def test_sweep_occupations_matches_inline_weights(tmp_path, ordering):
     from fiberphase.scenario import _fmt, build_path
 
     out = tmp_path / "out"
-    cfg = helix_cfg(str(out), ordering=ordering)
-    cfg["path"]["n_steps"] = 256
     pairs = [[3, 1], [0, 0], [0, 2], [7, 4]]
-    cfg["sweep"] = {"parameter": "occupations", "values": pairs}
+    cfg = sweep_cfg(helix_cfg(str(out), ordering=ordering), "occupations", pairs)
+    cfg["path"]["n_steps"] = 256
     config = write_config(tmp_path, "osweep.json", cfg)
     assert main(["sweep", config, "--quiet"]) == 0
 
@@ -616,9 +628,7 @@ def test_out_of_range_occupation_exits_2(tmp_path, capsys, side, n):
     config = write_config(tmp_path, "occ.json", cfg)
     assert main(["run", config, "--quiet"]) == 2
     pair = [occupations["n_left"], occupations["n_right"]]
-    cfg["occupations"] = {"n_left": 0, "n_right": 0}
-    cfg["sweep"] = {"parameter": "occupations", "values": [[0, 1], pair]}
-    config = write_config(tmp_path, "occ_sweep.json", cfg)
+    config = write_config(tmp_path, "occ_sweep.json", sweep_cfg(cfg, "occupations", [[0, 1], pair]))
     assert main(["sweep", config, "--quiet"]) == 2
     run_err, sweep_err = capsys.readouterr().err.splitlines()
     assert f"occupations.{side}:" in run_err
@@ -632,10 +642,9 @@ def test_largest_exact_occupation_is_accepted(tmp_path):
     n = 2**52 - 1
     cfg = helix_cfg(str(out), occupations={"n_left": n, "n_right": 0})
     cfg["path"]["n_steps"] = 128
-    cfg["sweep"] = {"parameter": "occupations", "values": [[0, n]]}
-    config = write_config(tmp_path, "occ.json", cfg)
-    assert main(["run", config, "--quiet"]) == 0
+    assert main(["run", write_config(tmp_path, "occ.json", cfg), "--quiet"]) == 0
     assert read_summary(str(out))["occupations"]["n_left"] == n
+    config = write_config(tmp_path, "occ_sweep.json", sweep_cfg(cfg, "occupations", [[0, n]]))
     assert main(["sweep", config, "--quiet"]) == 0
     assert read_summary(str(out))["rows"][0]["n_right"] == n
 
@@ -710,6 +719,42 @@ def test_sweep_validates_common_fields(tmp_path, capsys, parameter, values, fiel
     assert f"{field}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# a valid value of every field that some sweep never reads
+READ_BY_CONE_SWEEP = {
+    "polarizations": [1],
+    "occupations": {"n_left": 0, "n_right": 1},
+    "ordering": "normal",
+    "medium": {"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0},
+    "k0": 2.0,
+    "chamber_length": 10.0,
+}
+
+
+@pytest.mark.parametrize("command, parameter, field", [
+    ("run", None, "sweep"),
+    *(("sweep", parameter, field) for parameter, fields in UNREAD_BY_SWEEP.items() for field in fields),
+])
+def test_unread_config_field_exits_2(tmp_path, capsys, command, parameter, field):
+    out = tmp_path / "out"
+    cfg = {"path": helix_cfg(None)["path"], "output_dir": str(out)}
+    cfg["path"]["n_steps"] = 128
+    if command == "run":
+        control, accepted = "run", dict(cfg)
+        cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
+    else:
+        values = {"n_steps": [128], "occupations": [[0, 1]]}[parameter]
+        control = "sweep"
+        accepted = {**cfg, field: READ_BY_CONE_SWEEP[field], "sweep": {"parameter": "cone_angle", "values": [1.0]}}
+        cfg = {**sweep_cfg(cfg, parameter, values), field: READ_BY_CONE_SWEEP[field]}
+    assert main([command, write_config(tmp_path, "unread.json", cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: not read by "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # the same field is accepted where it is read: by a run, or by a cone_angle sweep
+    assert main([control, write_config(tmp_path, "read.json", accepted), "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("parameter", ["cone_angle", "n_steps"])

@@ -594,3 +594,30 @@ def test_path_layers_memory_budget(tmp_path):
     assert loaded < 90, loaded
     assert angles < 110, angles
     assert helix_peak < 90, helix_peak
+
+
+def test_path_layers_hold_their_outputs_and_one_chunk(tmp_path):
+    # load_path holds times and k_hat (32 B/sample), the norms and one block
+    # of lines; spherical_angles adds polar and azimuth and one float and
+    # bool of scratch per sample; W adds itself; the chunk temporaries of the
+    # unwrap and of W are bounded by _CHUNK_ROWS.  With the parse buffer
+    # copied into k_hat, np.unwrap and whole-array W these were 73, 89 and 80.
+    import tracemalloc
+
+    n = 100_000
+    filename = _loop_file(tmp_path, n)
+    tracemalloc.start()
+    try:
+        path = load_path(filename)
+        loaded = tracemalloc.get_traced_memory()[1] / n
+        tracemalloc.reset_peak()
+        angles = spherical_angles(path)
+        with_angles = tracemalloc.get_traced_memory()[1] / n
+        tracemalloc.reset_peak()
+        solid_angle_series(angles)
+        w_step = tracemalloc.get_traced_memory()[1] / n  # the path is still held
+    finally:
+        tracemalloc.stop()
+    assert loaded < 55, loaded
+    assert with_angles < 70, with_angles
+    assert w_step < 70, w_step

@@ -1,12 +1,17 @@
-"""Property tests: chunked FiberPath validation decides exactly as the whole-array checks.
+"""Property tests: the chunked and block-wise path layers decide exactly as whole-array code.
 
 With the chunk size made small, random short paths carry random defects
 (off-grid times, non-unit samples, coarse steps) at random rows, so chunk
 edges, the one-row overlap of the step check and the last row are all hit.
+The chunked azimuth unwrap and solid angle are compared bit for bit with
+np.unwrap and one cumsum, and the block parse of ``load_path`` with a
+per-line ``float`` parse, on random tokens.
 """
+from array import array
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberphase import geometry
@@ -71,3 +76,170 @@ def test_chunked_validation_matches_whole_array_checks(n, chunk, defects):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         assert _verdict(_fiber_path, t, kh) == want
+
+
+# ------------------------------------------- chunked unwrap and solid angle
+
+def _whole_array_angles(path):
+    """Polar angle, azimuth and W with whole-array numpy: np.unwrap, re-rounded, then one cumsum.
+
+    The azimuth is np.unwrap of the off-pole samples, rounded once more
+    against the previous unwrapped sample and forward-filled over the pole
+    samples; W is the trapezoid cumsum of the stencil rate times
+    (1 - cos polar).  This is the oracle of the chunked passes.
+    """
+    kh = path.k_hat
+    polar = np.arccos(np.clip(kh[:, 2], -1.0, 1.0))
+    off_pole = np.hypot(kh[:, 0], kh[:, 1]) >= geometry.POLE_SIN_TOL
+    off = np.arctan2(kh[:, 1], kh[:, 0])[off_pole]
+    prior = np.zeros_like(off)
+    prior[1:] = np.unwrap(off[:-1])
+    unwrapped = np.round((prior - off) / (2.0 * np.pi)) * (2.0 * np.pi) + off
+    last = np.cumsum(off_pole) - 1
+    azimuth = np.zeros(len(kh))
+    azimuth[last >= 0] = unwrapped[last[last >= 0]]
+    dt = float(path.times[1] - path.times[0])
+    integrand = geometry.derivative_uniform(azimuth, dt) * (1.0 - np.cos(polar))
+    w = np.empty_like(integrand)
+    w[0] = 0.0
+    np.cumsum((integrand[1:] + integrand[:-1]) * (0.5 * dt), out=w[1:])
+    return polar, azimuth, w
+
+
+# colatitudes: on the pole, within POLE_SIN_TOL of it, just outside, and away
+COLATITUDES = st.sampled_from([0.0, 1e-12, 2e-9, 1e-3, 0.05, 0.15])
+# azimuth steps: across the branch cut at +-pi and within rounding of it, and anything else
+AZIMUTH_STEPS = st.one_of(
+    st.sampled_from([np.pi, -np.pi, np.nextafter(np.pi, 0.0), -np.nextafter(np.pi, 0.0),
+                     np.nextafter(np.pi, 4.0), 3.0, -3.0, 0.0]),
+    st.floats(min_value=-3.2, max_value=3.2),
+)
+
+
+def _sphere_path(colatitudes, steps, south, dt):
+    theta = np.array(colatitudes)
+    phi = np.cumsum(steps)  # several windings when the steps keep one sign
+    z = -np.cos(theta) if south else np.cos(theta)
+    kh = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), z], axis=1)
+    return FiberPath(times=dt * np.arange(len(theta)), k_hat=kh, k_mag=1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    samples=st.lists(st.tuples(COLATITUDES, AZIMUTH_STEPS), min_size=3, max_size=60),
+    south=st.booleans(),
+    dt=st.sampled_from([0.1, 1e-3, 3.0]),
+    chunk=st.integers(min_value=1, max_value=9),
+)
+@example(samples=[(0.0, 1.0)] * 7, south=False, dt=0.1, chunk=2)  # every sample on the pole
+@example(samples=[(0.0, 2.0), (0.0, 1.0)] + [(0.15, 2.5)] * 20, south=True, dt=0.1, chunk=3)
+def test_chunked_angles_and_solid_angle_match_whole_array(samples, south, dt, chunk):
+    colatitudes, steps = zip(*samples)
+    path = _sphere_path(colatitudes, steps, south, dt)
+    polar, azimuth, w = _whole_array_angles(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        angles = geometry.spherical_angles(path)
+        chunked_w = angles.solid_angle
+    assert angles.polar.tobytes() == polar.tobytes()
+    assert angles.azimuth.tobytes() == azimuth.tobytes()
+    assert chunked_w.tobytes() == w.tobytes()
+
+
+# ------------------------------------------------------- load_path grammar
+
+def _per_line_records(filename):
+    """Every record of the file parsed line by line with ``float``: the oracle of the block parse."""
+    times, vecs = [], []
+    with open(filename) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if len(parts) != 4:
+                raise ValueError(f"{filename}:{lineno}: expected 4 fields 't kx ky kz', got {len(parts)}")
+            try:
+                rec = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{filename}:{lineno}: {exc}") from None
+            if not all(map(np.isfinite, rec)):
+                token = next(p for p, v in zip(parts, rec) if not np.isfinite(v))
+                raise ValueError(f"{filename}:{lineno}: non-finite value {token!r}")
+            times.append(rec[0])
+            vecs.extend(rec[1:])
+    return array("d", times), array("d", vecs)
+
+
+def _outcome(read, filename):
+    try:
+        times, vecs = read(filename)
+    except ValueError as exc:
+        return "error", str(exc)
+    return times.tobytes(), vecs.tobytes()
+
+
+# tokens float() accepts, some of which np.loadtxt rejects; non-finite ones; and random junk
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", "1.5e+3_0", "\u0661", "-\u0661.5", "-0.0", "+.5", "1.", "1E-5", "0"]),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e999"]),
+    st.text(alphabet="0123456789+-.e_", min_size=1, max_size=6),
+)
+SPACES = st.text(alphabet=" \t\u00a0\u2003\x0b\x1c", min_size=1, max_size=2)
+LINES = st.one_of(
+    st.tuples(st.lists(st.tuples(TOKENS, SPACES), min_size=3, max_size=5), st.sampled_from(["", "  # note", "#"])).map(
+        lambda rec: "".join(token + space for token, space in rec[0]) + rec[1]
+    ),
+    st.sampled_from(["", "   ", "# comment", " # c", "\x1c"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(LINES, max_size=12), block=st.integers(min_value=1, max_value=5))
+def test_block_parse_matches_per_line_parse(tmp_path_factory, lines, block):
+    filename = tmp_path_factory.mktemp("grammar") / "path.txt"
+    filename.write_text("\n".join(lines) + "\n")
+    want = _outcome(_per_line_records, filename)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_PARSE_LINES", block)
+        assert _outcome(geometry._read_records, filename) == want
+
+
+def _whole_array_unwrap(q):
+    prior = np.zeros_like(q)
+    prior[1:] = np.unwrap(q[:-1])
+    return np.round((prior - q) / (2.0 * np.pi)) * (2.0 * np.pi) + q
+
+
+# raw azimuths, among them pairs exactly pi apart (+-pi/2, 0 and +-pi), which
+# put (previous - current) / 2 pi on a half-integer, where the rounding turns
+# on the last bit of the carried total
+RAW_AZIMUTHS = st.one_of(
+    st.sampled_from([0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, 2.0, -2.0, np.pi - 2.0]),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+)
+
+
+# about 13 windings and then a step of exactly -pi: the rounding at the last sample
+# differs if a block adds the carried total after its cumsum instead of before
+WINDING_THEN_HALF_TURN = [
+    2.674952214267792, -1.2306097907225286, 2.51379663062961, -0.9357411457780493, 1.8990061630819888,
+    -1.402479081605378, 1.6638094576321016, -2.2301145488776513, 0.8631833210568942, -2.730516828427099,
+    0.37518538968634374, -2.885577131723373, 0.1965053657039455, 2.810175594714405, -0.4421153054146423,
+    2.4963038017377706, -1.2236128751077935, 1.5835960807266751, -1.6886214980130454, 1.1296668346891643,
+    -2.3748877128824866, 0.5676163306291748, -2.8232878974810625, 0.03687424290601271, 2.9545526532400466,
+    -0.5037984725812841, 2.5854051507870786, 0.30224626794258924, 2.659514735004233, -0.5644444092577565,
+    2.4671572127386447, -1.2904943276876857, -1.5707963267948966, 1.5707963267948966,
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.lists(RAW_AZIMUTHS, max_size=60), chunk=st.integers(min_value=1, max_value=9))
+@example(raw=WINDING_THEN_HALF_TURN, chunk=7)
+def test_chunked_unwrap_matches_whole_array_on_raw_azimuths(raw, chunk):
+    q = np.array(raw, dtype=float)
+    want = _whole_array_unwrap(q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        geometry._unwrap_in_place(q)
+    assert q.tobytes() == want.tobytes()
