@@ -19,7 +19,7 @@ Because h . S lies in so(3), every kernel here works on 3-vectors, not on
 step exp(-i theta n . S) is the real rotation by theta about n (closed-form
 Rodrigues formula), <psi|S|psi> = 2 Re psi x Im psi, and the residual
 follows from [a . S, b . S] = i (a x b) . S with ||v . S||_F = sqrt(2) |v|.
-States are stored in the angular-momentum basis of :mod:`fiberphase.spin`.
+Stored states are in the angular-momentum basis of :mod:`fiberphase.spin`.
 """
 from __future__ import annotations
 
@@ -29,8 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import geometry
 from .geometry import FiberPath, SphericalAngles, _read_only, solid_angle_series
-from .spin import CARTESIAN_FROM_ANGULAR, helicity_eigenstates
+from .spin import _SQ, CARTESIAN_FROM_ANGULAR, helicity_eigenstates
 
 __all__ = [
     "SpinorTrajectory",
@@ -53,31 +54,55 @@ class OrthogonalPassageWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SpinorTrajectory:
-    """Evolved 3-component spinor along a path.
+    """Per-sample observables of the spinor evolved along ``path``.
 
     ``polarization`` is the circular-polarization label (+1 right, -1 left);
     the conserved spin projection onto k_hat equals ``-polarization``.
+    :func:`evolve` reduces each state to what the phases and drifts read, as
+    read-only series: ``overlaps`` = <psi(0)|psi>, ``energy`` = h . <S>,
+    ``helicity`` = k_hat . <S> and ``norms`` = ||psi||.  The states themselves
+    are rebuilt on first use of :attr:`states` by running the same scan again.
     """
 
-    times: np.ndarray
-    states: np.ndarray
+    path: FiberPath
     polarization: int
+    overlaps: np.ndarray
+    energy: np.ndarray
+    helicity: np.ndarray
+    norms: np.ndarray
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.path.times
 
     @property
     def spin_projection(self) -> int:
         return -self.polarization
 
     @cached_property
+    def states(self) -> np.ndarray:
+        """The evolved states in the angular-momentum basis, shape (n, 3), computed once and read-only."""
+        states = np.empty((self.path.n_samples, 3), dtype=complex)
+
+        def store(rows, cart):
+            states[rows] = _angular(cart)
+
+        _scan(self.path, _start(self.path, self.polarization), store)
+        return _read_only(states)
+
+    @cached_property
     def spin_vectors(self) -> np.ndarray:
         """<psi|S|psi> at every sample, shape (n, 3), computed once and read-only.
 
-        With psi in Cartesian form, psi^dagger S_i psi = -i (psi* x psi)_i
-        = 2 (Re psi x Im psi)_i.
+        Derived from :attr:`states` ``_CHUNK_ROWS`` samples at a time with the
+        kernel :func:`evolve` applies to each slab of the scan, so it is
+        bitwise the vectors behind ``energy`` and ``helicity``.
         """
-        cart = self.states @ CARTESIAN_FROM_ANGULAR.T
-        out = _cross(cart.real, cart.imag)
-        del cart
-        out *= 2.0
+        states = self.states
+        out = np.empty((len(states), 3))
+        chunk = geometry._CHUNK_ROWS
+        for start in range(0, len(states), chunk):
+            out[start : start + chunk] = _spin_vectors(states[start : start + chunk])
         return _read_only(out)
 
 
@@ -116,8 +141,8 @@ def _cross(a, b):
     ``np.cross``, so the result is bitwise equal; the only scratch is one
     component-sized array.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    tmp = np.empty(out.shape[:-1])
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    tmp = np.empty(out.shape[:-1], dtype=out.dtype)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[..., j], b[..., k], out=out[..., i])
         np.multiply(a[..., k], b[..., j], out=tmp)
@@ -133,8 +158,135 @@ def _rotate(x, axis, sin, vers):
     to ``x`` keeps per-step rounding relative to the angle, and a zero axis
     is the exact identity.
     """
-    turn = np.cross(axis, x)
-    return x + turn * sin + np.cross(axis, turn) * vers
+    turn = _cross(axis, x)
+    out = turn * sin
+    out += x
+    turn = _cross(axis, turn)
+    turn *= vers
+    out += turn
+    return out
+
+
+# The two basis changes act on the last axis (length 3) element by element,
+# not as matrix products: BLAS rounds a product differently for different
+# operand shapes, and they must give the same bits on a slab of the scan as on
+# the whole trajectory.
+
+def _angular(cart):
+    """psi_ang = C^dagger psi_cart (C = ``CARTESIAN_FROM_ANGULAR``), skipping C's exact zeros."""
+    out = np.empty(cart.shape, dtype=complex)
+    x = cart[..., 0] * _SQ
+    y = cart[..., 1] * (1j * _SQ)
+    np.subtract(y, x, out=out[..., 0])
+    out[..., 1] = cart[..., 2]
+    np.add(x, y, out=out[..., 2])
+    return out
+
+
+def _spin_vectors(ang):
+    """<psi|S|psi> of angular-basis states: 2 Re psi x Im psi of psi_cart = C psi_ang."""
+    cart = np.empty(ang.shape, dtype=complex)
+    np.subtract(ang[..., 2], ang[..., 0], out=cart[..., 0])
+    cart[..., 0] *= _SQ
+    np.add(ang[..., 0], ang[..., 2], out=cart[..., 1])
+    cart[..., 1] *= -1j * _SQ
+    cart[..., 2] = ang[..., 1]
+    out = _cross(cart.real, cart.imag)
+    out *= 2.0
+    return out
+
+
+def _start(path: FiberPath, polarization: int) -> np.ndarray:
+    """Cartesian form of the gauge-fixed eigenstate of k_hat(t0) . S with eigenvalue -polarization."""
+    if polarization not in (-1, +1):
+        raise ValueError(
+            f"polarization must be +1 (right) or -1 (left), got {polarization!r}; "
+            "helicity-0 photon states are unphysical for transverse light"
+        )
+    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.k_hat[0]).state(-polarization)
+
+
+_SLAB = 16  # columns of the scan whose steps and states are handled in one set of array operations
+
+
+def _slab_steps(h, dt, size, j0, width):
+    """Axis, sin and 1 - cos of the steps j0 .. j0 + width - 1 of every block, each (n_blocks, width, .).
+
+    Step i is the rotation by |h_mid| dt about h_mid = (h_i + h_(i+1)) / 2,
+    read from strided views of ``h``; the steps past the path's end that fill
+    the last block are identity steps (zero axis and angle).  Every value is
+    computed with the float operations of the whole-array forms
+    (``np.linalg.norm`` for the rate), so it does not depend on the slab.
+    """
+    n_steps = len(h) - 1
+    n_blocks = -(-n_steps // size)
+    full = (n_blocks - 1) * size  # the steps of every block but the last
+    h_mid = np.zeros((n_blocks, width, 3))
+    columns = slice(j0, j0 + width)
+    np.add(h[:full].reshape(-1, size, 3)[:, columns], h[1 : full + 1].reshape(-1, size, 3)[:, columns], out=h_mid[:-1])
+    tail = h[full + j0 : full + j0 + width + 1]  # the samples that bound the last block's steps
+    real = max(len(tail) - 1, 0)
+    np.add(tail[:real], tail[1 : real + 1], out=h_mid[-1, :real])
+    h_mid *= 0.5
+    squares = np.square(h_mid)
+    rate = squares[..., 0] + squares[..., 1]
+    rate += squares[..., 2]
+    np.sqrt(rate, out=rate)
+    angle = (rate * dt)[..., None]
+    still = rate == 0.0
+    rate[still] = 1.0
+    axis = h_mid / rate[..., None]
+    axis[still] = 0.0
+    return axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
+
+
+def _scan(path: FiberPath, start: np.ndarray, consume) -> None:
+    """Propagate the Cartesian state ``start`` along the path, handing its states to ``consume``.
+
+    A two-level scan over about sqrt(n) blocks of sqrt(n) steps: the block
+    rotations are composed across all blocks at once, the state is carried
+    over the block starts, and then the blocks are filled in one column at a
+    time; column j holds the states at samples j, j + size, ...  The columns
+    go ``_SLAB`` at a time: each slab's step rotations are recomputed from
+    ``h`` in each pass, so no per-step array is held, and its states go to
+    ``consume(rows, cart)``, with ``rows`` the sample indices and ``cart``
+    the (len(rows), 3) Cartesian states, which the scan overwrites
+    afterwards.  Every sample is handed over exactly once.
+    """
+    h, dt = path.h, path.dt
+    n_samples = path.n_samples
+    n_steps = n_samples - 1
+    size = int(np.ceil(np.sqrt(n_steps)))
+    n_blocks = -(-n_steps // size)
+    full = (n_blocks - 1) * size  # samples of every block but the last
+    slabs = [(j0, min(_SLAB, size - j0)) for j0 in range(0, size, _SLAB)]
+
+    # block rotations: row k of frames[b] is the image of the unit vector e_k
+    frames = np.broadcast_to(np.eye(3), (n_blocks, 3, 3)).copy()
+    for j0, width in slabs:
+        axis, sin, vers = _slab_steps(h, dt, size, j0, width)
+        for t in range(width):
+            frames = _rotate(frames, axis[:, t, None], sin[:, t, None], vers[:, t, None])
+
+    columns = np.empty((n_blocks, _SLAB, 3), dtype=complex)
+    current = start
+    for b in range(n_blocks):
+        columns[b, 0] = current
+        current = current @ frames[b]
+    del frames
+    rows = np.arange(0, full, size)[:, None]  # block starts, but the last
+    last = min(n_samples, n_blocks * size)  # samples from here on are padding, or the block-closing one
+    for j0, width in slabs:
+        axis, sin, vers = _slab_steps(h, dt, size, j0, width)
+        for t in range(width - 1):
+            columns[:, t + 1] = _rotate(columns[:, t], axis[:, t], sin[:, t], vers[:, t])
+        consume((rows + np.arange(j0, j0 + width)).ravel(), columns[:-1, :width].reshape(-1, 3))
+        tail = np.arange(full + j0, min(full + j0 + width, last))
+        consume(tail, columns[-1, : len(tail)])
+        if j0 + width < size:  # the next slab starts one step on
+            columns[:, 0] = _rotate(columns[:, -1], axis[:, -1], sin[:, -1], vers[:, -1])
+    if last < n_samples:
+        consume(np.array([last]), current[None])
 
 
 def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
@@ -146,56 +298,37 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     midpoint-interpolated coefficient vector h_mid.  In the Cartesian
     representation (S_i)_jk = -i eps_ijk that unitary is the real rotation by
     |h_mid| dt about h_mid (closed-form Rodrigues formula), so norms are
-    preserved to rounding.  The steps are composed by a two-level scan over
-    about sqrt(n) blocks of sqrt(n) steps: the block rotations are built
-    across all blocks at once, the state is carried over the block starts,
-    and then every block is filled in at once.
+    preserved to rounding.  The steps are composed by the two-level scan of
+    :func:`_scan`, and each slab of states it fills is reduced on the spot
+    to the trajectory's overlaps, energies, helicities and norms; no (n, 3)
+    state array is built (see :attr:`SpinorTrajectory.states`).
     """
-    if polarization not in (-1, +1):
-        raise ValueError(
-            f"polarization must be +1 (right) or -1 (left), got {polarization!r}; "
-            "helicity-0 photon states are unphysical for transverse light"
-        )
-    h = hamiltonian_coefficients(path)
-    h_mid = 0.5 * (h[:-1] + h[1:])
-    n_steps = len(h_mid)
-    size = int(np.ceil(np.sqrt(n_steps)))
-    n_blocks = -(-n_steps // size)
+    start = _start(path, polarization)
+    ref = _angular(start).conj()
+    h, k_hat = hamiltonian_coefficients(path), path.k_hat
+    n = path.n_samples
+    overlaps = np.empty(n, dtype=complex)
+    energy, helicity, norms = np.empty(n), np.empty(n), np.empty(n)
 
-    # per-step axis and angle, padded with identity steps to fill the last block;
-    # each per-step array is freed as soon as its last reader has run
-    rate = np.linalg.norm(h_mid, axis=1)
-    axis = np.zeros((n_blocks * size, 3))
-    np.divide(h_mid, rate[:, None], out=axis[:n_steps], where=rate[:, None] > 0.0)
-    del h_mid
-    angle = np.zeros((n_blocks * size, 1))
-    angle[:n_steps, 0] = rate * path.dt
-    del rate
-    sin = np.sin(angle)
-    vers = 2.0 * np.sin(0.5 * angle) ** 2
-    del angle
-    axis, sin, vers = (a.reshape(n_blocks, size, -1) for a in (axis, sin, vers))
+    def reduce(rows, cart):
+        # each row is reduced on its own (einsum too, whatever the strides), so
+        # these are bitwise the whole-array forms of the stored states
+        ang = _angular(cart)
+        overlaps[rows] = ang[:, 0] * ref[0] + ang[:, 1] * ref[1] + ang[:, 2] * ref[2]
+        norms[rows] = np.linalg.norm(ang, axis=1)
+        spin = _spin_vectors(ang)
+        energy[rows] = np.einsum("ni,ni->n", h[rows], spin)
+        helicity[rows] = np.einsum("ni,ni->n", k_hat[rows], spin)
 
-    # block rotations: row k of frames[b] is the image of the unit vector e_k
-    frames = np.broadcast_to(np.eye(3), (n_blocks, 3, 3)).copy()
-    for j in range(size):
-        frames = _rotate(frames, axis[:, j, None], sin[:, j, None], vers[:, j, None])
-
-    start = helicity_eigenstates(path.k_hat[0]).state(-polarization)
-    states = np.empty((n_blocks * size + 1, 3), dtype=complex)
-    blocks = states[:-1].reshape(n_blocks, size, 3)
-    current = CARTESIAN_FROM_ANGULAR @ start
-    for b in range(n_blocks):
-        blocks[b, 0] = current
-        current = current @ frames[b]
-    states[-1] = current
-    for j in range(size - 1):
-        blocks[:, j + 1] = _rotate(blocks[:, j], axis[:, j], sin[:, j], vers[:, j])
-    del axis, sin, vers
-
-    # back to the angular-momentum basis: psi_ang = C^dagger psi_cart
-    states = states[: path.n_samples] @ CARTESIAN_FROM_ANGULAR.conj()
-    return SpinorTrajectory(times=path.times, states=states, polarization=polarization)
+    _scan(path, start, reduce)
+    return SpinorTrajectory(
+        path=path,
+        polarization=polarization,
+        overlaps=_read_only(overlaps),
+        energy=_read_only(energy),
+        helicity=_read_only(helicity),
+        norms=_read_only(norms),
+    )
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:
@@ -205,37 +338,119 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
     than the effective one leaves an O(1) residual.  The float operations are
-    those of the whole-array expression, done in place.
+    those of the whole-array expression, done in place ``_CHUNK_ROWS``
+    samples at a time.
     """
-    kh = path.k_hat
-    turn = _cross(kh[1:-1], scale * hamiltonian_coefficients(path)[1:-1])
-    vec = np.subtract(kh[2:], kh[:-2])
-    vec /= 2.0 * path.dt
-    vec += turn
-    del turn
-    np.square(vec, out=vec)
-    residual = np.add.reduce(vec, axis=1)
-    del vec
-    np.sqrt(residual, out=residual)
-    residual *= np.sqrt(2.0)
+    kh, h = path.k_hat, hamiltonian_coefficients(path)
+    residual = np.empty(path.n_samples - 2)  # entry i belongs to sample i + 1
+    for start in range(0, len(residual), geometry._CHUNK_ROWS):
+        stop = min(start + geometry._CHUNK_ROWS, len(residual))
+        turn = _cross(kh[start + 1 : stop + 1], scale * h[start + 1 : stop + 1])
+        vec = np.subtract(kh[start + 2 : stop + 2], kh[start:stop])
+        vec /= 2.0 * path.dt
+        vec += turn
+        np.square(vec, out=vec)
+        out = residual[start:stop]
+        np.add.reduce(vec, axis=1, out=out)
+        np.sqrt(out, out=out)
+        out *= np.sqrt(2.0)
     return residual
 
 
+def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:
+    if len(traj.overlaps) != path.n_samples:
+        raise ValueError("trajectory and path do not share a time grid")
+
+
 def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray:
-    """<psi | k_hat . S | psi> at every sample; conserved at -polarization."""
-    return np.einsum("ni,ni->n", path.k_hat, traj.spin_vectors)
+    """<psi | k_hat . S | psi> at every sample (read-only); conserved at -polarization.
+
+    ``evolve`` reduced it along the trajectory's own path, which must share
+    ``path``'s grid.
+    """
+    _check_grid(traj, path)
+    return traj.helicity
+
+
+def _unwrapped_angle(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
+    """``np.unwrap(np.angle(values[~flagged]))`` at the unflagged samples' own places.
+
+    The flagged places are left unset.  It goes ``_CHUNK_ROWS`` samples at
+    a time: each block takes the angles of its unflagged samples
+    (``np.angle`` is this arctan2) and np.unwrap's branch corrections
+    (``geometry._unwrap_corrections``) of the steps that end at them, the
+    first from the raw angle carried over from the block before.  The
+    running total of the corrections enters the block's first correction,
+    where np.unwrap's cumsum adds it, so the result is bitwise the
+    whole-array one.
+    """
+    out = np.empty(len(values))
+    prev = None  # raw angle of the last unflagged sample before the block
+    total = None  # running total of the corrections
+    for start in range(0, len(values), geometry._CHUNK_ROWS):
+        kept = np.flatnonzero(~flagged[start : start + geometry._CHUNK_ROWS])
+        if not len(kept):
+            continue
+        kept += start
+        chunk = values[kept]
+        raw = np.arctan2(chunk.imag, chunk.real)
+        corrections = geometry._unwrap_corrections(np.diff(raw) if prev is None else np.diff(raw, prepend=prev))
+        prev = raw[-1]
+        if len(corrections):
+            if total is not None:
+                corrections[0] += total
+            np.cumsum(corrections, out=corrections)
+            total = corrections[-1]
+            raw[len(raw) - len(corrections) :] += corrections
+        out[kept] = raw
+    return out
+
+
+def _next_unflagged(flagged: np.ndarray, start: int):
+    """Index of the first unflagged sample from ``start`` on, or None."""
+    for lo in range(start, len(flagged), geometry._CHUNK_ROWS):
+        block = flagged[lo : lo + geometry._CHUNK_ROWS]
+        if not block.all():
+            return lo + int(np.argmin(block))
+    return None
+
+
+def _interpolate_flagged(total: np.ndarray, flagged: np.ndarray) -> None:
+    """Set ``total`` at the flagged samples by np.interp over the unflagged ones, a chunk at a time.
+
+    Each chunk interpolates over its own unflagged samples and the nearest
+    one on each side of it.  np.interp's value at a point depends only on
+    the two samples around it, or beyond the ends on the end one, so this is
+    bitwise ``np.interp(idx, idx[good], total[good])`` over the whole array.
+    """
+    before = []  # the last unflagged sample before the chunk
+    for start in range(0, len(total), geometry._CHUNK_ROWS):
+        stop = start + geometry._CHUNK_ROWS
+        hits = np.flatnonzero(flagged[start:stop]) + start
+        inner = np.flatnonzero(~flagged[start:stop]) + start
+        if len(hits):
+            after = _next_unflagged(flagged, stop)
+            nodes = np.concatenate([before, inner, [] if after is None else [after]]).astype(np.intp)
+            total[hits] = np.interp(hits, nodes, total[nodes])
+        if len(inner):
+            before = inner[-1:]
 
 
 def _unwrap_with_flags(overlaps: np.ndarray):
-    """Continuously unwrapped arg of the overlaps, interpolating flagged dips."""
-    flagged = np.abs(overlaps) < OVERLAP_FLOOR
+    """Continuously unwrapped arg of the overlaps, interpolating flagged dips.
+
+    The flags, the unwrap and the interpolation go ``_CHUNK_ROWS`` samples
+    at a time, so beyond its outputs only one chunk of scratch is held.
+    """
+    flagged = np.empty(len(overlaps), dtype=bool)
+    for start in range(0, len(overlaps), geometry._CHUNK_ROWS):
+        rows = slice(start, start + geometry._CHUNK_ROWS)
+        np.less(np.abs(overlaps[rows]), OVERLAP_FLOOR, out=flagged[rows])
     if flagged.all():
         raise ValueError("every overlap is numerically zero; cannot define a phase")
-    good = ~flagged
-    idx = np.arange(len(overlaps))
-    unwrapped_good = np.unwrap(np.angle(overlaps[good]))
-    total = np.interp(idx, idx[good], unwrapped_good)
+    total = _unwrapped_angle(overlaps, flagged)
     if flagged.any():
+        _interpolate_flagged(total, flagged)
         warnings.warn(
             f"{int(flagged.sum())} sample(s) passed within {OVERLAP_FLOOR:g} of orthogonality; "
             "their total phase is interpolated from neighbours",
@@ -252,19 +467,20 @@ def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecompo
     dynamical part integrates -<H> = -h . <S> by the trapezoidal rule on the
     shared grid; the geometric part is their difference.  Samples passing
     nearly orthogonal to the initial state are flagged and bridged by
-    interpolation (an :class:`OrthogonalPassageWarning` is emitted).
+    interpolation (an :class:`OrthogonalPassageWarning` is emitted).  The
+    overlaps and energies are the trajectory's, reduced by :func:`evolve`
+    along its own path, which must share ``path``'s grid.
     """
-    if traj.states.shape[0] != path.n_samples:
-        raise ValueError("trajectory and path do not share a time grid")
-    overlaps = traj.states @ traj.states[0].conj()
-    total, flagged = _unwrap_with_flags(overlaps)
-    total = total - total[0]
+    _check_grid(traj, path)
+    total, flagged = _unwrap_with_flags(traj.overlaps)
+    total -= total[0]
 
-    energy = np.einsum("ni,ni->n", hamiltonian_coefficients(path), traj.spin_vectors)
-    dt = path.dt
+    energy = traj.energy
     dynamical = np.empty_like(energy)
     dynamical[0] = 0.0
-    np.cumsum((energy[1:] + energy[:-1]) * (-0.5 * dt), out=dynamical[1:])
+    np.add(energy[1:], energy[:-1], out=dynamical[1:])
+    dynamical[1:] *= -0.5 * path.dt
+    np.cumsum(dynamical[1:], out=dynamical[1:])
 
     return PhaseDecomposition(
         times=path.times,

@@ -127,9 +127,14 @@ class FiberPath:
     def h(self) -> np.ndarray:
         """Generator coefficients (k x k_dot)/k^2 at every sample, shape (n, 3), read-only.
 
-        Every stage that needs the generator reads this one array.
+        Every stage that needs the generator reads this one array.  It is
+        built one chunk of ``k_dot`` at a time (see ``_k_dot_chunks``), with
+        the float operations of the whole-array form.
         """
-        return _read_only(np.cross(self.k_vectors(), k_dot(self)) / self.k_mag**2)
+        h = np.empty((self.n_samples, 3))
+        for rows, k, rate in _k_dot_chunks(self):
+            h[rows] = np.cross(k, rate) / self.k_mag**2
+        return _read_only(h)
 
 
 @dataclass(frozen=True)
@@ -260,7 +265,9 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     in place, one chunk at a time (see ``_unwrap_in_place``), and becomes the
     azimuth; beyond the two outputs a path that never meets a pole adds one
     bool per sample and one chunk of temporaries, and skips the pole fill,
-    which would be the identity.
+    which would be the identity.  A path that meets one unwraps its off-pole
+    azimuths gathered at the front of the buffer and spreads them back over
+    the pole samples, ``_CHUNK_ROWS`` samples at a time from the end.
     """
     kh = path.k_hat
     polar = np.clip(kh[:, 2], -1.0, 1.0)
@@ -271,15 +278,25 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     if off_pole.all():
         _unwrap_in_place(raw)
         return SphericalAngles(times=path.times, polar=polar, azimuth=raw)
-    # a pole sample repeats the last off-pole value, or 0 before any
-    off = raw[off_pole]
-    _unwrap_in_place(off)
-    last = np.cumsum(off_pole) - 1
-    seen = last >= 0
-    azimuth = raw
-    azimuth.fill(0.0)
-    azimuth[seen] = off[last[seen]]
-    return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth)
+    # gather the off-pole azimuths at the front of the buffer (a block never
+    # writes past its own start) and unwrap them there; then, from the last
+    # block back, sample i takes the last off-pole value up to it, or 0 before
+    # any, which the blocks still to go have not overwritten
+    count = 0
+    for start in range(0, len(raw), _CHUNK_ROWS):
+        block = raw[start : start + _CHUNK_ROWS][off_pole[start : start + _CHUNK_ROWS]]
+        raw[count : count + len(block)] = block
+        count += len(block)
+    _unwrap_in_place(raw[:count])
+    for start in reversed(range(0, len(raw), _CHUNK_ROWS)):
+        flags = off_pole[start : start + _CHUNK_ROWS]
+        last = np.cumsum(flags)
+        count -= last[-1]
+        last += count - 1
+        filled = raw[np.maximum(last, 0)]
+        filled[last < 0] = 0.0
+        raw[start : start + _CHUNK_ROWS] = filled
+    return SphericalAngles(times=path.times, polar=polar, azimuth=raw)
 
 
 def derivative_uniform(values, dt) -> np.ndarray:
@@ -303,6 +320,24 @@ def k_dot(path: FiberPath) -> np.ndarray:
     return derivative_uniform(path.k_vectors(), path.dt)
 
 
+def _k_dot_chunks(path: FiberPath):
+    """``k_dot(path)`` ``_CHUNK_ROWS`` rows at a time: yields (rows, k, k_dot) for each slice of rows.
+
+    Each chunk is differentiated over a window one sample wider on each side
+    (at least 3 samples), so ``derivative_uniform``'s one-sided stencils only
+    land on the ends of the path, and every row is bitwise the whole-array
+    one.
+    """
+    n = path.n_samples
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        hi = min(max(stop + 1, 3), n)
+        lo = max(min(start - 1, hi - 3), 0)
+        k = path.k_mag * path.k_hat[lo:hi]
+        rows = slice(start - lo, stop - lo)
+        yield slice(start, stop), k[rows], derivative_uniform(k, path.dt)[rows]
+
+
 def motion_residual(path: FiberPath) -> np.ndarray:
     """Per-sample norm of  k_dot + k x ((k x k_dot)/k^2),  computed as |k_hat . k_dot|.
 
@@ -311,9 +346,13 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     stencil order under grid refinement.  Expanding the double cross product,
     k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot): the residual is the
     radial part of the stencil derivative, taken without cancelling two
-    O(|k_dot|) vectors against each other.
+    O(|k_dot|) vectors against each other.  ``k_dot`` is read one chunk at a
+    time (see ``_k_dot_chunks``).
     """
-    return np.abs(np.einsum("ni,ni->n", path.k_hat, k_dot(path)))
+    out = np.empty(path.n_samples)
+    for rows, _, rate in _k_dot_chunks(path):
+        np.abs(np.einsum("ni,ni->n", path.k_hat[rows], rate), out=out[rows])
+    return out
 
 
 def rotation_vectors(path: FiberPath) -> np.ndarray:

@@ -258,7 +258,7 @@ def compute_scenario(path, scenario: Scenario):
         dec = evolution.phase_decomposition(traj, path)
     hel = evolution.helicity_expectations(traj, path)
     shared = {
-        "norm_drift": (geometry._read_only(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)), 1.0),
+        "norm_drift": (geometry._read_only(np.abs(traj.norms - 1.0)), 1.0),
         "helicity_drift": (geometry._read_only(np.abs(hel - hel[0])), 1.0),
         "flagged": (geometry._read_only(dec.flagged), 1.0),
     }

@@ -493,6 +493,29 @@ def test_sweep_cone_angle(tmp_path):
     assert rows[2]["flagged_R"] > 0
 
 
+SWEPT_PATH_VALUES = {"cone_angle": [0.3, "75 deg", None], "n_steps": [64, 4096, None]}
+
+
+@pytest.mark.parametrize("parameter", sorted(SWEPT_PATH_VALUES))
+def test_sweep_overrides_the_swept_path_field(tmp_path, parameter):
+    # a sweep point replaces path.<parameter> with its own value, so the
+    # config's value (or its absence) changes no output byte
+    values = [0.4, 0.9] if parameter == "cone_angle" else [128, 256]
+    outputs = []
+    for i, value in enumerate(SWEPT_PATH_VALUES[parameter]):
+        out = tmp_path / f"out{i}"
+        cfg = sweep_cfg(helix_cfg(str(out)), parameter, values)
+        cfg["path"]["n_steps"] = 256
+        if value is None:
+            del cfg["path"][parameter]
+        else:
+            cfg["path"][parameter] = value
+        assert main(["sweep", write_config(tmp_path, f"sweep{i}.json", cfg), "--quiet"]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in ("sweep.csv", "summary.json")})
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_sweep_n_steps_convergence(tmp_path):
     out = str(tmp_path / "out")
     cfg = sweep_cfg(helix_cfg(out), "n_steps", [512, 1024])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fiberphase import evolution
+from fiberphase import evolution, geometry
 from fiberphase.evolution import (
     OrthogonalPassageWarning,
     analytic_noncyclic_phase,
@@ -362,6 +362,27 @@ def test_compute_scenario_evolves_once_within_budget():
     assert peak / n_steps < 280  # bytes per step
 
 
+def test_compute_scenario_holds_transport_at_its_output_size():
+    # evolve keeps four series per sample instead of the (n, 3) complex
+    # states, h and the motion residual read k_dot one chunk at a time, and
+    # the unwrap and the invariant residual go in chunks: about 210 B/step
+    # with whole-array layers
+    import tracemalloc
+
+    from fiberphase.fock import Ordering
+    from fiberphase.scenario import Scenario, compute_scenario
+
+    n_steps = 100_000
+    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+    tracemalloc.start()
+    try:
+        compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_steps < 170, peak / n_steps  # bytes per step
+
+
 # ------------------------------------------------- cross product without copies
 
 @pytest.mark.parametrize("shapes", [((1000, 3), (1000, 3)), ((7, 1, 3), (7, 3, 3)), ((3,), (5, 3))])
@@ -371,6 +392,9 @@ def test_private_cross_is_bitwise_np_cross(shapes):
     assert evolution._cross(a, b).tobytes() == np.cross(a, b).tobytes()
     z = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))  # strided real/imag views
     assert evolution._cross(z.real, z.imag).tobytes() == np.cross(z.real, z.imag).tobytes()
+    # a real axis against complex states, as in the transport steps
+    zs = rng.normal(size=shapes[1]) + 1j * rng.normal(size=shapes[1])
+    assert evolution._cross(a, zs).tobytes() == np.cross(a, zs).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
@@ -383,8 +407,36 @@ def test_kernels_match_whole_array_forms_bitwise(scale):
     want = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
     assert invariant_residual_series(p, scale).tobytes() == want.tobytes()
     traj = evolve(p, -1)
-    cart = traj.states @ CARTESIAN_FROM_ANGULAR.T
+    cart = np.stack([
+        (traj.states[:, 2] - traj.states[:, 0]) * evolution._SQ,
+        (traj.states[:, 0] + traj.states[:, 2]) * (-1j * evolution._SQ),
+        traj.states[:, 1],
+    ], axis=1)
     assert traj.spin_vectors.tobytes() == (2.0 * np.cross(cart.real, cart.imag)).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 38, 39, 40])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_chunked_invariant_residual_matches_whole_array_form(monkeypatch, chunk, scale):
+    # 41 samples, 39 residuals: chunk edges anywhere, and one chunk
+    p = _wobble(40)
+    kh = p.k_hat
+    vec = (kh[2:] - kh[:-2]) / (2.0 * p.dt)
+    vec += np.cross(kh[1:-1], scale * hamiltonian_coefficients(p)[1:-1])
+    want = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+    assert invariant_residual_series(p, scale).tobytes() == want.tobytes()
+
+
+def test_element_wise_basis_changes_match_the_matrix_products():
+    # the kernels skip the exact zeros of C instead of calling BLAS, whose
+    # rounding depends on the operand shapes; they agree with it to rounding
+    rng = np.random.default_rng(5)
+    cart = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
+    ang = evolution._angular(cart)
+    assert np.abs(ang - cart @ CARTESIAN_FROM_ANGULAR.conj()).max() <= 1e-15
+    back = CARTESIAN_FROM_ANGULAR @ ang.T
+    assert np.abs(evolution._spin_vectors(ang) - 2.0 * np.cross(back.T.real, back.T.imag)).max() <= 1e-14
 
 
 def test_cross_product_kernels_memory_budget():

@@ -621,3 +621,58 @@ def test_path_layers_hold_their_outputs_and_one_chunk(tmp_path):
     assert loaded < 55, loaded
     assert with_angles < 70, with_angles
     assert w_step < 70, w_step
+
+
+# ------------------------------------------------- k_dot consumers in chunks
+
+def _slow_wobble(n):
+    """n samples of a wobbling cone, slow enough for any n to pass the step check."""
+    t = 1e-3 * np.arange(n)
+    lam = 0.9 + 0.2 * np.sin(7.0 * t)
+    return FiberPath(times=t, k_hat=np.stack([np.sin(lam) * np.cos(t), np.sin(lam) * np.sin(t), np.cos(lam)], axis=1),
+                     k_mag=2.5)
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+def test_h_and_motion_residual_match_whole_array_forms_bitwise(n):
+    # both read k_dot one chunk at a time, with a one-row halo
+    path = _slow_wobble(n)
+    rate = k_dot(path)
+    assert _same_bits(path.h, np.cross(path.k_vectors(), rate) / path.k_mag**2)
+    assert _same_bits(motion_residual(path), np.abs(np.einsum("ni,ni->n", path.k_hat, rate)))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 11])
+def test_k_dot_chunks_cover_short_paths(monkeypatch, chunk, n):
+    # chunks shorter than the 3-sample stencil still take it from a wider window
+    path = _slow_wobble(n)
+    rate = k_dot(path)
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+    assert _same_bits(path.h, np.cross(path.k_vectors(), rate) / path.k_mag**2)
+    assert _same_bits(motion_residual(path), np.abs(np.einsum("ni,ni->n", path.k_hat, rate)))
+
+
+def _pole_meridian(n):
+    """A great circle through both poles, sampled on both of them."""
+    theta = np.linspace(0.0, 2.0 * np.pi, n)
+    kh = np.stack([np.sin(theta), np.zeros(n), np.cos(theta)], axis=1)
+    kh[[0, (n - 1) // 2, n - 1]] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
+    return FiberPath(times=theta, k_hat=kh, k_mag=1.0)
+
+
+def test_pole_fill_memory_budget():
+    # the fill goes one chunk at a time; with the int64 cumsum index and the
+    # gathered values of a whole-array fill this was 50 B/sample
+    import tracemalloc
+
+    n = 100_001
+    path = _pole_meridian(n)
+    tracemalloc.start()
+    try:
+        angles = spherical_angles(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert angles.azimuth[0] == 0.0 and angles.azimuth[(n - 1) // 2] == angles.azimuth[(n - 1) // 2 - 1]
+    assert peak / n < 35, peak / n

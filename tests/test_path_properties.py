@@ -146,6 +146,33 @@ def test_chunked_angles_and_solid_angle_match_whole_array(samples, south, dt, ch
     assert chunked_w.tobytes() == w.tobytes()
 
 
+@st.composite
+def _pole_runs(draw):
+    """(n, chunk, pole flags): runs of pole samples that start and end at, just before or just after chunk edges."""
+    n = draw(st.integers(min_value=3, max_value=60))
+    chunk = draw(st.integers(min_value=1, max_value=9))
+    pole = np.zeros(n, dtype=bool)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=n // chunk)) * chunk + draw(st.sampled_from([-1, 0, 1]))
+        stop = start + draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk]))
+        pole[max(start, 0) : max(stop, 0)] = True
+    return n, chunk, pole
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs=_pole_runs(), south=st.booleans(), steps=st.lists(AZIMUTH_STEPS, min_size=60, max_size=60))
+@example(runs=(12, 3, np.array([True] * 3 + [False] * 3 + [True] * 4 + [False, True])), south=False, steps=[2.0] * 60)
+def test_chunked_pole_fill_matches_whole_array_fill(runs, south, steps):
+    n, chunk, pole = runs
+    colatitudes = np.where(pole, 0.0, 0.15)
+    colatitudes[pole & (np.arange(n) % 2 == 1)] = 1e-12  # within POLE_SIN_TOL of the pole, not on it
+    path = _sphere_path(colatitudes, steps[:n], south, 0.1)
+    _, azimuth, _ = _whole_array_angles(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        assert geometry.spherical_angles(path).azimuth.tobytes() == azimuth.tobytes()
+
+
 # ------------------------------------------------------- load_path grammar
 
 def _per_line_records(filename):

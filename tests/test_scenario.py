@@ -290,7 +290,13 @@ def _count_calls(monkeypatch, original):
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(monkeypatch, pols):
     counted = {fn.__name__: _count_calls(monkeypatch, fn)
-               for fn in (evolve, phase_decomposition, helicity_expectations)}
+               for fn in (evolve, phase_decomposition, helicity_expectations, evolution._scan)}
+
+    def no_states(traj):
+        raise AssertionError("compute_scenario materialised the (n, 3) states")
+
+    # the scan runs once, reducing as it goes; the stored states would need a second run
+    monkeypatch.setattr(evolution.SpinorTrajectory, "states", property(no_states))
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
     result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     assert list(result["tables"]) == list(pols)

@@ -1,0 +1,164 @@
+"""Property tests: the transport layer reduced column by column equals its whole-array forms.
+
+``evolve`` reduces each slab of the scan's columns to four observables and
+never holds the (n, 3) states; ``SpinorTrajectory.states`` runs the same scan
+again and stores them.  With the chunk and slab sizes made small, random
+short paths (some passing orthogonal to their start state, so samples get
+flagged) must give bit for bit the series that whole-array numpy computes
+from the stored states.
+"""
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fiberphase import evolution, geometry
+from fiberphase.evolution import evolve, phase_decomposition
+from fiberphase.geometry import FiberPath
+
+
+def _random_path(n, seed, k_mag):
+    """A smooth random walk on the sphere with n samples and steps well below 0.5."""
+    rng = np.random.default_rng(seed)
+    polar = 0.4 + np.cumsum(rng.uniform(-0.08, 0.08, n))
+    azimuth = np.cumsum(rng.uniform(-0.05, 0.3, n))
+    kh = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+    return FiberPath(times=0.1 * np.arange(n), k_hat=kh, k_mag=k_mag)
+
+
+def _half_turn_path(n, m):
+    """An equator walk of n samples, dt = 1, whose transported state is orthogonal to its start at sample m.
+
+    On k_hat_i = (cos i a, sin i a, 0) the stencils give h = sin a z inside
+    and (4 sin a - sin 2a)/2 z at the start, so the state turns about z by
+    (6 sin a - sin 2a)/4 + (m - 1) sin a up to sample m; bisection sets that
+    to pi, where the overlap with the start state vanishes and the sample is
+    flagged.  Needs 8 <= m <= n - 2.
+    """
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        a = 0.5 * (lo + hi)
+        turn = (6.0 * np.sin(a) - np.sin(2.0 * a)) / 4.0 + (m - 1) * np.sin(a)
+        lo, hi = (a, hi) if turn < np.pi else (lo, a)
+    phi = a * np.arange(n)
+    return FiberPath(times=np.arange(n, dtype=float), k_hat=np.stack([np.cos(phi), np.sin(phi), 0.0 * phi], axis=1),
+                     k_mag=1.0)
+
+
+PATHS = st.one_of(
+    st.builds(_random_path, st.integers(3, 300), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.5])),
+    st.integers(8, 298).flatmap(lambda m: st.builds(_half_turn_path, st.integers(m + 2, 300), st.just(m))),
+)
+
+
+def test_half_turn_paths_are_flagged():
+    for n, m in ((10, 8), (40, 20), (300, 298), (300, 150)):
+        path = _half_turn_path(n, m)
+        with pytest.warns(evolution.OrthogonalPassageWarning):
+            dec = phase_decomposition(evolve(path, +1), path)
+        assert dec.flagged[m]
+
+
+def _whole_array_observables(path, states):
+    """Overlaps, h . <S>, k_hat . <S> and norms of the stored states, each over the whole array."""
+    ref = states[0].conj()
+    overlaps = states[:, 0] * ref[0] + states[:, 1] * ref[1] + states[:, 2] * ref[2]
+    spin = evolution._spin_vectors(states)
+    energy = np.einsum("ni,ni->n", path.h, spin)
+    helicity = np.einsum("ni,ni->n", path.k_hat, spin)
+    return overlaps, energy, helicity, np.linalg.norm(states, axis=1), spin
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=PATHS, chunk=st.integers(1, 9), slab=st.integers(1, 5), pol=st.sampled_from([1, -1]))
+@example(path=_half_turn_path(12, 9), chunk=2, slab=3, pol=1)
+def test_reduced_observables_match_whole_array_forms_of_the_states(path, chunk, slab, pol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        mp.setattr(evolution, "_SLAB", slab)
+        traj = evolve(path, pol)
+        states = traj.states
+        spin_vectors = traj.spin_vectors
+    overlaps, energy, helicity, norms, spin = _whole_array_observables(path, states)
+    assert _same_bits(traj.overlaps, overlaps)
+    assert _same_bits(traj.energy, energy)
+    assert _same_bits(traj.helicity, helicity)
+    assert _same_bits(traj.norms, norms)
+    assert _same_bits(spin_vectors, spin)
+    # the stored states are the scan's, whatever the slab width
+    assert _same_bits(states, evolve(path, pol).states)
+
+
+def _whole_array_phases(overlaps, energy, dt):
+    """phase_decomposition's total, dynamical and flags with np.unwrap and np.interp over whole arrays."""
+    flagged = np.abs(overlaps) < evolution.OVERLAP_FLOOR
+    good = ~flagged
+    idx = np.arange(len(overlaps))
+    total = np.interp(idx, idx[good], np.unwrap(np.angle(overlaps[good])))
+    total = total - total[0]
+    dynamical = np.concatenate([[0.0], np.cumsum((energy[1:] + energy[:-1]) * (-0.5 * dt))])
+    return total, dynamical, flagged
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=PATHS, chunk=st.integers(1, 9))
+def test_chunked_phase_decomposition_matches_whole_array(path, chunk):
+    traj = evolve(path, +1)
+    total, dynamical, flagged = _whole_array_phases(traj.overlaps, traj.energy, path.dt)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        dec = phase_decomposition(traj, path)
+    assert _same_bits(dec.flagged, flagged)
+    assert _same_bits(dec.total, total)
+    assert _same_bits(dec.dynamical, dynamical)
+    assert _same_bits(dec.geometric, total - dynamical)
+
+
+# angles whose steps land on and next to the branch cut at +-pi
+ANGLES = st.one_of(
+    st.sampled_from([0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, np.nextafter(np.pi, 0.0), 3.0, -3.0]),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+)
+
+
+# about five windings in steps near +-pi: the last bits differ if a block adds
+# the carried total after its cumsum instead of before
+WINDING = [
+    -3.045510065958529, 1.0790996672294606, -1.964414724621509, 1.9757559853465438, -0.4899031085232894,
+    2.882809345453812, 0.43269029544773546, -2.1718627609926306, 2.08100752161958, -0.7478568979227082,
+    2.9433707647156715, 0.5806658765666709, -2.286605697204577, 1.6630652977542029, -0.8357823806745144,
+    -2.983228247646393, 0.8565327744413497, -1.3672679903024143, 2.6273726423911388, -0.1980284975019211,
+    -2.5064781312865687, 1.2429971040182175, -1.8358138157631436, 1.3895485783862778, -1.407720356464606,
+    2.2801154096128, -0.024464914837101198, -2.201182124489738, 1.0150852281521054, -1.5525902159505562,
+    2.6031429175111884,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(st.tuples(ANGLES, st.booleans()), max_size=60), radii=st.sampled_from([1.0, 1e-3]),
+       chunk=st.integers(1, 9))
+@example(samples=[(angle, False) for angle in WINDING], radii=1.0, chunk=4)
+def test_chunked_unwrap_and_interpolation_match_whole_array(samples, radii, chunk):
+    # the unflagged angles are unwrapped as one sequence, and the flagged
+    # ones are interpolated between them
+    angles = np.array([angle for angle, _ in samples], dtype=float)
+    flagged = np.array([flag for _, flag in samples], dtype=bool)
+    values = radii * np.exp(1j * angles)
+    good = ~flagged
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        got = evolution._unwrapped_angle(values, flagged)
+        if good.any():
+            evolution._interpolate_flagged(got, flagged)
+    unwrapped = np.unwrap(np.angle(values[good]))
+    assert _same_bits(got[good], unwrapped)
+    if good.any():
+        idx = np.arange(len(values))
+        assert _same_bits(got, np.interp(idx, idx[good], unwrapped))
