@@ -13,6 +13,7 @@
 import numpy as np
 
 from fiberphase import (
+    hamiltonian_coefficients,
     helix_path,
     invariant_residual_series,
     motion_residual,
@@ -24,7 +25,7 @@ from fiberphase.geometry import FiberPath
 def rotation_gap(path):
     # largest Frobenius gap between (theta/dt) . S and h . S over the steps;
     # ||v . S||_F = sqrt(2) |v| for any 3-vector v
-    step_gap = np.linalg.norm(rotation_vectors(path) / path.dt - path.h[:-1], axis=1)
+    step_gap = np.linalg.norm(rotation_vectors(path) / path.dt - hamiltonian_coefficients(path)[:-1], axis=1)
     return np.sqrt(2.0) * step_gap.max()
 
 

@@ -87,7 +87,7 @@ class SpinorTrajectory:
         def store(rows, cart):
             states[rows] = _angular(cart)
 
-        _scan(self.path, _start(self.path, self.polarization), store)
+        _scan(self.path, hamiltonian_coefficients(self.path), _start(self.path, self.polarization), store)
         return _read_only(states)
 
     @cached_property
@@ -124,14 +124,26 @@ class PhaseDecomposition:
     flagged: np.ndarray
 
 
-def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
-    """Coefficient vectors h(t_i) = (k x k_dot)/k^2 at every sample, shape (n, 3).
+def _generator(k, rate, k_mag):
+    """Rows of h = (k x k_dot)/k^2 from rows of k and k_dot; each row is computed on its own."""
+    return np.cross(k, rate) / k_mag**2
 
-    This is the path's cached, read-only :attr:`FiberPath.h`.  The
-    finite-rotation route, ``geometry.rotation_vectors(path) / path.dt``,
-    agrees with ``h[:-1]`` to first order in dt.
+
+def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
+    """Coefficient vectors h(t_i) = (k x k_dot)/k^2 at every sample, shape (n, 3), read-only.
+
+    A new array on every call, built one chunk of ``k_dot`` at a time (see
+    ``geometry._k_dot_chunks``) with the float operations of the
+    whole-array form; nothing caches it.  :func:`evolve` builds it once and
+    frees it when it returns, and the invariant residual forms each chunk's
+    rows itself.  The finite-rotation route,
+    ``geometry.rotation_vectors(path) / path.dt``, agrees with ``h[:-1]`` to
+    first order in dt.
     """
-    return path.h
+    h = np.empty((path.n_samples, 3))
+    for rows, k, rate in geometry._k_dot_chunks(path):
+        h[rows] = _generator(k, rate, path.k_mag)
+    return _read_only(h)
 
 
 def _cross(a, b):
@@ -240,7 +252,7 @@ def _slab_steps(h, dt, size, j0, width):
     return axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
 
 
-def _scan(path: FiberPath, start: np.ndarray, consume) -> None:
+def _scan(path: FiberPath, h: np.ndarray, start: np.ndarray, consume) -> None:
     """Propagate the Cartesian state ``start`` along the path, handing its states to ``consume``.
 
     A two-level scan over about sqrt(n) blocks of sqrt(n) steps: the block
@@ -248,12 +260,13 @@ def _scan(path: FiberPath, start: np.ndarray, consume) -> None:
     over the block starts, and then the blocks are filled in one column at a
     time; column j holds the states at samples j, j + size, ...  The columns
     go ``_SLAB`` at a time: each slab's step rotations are recomputed from
-    ``h`` in each pass, so no per-step array is held, and its states go to
-    ``consume(rows, cart)``, with ``rows`` the sample indices and ``cart``
-    the (len(rows), 3) Cartesian states, which the scan overwrites
-    afterwards.  Every sample is handed over exactly once.
+    ``h``, the path's generator coefficients, in each pass, so no per-step
+    array is held, and its states go to ``consume(rows, cart)``, with
+    ``rows`` the sample indices and ``cart`` the (len(rows), 3) Cartesian
+    states, which the scan overwrites afterwards.  Every sample is handed
+    over exactly once.
     """
-    h, dt = path.h, path.dt
+    dt = path.dt
     n_samples = path.n_samples
     n_steps = n_samples - 1
     size = int(np.ceil(np.sqrt(n_steps)))
@@ -301,7 +314,9 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     preserved to rounding.  The steps are composed by the two-level scan of
     :func:`_scan`, and each slab of states it fills is reduced on the spot
     to the trajectory's overlaps, energies, helicities and norms; no (n, 3)
-    state array is built (see :attr:`SpinorTrajectory.states`).
+    state array is built (see :attr:`SpinorTrajectory.states`).  The
+    generator coefficients ``h`` are built once for the scan and the
+    energies, and freed on return.
     """
     start = _start(path, polarization)
     ref = _angular(start).conj()
@@ -320,7 +335,7 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
         energy[rows] = np.einsum("ni,ni->n", h[rows], spin)
         helicity[rows] = np.einsum("ni,ni->n", k_hat[rows], spin)
 
-    _scan(path, start, reduce)
+    _scan(path, h, start, reduce)
     return SpinorTrajectory(
         path=path,
         polarization=polarization,
@@ -331,30 +346,51 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     )
 
 
+def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: float = 1.0) -> np.ndarray:
+    """Rows [start, stop) of the invariant residual with one value per sample; ``scale`` multiplies H.
+
+    Row i is the residual at the interior sample nearest it, min(max(i, 1),
+    n - 2): the central difference has no value at the two end samples,
+    which repeat their neighbours'.  The rows come from the path's ``k_hat``
+    window around them: each chunk's ``h`` is formed from the chunk of
+    ``k_dot`` that ``geometry._k_dot_chunks`` yields, so the float operations
+    are those of the whole-array expression (see
+    :func:`invariant_residual_series`).
+    """
+    n = path.n_samples
+    if stop <= start:
+        return np.empty(0)
+    lo, hi = min(max(start, 1), n - 2), min(max(stop, 2), n - 1)  # the interior samples read
+    kh = path.k_hat
+    residual = np.empty(hi - lo)
+    for rows, k, rate in geometry._k_dot_chunks(path, lo, hi):
+        turn = _cross(kh[rows], scale * _generator(k, rate, path.k_mag))
+        vec = np.subtract(kh[rows.start + 1 : rows.stop + 1], kh[rows.start - 1 : rows.stop - 1])
+        vec /= 2.0 * path.dt
+        vec += turn
+        np.square(vec, out=vec)
+        out = residual[rows.start - lo : rows.stop - lo]
+        np.add.reduce(vec, axis=1, out=out)
+        np.sqrt(out, out=out)
+        out *= np.sqrt(2.0)
+    if (lo, hi) == (start, stop):
+        return residual
+    return residual[np.clip(np.arange(start, stop), 1, n - 2) - lo]  # rows 0 and n - 1 repeat their neighbours
+
+
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:
     """Residuals at all interior samples (length n-2); ``scale`` multiplies H.
 
     From [a . S, b . S] = i (a x b) . S and ||v . S||_F = sqrt(2) |v|, the
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
-    than the effective one leaves an O(1) residual.  The float operations are
-    those of the whole-array expression, done in place ``_CHUNK_ROWS``
-    samples at a time.
+    than the effective one leaves an O(1) residual.  These are the rows
+    1 .. n-2 of ``_invariant_residual_rows``, which does the float operations
+    of the whole-array expression in place, ``_CHUNK_ROWS`` samples at a
+    time, with each chunk's ``h`` built on the spot; a scenario's results
+    column reads all n rows of it a chunk at a time.
     """
-    kh, h = path.k_hat, hamiltonian_coefficients(path)
-    residual = np.empty(path.n_samples - 2)  # entry i belongs to sample i + 1
-    for start in range(0, len(residual), geometry._CHUNK_ROWS):
-        stop = min(start + geometry._CHUNK_ROWS, len(residual))
-        turn = _cross(kh[start + 1 : stop + 1], scale * h[start + 1 : stop + 1])
-        vec = np.subtract(kh[start + 2 : stop + 2], kh[start:stop])
-        vec /= 2.0 * path.dt
-        vec += turn
-        np.square(vec, out=vec)
-        out = residual[start:stop]
-        np.add.reduce(vec, axis=1, out=out)
-        np.sqrt(out, out=out)
-        out *= np.sqrt(2.0)
-    return residual
+    return _invariant_residual_rows(path, 1, path.n_samples - 1, scale)
 
 
 def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:

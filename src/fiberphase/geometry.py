@@ -72,8 +72,10 @@ class FiberPath:
     temporaries: the row norms go in chunks (see ``_row_norms``) and the
     grid check works in place.
 
-    The generator coefficients ``h`` are computed on first use and cached;
-    the path's arrays must not be modified after that.
+    The path holds nothing derived: the generator coefficients ``h`` are
+    built by ``evolution.hamiltonian_coefficients`` for the stage that reads
+    them, and the residual columns are computed from ``k_hat`` when read.
+    The path's arrays must not be modified once a stage has read them.
     """
 
     times: np.ndarray
@@ -122,19 +124,6 @@ class FiberPath:
     def k_vectors(self) -> np.ndarray:
         """Full wave vectors k_mag * k_hat, shape (n, 3)."""
         return self.k_mag * self.k_hat
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        """Generator coefficients (k x k_dot)/k^2 at every sample, shape (n, 3), read-only.
-
-        Every stage that needs the generator reads this one array.  It is
-        built one chunk of ``k_dot`` at a time (see ``_k_dot_chunks``), with
-        the float operations of the whole-array form.
-        """
-        h = np.empty((self.n_samples, 3))
-        for rows, k, rate in _k_dot_chunks(self):
-            h[rows] = np.cross(k, rate) / self.k_mag**2
-        return _read_only(h)
 
 
 @dataclass(frozen=True)
@@ -320,8 +309,8 @@ def k_dot(path: FiberPath) -> np.ndarray:
     return derivative_uniform(path.k_vectors(), path.dt)
 
 
-def _k_dot_chunks(path: FiberPath):
-    """``k_dot(path)`` ``_CHUNK_ROWS`` rows at a time: yields (rows, k, k_dot) for each slice of rows.
+def _k_dot_chunks(path: FiberPath, start: int = 0, stop: int | None = None):
+    """Rows [start, stop) of ``k_dot(path)``, ``_CHUNK_ROWS`` at a time: yields (rows, k, k_dot) per slice.
 
     Each chunk is differentiated over a window one sample wider on each side
     (at least 3 samples), so ``derivative_uniform``'s one-sided stencils only
@@ -329,13 +318,22 @@ def _k_dot_chunks(path: FiberPath):
     one.
     """
     n = path.n_samples
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        hi = min(max(stop + 1, 3), n)
-        lo = max(min(start - 1, hi - 3), 0)
+    stop = n if stop is None else stop
+    for lo_row in range(start, stop, _CHUNK_ROWS):
+        hi_row = min(lo_row + _CHUNK_ROWS, stop)
+        hi = min(max(hi_row + 1, 3), n)
+        lo = max(min(lo_row - 1, hi - 3), 0)
         k = path.k_mag * path.k_hat[lo:hi]
-        rows = slice(start - lo, stop - lo)
-        yield slice(start, stop), k[rows], derivative_uniform(k, path.dt)[rows]
+        rows = slice(lo_row - lo, hi_row - lo)
+        yield slice(lo_row, hi_row), k[rows], derivative_uniform(k, path.dt)[rows]
+
+
+def _motion_residual_rows(path: FiberPath, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of :func:`motion_residual`, from the path's ``k_hat`` window around them."""
+    out = np.empty(max(stop - start, 0))
+    for rows, _, rate in _k_dot_chunks(path, start, stop):
+        np.abs(np.einsum("ni,ni->n", path.k_hat[rows], rate), out=out[rows.start - start : rows.stop - start])
+    return out
 
 
 def motion_residual(path: FiberPath) -> np.ndarray:
@@ -346,13 +344,12 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     stencil order under grid refinement.  Expanding the double cross product,
     k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot): the residual is the
     radial part of the stencil derivative, taken without cancelling two
-    O(|k_dot|) vectors against each other.  ``k_dot`` is read one chunk at a
-    time (see ``_k_dot_chunks``).
+    O(|k_dot|) vectors against each other.  Any rows of it come from
+    ``_motion_residual_rows``, which reads ``k_dot`` one chunk at a time
+    (see ``_k_dot_chunks``); a scenario's results column reads it a chunk
+    of rows at a time, so it is never held whole.
     """
-    out = np.empty(path.n_samples)
-    for rows, _, rate in _k_dot_chunks(path):
-        np.abs(np.einsum("ni,ni->n", path.k_hat[rows], rate), out=out[rows])
-    return out
+    return _motion_residual_rows(path, 0, path.n_samples)
 
 
 def rotation_vectors(path: FiberPath) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +114,30 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _cone_angle(value, field):
+    """A helix cone half-angle in [0, pi], from a number or a 'NNN deg' string."""
+    cone = parse_angle(value, field)
+    if not 0.0 <= cone <= np.pi:
+        raise ScenarioError(f"{field}: cone angle must lie in [0, pi], got {cone!r}")
+    return cone
+
+
+def _n_steps(value, field):
+    """A helix step count: an integer of at least 64."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{field}: expected an integer, got {value!r}")
+    if value < 64:
+        raise ScenarioError(f"{field}: at least 64 steps required, got {value}")
+    return value
+
+
 def build_path(cfg, base_dir=".") -> geometry.FiberPath:
     section = _require(cfg, "path", dict)
     kind = section.get("type")
     if kind == "helix":
         _check_keys(section, ("type", "cone_angle", "omega", "k_mag", "n_cycles", "n_steps"), "path.")
-        if "cone_angle" not in section:
-            raise ScenarioError("missing required field 'path.cone_angle'")
-        cone = parse_angle(section["cone_angle"], "path.cone_angle")
-        n_steps = _require(section, "n_steps", int, "path.n_steps")
-        if n_steps < 64:
-            raise ScenarioError(f"path.n_steps: at least 64 steps required, got {n_steps}")
+        cone = _cone_angle(_require(section, "cone_angle", object, "path.cone_angle"), "path.cone_angle")
+        n_steps = _n_steps(_require(section, "n_steps", object, "path.n_steps"), "path.n_steps")
         try:
             return geometry.helix_path(
                 cone_angle=cone,
@@ -233,6 +247,25 @@ def _parse_common(cfg) -> Scenario:
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
+@dataclass(frozen=True)
+class _RowSource:
+    """A results column that is computed when read: rows [start, stop) are ``kernel(path, start, stop)``.
+
+    It stands where a column's series would be, so ``_values`` reads it
+    like an array, by a slice of rows.
+    """
+
+    kernel: Callable[[geometry.FiberPath, int, int], np.ndarray]
+    path: geometry.FiberPath
+
+    def __len__(self):
+        return self.path.n_samples
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.path.n_samples)
+        return self.kernel(self.path, start, stop)
+
+
 def compute_scenario(path, scenario: Scenario):
     """Run every pipeline stage on one path; returns one results.csv table per polarization.
 
@@ -247,25 +280,32 @@ def compute_scenario(path, scenario: Scenario):
     psi_{-s} = e^{i a} conj psi_s.  Its total, dynamical and geometric phases
     are the first's series with weight -1, and it shares the read-only drifts
     (<S> only flips sign) and flags, and repeats the warnings under its own
-    label.  Every other weight is 1.  The trajectory is freed before the
-    residuals are computed.
+    label.  Every other weight is 1.
+
+    The result holds only what its columns read.  ``evolve`` frees the
+    generator coefficients it builds; the trajectory's overlaps and
+    energies go once the phases are decomposed, and its norms and
+    helicities once the drifts are taken, before the angles and ``W`` are
+    built.  The two residual columns are ``_RowSource``s: their rows are
+    computed from the path's ``k_hat`` when a reader asks for them.
     """
-    angles = geometry.spherical_angles(path)
     first = scenario.polarizations[0]
     traj = evolution.evolve(path, first)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
         dec = evolution.phase_decomposition(traj, path)
-    hel = evolution.helicity_expectations(traj, path)
+    norms, hel = traj.norms, evolution.helicity_expectations(traj, path)
+    del traj
     shared = {
-        "norm_drift": (geometry._read_only(np.abs(traj.norms - 1.0)), 1.0),
+        "norm_drift": (geometry._read_only(np.abs(norms - 1.0)), 1.0),
         "helicity_drift": (geometry._read_only(np.abs(hel - hel[0])), 1.0),
         "flagged": (geometry._read_only(dec.flagged), 1.0),
     }
-    del traj, hel
+    del norms, hel
     phases = {f"phase_{kind}": geometry._read_only(getattr(dec, kind)) for kind in ("total", "dynamical", "geometric")}
+    del dec
 
-    inv = evolution.invariant_residual_series(path)
+    angles = geometry.spherical_angles(path)
     net = media.net_vacuum_phase(
         scenario.medium or FREE_SPACE, scenario.k0, angles, scenario.chamber_length, scenario.ordering
     )
@@ -279,8 +319,8 @@ def compute_scenario(path, scenario: Scenario):
         "phase_vacuum_L": (w, -z),
         "phase_vacuum_R": (w, +z),
         "phase_vacuum_net": (w, z * (net.plus_survives - net.minus_survives)),
-        "invariant_residual": (np.concatenate([[inv[0]], inv, [inv[-1]]]), 1.0),  # pad ends with nearest interior
-        "motion_residual": (geometry.motion_residual(path), 1.0),
+        "invariant_residual": (_RowSource(evolution._invariant_residual_rows, path), 1.0),
+        "motion_residual": (_RowSource(geometry._motion_residual_rows, path), 1.0),
     })
     tables = {}
     for pol in scenario.polarizations:
@@ -300,13 +340,35 @@ def compute_scenario(path, scenario: Scenario):
 
 
 def _values(pair, rows=slice(None)):
-    """Rows of the column ``series * weight + 0.0``; the + 0.0 turns -0.0 into 0.0 and nothing else."""
+    """Rows of the column ``series * weight + 0.0``; the + 0.0 turns -0.0 into 0.0 and nothing else.
+
+    This is the one way the column of a pair is read, by a slice of rows.
+    The writers go ``_WRITE_ROWS`` rows at a time, and the checks and
+    reductions ``_CHUNK_ROWS`` at a time (see ``_chunks``), so no reader
+    builds a full-length temporary.
+    """
     series, weight = pair
     return series[rows] * weight + 0.0
 
 
+def _chunks(pair):
+    """The column of ``pair``, ``geometry._CHUNK_ROWS`` rows at a time."""
+    for start in range(0, len(pair[0]), geometry._CHUNK_ROWS):
+        yield _values(pair, slice(start, start + geometry._CHUNK_ROWS))
+
+
 def _final(pair) -> float:
-    return float(_values(pair, -1))
+    return float(_values(pair, slice(-1, None))[0])
+
+
+def _count(pair) -> int:
+    """The number of nonzero rows of the column, counted a chunk at a time."""
+    return sum(int(np.count_nonzero(values)) for values in _chunks(pair))
+
+
+def _max(pair) -> float:
+    """The column's maximum, reduced a chunk at a time (NaN if any row is NaN, as ``np.max``)."""
+    return float(np.max([values.max() for values in _chunks(pair)]))
 
 
 def _fmt(x) -> str:
@@ -314,10 +376,12 @@ def _fmt(x) -> str:
 
 
 def _check_finite(result):
-    """Raise NumericalError on a non-finite value; each distinct series is checked once."""
-    distinct = {id(series): series for table in result["tables"].values() for series, _ in table.values()}
-    if not all(np.all(np.isfinite(series)) for series in distinct.values()):
-        raise NumericalError("non-finite value detected in results")
+    """Raise NumericalError on a non-finite value; each distinct column is read once, a chunk at a time."""
+    distinct = {(id(series), weight): (series, weight) for table in result["tables"].values()
+                for series, weight in table.values()}
+    for pair in distinct.values():
+        if not all(np.isfinite(values).all() for values in _chunks(pair)):
+            raise NumericalError("non-finite value detected in results")
 
 
 _WRITE_ROWS = 1024  # samples per writer chunk, whose columns are held as lists of Python floats
@@ -362,9 +426,9 @@ def summarize(result, path, scenario: Scenario):
     for pol, table in result["tables"].items():
         phases[f"{pol:+d}"] = {
             **{kind: _final(table[f"phase_{kind}"]) for kind in ("total", "dynamical", "geometric", "analytic")},
-            "flagged_samples": int(_values(table["flagged"]).sum()),
-            "max_norm_drift": float(_values(table["norm_drift"]).max()),
-            "max_helicity_drift": float(_values(table["helicity_drift"]).max()),
+            "flagged_samples": _count(table["flagged"]),
+            "max_norm_drift": _max(table["norm_drift"]),
+            "max_helicity_drift": _max(table["helicity_drift"]),
         }
     net = result["vacuum_net"]
     summary = {
@@ -389,8 +453,8 @@ def summarize(result, path, scenario: Scenario):
             "no_propagating_modes": bool(net.no_propagating_modes),
         },
         "diagnostics": {
-            "max_invariant_residual": float(_values(table["invariant_residual"]).max()),
-            "max_motion_residual": float(_values(table["motion_residual"]).max()),
+            "max_invariant_residual": _max(table["invariant_residual"]),
+            "max_motion_residual": _max(table["motion_residual"]),
         },
         "k0": scenario.k0,
         "chamber_length": scenario.chamber_length,
@@ -468,8 +532,19 @@ _SWEEPABLE = tuple(_UNREAD)
 
 
 def _require_helix_path(cfg, parameter):
-    if _require(cfg, "path", dict).get("type") != "helix":
+    """A cone_angle or n_steps sweep needs a helix; the swept field, if given, is checked as ``run`` does.
+
+    Every point replaces ``path.<parameter>`` with its own value, so the
+    field may be left out, but a value given there must still be valid.
+    """
+    section = _require(cfg, "path", dict)
+    if section.get("type") != "helix":
         raise ScenarioError(f"sweep.parameter '{parameter}' needs a helix path source")
+    if parameter in section:
+        _SWEPT_CHECKS[parameter](section[parameter], f"path.{parameter}")
+
+
+_SWEPT_CHECKS = {"cone_angle": _cone_angle, "n_steps": _n_steps}
 
 
 # Each sweep point is computed in its own call, which returns only the point's
@@ -481,7 +556,7 @@ def _with_path_value(cfg, key, value):
 
 
 def _cone_row(cfg, base_dir, value, scenario):
-    cone = parse_angle(value, "sweep.values")
+    cone = _cone_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
     result = compute_scenario(path, scenario)
     _check_finite(result)
@@ -490,7 +565,7 @@ def _cone_row(cfg, base_dir, value, scenario):
         suffix = _SIGMA_SUFFIX[pol]
         row[f"geometric_{suffix}"] = _final(table["phase_geometric"])
         row[f"analytic_{suffix}"] = _final(table["phase_analytic"])
-        row[f"flagged_{suffix}"] = int(_values(table["flagged"]).sum())
+        row[f"flagged_{suffix}"] = _count(table["flagged"])
     row["quantal"] = _final(table["phase_quantal"])
     row["vacuum_net"] = float(result["vacuum_net"].phase)
     return row
@@ -503,8 +578,7 @@ def _sweep_rows_cone(cfg, base_dir, values, scenario):
 
 
 def _steps_row(cfg, base_dir, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 64:
-        raise ScenarioError(f"sweep.values: n_steps entries must be integers >= 64, got {value!r}")
+    _n_steps(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
     return {
         "n_steps": value,

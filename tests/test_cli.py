@@ -257,7 +257,13 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
         # poison the column's series in the last table only, so every table is checked
         table = list(result["tables"].values())[-1]
         series, weight = table[column]
-        table[column] = (np.full_like(series, np.nan), weight)
+        if column in ("invariant_residual", "motion_residual"):
+            # a derived column: a source whose rows are all NaN
+            assert isinstance(series, scenario_mod._RowSource)
+            poison = scenario_mod._RowSource(lambda path, start, stop: np.full(stop - start, np.nan), series.path)
+        else:
+            poison = np.full_like(series, np.nan)
+        table[column] = (poison, weight)
         return result
 
     monkeypatch.setattr(scenario_mod, "compute_scenario", poisoned)
@@ -330,7 +336,7 @@ def _joined_outputs(result):
 
     def column(table, name):
         series, weight = table[name]
-        return series * weight + 0.0
+        return series[:] * weight + 0.0  # a slice reads a derived column's rows too
 
     lines = [",".join(RESULT_COLUMNS)]
     plots = {}
@@ -514,6 +520,46 @@ def test_sweep_overrides_the_swept_path_field(tmp_path, parameter):
         outputs.append({name: (out / name).read_bytes() for name in ("sweep.csv", "summary.json")})
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("parameter, value", [
+    ("cone_angle", "banana"),
+    ("cone_angle", -5.0),
+    ("cone_angle", 4.0),
+    ("cone_angle", True),
+    ("n_steps", "x"),
+    ("n_steps", 3),
+    ("n_steps", True),
+])
+def test_sweep_checks_the_swept_path_field(tmp_path, capsys, parameter, value):
+    # the field may be left out, but a value given there is checked as run checks it
+    out = tmp_path / "out"
+    values = [0.4] if parameter == "cone_angle" else [128]
+    cfg = sweep_cfg(helix_cfg(str(out)), parameter, values)
+    cfg["path"]["n_steps"] = 128
+    cfg["path"][parameter] = value
+    assert main(["sweep", write_config(tmp_path, "swept.json", cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"path.{parameter}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # run rejects the same value
+    run_cfg = helix_cfg(str(out))
+    run_cfg["path"]["n_steps"] = 128
+    run_cfg["path"][parameter] = value
+    assert main(["run", write_config(tmp_path, "run.json", run_cfg), "--quiet"]) == 2
+    assert f"path.{parameter}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parameter, value", [("cone_angle", 4.0), ("cone_angle", "banana"), ("n_steps", 3)])
+def test_sweep_point_value_errors_name_sweep_values(tmp_path, capsys, parameter, value):
+    out = tmp_path / "out"
+    cfg = sweep_cfg(helix_cfg(str(out)), parameter, [value])
+    cfg["path"]["n_steps"] = 128
+    assert main(["sweep", write_config(tmp_path, "point.json", cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.values" in err and "path." not in err
+    assert "Traceback" not in err
 
 
 def test_sweep_n_steps_convergence(tmp_path):

@@ -446,7 +446,6 @@ def test_cross_product_kernels_memory_budget():
     n_steps = 100_000
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
     traj = evolve(p, 1)
-    hamiltonian_coefficients(p)  # cached before tracing
     tracemalloc.start()
     try:
         invariant_residual_series(p, 2.0)

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberphase import evolution, fock, geometry, media
 from fiberphase.evolution import (
@@ -23,7 +25,17 @@ from fiberphase.evolution import (
 )
 from fiberphase.fock import Ordering
 from fiberphase.geometry import FiberPath, helix_path, load_path, solid_angle_series, spherical_angles
-from fiberphase.scenario import FREE_SPACE, RESULT_COLUMNS, Scenario, _values, compute_scenario, run_sweep
+from fiberphase.scenario import (
+    FREE_SPACE,
+    RESULT_COLUMNS,
+    NumericalError,
+    Scenario,
+    _check_finite,
+    _RowSource,
+    _values,
+    compute_scenario,
+    run_sweep,
+)
 
 GYROTROPIC = media.GyrotropicMedium(eps1=2.0, eps2=3.0, mu1=2.0, mu2=1.0)  # left mode evanescent
 
@@ -163,13 +175,16 @@ def test_cached_series_are_shared_and_read_only():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     angles = spherical_angles(path)
     traj = evolve(path, +1)
-    assert hamiltonian_coefficients(path) is path.h
+    # h is not cached: a new read-only array per call, bitwise the whole-array form
+    h = hamiltonian_coefficients(path)
+    _assert_bitwise(h, np.cross(path.k_vectors(), geometry.k_dot(path)) / path.k_mag**2, "h")
+    assert hamiltonian_coefficients(path) is not h
     assert solid_angle_series(angles) is angles.solid_angle
     helicity_expectations(traj, path)
     spin_vectors = traj.spin_vectors
     phase_decomposition(traj, path)
     assert traj.spin_vectors is spin_vectors
-    for series in (path.h, angles.solid_angle, traj.spin_vectors):
+    for series in (h, angles.solid_angle, traj.spin_vectors):
         with pytest.raises(ValueError, match="read-only"):
             series[1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -177,6 +192,10 @@ def test_cached_series_are_shared_and_read_only():
     # derived series are new, writable arrays
     assert analytic_noncyclic_phase(angles, -1).flags.writeable
     assert fock.vacuum_phase(+1, angles).flags.writeable
+    # the path holds no h, or anything else derived, after a scenario
+    compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    assert not hasattr(path, "h")
+    assert sorted(vars(path)) == ["k_hat", "k_mag", "times"]
 
 
 def test_k_dot_computed_at_most_twice_per_scenario(monkeypatch):
@@ -227,6 +246,25 @@ def test_result_holds_one_W_and_no_derived_columns():
         tracemalloc.stop()
     assert held / n_steps <= 120  # bytes per step
     assert len(result["tables"]) == 2
+
+
+def test_compute_scenario_holds_only_what_its_outputs_read():
+    # h freed inside evolve, the trajectory dropped before the angles and the
+    # residual columns computed when read: 133 B/step peak and 105 held before
+    n_steps = 100_000
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
+    tracemalloc.start()
+    try:
+        result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n_steps < 90, peak / n_steps  # bytes per step
+    assert held / n_steps < 75, held / n_steps
+    for name, kernel in (("invariant_residual", evolution._invariant_residual_rows),
+                         ("motion_residual", geometry._motion_residual_rows)):
+        source = result["tables"][1][name][0]
+        assert isinstance(source, _RowSource) and source.kernel is kernel and source.path is path
 
 
 def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
@@ -302,3 +340,72 @@ def test_one_propagation_per_scenario(monkeypatch, pols):
     assert list(result["tables"]) == list(pols)
     assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
     assert counted["evolve"][0][1] == pols[0]
+
+
+# ------------------------------------------- residual columns computed when read
+
+def _padded_whole_array_residuals(path, scale=1.0):
+    """The invariant and motion residuals from whole-array numpy, the first padded to n: the oracle."""
+    kh, rate = path.k_hat, geometry.k_dot(path)
+    h = np.cross(path.k_vectors(), rate) / path.k_mag**2
+    vec = (kh[2:] - kh[:-2]) / (2.0 * path.dt)
+    vec += np.cross(kh[1:-1], scale * h[1:-1])
+    inv = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
+    return np.concatenate([[inv[0]], inv, [inv[-1]]]), np.abs(np.einsum("ni,ni->n", kh, rate))
+
+
+@st.composite
+def _residual_paths(draw):
+    """Helices and smooth random walks on the sphere of 3 to 300 samples."""
+    n = draw(st.integers(3, 300))
+    k_mag = draw(st.sampled_from([1.0, 2.5]))
+    t = 0.1 * np.arange(n)
+    if draw(st.booleans()):
+        cone, omega = draw(st.floats(0.0, np.pi)), draw(st.sampled_from([1.0, -2.0]))
+        polar, azimuth = np.full(n, cone), omega * t
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        polar = 0.4 + np.cumsum(rng.uniform(-0.08, 0.08, n))
+        azimuth = np.cumsum(rng.uniform(-0.05, 0.3, n))
+    kh = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+    return FiberPath(times=t, k_hat=kh, k_mag=k_mag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=_residual_paths(), chunk=st.integers(1, 9), scale=st.sampled_from([1.0, 2.0]), data=st.data())
+def test_residual_sources_match_padded_whole_array_forms(path, chunk, scale, data):
+    n = path.n_samples
+    start = data.draw(st.integers(0, n), "start")
+    stop = data.draw(st.integers(start, n), "stop")
+    invariant, motion = _padded_whole_array_residuals(path)
+    scaled = _padded_whole_array_residuals(path, scale)[0]
+    sources = {"invariant": (_RowSource(evolution._invariant_residual_rows, path), invariant),
+               "motion": (_RowSource(geometry._motion_residual_rows, path), motion)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        # every row range, the whole column, single rows at both ends and the drawn one
+        for rows in (slice(start, stop), slice(0, n), slice(0, 1), slice(n - 1, n), slice(n, n), slice(-1, None)):
+            for name, (source, want) in sources.items():
+                _assert_bitwise(source[rows], want[rows], f"{name} {rows}")
+            _assert_bitwise(evolution._invariant_residual_rows(path, *rows.indices(n)[:2], scale), scaled[rows],
+                            f"scaled {rows}")
+        assert len(sources["invariant"][0]) == n
+        _assert_bitwise(invariant_residual_series(path, scale), scaled[1:-1], "invariant_residual_series")
+        _assert_bitwise(geometry.motion_residual(path), motion, "motion_residual")
+
+
+def test_check_finite_reads_every_row_of_a_derived_column(monkeypatch):
+    # one NaN in the last row of the last chunk of a column that is computed when read
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
+    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 7)
+    _check_finite(result)
+
+    def last_row_nan(path, start, stop):
+        values = geometry._motion_residual_rows(path, start, stop)
+        values[np.arange(start, stop) == path.n_samples - 1] = np.nan
+        return values
+
+    result["tables"][-1]["motion_residual"] = (_RowSource(last_row_nan, path), 1.0)
+    with pytest.raises(NumericalError):
+        _check_finite(result)

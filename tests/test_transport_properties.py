@@ -66,7 +66,7 @@ def _whole_array_observables(path, states):
     ref = states[0].conj()
     overlaps = states[:, 0] * ref[0] + states[:, 1] * ref[1] + states[:, 2] * ref[2]
     spin = evolution._spin_vectors(states)
-    energy = np.einsum("ni,ni->n", path.h, spin)
+    energy = np.einsum("ni,ni->n", evolution.hamiltonian_coefficients(path), spin)
     helicity = np.einsum("ni,ni->n", path.k_hat, spin)
     return overlaps, energy, helicity, np.linalg.norm(states, axis=1), spin
 
