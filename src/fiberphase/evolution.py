@@ -411,34 +411,17 @@ def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray
 def _unwrapped_angle(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
     """``np.unwrap(np.angle(values[~flagged]))`` at the unflagged samples' own places.
 
-    The flagged places are left unset.  It goes ``_CHUNK_ROWS`` samples at
-    a time: each block takes the angles of its unflagged samples
-    (``np.angle`` is this arctan2) and np.unwrap's branch corrections
-    (``geometry._unwrap_corrections``) of the steps that end at them, the
-    first from the raw angle carried over from the block before.  The
-    running total of the corrections enters the block's first correction,
-    where np.unwrap's cumsum adds it, so the result is bitwise the
+    The flagged places are left unset.  Each block of ``_CHUNK_ROWS``
+    samples hands the angles of its unflagged samples (``np.angle`` is this
+    arctan2) to one ``geometry._Unwrap``, so the result is bitwise the
     whole-array one.
     """
     out = np.empty(len(values))
-    prev = None  # raw angle of the last unflagged sample before the block
-    total = None  # running total of the corrections
+    unwrap = geometry._Unwrap()
     for start in range(0, len(values), geometry._CHUNK_ROWS):
-        kept = np.flatnonzero(~flagged[start : start + geometry._CHUNK_ROWS])
-        if not len(kept):
-            continue
-        kept += start
+        kept = np.flatnonzero(~flagged[start : start + geometry._CHUNK_ROWS]) + start
         chunk = values[kept]
-        raw = np.arctan2(chunk.imag, chunk.real)
-        corrections = geometry._unwrap_corrections(np.diff(raw) if prev is None else np.diff(raw, prepend=prev))
-        prev = raw[-1]
-        if len(corrections):
-            if total is not None:
-                corrections[0] += total
-            np.cumsum(corrections, out=corrections)
-            total = corrections[-1]
-            raw[len(raw) - len(corrections) :] += corrections
-        out[kept] = raw
+        out[kept] = unwrap(np.arctan2(chunk.imag, chunk.real))
     return out
 
 
@@ -531,8 +514,8 @@ def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):
     """Closed-form transport phase series  sigma * Int_0^t azimuth_rate (1 - cos polar) dt'.
 
     Reduces to sigma * 2 pi (1 - cos c) per full cycle of a cone of
-    half-angle c.
+    half-angle c.  Adding 0.0 writes no sample as -0.0.
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    return polarization * solid_angle_series(angles)
+    return polarization * solid_angle_series(angles) + 0.0

@@ -110,11 +110,12 @@ def quantal_geometric_phase(n_left, n_right, angles: SphericalAngles):
     """Occupation-difference phase series (n_right - n_left) * W(t).
 
     W is the cumulative swept solid angle of the trajectory; the zero-point
-    halves cancel in this difference, so ordering does not enter.
+    halves cancel in this difference, so ordering does not enter.  Adding
+    0.0 writes no sample as -0.0.
     """
     n_left = _check_occupation(n_left, "n_left")
     n_right = _check_occupation(n_right, "n_right")
-    return (n_right - n_left) * solid_angle_series(angles)
+    return (n_right - n_left) * solid_angle_series(angles) + 0.0
 
 
 def vacuum_phase(polarization, angles: SphericalAngles, ordering=Ordering.SYMMETRIC):

@@ -146,11 +146,9 @@ class SphericalAngles:
         """Cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`.
 
         Built ``_CHUNK_ROWS`` samples at a time: each block takes the
-        azimuth rate over a window one sample wider on each side (so
-        ``derivative_uniform``'s one-sided stencils only land on the ends of
-        the path), and the running total enters the block's first trapezoid
-        term, which is where a whole-array cumsum adds it.  The result is
-        bitwise that of the whole-array form.
+        azimuth rate over its ``_halo`` window, and the running total enters
+        the block's first trapezoid term, which is where a whole-array cumsum
+        adds it.  The result is bitwise that of the whole-array form.
         """
         dt = float(self.times[1] - self.times[0])
         n = len(self.polar)
@@ -158,8 +156,8 @@ class SphericalAngles:
         out[0] = 0.0
         for start in range(1, n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)
-            lo = max(start - 2, 0)  # the integrand is needed at samples start-1 .. stop-1
-            rate = derivative_uniform(self.azimuth[lo : min(stop + 1, n)], dt)[start - 1 - lo : stop - lo]
+            lo, hi = _halo(start - 1, stop, n)  # the integrand is needed at samples start-1 .. stop-1
+            rate = derivative_uniform(self.azimuth[lo:hi], dt)[start - 1 - lo : stop - lo]
             integrand = rate * (1.0 - np.cos(self.polar[start - 1 : stop]))
             terms = (integrand[1:] + integrand[:-1]) * (0.5 * dt)
             if start > 1:
@@ -191,57 +189,66 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     return FiberPath(times=t, k_hat=kh, k_mag=float(k_mag))
 
 
-def _unwrap_corrections(dd: np.ndarray) -> np.ndarray:
-    """``np.unwrap``'s branch corrections (period 2 pi) of the steps ``dd``, as numpy computes them."""
-    low, high = -np.pi, np.pi
-    correction = np.mod(dd - low, 2 * np.pi) + low
-    np.copyto(correction, high, where=(correction == low) & (dd > 0))
-    correction -= dd
-    np.copyto(correction, 0, where=np.abs(dd) < np.pi)
-    return correction
+class _Unwrap:
+    """``np.unwrap`` (period 2 pi) of a sequence handed over in consecutive pieces.
 
-
-def _unwrap_in_place(q: np.ndarray) -> None:
-    """Replace the raw azimuths ``q`` by their branches, ``_CHUNK_ROWS`` samples at a time.
-
-    The whole-array form is ``prior = [0, np.unwrap(q[:-1])]`` and then
-    ``q + 2 pi round((prior - q) / 2 pi)``: np.unwrap picks the branches, and
-    rounding once more against the previous unwrapped sample rebuilds the
-    sequential rule azimuth_i = q_i + 2 pi round((azimuth_{i-1} - q_i) / 2 pi)
-    from 0, bit for bit (only a step within rounding of pi could round
-    differently).  Each block recomputes np.unwrap's corrections from the two
-    raw values before it, which it carries because ``q`` is overwritten, and
-    the running total of the corrections enters the block's first
-    correction, which is where np.unwrap's cumsum adds it; so the result is
-    bitwise the whole-array one.
+    Each call unwraps the next piece in place and returns it.  Between
+    pieces it carries the last raw value, from which the next piece's first
+    step is taken, and the running total of np.unwrap's branch corrections,
+    which enters the piece's first correction before the cumsum, where
+    np.unwrap's own cumsum adds it (adding it afterwards changes the last
+    bits, and so the branch of a later step of exactly pi).  The pieces are
+    thus bitwise the matching slices of np.unwrap of the whole sequence.
     """
-    head = np.empty(0)  # raw values of the (up to) two samples before the block
-    total = None  # running total of the corrections
-    for start in range(0, len(q), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, len(q))
-        raw = np.concatenate([head, q[start:stop]])  # raw[j] is q[a + j], a = start - len(head)
-        # corrections of the steps of q[:-1] that end at samples start-1 .. stop-2
-        corrections = _unwrap_corrections(np.diff(raw[:-1]))
-        if len(corrections):
-            if total is not None:
-                corrections[0] += total
-            np.cumsum(corrections, out=corrections)
-            total = corrections[-1]
-        # prior[i - start] is np.unwrap(q[:-1])[i - 1]: 0 for i = 0, q[0] for
-        # i = 1, and from i = 2 on q[i-1] plus the corrections up to it
-        a = start - len(head)
-        prior = np.empty(stop - start)
-        first = min(max(start, 2), stop)
-        prior[: first - start] = [0.0, raw[0]][start:first]
-        np.add(raw[first - 1 - a : -1], corrections[: stop - first], out=prior[first - start :])
-        current = raw[start - a :]
-        prior -= current
-        prior /= 2.0 * np.pi
-        np.round(prior, out=prior)
-        prior *= 2.0 * np.pi
-        prior += current
-        q[start:stop] = prior
-        head = raw[-2:].copy()
+
+    def __init__(self):
+        self.last = None  # raw value of the last sample before the piece
+        self.total = 0.0  # running total of the corrections (none is -0.0, so adding 0.0 first changes no bit)
+
+    def __call__(self, piece: np.ndarray) -> np.ndarray:
+        dd = np.diff(piece) if self.last is None else np.diff(piece, prepend=self.last)
+        self.last = piece[-1] if len(piece) else self.last
+        if len(dd):
+            correction = np.mod(dd + np.pi, 2 * np.pi) - np.pi  # np.unwrap's corrections, with its float operations
+            np.copyto(correction, np.pi, where=(correction == -np.pi) & (dd > 0))
+            correction -= dd
+            np.copyto(correction, 0, where=np.abs(dd) < np.pi)
+            correction[0] += self.total
+            np.cumsum(correction, out=correction)
+            self.total = correction[-1]
+            piece[len(piece) - len(correction) :] += correction
+        return piece
+
+
+def _azimuth_in_place(raw: np.ndarray, off_pole: np.ndarray) -> None:
+    """Replace the raw azimuths ``raw`` by the azimuth, in one pass of ``_CHUNK_ROWS`` samples.
+
+    Over the off-pole raw azimuths ``q`` the whole-array form is ``q + 2 pi
+    round((prior - q) / 2 pi)`` with ``prior = [0, np.unwrap(q[:-1])]``:
+    np.unwrap picks the branches, and rounding once more against the
+    previous unwrapped sample rebuilds the sequential rule azimuth_i = q_i +
+    2 pi round((azimuth_{i-1} - q_i) / 2 pi) from 0, bit for bit (only a
+    step within rounding of pi could round differently).  Each block
+    unwraps its off-pole values with one ``_Unwrap``, rounds them so, and
+    fills its pole samples with the last azimuth up to them (0 before any).
+    """
+    unwrap = _Unwrap()
+    prior = last = 0.0  # np.unwrap's value at the last off-pole sample before the block, and the last azimuth
+    for start in range(0, len(raw), _CHUNK_ROWS):
+        block, flags = raw[start : start + _CHUNK_ROWS], off_pole[start : start + _CHUNK_ROWS]
+        q = block[flags]
+        azimuth = np.concatenate([[prior], unwrap(q.copy())])
+        prior = azimuth[-1]
+        azimuth = azimuth[:-1]  # each sample's prior, which becomes its azimuth in place
+        azimuth -= q
+        azimuth /= 2.0 * np.pi
+        np.round(azimuth, out=azimuth)
+        azimuth *= 2.0 * np.pi
+        azimuth += q
+        if len(q) < len(block):
+            azimuth = np.concatenate([[last], azimuth])[np.cumsum(flags)]
+        block[:] = azimuth
+        last = block[-1]
 
 
 def spherical_angles(path: FiberPath) -> SphericalAngles:
@@ -250,13 +257,9 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     At samples where the direction is (anti)parallel to z within
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
-    is taken, so steps stay below pi.  The raw azimuth buffer is unwrapped
-    in place, one chunk at a time (see ``_unwrap_in_place``), and becomes the
-    azimuth; beyond the two outputs a path that never meets a pole adds one
-    bool per sample and one chunk of temporaries, and skips the pole fill,
-    which would be the identity.  A path that meets one unwraps its off-pole
-    azimuths gathered at the front of the buffer and spreads them back over
-    the pole samples, ``_CHUNK_ROWS`` samples at a time from the end.
+    is taken, so steps stay below pi.  The raw azimuth buffer becomes the
+    azimuth in place (see ``_azimuth_in_place``); beyond the two outputs
+    this holds one bool per sample and one chunk of temporaries.
     """
     kh = path.k_hat
     polar = np.clip(kh[:, 2], -1.0, 1.0)
@@ -264,27 +267,7 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     raw = np.hypot(kh[:, 0], kh[:, 1])  # sin(polar) first, then the raw azimuth
     off_pole = raw >= POLE_SIN_TOL
     np.arctan2(kh[:, 1], kh[:, 0], out=raw)
-    if off_pole.all():
-        _unwrap_in_place(raw)
-        return SphericalAngles(times=path.times, polar=polar, azimuth=raw)
-    # gather the off-pole azimuths at the front of the buffer (a block never
-    # writes past its own start) and unwrap them there; then, from the last
-    # block back, sample i takes the last off-pole value up to it, or 0 before
-    # any, which the blocks still to go have not overwritten
-    count = 0
-    for start in range(0, len(raw), _CHUNK_ROWS):
-        block = raw[start : start + _CHUNK_ROWS][off_pole[start : start + _CHUNK_ROWS]]
-        raw[count : count + len(block)] = block
-        count += len(block)
-    _unwrap_in_place(raw[:count])
-    for start in reversed(range(0, len(raw), _CHUNK_ROWS)):
-        flags = off_pole[start : start + _CHUNK_ROWS]
-        last = np.cumsum(flags)
-        count -= last[-1]
-        last += count - 1
-        filled = raw[np.maximum(last, 0)]
-        filled[last < 0] = 0.0
-        raw[start : start + _CHUNK_ROWS] = filled
+    _azimuth_in_place(raw, off_pole)
     return SphericalAngles(times=path.times, polar=polar, azimuth=raw)
 
 
@@ -309,20 +292,28 @@ def k_dot(path: FiberPath) -> np.ndarray:
     return derivative_uniform(path.k_vectors(), path.dt)
 
 
+def _halo(start: int, stop: int, n: int) -> tuple[int, int]:
+    """Bounds [lo, hi) of the window that differentiates rows [start, stop) of an n-sample series.
+
+    The window reaches one sample past each side of the rows (and holds at
+    least 3 samples), so ``derivative_uniform``'s one-sided stencils only
+    land on the ends of the series, and every row is bitwise the
+    whole-array one.
+    """
+    hi = min(max(stop + 1, 3), n)
+    return max(min(start - 1, hi - 3), 0), hi
+
+
 def _k_dot_chunks(path: FiberPath, start: int = 0, stop: int | None = None):
     """Rows [start, stop) of ``k_dot(path)``, ``_CHUNK_ROWS`` at a time: yields (rows, k, k_dot) per slice.
 
-    Each chunk is differentiated over a window one sample wider on each side
-    (at least 3 samples), so ``derivative_uniform``'s one-sided stencils only
-    land on the ends of the path, and every row is bitwise the whole-array
-    one.
+    Each chunk is differentiated over its ``_halo`` window.
     """
     n = path.n_samples
     stop = n if stop is None else stop
     for lo_row in range(start, stop, _CHUNK_ROWS):
         hi_row = min(lo_row + _CHUNK_ROWS, stop)
-        hi = min(max(hi_row + 1, 3), n)
-        lo = max(min(lo_row - 1, hi - 3), 0)
+        lo, hi = _halo(lo_row, hi_row, n)
         k = path.k_mag * path.k_hat[lo:hi]
         rows = slice(lo_row - lo, hi_row - lo)
         yield slice(lo_row, hi_row), k[rows], derivative_uniform(k, path.dt)[rows]

@@ -4,7 +4,8 @@ With the chunk size made small, random short paths carry random defects
 (off-grid times, non-unit samples, coarse steps) at random rows, so chunk
 edges, the one-row overlap of the step check and the last row are all hit.
 The chunked azimuth unwrap and solid angle are compared bit for bit with
-np.unwrap and one cumsum, and the block parse of ``load_path`` with a
+np.unwrap and one cumsum, the shared unwrap kernel on random pieces with
+np.unwrap of the whole sequence, and the block parse of ``load_path`` with a
 per-line ``float`` parse, on random tokens.
 """
 from array import array
@@ -268,5 +269,32 @@ def test_chunked_unwrap_matches_whole_array_on_raw_azimuths(raw, chunk):
     want = _whole_array_unwrap(q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        geometry._unwrap_in_place(q)
+        geometry._azimuth_in_place(q, np.ones(len(q), dtype=bool))
     assert q.tobytes() == want.tobytes()
+
+
+# values whose differences include steps of exactly +-pi (0 and +-pi, +-pi/2),
+# steps within an ulp of pi and steps of several turns
+UNWRAP_VALUES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+        np.nextafter(0.5 * np.pi, 4.0), 3.0 * np.pi, 2.0, np.pi - 2.0,
+    ]),
+    st.floats(min_value=-20.0, max_value=20.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(UNWRAP_VALUES, max_size=60), cuts=st.lists(st.integers(0, 60), max_size=8))
+@example(values=WINDING_THEN_HALF_TURN, cuts=[0, 0, 1, 2, 2, 17, 18, 33])
+def test_unwrap_kernel_pieces_match_np_unwrap_of_the_whole(values, cuts):
+    # the cuts split the sequence into consecutive pieces, empty ones (a
+    # repeated cut) and one-sample ones among them
+    seq = np.array(values, dtype=float)
+    cuts = sorted(min(cut, len(seq)) for cut in cuts)
+    want = np.unwrap(seq)
+    unwrap = geometry._Unwrap()
+    for lo, hi in zip([0, *cuts], [*cuts, len(seq)]):
+        piece = seq[lo:hi].copy()
+        assert unwrap(piece) is piece
+        assert piece.tobytes() == want[lo:hi].tobytes(), (lo, hi)

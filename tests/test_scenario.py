@@ -147,6 +147,22 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         assert all(_values(got["tables"][pol]["flagged"]).any() for pol in pols)
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_library_phases_equal_their_columns_bitwise(tmp_path, case):
+    # the library functions write 0.0, never -0.0, as the columns do: with
+    # sigma = -1, with n_L == n_R and on clockwise paths W * 0 and -W are -0.0
+    make, nl, nr, medium, k0, chamber, ordering = CASES[case]
+    path = make(tmp_path)
+    tables = compute_scenario(path, Scenario((1, -1), nl, nr, ordering, medium, k0, chamber))["tables"]
+    angles = _angles(path)
+    for pol in (1, -1):
+        table = tables[pol]
+        _assert_bitwise(analytic_noncyclic_phase(angles, pol), _values(table["phase_analytic"]), f"{pol} analytic")
+        _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), _values(table["phase_quantal"]), "quantal")
+        _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), _values(table["phase_vacuum_L"]), "vacuum L")
+        _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), _values(table["phase_vacuum_R"]), "vacuum R")
+
+
 def test_result_tables_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
