@@ -15,6 +15,7 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -249,21 +250,21 @@ FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 @dataclass(frozen=True)
 class _RowSource:
-    """A results column that is computed when read: rows [start, stop) are ``kernel(path, start, stop)``.
+    """A results column that is computed when read: its rows [start, stop) are ``rows(start, stop)``.
 
-    It stands where a column's series would be, so ``_values`` reads it
-    like an array, by a slice of rows.
+    It stands where a column's series of ``length`` rows would be, so
+    ``_values`` reads it like an array, by a slice of rows.
     """
 
-    kernel: Callable[[geometry.FiberPath, int, int], np.ndarray]
-    path: geometry.FiberPath
+    rows: Callable[[int, int], np.ndarray]
+    length: int
 
     def __len__(self):
-        return self.path.n_samples
+        return self.length
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.path.n_samples)
-        return self.kernel(self.path, start, stop)
+    def __getitem__(self, index: slice) -> np.ndarray:
+        start, stop, _ = index.indices(self.length)
+        return self.rows(start, stop)
 
 
 def compute_scenario(path, scenario: Scenario):
@@ -282,12 +283,13 @@ def compute_scenario(path, scenario: Scenario):
     (<S> only flips sign) and flags, and repeats the warnings under its own
     label.  Every other weight is 1.
 
-    The result holds only what its columns read.  ``evolve`` frees the
-    generator coefficients it builds; the trajectory's overlaps and
-    energies go once the phases are decomposed, and its norms and
-    helicities once the drifts are taken, before the angles and ``W`` are
-    built.  The two residual columns are ``_RowSource``s: their rows are
-    computed from the path's ``k_hat`` when a reader asks for them.
+    The result holds only what its columns read.  ``evolve`` holds the
+    generator coefficients of one slab of its scan at a time; the
+    trajectory's overlaps and energies go once the phases are decomposed,
+    and its norms and helicities once the drifts are taken, before the
+    angles and ``W`` are built.  Three columns are ``_RowSource``s, whose
+    rows are computed when a reader asks for them: the two residuals, from
+    the path's ``k_hat``, and the geometric phase, as total - dynamical.
     """
     first = scenario.polarizations[0]
     traj = evolution.evolve(path, first)
@@ -302,7 +304,12 @@ def compute_scenario(path, scenario: Scenario):
         "flagged": (geometry._read_only(dec.flagged), 1.0),
     }
     del norms, hel
-    phases = {f"phase_{kind}": geometry._read_only(getattr(dec, kind)) for kind in ("total", "dynamical", "geometric")}
+    total, dynamical = geometry._read_only(dec.total), geometry._read_only(dec.dynamical)
+    phases = {
+        "phase_total": total,
+        "phase_dynamical": dynamical,
+        "phase_geometric": _RowSource(lambda start, stop: total[start:stop] - dynamical[start:stop], len(total)),
+    }
     del dec
 
     angles = geometry.spherical_angles(path)
@@ -319,8 +326,8 @@ def compute_scenario(path, scenario: Scenario):
         "phase_vacuum_L": (w, -z),
         "phase_vacuum_R": (w, +z),
         "phase_vacuum_net": (w, z * (net.plus_survives - net.minus_survives)),
-        "invariant_residual": (_RowSource(evolution._invariant_residual_rows, path), 1.0),
-        "motion_residual": (_RowSource(geometry._motion_residual_rows, path), 1.0),
+        "invariant_residual": (_RowSource(partial(evolution._invariant_residual_rows, path), path.n_samples), 1.0),
+        "motion_residual": (_RowSource(partial(geometry._motion_residual_rows, path), path.n_samples), 1.0),
     })
     tables = {}
     for pol in scenario.polarizations:

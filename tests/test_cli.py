@@ -257,10 +257,10 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
         # poison the column's series in the last table only, so every table is checked
         table = list(result["tables"].values())[-1]
         series, weight = table[column]
-        if column in ("invariant_residual", "motion_residual"):
-            # a derived column: a source whose rows are all NaN
+        if column in ("phase_geometric", "invariant_residual", "motion_residual"):
+            # a column computed when read: a source whose rows are all NaN
             assert isinstance(series, scenario_mod._RowSource)
-            poison = scenario_mod._RowSource(lambda path, start, stop: np.full(stop - start, np.nan), series.path)
+            poison = scenario_mod._RowSource(lambda start, stop: np.full(stop - start, np.nan), len(series))
         else:
             poison = np.full_like(series, np.nan)
         table[column] = (poison, weight)

@@ -8,6 +8,7 @@ import json
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -280,7 +281,34 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
     for name, kernel in (("invariant_residual", evolution._invariant_residual_rows),
                          ("motion_residual", geometry._motion_residual_rows)):
         source = result["tables"][1][name][0]
-        assert isinstance(source, _RowSource) and source.kernel is kernel and source.path is path
+        assert isinstance(source, _RowSource) and source.rows.func is kernel and source.rows.args[0] is path
+        assert len(source) == path.n_samples
+
+
+def test_stage_peaks_stay_near_the_held_result():
+    # evolve builds each slab's h from k_hat, phase_geometric is computed on
+    # read and the k_dot kernels go in quarter chunks; with a whole-array h,
+    # a stored geometric series and full k_dot chunks these were 76, 76, 65
+    # and 89 B/step
+    n_steps = 100_000
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
+    tracemalloc.start()
+    try:
+        traj = evolve(path, 1)
+        evolved = tracemalloc.get_traced_memory()[1] / n_steps
+        del traj
+        tracemalloc.reset_peak()
+        result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        held, peak = (value / n_steps for value in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        _check_finite(result)
+        checked = tracemalloc.get_traced_memory()[1] / n_steps
+    finally:
+        tracemalloc.stop()
+    assert evolved < 62, evolved  # bytes per step
+    assert peak < 70, peak
+    assert held < 60, held
+    assert checked < 74, checked
 
 
 def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
@@ -319,10 +347,15 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
     # the phases, drifts and flags are one read-only series shared by both polarizations
-    for name in ("phase_total", "phase_dynamical", "phase_geometric", "norm_drift", "helicity_drift", "flagged"):
+    for name in ("phase_total", "phase_dynamical", "norm_drift", "helicity_drift", "flagged"):
         series = got["tables"][-first][name][0]
         assert series is got["tables"][first][name][0]
         assert not series.flags.writeable
+    # and the geometric phase one source, read as total - dynamical of those series
+    source = got["tables"][-first]["phase_geometric"][0]
+    assert isinstance(source, _RowSource) and source is got["tables"][first]["phase_geometric"][0]
+    total, dynamical = (got["tables"][first][f"phase_{kind}"][0] for kind in ("total", "dynamical"))
+    assert source[:].tobytes() == (total - dynamical).tobytes()
 
 
 def _count_calls(monkeypatch, original):
@@ -395,8 +428,8 @@ def test_residual_sources_match_padded_whole_array_forms(path, chunk, scale, dat
     stop = data.draw(st.integers(start, n), "stop")
     invariant, motion = _padded_whole_array_residuals(path)
     scaled = _padded_whole_array_residuals(path, scale)[0]
-    sources = {"invariant": (_RowSource(evolution._invariant_residual_rows, path), invariant),
-               "motion": (_RowSource(geometry._motion_residual_rows, path), motion)}
+    sources = {"invariant": (_RowSource(partial(evolution._invariant_residual_rows, path), n), invariant),
+               "motion": (_RowSource(partial(geometry._motion_residual_rows, path), n), motion)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         # every row range, the whole column, single rows at both ends and the drawn one
@@ -422,6 +455,6 @@ def test_check_finite_reads_every_row_of_a_derived_column(monkeypatch):
         values[np.arange(start, stop) == path.n_samples - 1] = np.nan
         return values
 
-    result["tables"][-1]["motion_residual"] = (_RowSource(last_row_nan, path), 1.0)
+    result["tables"][-1]["motion_residual"] = (_RowSource(partial(last_row_nan, path), path.n_samples), 1.0)
     with pytest.raises(NumericalError):
         _check_finite(result)

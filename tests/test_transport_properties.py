@@ -1,8 +1,9 @@
 """Property tests: the transport layer reduced column by column equals its whole-array forms.
 
 ``evolve`` reduces each slab of the scan's columns to four observables and
-never holds the (n, 3) states; ``SpinorTrajectory.states`` runs the same scan
-again and stores them.  With the chunk and slab sizes made small, random
+never holds the (n, 3) states or generator coefficients: each slab builds its
+own rows of h from k_hat.  ``SpinorTrajectory.states`` runs the same scan
+again and stores the states.  With the chunk and slab sizes made small, random
 short paths (some passing orthogonal to their start state, so samples get
 flagged) must give bit for bit the series that whole-array numpy computes
 from the stored states.
@@ -162,3 +163,85 @@ def test_chunked_unwrap_and_interpolation_match_whole_array(samples, radii, chun
     if good.any():
         idx = np.arange(len(values))
         assert _same_bits(got, np.interp(idx, idx[good], unwrapped))
+
+
+# helices (the constant path at cone 0 included) and smooth random walks, 3 .. 400 samples
+SLAB_PATHS = st.one_of(
+    st.builds(lambda n, cone, omega: geometry.helix_path(cone, omega, 1.5, (n - 1) / 32, n - 1),
+              st.integers(3, 400), st.sampled_from([0.0, 0.4, np.pi / 3, np.pi / 2, 2.8]), st.sampled_from([1.0, -2.0])),
+    st.builds(_random_path, st.integers(3, 400), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.5])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=SLAB_PATHS, slab=st.integers(1, 5))
+def test_scan_builds_and_hands_over_the_whole_array_generator_rows(path, slab):
+    h = evolution.hamiltonian_coefficients(path)
+    n = path.n_samples
+    original = evolution._slab_generator
+    built, handed = [], []
+
+    def recording(path, size, j0, width):
+        rows = original(path, size, j0, width)
+        built.append((np.arange(0, len(rows) * size, size)[:, None] + np.arange(j0, j0 + width + 1), rows))
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_SLAB", slab)
+        mp.setattr(evolution, "_slab_generator", recording)
+        evolution._scan(path, evolution._start(path, +1), lambda rows, cart, h_rows: handed.append((rows, h_rows.copy())))
+    covered = set()
+    for samples, rows in built:
+        real = samples < n
+        assert _same_bits(rows[real], h[samples[real]])
+        assert not rows[~real].any()  # past the path's end
+        covered.update(samples[real].tolist())
+    assert {0, n - 1} <= covered
+    rows = np.concatenate([rows for rows, _ in handed])
+    assert _same_bits(np.sort(rows), np.arange(n))  # every sample handed over once
+    for rows, h_rows in handed:
+        assert _same_bits(h_rows, h[rows])
+
+
+def _whole_array_slab_steps(h):
+    """``_slab_steps`` reading strided views of the whole-array ``h``, as the scan did before it built slab rows."""
+
+    def slab_steps(path, size, j0, width):
+        n_steps = len(h) - 1
+        n_blocks = -(-n_steps // size)
+        full = (n_blocks - 1) * size
+        samples = np.arange(0, n_blocks * size, size)[:, None] + np.arange(j0, j0 + width + 1)
+        rows = np.zeros((n_blocks, width + 1, 3))
+        rows[samples < len(h)] = h[samples[samples < len(h)]]
+        h_mid = np.zeros((n_blocks, width, 3))
+        columns = slice(j0, j0 + width)
+        np.add(h[:full].reshape(-1, size, 3)[:, columns], h[1 : full + 1].reshape(-1, size, 3)[:, columns],
+               out=h_mid[:-1])
+        tail = h[full + j0 : full + j0 + width + 1]
+        real = max(len(tail) - 1, 0)
+        np.add(tail[:real], tail[1 : real + 1], out=h_mid[-1, :real])
+        h_mid *= 0.5
+        squares = np.square(h_mid)
+        rate = squares[..., 0] + squares[..., 1]
+        rate += squares[..., 2]
+        np.sqrt(rate, out=rate)
+        angle = (rate * path.dt)[..., None]
+        still = rate == 0.0
+        rate[still] = 1.0
+        axis = h_mid / rate[..., None]
+        axis[still] = 0.0
+        return rows, axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
+
+    return slab_steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=SLAB_PATHS, slab=st.integers(1, 5), pol=st.sampled_from([1, -1]))
+def test_evolve_matches_a_scan_of_the_whole_array_generator(path, slab, pol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_SLAB", slab)
+        got = evolve(path, pol)
+        mp.setattr(evolution, "_slab_steps", _whole_array_slab_steps(evolution.hamiltonian_coefficients(path)))
+        want = evolve(path, pol)
+    for name in ("overlaps", "energy", "helicity", "norms"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
