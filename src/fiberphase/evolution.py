@@ -1,6 +1,7 @@
 """Spin transport along a wave-vector trajectory and phase bookkeeping.
 
-The driving generator is  H(t) = (k x k_dot)/k^2 . S ; a state prepared in an
+The driving generator is  H(t) = (k x k_dot)/k^2 . S = (k_hat x k_hat_dot) . S,
+built from k_hat alone, so it does not depend on |k|; a state prepared in an
 eigenstate of the spin projection k_hat . S stays in it exactly (the
 projection solves the Liouville-von Neumann equation for this H), so the
 projection is conserved and the accumulated phase splits into a dynamical
@@ -90,21 +91,6 @@ class SpinorTrajectory:
         _scan(self.path, _start(self.path, self.polarization), store)
         return _read_only(states)
 
-    @cached_property
-    def spin_vectors(self) -> np.ndarray:
-        """<psi|S|psi> at every sample, shape (n, 3), computed once and read-only.
-
-        Derived from :attr:`states` ``_CHUNK_ROWS`` samples at a time with the
-        kernel :func:`evolve` applies to each slab of the scan, so it is
-        bitwise the vectors behind ``energy`` and ``helicity``.
-        """
-        states = self.states
-        out = np.empty((len(states), 3))
-        chunk = geometry._CHUNK_ROWS
-        for start in range(0, len(states), chunk):
-            out[start : start + chunk] = _spin_vectors(states[start : start + chunk])
-        return _read_only(out)
-
 
 @dataclass(frozen=True)
 class PhaseDecomposition:
@@ -127,26 +113,19 @@ class PhaseDecomposition:
         return self.total - self.dynamical
 
 
-def _generator(k, rate, k_mag):
-    """Rows of h = (k x k_dot)/k^2 from rows of k and k_dot; each row is computed on its own."""
-    return np.cross(k, rate) / k_mag**2
-
-
 def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
-    """Coefficient vectors h(t_i) = (k x k_dot)/k^2 at every sample, shape (n, 3), read-only.
+    """Coefficient vectors h(t_i) = k_hat x k_hat_dot = (k x k_dot)/k^2 at every sample, shape (n, 3), read-only.
 
-    A new array on every call, built one chunk of ``k_dot`` at a time (see
-    ``geometry._k_dot_chunks``) with the float operations of the
-    whole-array form; nothing caches it, and no stage calls it:
-    :func:`evolve` builds each slab's rows from ``k_hat`` (see
-    ``_slab_generator``), and the invariant residual forms each chunk's
-    rows itself.  The finite-rotation route,
+    A new array on every call, built a chunk of rows at a time; no stage
+    calls it: :func:`evolve` and the invariant residual build their rows
+    with the same kernel, ``geometry._stencil``.  The finite-rotation route,
     ``geometry.rotation_vectors(path) / path.dt``, agrees with ``h[:-1]`` to
     first order in dt.
     """
     h = np.empty((path.n_samples, 3))
-    for rows, k, rate in geometry._k_dot_chunks(path):
-        h[rows] = _generator(k, rate, path.k_mag)
+    for rows in geometry._stencil_slices(0, path.n_samples):
+        rate, k_hat = geometry._stencil(path.k_hat, rows.start, rows.stop - rows.start, path.dt)
+        h[rows] = _cross(k_hat, rate)
     return _read_only(h)
 
 
@@ -225,45 +204,20 @@ def _start(path: FiberPath, polarization: int) -> np.ndarray:
 _SLAB = 16  # columns of the scan whose steps and states are handled in one set of array operations
 
 
-def _slab_generator(path: FiberPath, size: int, j0: int, width: int) -> np.ndarray:
-    """h at the samples b size + j0 + i (i = 0 .. width) of every block b, shape (n_blocks, width + 1, 3).
-
-    One gather of the ``k_hat`` window j0 - 1 .. j0 + width + 1 of every
-    block, clipped to the path, gives each sample its central difference;
-    the end samples 0 and n - 1 take ``derivative_uniform``'s one-sided
-    stencils.  The float operations are those of ``derivative_uniform`` and
-    ``_generator``, so the row of every sample of the path is bitwise that
-    of :func:`hamiltonian_coefficients`; the rows past the path's end are
-    zero.
-    """
-    n, dt = path.n_samples, path.dt
-    n_blocks = -(-(n - 1) // size)
-    samples = np.arange(0, n_blocks * size, size)[:, None] + np.arange(j0 - 1, j0 + width + 2)
-    k = path.k_hat.take(samples, axis=0, mode="clip")  # about 4x faster than k_hat[clipped samples]
-    k *= path.k_mag
-    rate = np.subtract(k[:, 2:], k[:, :-2])
-    rate /= 2.0 * dt
-    if j0 == 0:
-        rate[0, 0] = geometry.derivative_uniform(path.k_mag * path.k_hat[:3], dt)[0]
-    end = n - 1 - (n_blocks - 1) * size - j0  # the place of sample n - 1 in the last block's rows
-    if 0 <= end <= width:
-        rate[-1, end] = geometry.derivative_uniform(path.k_mag * path.k_hat[-3:], dt)[-1]
-    h = _cross(k[:, 1:-1], rate)
-    h /= path.k_mag**2
-    return h
-
-
 def _slab_steps(path: FiberPath, size: int, j0: int, width: int):
-    """The slab's h rows (see ``_slab_generator``), and axis, sin and 1 - cos of its steps.
+    """h at the samples b size + j0 + i (i = 0 .. width) of every block b, and axis, sin and 1 - cos of its steps.
 
-    Each of the last three is (n_blocks, width, .) for the steps j0 .. j0 +
-    width - 1 of every block.  Step i is the rotation by |h_mid| dt about
-    h_mid = (h_i + h_(i+1)) / 2; the steps past the path's end, which fill
-    the last block, lead only to states that are never handed over.  Every
-    value is computed with the float operations of the whole-array forms
-    (``np.linalg.norm`` for the rate), so it does not depend on the slab.
+    The h rows are bitwise those of :func:`hamiltonian_coefficients`, and
+    zero past the path's end.  Each of the last three is (n_blocks, width,
+    .) for the steps j0 .. j0 + width - 1 of every block: step i is the
+    rotation by |h_mid| dt about h_mid = (h_i + h_(i+1)) / 2, with the float
+    operations of the whole-array forms (``np.linalg.norm`` for the rate).
+    The steps past the path's end lead only to states never handed over.
     """
-    h = _slab_generator(path, size, j0, width)
+    n_blocks = -(-(path.n_samples - 1) // size)
+    rate, k_hat = geometry._stencil(path.k_hat, np.arange(n_blocks) * size + j0, width + 1, path.dt)
+    h = _cross(k_hat, rate)
+    del rate, k_hat  # the gathered window goes before the steps' temporaries
     h_mid = np.add(h[:, :-1], h[:, 1:])
     h_mid *= 0.5
     squares = np.square(h_mid)
@@ -285,13 +239,11 @@ def _scan(path: FiberPath, start: np.ndarray, consume) -> None:
     rotations are composed across all blocks at once, the state is carried
     over the block starts, and then the blocks are filled in one column at a
     time; column j holds the states at samples j, j + size, ...  The columns
-    go ``_SLAB`` at a time: each slab's generator rows and step rotations
-    are rebuilt from ``k_hat`` in each pass (see ``_slab_steps``), so no
-    per-step or per-sample array is held, and its states go to
-    ``consume(rows, cart, h)``, with ``rows`` the sample indices, ``cart``
-    the (len(rows), 3) Cartesian states, which the scan overwrites
-    afterwards, and ``h`` their generator rows.  Every sample is handed over
-    exactly once.
+    go ``_SLAB`` at a time, each slab's h rows and step rotations rebuilt in
+    each pass (see ``_slab_steps``), and its states go to ``consume(rows,
+    cart, h)``: the sample indices, the (len(rows), 3) Cartesian states,
+    which the scan overwrites afterwards, and their h rows.  Every sample is
+    handed over exactly once.
     """
     n_samples = path.n_samples
     n_steps = n_samples - 1
@@ -341,9 +293,9 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     preserved to rounding.  The steps are composed by the two-level scan of
     :func:`_scan`, and each slab of states it fills is reduced on the spot
     to the trajectory's overlaps, energies, helicities and norms; no (n, 3)
-    state array is built (see :attr:`SpinorTrajectory.states`).  Nor is an
-    (n, 3) array of generator coefficients: the scan builds each slab's
-    rows of ``h`` from ``k_hat`` and hands them over with the states.
+    state array is built (see :attr:`SpinorTrajectory.states`), nor an
+    (n, 3) array of generator coefficients: the scan hands each slab's rows
+    of ``h`` over with its states.
     """
     start = _start(path, polarization)
     ref = _angular(start).conj()
@@ -378,23 +330,17 @@ def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: floa
 
     Row i is the residual at the interior sample nearest it, min(max(i, 1),
     n - 2): the central difference has no value at the two end samples,
-    which repeat their neighbours'.  The rows come from the path's ``k_hat``
-    window around them: each chunk's ``h`` is formed from the chunk of
-    ``k_dot`` that ``geometry._k_dot_chunks`` yields, so the float operations
-    are those of the whole-array expression (see
-    :func:`invariant_residual_series`).
+    which repeat their neighbours'.  Each chunk of rows forms its ``h``
+    from the D k_hat and k_hat of ``geometry._stencil``, with the float
+    operations of the whole-array expression.
     """
     n = path.n_samples
-    if stop <= start:
-        return np.empty(0)
     lo, hi = min(max(start, 1), n - 2), min(max(stop, 2), n - 1)  # the interior samples read
-    kh = path.k_hat
     residual = np.empty(hi - lo)
-    for rows, k, rate in geometry._k_dot_chunks(path, lo, hi):
-        turn = _cross(kh[rows], scale * _generator(k, rate, path.k_mag))
-        vec = np.subtract(kh[rows.start + 1 : rows.stop + 1], kh[rows.start - 1 : rows.stop - 1])
-        vec /= 2.0 * path.dt
-        vec += turn
+    for rows in geometry._stencil_slices(lo, hi):
+        rate, k_hat = geometry._stencil(path.k_hat, rows.start, rows.stop - rows.start, path.dt)
+        vec = _cross(k_hat, scale * _cross(k_hat, rate))
+        vec += rate
         np.square(vec, out=vec)
         out = residual[rows.start - lo : rows.stop - lo]
         np.add.reduce(vec, axis=1, out=out)
@@ -412,11 +358,8 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
     than the effective one leaves an O(1) residual.  These are the rows
-    1 .. n-2 of ``_invariant_residual_rows``, which does the float
-    operations of the whole-array expression in place, one
-    ``geometry._k_dot_chunks`` chunk at a time, with each chunk's ``h``
-    built on the spot; a scenario's results column reads all n rows of it a
-    chunk at a time.
+    1 .. n-2 of ``_invariant_residual_rows``, whose n rows a results column
+    reads a chunk at a time.
     """
     return _invariant_residual_rows(path, 1, path.n_samples - 1, scale)
 
@@ -436,68 +379,35 @@ def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray
     return traj.helicity
 
 
-def _unwrapped_angle(values: np.ndarray, flagged: np.ndarray) -> np.ndarray:
-    """``np.unwrap(np.angle(values[~flagged]))`` at the unflagged samples' own places.
-
-    The flagged places are left unset.  Each block of ``_CHUNK_ROWS``
-    samples hands the angles of its unflagged samples (``np.angle`` is this
-    arctan2) to one ``geometry._Unwrap``, so the result is bitwise the
-    whole-array one.
-    """
-    out = np.empty(len(values))
-    unwrap = geometry._Unwrap()
-    for start in range(0, len(values), geometry._CHUNK_ROWS):
-        kept = np.flatnonzero(~flagged[start : start + geometry._CHUNK_ROWS]) + start
-        chunk = values[kept]
-        out[kept] = unwrap(np.arctan2(chunk.imag, chunk.real))
-    return out
-
-
-def _next_unflagged(flagged: np.ndarray, start: int):
-    """Index of the first unflagged sample from ``start`` on, or None."""
-    for lo in range(start, len(flagged), geometry._CHUNK_ROWS):
-        block = flagged[lo : lo + geometry._CHUNK_ROWS]
-        if not block.all():
-            return lo + int(np.argmin(block))
-    return None
-
-
-def _interpolate_flagged(total: np.ndarray, flagged: np.ndarray) -> None:
-    """Set ``total`` at the flagged samples by np.interp over the unflagged ones, a chunk at a time.
-
-    Each chunk interpolates over its own unflagged samples and the nearest
-    one on each side of it.  np.interp's value at a point depends only on
-    the two samples around it, or beyond the ends on the end one, so this is
-    bitwise ``np.interp(idx, idx[good], total[good])`` over the whole array.
-    """
-    before = []  # the last unflagged sample before the chunk
-    for start in range(0, len(total), geometry._CHUNK_ROWS):
-        stop = start + geometry._CHUNK_ROWS
-        hits = np.flatnonzero(flagged[start:stop]) + start
-        inner = np.flatnonzero(~flagged[start:stop]) + start
-        if len(hits):
-            after = _next_unflagged(flagged, stop)
-            nodes = np.concatenate([before, inner, [] if after is None else [after]]).astype(np.intp)
-            total[hits] = np.interp(hits, nodes, total[nodes])
-        if len(inner):
-            before = inner[-1:]
-
-
 def _unwrap_with_flags(overlaps: np.ndarray):
     """Continuously unwrapped arg of the overlaps, interpolating flagged dips.
 
-    The flags, the unwrap and the interpolation go ``_CHUNK_ROWS`` samples
-    at a time, so beyond its outputs only one chunk of scratch is held.
+    One pass over chunks of samples sets the flags and hands the angles of
+    each chunk's unflagged samples to one ``geometry._Unwrap``, so those
+    places are bitwise ``np.unwrap(np.angle(overlaps[~flagged]))``; the
+    flagged ones are interpolated between them.
     """
     flagged = np.empty(len(overlaps), dtype=bool)
-    for start in range(0, len(overlaps), geometry._CHUNK_ROWS):
-        rows = slice(start, start + geometry._CHUNK_ROWS)
+    total = np.empty(len(overlaps))
+    unwrap = geometry._Unwrap()
+    for rows in geometry._row_slices(0, len(overlaps)):
         np.less(np.abs(overlaps[rows]), OVERLAP_FLOOR, out=flagged[rows])
+        kept = np.flatnonzero(~flagged[rows]) + rows.start
+        total[kept] = unwrap(np.angle(overlaps[kept]))
     if flagged.all():
         raise ValueError("every overlap is numerically zero; cannot define a phase")
-    total = _unwrapped_angle(overlaps, flagged)
     if flagged.any():
-        _interpolate_flagged(total, flagged)
+        # np.interp's value at a point reads only the two nodes around it (or
+        # the end one past an end), so interpolating from the unflagged
+        # neighbours of the flagged samples is bitwise np.interp over all the
+        # unflagged ones, with O(flagged) scratch.  The nodes come in order
+        # without a sort: the first np.unique of a process loads modules that
+        # add about 1.7 MB to its peak RSS (numpy 2.4).
+        hits = np.flatnonzero(flagged)
+        nodes = np.clip(np.add.outer(hits, (-1, 1)).ravel(), 0, len(total) - 1)  # -1 and n land on flagged ends
+        nodes = nodes[~flagged[nodes]]  # the unflagged neighbours, in order
+        nodes = nodes[np.diff(nodes, prepend=-1) > 0]  # a sample between two flagged ones neighbours both
+        total[hits] = np.interp(hits, nodes, total[nodes])
         warnings.warn(
             f"{int(flagged.sum())} sample(s) passed within {OVERLAP_FLOOR:g} of orthogonality; "
             "their total phase is interpolated from neighbours",

@@ -40,21 +40,30 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _row_norms(x: np.ndarray, adjacent: bool = False) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)``, or of ``np.diff(x, axis=0)`` when ``adjacent``.
+def _row_slices(start: int, stop: int, step: int | None = None):
+    """The slices of rows [start, stop) in steps of ``step`` (``_CHUNK_ROWS``, read at each call, by default).
 
-    Computed ``_CHUNK_ROWS`` rows at a time (with a one-row overlap for the
-    differences), so only one chunk of temporaries exists at once.  Each row
-    is reduced on its own, so the result is bitwise that of the whole-array
-    form.
+    Every chunked pass steps through its rows here, so it holds one chunk of
+    temporaries at a time; each reduces rows on their own, so its result is
+    bitwise that of the whole-array form.
     """
+    step = _CHUNK_ROWS if step is None else step
+    for lo in range(start, stop, step):
+        yield slice(lo, min(lo + step, stop))
+
+
+def _stencil_slices(start: int, stop: int):
+    """``_row_slices`` in quarter chunks, for the residual and generator kernels (up to about 150 B per row)."""
+    return _row_slices(start, stop, max(_CHUNK_ROWS // 4, 1))
+
+
+def _row_norms(x: np.ndarray, adjacent: bool = False) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``, or of ``np.diff(x, axis=0)`` when ``adjacent``, a chunk of rows at a time."""
     lag = int(adjacent)
     out = np.empty(len(x) - lag)
-    for start in range(0, len(out), _CHUNK_ROWS):
-        rows = x[start : start + _CHUNK_ROWS + lag]
-        if adjacent:
-            rows = np.diff(rows, axis=0)
-        out[start : start + _CHUNK_ROWS] = np.linalg.norm(rows, axis=1)
+    for rows in _row_slices(0, len(out)):
+        block = x[rows.start : rows.stop + lag]
+        out[rows] = np.linalg.norm(np.diff(block, axis=0) if adjacent else block, axis=1)
     return out
 
 
@@ -67,15 +76,10 @@ class FiberPath:
     k_mag      : positive wave-vector magnitude (inverse length)
 
     Construction checks the samples: finite, a strictly increasing uniform
-    grid, unit vectors within 1e-9 and adjacent steps below 0.5.  Beyond
-    one float and a few bools per sample, the checks hold only one chunk of
-    temporaries: the row norms go in chunks (see ``_row_norms``) and the
-    grid check works in place.
-
-    The path holds nothing derived: the generator coefficients ``h`` are
-    built by ``evolution.hamiltonian_coefficients`` for the stage that reads
-    them, and the residual columns are computed from ``k_hat`` when read.
-    The path's arrays must not be modified once a stage has read them.
+    grid, unit vectors within 1e-9 and adjacent steps below 0.5, with one
+    float and a few bools per sample and one chunk of temporaries.  The
+    path holds nothing derived, and its arrays must not be modified once a
+    stage has read them.
     """
 
     times: np.ndarray
@@ -121,10 +125,6 @@ class FiberPath:
     def n_samples(self) -> int:
         return len(self.times)
 
-    def k_vectors(self) -> np.ndarray:
-        """Full wave vectors k_mag * k_hat, shape (n, 3)."""
-        return self.k_mag * self.k_hat
-
 
 @dataclass(frozen=True)
 class SphericalAngles:
@@ -145,24 +145,20 @@ class SphericalAngles:
     def solid_angle(self) -> np.ndarray:
         """Cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`.
 
-        Built ``_CHUNK_ROWS`` samples at a time: each block takes the
-        azimuth rate over its ``_halo`` window, and the running total enters
-        the block's first trapezoid term, which is where a whole-array cumsum
-        adds it.  The result is bitwise that of the whole-array form.
+        Each chunk of trapezoids takes its azimuth rate from ``_stencil``,
+        and the running total enters the chunk's first term, which is where
+        a whole-array cumsum adds it.
         """
         dt = float(self.times[1] - self.times[0])
-        n = len(self.polar)
-        out = np.empty(n)
+        out = np.empty(len(self.polar))
         out[0] = 0.0
-        for start in range(1, n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, n)
-            lo, hi = _halo(start - 1, stop, n)  # the integrand is needed at samples start-1 .. stop-1
-            rate = derivative_uniform(self.azimuth[lo:hi], dt)[start - 1 - lo : stop - lo]
-            integrand = rate * (1.0 - np.cos(self.polar[start - 1 : stop]))
+        for rows in _row_slices(0, len(out) - 1):  # trapezoid i spans samples i and i + 1
+            integrand = _stencil(self.azimuth, rows.start, rows.stop - rows.start + 1, dt)[0]
+            integrand *= 1.0 - np.cos(self.polar[rows.start : rows.stop + 1])
             terms = (integrand[1:] + integrand[:-1]) * (0.5 * dt)
-            if start > 1:
-                terms[0] += out[start - 1]
-            np.cumsum(terms, out=out[start:stop])
+            if rows.start > 0:
+                terms[0] += out[rows.start]
+            np.cumsum(terms, out=out[rows.start + 1 : rows.stop + 1])
         return _read_only(out)
 
 
@@ -221,7 +217,7 @@ class _Unwrap:
 
 
 def _azimuth_in_place(raw: np.ndarray, off_pole: np.ndarray) -> None:
-    """Replace the raw azimuths ``raw`` by the azimuth, in one pass of ``_CHUNK_ROWS`` samples.
+    """Replace the raw azimuths ``raw`` by the azimuth, in one pass over chunks of samples.
 
     Over the off-pole raw azimuths ``q`` the whole-array form is ``q + 2 pi
     round((prior - q) / 2 pi)`` with ``prior = [0, np.unwrap(q[:-1])]``:
@@ -234,8 +230,8 @@ def _azimuth_in_place(raw: np.ndarray, off_pole: np.ndarray) -> None:
     """
     unwrap = _Unwrap()
     prior = last = 0.0  # np.unwrap's value at the last off-pole sample before the block, and the last azimuth
-    for start in range(0, len(raw), _CHUNK_ROWS):
-        block, flags = raw[start : start + _CHUNK_ROWS], off_pole[start : start + _CHUNK_ROWS]
+    for rows in _row_slices(0, len(raw)):
+        block, flags = raw[rows], off_pole[rows]
         q = block[flags]
         azimuth = np.concatenate([[prior], unwrap(q.copy())])
         prior = azimuth[-1]
@@ -258,8 +254,7 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
     is taken, so steps stay below pi.  The raw azimuth buffer becomes the
-    azimuth in place (see ``_azimuth_in_place``); beyond the two outputs
-    this holds one bool per sample and one chunk of temporaries.
+    azimuth in place (see ``_azimuth_in_place``).
     """
     kh = path.k_hat
     polar = np.clip(kh[:, 2], -1.0, 1.0)
@@ -287,46 +282,40 @@ def derivative_uniform(values, dt) -> np.ndarray:
     return d
 
 
+def _stencil(values: np.ndarray, first, width: int, dt: float, scale: float = 1.0):
+    """``derivative_uniform(scale * values, dt)`` and ``scale * values`` at the samples first + i, i < width.
+
+    ``first`` is a sample index, or an array of them whose shape leads the
+    shape of the two results.  One gather of the window first - 1 .. first
+    + width, clipped to the series, gives each sample its central
+    difference; samples 0 and n - 1 take the one-sided stencils.  The float
+    operations are those of ``derivative_uniform``, so every row is bitwise
+    the whole-array one.  A sample past the series' end reads the last
+    sample three times, so its rate is zero.
+    """
+    samples = np.reshape(first, (-1, 1)) + np.arange(-1, width + 1)
+    window = values.take(samples, axis=0, mode="clip")  # about 4x faster than values[clipped samples]
+    window *= scale
+    rate = np.subtract(window[:, 2:], window[:, :-2])
+    rate /= 2.0 * dt
+    if (at_start := samples[:, 1:-1] == 0).any():
+        rate[at_start] = derivative_uniform(scale * values[:3], dt)[0]
+    if (at_end := samples[:, 1:-1] == len(values) - 1).any():
+        rate[at_end] = derivative_uniform(scale * values[-3:], dt)[-1]
+    shape = np.shape(first) + rate.shape[1:]
+    return rate.reshape(shape), window[:, 1:-1].reshape(shape)
+
+
 def k_dot(path: FiberPath) -> np.ndarray:
-    """Time derivative of the full wave vector k(t), shape (n, 3)."""
-    return derivative_uniform(path.k_vectors(), path.dt)
-
-
-def _halo(start: int, stop: int, n: int) -> tuple[int, int]:
-    """Bounds [lo, hi) of the window that differentiates rows [start, stop) of an n-sample series.
-
-    The window reaches one sample past each side of the rows (and holds at
-    least 3 samples), so ``derivative_uniform``'s one-sided stencils only
-    land on the ends of the series, and every row is bitwise the
-    whole-array one.
-    """
-    hi = min(max(stop + 1, 3), n)
-    return max(min(start - 1, hi - 3), 0), hi
-
-
-def _k_dot_chunks(path: FiberPath, start: int = 0, stop: int | None = None):
-    """Rows [start, stop) of ``k_dot(path)``, a quarter of ``_CHUNK_ROWS`` at a time: yields (rows, k, k_dot).
-
-    Each chunk is differentiated over its ``_halo`` window.  The kernels
-    that read these chunks keep about 150 B of temporaries per row, so they
-    go in quarter chunks; the other row-wise passes keep less per row and
-    run slower in smaller chunks.
-    """
-    n = path.n_samples
-    stop = n if stop is None else stop
-    step = max(_CHUNK_ROWS // 4, 1)
-    for lo_row in range(start, stop, step):
-        hi_row = min(lo_row + step, stop)
-        lo, hi = _halo(lo_row, hi_row, n)
-        k = path.k_mag * path.k_hat[lo:hi]
-        rows = slice(lo_row - lo, hi_row - lo)
-        yield slice(lo_row, hi_row), k[rows], derivative_uniform(k, path.dt)[rows]
+    """Time derivative of the full wave vector k(t) = k_mag k_hat(t), shape (n, 3)."""
+    return derivative_uniform(path.k_mag * path.k_hat, path.dt)
 
 
 def _motion_residual_rows(path: FiberPath, start: int, stop: int) -> np.ndarray:
     """Rows [start, stop) of :func:`motion_residual`, from the path's ``k_hat`` window around them."""
     out = np.empty(max(stop - start, 0))
-    for rows, _, rate in _k_dot_chunks(path, start, stop):
+    for rows in _stencil_slices(start, stop):
+        rate = _stencil(path.k_hat, rows.start, rows.stop - rows.start, path.dt, path.k_mag)[0]
         np.abs(np.einsum("ni,ni->n", path.k_hat[rows], rate), out=out[rows.start - start : rows.stop - start])
     return out
 
@@ -339,22 +328,20 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     stencil order under grid refinement.  Expanding the double cross product,
     k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot): the residual is the
     radial part of the stencil derivative, taken without cancelling two
-    O(|k_dot|) vectors against each other.  Any rows of it come from
-    ``_motion_residual_rows``, which reads ``k_dot`` one chunk at a time
-    (see ``_k_dot_chunks``); a scenario's results column reads it a chunk
-    of rows at a time, so it is never held whole.
+    O(|k_dot|) vectors against each other.  A results column reads its
+    rows from ``_motion_residual_rows`` a chunk at a time.
     """
     return _motion_residual_rows(path, 0, path.n_samples)
 
 
 def rotation_vectors(path: FiberPath) -> np.ndarray:
-    """Infinitesimal rotation vectors (k_i x k_{i+1}) / k^2 of every step, shape (n-1, 3).
+    """Infinitesimal rotation vectors k_hat_i x k_hat_{i+1} of every step, shape (n-1, 3).
 
     Row i points along the axis taking k_hat(t_i) into k_hat(t_{i+1}) and its
-    norm approximates the angle between them to third order in dt.
+    norm approximates the angle between them to third order in dt.  Like
+    the generator, it does not depend on ``k_mag``.
     """
-    k = path.k_vectors()
-    return np.cross(k[:-1], k[1:]) / path.k_mag**2
+    return np.cross(path.k_hat[:-1], path.k_hat[1:])
 
 
 def solid_angle_series(angles: SphericalAngles) -> np.ndarray:
@@ -434,20 +421,24 @@ def load_path(filename) -> FiberPath:
     Each record holds four whitespace-separated floats ``t kx ky kz``;
     ``#`` starts a comment.  Every value must be finite.  The magnitude is
     inferred from the first record and every subsequent vector norm must
-    match it within 1e-6 (relative).  The file is read ``_PARSE_LINES``
-    lines at a time; ``np.loadtxt`` parses each block, and a block it
-    cannot parse into finite records (or that holds an error) goes through
-    the per-line parser ``_parse_records``, so every accepted token and
-    every message is that parser's.  The times and vectors go into two
-    float64 buffers, which become ``times`` and ``k_hat``: the vectors are
-    normalised in place and the norms are taken in chunks (``_row_norms``),
-    so nothing is held twice.
+    match it within 1e-6 (relative); a nonzero vector whose norm overflows
+    to inf or underflows to 0 in float64 is rejected.  The file is read
+    ``_PARSE_LINES`` lines at a time; ``np.loadtxt`` parses each block, and
+    a block it cannot parse into finite records goes through the per-line
+    parser ``_parse_records``, so every accepted token and every message is
+    that parser's.  The two float64 buffers of times and vectors become
+    ``times`` and ``k_hat`` (normalised in place), so nothing is held twice.
     """
     times, vecs = _read_records(filename)
     if len(times) < 3:
         raise ValueError(f"{filename}: path needs at least 3 samples, got {len(times)}")
     k_hat = np.frombuffer(vecs, dtype=float).reshape(-1, 3)  # the wave vectors, normalised below
-    norms = _row_norms(k_hat)
+    with np.errstate(over="ignore"):  # an overflowed norm is rejected just below
+        norms = _row_norms(k_hat)
+    lost = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
+    lost = lost[k_hat[lost].any(axis=1)]  # a zero vector is no underflow
+    if len(lost):
+        raise ValueError(f"{filename}: sample {lost[0]}: |k| is outside the range of float64 norms")
     k_mag = float(norms[0])
     if k_mag <= 0:
         raise ValueError(f"{filename}: first sample has zero wave vector")

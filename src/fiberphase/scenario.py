@@ -249,48 +249,56 @@ FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
 @dataclass(frozen=True)
-class _RowSource:
-    """A results column that is computed when read: its rows [start, stop) are ``rows(start, stop)``.
+class Column:
+    """A results column of ``length`` rows: rows [start, stop) are ``rows(start, stop) * weight + 0.0``.
 
-    It stands where a column's series of ``length`` rows would be, so
-    ``_values`` reads it like an array, by a slice of rows.
+    ``rows`` computes rows of the column's series; a column is read only by
+    a slice of rows (``column[a:b]``), so no reader builds a full-length
+    temporary.  The columns that are multiples of one series share its
+    ``rows``, so ``(rows, abs(weight))`` keys the distinct values of a
+    table.  The + 0.0 turns -0.0 into 0.0 and nothing else.
     """
 
     rows: Callable[[int, int], np.ndarray]
     length: int
-
-    def __len__(self):
-        return self.length
+    weight: float = 1.0
 
     def __getitem__(self, index: slice) -> np.ndarray:
         start, stop, _ = index.indices(self.length)
-        return self.rows(start, stop)
+        return self.rows(start, stop) * self.weight + 0.0
+
+
+def _held(series, start, stop):
+    """Rows [start, stop) of an array ``series``: the ``rows`` of a column that holds it, via ``partial``."""
+    return series[start:stop]
+
+
+def _difference(a, b, start, stop):
+    """Rows [start, stop) of a - b, computed when read."""
+    return a[start:stop] - b[start:stop]
 
 
 def compute_scenario(path, scenario: Scenario):
     """Run every pipeline stage on one path; returns one results.csv table per polarization.
 
     ``tables[pol]`` maps every results.csv column after ``sigma`` to a
-    ``(series, weight)`` pair; the column is ``series * weight + 0.0``.  The
-    phases proportional to the swept solid angle hold the one cached ``W``,
-    with weights sigma (analytic), n_R - n_L (quantal), -+z (vacuum L/R) and
-    z * (plus survives - minus survives) (vacuum net), where z is the
-    zero-point weight: 1/2, or 0 under normal ordering.  Only the first
-    polarization is evolved: every step is a real rotation in the Cartesian
-    representation, so the opposite helicity is the conjugate state,
-    psi_{-s} = e^{i a} conj psi_s.  Its total, dynamical and geometric phases
-    are the first's series with weight -1, and it shares the read-only drifts
-    (<S> only flips sign) and flags, and repeats the warnings under its own
-    label.  Every other weight is 1.
+    :class:`Column`.  The phases proportional to the swept solid angle read
+    the one cached ``W``, with weights sigma (analytic), n_R - n_L
+    (quantal), -+z (vacuum L/R) and z * (plus survives - minus survives)
+    (vacuum net), where z is the zero-point weight: 1/2, or 0 under normal
+    ordering.  Only the first polarization is evolved: every step is a real
+    rotation in the Cartesian representation, so the opposite helicity is
+    the conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total,
+    dynamical and geometric phases are the first's with weight -1, it
+    shares the read-only drifts (<S> only flips sign) and flags, and it
+    repeats the warnings under its own label.  Every other weight is 1.
 
-    The result holds only what its columns read.  ``evolve`` holds the
-    generator coefficients of one slab of its scan at a time; the
-    trajectory's overlaps and energies go once the phases are decomposed,
-    and its norms and helicities once the drifts are taken, before the
-    angles and ``W`` are built.  Three columns are ``_RowSource``s, whose
-    rows are computed when a reader asks for them: the two residuals, from
-    the path's ``k_hat``, and the geometric phase, as total - dynamical.
+    The result holds only what its columns read: the trajectory's series go
+    once the phases and drifts are taken, before the angles and ``W`` are
+    built, and the two residuals (from the path's ``k_hat``) and the
+    geometric phase (total - dynamical) are computed when read.
     """
+    n = path.n_samples
     first = scenario.polarizations[0]
     traj = evolution.evolve(path, first)
     with warnings.catch_warnings(record=True) as caught:
@@ -299,16 +307,16 @@ def compute_scenario(path, scenario: Scenario):
     norms, hel = traj.norms, evolution.helicity_expectations(traj, path)
     del traj
     shared = {
-        "norm_drift": (geometry._read_only(np.abs(norms - 1.0)), 1.0),
-        "helicity_drift": (geometry._read_only(np.abs(hel - hel[0])), 1.0),
-        "flagged": (geometry._read_only(dec.flagged), 1.0),
+        "norm_drift": Column(partial(_held, geometry._read_only(np.abs(norms - 1.0))), n),
+        "helicity_drift": Column(partial(_held, geometry._read_only(np.abs(hel - hel[0]))), n),
+        "flagged": Column(partial(_held, geometry._read_only(dec.flagged)), n),
     }
     del norms, hel
     total, dynamical = geometry._read_only(dec.total), geometry._read_only(dec.dynamical)
     phases = {
-        "phase_total": total,
-        "phase_dynamical": dynamical,
-        "phase_geometric": _RowSource(lambda start, stop: total[start:stop] - dynamical[start:stop], len(total)),
+        "phase_total": partial(_held, total),
+        "phase_dynamical": partial(_held, dynamical),
+        "phase_geometric": partial(_difference, total, dynamical),
     }
     del dec
 
@@ -316,18 +324,18 @@ def compute_scenario(path, scenario: Scenario):
     net = media.net_vacuum_phase(
         scenario.medium or FREE_SPACE, scenario.k0, angles, scenario.chamber_length, scenario.ordering
     )
-    w = geometry.solid_angle_series(angles)
+    w = partial(_held, geometry.solid_angle_series(angles))
     z = fock._weight(0, scenario.ordering)
     shared.update({
-        "t": (path.times, 1.0),
-        "lambda": (angles.polar, 1.0),
-        "gamma": (angles.azimuth, 1.0),
-        "phase_quantal": (w, float(scenario.n_right - scenario.n_left)),
-        "phase_vacuum_L": (w, -z),
-        "phase_vacuum_R": (w, +z),
-        "phase_vacuum_net": (w, z * (net.plus_survives - net.minus_survives)),
-        "invariant_residual": (_RowSource(partial(evolution._invariant_residual_rows, path), path.n_samples), 1.0),
-        "motion_residual": (_RowSource(partial(geometry._motion_residual_rows, path), path.n_samples), 1.0),
+        "t": Column(partial(_held, path.times), n),
+        "lambda": Column(partial(_held, angles.polar), n),
+        "gamma": Column(partial(_held, angles.azimuth), n),
+        "phase_quantal": Column(w, n, float(scenario.n_right - scenario.n_left)),
+        "phase_vacuum_L": Column(w, n, -z),
+        "phase_vacuum_R": Column(w, n, +z),
+        "phase_vacuum_net": Column(w, n, z * (net.plus_survives - net.minus_survives)),
+        "invariant_residual": Column(partial(evolution._invariant_residual_rows, path), n),
+        "motion_residual": Column(partial(geometry._motion_residual_rows, path), n),
     })
     tables = {}
     for pol in scenario.polarizations:
@@ -336,8 +344,8 @@ def compute_scenario(path, scenario: Scenario):
         sign = 1.0 if pol == first else -1.0
         tables[pol] = {
             **shared,
-            **{name: (series, sign) for name, series in phases.items()},
-            "phase_analytic": (w, float(pol)),
+            **{name: Column(rows, n, sign) for name, rows in phases.items()},
+            "phase_analytic": Column(w, n, float(pol)),
         }
     return {
         "tables": tables,
@@ -346,36 +354,23 @@ def compute_scenario(path, scenario: Scenario):
     }
 
 
-def _values(pair, rows=slice(None)):
-    """Rows of the column ``series * weight + 0.0``; the + 0.0 turns -0.0 into 0.0 and nothing else.
-
-    This is the one way the column of a pair is read, by a slice of rows.
-    The writers go ``_WRITE_ROWS`` rows at a time, and the checks and
-    reductions ``_CHUNK_ROWS`` at a time (see ``_chunks``), so no reader
-    builds a full-length temporary.
-    """
-    series, weight = pair
-    return series[rows] * weight + 0.0
+def _chunks(column: Column):
+    """The rows of ``column``, a chunk at a time."""
+    return (column[rows] for rows in geometry._row_slices(0, column.length))
 
 
-def _chunks(pair):
-    """The column of ``pair``, ``geometry._CHUNK_ROWS`` rows at a time."""
-    for start in range(0, len(pair[0]), geometry._CHUNK_ROWS):
-        yield _values(pair, slice(start, start + geometry._CHUNK_ROWS))
+def _final(column: Column) -> float:
+    return float(column[-1:][0])
 
 
-def _final(pair) -> float:
-    return float(_values(pair, slice(-1, None))[0])
-
-
-def _count(pair) -> int:
+def _count(column: Column) -> int:
     """The number of nonzero rows of the column, counted a chunk at a time."""
-    return sum(int(np.count_nonzero(values)) for values in _chunks(pair))
+    return sum(int(np.count_nonzero(values)) for values in _chunks(column))
 
 
-def _max(pair) -> float:
+def _max(column: Column) -> float:
     """The column's maximum, reduced a chunk at a time (NaN if any row is NaN, as ``np.max``)."""
-    return float(np.max([values.max() for values in _chunks(pair)]))
+    return float(np.max([values.max() for values in _chunks(column)]))
 
 
 def _fmt(x) -> str:
@@ -384,10 +379,8 @@ def _fmt(x) -> str:
 
 def _check_finite(result):
     """Raise NumericalError on a non-finite value; each distinct column is read once, a chunk at a time."""
-    distinct = {(id(series), weight): (series, weight) for table in result["tables"].values()
-                for series, weight in table.values()}
-    for pair in distinct.values():
-        if not all(np.isfinite(values).all() for values in _chunks(pair)):
+    for column in dict.fromkeys(column for table in result["tables"].values() for column in table.values()):
+        if not all(np.isfinite(values).all() for values in _chunks(column)):
             raise NumericalError("non-finite value detected in results")
 
 
@@ -395,11 +388,9 @@ _WRITE_ROWS = 1024  # samples per writer chunk, whose columns are held as lists 
 
 
 def _blocks(table, names):
-    """The named columns of ``table`` as lists of Python floats, one chunk of samples at a time."""
-    n = len(table[names[0]][0])
-    for start in range(0, n, _WRITE_ROWS):
-        rows = slice(start, start + _WRITE_ROWS)
-        yield [_values(table[name], rows).tolist() for name in names]
+    """The named columns of ``table`` as lists of Python floats, ``_WRITE_ROWS`` samples at a time."""
+    for rows in geometry._row_slices(0, table[names[0]].length, _WRITE_ROWS):
+        yield [table[name][rows].tolist() for name in names]
 
 
 def write_results_csv(filename, result):
@@ -424,7 +415,7 @@ def write_plot_files(out_dir, result):
     for pol, table in result["tables"].items():
         for kind in ("total", "geometric", "analytic"):
             _write_plot(os.path.join(out_dir, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat"), table, f"phase_{kind}")
-    for kind in ("quantal", "vacuum_net"):  # the same pair in every table
+    for kind in ("quantal", "vacuum_net"):  # the same column in every table
         _write_plot(os.path.join(out_dir, f"plot_{kind}.dat"), table, f"phase_{kind}")
 
 
@@ -449,7 +440,7 @@ def summarize(result, path, scenario: Scenario):
         "ordering": scenario.ordering.value,
         "occupations": {"n_left": scenario.n_left, "n_right": scenario.n_right},
         "phases": phases,
-        # the last table's shared pairs are the same in every table
+        # the last table's shared columns are the same in every table
         "quantal_final": _final(table["phase_quantal"]),
         "vacuum": {
             "left_final": _final(table["phase_vacuum_L"]),
@@ -615,7 +606,7 @@ def _sweep_rows_steps(cfg, base_dir, values):
 
 def _sweep_rows_occupations(cfg, base_dir, values, ordering):
     angles = geometry.spherical_angles(build_path(cfg, base_dir))  # W needs the angles, not the path
-    w = geometry.solid_angle_series(angles)
+    w = geometry.solid_angle_series(angles)[-1]  # each phase is a multiple of the final W, + 0.0 as in a column
     rows = []
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:
@@ -625,9 +616,9 @@ def _sweep_rows_occupations(cfg, base_dir, values, ordering):
         rows.append({
             "n_left": nl,
             "n_right": nr,
-            "quantal": _final((w, float(nr - nl))),
-            "phi_left": _final((w, -fock._weight(nl, ordering))),
-            "phi_right": _final((w, +fock._weight(nr, ordering))),
+            "quantal": float(w * float(nr - nl) + 0.0),
+            "phi_left": float(w * -fock._weight(nl, ordering) + 0.0),
+            "phi_right": float(w * +fock._weight(nr, ordering) + 0.0),
         })
     rows.sort(key=lambda r: (r["n_left"], r["n_right"]))
     return rows

@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -176,7 +179,7 @@ def test_run_file_path_source(tmp_path):
     p = helix_path(np.pi / 3, 1.0, 2.0, 1.0, 256)
     lines = [
         f"{float(t)!r} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
-        for t, v in zip(p.times, p.k_vectors())
+        for t, v in zip(p.times, p.k_mag * p.k_hat)
     ]
     traj = tmp_path / "traj.txt"
     traj.write_text("# imported path\n" + "\n".join(lines) + "\n")
@@ -189,6 +192,32 @@ def test_run_file_path_source(tmp_path):
     assert abs(summary["phases"]["+1"]["analytic"] - np.pi) < 1e-6
 
 
+def _phase_columns(out_dir):
+    """The phase_* columns of results.csv, as the written text."""
+    with open(os.path.join(out_dir, "results.csv")) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        keep = [i for i, name in enumerate(header) if name.startswith("phase_")]
+        return [[row.split(",")[i] for i in keep] for row in fh]
+
+
+@pytest.mark.parametrize("k_mag", [1e200, 1e-160, 1e-200])
+def test_run_phases_do_not_depend_on_k_mag(tmp_path, capsys, k_mag):
+    # H = (k_hat x k_hat_dot) . S: with h built from k = k_mag k_hat and divided
+    # by k_mag**2, 1e200 overflowed, 1e-200 exited 3 and 1e-160 was off by 1e-4 rad
+    runs = {}
+    for mag in (1.0, k_mag):
+        out = tmp_path / f"out_{mag!r}"
+        cfg = helix_cfg(str(out))
+        cfg["path"].update(cone_angle=1.0, k_mag=mag, n_steps=256)
+        config = write_config(tmp_path, "k_mag.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+            assert main(["run", config, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        runs[mag] = _phase_columns(out), read_summary(out)["phases"]
+    assert runs[k_mag] == runs[1.0]
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
 def test_run_file_path_non_finite_token_exits_2(tmp_path, capsys, token):
     from fiberphase.geometry import helix_path
@@ -196,7 +225,7 @@ def test_run_file_path_non_finite_token_exits_2(tmp_path, capsys, token):
     p = helix_path(np.pi / 3, 1.0, 2.0, 1.0, 128)
     lines = [
         f"{float(t)!r} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
-        for t, v in zip(p.times, p.k_vectors())
+        for t, v in zip(p.times, p.k_mag * p.k_hat)
     ]
     lines[49] = f"{float(p.times[49])!r} {token} 0 0"
     traj = tmp_path / "traj.txt"
@@ -256,14 +285,8 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
         result = original(*args, **kwargs)
         # poison the column's series in the last table only, so every table is checked
         table = list(result["tables"].values())[-1]
-        series, weight = table[column]
-        if column in ("phase_geometric", "invariant_residual", "motion_residual"):
-            # a column computed when read: a source whose rows are all NaN
-            assert isinstance(series, scenario_mod._RowSource)
-            poison = scenario_mod._RowSource(lambda start, stop: np.full(stop - start, np.nan), len(series))
-        else:
-            poison = np.full_like(series, np.nan)
-        table[column] = (poison, weight)
+        # every column is read by its rows: one whose rows are all NaN
+        table[column] = replace(table[column], rows=lambda start, stop: np.full(stop - start, np.nan))
         return result
 
     monkeypatch.setattr(scenario_mod, "compute_scenario", poisoned)
@@ -335,8 +358,8 @@ def _joined_outputs(result):
     from fiberphase.scenario import _SIGMA_SUFFIX, _fmt
 
     def column(table, name):
-        series, weight = table[name]
-        return series[:] * weight + 0.0  # a slice reads a derived column's rows too
+        col = table[name]
+        return col.rows(0, col.length) * col.weight + 0.0
 
     lines = [",".join(RESULT_COLUMNS)]
     plots = {}
@@ -392,10 +415,13 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         values[rng.random(n) < 0.2] = -0.0
         return values
 
+    def column(values, weight=1.0):
+        return scenario_mod.Column(partial(scenario_mod._held, values), n, weight)
+
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
-    shared = {name: (series(), float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
-    shared["flagged"] = (rng.random(n) < 0.3, 1.0)
-    tables = {pol: {**shared, "phase_total": (shared["phase_total"][0], float(pol))} for pol in pols}
+    shared = {name: column(series(), float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
+    shared["flagged"] = column(rng.random(n) < 0.3)
+    tables = {pol: {**shared, "phase_total": replace(shared["phase_total"], weight=float(pol))} for pol in pols}
     result = {"tables": tables}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)

@@ -412,7 +412,7 @@ def test_kernels_match_whole_array_forms_bitwise(scale):
         (traj.states[:, 0] + traj.states[:, 2]) * (-1j * evolution._SQ),
         traj.states[:, 1],
     ], axis=1)
-    assert traj.spin_vectors.tobytes() == (2.0 * np.cross(cart.real, cart.imag)).tobytes()
+    assert evolution._spin_vectors(traj.states).tobytes() == (2.0 * np.cross(cart.real, cart.imag)).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 38, 39, 40])
@@ -440,20 +440,15 @@ def test_element_wise_basis_changes_match_the_matrix_products():
 
 
 def test_cross_product_kernels_memory_budget():
-    # np.cross copies both operands: 128 B/step for either kernel before
+    # np.cross copies both operands: 128 B/step before
     import tracemalloc
 
     n_steps = 100_000
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
-    traj = evolve(p, 1)
     tracemalloc.start()
     try:
         invariant_residual_series(p, 2.0)
         residual = tracemalloc.get_traced_memory()[1] / n_steps
-        tracemalloc.reset_peak()
-        traj.spin_vectors
-        spin = tracemalloc.get_traced_memory()[1] / n_steps
     finally:
         tracemalloc.stop()
     assert residual < 70, residual
-    assert spin < 100, spin

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,7 +217,7 @@ def test_motion_residual_helix_refinement():
 
 def _cross_product_motion_residual(path):
     """The residual's defining form |k_dot + k x (k x k_dot)/k^2|, kept as the oracle."""
-    k = path.k_vectors()
+    k = path.k_mag * path.k_hat
     kd = k_dot(path)
     return np.linalg.norm(kd + np.cross(k, np.cross(k, kd)) / path.k_mag**2, axis=1)
 
@@ -262,18 +264,19 @@ def test_rotation_vector_equator():
 def test_rotation_vector_matches_k_dot():
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 512)
     kd = k_dot(p)
-    k = p.k_vectors()
+    k = p.k_mag * p.k_hat
     dt = p.dt
     expected = np.cross(k[:-1], kd[:-1]) / p.k_mag**2 * dt
     assert np.abs(rotation_vectors(p) - expected).max() < 5.0 * dt**2
 
 
-@pytest.mark.parametrize("k_mag", [1.0, 2.5])
+@pytest.mark.parametrize("k_mag", [1.0, 2.5, 1e200])
 def test_rotation_vectors_match_per_step_cross_products(k_mag):
-    # oracle: the per-step formula (k_i x k_{i+1}) / k^2, one sample pair at a time
+    # oracle: the per-step formula k_hat_i x k_hat_{i+1} = (k_i x k_{i+1}) / k^2,
+    # one sample pair at a time; k_mag does not enter it
     p = wobble_path(256, k_mag=k_mag)
-    k = p.k_vectors()
-    expected = np.array([np.cross(k[i], k[i + 1]) / p.k_mag**2 for i in range(p.n_samples - 1)])
+    kh = p.k_hat
+    expected = np.array([np.cross(kh[i], kh[i + 1]) for i in range(p.n_samples - 1)])
     assert np.array_equal(rotation_vectors(p), expected)
 
 
@@ -297,7 +300,7 @@ def test_solid_angle_zero_at_pole():
 def test_load_path_roundtrip(tmp_path):
     p = helix_path(np.pi / 3, 1.0, 2.5, 1.0, 64)
     filename = tmp_path / "traj.txt"
-    k = p.k_vectors()
+    k = p.k_mag * p.k_hat
     lines = ["# t kx ky kz", "   # another comment"]
     for t, v in zip(p.times, k):
         lines.append(f"{float(t)!r} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}  # sample")
@@ -442,6 +445,24 @@ def test_load_path_file_errors(tmp_path, text, message):
         with pytest.raises(ValueError) as info:
             loader(filename)
         assert str(info.value) == f"{filename}: {message}"
+
+
+@pytest.mark.parametrize("text, sample", [
+    ("0 1e200 0 0\n0.1 1e200 1e198 0\n0.2 1e200 2e198 0\n", 0),
+    ("0 1e-200 0 0\n0.1 1e-200 1e-202 0\n0.2 1e-200 2e-202 0\n", 0),
+    ("0 1 0 0\n0.1 1 0.01 0\n0.2 1e200 0 0\n0.3 1 0.03 0\n", 2),
+    ("0 1 0 0\n0.1 1 0.01 0\n0.2 1 0.02 0\n0.3 0 -1e-170 0\n", 3),
+], ids=["overflow", "underflow", "later-overflow", "later-underflow"])
+def test_load_path_rejects_a_norm_outside_float64(tmp_path, text, sample):
+    # |k| past the float64 range overflowed to inf, or underflowed to 0, in the
+    # norm: the file was rejected as having k_mag inf or a zero first sample
+    filename = tmp_path / "bad.txt"
+    filename.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError) as info:
+            load_path(filename)
+    assert str(info.value) == f"{filename}: sample {sample}: |k| is outside the range of float64 norms"
 
 
 def test_load_path_varying_magnitude_message(tmp_path):
@@ -624,6 +645,53 @@ def test_path_layers_hold_their_outputs_and_one_chunk(tmp_path):
     assert w_step < 70, w_step
 
 
+# ------------------------------------------- row iterator and stencil kernel
+
+def test_row_slices_tile_every_range():
+    # every range of up to 14 rows from starts 0 to 3, in steps of 1 to 15:
+    # consecutive slices of `step` rows that cover it once, the last one cut short
+    for start in range(4):
+        for stop in range(start, start + 15):
+            for step in range(1, 16):
+                slices = list(geometry._row_slices(start, stop, step))
+                assert [i for rows in slices for i in range(rows.start, rows.stop)] == list(range(start, stop))
+                assert all(rows.stop - rows.start == step for rows in slices[:-1])
+                assert all(0 < rows.stop - rows.start <= step for rows in slices)
+
+
+def test_row_slices_read_the_chunk_size_at_each_call(monkeypatch):
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 3)
+    assert list(geometry._row_slices(1, 8)) == [slice(1, 4), slice(4, 7), slice(7, 8)]
+    assert list(geometry._stencil_slices(0, 2)) == [slice(0, 1), slice(1, 2)]  # quarter chunks of at least a row
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 8)
+    assert list(geometry._stencil_slices(0, 5)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+@pytest.mark.parametrize("trailing", [(), (3,)], ids=["series", "vectors"])
+def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
+    # every block of 1 to n + 2 samples starting anywhere up to two past the
+    # end of an n-sample series, n = 3 .. 9: bitwise derivative_uniform's rows
+    # (one-sided at both ends, zero past the end) and the scaled samples
+    rng = np.random.default_rng(11)
+    dt = 0.37
+    for n in range(3, 10):
+        values = rng.normal(size=(n, *trailing))
+        pad = n + 4
+        rate = np.concatenate([geometry.derivative_uniform(scale * values, dt), np.zeros((pad, *trailing))])
+        centre = np.concatenate([scale * values, np.repeat(scale * values[-1:], pad, axis=0)])
+        for first in range(n + 2):
+            for width in range(1, n + 3):
+                got_rate, got_centre = geometry._stencil(values, first, width, dt, scale)
+                assert _same_bits(got_rate, rate[first : first + width]), (n, first, width)
+                assert _same_bits(got_centre, centre[first : first + width]), (n, first, width)
+        # a block per leading index, as the scan gathers its slabs
+        firsts = np.array([[0, 2], [n - 2, n]])
+        got_rate, got_centre = geometry._stencil(values, firsts, 3, dt, scale)
+        assert _same_bits(got_rate, np.stack([[rate[f : f + 3] for f in row] for row in firsts]))
+        assert _same_bits(got_centre, np.stack([[centre[f : f + 3] for f in row] for row in firsts]))
+
+
 # ------------------------------------------------- k_dot consumers in chunks
 
 def _slow_wobble(n):
@@ -634,23 +702,27 @@ def _slow_wobble(n):
                      k_mag=2.5)
 
 
+def _whole_array_h(path):
+    """h = k_hat x k_hat_dot with whole-array numpy: the oracle of the chunked generator rows."""
+    return np.cross(path.k_hat, geometry.derivative_uniform(path.k_hat, path.dt))
+
+
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
 def test_h_and_motion_residual_match_whole_array_forms_bitwise(n):
-    # both read k_dot one chunk at a time, with a one-row halo
+    # both take their stencil rows one chunk at a time
     path = _slow_wobble(n)
-    rate = k_dot(path)
-    assert _same_bits(hamiltonian_coefficients(path), np.cross(path.k_vectors(), rate) / path.k_mag**2)
-    assert _same_bits(motion_residual(path), np.abs(np.einsum("ni,ni->n", path.k_hat, rate)))
+    assert _same_bits(hamiltonian_coefficients(path), _whole_array_h(path))
+    assert _same_bits(motion_residual(path), np.abs(np.einsum("ni,ni->n", path.k_hat, k_dot(path))))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
 @pytest.mark.parametrize("n", [3, 4, 5, 11])
-def test_k_dot_chunks_cover_short_paths(monkeypatch, chunk, n):
+def test_stencil_chunks_cover_short_paths(monkeypatch, chunk, n):
     # chunks shorter than the 3-sample stencil still take it from a wider window
     path = _slow_wobble(n)
     rate = k_dot(path)
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
-    assert _same_bits(hamiltonian_coefficients(path), np.cross(path.k_vectors(), rate) / path.k_mag**2)
+    assert _same_bits(hamiltonian_coefficients(path), _whole_array_h(path))
     assert _same_bits(motion_residual(path), np.abs(np.einsum("ni,ni->n", path.k_hat, rate)))
 
 

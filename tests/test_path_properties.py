@@ -125,7 +125,7 @@ def _sphere_path(colatitudes, steps, south, dt):
     return FiberPath(times=dt * np.arange(len(theta)), k_hat=kh, k_mag=1.0)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
     samples=st.lists(st.tuples(COLATITUDES, AZIMUTH_STEPS), min_size=3, max_size=60),
     south=st.booleans(),
@@ -149,7 +149,8 @@ def test_chunked_angles_and_solid_angle_match_whole_array(samples, south, dt, ch
 
 @st.composite
 def _pole_runs(draw):
-    """(n, chunk, pole flags): runs of pole samples that start and end at, just before or just after chunk edges."""
+    """(n, chunk, pole flags, azimuth steps): runs of pole samples that start and end at, just before or just
+    after chunk edges, and one azimuth step per sample."""
     n = draw(st.integers(min_value=3, max_value=60))
     chunk = draw(st.integers(min_value=1, max_value=9))
     pole = np.zeros(n, dtype=bool)
@@ -157,17 +158,17 @@ def _pole_runs(draw):
         start = draw(st.integers(min_value=0, max_value=n // chunk)) * chunk + draw(st.sampled_from([-1, 0, 1]))
         stop = start + draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1, 2 * chunk]))
         pole[max(start, 0) : max(stop, 0)] = True
-    return n, chunk, pole
+    return n, chunk, pole, draw(st.lists(AZIMUTH_STEPS, min_size=n, max_size=n))
 
 
-@settings(max_examples=400, deadline=None)
-@given(runs=_pole_runs(), south=st.booleans(), steps=st.lists(AZIMUTH_STEPS, min_size=60, max_size=60))
-@example(runs=(12, 3, np.array([True] * 3 + [False] * 3 + [True] * 4 + [False, True])), south=False, steps=[2.0] * 60)
-def test_chunked_pole_fill_matches_whole_array_fill(runs, south, steps):
-    n, chunk, pole = runs
+@settings(max_examples=150, deadline=None)
+@given(runs=_pole_runs(), south=st.booleans())
+@example(runs=(12, 3, np.array([True] * 3 + [False] * 3 + [True] * 4 + [False, True]), [2.0] * 12), south=False)
+def test_chunked_pole_fill_matches_whole_array_fill(runs, south):
+    n, chunk, pole, steps = runs
     colatitudes = np.where(pole, 0.0, 0.15)
     colatitudes[pole & (np.arange(n) % 2 == 1)] = 1e-12  # within POLE_SIN_TOL of the pole, not on it
-    path = _sphere_path(colatitudes, steps[:n], south, 0.1)
+    path = _sphere_path(colatitudes, steps, south, 0.1)
     _, azimuth, _ = _whole_array_angles(path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
@@ -222,7 +223,7 @@ LINES = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(lines=st.lists(LINES, max_size=12), block=st.integers(min_value=1, max_value=5))
 def test_block_parse_matches_per_line_parse(tmp_path_factory, lines, block):
     filename = tmp_path_factory.mktemp("grammar") / "path.txt"
@@ -261,7 +262,7 @@ WINDING_THEN_HALF_TURN = [
 ]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(raw=st.lists(RAW_AZIMUTHS, max_size=60), chunk=st.integers(min_value=1, max_value=9))
 @example(raw=WINDING_THEN_HALF_TURN, chunk=7)
 def test_chunked_unwrap_matches_whole_array_on_raw_azimuths(raw, chunk):
@@ -284,7 +285,7 @@ UNWRAP_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(values=st.lists(UNWRAP_VALUES, max_size=60), cuts=st.lists(st.integers(0, 60), max_size=8))
 @example(values=WINDING_THEN_HALF_TURN, cuts=[0, 0, 1, 2, 2, 17, 18, 33])
 def test_unwrap_kernel_pieces_match_np_unwrap_of_the_whole(values, cuts):

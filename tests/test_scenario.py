@@ -29,11 +29,10 @@ from fiberphase.geometry import FiberPath, helix_path, load_path, solid_angle_se
 from fiberphase.scenario import (
     FREE_SPACE,
     RESULT_COLUMNS,
+    Column,
     NumericalError,
     Scenario,
     _check_finite,
-    _RowSource,
-    _values,
     compute_scenario,
     run_sweep,
 )
@@ -142,10 +141,10 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         table, ref = got["tables"][pol], want["tables"][pol]
         assert table.keys() == ref.keys(), pol
         for key in ref:
-            _assert_bitwise(_values(table[key]), ref[key], f"{pol} {key}")
+            _assert_bitwise(table[key][:], ref[key], f"{pol} {key}")
     assert got["vacuum_net"] == want["vacuum_net"]
     if case == "equator-flagged":
-        assert all(_values(got["tables"][pol]["flagged"]).any() for pol in pols)
+        assert all(got["tables"][pol]["flagged"][:].any() for pol in pols)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -158,34 +157,35 @@ def test_library_phases_equal_their_columns_bitwise(tmp_path, case):
     angles = _angles(path)
     for pol in (1, -1):
         table = tables[pol]
-        _assert_bitwise(analytic_noncyclic_phase(angles, pol), _values(table["phase_analytic"]), f"{pol} analytic")
-        _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), _values(table["phase_quantal"]), "quantal")
-        _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), _values(table["phase_vacuum_L"]), "vacuum L")
-        _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), _values(table["phase_vacuum_R"]), "vacuum R")
+        _assert_bitwise(analytic_noncyclic_phase(angles, pol), table["phase_analytic"][:], f"{pol} analytic")
+        _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), table["phase_quantal"][:], "quantal")
+        _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), table["phase_vacuum_L"][:], "vacuum L")
+        _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), table["phase_vacuum_R"][:], "vacuum R")
 
 
 def test_result_tables_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     first, derived = result["tables"][1], result["tables"][-1]
-    w = first["phase_analytic"][0]
-    _assert_bitwise(w, solid_angle_series(_angles(path)), "W")
+    w = first["phase_analytic"].rows
+    _assert_bitwise(w.args[0], solid_angle_series(_angles(path)), "W")
     for pol, table in result["tables"].items():
-        # every results.csv column after sigma, each a (series, weight) pair
+        # every results.csv column after sigma, each a Column of n rows
         assert sorted(table) == sorted(RESULT_COLUMNS[1:])
-        # the W-proportional columns all hold the one W, and differ only in their weights
-        assert {id(table[name][0]) for name in W_WEIGHTS} == {id(w)}
-        assert {name: table[name][1] for name in W_WEIGHTS} == {
+        assert all(isinstance(column, Column) and column.length == path.n_samples for column in table.values())
+        # the W-proportional columns all read the one W, and differ only in their weights
+        assert {table[name].rows for name in W_WEIGHTS} == {w}
+        assert {name: table[name].weight for name in W_WEIGHTS} == {
             "phase_quantal": 3.0, "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
             "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
             "phase_analytic": float(pol),
         }
     for name in RESULT_COLUMNS[1:]:
         if name not in W_WEIGHTS:
-            # the derived polarization holds the evolved one's series
-            assert derived[name][0] is first[name][0], name
-            assert first[name][1] == 1.0
-            assert derived[name][1] == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
+            # the derived polarization reads the evolved one's series
+            assert derived[name].rows is first[name].rows, name
+            assert first[name].weight == 1.0
+            assert derived[name].weight == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
 
 
 def test_cached_series_are_shared_and_read_only():
@@ -194,14 +194,14 @@ def test_cached_series_are_shared_and_read_only():
     traj = evolve(path, +1)
     # h is not cached: a new read-only array per call, bitwise the whole-array form
     h = hamiltonian_coefficients(path)
-    _assert_bitwise(h, np.cross(path.k_vectors(), geometry.k_dot(path)) / path.k_mag**2, "h")
+    _assert_bitwise(h, np.cross(path.k_hat, geometry.derivative_uniform(path.k_hat, path.dt)), "h")
     assert hamiltonian_coefficients(path) is not h
     assert solid_angle_series(angles) is angles.solid_angle
     helicity_expectations(traj, path)
-    spin_vectors = traj.spin_vectors
+    states = traj.states
     phase_decomposition(traj, path)
-    assert traj.spin_vectors is spin_vectors
-    for series in (h, angles.solid_angle, traj.spin_vectors):
+    assert traj.states is states
+    for series in (h, angles.solid_angle, traj.states):
         with pytest.raises(ValueError, match="read-only"):
             series[1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -280,9 +280,9 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
     assert held / n_steps < 75, held / n_steps
     for name, kernel in (("invariant_residual", evolution._invariant_residual_rows),
                          ("motion_residual", geometry._motion_residual_rows)):
-        source = result["tables"][1][name][0]
-        assert isinstance(source, _RowSource) and source.rows.func is kernel and source.rows.args[0] is path
-        assert len(source) == path.n_samples
+        column = result["tables"][1][name]
+        assert column.rows.func is kernel and column.rows.args[0] is path
+        assert column.length == path.n_samples
 
 
 def test_stage_peaks_stay_near_the_held_result():
@@ -330,7 +330,7 @@ DERIVED_CASES = {
 def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     path = DERIVED_CASES[case](tmp_path)
     got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
-    derived = {name: _values(pair) for name, pair in got["tables"][-first].items()}
+    derived = {name: column[:] for name, column in got["tables"][-first].items()}
 
     traj = evolve(_fresh(path), -first)
     with warnings.catch_warnings():
@@ -348,14 +348,14 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
     # the phases, drifts and flags are one read-only series shared by both polarizations
     for name in ("phase_total", "phase_dynamical", "norm_drift", "helicity_drift", "flagged"):
-        series = got["tables"][-first][name][0]
-        assert series is got["tables"][first][name][0]
-        assert not series.flags.writeable
+        rows = got["tables"][-first][name].rows
+        assert rows is got["tables"][first][name].rows
+        assert not rows.args[0].flags.writeable
     # and the geometric phase one source, read as total - dynamical of those series
-    source = got["tables"][-first]["phase_geometric"][0]
-    assert isinstance(source, _RowSource) and source is got["tables"][first]["phase_geometric"][0]
-    total, dynamical = (got["tables"][first][f"phase_{kind}"][0] for kind in ("total", "dynamical"))
-    assert source[:].tobytes() == (total - dynamical).tobytes()
+    rows = got["tables"][-first]["phase_geometric"].rows
+    assert rows is got["tables"][first]["phase_geometric"].rows
+    total, dynamical = (got["tables"][first][f"phase_{kind}"].rows.args[0] for kind in ("total", "dynamical"))
+    assert rows(0, path.n_samples).tobytes() == (total - dynamical).tobytes()
 
 
 def _count_calls(monkeypatch, original):
@@ -396,7 +396,7 @@ def test_one_propagation_per_scenario(monkeypatch, pols):
 def _padded_whole_array_residuals(path, scale=1.0):
     """The invariant and motion residuals from whole-array numpy, the first padded to n: the oracle."""
     kh, rate = path.k_hat, geometry.k_dot(path)
-    h = np.cross(path.k_vectors(), rate) / path.k_mag**2
+    h = np.cross(kh, geometry.derivative_uniform(kh, path.dt))
     vec = (kh[2:] - kh[:-2]) / (2.0 * path.dt)
     vec += np.cross(kh[1:-1], scale * h[1:-1])
     inv = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
@@ -405,8 +405,15 @@ def _padded_whole_array_residuals(path, scale=1.0):
 
 @st.composite
 def _residual_paths(draw):
-    """Helices and smooth random walks on the sphere of 3 to 300 samples."""
+    """Helices and smooth random walks on the sphere of 3 to 300 samples, and a ``_CHUNK_ROWS`` for them.
+
+    The residual kernels go in quarter chunks of at least a row.  Paths of
+    up to 40 samples take chunks of 1 to 9 rows, so one or two rows at a
+    time; a longer path takes 1 to 9 chunks, the last one partial or longer
+    than the path.
+    """
     n = draw(st.integers(3, 300))
+    chunk = draw(st.integers(1, 9) if n <= 40 else st.integers(n // 2, 4 * n + 8))
     k_mag = draw(st.sampled_from([1.0, 2.5]))
     t = 0.1 * np.arange(n)
     if draw(st.booleans()):
@@ -417,19 +424,20 @@ def _residual_paths(draw):
         polar = 0.4 + np.cumsum(rng.uniform(-0.08, 0.08, n))
         azimuth = np.cumsum(rng.uniform(-0.05, 0.3, n))
     kh = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
-    return FiberPath(times=t, k_hat=kh, k_mag=k_mag)
+    return FiberPath(times=t, k_hat=kh, k_mag=k_mag), chunk
 
 
 @settings(max_examples=200, deadline=None)
-@given(path=_residual_paths(), chunk=st.integers(1, 9), scale=st.sampled_from([1.0, 2.0]), data=st.data())
-def test_residual_sources_match_padded_whole_array_forms(path, chunk, scale, data):
+@given(case=_residual_paths(), scale=st.sampled_from([1.0, 2.0]), data=st.data())
+def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
+    path, chunk = case
     n = path.n_samples
     start = data.draw(st.integers(0, n), "start")
     stop = data.draw(st.integers(start, n), "stop")
     invariant, motion = _padded_whole_array_residuals(path)
     scaled = _padded_whole_array_residuals(path, scale)[0]
-    sources = {"invariant": (_RowSource(partial(evolution._invariant_residual_rows, path), n), invariant),
-               "motion": (_RowSource(partial(geometry._motion_residual_rows, path), n), motion)}
+    sources = {"invariant": (Column(partial(evolution._invariant_residual_rows, path), n), invariant),
+               "motion": (Column(partial(geometry._motion_residual_rows, path), n), motion)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         # every row range, the whole column, single rows at both ends and the drawn one
@@ -438,7 +446,7 @@ def test_residual_sources_match_padded_whole_array_forms(path, chunk, scale, dat
                 _assert_bitwise(source[rows], want[rows], f"{name} {rows}")
             _assert_bitwise(evolution._invariant_residual_rows(path, *rows.indices(n)[:2], scale), scaled[rows],
                             f"scaled {rows}")
-        assert len(sources["invariant"][0]) == n
+        assert sources["invariant"][0].length == n
         _assert_bitwise(invariant_residual_series(path, scale), scaled[1:-1], "invariant_residual_series")
         _assert_bitwise(geometry.motion_residual(path), motion, "motion_residual")
 
@@ -455,6 +463,6 @@ def test_check_finite_reads_every_row_of_a_derived_column(monkeypatch):
         values[np.arange(start, stop) == path.n_samples - 1] = np.nan
         return values
 
-    result["tables"][-1]["motion_residual"] = (_RowSource(partial(last_row_nan, path), path.n_samples), 1.0)
+    result["tables"][-1]["motion_residual"] = Column(partial(last_row_nan, path), path.n_samples)
     with pytest.raises(NumericalError):
         _check_finite(result)
