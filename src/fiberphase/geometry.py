@@ -422,8 +422,9 @@ def load_path(filename) -> FiberPath:
     ``#`` starts a comment.  Every value must be finite.  The magnitude is
     inferred from the first record and every subsequent vector norm must
     match it within 1e-6 (relative); a nonzero vector whose norm overflows
-    to inf or underflows to 0 in float64 is rejected.  The file is read
-    ``_PARSE_LINES`` lines at a time; ``np.loadtxt`` parses each block, and
+    to inf or underflows to 0 in float64 is rejected, and one whose |k|^2 is
+    subnormal is scaled by its largest component for its norm.  The file is
+    read ``_PARSE_LINES`` lines at a time; ``np.loadtxt`` parses each block, and
     a block it cannot parse into finite records goes through the per-line
     parser ``_parse_records``, so every accepted token and every message is
     that parser's.  The two float64 buffers of times and vectors become
@@ -435,8 +436,11 @@ def load_path(filename) -> FiberPath:
     k_hat = np.frombuffer(vecs, dtype=float).reshape(-1, 3)  # the wave vectors, normalised below
     with np.errstate(over="ignore"):  # an overflowed norm is rejected just below
         norms = _row_norms(k_hat)
-    lost = np.flatnonzero(np.isinf(norms) | (norms == 0.0))
-    lost = lost[k_hat[lost].any(axis=1)]  # a zero vector is no underflow
+    odd = np.flatnonzero(np.isinf(norms) | (norms < 2.0**-511))  # overflowed, or |k|^2 below the normal range
+    scale = np.abs(k_hat[odd]).max(axis=1)
+    short = (0.0 < norms[odd]) & (norms[odd] < np.inf)  # |k|^2 subnormal: the norm lost bits, so scale first
+    norms[odd[short]] = scale[short] * np.linalg.norm(k_hat[odd[short]] / scale[short, None], axis=1)
+    lost = odd[(scale > 0) & ~short]  # a zero vector is no underflow
     if len(lost):
         raise ValueError(f"{filename}: sample {lost[0]}: |k| is outside the range of float64 norms")
     k_mag = float(norms[0])

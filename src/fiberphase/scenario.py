@@ -278,6 +278,14 @@ def _difference(a, b, start, stop):
     return a[start:stop] - b[start:stop]
 
 
+def _residuals(path):
+    """The two residual columns of ``path``, computed from its ``k_hat`` when read."""
+    return {
+        "invariant_residual": Column(partial(evolution._invariant_residual_rows, path), path.n_samples),
+        "motion_residual": Column(partial(geometry._motion_residual_rows, path), path.n_samples),
+    }
+
+
 def compute_scenario(path, scenario: Scenario):
     """Run every pipeline stage on one path; returns one results.csv table per polarization.
 
@@ -334,8 +342,7 @@ def compute_scenario(path, scenario: Scenario):
         "phase_vacuum_L": Column(w, n, -z),
         "phase_vacuum_R": Column(w, n, +z),
         "phase_vacuum_net": Column(w, n, z * (net.plus_survives - net.minus_survives)),
-        "invariant_residual": Column(partial(evolution._invariant_residual_rows, path), n),
-        "motion_residual": Column(partial(geometry._motion_residual_rows, path), n),
+        **_residuals(path),
     })
     tables = {}
     for pol in scenario.polarizations:
@@ -354,80 +361,77 @@ def compute_scenario(path, scenario: Scenario):
     }
 
 
-def _chunks(column: Column):
-    """The rows of ``column``, a chunk at a time."""
-    return (column[rows] for rows in geometry._row_slices(0, column.length))
+def _reduce(columns):
+    """Dicts of each distinct column's last value, maximum and number of nonzero rows.
 
-
-def _final(column: Column) -> float:
-    return float(column[-1:][0])
-
-
-def _count(column: Column) -> int:
-    """The number of nonzero rows of the column, counted a chunk at a time."""
-    return sum(int(np.count_nonzero(values)) for values in _chunks(column))
-
-
-def _max(column: Column) -> float:
-    """The column's maximum, reduced a chunk at a time (NaN if any row is NaN, as ``np.max``)."""
-    return float(np.max([values.max() for values in _chunks(column)]))
+    Each column is read once, a chunk at a time.  Raises NumericalError on a
+    non-finite value; a command reduces its columns before it writes a
+    file, so a failure leaves no file behind.
+    """
+    last, peak, nonzero = {}, {}, {}
+    for column in dict.fromkeys(columns):
+        peak[column], nonzero[column] = -np.inf, 0
+        for rows in geometry._row_slices(0, column.length):
+            values = column[rows]
+            if not np.isfinite(values).all():
+                raise NumericalError("non-finite value detected in results")
+            peak[column] = max(peak[column], float(values.max()))
+            nonzero[column] += int(np.count_nonzero(values))
+        last[column] = float(values[-1])
+    return last, peak, nonzero
 
 
 def _fmt(x) -> str:
     return f"{x:.16e}"
 
 
-def _check_finite(result):
-    """Raise NumericalError on a non-finite value; each distinct column is read once, a chunk at a time."""
-    for column in dict.fromkeys(column for table in result["tables"].values() for column in table.values()):
-        if not all(np.isfinite(values).all() for values in _chunks(column)):
-            raise NumericalError("non-finite value detected in results")
+_WRITE_ROWS = 256  # samples per writer chunk, whose columns are held as lists of strings
 
 
-_WRITE_ROWS = 1024  # samples per writer chunk, whose columns are held as lists of Python floats
+def write_results_csv(out_dir, result):
+    """Write results.csv and every plot file, formatting each chunk of a table's columns once.
 
+    results.csv lists each polarization's rows in turn.  A table's plot
+    lines are joined from the strings of its rows, and the plots of the
+    columns every table shares (quantal, net vacuum) go with the first
+    table.  One chunk of strings is held at a time, not a full-length column.
+    """
+    def open_text(name):
+        return open(os.path.join(out_dir, name), "w", newline="\n")
 
-def _blocks(table, names):
-    """The named columns of ``table`` as lists of Python floats, ``_WRITE_ROWS`` samples at a time."""
-    for rows in geometry._row_slices(0, table[names[0]].length, _WRITE_ROWS):
-        yield [table[name][rows].tolist() for name in names]
-
-
-def write_results_csv(filename, result):
-    """Write results.csv in chunks of samples, so no full-length column of rows is held."""
-    with open(filename, "w", newline="\n") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for pol, table in result["tables"].items():
-            for columns in _blocks(table, RESULT_COLUMNS[1:]):
-                fh.writelines(
-                    ",".join([str(pol), *map(_fmt, values), "1" if flag else "0"]) + "\n"
-                    for *values, flag in zip(*columns)
-                )
-
-
-def _write_plot(filename, table, column):
-    with open(filename, "w", newline="\n") as fh:
-        for times, values in _blocks(table, ("t", column)):
-            fh.writelines(f"{_fmt(t)} {_fmt(v)}\n" for t, v in zip(times, values))
-
-
-def write_plot_files(out_dir, result):
-    for pol, table in result["tables"].items():
-        for kind in ("total", "geometric", "analytic"):
-            _write_plot(os.path.join(out_dir, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat"), table, f"phase_{kind}")
-    for kind in ("quantal", "vacuum_net"):  # the same column in every table
-        _write_plot(os.path.join(out_dir, f"plot_{kind}.dat"), table, f"phase_{kind}")
+    with open_text("results.csv") as csv:
+        csv.write(",".join(RESULT_COLUMNS) + "\n")
+        for i, (pol, table) in enumerate(result["tables"].items()):
+            plots = [(kind, f"{kind}_{_SIGMA_SUFFIX[pol]}") for kind in ("total", "geometric", "analytic")]
+            plots += [(kind, kind) for kind in ("quantal", "vacuum_net")] if i == 0 else []
+            files = []
+            try:
+                for kind, name in plots:
+                    files.append((open_text(f"plot_{name}.dat"), f"phase_{kind}"))
+                for rows in geometry._row_slices(0, table["t"].length, _WRITE_ROWS):
+                    text = {name: list(map(_fmt, table[name][rows].tolist())) for name in RESULT_COLUMNS[1:-1]}
+                    flags = ["1" if flag else "0" for flag in table["flagged"][rows].tolist()]
+                    csv.writelines(",".join((str(pol), *row)) + "\n" for row in zip(*text.values(), flags))
+                    for fh, column in files:
+                        fh.writelines(f"{t} {v}\n" for t, v in zip(text["t"], text[column]))
+            finally:
+                for fh, _ in files:
+                    fh.close()
 
 
 def summarize(result, path, scenario: Scenario):
+    """The summary of a run; its one read of every column raises NumericalError on a non-finite value."""
+    tables = result["tables"]
+    last, peak, nonzero = _reduce(column for table in tables.values() for column in table.values())
     phases = {}
-    for pol, table in result["tables"].items():
+    for pol, table in tables.items():
         phases[f"{pol:+d}"] = {
-            **{kind: _final(table[f"phase_{kind}"]) for kind in ("total", "dynamical", "geometric", "analytic")},
-            "flagged_samples": _count(table["flagged"]),
-            "max_norm_drift": _max(table["norm_drift"]),
-            "max_helicity_drift": _max(table["helicity_drift"]),
+            **{kind: last[table[f"phase_{kind}"]] for kind in ("total", "dynamical", "geometric", "analytic")},
+            "flagged_samples": nonzero[table["flagged"]],
+            "max_norm_drift": peak[table["norm_drift"]],
+            "max_helicity_drift": peak[table["helicity_drift"]],
         }
+    shared = tables[scenario.polarizations[0]]  # the columns every table shares
     net = result["vacuum_net"]
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -440,19 +444,18 @@ def summarize(result, path, scenario: Scenario):
         "ordering": scenario.ordering.value,
         "occupations": {"n_left": scenario.n_left, "n_right": scenario.n_right},
         "phases": phases,
-        # the last table's shared columns are the same in every table
-        "quantal_final": _final(table["phase_quantal"]),
+        "quantal_final": last[shared["phase_quantal"]],
         "vacuum": {
-            "left_final": _final(table["phase_vacuum_L"]),
-            "right_final": _final(table["phase_vacuum_R"]),
+            "left_final": last[shared["phase_vacuum_L"]],
+            "right_final": last[shared["phase_vacuum_R"]],
             "net_final": float(net.phase),
             "plus_survives": bool(net.plus_survives),
             "minus_survives": bool(net.minus_survives),
             "no_propagating_modes": bool(net.no_propagating_modes),
         },
         "diagnostics": {
-            "max_invariant_residual": _max(table["invariant_residual"]),
-            "max_motion_residual": _max(table["motion_residual"]),
+            "max_invariant_residual": peak[shared["invariant_residual"]],
+            "max_motion_residual": peak[shared["motion_residual"]],
         },
         "k0": scenario.k0,
         "chamber_length": scenario.chamber_length,
@@ -491,6 +494,7 @@ def _output_dir(cfg, out_dir):
     return out_dir
 
 
+@np.errstate(all="ignore")  # no floating-point warnings: _reduce reports a non-finite value, once
 def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     """Execute a 'run' scenario; returns the summary dict after writing files."""
     cfg = load_config(config_path)
@@ -502,14 +506,12 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
         raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
     result = compute_scenario(path, scenario)
-    _check_finite(result)
-
-    os.makedirs(out_dir, exist_ok=True)
-    write_results_csv(os.path.join(out_dir, "results.csv"), result)
     summary = summarize(result, path, scenario)
     summary["command"] = "run"
+
+    os.makedirs(out_dir, exist_ok=True)
+    write_results_csv(out_dir, result)
     _write_summary(out_dir, summary)
-    write_plot_files(out_dir, result)
     if not quiet:
         print(f"wrote {out_dir}/results.csv, summary.json and plot files")
         for key in sorted(summary["phases"]):
@@ -557,14 +559,15 @@ def _cone_row(cfg, base_dir, value, scenario):
     cone = _cone_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
     result = compute_scenario(path, scenario)
-    _check_finite(result)
+    tables = result["tables"]
+    last, _, nonzero = _reduce(column for table in tables.values() for column in table.values())
     row = {"cone_angle": cone}
-    for pol, table in result["tables"].items():
+    for pol, table in tables.items():
         suffix = _SIGMA_SUFFIX[pol]
-        row[f"geometric_{suffix}"] = _final(table["phase_geometric"])
-        row[f"analytic_{suffix}"] = _final(table["phase_analytic"])
-        row[f"flagged_{suffix}"] = _count(table["flagged"])
-    row["quantal"] = _final(table["phase_quantal"])
+        row[f"geometric_{suffix}"] = last[table["phase_geometric"]]
+        row[f"analytic_{suffix}"] = last[table["phase_analytic"]]
+        row[f"flagged_{suffix}"] = nonzero[table["flagged"]]
+    row["quantal"] = last[tables[scenario.polarizations[0]]["phase_quantal"]]
     row["vacuum_net"] = float(result["vacuum_net"].phase)
     return row
 
@@ -578,11 +581,9 @@ def _sweep_rows_cone(cfg, base_dir, values, scenario):
 def _steps_row(cfg, base_dir, value):
     _n_steps(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
-    return {
-        "n_steps": value,
-        "max_invariant_residual": float(evolution.invariant_residual_series(path).max()),
-        "max_motion_residual": float(geometry.motion_residual(path).max()),
-    }
+    residuals = _residuals(path)
+    peak = _reduce(residuals.values())[1]
+    return {"n_steps": value, **{f"max_{name}": peak[column] for name, column in residuals.items()}}
 
 
 def _sweep_rows_steps(cfg, base_dir, values):
@@ -624,6 +625,14 @@ def _sweep_rows_occupations(cfg, base_dir, values, ordering):
     return rows
 
 
+def _cell(value) -> str:
+    """A sweep.csv field: empty for None, 1 or 0 for a bool, an int as is, a float as in results.csv."""
+    if value is None or isinstance(value, bool):
+        return "" if value is None else str(int(value))
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+@np.errstate(all="ignore")  # as run_scenario
 def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
     """Execute a 'sweep' scenario; one row per sweep point, sorted by key."""
     cfg = load_config(config_path)
@@ -652,21 +661,7 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
         rows = _sweep_rows_occupations(cfg, base_dir, values, scenario.ordering)
 
     os.makedirs(out_dir, exist_ok=True)
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        parts = []
-        for col in columns:
-            v = row[col]
-            if v is None:
-                parts.append("")
-            elif isinstance(v, bool):
-                parts.append("1" if v else "0")
-            elif isinstance(v, int):
-                parts.append(str(v))
-            else:
-                parts.append(_fmt(v))
-        lines.append(",".join(parts))
+    lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]  # every row has one key order
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     summary = {

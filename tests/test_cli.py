@@ -298,6 +298,29 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
     assert not (out / "results.csv").exists()
 
 
+def _fiberphase(*argv):
+    """``python -m fiberphase`` in a child process, whose stderr shows any numpy RuntimeWarning."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "fiberphase", *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_overflowing_path_exits_3_with_only_the_failure_line(tmp_path, command):
+    # omega * t overflows: stderr held three numpy RuntimeWarnings before the failure
+    # line, and an n_steps sweep wrote inf and nan into sweep.csv before it exited 3
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"].update(omega=1e300, n_steps=128)
+    if command == "sweep":
+        cfg = sweep_cfg(cfg, "n_steps", [64, 128])
+    proc = _fiberphase(command, write_config(tmp_path, "overflow.json", cfg), "--quiet")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "numerical failure: non-finite value detected in results\n"
+    for name in ("results.csv", "sweep.csv", "summary.json", "plot_quantal.dat"):
+        assert not (out / name).exists(), name
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -380,8 +403,7 @@ def _written(tmp_path, result):
     import fiberphase.scenario as scenario_mod
 
     tmp_path.mkdir(parents=True, exist_ok=True)
-    scenario_mod.write_results_csv(str(tmp_path / "results.csv"), result)
-    scenario_mod.write_plot_files(str(tmp_path), result)
+    scenario_mod.write_results_csv(str(tmp_path), result)
     plots = {f.name: f.read_bytes() for f in tmp_path.glob("plot_*.dat")}
     return (tmp_path / "results.csv").read_bytes(), plots
 
@@ -426,6 +448,29 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)
         assert _written(tmp_path_factory.mktemp("chunked"), result) == _joined_outputs(result)
+
+
+def test_writer_holds_one_chunk_of_strings(tmp_path):
+    # one chunk of formatted columns at a time: about 8 bytes per step with
+    # 256-row chunks, 26 with 1024; a full-length column of strings alone
+    # would be about 70.  One polarization, as tracing every string is slow.
+    import tracemalloc
+
+    import fiberphase.scenario as scenario_mod
+    from fiberphase.fock import Ordering
+    from fiberphase.geometry import helix_path
+
+    n_steps = 100_000
+    scenario = scenario_mod.Scenario((1,), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    result = scenario_mod.compute_scenario(helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps), scenario)
+    tracemalloc.start()
+    try:
+        scenario_mod.write_results_csv(str(tmp_path), result)
+        peak = tracemalloc.get_traced_memory()[1] / n_steps
+    finally:
+        tracemalloc.stop()
+    assert peak < 12, peak  # bytes per step
+    assert len(list(tmp_path.iterdir())) == 6  # results.csv and five plot files
 
 
 def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):

@@ -465,6 +465,18 @@ def test_load_path_rejects_a_norm_outside_float64(tmp_path, text, sample):
     assert str(info.value) == f"{filename}: sample {sample}: |k| is outside the range of float64 norms"
 
 
+@pytest.mark.parametrize("k_mag", [3e-162, 1e-160, 1e-155, 2.0**-511, 1e-150])
+def test_load_path_norm_with_subnormal_square(tmp_path, k_mag):
+    # |k|^2 subnormal: the plain norm lost bits, so 1e-160 was rejected as
+    # varying and 1e-155 loaded with k_hat norms off by 2.3e-14
+    phi = np.linspace(0.0, 2.0 * np.pi, 200)
+    filename = tmp_path / "tiny.txt"
+    np.savetxt(filename, np.column_stack([phi, k_mag * np.cos(phi), k_mag * np.sin(phi), 0.0 * phi]), fmt="%.17e")
+    path = load_path(filename)
+    assert abs(path.k_mag / k_mag - 1.0) <= 2.3e-16
+    assert np.abs(np.linalg.norm(path.k_hat, axis=1) - 1.0).max() <= 4.5e-16
+
+
 def test_load_path_varying_magnitude_message(tmp_path):
     filename = tmp_path / "bad.txt"
     filename.write_text("0 1 0 0\n0.1 0.99 0.1 0\n0.2 1.25 0 0\n")

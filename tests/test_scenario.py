@@ -32,7 +32,7 @@ from fiberphase.scenario import (
     Column,
     NumericalError,
     Scenario,
-    _check_finite,
+    _reduce,
     compute_scenario,
     run_sweep,
 )
@@ -42,6 +42,10 @@ GYROTROPIC = media.GyrotropicMedium(eps1=2.0, eps2=3.0, mu1=2.0, mu2=1.0)  # lef
 
 def _fresh(path):
     return FiberPath(times=path.times.copy(), k_hat=path.k_hat.copy(), k_mag=path.k_mag)
+
+
+def _all_columns(result):
+    return [column for table in result["tables"].values() for column in table.values()]
 
 
 def _angles(path):
@@ -301,7 +305,7 @@ def test_stage_peaks_stay_near_the_held_result():
         result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
         held, peak = (value / n_steps for value in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
-        _check_finite(result)
+        _reduce(_all_columns(result))
         checked = tracemalloc.get_traced_memory()[1] / n_steps
     finally:
         tracemalloc.stop()
@@ -451,12 +455,12 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
         _assert_bitwise(geometry.motion_residual(path), motion, "motion_residual")
 
 
-def test_check_finite_reads_every_row_of_a_derived_column(monkeypatch):
+def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
     # one NaN in the last row of the last chunk of a column that is computed when read
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
     result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 7)
-    _check_finite(result)
+    _reduce(_all_columns(result))
 
     def last_row_nan(path, start, stop):
         values = geometry._motion_residual_rows(path, start, stop)
@@ -465,4 +469,32 @@ def test_check_finite_reads_every_row_of_a_derived_column(monkeypatch):
 
     result["tables"][-1]["motion_residual"] = Column(partial(last_row_nan, path), path.n_samples)
     with pytest.raises(NumericalError):
-        _check_finite(result)
+        _reduce(_all_columns(result))
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_reduce_matches_whole_array_reductions(monkeypatch, chunk):
+    # on a flagged equator, so the flag counts are not all zero
+    path = helix_path(np.pi / 2, 1.0, 1.0, 2.0, 2000)
+    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+    last, peak, nonzero = _reduce(_all_columns(result))
+    assert list(last) == list(peak) == list(nonzero) == list(dict.fromkeys(_all_columns(result)))
+    assert nonzero[result["tables"][1]["flagged"]] > 0
+    for column in last:
+        whole = column.rows(0, column.length) * column.weight + 0.0
+        assert (last[column], peak[column], nonzero[column]) == (whole[-1], whole.max(), np.count_nonzero(whole))
+
+
+def test_reduce_reads_each_distinct_column_once(monkeypatch):
+    reads = []
+
+    def counted(values, start, stop):
+        reads.append((start, stop))
+        return values[start:stop]
+
+    rows = partial(counted, np.arange(10.0) - 3.0)
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 4)
+    last, peak, nonzero = _reduce([Column(rows, 10), Column(rows, 10, -1.0), Column(rows, 10)])
+    assert sorted(reads) == [(0, 4), (0, 4), (4, 8), (4, 8), (8, 10), (8, 10)]
+    assert [list(values.values()) for values in (last, peak, nonzero)] == [[6.0, -6.0], [6.0, 3.0], [9, 9]]
