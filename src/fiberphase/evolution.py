@@ -60,15 +60,17 @@ class SpinorTrajectory:
     ``polarization`` is the circular-polarization label (+1 right, -1 left);
     the conserved spin projection onto k_hat equals ``-polarization``.
     :func:`evolve` reduces each state to what the phases and drifts read, as
-    read-only series: ``overlaps`` = <psi(0)|psi>, ``energy`` = h . <S>,
+    read-only series: ``total`` = arg <psi(0)|psi>, unwrapped, ``flagged``
+    (see :class:`PhaseDecomposition`), ``dynamical`` = -Int h . <S> dt,
     ``helicity`` = k_hat . <S> and ``norms`` = ||psi||.  The states themselves
     are rebuilt on first use of :attr:`states` by running the same scan again.
     """
 
     path: FiberPath
     polarization: int
-    overlaps: np.ndarray
-    energy: np.ndarray
+    total: np.ndarray
+    flagged: np.ndarray
+    dynamical: np.ndarray
     helicity: np.ndarray
     norms: np.ndarray
 
@@ -292,37 +294,42 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     |h_mid| dt about h_mid (closed-form Rodrigues formula), so norms are
     preserved to rounding.  The steps are composed by the two-level scan of
     :func:`_scan`, and each slab of states it fills is reduced on the spot
-    to the trajectory's overlaps, energies, helicities and norms; no (n, 3)
-    state array is built (see :attr:`SpinorTrajectory.states`), nor an
-    (n, 3) array of generator coefficients: the scan hands each slab's rows
-    of ``h`` over with its states.
+    to its overlap phases and flags, energies h . <S>, helicities and norms
+    (the scan hands each slab's rows of ``h`` over with its states); no
+    (n, 3) array of states or of ``h`` is built.  The phases are unwrapped
+    and the energies integrated in place.  Samples passing nearly orthogonal
+    to the initial state are flagged and their total phase is interpolated
+    (an :class:`OrthogonalPassageWarning` is emitted).
     """
     start = _start(path, polarization)
     ref = _angular(start).conj()
     k_hat = path.k_hat
     n = path.n_samples
-    overlaps = np.empty(n, dtype=complex)
-    energy, helicity, norms = np.empty(n), np.empty(n), np.empty(n)
+    total, dynamical, helicity, norms = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    flagged = np.empty(n, dtype=bool)
 
     def reduce(rows, cart, h):
         # each row is reduced on its own (einsum too, whatever the strides), so
         # these are bitwise the whole-array forms of the stored states
         ang = _angular(cart)
-        overlaps[rows] = ang[:, 0] * ref[0] + ang[:, 1] * ref[1] + ang[:, 2] * ref[2]
+        overlap = ang[:, 0] * ref[0] + ang[:, 1] * ref[1] + ang[:, 2] * ref[2]
+        flagged[rows] = np.abs(overlap) < OVERLAP_FLOOR
+        total[rows] = np.angle(overlap)
         norms[rows] = np.linalg.norm(ang, axis=1)
         spin = _spin_vectors(ang)
-        energy[rows] = np.einsum("ni,ni->n", h, spin)
+        dynamical[rows] = np.einsum("ni,ni->n", h, spin)  # the energy, integrated below
         helicity[rows] = np.einsum("ni,ni->n", k_hat[rows], spin)
 
     _scan(path, start, reduce)
-    return SpinorTrajectory(
-        path=path,
-        polarization=polarization,
-        overlaps=_read_only(overlaps),
-        energy=_read_only(energy),
-        helicity=_read_only(helicity),
-        norms=_read_only(norms),
-    )
+    _unwrap_with_flags(total, flagged)
+    total -= total[0]
+    # trapezoid i, (E_i + E_(i-1)) (-dt/2), with the float operations of the whole-array
+    # form; the chunks go from the top down, so each reads the energy below it before that goes
+    for rows in reversed(list(geometry._row_slices(1, n))):
+        dynamical[rows] = (dynamical[rows] + dynamical[rows.start - 1 : rows.stop - 1]) * (-0.5 * path.dt)
+    dynamical[0] = 0.0
+    np.cumsum(dynamical[1:], out=dynamical[1:])
+    return SpinorTrajectory(path, polarization, *map(_read_only, (total, flagged, dynamical, helicity, norms)))
 
 
 def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: float = 1.0) -> np.ndarray:
@@ -365,7 +372,7 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
 
 
 def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:
-    if len(traj.overlaps) != path.n_samples:
+    if len(traj.norms) != path.n_samples:
         raise ValueError("trajectory and path do not share a time grid")
 
 
@@ -379,21 +386,18 @@ def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray
     return traj.helicity
 
 
-def _unwrap_with_flags(overlaps: np.ndarray):
-    """Continuously unwrapped arg of the overlaps, interpolating flagged dips.
+def _unwrap_with_flags(total: np.ndarray, flagged: np.ndarray) -> None:
+    """Unwrap the overlap angles ``total`` in place along the unflagged samples, interpolating the flagged ones.
 
-    One pass over chunks of samples sets the flags and hands the angles of
-    each chunk's unflagged samples to one ``geometry._Unwrap``, so those
-    places are bitwise ``np.unwrap(np.angle(overlaps[~flagged]))``; the
-    flagged ones are interpolated between them.
+    One pass over chunks of samples hands each chunk's unflagged angles to
+    one ``geometry._Unwrap``, so those places become bitwise
+    ``np.unwrap(angles[~flagged])``; the flagged ones are interpolated
+    between them.
     """
-    flagged = np.empty(len(overlaps), dtype=bool)
-    total = np.empty(len(overlaps))
     unwrap = geometry._Unwrap()
-    for rows in geometry._row_slices(0, len(overlaps)):
-        np.less(np.abs(overlaps[rows]), OVERLAP_FLOOR, out=flagged[rows])
+    for rows in geometry._row_slices(0, len(total)):
         kept = np.flatnonzero(~flagged[rows]) + rows.start
-        total[kept] = unwrap(np.angle(overlaps[kept]))
+        total[kept] = unwrap(total[kept])
     if flagged.all():
         raise ValueError("every overlap is numerically zero; cannot define a phase")
     if flagged.any():
@@ -414,7 +418,6 @@ def _unwrap_with_flags(overlaps: np.ndarray):
             OrthogonalPassageWarning,
             stacklevel=3,
         )
-    return total, flagged
 
 
 def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecomposition:
@@ -423,24 +426,13 @@ def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecompo
     The total is the unwrapped overlap phase arg <psi(0)|psi(t)>; the
     dynamical part integrates -<H> = -h . <S> by the trapezoidal rule on the
     shared grid; the geometric part is their difference, taken when it is
-    read (see :attr:`PhaseDecomposition.geometric`).  Samples passing
-    nearly orthogonal to the initial state are flagged and bridged by
-    interpolation (an :class:`OrthogonalPassageWarning` is emitted).  The
-    overlaps and energies are the trajectory's, reduced by :func:`evolve`
-    along its own path, which must share ``path``'s grid.
+    read (see :attr:`PhaseDecomposition.geometric`).  :func:`evolve` computed
+    the first two and the flags along the trajectory's own path, which must
+    share ``path``'s grid; they are returned as read-only views, not copied.
     """
     _check_grid(traj, path)
-    total, flagged = _unwrap_with_flags(traj.overlaps)
-    total -= total[0]
-
-    energy = traj.energy
-    dynamical = np.empty_like(energy)
-    dynamical[0] = 0.0
-    np.add(energy[1:], energy[:-1], out=dynamical[1:])
-    dynamical[1:] *= -0.5 * path.dt
-    np.cumsum(dynamical[1:], out=dynamical[1:])
-
-    return PhaseDecomposition(times=path.times, total=total, dynamical=dynamical, flagged=flagged)
+    return PhaseDecomposition(times=path.times, total=traj.total[:], dynamical=traj.dynamical[:],
+                              flagged=traj.flagged[:])
 
 
 def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):

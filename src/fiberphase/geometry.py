@@ -10,7 +10,6 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from math import isfinite
 
@@ -53,7 +52,7 @@ def _row_slices(start: int, stop: int, step: int | None = None):
 
 
 def _stencil_slices(start: int, stop: int):
-    """``_row_slices`` in quarter chunks, for the residual and generator kernels (up to about 150 B per row)."""
+    """``_row_slices`` in quarter chunks, for the kernels of up to about 150 B per row (residuals, h, angles)."""
     return _row_slices(start, stop, max(_CHUNK_ROWS // 4, 1))
 
 
@@ -130,36 +129,16 @@ class FiberPath:
 class SphericalAngles:
     """Polar/azimuthal decomposition of a direction trajectory.
 
-    polar   : angle from the +z axis, in [0, pi]
-    azimuth : unwrapped azimuthal angle (continuous branch, jump < pi per step)
-    times   : the originating sample grid
-
-    The swept solid angle is computed on first use and cached.
+    polar       : angle from the +z axis, in [0, pi]
+    azimuth     : unwrapped azimuthal angle (continuous branch, jump < pi per step)
+    solid_angle : cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`
+    times       : the originating sample grid
     """
 
     times: np.ndarray
     polar: np.ndarray
     azimuth: np.ndarray
-
-    @cached_property
-    def solid_angle(self) -> np.ndarray:
-        """Cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`.
-
-        Each chunk of trapezoids takes its azimuth rate from ``_stencil``,
-        and the running total enters the chunk's first term, which is where
-        a whole-array cumsum adds it.
-        """
-        dt = float(self.times[1] - self.times[0])
-        out = np.empty(len(self.polar))
-        out[0] = 0.0
-        for rows in _row_slices(0, len(out) - 1):  # trapezoid i spans samples i and i + 1
-            integrand = _stencil(self.azimuth, rows.start, rows.stop - rows.start + 1, dt)[0]
-            integrand *= 1.0 - np.cos(self.polar[rows.start : rows.stop + 1])
-            terms = (integrand[1:] + integrand[:-1]) * (0.5 * dt)
-            if rows.start > 0:
-                terms[0] += out[rows.start]
-            np.cumsum(terms, out=out[rows.start + 1 : rows.stop + 1])
-        return _read_only(out)
+    solid_angle: np.ndarray
 
 
 def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
@@ -216,54 +195,130 @@ class _Unwrap:
         return piece
 
 
-def _azimuth_in_place(raw: np.ndarray, off_pole: np.ndarray) -> None:
-    """Replace the raw azimuths ``raw`` by the azimuth, in one pass over chunks of samples.
+class _Azimuth:
+    """The azimuth of raw azimuths handed over in consecutive nonempty pieces, each replaced in place.
 
     Over the off-pole raw azimuths ``q`` the whole-array form is ``q + 2 pi
     round((prior - q) / 2 pi)`` with ``prior = [0, np.unwrap(q[:-1])]``:
     np.unwrap picks the branches, and rounding once more against the
     previous unwrapped sample rebuilds the sequential rule azimuth_i = q_i +
     2 pi round((azimuth_{i-1} - q_i) / 2 pi) from 0, bit for bit (only a
-    step within rounding of pi could round differently).  Each block
+    step within rounding of pi could round differently).  Each piece
     unwraps its off-pole values with one ``_Unwrap``, rounds them so, and
     fills its pole samples with the last azimuth up to them (0 before any).
     """
-    unwrap = _Unwrap()
-    prior = last = 0.0  # np.unwrap's value at the last off-pole sample before the block, and the last azimuth
-    for rows in _row_slices(0, len(raw)):
-        block, flags = raw[rows], off_pole[rows]
-        q = block[flags]
-        azimuth = np.concatenate([[prior], unwrap(q.copy())])
-        prior = azimuth[-1]
+
+    def __init__(self):
+        self.unwrap = _Unwrap()
+        self.prior = self.last = 0.0  # np.unwrap's value at the last off-pole sample so far, and the last azimuth
+
+    def __call__(self, raw: np.ndarray, off_pole: np.ndarray) -> np.ndarray:
+        q = raw[off_pole]
+        azimuth = np.concatenate([[self.prior], self.unwrap(q.copy())])
+        self.prior = azimuth[-1]
         azimuth = azimuth[:-1]  # each sample's prior, which becomes its azimuth in place
         azimuth -= q
         azimuth /= 2.0 * np.pi
         np.round(azimuth, out=azimuth)
         azimuth *= 2.0 * np.pi
         azimuth += q
-        if len(q) < len(block):
-            azimuth = np.concatenate([[last], azimuth])[np.cumsum(flags)]
-        block[:] = azimuth
-        last = block[-1]
+        if len(q) < len(raw):
+            azimuth = np.concatenate([[self.last], azimuth])[np.cumsum(off_pole)]
+        raw[:] = azimuth
+        self.last = raw[-1]
+        return raw
 
 
 def spherical_angles(path: FiberPath) -> SphericalAngles:
-    """Polar angle and continuously unwrapped azimuth of the path.
+    """Polar angle, continuously unwrapped azimuth and swept solid angle of the path.
 
     At samples where the direction is (anti)parallel to z within
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
-    is taken, so steps stay below pi.  The raw azimuth buffer becomes the
-    azimuth in place (see ``_azimuth_in_place``).
+    is taken, so steps stay below pi.  The three series are one pass of
+    ``_AngleRows`` over quarter chunks of samples.
     """
-    kh = path.k_hat
-    polar = np.clip(kh[:, 2], -1.0, 1.0)
-    np.arccos(polar, out=polar)
-    raw = np.hypot(kh[:, 0], kh[:, 1])  # sin(polar) first, then the raw azimuth
-    off_pole = raw >= POLE_SIN_TOL
-    np.arctan2(kh[:, 1], kh[:, 0], out=raw)
-    _azimuth_in_place(raw, off_pole)
-    return SphericalAngles(times=path.times, polar=polar, azimuth=raw)
+    n = path.n_samples
+    reader, series = _AngleRows(path), (np.empty(n), np.empty(n), np.empty(n))
+    for rows in _stencil_slices(0, n):
+        for out, values in zip(series, reader.read(rows.start, rows.stop)):
+            out[rows] = values
+    polar, azimuth, w = series
+    return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth, solid_angle=_read_only(w))
+
+
+class _AngleRows:
+    """Rows of the polar angle, azimuth and W of a path, computed from its ``k_hat`` in order as they are read.
+
+    ``read(start, stop)`` gives rows [start, stop) of the three series, and
+    ``polar``, ``azimuth`` and ``solid_angle`` one of them.  A read carries
+    to the next the azimuth unwrap (``_Azimuth``), the last W and the
+    samples the next rates read; a read of the same rows again returns the
+    same arrays.  Rows are read in order from row 0: a read that neither
+    continues the last one nor restarts at row 0 raises ValueError.
+    """
+
+    def __init__(self, path: FiberPath):
+        self.path = path
+        self.rows = self.values = None  # the rows last read, and their three series
+
+    def _restart(self):
+        self.turns = _Azimuth()
+        self.lo = self.hi = 0  # the window: polar angle and azimuth of samples lo .. hi - 1
+        self.window = (np.empty(0), np.empty(0))
+        self.last_w = None  # W at the row before the next read
+
+    def read(self, start: int, stop: int):
+        if stop <= start:
+            return (np.empty(0),) * 3
+        if (start, stop) == self.rows:
+            return self.values
+        if start == 0:
+            self._restart()
+        elif self.rows is None or start != self.rows[1]:
+            raise ValueError(f"angle rows are read in order from row 0; [{start}, {stop}) does not follow {self.rows}")
+        # trapezoid i spans samples i and i + 1, so the one ending at row start
+        # reads the rate at start - 1, from samples start - 2 .. start; W
+        # before it enters its term, where a whole-array cumsum adds it
+        lo, first = max(start - 2, 0), max(start - 1, 0)
+        held = [part[lo - self.lo :].copy() for part in self.window]  # at most 3 samples
+        self.window = self.values = None  # the last rows go before this read's are computed
+        # the rate at row stop - 1 reads sample stop, and the one-sided stencil at row 0 samples 1 and 2
+        k_hat = self.path.k_hat[self.hi : min(max(stop + 1, 3), self.path.n_samples)]
+        polar = np.clip(k_hat[:, 2], -1.0, 1.0)
+        np.arccos(polar, out=polar)
+        azimuth = np.arctan2(k_hat[:, 1], k_hat[:, 0])
+        if len(azimuth):
+            self.turns(azimuth, np.hypot(k_hat[:, 0], k_hat[:, 1]) >= POLE_SIN_TOL)
+        polar, azimuth = (np.concatenate([part, new]) for part, new in zip(held, (polar, azimuth)))
+        self.lo, self.hi, self.window = lo, self.hi + len(k_hat), (polar, azimuth)
+        dt = self.path.dt
+        rate = _stencil(azimuth, first - lo, stop - first, dt)[0]
+        rate *= 1.0 - np.cos(polar[first - lo : stop - lo])
+        w = (rate[1:] + rate[:-1]) * (0.5 * dt)
+        if first > 0:
+            w[0] += self.last_w
+        np.cumsum(w, out=w)
+        if start == 0:
+            w = np.concatenate([[0.0], w])  # W is 0 at row 0
+        self.rows, self.last_w = (start, stop), w[-1]
+        self.values = (polar[start - lo : stop - lo], azimuth[start - lo : stop - lo], w)
+        return self.values
+
+    def polar(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[0]
+
+    def azimuth(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[1]
+
+    def solid_angle(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[2]
+
+    def final_solid_angle(self) -> float:
+        """W at the last sample, from one pass over the rows."""
+        for rows in _row_slices(0, self.path.n_samples):
+            w = self.solid_angle(rows.start, rows.stop)
+        return float(w[-1])
 
 
 def derivative_uniform(values, dt) -> np.ndarray:
@@ -349,7 +404,7 @@ def solid_angle_series(angles: SphericalAngles) -> np.ndarray:
 
     Trapezoidal rule with the azimuth rate from ``derivative_uniform``; this is
     the common kernel of the transport, occupation-number and vacuum phases.
-    The series is computed once per ``angles`` and returned read-only.
+    :func:`spherical_angles` computes the series with the angles, read-only.
     """
     return angles.solid_angle
 

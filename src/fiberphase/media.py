@@ -136,7 +136,11 @@ def net_vacuum_phase(
     ordering there is no zero-point term, so the phase is 0 whichever modes
     survive.
     """
+    return _net_vacuum_phase(medium, k0, float(solid_angle_series(angles)[-1]), chamber_length, ordering)
+
+
+def _net_vacuum_phase(medium, k0, swept: float, chamber_length, ordering) -> NetVacuumPhase:
+    """:func:`net_vacuum_phase` from the final swept solid angle ``swept``."""
     surv = {pol: _survives(medium, k0, chamber_length, pol) for pol in (+1, -1)}
-    swept = float(solid_angle_series(angles)[-1])
     phase = 0.0 + _weight(0, Ordering.coerce(ordering)) * swept * (surv[+1] - surv[-1])
     return NetVacuumPhase(phase=phase, plus_survives=surv[+1], minus_survives=surv[-1])

@@ -239,6 +239,12 @@ def _parse_common(cfg) -> Scenario:
         raise ScenarioError(f"ordering: {exc}") from None
     medium = _parse_medium(cfg)
     k0 = _positive_number(cfg.get("k0", 1.0), "k0")
+    if medium is not None:  # summary.json reports both n^2 and both k = n k0
+        n2 = media.refractive_indices_squared(medium)
+        if not np.isfinite(n2).all():
+            raise ScenarioError(f"medium: refractive indices squared must be finite, got {n2[0]!r} and {n2[1]!r}")
+        if not all(np.isfinite(media.effective_wave_vector(medium, k0, pol) or 0.0) for pol in (+1, -1)):
+            raise ScenarioError(f"k0: the in-medium wave vector n k0 overflows float64 (k0 = {k0!r})")
     chamber = cfg.get("chamber_length")
     if chamber is not None:
         chamber = _positive_number(chamber, "chamber_length")
@@ -254,9 +260,12 @@ class Column:
 
     ``rows`` computes rows of the column's series; a column is read only by
     a slice of rows (``column[a:b]``), so no reader builds a full-length
-    temporary.  The columns that are multiples of one series share its
-    ``rows``, so ``(rows, abs(weight))`` keys the distinct values of a
-    table.  The + 0.0 turns -0.0 into 0.0 and nothing else.
+    temporary, and its rows are read in order from row 0: a read continues
+    the last one of the pass, repeats it or restarts at row 0 (the angle
+    columns raise on any other read, see ``geometry._AngleRows``).  The
+    columns that are multiples of one series share its ``rows``, so
+    ``(rows, abs(weight))`` keys the distinct values of a table.  The + 0.0
+    turns -0.0 into 0.0 and nothing else.
     """
 
     rows: Callable[[int, int], np.ndarray]
@@ -278,6 +287,11 @@ def _difference(a, b, start, stop):
     return a[start:stop] - b[start:stop]
 
 
+def _deviation(series, reference, start, stop):
+    """Rows [start, stop) of |series - reference|, computed when read."""
+    return np.abs(series[start:stop] - reference)
+
+
 def _residuals(path):
     """The two residual columns of ``path``, computed from its ``k_hat`` when read."""
     return {
@@ -291,59 +305,52 @@ def compute_scenario(path, scenario: Scenario):
 
     ``tables[pol]`` maps every results.csv column after ``sigma`` to a
     :class:`Column`.  The phases proportional to the swept solid angle read
-    the one cached ``W``, with weights sigma (analytic), n_R - n_L
-    (quantal), -+z (vacuum L/R) and z * (plus survives - minus survives)
-    (vacuum net), where z is the zero-point weight: 1/2, or 0 under normal
-    ordering.  Only the first polarization is evolved: every step is a real
-    rotation in the Cartesian representation, so the opposite helicity is
-    the conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total,
-    dynamical and geometric phases are the first's with weight -1, it
-    shares the read-only drifts (<S> only flips sign) and flags, and it
-    repeats the warnings under its own label.  Every other weight is 1.
+    the one ``W``, with weights sigma (analytic), n_R - n_L (quantal), -+z
+    (vacuum L/R) and z * (plus survives - minus survives) (vacuum net),
+    where z is the zero-point weight: 1/2, or 0 under normal ordering.
+    Only the first polarization is evolved: every step is a real rotation
+    in the Cartesian representation, so the opposite helicity is the
+    conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total, dynamical
+    and geometric phases are the first's with weight -1, it shares the
+    drifts (<S> only flips sign) and flags, and it repeats the warnings
+    under its own label.  Every other weight is 1.
 
-    The result holds only what its columns read: the trajectory's series go
-    once the phases and drifts are taken, before the angles and ``W`` are
-    built, and the two residuals (from the path's ``k_hat``) and the
-    geometric phase (total - dynamical) are computed when read.
+    The result holds the path's and the trajectory's series; the other
+    columns are computed when read: the drifts and the geometric phase from
+    those series, the residuals from ``k_hat``, and ``lambda``, ``gamma``
+    and ``W`` by one ``geometry._AngleRows``, one pass of which gives the
+    final ``W`` of the net vacuum phase here.
     """
     n = path.n_samples
     first = scenario.polarizations[0]
-    traj = evolution.evolve(path, first)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
-        dec = evolution.phase_decomposition(traj, path)
-    norms, hel = traj.norms, evolution.helicity_expectations(traj, path)
-    del traj
-    shared = {
-        "norm_drift": Column(partial(_held, geometry._read_only(np.abs(norms - 1.0))), n),
-        "helicity_drift": Column(partial(_held, geometry._read_only(np.abs(hel - hel[0]))), n),
-        "flagged": Column(partial(_held, geometry._read_only(dec.flagged)), n),
-    }
-    del norms, hel
-    total, dynamical = geometry._read_only(dec.total), geometry._read_only(dec.dynamical)
+        traj = evolution.evolve(path, first)
+    dec = evolution.phase_decomposition(traj, path)
+    hel = evolution.helicity_expectations(traj, path)
     phases = {
-        "phase_total": partial(_held, total),
-        "phase_dynamical": partial(_held, dynamical),
-        "phase_geometric": partial(_difference, total, dynamical),
+        "phase_total": partial(_held, dec.total),
+        "phase_dynamical": partial(_held, dec.dynamical),
+        "phase_geometric": partial(_difference, dec.total, dec.dynamical),
     }
-    del dec
-
-    angles = geometry.spherical_angles(path)
-    net = media.net_vacuum_phase(
-        scenario.medium or FREE_SPACE, scenario.k0, angles, scenario.chamber_length, scenario.ordering
-    )
-    w = partial(_held, geometry.solid_angle_series(angles))
+    angles = geometry._AngleRows(path)
+    net = media._net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, angles.final_solid_angle(),
+                                  scenario.chamber_length, scenario.ordering)
+    w = angles.solid_angle
     z = fock._weight(0, scenario.ordering)
-    shared.update({
+    shared = {
         "t": Column(partial(_held, path.times), n),
-        "lambda": Column(partial(_held, angles.polar), n),
-        "gamma": Column(partial(_held, angles.azimuth), n),
+        "lambda": Column(angles.polar, n),
+        "gamma": Column(angles.azimuth, n),
         "phase_quantal": Column(w, n, float(scenario.n_right - scenario.n_left)),
         "phase_vacuum_L": Column(w, n, -z),
         "phase_vacuum_R": Column(w, n, +z),
         "phase_vacuum_net": Column(w, n, z * (net.plus_survives - net.minus_survives)),
+        "norm_drift": Column(partial(_deviation, traj.norms, 1.0), n),
+        "helicity_drift": Column(partial(_deviation, hel, hel[0]), n),
         **_residuals(path),
-    })
+        "flagged": Column(partial(_held, dec.flagged), n),
+    }
     tables = {}
     for pol in scenario.polarizations:
         for item in caught:
@@ -364,20 +371,22 @@ def compute_scenario(path, scenario: Scenario):
 def _reduce(columns):
     """Dicts of each distinct column's last value, maximum and number of nonzero rows.
 
-    Each column is read once, a chunk at a time.  Raises NumericalError on a
-    non-finite value; a command reduces its columns before it writes a
-    file, so a failure leaves no file behind.
+    Every column has the same length, and the pass reads one chunk of rows
+    of every distinct column before the next chunk, as the writer does, so
+    a reader that serves several columns (the angles) computes each chunk
+    once.  Raises NumericalError on a non-finite value; a command reduces
+    its columns before it writes a file, so a failure leaves no file behind.
     """
-    last, peak, nonzero = {}, {}, {}
-    for column in dict.fromkeys(columns):
-        peak[column], nonzero[column] = -np.inf, 0
-        for rows in geometry._row_slices(0, column.length):
+    columns = list(dict.fromkeys(columns))
+    last, peak, nonzero = dict.fromkeys(columns), dict.fromkeys(columns, -np.inf), dict.fromkeys(columns, 0)
+    for rows in geometry._row_slices(0, columns[0].length):
+        for column in columns:
             values = column[rows]
             if not np.isfinite(values).all():
                 raise NumericalError("non-finite value detected in results")
             peak[column] = max(peak[column], float(values.max()))
             nonzero[column] += int(np.count_nonzero(values))
-        last[column] = float(values[-1])
+            last[column] = float(values[-1])
     return last, peak, nonzero
 
 

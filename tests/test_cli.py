@@ -321,6 +321,26 @@ def test_overflowing_path_exits_3_with_only_the_failure_line(tmp_path, command):
         assert not (out / name).exists(), name
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("field, medium, k0", [
+    ("medium", {"eps1": 1e200, "eps2": 0.0, "mu1": 1e200, "mu2": 0.0}, 1.0),  # n^2 = 1e400
+    ("medium", {"eps1": 1e308, "eps2": 1e308, "mu1": 1.0, "mu2": 0.0}, 1.0),  # eps1 + eps2 overflows
+    ("k0", {"eps1": 4.0, "eps2": 0.0, "mu1": 1.0, "mu2": 0.0}, 1e308),  # finite n^2 = 4, n k0 = 2e308
+], ids=["n2", "eps-sum", "k0"])
+def test_overflowing_medium_exits_2_without_writing(tmp_path, command, field, medium, k0):
+    # an infinite n^2 or k = n k0 reached only summary.json, which failed with
+    # exit 3 after results.csv and every plot file had been written
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), medium=medium, k0=k0)
+    cfg["path"]["n_steps"] = 128
+    if command == "sweep":
+        cfg = sweep_cfg(cfg, "cone_angle", ["30 deg", "60 deg"])
+    proc = _fiberphase(command, write_config(tmp_path, "medium.json", cfg), "--quiet")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"config error: {field}: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,8 @@ def test_evolve_norm_preservation():
 
 def test_evolve_helicity_conserved_on_equator():
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 1024)
-    traj = evolve(p, +1)
+    with pytest.warns(OrthogonalPassageWarning):  # half way round, the state is orthogonal to its start
+        traj = evolve(p, +1)
     hel = helicity_expectations(traj, p)
     assert np.abs(hel - hel[0]).max() < 1e-6
 
@@ -193,12 +196,18 @@ def test_half_cycle_matches_closed_form():
 
 def test_orthogonal_passage_flagged_on_equator():
     # the overlap touches zero half way around the equator
+    # evolve warns, and phase_decomposition only hands its series over
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 4096)
-    traj = evolve(p, +1)
     with pytest.warns(OrthogonalPassageWarning):
+        traj = evolve(p, +1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         dec = phase_decomposition(traj, p)
     assert dec.flagged.any()
     assert np.all(np.isfinite(dec.total))
+    for name in ("total", "dynamical", "flagged"):
+        series = getattr(dec, name)
+        assert series.base is getattr(traj, name) and not series.flags.writeable, name
 
 
 def test_phase_decomposition_grid_mismatch():

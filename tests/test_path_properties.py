@@ -148,10 +148,10 @@ def test_chunked_angles_and_solid_angle_match_whole_array(samples, south, dt, ch
 
 
 @st.composite
-def _pole_runs(draw):
+def _pole_runs(draw, max_n=60):
     """(n, chunk, pole flags, azimuth steps): runs of pole samples that start and end at, just before or just
     after chunk edges, and one azimuth step per sample."""
-    n = draw(st.integers(min_value=3, max_value=60))
+    n = draw(st.integers(min_value=3, max_value=max_n))
     chunk = draw(st.integers(min_value=1, max_value=9))
     pole = np.zeros(n, dtype=bool)
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
@@ -173,6 +173,75 @@ def test_chunked_pole_fill_matches_whole_array_fill(runs, south):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         assert geometry.spherical_angles(path).azimuth.tobytes() == azimuth.tobytes()
+
+
+# ------------------------------------------- the ordered angle reader
+
+def _pole_run_path(runs):
+    n, chunk, pole, steps = runs
+    colatitudes = np.where(pole, 0.0, 0.15)
+    colatitudes[pole & (np.arange(n) % 2 == 1)] = 1e-12
+    return _sphere_path(colatitudes, steps, False, 0.1), chunk
+
+
+def _meridian(n):
+    """A great circle through both poles in n >= 13 samples, two of them within rounding of the poles."""
+    theta = -0.5 * np.pi + np.arange(n) * (0.5 * np.pi / max(4, (n - 1) // 4))
+    return FiberPath(times=0.1 * np.arange(n),
+                     k_hat=np.stack([np.sin(theta), 0.0 * theta, np.cos(theta)], axis=1), k_mag=1.0)
+
+
+def _walk(n, seed):
+    rng = np.random.default_rng(seed)
+    polar = 0.4 + np.cumsum(rng.uniform(-0.08, 0.08, n))
+    azimuth = np.cumsum(rng.uniform(-0.05, 0.3, n))
+    kh = np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+    return FiberPath(times=0.1 * np.arange(n), k_hat=kh, k_mag=1.0)
+
+
+def _with_chunk(path):
+    """(path, _CHUNK_ROWS): 1 to 9 rows for paths of up to 40 samples, else 1 to 9 chunks of rows."""
+    n = path.n_samples
+    return st.tuples(st.just(path), st.integers(1, 9) if n <= 40 else st.integers(n // 8, n + 2))
+
+
+ANGLE_READER_CASES = st.one_of(
+    # helices, clockwise and on the pole (cone 0 and pi) among them
+    st.builds(lambda n, cone, omega: geometry.helix_path(cone, omega, 1.0, (n - 1) / 32, n - 1),
+              st.integers(3, 300), st.sampled_from([0.0, 0.4, np.pi / 2, 2.8, np.pi]),
+              st.sampled_from([1.0, -2.0])).flatmap(_with_chunk),
+    st.builds(_meridian, st.integers(13, 300)).flatmap(_with_chunk),
+    _pole_runs(max_n=40).map(_pole_run_path),
+    st.builds(_walk, st.integers(3, 300), st.integers(0, 2**32 - 1)).flatmap(_with_chunk),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ANGLE_READER_CASES, order=st.permutations([0, 1, 2]))
+@example(case=(_meridian(40), 4), order=[0, 1, 2])
+def test_ordered_angle_reader_matches_spherical_angles(case, order):
+    path, chunk = case
+    n = path.n_samples
+    angles = geometry.spherical_angles(path)
+    want = (angles.polar, angles.azimuth, geometry.solid_angle_series(angles))
+    reader = geometry._AngleRows(path)
+    series = (reader.polar, reader.azimuth, reader.solid_angle)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        for _ in range(2):  # a second pass from row 0 gives the same bits
+            got = ([], [], [])
+            for rows in geometry._row_slices(0, n):
+                for i in order:  # the three series, read in any order, come from one computation of the rows
+                    got[i].append(series[i](rows.start, rows.stop))
+            for i in range(3):
+                assert np.concatenate(got[i]).tobytes() == want[i].tobytes(), i
+    # rows are read in order from row 0: a read that skips rows, or goes back without restarting, raises
+    with pytest.raises(ValueError, match="in order from row 0"):
+        reader.polar(1, n)
+    reader.azimuth(0, 1)
+    with pytest.raises(ValueError, match="in order from row 0"):
+        reader.solid_angle(2, n)
+    assert reader.solid_angle(1, n).tobytes() == want[2][1:].tobytes()
 
 
 # ------------------------------------------------------- load_path grammar
@@ -268,9 +337,9 @@ WINDING_THEN_HALF_TURN = [
 def test_chunked_unwrap_matches_whole_array_on_raw_azimuths(raw, chunk):
     q = np.array(raw, dtype=float)
     want = _whole_array_unwrap(q)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        geometry._azimuth_in_place(q, np.ones(len(q), dtype=bool))
+    turns = geometry._Azimuth()
+    for rows in geometry._row_slices(0, len(q), chunk):  # pieces of `chunk` samples, the last one shorter
+        assert turns(q[rows], np.ones(rows.stop - rows.start, dtype=bool)).base is q
     assert q.tobytes() == want.tobytes()
 
 

@@ -35,6 +35,7 @@ from fiberphase.scenario import (
     _reduce,
     compute_scenario,
     run_sweep,
+    write_results_csv,
 )
 
 GYROTROPIC = media.GyrotropicMedium(eps1=2.0, eps2=3.0, mu1=2.0, mu2=1.0)  # left mode evanescent
@@ -60,11 +61,11 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     flags unchanged.  Every column gets + 0.0, which only turns -0.0 into 0.0.
     """
     first = pols[0]
-    states = evolve(_fresh(path), first).states
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        states = evolve(_fresh(path), first).states
         dec = phase_decomposition(evolve(_fresh(path), first), _fresh(path))
-    hel = helicity_expectations(evolve(_fresh(path), first), _fresh(path))
+        hel = helicity_expectations(evolve(_fresh(path), first), _fresh(path))
     inv = invariant_residual_series(_fresh(path))
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
     vac_left = fock.vacuum_phase(-1, _angles(path), ordering)
@@ -171,8 +172,12 @@ def test_result_tables_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     first, derived = result["tables"][1], result["tables"][-1]
+    # W is read from the path's one ordered angle reader, which also serves lambda and gamma
     w = first["phase_analytic"].rows
-    _assert_bitwise(w.args[0], solid_angle_series(_angles(path)), "W")
+    reader = w.__self__
+    assert isinstance(reader, geometry._AngleRows) and reader.path is path
+    assert (w, first["lambda"].rows, first["gamma"].rows) == (reader.solid_angle, reader.polar, reader.azimuth)
+    _assert_bitwise(w(0, path.n_samples), solid_angle_series(_angles(path)), "W")
     for pol, table in result["tables"].items():
         # every results.csv column after sigma, each a Column of n rows
         assert sorted(table) == sorted(RESULT_COLUMNS[1:])
@@ -315,6 +320,55 @@ def test_stage_peaks_stay_near_the_held_result():
     assert checked < 74, checked
 
 
+def test_result_holds_only_the_five_trajectory_series():
+    # evolve unwraps the overlap phase and integrates the energy in place, the
+    # drifts and the angle columns are computed when read: 57 B/step held and
+    # 64 peak when the result held the drifts, the angles and W
+    n_steps = 100_000
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
+    tracemalloc.start()
+    try:
+        result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        held, peak = (value / n_steps for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held <= 36, held  # bytes per step
+    assert peak <= 52, peak
+    assert len(result["tables"]) == 2
+
+
+@pytest.mark.parametrize("pols", [(1, -1), (-1,)], ids=["R,L", "L"])
+def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols):
+    # the reduction reads one chunk of every column at a time, so the one
+    # reader of lambda, gamma and W restarts once per pass and computes each
+    # chunk once; the writer restarts it once per table
+    restarts, computed = [], []
+    original_restart, original_turns = geometry._AngleRows._restart, geometry._Azimuth.__call__
+
+    def restart(reader):
+        restarts.append(reader)
+        original_restart(reader)
+
+    def turns(kernel, raw, off_pole):
+        computed.append(len(raw))
+        return original_turns(kernel, raw, off_pole)
+
+    monkeypatch.setattr(geometry._AngleRows, "_restart", restart)
+    monkeypatch.setattr(geometry._Azimuth, "__call__", turns)
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 300)
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 2000)
+    result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    reader = result["tables"][pols[0]]["lambda"].rows.__self__
+    assert restarts == [reader]  # one pass for the final W of the net vacuum phase
+    for run, expected in ((lambda: _reduce(_all_columns(result)), 1),
+                          (lambda: write_results_csv(str(tmp_path), result), len(pols))):
+        restarts.clear()
+        computed.clear()
+        run()
+        assert restarts == [reader] * expected
+        assert sum(computed) == expected * path.n_samples  # every sample's angles once per pass
+
+
 def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
     one = _sweep_peak(tmp_path, ["40 deg"])
     two = _sweep_peak(tmp_path, ["40 deg", "50 deg"])
@@ -336,10 +390,10 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
     derived = {name: column[:] for name, column in got["tables"][-first].items()}
 
-    traj = evolve(_fresh(path), -first)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
-        dec = phase_decomposition(traj, _fresh(path))
+        traj = evolve(_fresh(path), -first)
+    dec = phase_decomposition(traj, _fresh(path))
     hel = helicity_expectations(traj, _fresh(path))
     assert np.array_equal(derived["flagged"], dec.flagged)
     if case == "equator-flagged":

@@ -1,12 +1,13 @@
 """Property tests: the transport layer reduced column by column equals its whole-array forms.
 
-``evolve`` reduces each slab of the scan's columns to four observables and
-never holds the (n, 3) states or generator coefficients: each slab builds its
-own rows of h from k_hat.  ``SpinorTrajectory.states`` runs the same scan
-again and stores the states.  With the chunk and slab sizes made small, random
-short paths (some passing orthogonal to their start state, so samples get
-flagged) must give bit for bit the series that whole-array numpy computes
-from the stored states.
+``evolve`` reduces each slab of the scan's columns to the overlap phase and
+flag, h . <S>, k_hat . <S> and the norm, never holding the (n, 3) states or
+generator coefficients (each slab builds its own rows of h from k_hat), and
+then unwraps the phase and integrates the energy in place.
+``SpinorTrajectory.states`` runs the same scan again and stores the states.
+With the chunk and slab sizes made small, random short paths (some passing
+orthogonal to their start state, so samples get flagged) must give bit for
+bit the series that whole-array numpy computes from the stored states.
 """
 import warnings
 
@@ -72,8 +73,8 @@ def test_half_turn_paths_are_flagged():
     for n, m in ((10, 8), (40, 20), (300, 298), (300, 150)):
         path = _half_turn_path(n, m)
         with pytest.warns(evolution.OrthogonalPassageWarning):
-            dec = phase_decomposition(evolve(path, +1), path)
-        assert dec.flagged[m]
+            traj = evolve(path, +1)
+        assert traj.flagged[m]
 
 
 def _whole_array_observables(path, states):
@@ -90,49 +91,62 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=PATHS.flatmap(_with_slab), pol=st.sampled_from([1, -1]))
-@example(case=(_half_turn_path(12, 9), 3), pol=1)
-def test_reduced_observables_match_whole_array_forms_of_the_states(case, pol):
-    path, slab = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_SLAB", slab)
-        traj = evolve(path, pol)
-        states = traj.states
+def _whole_array_series(path, states):
+    """The five trajectory series from the stored states with whole-array numpy: the oracle.
+
+    The total phase is np.unwrap of the unflagged overlap angles, np.interp
+    over the flagged samples and shifted to start at 0; the dynamical phase
+    is the cumsum of the trapezoids of -h . <S>.
+    """
     overlaps, energy, helicity, norms = _whole_array_observables(path, states)
-    assert _same_bits(traj.overlaps, overlaps)
-    assert _same_bits(traj.energy, energy)
-    assert _same_bits(traj.helicity, helicity)
-    assert _same_bits(traj.norms, norms)
-    # the stored states are the scan's, whatever the slab width
-    assert _same_bits(states, evolve(path, pol).states)
-
-
-def _whole_array_phases(overlaps, energy, dt):
-    """phase_decomposition's total, dynamical and flags with np.unwrap and np.interp over whole arrays."""
     flagged = np.abs(overlaps) < evolution.OVERLAP_FLOOR
     good = ~flagged
     idx = np.arange(len(overlaps))
     total = np.interp(idx, idx[good], np.unwrap(np.angle(overlaps[good])))
     total = total - total[0]
-    dynamical = np.concatenate([[0.0], np.cumsum((energy[1:] + energy[:-1]) * (-0.5 * dt))])
-    return total, dynamical, flagged
+    dynamical = np.concatenate([[0.0], np.cumsum((energy[1:] + energy[:-1]) * (-0.5 * path.dt))])
+    return {"total": total, "flagged": flagged, "dynamical": dynamical, "helicity": helicity, "norms": norms}
+
+
+SERIES = ("total", "flagged", "dynamical", "helicity", "norms")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=PATHS.flatmap(_with_slab), pol=st.sampled_from([1, -1]))
+@example(case=(_half_turn_path(12, 9), 3), pol=1)
+def test_reduced_observables_match_whole_array_forms_of_the_states(case, pol):
+    path, slab = case
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        mp.setattr(evolution, "_SLAB", slab)
+        traj = evolve(path, pol)
+        states = traj.states
+        mp.undo()
+        # the stored states are the scan's, whatever the slab width
+        assert _same_bits(states, evolve(path, pol).states)
+    want = _whole_array_series(path, states)
+    assert list(want) == list(SERIES)
+    for name in SERIES:
+        assert _same_bits(getattr(traj, name), want[name]), name
+        assert not getattr(traj, name).flags.writeable, name
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=PATHS.flatmap(_with_chunk))
 def test_chunked_phase_decomposition_matches_whole_array(case):
+    # the unwrap and the trapezoids go in chunks inside evolve;
+    # phase_decomposition hands the trajectory's series over as views
     path, chunk = case
-    traj = evolve(path, +1)
-    total, dynamical, flagged = _whole_array_phases(traj.overlaps, traj.energy, path.dt)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        dec = phase_decomposition(traj, path)
-    assert _same_bits(dec.flagged, flagged)
-    assert _same_bits(dec.total, total)
-    assert _same_bits(dec.dynamical, dynamical)
-    assert _same_bits(dec.geometric, total - dynamical)
+        traj = evolve(path, +1)
+    want = _whole_array_series(path, traj.states)
+    dec = phase_decomposition(traj, path)
+    for name in ("total", "dynamical", "flagged"):
+        assert _same_bits(getattr(dec, name), want[name]), name
+        assert getattr(dec, name).base is getattr(traj, name), name
+    assert _same_bits(dec.geometric, want["total"] - want["dynamical"])
 
 
 # angles whose steps land on and next to the branch cut at +-pi
@@ -166,16 +180,18 @@ def test_chunked_unwrap_and_interpolation_match_whole_array(samples, radii, chun
     flagged = np.array([flag for _, flag in samples], dtype=bool)
     values = np.where(flagged, 1e-10, radii) * np.exp(1j * angles)
     good = ~flagged
+    # evolve's consumer stores each overlap's angle and flag
+    got, got_flagged = np.angle(values), np.abs(values) < evolution.OVERLAP_FLOOR
+    assert _same_bits(got_flagged, flagged)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         if not good.any():
             with pytest.raises(ValueError, match="every overlap is numerically zero"):
-                evolution._unwrap_with_flags(values)
+                evolution._unwrap_with_flags(got, got_flagged)
             return
-        got, got_flagged = evolution._unwrap_with_flags(values)
+        evolution._unwrap_with_flags(got, got_flagged)  # in place
     unwrapped = np.unwrap(np.angle(values[good]))
-    assert _same_bits(got_flagged, flagged)
     assert _same_bits(got[good], unwrapped)
     idx = np.arange(len(values))
     assert _same_bits(got, np.interp(idx, idx[good], unwrapped))
@@ -262,5 +278,5 @@ def test_evolve_matches_a_scan_of_the_whole_array_generator(case, pol):
         got = evolve(path, pol)
         mp.setattr(evolution, "_slab_steps", _whole_array_slab_steps(evolution.hamiltonian_coefficients(path)))
         want = evolve(path, pol)
-    for name in ("overlaps", "energy", "helicity", "norms"):
+    for name in SERIES:
         assert _same_bits(getattr(got, name), getattr(want, name)), name
