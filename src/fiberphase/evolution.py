@@ -90,7 +90,7 @@ class SpinorTrajectory:
         def store(rows, cart, h):
             states[rows] = _angular(cart)
 
-        _scan(self.path, _start(self.path, self.polarization), store)
+        list(_scan(self.path, _start(self.path, self.polarization), store))  # every tile
         return _read_only(states)
 
 
@@ -204,20 +204,30 @@ def _start(path: FiberPath, polarization: int) -> np.ndarray:
 
 
 _SLAB = 16  # columns of the scan whose steps and states are handled in one set of array operations
+_TILE = 1 << 15  # steps of the scan per tile, at most about; a tile's states are handed over before the next is filled
 
 
-def _slab_steps(path: FiberPath, size: int, j0: int, width: int):
-    """h at the samples b size + j0 + i (i = 0 .. width) of every block b, and axis, sin and 1 - cos of its steps.
+def _tiling(n_steps: int):
+    """Block size, blocks and blocks per tile: k = ceil(n_steps / _TILE) tiles of ~sqrt(n) blocks of sqrt(n) / k steps.
+
+    Each of the scan's ~2 sqrt(n) rotations acts on ~sqrt(n) rows; one tile keeps blocks of ceil(sqrt(n)) steps.
+    """
+    n_tiles = -(-n_steps // _TILE)
+    size = int(np.ceil(np.sqrt(n_steps) / n_tiles))
+    n_blocks = -(-n_steps // size)
+    return size, n_blocks, -(-n_blocks // n_tiles)
+
+
+def _slab_steps(path: FiberPath, first: np.ndarray, width: int):
+    """h at the samples first + i (i = 0 .. width) for each entry of ``first``, and axis, sin and 1 - cos of its steps.
 
     The h rows are bitwise those of :func:`hamiltonian_coefficients`, and
-    zero past the path's end.  Each of the last three is (n_blocks, width,
-    .) for the steps j0 .. j0 + width - 1 of every block: step i is the
-    rotation by |h_mid| dt about h_mid = (h_i + h_(i+1)) / 2, with the float
-    operations of the whole-array forms (``np.linalg.norm`` for the rate).
-    The steps past the path's end lead only to states never handed over.
+    zero past the path's end.  Step i is the rotation by |h_mid| dt about
+    h_mid = (h_i + h_(i+1)) / 2, with the float operations of the
+    whole-array forms; the steps past the path's end lead only to states
+    never handed over.
     """
-    n_blocks = -(-(path.n_samples - 1) // size)
-    rate, k_hat = geometry._stencil(path.k_hat, np.arange(n_blocks) * size + j0, width + 1, path.dt)
+    rate, k_hat = geometry._stencil(path.k_hat, first, width + 1, path.dt)
     h = _cross(k_hat, rate)
     del rate, k_hat  # the gathered window goes before the steps' temporaries
     h_mid = np.add(h[:, :-1], h[:, 1:])
@@ -234,53 +244,183 @@ def _slab_steps(path: FiberPath, size: int, j0: int, width: int):
     return h, axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
 
 
-def _scan(path: FiberPath, start: np.ndarray, consume) -> None:
-    """Propagate the Cartesian state ``start`` along the path, handing its states to ``consume``.
+def _scan(path: FiberPath, start: np.ndarray, consume):
+    """Propagate the Cartesian state ``start`` along the path, handing its states to ``consume``; a generator.
 
-    A two-level scan over about sqrt(n) blocks of sqrt(n) steps: the block
-    rotations are composed across all blocks at once, the state is carried
-    over the block starts, and then the blocks are filled in one column at a
-    time; column j holds the states at samples j, j + size, ...  The columns
-    go ``_SLAB`` at a time, each slab's h rows and step rotations rebuilt in
-    each pass (see ``_slab_steps``), and its states go to ``consume(rows,
-    cart, h)``: the sample indices, the (len(rows), 3) Cartesian states,
-    which the scan overwrites afterwards, and their h rows.  Every sample is
-    handed over exactly once.
+    Each tile of consecutive blocks (``_tiling``) is a two-level scan: the
+    block rotations are composed across its blocks at once, the state is
+    carried over the block starts, and the blocks are filled in one column
+    at a time, ``_SLAB`` columns per set of array operations (see
+    ``_slab_steps``).  Each slab's states go to ``consume(rows, cart, h)``:
+    the sample indices, the (len(rows), 3) Cartesian states, which the scan
+    overwrites afterwards, and their h rows.  Once a tile has handed over
+    each of its samples [first, stop) once, the scan yields (first, stop)
+    and carries the state at ``stop`` into the next tile.
     """
     n_samples = path.n_samples
     n_steps = n_samples - 1
-    size = int(np.ceil(np.sqrt(n_steps)))
-    n_blocks = -(-n_steps // size)
-    full = (n_blocks - 1) * size  # samples of every block but the last
+    size, n_blocks, per_tile = _tiling(n_steps)
     slabs = [(j0, min(_SLAB, size - j0)) for j0 in range(0, size, _SLAB)]
-
-    # block rotations: row k of frames[b] is the image of the unit vector e_k
-    frames = np.broadcast_to(np.eye(3), (n_blocks, 3, 3)).copy()
-    for j0, width in slabs:
-        _, axis, sin, vers = _slab_steps(path, size, j0, width)
-        for t in range(width):
-            frames = _rotate(frames, axis[:, t, None], sin[:, t, None], vers[:, t, None])
-
-    columns = np.empty((n_blocks, _SLAB, 3), dtype=complex)
     current = start
-    for b in range(n_blocks):
-        columns[b, 0] = current
-        current = current @ frames[b]
-    del frames
-    rows = np.arange(0, full, size)[:, None]  # block starts, but the last
-    last = min(n_samples, n_blocks * size)  # samples from here on are padding, or the block-closing one
-    for j0, width in slabs:
-        h, axis, sin, vers = _slab_steps(path, size, j0, width)
-        for t in range(width - 1):
-            columns[:, t + 1] = _rotate(columns[:, t], axis[:, t], sin[:, t], vers[:, t])
-        consume((rows + np.arange(j0, j0 + width)).ravel(), columns[:-1, :width].reshape(-1, 3),
-                h[:-1, :width].reshape(-1, 3))
-        tail = np.arange(full + j0, min(full + j0 + width, last))
-        consume(tail, columns[-1, : len(tail)], h[-1, : len(tail)])
-        if j0 + width < size:  # the next slab starts one step on
-            columns[:, 0] = _rotate(columns[:, -1], axis[:, -1], sin[:, -1], vers[:, -1])
-    if last < n_samples:  # the last slab's rows end at this sample
-        consume(np.array([last]), current[None], h[-1, -1:])
+    for b0 in range(0, n_blocks, per_tile):
+        starts = np.arange(b0, min(b0 + per_tile, n_blocks)) * size  # the tile's block starts
+        # block rotations: row k of frames[b] is the image of the unit vector e_k
+        frames = np.broadcast_to(np.eye(3), (len(starts), 3, 3)).copy()
+        for j0, width in slabs:
+            _, axis, sin, vers = _slab_steps(path, starts + j0, width)
+            for t in range(width):
+                frames = _rotate(frames, axis[:, t, None], sin[:, t, None], vers[:, t, None])
+
+        columns = np.empty((len(starts), _SLAB, 3), dtype=complex)
+        for b in range(len(starts)):
+            columns[b, 0] = current
+            current = current @ frames[b]
+        del frames
+        full = int(starts[-1])  # the last block's start
+        stop = min(n_samples, full + size)  # samples from here on are the next tile's, padding, or the closing one
+        for j0, width in slabs:
+            h, axis, sin, vers = _slab_steps(path, starts + j0, width)
+            for t in range(width - 1):
+                columns[:, t + 1] = _rotate(columns[:, t], axis[:, t], sin[:, t], vers[:, t])
+            consume((starts[:-1, None] + np.arange(j0, j0 + width)).ravel(), columns[:-1, :width].reshape(-1, 3),
+                    h[:-1, :width].reshape(-1, 3))
+            tail = np.arange(full + j0, min(full + j0 + width, stop))
+            consume(tail, columns[-1, : len(tail)], h[-1, : len(tail)])
+            if j0 + width < size:  # the next slab starts one step on
+                columns[:, 0] = _rotate(columns[:, -1], axis[:, -1], sin[:, -1], vers[:, -1])
+        if stop == n_steps:  # the last slab's rows end at this sample, the path's last
+            consume(np.array([stop]), current[None], h[-1, -1:])
+            stop = n_samples
+        del columns, h, axis, sin, vers  # the tile's scratch goes before its rows are used
+        yield int(starts[0]), stop
+
+
+def _passage_warning(count: int) -> OrthogonalPassageWarning:
+    return OrthogonalPassageWarning(f"{count} sample(s) passed within {OVERLAP_FLOOR:g} of orthogonality; "
+                                    "their total phase is interpolated from neighbours")
+
+
+class _TrajectoryRows:
+    """Rows of the five series of :class:`SpinorTrajectory`, scanned a tile at a time as they are read.
+
+    ``read(start, stop)`` gives rows [start, stop) of each series (the methods
+    named after results columns, one column).  Each tile's states go into a
+    window: one tile and the rows still read, or with ``hold`` every row,
+    scanned once at construction.  Between tiles it carries the phase's
+    ``geometry._Unwrap``, the trapezoids' last energy and sum, and a flagged
+    run waiting for its next unflagged neighbour; ``hel0`` is the helicity
+    at row 0.  Every row is bitwise the whole-array form of the scan's
+    states.  Unless held, rows are read in order: a read from row 0 scans
+    again, and one that neither continues nor restarts raises ValueError.
+    """
+
+    def __init__(self, path: FiberPath, polarization: int, hold: bool = False):
+        self.path, self.start, self.hold = path, _start(path, polarization), hold
+        self.ref = _angular(self.start).conj()
+        size, _, per_tile = _tiling(path.n_samples - 1)
+        self.tile = min(size * per_tile + 1, path.n_samples)  # samples of one tile, at most
+        self.rows = self.values = None  # the rows last read, and their five series
+        if hold:  # one scan fills every row, and rows [0, n) are the window's arrays, read-only
+            self.read(0, path.n_samples)
+            self.window = self.values = tuple(map(_read_only, self.window))
+
+    def _restart(self):
+        self.tiles = _scan(self.path, self.start, self._reduce)
+        self.unwrap = geometry._Unwrap()
+        # the window holds rows lo .. hi - 1, final below ready; last is the unshifted total at row ready - 1
+        self.lo = self.hi = self.ready = self.last = 0
+        dtypes = (float, bool, float, float, float)  # total, flagged, dynamical (the energy at first), helicity, norms
+        self.window = tuple(np.empty(self.path.n_samples if self.hold else 0, dtype) for dtype in dtypes)
+
+    def _reduce(self, rows, cart, h):
+        # each row is reduced on its own (einsum too, whatever the strides): the whole-array forms' bits
+        at = rows - self.lo
+        total, flagged, energy, helicity, norms = self.window
+        ang = _angular(cart)
+        overlap = ang[:, 0] * self.ref[0] + ang[:, 1] * self.ref[1] + ang[:, 2] * self.ref[2]
+        flagged[at] = np.abs(overlap) < OVERLAP_FLOOR
+        total[at] = np.angle(overlap)  # unwrapped, and the energy integrated, when the tile is done
+        norms[at] = np.linalg.norm(ang, axis=1)
+        spin = _spin_vectors(ang)
+        energy[at] = np.einsum("ni,ni->n", h, spin)
+        helicity[at] = np.einsum("ni,ni->n", self.path.k_hat[rows], spin)
+
+    def _next_tile(self, keep: int):
+        """Scan the next tile into the window, which keeps the rows from ``keep`` and the last final one on."""
+        if not self.hold:
+            lo = max(min(keep, self.ready - 1), self.lo)
+            window = tuple(np.empty(self.hi - lo + self.tile, part.dtype) for part in self.window)
+            for new, old in zip(window, self.window):
+                new[: self.hi - lo] = old[lo - self.lo : self.hi - self.lo]
+            self.window, self.lo = window, lo
+        first, stop = next(self.tiles)
+        lo, ready, n, self.hi = self.lo, self.ready, self.path.n_samples, stop
+        self.tiles = None if stop == n else self.tiles  # the scan's frame refers to the reader
+        total, flagged, dynamical = self.window[:3]
+        for rows in geometry._row_slices(first - lo, stop - lo):  # bitwise np.unwrap of the unflagged angles
+            kept = np.flatnonzero(~flagged[rows]) + rows.start
+            total[kept] = self.unwrap(total[kept])
+        # trapezoid i, (E_i + E_(i-1)) (-dt/2), in chunks from the top down (each reads the energy below it
+        # before that goes); the sum so far enters the tile's first term, where a whole-array cumsum adds it
+        energy, scale, head = dynamical[stop - 1 - lo], -0.5 * self.path.dt, first - lo
+        for rows in reversed(list(geometry._row_slices(head + 1, stop - lo))):
+            dynamical[rows] = (dynamical[rows] + dynamical[rows.start - 1 : rows.stop - 1]) * scale
+        dynamical[head] = (dynamical[head] + self.energy) * scale + self.sum if first else 0.0
+        terms = dynamical[max(first, 1) - lo : stop - lo]
+        np.cumsum(terms, out=terms)
+        self.energy, self.sum = energy, dynamical[stop - 1 - lo] if stop > 1 else -0.0  # adding -0.0 changes no bit
+        self.hel0 = self.window[3][0] if first == 0 else self.hel0
+        # np.interp's value at a point reads only the two nodes around it: a flagged run waits for its next
+        # unflagged neighbour, and those nodes (in order, no np.unique: its first call adds ~1.7 MB RSS) give its bits
+        clear = ~flagged[ready - lo : stop - lo][::-1]
+        last = int(np.argmax(clear))
+        self.ready = stop if stop == n else stop - last if clear[last] else ready
+        hits = np.flatnonzero(flagged[ready - lo : self.ready - lo]) + ready
+        if len(hits):
+            nodes = np.clip(np.add.outer(hits, (-1, 1)).ravel(), lo, stop - 1)  # -1 and n land on flagged ends
+            nodes = nodes[~flagged[nodes - lo]]  # the unflagged neighbours, in order
+            if not len(nodes):
+                raise ValueError("every overlap is numerically zero; cannot define a phase")
+            nodes = nodes[np.diff(nodes, prepend=-1) > 0]  # a sample between two flagged ones neighbours both
+            values = total[nodes - lo]
+            values[nodes == ready - 1] = self.last  # that row is final, and shifted
+            total[hits - lo] = np.interp(hits, nodes, values)
+        if self.ready > ready:  # the rows that became final start at 0, as arg <psi(0)|psi(0)> does
+            self.last = total[self.ready - 1 - lo]
+            self.total0 = total[0] if ready == 0 else self.total0
+            total[ready - lo : self.ready - lo] -= self.total0
+
+    def read(self, start: int, stop: int):
+        if (start, stop) == self.rows:
+            return self.values
+        if start == 0 and not (self.hold and self.rows):
+            self._restart()
+        elif not self.hold and (self.rows is None or start != self.rows[1]):
+            raise ValueError(f"trajectory rows are read in order from row 0; [{start}, {stop}) follows {self.rows}")
+        self.values = None  # the last rows go before this read's are computed
+        while self.ready < stop:
+            self._next_tile(start)
+        self.rows, self.values = (start, stop), tuple(part[start - self.lo : stop - self.lo] for part in self.window)
+        return self.values
+
+    def total(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[0]
+
+    def flagged(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[1]
+
+    def dynamical(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[2]
+
+    def geometric(self, start: int, stop: int) -> np.ndarray:
+        total, _, dynamical = self.read(start, stop)[:3]
+        return total - dynamical
+
+    def norm_drift(self, start: int, stop: int) -> np.ndarray:
+        return np.abs(self.read(start, stop)[4] - 1.0)
+
+    def helicity_drift(self, start: int, stop: int) -> np.ndarray:
+        return np.abs(self.read(start, stop)[3] - self.hel0)
 
 
 def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
@@ -292,44 +432,15 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     midpoint-interpolated coefficient vector h_mid.  In the Cartesian
     representation (S_i)_jk = -i eps_ijk that unitary is the real rotation by
     |h_mid| dt about h_mid (closed-form Rodrigues formula), so norms are
-    preserved to rounding.  The steps are composed by the two-level scan of
-    :func:`_scan`, and each slab of states it fills is reduced on the spot
-    to its overlap phases and flags, energies h . <S>, helicities and norms
-    (the scan hands each slab's rows of ``h`` over with its states); no
-    (n, 3) array of states or of ``h`` is built.  The phases are unwrapped
-    and the energies integrated in place.  Samples passing nearly orthogonal
-    to the initial state are flagged and their total phase is interpolated
-    (an :class:`OrthogonalPassageWarning` is emitted).
+    preserved to rounding.  One held ``_TrajectoryRows`` runs the tiled scan
+    (:func:`_scan`) and reduces its states on the spot.  Samples passing
+    nearly orthogonal to the initial state are flagged and their total phase
+    is interpolated (an :class:`OrthogonalPassageWarning` is emitted).
     """
-    start = _start(path, polarization)
-    ref = _angular(start).conj()
-    k_hat = path.k_hat
-    n = path.n_samples
-    total, dynamical, helicity, norms = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    flagged = np.empty(n, dtype=bool)
-
-    def reduce(rows, cart, h):
-        # each row is reduced on its own (einsum too, whatever the strides), so
-        # these are bitwise the whole-array forms of the stored states
-        ang = _angular(cart)
-        overlap = ang[:, 0] * ref[0] + ang[:, 1] * ref[1] + ang[:, 2] * ref[2]
-        flagged[rows] = np.abs(overlap) < OVERLAP_FLOOR
-        total[rows] = np.angle(overlap)
-        norms[rows] = np.linalg.norm(ang, axis=1)
-        spin = _spin_vectors(ang)
-        dynamical[rows] = np.einsum("ni,ni->n", h, spin)  # the energy, integrated below
-        helicity[rows] = np.einsum("ni,ni->n", k_hat[rows], spin)
-
-    _scan(path, start, reduce)
-    _unwrap_with_flags(total, flagged)
-    total -= total[0]
-    # trapezoid i, (E_i + E_(i-1)) (-dt/2), with the float operations of the whole-array
-    # form; the chunks go from the top down, so each reads the energy below it before that goes
-    for rows in reversed(list(geometry._row_slices(1, n))):
-        dynamical[rows] = (dynamical[rows] + dynamical[rows.start - 1 : rows.stop - 1]) * (-0.5 * path.dt)
-    dynamical[0] = 0.0
-    np.cumsum(dynamical[1:], out=dynamical[1:])
-    return SpinorTrajectory(path, polarization, *map(_read_only, (total, flagged, dynamical, helicity, norms)))
+    series = _TrajectoryRows(path, polarization, hold=True).window
+    if count := int(np.count_nonzero(series[1])):
+        warnings.warn(_passage_warning(count), stacklevel=2)
+    return SpinorTrajectory(path, polarization, *series)
 
 
 def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: float = 1.0) -> np.ndarray:
@@ -384,40 +495,6 @@ def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray
     """
     _check_grid(traj, path)
     return traj.helicity
-
-
-def _unwrap_with_flags(total: np.ndarray, flagged: np.ndarray) -> None:
-    """Unwrap the overlap angles ``total`` in place along the unflagged samples, interpolating the flagged ones.
-
-    One pass over chunks of samples hands each chunk's unflagged angles to
-    one ``geometry._Unwrap``, so those places become bitwise
-    ``np.unwrap(angles[~flagged])``; the flagged ones are interpolated
-    between them.
-    """
-    unwrap = geometry._Unwrap()
-    for rows in geometry._row_slices(0, len(total)):
-        kept = np.flatnonzero(~flagged[rows]) + rows.start
-        total[kept] = unwrap(total[kept])
-    if flagged.all():
-        raise ValueError("every overlap is numerically zero; cannot define a phase")
-    if flagged.any():
-        # np.interp's value at a point reads only the two nodes around it (or
-        # the end one past an end), so interpolating from the unflagged
-        # neighbours of the flagged samples is bitwise np.interp over all the
-        # unflagged ones, with O(flagged) scratch.  The nodes come in order
-        # without a sort: the first np.unique of a process loads modules that
-        # add about 1.7 MB to its peak RSS (numpy 2.4).
-        hits = np.flatnonzero(flagged)
-        nodes = np.clip(np.add.outer(hits, (-1, 1)).ravel(), 0, len(total) - 1)  # -1 and n land on flagged ends
-        nodes = nodes[~flagged[nodes]]  # the unflagged neighbours, in order
-        nodes = nodes[np.diff(nodes, prepend=-1) > 0]  # a sample between two flagged ones neighbours both
-        total[hits] = np.interp(hits, nodes, total[nodes])
-        warnings.warn(
-            f"{int(flagged.sum())} sample(s) passed within {OVERLAP_FLOOR:g} of orthogonality; "
-            "their total phase is interpolated from neighbours",
-            OrthogonalPassageWarning,
-            stacklevel=3,
-        )
 
 
 def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecomposition:

@@ -160,7 +160,11 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     duration = 2.0 * np.pi * n_cycles / abs(omega)
     t = np.linspace(0.0, duration, n_steps + 1)
     s, c = np.sin(cone_angle), np.cos(cone_angle)
-    kh = np.stack([s * np.cos(omega * t), s * np.sin(omega * t), np.full_like(t, c)], axis=1)
+    kh, column = np.empty((len(t), 3)), np.empty(len(t))
+    for i, turn in enumerate((np.cos, np.sin)):  # bitwise s * turn(omega * t), in one contiguous scratch column
+        kh[:, i] = np.multiply(s, turn(np.multiply(omega, t, out=column), out=column), out=column)
+    kh[:, 2] = c
+    del column  # before the path's checks take their own
     return FiberPath(times=t, k_hat=kh, k_mag=float(k_mag))
 
 

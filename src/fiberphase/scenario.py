@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -282,16 +281,6 @@ def _held(series, start, stop):
     return series[start:stop]
 
 
-def _difference(a, b, start, stop):
-    """Rows [start, stop) of a - b, computed when read."""
-    return a[start:stop] - b[start:stop]
-
-
-def _deviation(series, reference, start, stop):
-    """Rows [start, stop) of |series - reference|, computed when read."""
-    return np.abs(series[start:stop] - reference)
-
-
 def _residuals(path):
     """The two residual columns of ``path``, computed from its ``k_hat`` when read."""
     return {
@@ -300,8 +289,8 @@ def _residuals(path):
     }
 
 
-def compute_scenario(path, scenario: Scenario):
-    """Run every pipeline stage on one path; returns one results.csv table per polarization.
+def compute_scenario(path, scenario: Scenario, hold: bool = True):
+    """Set up every pipeline stage on one path; returns one results.csv table per polarization.
 
     ``tables[pol]`` maps every results.csv column after ``sigma`` to a
     :class:`Column`.  The phases proportional to the swept solid angle read
@@ -311,28 +300,22 @@ def compute_scenario(path, scenario: Scenario):
     Only the first polarization is evolved: every step is a real rotation
     in the Cartesian representation, so the opposite helicity is the
     conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total, dynamical
-    and geometric phases are the first's with weight -1, it shares the
-    drifts (<S> only flips sign) and flags, and it repeats the warnings
-    under its own label.  Every other weight is 1.
+    and geometric phases are the first's with weight -1, and it shares the
+    drifts (<S> only flips sign) and flags.  Every other weight is 1.
 
-    The result holds the path's and the trajectory's series; the other
-    columns are computed when read: the drifts and the geometric phase from
-    those series, the residuals from ``k_hat``, and ``lambda``, ``gamma``
-    and ``W`` by one ``geometry._AngleRows``, one pass of which gives the
-    final ``W`` of the net vacuum phase here.
+    With ``hold`` (a run, whose reduction and writer passes all read the
+    trajectory) one scan fills its five series into arrays the result
+    holds; without it (a sweep point, whose reduction is its one pass) the
+    phase, drift and flag columns scan them a tile at a time in each pass.
+    The residuals are computed from ``k_hat``, and ``lambda``, ``gamma``
+    and ``W`` read one ``geometry._AngleRows``, one pass of which gives the
+    final ``W`` of the net vacuum phase here.  The command prints the
+    warnings of flagged samples once its reduction has counted them.
     """
     n = path.n_samples
     first = scenario.polarizations[0]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", evolution.OrthogonalPassageWarning)
-        traj = evolution.evolve(path, first)
-    dec = evolution.phase_decomposition(traj, path)
-    hel = evolution.helicity_expectations(traj, path)
-    phases = {
-        "phase_total": partial(_held, dec.total),
-        "phase_dynamical": partial(_held, dec.dynamical),
-        "phase_geometric": partial(_difference, dec.total, dec.dynamical),
-    }
+    traj = evolution._TrajectoryRows(path, first, hold)
+    phases = {"phase_total": traj.total, "phase_dynamical": traj.dynamical, "phase_geometric": traj.geometric}
     angles = geometry._AngleRows(path)
     net = media._net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, angles.final_solid_angle(),
                                   scenario.chamber_length, scenario.ordering)
@@ -346,15 +329,13 @@ def compute_scenario(path, scenario: Scenario):
         "phase_vacuum_L": Column(w, n, -z),
         "phase_vacuum_R": Column(w, n, +z),
         "phase_vacuum_net": Column(w, n, z * (net.plus_survives - net.minus_survives)),
-        "norm_drift": Column(partial(_deviation, traj.norms, 1.0), n),
-        "helicity_drift": Column(partial(_deviation, hel, hel[0]), n),
+        "norm_drift": Column(traj.norm_drift, n),
+        "helicity_drift": Column(traj.helicity_drift, n),
         **_residuals(path),
-        "flagged": Column(partial(_held, dec.flagged), n),
+        "flagged": Column(traj.flagged, n),
     }
     tables = {}
     for pol in scenario.polarizations:
-        for item in caught:
-            print(f"warning: sigma={pol:+d}: {item.message}", file=sys.stderr)
         sign = 1.0 if pol == first else -1.0
         tables[pol] = {
             **shared,
@@ -366,6 +347,12 @@ def compute_scenario(path, scenario: Scenario):
         "vacuum_net": net,
         "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
     }
+
+
+def _warn_passages(pol, count):
+    """Print the orthogonal-passage warning of polarization ``pol``, whose reduction counted ``count`` flags."""
+    if count:
+        print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
 
 
 def _reduce(columns):
@@ -517,6 +504,8 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     result = compute_scenario(path, scenario)
     summary = summarize(result, path, scenario)
     summary["command"] = "run"
+    for pol in scenario.polarizations:
+        _warn_passages(pol, summary["phases"][f"{pol:+d}"]["flagged_samples"])
 
     os.makedirs(out_dir, exist_ok=True)
     write_results_csv(out_dir, result)
@@ -567,7 +556,7 @@ def _with_path_value(cfg, key, value):
 def _cone_row(cfg, base_dir, value, scenario):
     cone = _cone_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
-    result = compute_scenario(path, scenario)
+    result = compute_scenario(path, scenario, hold=False)
     tables = result["tables"]
     last, _, nonzero = _reduce(column for table in tables.values() for column in table.values())
     row = {"cone_angle": cone}
@@ -576,6 +565,7 @@ def _cone_row(cfg, base_dir, value, scenario):
         row[f"geometric_{suffix}"] = last[table["phase_geometric"]]
         row[f"analytic_{suffix}"] = last[table["phase_analytic"]]
         row[f"flagged_{suffix}"] = nonzero[table["flagged"]]
+        _warn_passages(pol, nonzero[table["flagged"]])
     row["quantal"] = last[tables[scenario.polarizations[0]]["phase_quantal"]]
     row["vacuum_net"] = float(result["vacuum_net"].phase)
     return row
@@ -615,8 +605,7 @@ def _sweep_rows_steps(cfg, base_dir, values):
 
 
 def _sweep_rows_occupations(cfg, base_dir, values, ordering):
-    angles = geometry.spherical_angles(build_path(cfg, base_dir))  # W needs the angles, not the path
-    w = geometry.solid_angle_series(angles)[-1]  # each phase is a multiple of the final W, + 0.0 as in a column
+    w = geometry._AngleRows(build_path(cfg, base_dir)).final_solid_angle()  # each phase is a multiple of it
     rows = []
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:
@@ -626,10 +615,12 @@ def _sweep_rows_occupations(cfg, base_dir, values, ordering):
         rows.append({
             "n_left": nl,
             "n_right": nr,
-            "quantal": float(w * float(nr - nl) + 0.0),
+            "quantal": float(w * float(nr - nl) + 0.0),  # + 0.0 as in a column
             "phi_left": float(w * -fock._weight(nl, ordering) + 0.0),
             "phi_right": float(w * +fock._weight(nr, ordering) + 0.0),
         })
+    if not np.isfinite(w):  # checked after the config and before any file is written, as _reduce is
+        raise NumericalError("non-finite value detected in results")
     rows.sort(key=lambda r: (r["n_left"], r["n_right"]))
     return rows
 

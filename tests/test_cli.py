@@ -723,6 +723,21 @@ def test_sweep_occupations_matches_inline_weights(tmp_path, ordering):
     assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def test_occupations_sweep_with_non_finite_W_exits_3_without_writing(tmp_path):
+    # a time step of 1e-310 overflows the azimuth rate, so W is inf: the sweep
+    # wrote 0,1,inf,-inf,inf to sweep.csv before summary.json failed
+    phi = 2.0 * np.pi * np.arange(200) / 199
+    k = np.stack([np.sin(1.0) * np.cos(phi), np.sin(1.0) * np.sin(phi), np.full(200, np.cos(1.0))], axis=1)
+    np.savetxt(tmp_path / "loop.txt", np.column_stack([1e-310 * np.arange(200), k]), fmt="%.17g")
+    out = tmp_path / "out"
+    cfg = {"path": {"type": "file", "filename": "loop.txt"}, "ordering": "symmetric", "output_dir": str(out),
+           "sweep": {"parameter": "occupations", "values": [[0, 1]]}}
+    proc = _fiberphase("sweep", write_config(tmp_path, "tiny_dt.json", cfg), "--quiet")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "numerical failure: non-finite value detected in results\n"
+    assert not out.exists()
+
+
 def test_sweep_requires_sweep_section(tmp_path):
     config = write_config(tmp_path, "nosweep.json", helix_cfg("out"))
     assert main(["sweep", config]) == 2

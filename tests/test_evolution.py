@@ -324,6 +324,25 @@ def test_invariant_residual_matches_commutator_form(make_path, scale):
     assert np.abs(invariant_residual_series(p, scale=scale) - _dense_residual(p, scale)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("make_path", ORACLE_PATHS)
+@pytest.mark.parametrize("tile", [5, 37, 1000])
+def test_tiled_scan_matches_dense_exponential(monkeypatch, make_path, tile):
+    # every tile carries the state into the next: 1 to about 800 tiles
+    monkeypatch.setattr(evolution, "_TILE", tile)
+    p = make_path()
+    assert np.abs(evolve(p, -1).states - _dense_states(p, -1)).max() <= 1e-12
+
+
+def test_multi_tile_scan_matches_dense_exponential():
+    # 2 ** 15 + 2 ** 12 steps: two tiles of blocks of 96 steps, against 192 in one tile
+    p = helix_path(0.9, 1.0, 1.0, 2.0, (1 << 15) + (1 << 12))
+    assert evolution._tiling(p.n_samples - 1) == (96, 384, 192)
+    traj = evolve(p, +1)
+    states = _dense_states(p, +1)
+    assert np.abs(traj.states - states).max() <= 1e-12
+    assert np.abs(traj.helicity - _dense_expectation(states, p.k_hat)).max() <= 1e-12
+
+
 def test_evolve_block_scan_any_length():
     # step counts around the sqrt(n) x sqrt(n) block edges, including a
     # padded last block and a single block

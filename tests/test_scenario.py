@@ -243,17 +243,17 @@ def test_k_dot_computed_at_most_twice_per_scenario(monkeypatch):
     assert len(calls) <= 2
 
 
-def _sweep_peak(tmp_path, values):
+def _sweep_peak(tmp_path, values, n_steps=50_000):
     cfg = {
-        "path": {"type": "helix", "cone_angle": 0.7, "omega": 1.0, "k_mag": 1.0, "n_cycles": 1.0, "n_steps": 50_000},
+        "path": {"type": "helix", "cone_angle": 0.7, "omega": 1.0, "k_mag": 1.0, "n_cycles": 1.0, "n_steps": n_steps},
         "polarizations": [1, -1],
         "sweep": {"parameter": "cone_angle", "values": values},
     }
-    config = tmp_path / f"sweep{len(values)}.json"
+    config = tmp_path / f"sweep{len(values)}_{n_steps}.json"
     config.write_text(json.dumps(cfg))
     tracemalloc.start()
     try:
-        run_sweep(str(config), str(tmp_path / f"out{len(values)}"), quiet=True)
+        run_sweep(str(config), str(tmp_path / f"out{len(values)}_{n_steps}"), quiet=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,6 +375,18 @@ def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
     assert two <= 1.1 * one, (one, two)
 
 
+def test_cone_point_holds_the_path_and_no_trajectory(tmp_path, monkeypatch):
+    # the point reads the trajectory's five series (33 B/step) from the scan,
+    # a tile at a time, in its one reduction: 81.6 B/step at 1e5 steps when
+    # the point held them.  What grows with the path is the path (32 B/step),
+    # its build and the scan's sqrt(n)-row slabs; a held trajectory adds 33
+    monkeypatch.setattr(evolution, "_TILE", 1 << 12)
+    peaks = {n_steps: _sweep_peak(tmp_path, ["40 deg"], n_steps) / n_steps for n_steps in (100_000, 200_000)}
+    assert peaks[100_000] < 66, peaks  # bytes per step
+    slope = (peaks[200_000] * 200_000 - peaks[100_000] * 100_000) / 100_000
+    assert slope < 45, (peaks, slope)
+
+
 DERIVED_CASES = {
     "helix-pi/3": lambda tmp: helix_path(np.pi / 3, 1.0, 2.0, 1.0, 2000),
     "helix-clockwise": lambda tmp: helix_path(np.pi / 3, -1.0, 1.0, 1.0, 2000),
@@ -404,16 +416,16 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
         assert np.abs(derived[f"phase_{kind}"] - getattr(dec, kind))[clear].max() <= 1e-12, kind
     assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
-    # the phases, drifts and flags are one read-only series shared by both polarizations
-    for name in ("phase_total", "phase_dynamical", "norm_drift", "helicity_drift", "flagged"):
+    # the phases, drifts and flags are read from one reader of held, read-only series, shared by both polarizations
+    reader = got["tables"][first]["phase_total"].rows.__self__
+    assert isinstance(reader, evolution._TrajectoryRows) and reader.hold
+    for name in ("phase_total", "phase_dynamical", "phase_geometric", "norm_drift", "helicity_drift", "flagged"):
         rows = got["tables"][-first][name].rows
-        assert rows is got["tables"][first][name].rows
-        assert not rows.args[0].flags.writeable
-    # and the geometric phase one source, read as total - dynamical of those series
-    rows = got["tables"][-first]["phase_geometric"].rows
-    assert rows is got["tables"][first]["phase_geometric"].rows
-    total, dynamical = (got["tables"][first][f"phase_{kind}"].rows.args[0] for kind in ("total", "dynamical"))
-    assert rows(0, path.n_samples).tobytes() == (total - dynamical).tobytes()
+        assert rows is got["tables"][first][name].rows and rows.__self__ is reader, name
+    assert not any(part.flags.writeable for part in reader.window)
+    # and the geometric phase is read as total - dynamical of those series
+    total, _, dynamical = reader.window[:3]
+    assert got["tables"][-first]["phase_geometric"].rows(0, path.n_samples).tobytes() == (total - dynamical).tobytes()
 
 
 def _count_calls(monkeypatch, original):
@@ -433,20 +445,28 @@ def _count_calls(monkeypatch, original):
 
 
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
-def test_one_propagation_per_scenario(monkeypatch, pols):
-    counted = {fn.__name__: _count_calls(monkeypatch, fn)
-               for fn in (evolve, phase_decomposition, helicity_expectations, evolution._scan)}
+def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
+    # held, the trajectory is one scan in compute_scenario, which every pass
+    # reads; streamed, it is one scan per pass: the reduction's, and one per
+    # table of the writer.  Neither stores the (n, 3) states, which would need
+    # a scan of their own
+    scans = _count_calls(monkeypatch, evolution._scan)
 
     def no_states(traj):
         raise AssertionError("compute_scenario materialised the (n, 3) states")
 
-    # the scan runs once, reducing as it goes; the stored states would need a second run
     monkeypatch.setattr(evolution.SpinorTrajectory, "states", property(no_states))
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    assert list(result["tables"]) == list(pols)
-    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 1)
-    assert counted["evolve"][0][1] == pols[0]
+    for hold, per_pass in ((True, 0), (False, 1)):
+        scans.clear()
+        result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None), hold)
+        assert list(result["tables"]) == list(pols)
+        assert len(scans) == int(hold)
+        _reduce(_all_columns(result))
+        assert len(scans) == int(hold) + per_pass
+        write_results_csv(str(tmp_path), result)
+        assert len(scans) == int(hold) + per_pass * (1 + len(pols))
+        assert all(np.array_equal(start, evolution._start(path, pols[0])) for _, start, _ in scans)
 
 
 # ------------------------------------------- residual columns computed when read

@@ -1,13 +1,16 @@
-"""Property tests: the transport layer reduced column by column equals its whole-array forms.
+"""Property tests: the transport layer reduced column by column and tile by tile equals its whole-array forms.
 
-``evolve`` reduces each slab of the scan's columns to the overlap phase and
-flag, h . <S>, k_hat . <S> and the norm, never holding the (n, 3) states or
+The scan runs in tiles of consecutive blocks.  ``evolution._TrajectoryRows``
+reduces each slab of a tile's columns to the overlap phase and flag,
+h . <S>, k_hat . <S> and the norm, never holding the (n, 3) states or
 generator coefficients (each slab builds its own rows of h from k_hat), and
-then unwraps the phase and integrates the energy in place.
+hands the tile's rows over in sample order, the phase unwrapped and the
+energy integrated; ``evolve`` is one pass of it into arrays.
 ``SpinorTrajectory.states`` runs the same scan again and stores the states.
-With the chunk and slab sizes made small, random short paths (some passing
-orthogonal to their start state, so samples get flagged) must give bit for
-bit the series that whole-array numpy computes from the stored states.
+With the chunk, slab and tile sizes made small, random short paths (some
+passing orthogonal to their start state, so samples get flagged) must give
+bit for bit the series that whole-array numpy computes from the stored
+states.
 """
 import warnings
 
@@ -67,6 +70,23 @@ def _with_chunk(path):
     the last one partial or longer than the path."""
     n = path.n_samples
     return st.tuples(st.just(path), st.integers(1, 9) if n <= 40 else st.integers(n // 8, n + 2))
+
+
+def _with_tile(path):
+    """(path, _TILE): 1 to 9 steps for paths of up to 60 samples, so up to 59 tiles; longer paths take 1 to 9 tiles."""
+    n_steps = path.n_samples - 1
+    return st.tuples(st.just(path), st.integers(1, 9) if n_steps < 60 else st.integers(-(-n_steps // 9), n_steps + 1))
+
+
+def _tile_edge_path(tile, multiple, offset, seed):
+    """(path, _TILE): a random walk whose step count is a multiple of ``tile`` plus ``offset`` (-1, 0 or 1)."""
+    return _random_path(max(multiple * tile + offset, 2) + 1, seed, 1.0), tile
+
+
+# step counts at multiples of the tile, +-1
+TILE_EDGES = st.builds(_tile_edge_path, st.integers(1, 12), st.integers(1, 6), st.sampled_from([-1, 0, 1]),
+                       st.integers(0, 2**32 - 1))
+TILED = st.one_of(PATHS.flatmap(_with_tile), TILE_EDGES)
 
 
 def test_half_turn_paths_are_flagged():
@@ -149,6 +169,73 @@ def test_chunked_phase_decomposition_matches_whole_array(case):
     assert _same_bits(dec.geometric, want["total"] - want["dynamical"])
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=TILED, pol=st.sampled_from([1, -1]))
+@example(case=(_half_turn_path(12, 9), 1), pol=1)
+def test_tiled_series_match_whole_array_forms_of_the_states(case, pol):
+    # the tiles hand their rows over in sample order; the unwrap, the flagged
+    # runs and the trapezoids carry from one tile to the next
+    path, tile = case
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        mp.setattr(evolution, "_TILE", tile)
+        traj = evolve(path, pol)
+        states = traj.states
+        handed = []
+        start = evolution._start(path, pol)
+        tiles = list(evolution._scan(path, start, lambda rows, cart, h: handed.append(rows.copy())))
+    # each tile hands over its samples [first, stop), consecutive and each once
+    assert [stop for _, stop in tiles[:-1]] == [first for first, _ in tiles[1:]]
+    assert (tiles[0][0], tiles[-1][1]) == (0, path.n_samples)
+    assert _same_bits(np.sort(np.concatenate(handed)), np.arange(path.n_samples))
+    want = _whole_array_series(path, states)
+    for name in SERIES:
+        assert _same_bits(getattr(traj, name), want[name]), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=TILED, data=st.data())
+def test_reader_rows_are_evolves_arrays_for_any_reads(case, data):
+    path, tile = case
+    n = path.n_samples
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        mp.setattr(evolution, "_TILE", tile)
+        traj = evolve(path, +1)
+        reader = evolution._TrajectoryRows(path, +1)
+        # a partial pass, then a restart at row 0 and a full pass in drawn reads
+        for stop in (data.draw(st.integers(1, n), "partial"), n):
+            lo, pieces = 0, []
+            while lo < stop:
+                hi = min(lo + data.draw(st.integers(1, n), "read"), stop)
+                pieces.append(reader.read(lo, hi))
+                assert reader.read(lo, hi) is pieces[-1]  # the same rows again
+                lo = hi
+        with pytest.raises(ValueError, match="read in order"):
+            reader.read(1, 2) if n > 2 else reader.read(2, 3)
+    for i, name in enumerate(SERIES):
+        assert _same_bits(np.concatenate([piece[i] for piece in pieces]), getattr(traj, name)), name
+    assert reader.hel0 == traj.helicity[0]
+
+
+@pytest.mark.parametrize("n, m", [(40, 20), (41, 38), (300, 150)])
+@pytest.mark.parametrize("read", [1, 2, 7])
+def test_flagged_run_across_tile_and_read_edges_takes_np_interp_values(n, m, read):
+    # one-step tiles: the flagged sample m ends its tile and waits for the
+    # next one's unflagged sample; the reads end on it, or take it inside
+    path = _half_turn_path(n, m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_TILE", 1)
+        assert list(evolution._scan(path, evolution._start(path, +1), lambda *args: None))[m] == (m, m + 1)
+        with pytest.warns(evolution.OrthogonalPassageWarning):
+            traj = evolve(path, +1)
+        reader = evolution._TrajectoryRows(path, +1)
+        total = np.concatenate([reader.read(lo, min(lo + read, n))[0] for lo in range(0, n, read)])
+    assert traj.flagged[m] and traj.flagged.sum() == 1
+    assert _same_bits(total, traj.total)
+    assert _same_bits(traj.total, _whole_array_series(path, traj.states)["total"])
+
+
 # angles whose steps land on and next to the branch cut at +-pi
 ANGLES = st.one_of(
     st.sampled_from([0.0, np.pi, -np.pi, 0.5 * np.pi, -0.5 * np.pi, np.nextafter(np.pi, 0.0), 3.0, -3.0]),
@@ -170,31 +257,43 @@ WINDING = [
 
 
 @settings(max_examples=200, deadline=None)
-@given(samples=st.lists(st.tuples(ANGLES, st.booleans()), max_size=60), radii=st.sampled_from([1.0, 1e-3]),
-       chunk=st.integers(1, 9))
-@example(samples=[(angle, False) for angle in WINDING], radii=1.0, chunk=4)
-def test_chunked_unwrap_and_interpolation_match_whole_array(samples, radii, chunk):
+@given(samples=st.lists(st.tuples(ANGLES, st.booleans()), min_size=3, max_size=60), radii=st.sampled_from([1.0, 1e-3]),
+       chunk=st.integers(1, 9), tile=st.integers(1, 9), read=st.integers(1, 9))
+@example(samples=[(angle, False) for angle in WINDING], radii=1.0, chunk=4, tile=5, read=3)
+def test_chunked_unwrap_and_interpolation_match_whole_array(samples, radii, chunk, tile, read):
     # the unflagged angles are unwrapped as one sequence, and the flagged
-    # ones, whose overlaps lie below the floor, are interpolated between them
+    # ones, whose overlaps lie below the floor, are interpolated between
+    # them, whatever the chunks, tiles and reads; the reader's consumer is
+    # replaced by one that stores the drawn angles and flags
     angles = np.array([angle for angle, _ in samples], dtype=float)
     flagged = np.array([flag for _, flag in samples], dtype=bool)
     values = np.where(flagged, 1e-10, radii) * np.exp(1j * angles)
     good = ~flagged
-    # evolve's consumer stores each overlap's angle and flag
+    # the consumer stores each overlap's angle and flag
     got, got_flagged = np.angle(values), np.abs(values) < evolution.OVERLAP_FLOOR
     assert _same_bits(got_flagged, flagged)
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+
+    def store(reader, rows, cart, h):
+        at = rows - reader.lo
+        reader.window[0][at], reader.window[1][at] = got[rows], flagged[rows]
+        for part in reader.window[2:]:
+            part[at] = 0.0
+
+    n = len(samples)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        mp.setattr(evolution, "_TILE", tile)
+        mp.setattr(evolution._TrajectoryRows, "_reduce", store)
+        reader = evolution._TrajectoryRows(_random_path(n, 0, 1.0), +1)
         if not good.any():
             with pytest.raises(ValueError, match="every overlap is numerically zero"):
-                evolution._unwrap_with_flags(got, got_flagged)
+                reader.read(0, n)
             return
-        evolution._unwrap_with_flags(got, got_flagged)  # in place
+        total = np.concatenate([reader.read(lo, min(lo + read, n))[0] for lo in range(0, n, read)])
+    idx = np.arange(n)
     unwrapped = np.unwrap(np.angle(values[good]))
-    assert _same_bits(got[good], unwrapped)
-    idx = np.arange(len(values))
-    assert _same_bits(got, np.interp(idx, idx[good], unwrapped))
+    want = np.interp(idx, idx[good], unwrapped)
+    assert _same_bits(total, want - want[0])  # shifted to start at 0
 
 
 # helices (the constant path at cone 0 included) and smooth random walks, 3 .. 400 samples
@@ -214,16 +313,16 @@ def test_scan_builds_and_hands_over_the_whole_array_generator_rows(case):
     original = evolution._slab_steps
     built, handed = [], []
 
-    def recording(path, size, j0, width):
-        steps = original(path, size, j0, width)
-        rows = steps[0]
-        built.append((np.arange(0, len(rows) * size, size)[:, None] + np.arange(j0, j0 + width + 1), rows))
+    def recording(path, first, width):
+        steps = original(path, first, width)
+        built.append((first[:, None] + np.arange(width + 1), steps[0]))
         return steps
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_SLAB", slab)
         mp.setattr(evolution, "_slab_steps", recording)
-        evolution._scan(path, evolution._start(path, +1), lambda rows, cart, h_rows: handed.append((rows, h_rows.copy())))
+        tiles = list(evolution._scan(path, evolution._start(path, +1),
+                                     lambda rows, cart, h_rows: handed.append((rows, h_rows.copy()))))
     covered = set()
     for samples, rows in built:
         real = samples < n
@@ -233,27 +332,21 @@ def test_scan_builds_and_hands_over_the_whole_array_generator_rows(case):
     assert {0, n - 1} <= covered
     rows = np.concatenate([rows for rows, _ in handed])
     assert _same_bits(np.sort(rows), np.arange(n))  # every sample handed over once
+    assert tiles == [(0, n)]  # one tile below _TILE steps
     for rows, h_rows in handed:
         assert _same_bits(h_rows, h[rows])
 
 
 def _whole_array_slab_steps(h):
-    """``_slab_steps`` reading strided views of the whole-array ``h``, as the scan did before it built slab rows."""
+    """``_slab_steps`` gathering the rows of the whole-array ``h``, as the scan did before it built slab rows."""
 
-    def slab_steps(path, size, j0, width):
-        n_steps = len(h) - 1
-        n_blocks = -(-n_steps // size)
-        full = (n_blocks - 1) * size
-        samples = np.arange(0, n_blocks * size, size)[:, None] + np.arange(j0, j0 + width + 1)
-        rows = np.zeros((n_blocks, width + 1, 3))
-        rows[samples < len(h)] = h[samples[samples < len(h)]]
-        h_mid = np.zeros((n_blocks, width, 3))
-        columns = slice(j0, j0 + width)
-        np.add(h[:full].reshape(-1, size, 3)[:, columns], h[1 : full + 1].reshape(-1, size, 3)[:, columns],
-               out=h_mid[:-1])
-        tail = h[full + j0 : full + j0 + width + 1]
-        real = max(len(tail) - 1, 0)
-        np.add(tail[:real], tail[1 : real + 1], out=h_mid[-1, :real])
+    def slab_steps(path, first, width):
+        samples = first[:, None] + np.arange(width + 1)
+        real = samples < len(h)
+        rows = np.zeros(samples.shape + (3,))
+        rows[real] = h[samples[real]]
+        h_mid = np.add(rows[:, :-1], rows[:, 1:])
+        h_mid[~real[:, 1:]] = 0.0  # no step leaves the path's last sample
         h_mid *= 0.5
         squares = np.square(h_mid)
         rate = squares[..., 0] + squares[..., 1]
