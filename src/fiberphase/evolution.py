@@ -87,7 +87,7 @@ class SpinorTrajectory:
         """The evolved states in the angular-momentum basis, shape (n, 3), computed once and read-only."""
         states = np.empty((self.path.n_samples, 3), dtype=complex)
 
-        def store(rows, cart, h):
+        def store(rows, cart, h, k_hat):
             states[rows] = _angular(cart)
 
         list(_scan(self.path, _start(self.path, self.polarization), store))  # every tile
@@ -126,7 +126,7 @@ def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
     """
     h = np.empty((path.n_samples, 3))
     for rows in geometry._stencil_slices(0, path.n_samples):
-        rate, k_hat = geometry._stencil(path.k_hat, rows.start, rows.stop - rows.start, path.dt)
+        rate, k_hat = geometry._path_stencil(path, rows.start, rows.stop)
         h[rows] = _cross(k_hat, rate)
     return _read_only(h)
 
@@ -200,11 +200,12 @@ def _start(path: FiberPath, polarization: int) -> np.ndarray:
             f"polarization must be +1 (right) or -1 (left), got {polarization!r}; "
             "helicity-0 photon states are unphysical for transverse light"
         )
-    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.k_hat[0]).state(-polarization)
+    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0]).state(-polarization)
 
 
 _SLAB = 16  # columns of the scan whose steps and states are handled in one set of array operations
 _TILE = 1 << 15  # steps of the scan per tile, at most about; a tile's states are handed over before the next is filled
+_REDUCE_ROWS = 1 << 11  # states a reader reduces in one set of array operations
 
 
 def _tiling(n_steps: int):
@@ -218,30 +219,33 @@ def _tiling(n_steps: int):
     return size, n_blocks, -(-n_blocks // n_tiles)
 
 
-def _slab_steps(path: FiberPath, first: np.ndarray, width: int):
-    """h at the samples first + i (i = 0 .. width) for each entry of ``first``, and axis, sin and 1 - cos of its steps.
+def _slab_steps(k_hat: np.ndarray, lo: int, first: np.ndarray, width: int, dt: float):
+    """h and k_hat at the samples first + i (i = 0 .. width) for each entry of ``first``, and axis, sin and 1 - cos of its steps.
 
-    The h rows are bitwise those of :func:`hamiltonian_coefficients`, and
-    zero past the path's end.  Step i is the rotation by |h_mid| dt about
-    h_mid = (h_i + h_(i+1)) / 2, with the float operations of the
+    ``k_hat`` holds the path's rows from sample ``lo`` on that the stencil
+    reads (``geometry._path_window``).  The h rows are bitwise those of
+    :func:`hamiltonian_coefficients`, and zero past the path's end, where
+    k_hat repeats the last sample.  Step i is the rotation by |h_mid| dt
+    about h_mid = (h_i + h_(i+1)) / 2, with the float operations of the
     whole-array forms; the steps past the path's end lead only to states
     never handed over.
     """
-    rate, k_hat = geometry._stencil(path.k_hat, first, width + 1, path.dt)
+    rate, k_hat = geometry._stencil(k_hat, first - lo, width + 1, dt)
     h = _cross(k_hat, rate)
-    del rate, k_hat  # the gathered window goes before the steps' temporaries
+    del rate  # before the steps' temporaries
     h_mid = np.add(h[:, :-1], h[:, 1:])
     h_mid *= 0.5
     squares = np.square(h_mid)
     rate = squares[..., 0] + squares[..., 1]
     rate += squares[..., 2]
+    del squares
     np.sqrt(rate, out=rate)
-    angle = (rate * path.dt)[..., None]
+    angle = (rate * dt)[..., None]
     still = rate == 0.0
     rate[still] = 1.0
-    axis = h_mid / rate[..., None]
+    axis = np.divide(h_mid, rate[..., None], out=h_mid)
     axis[still] = 0.0
-    return h, axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
+    return h, k_hat, axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
 
 
 def _scan(path: FiberPath, start: np.ndarray, consume):
@@ -251,23 +255,26 @@ def _scan(path: FiberPath, start: np.ndarray, consume):
     block rotations are composed across its blocks at once, the state is
     carried over the block starts, and the blocks are filled in one column
     at a time, ``_SLAB`` columns per set of array operations (see
-    ``_slab_steps``).  Each slab's states go to ``consume(rows, cart, h)``:
-    the sample indices, the (len(rows), 3) Cartesian states, which the scan
-    overwrites afterwards, and their h rows.  Once a tile has handed over
-    each of its samples [first, stop) once, the scan yields (first, stop)
-    and carries the state at ``stop`` into the next tile.
+    ``_slab_steps``).  A tile reads its rows of the path once, as one
+    window of k_hat.  Each slab's states go to ``consume(rows, cart, h,
+    k_hat)``: the sample indices, the (len(rows), 3) Cartesian states, which
+    the scan overwrites afterwards, and their h and k_hat rows.  Once a tile
+    has handed over each of its samples [first, stop) once, the scan yields
+    (first, stop) and carries the state at ``stop`` into the next tile.
     """
     n_samples = path.n_samples
     n_steps = n_samples - 1
     size, n_blocks, per_tile = _tiling(n_steps)
     slabs = [(j0, min(_SLAB, size - j0)) for j0 in range(0, size, _SLAB)]
-    current = start
+    current, dt = start, path.dt
     for b0 in range(0, n_blocks, per_tile):
         starts = np.arange(b0, min(b0 + per_tile, n_blocks)) * size  # the tile's block starts
+        # the rows around the samples whose h the slabs read, starts[0] .. starts[-1] + size
+        k_hat, lo = geometry._path_window(path, int(starts[0]), int(starts[-1]) + size + 1)
         # block rotations: row k of frames[b] is the image of the unit vector e_k
         frames = np.broadcast_to(np.eye(3), (len(starts), 3, 3)).copy()
         for j0, width in slabs:
-            _, axis, sin, vers = _slab_steps(path, starts + j0, width)
+            axis, sin, vers = _slab_steps(k_hat, lo, starts + j0, width, dt)[2:]
             for t in range(width):
                 frames = _rotate(frames, axis[:, t, None], sin[:, t, None], vers[:, t, None])
 
@@ -279,19 +286,23 @@ def _scan(path: FiberPath, start: np.ndarray, consume):
         full = int(starts[-1])  # the last block's start
         stop = min(n_samples, full + size)  # samples from here on are the next tile's, padding, or the closing one
         for j0, width in slabs:
-            h, axis, sin, vers = _slab_steps(path, starts + j0, width)
+            h, k_rows, axis, sin, vers = _slab_steps(k_hat, lo, starts + j0, width, dt)
             for t in range(width - 1):
                 columns[:, t + 1] = _rotate(columns[:, t], axis[:, t], sin[:, t], vers[:, t])
+            # the next slab starts one step on
+            following = _rotate(columns[:, -1], axis[:, -1], sin[:, -1], vers[:, -1]) if j0 + width < size else None
+            del axis, sin, vers  # before the states are handed over
             consume((starts[:-1, None] + np.arange(j0, j0 + width)).ravel(), columns[:-1, :width].reshape(-1, 3),
-                    h[:-1, :width].reshape(-1, 3))
+                    h[:-1, :width].reshape(-1, 3), k_rows[:-1, :width].reshape(-1, 3))
             tail = np.arange(full + j0, min(full + j0 + width, stop))
-            consume(tail, columns[-1, : len(tail)], h[-1, : len(tail)])
-            if j0 + width < size:  # the next slab starts one step on
-                columns[:, 0] = _rotate(columns[:, -1], axis[:, -1], sin[:, -1], vers[:, -1])
-        if stop == n_steps:  # the last slab's rows end at this sample, the path's last
-            consume(np.array([stop]), current[None], h[-1, -1:])
-            stop = n_samples
-        del columns, h, axis, sin, vers  # the tile's scratch goes before its rows are used
+            consume(tail, columns[-1, : len(tail)], h[-1, : len(tail)], k_rows[-1, : len(tail)])
+            if following is not None:
+                columns[:, 0] = following
+            elif stop == n_steps:  # the last slab's rows end at this sample, the path's last
+                consume(np.array([stop]), current[None], h[-1, -1:], k_rows[-1, -1:])
+                stop = n_samples
+            del h, k_rows  # before the next slab's are built
+        del k_hat, columns  # the tile's scratch goes before its rows are used
         yield int(starts[0]), stop
 
 
@@ -332,18 +343,20 @@ class _TrajectoryRows:
         dtypes = (float, bool, float, float, float)  # total, flagged, dynamical (the energy at first), helicity, norms
         self.window = tuple(np.empty(self.path.n_samples if self.hold else 0, dtype) for dtype in dtypes)
 
-    def _reduce(self, rows, cart, h):
-        # each row is reduced on its own (einsum too, whatever the strides): the whole-array forms' bits
-        at = rows - self.lo
+    def _reduce(self, rows, cart, h, k_hat):
+        # each row is reduced on its own (einsum too, whatever the strides): the whole-array forms' bits,
+        # in pieces of _REDUCE_ROWS rows, whose temporaries stay below the tile's window of k_hat
         total, flagged, energy, helicity, norms = self.window
-        ang = _angular(cart)
-        overlap = ang[:, 0] * self.ref[0] + ang[:, 1] * self.ref[1] + ang[:, 2] * self.ref[2]
-        flagged[at] = np.abs(overlap) < OVERLAP_FLOOR
-        total[at] = np.angle(overlap)  # unwrapped, and the energy integrated, when the tile is done
-        norms[at] = np.linalg.norm(ang, axis=1)
-        spin = _spin_vectors(ang)
-        energy[at] = np.einsum("ni,ni->n", h, spin)
-        helicity[at] = np.einsum("ni,ni->n", self.path.k_hat[rows], spin)
+        for part in geometry._row_slices(0, len(rows), _REDUCE_ROWS):
+            at = rows[part] - self.lo
+            ang = _angular(cart[part])
+            overlap = ang[:, 0] * self.ref[0] + ang[:, 1] * self.ref[1] + ang[:, 2] * self.ref[2]
+            flagged[at] = np.abs(overlap) < OVERLAP_FLOOR
+            total[at] = np.angle(overlap)  # unwrapped, and the energy integrated, when the tile is done
+            norms[at] = np.linalg.norm(ang, axis=1)
+            spin = _spin_vectors(ang)
+            energy[at] = np.einsum("ni,ni->n", h[part], spin)
+            helicity[at] = np.einsum("ni,ni->n", k_hat[part], spin)
 
     def _next_tile(self, keep: int):
         """Scan the next tile into the window, which keeps the rows from ``keep`` and the last final one on."""
@@ -443,20 +456,21 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     return SpinorTrajectory(path, polarization, *series)
 
 
-def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: float = 1.0) -> np.ndarray:
+def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: float = 1.0, window=None) -> np.ndarray:
     """Rows [start, stop) of the invariant residual with one value per sample; ``scale`` multiplies H.
 
     Row i is the residual at the interior sample nearest it, min(max(i, 1),
     n - 2): the central difference has no value at the two end samples,
     which repeat their neighbours'.  Each chunk of rows forms its ``h``
-    from the D k_hat and k_hat of ``geometry._stencil``, with the float
-    operations of the whole-array expression.
+    from the D k_hat and k_hat of ``geometry._path_stencil`` (which reads
+    ``window`` when given), with the float operations of the whole-array
+    expression.
     """
     n = path.n_samples
     lo, hi = min(max(start, 1), n - 2), min(max(stop, 2), n - 1)  # the interior samples read
     residual = np.empty(hi - lo)
     for rows in geometry._stencil_slices(lo, hi):
-        rate, k_hat = geometry._stencil(path.k_hat, rows.start, rows.stop - rows.start, path.dt)
+        rate, k_hat = geometry._path_stencil(path, rows.start, rows.stop, window=window)
         vec = _cross(k_hat, scale * _cross(k_hat, rate))
         vec += rate
         np.square(vec, out=vec)
@@ -467,6 +481,44 @@ def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: floa
     if (lo, hi) == (start, stop):
         return residual
     return residual[np.clip(np.arange(start, stop), 1, n - 2) - lo]  # rows 0 and n - 1 repeat their neighbours
+
+
+class _ResidualRows:
+    """Rows of the invariant and motion residuals of a path, both computed from one read of its rows.
+
+    ``invariant(start, stop)`` and ``motion(start, stop)`` are the rows of
+    ``_invariant_residual_rows`` and ``geometry._motion_residual_rows``, in
+    quarter chunks that each read one window of the path's rows for both.
+    The next read of the same rows takes the arrays that read computed, and
+    nothing is kept after it, so the two results columns, read in turn,
+    read the path once per chunk.
+    """
+
+    def __init__(self, path: FiberPath):
+        self.path = path
+        self.rows = self.values = None  # the rows last computed, and their two residuals, until read again
+
+    def read(self, start: int, stop: int):
+        if (start, stop) == self.rows:  # the other column's read of these rows
+            values, self.rows, self.values = self.values, None, None
+            return values
+        self.values = None  # the last rows go before this read's are computed
+        n, path = self.path.n_samples, self.path
+        invariant, motion = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0))
+        for rows in geometry._stencil_slices(start, stop):
+            # the invariant residual of rows 0 and n - 1 reads samples 1 and n - 2
+            window = geometry._path_window(path, min(rows.start, n - 2), max(rows.stop, 2))
+            at = slice(rows.start - start, rows.stop - start)
+            invariant[at] = _invariant_residual_rows(path, rows.start, rows.stop, window=window)
+            motion[at] = geometry._motion_residual_rows(path, rows.start, rows.stop, window)
+        self.rows, self.values = (start, stop), (invariant, motion)
+        return self.values
+
+    def invariant(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[0]
+
+    def motion(self, start: int, stop: int) -> np.ndarray:
+        return self.read(start, stop)[1]
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:

@@ -2,14 +2,16 @@
 
 A trajectory is a uniformly sampled unit-vector path k_hat(t) together with a
 constant wave-vector magnitude.  Everything downstream (transport, phases)
-consumes the sampled form, whether the path was generated analytically or
-loaded from a file.
+reads the sampled form a window of rows at a time, whether the rows are
+evaluated from a helix's closed form or held after a file was loaded.
 """
 from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from math import isfinite
 
@@ -66,63 +68,117 @@ def _row_norms(x: np.ndarray, adjacent: bool = False) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FiberPath:
     """Sampled wave-vector direction trajectory with constant magnitude.
 
+    FiberPath(times, k_hat, k_mag) holds the samples it is given:
     times      : strictly increasing, uniformly spaced sample instants
     k_hat      : (n, 3) array of unit vectors
     k_mag      : positive wave-vector magnitude (inverse length)
 
-    Construction checks the samples: finite, a strictly increasing uniform
-    grid, unit vectors within 1e-9 and adjacent steps below 0.5, with one
-    float and a few bools per sample and one chunk of temporaries.  The
-    path holds nothing derived, and its arrays must not be modified once a
+    Every stage reads the samples through :meth:`rows`, a window of rows at
+    a time.  A path built from arrays hands out read-only views of them; a
+    :func:`helix_path` holds only its parameters and evaluates the rows from
+    its closed form on each read.  ``times`` and ``k_hat`` give every row at
+    once, for callers of the API.
+
+    Construction checks the samples in one pass over chunks of rows:
+    finite, a strictly increasing uniform grid, unit vectors within 1e-9
+    and adjacent steps below 0.5, raising the first failed check in that
+    order, and keeps the grid step ``dt``.  The path holds nothing else
+    derived, and the arrays of a held path must not be modified once a
     stage has read them.
     """
 
-    times: np.ndarray
-    k_hat: np.ndarray
+    n_samples: int
     k_mag: float
+    dt: float  # the grid step, times[1] - times[0]
+    _rows: Callable[[int, int], tuple] = field(repr=False)
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        kh = np.asarray(self.k_hat, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "k_hat", kh)
-        if t.ndim != 1 or len(t) < 3:
+    def __init__(self, times, k_hat, k_mag):
+        t = np.asarray(times, dtype=float)
+        kh = np.asarray(k_hat, dtype=float)
+        n = len(t) if t.ndim == 1 else 0
+        if n >= 3 and kh.shape != (n, 3):
+            raise ValueError(f"k_hat shape {kh.shape} does not match {n} samples")
+        self._build(partial(_held_rows, t, kh), n, k_mag)
+
+    @classmethod
+    def _evaluated(cls, rows: Callable[[int, int], tuple], n_samples: int, k_mag) -> FiberPath:
+        """A path of ``n_samples`` samples whose rows [lo, hi) are ``rows(lo, hi)``, evaluated on each read."""
+        path = cls.__new__(cls)
+        path._build(rows, n_samples, k_mag)
+        return path
+
+    def _build(self, rows, n_samples, k_mag):
+        if n_samples < 3:
             raise ValueError("path needs at least 3 samples")
-        if kh.shape != (len(t), 3):
-            raise ValueError(f"k_hat shape {kh.shape} does not match {len(t)} samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
-            raise ValueError("times and k_hat must be finite")
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "k_mag", k_mag)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "dt", self._check())
+
+    def _check(self) -> float:
+        """The sample checks, in one pass over chunks of rows with one row of overlap for the steps; the grid step.
+
+        A check is skipped in a chunk once an earlier one has failed, as
+        the whole-array checks stop at the first failure; a non-finite
+        chunk raises at once, since that check comes first.
+        """
+        increasing, dt0, spread, off_unit, jump = True, None, 0.0, 0.0, 0.0
+        for rows in _row_slices(0, self.n_samples):
+            lo = max(rows.start - 1, 0)
+            t, kh = self.rows(lo, rows.stop)
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
+                raise ValueError("times and k_hat must be finite")
+            if not increasing:
+                continue  # only a non-finite sample comes before that
+            dt = np.diff(t)
+            if np.any(dt <= 0):
+                increasing = False
+                continue
+            if len(dt):
+                dt0 = dt[0] if dt0 is None else dt0
+                np.subtract(dt, dt0, out=dt)
+                spread = max(spread, np.max(np.abs(dt, out=dt)))
+                if spread > 1e-6 * dt0:
+                    continue
+            del dt
+            norms = _row_norms(kh[rows.start - lo :])
+            norms -= 1.0
+            off_unit = max(off_unit, np.max(np.abs(norms, out=norms)))
+            if off_unit <= 1e-9 and len(kh) > 1:
+                jump = max(jump, np.max(_row_norms(kh, adjacent=True)))
         if not (np.isfinite(self.k_mag) and self.k_mag > 0):
             raise ValueError(f"k_mag must be a positive finite number, got {self.k_mag!r}")
-        dt = np.diff(t)
-        if np.any(dt <= 0):
+        if not increasing:
             raise ValueError("times must be strictly increasing")
-        dt0 = dt[0]
-        np.subtract(dt, dt0, out=dt)
-        if np.max(np.abs(dt, out=dt)) > 1e-6 * dt0:
+        if spread > 1e-6 * dt0:
             raise ValueError("time grid must be uniform")
-        del dt
-        norms = _row_norms(kh)
-        norms -= 1.0
-        if np.max(np.abs(norms, out=norms)) > 1e-9:
+        if off_unit > 1e-9:
             raise ValueError("k_hat samples must be unit vectors (within 1e-9)")
-        del norms
-        if np.max(_row_norms(kh, adjacent=True)) >= 0.5:
-            raise ValueError(
-                "adjacent k_hat samples differ by >= 0.5; grid too coarse for finite differencing"
-            )
+        if jump >= 0.5:
+            raise ValueError("adjacent k_hat samples differ by >= 0.5; grid too coarse for finite differencing")
+        return float(dt0)
+
+    def rows(self, lo: int, hi: int):
+        """``(times, k_hat)`` of the samples [lo, hi), clipped to [0, n): contiguous, shapes (m,) and (m, 3)."""
+        lo = min(max(lo, 0), self.n_samples)
+        return self._rows(lo, min(max(hi, lo), self.n_samples))
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return self.rows(0, self.n_samples)[0]
 
     @property
-    def n_samples(self) -> int:
-        return len(self.times)
+    def k_hat(self) -> np.ndarray:
+        return self.rows(0, self.n_samples)[1]
+
+
+def _held_rows(times, k_hat, lo, hi):
+    """Rows [lo, hi) of a path's held arrays, as read-only views."""
+    return _read_only(times[lo:hi]), _read_only(k_hat[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -146,7 +202,8 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
 
     ``n_steps`` counts time steps (n_steps + 1 samples) over ``n_cycles`` full
     turns of the azimuth; at least 16 steps per cycle are required.  ``omega``
-    may be negative for clockwise winding.
+    may be negative for clockwise winding.  The path holds only these
+    parameters: its rows are evaluated on each read (see ``_HelixRows``).
     """
     if not 0.0 <= cone_angle <= np.pi:
         raise ValueError(f"cone_angle must lie in [0, pi], got {cone_angle!r}")
@@ -158,14 +215,44 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     if n_steps < 16 * n_cycles:
         raise ValueError("need at least 16 steps per cycle")
     duration = 2.0 * np.pi * n_cycles / abs(omega)
-    t = np.linspace(0.0, duration, n_steps + 1)
-    s, c = np.sin(cone_angle), np.cos(cone_angle)
-    kh, column = np.empty((len(t), 3)), np.empty(len(t))
-    for i, turn in enumerate((np.cos, np.sin)):  # bitwise s * turn(omega * t), in one contiguous scratch column
-        kh[:, i] = np.multiply(s, turn(np.multiply(omega, t, out=column), out=column), out=column)
-    kh[:, 2] = c
-    del column  # before the path's checks take their own
-    return FiberPath(times=t, k_hat=kh, k_mag=float(k_mag))
+    rows = _HelixRows(n_steps, duration, omega, np.sin(cone_angle), np.cos(cone_angle))
+    return FiberPath._evaluated(rows, n_steps + 1, float(k_mag))
+
+
+@dataclass(frozen=True)
+class _HelixRows:
+    """Rows of a helix's samples, bitwise those of ``np.linspace(0, duration, n_steps + 1)`` and its closed form.
+
+    The times are linspace's: sample i is i * step + 0.0 with step =
+    duration / n_steps, or (i / n_steps) * duration when that step
+    underflows to 0, and the last sample is ``duration`` itself.  k_hat is
+    (s cos(omega t), s sin(omega t), c), each turn evaluated in one
+    contiguous scratch column; every float operation acts on one sample, so
+    a window of rows is bitwise the slice of the whole-array form.
+    """
+
+    n_steps: int
+    duration: float
+    omega: float
+    sin_c: float
+    cos_c: float
+
+    def __call__(self, lo: int, hi: int):
+        t = np.arange(lo, hi, dtype=float)
+        step = self.duration / self.n_steps
+        if step == 0:
+            t /= self.n_steps
+            t *= self.duration
+        else:
+            t *= step
+        t += 0.0
+        if hi == self.n_steps + 1 and hi > lo:
+            t[-1] = self.duration
+        kh, column = np.empty((len(t), 3)), np.empty(len(t))
+        for i, turn in enumerate((np.cos, np.sin)):
+            np.multiply(self.sin_c, turn(np.multiply(self.omega, t, out=column), out=column), out=kh[:, i])
+        kh[:, 2] = self.cos_c
+        return t, kh
 
 
 class _Unwrap:
@@ -288,7 +375,7 @@ class _AngleRows:
         held = [part[lo - self.lo :].copy() for part in self.window]  # at most 3 samples
         self.window = self.values = None  # the last rows go before this read's are computed
         # the rate at row stop - 1 reads sample stop, and the one-sided stencil at row 0 samples 1 and 2
-        k_hat = self.path.k_hat[self.hi : min(max(stop + 1, 3), self.path.n_samples)]
+        k_hat = self.path.rows(self.hi, max(stop + 1, 3))[1]
         polar = np.clip(k_hat[:, 2], -1.0, 1.0)
         np.arccos(polar, out=polar)
         azimuth = np.arctan2(k_hat[:, 1], k_hat[:, 0])
@@ -351,6 +438,11 @@ def _stencil(values: np.ndarray, first, width: int, dt: float, scale: float = 1.
     operations are those of ``derivative_uniform``, so every row is bitwise
     the whole-array one.  A sample past the series' end reads the last
     sample three times, so its rate is zero.
+
+    ``values`` may be a window of a longer series, indexed from its own
+    first row: its first and last rows are then taken as the series' ends,
+    so it must hold every sample the gather reads, and three samples at an
+    end of the series that it reaches (``_path_window`` reads such windows).
     """
     samples = np.reshape(first, (-1, 1)) + np.arange(-1, width + 1)
     window = values.take(samples, axis=0, mode="clip")  # about 4x faster than values[clipped samples]
@@ -365,17 +457,41 @@ def _stencil(values: np.ndarray, first, width: int, dt: float, scale: float = 1.
     return rate.reshape(shape), window[:, 1:-1].reshape(shape)
 
 
+def _path_window(path: FiberPath, start: int, stop: int):
+    """The path's k_hat rows that ``_stencil`` reads for the samples [start, stop), and the first row's index.
+
+    One row on either side of them, and three rows at an end of the path,
+    for its one-sided stencil.
+    """
+    n = path.n_samples
+    lo, hi = max(start - 1, 0), min(stop + 1, n)
+    lo = min(lo, n - 3) if hi == n else lo
+    hi = max(hi, 3) if lo == 0 else hi
+    return path.rows(lo, hi)[1], lo
+
+
+def _path_stencil(path: FiberPath, start: int, stop: int, scale: float = 1.0, window=None):
+    """The rates of ``scale * k_hat`` at the samples [start, stop), and k_hat there.
+
+    From one read of the path's rows, or from ``window``, a ``_path_window``
+    of rows around them that a caller has read for more rows.
+    """
+    k_hat, lo = _path_window(path, start, stop) if window is None else window
+    rate = _stencil(k_hat, start - lo, stop - start, path.dt, scale)[0]
+    return rate, k_hat[start - lo : stop - lo]
+
+
 def k_dot(path: FiberPath) -> np.ndarray:
     """Time derivative of the full wave vector k(t) = k_mag k_hat(t), shape (n, 3)."""
     return derivative_uniform(path.k_mag * path.k_hat, path.dt)
 
 
-def _motion_residual_rows(path: FiberPath, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of :func:`motion_residual`, from the path's ``k_hat`` window around them."""
+def _motion_residual_rows(path: FiberPath, start: int, stop: int, window=None) -> np.ndarray:
+    """Rows [start, stop) of :func:`motion_residual`, from the path's ``k_hat`` rows around them (see ``_path_stencil``)."""
     out = np.empty(max(stop - start, 0))
     for rows in _stencil_slices(start, stop):
-        rate = _stencil(path.k_hat, rows.start, rows.stop - rows.start, path.dt, path.k_mag)[0]
-        np.abs(np.einsum("ni,ni->n", path.k_hat[rows], rate), out=out[rows.start - start : rows.stop - start])
+        rate, k_hat = _path_stencil(path, rows.start, rows.stop, path.k_mag, window)
+        np.abs(np.einsum("ni,ni->n", k_hat, rate), out=out[rows.start - start : rows.stop - start])
     return out
 
 

@@ -276,16 +276,17 @@ class Column:
         return self.rows(start, stop) * self.weight + 0.0
 
 
-def _held(series, start, stop):
-    """Rows [start, stop) of an array ``series``: the ``rows`` of a column that holds it, via ``partial``."""
-    return series[start:stop]
+def _times(path, start, stop):
+    """Rows [start, stop) of the path's times: the ``rows`` of the ``t`` column, via ``partial``."""
+    return path.rows(start, stop)[0]
 
 
 def _residuals(path):
-    """The two residual columns of ``path``, computed from its ``k_hat`` when read."""
+    """The two residual columns of ``path``, computed together from its ``k_hat`` rows when read."""
+    residuals = evolution._ResidualRows(path)
     return {
-        "invariant_residual": Column(partial(evolution._invariant_residual_rows, path), path.n_samples),
-        "motion_residual": Column(partial(geometry._motion_residual_rows, path), path.n_samples),
+        "invariant_residual": Column(residuals.invariant, path.n_samples),
+        "motion_residual": Column(residuals.motion, path.n_samples),
     }
 
 
@@ -322,7 +323,7 @@ def compute_scenario(path, scenario: Scenario, hold: bool = True):
     w = angles.solid_angle
     z = fock._weight(0, scenario.ordering)
     shared = {
-        "t": Column(partial(_held, path.times), n),
+        "t": Column(partial(_times, path), n),
         "lambda": Column(angles.polar, n),
         "gamma": Column(angles.azimuth, n),
         "phase_quantal": Column(w, n, float(scenario.n_right - scenario.n_left)),
@@ -418,6 +419,7 @@ def write_results_csv(out_dir, result):
 def summarize(result, path, scenario: Scenario):
     """The summary of a run; its one read of every column raises NumericalError on a non-finite value."""
     tables = result["tables"]
+    t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
     last, peak, nonzero = _reduce(column for table in tables.values() for column in table.values())
     phases = {}
     for pol, table in tables.items():
@@ -435,7 +437,7 @@ def summarize(result, path, scenario: Scenario):
             "n_samples": path.n_samples,
             "dt": path.dt,
             "k_mag": path.k_mag,
-            "duration": float(path.times[-1] - path.times[0]),
+            "duration": float(t_last - t_first),
         },
         "ordering": scenario.ordering.value,
         "occupations": {"n_left": scenario.n_left, "n_right": scenario.n_right},

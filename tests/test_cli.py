@@ -4,7 +4,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -322,6 +321,55 @@ def test_overflowing_path_exits_3_with_only_the_failure_line(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("field, value, message", [
+    ("omega", 1e-320, "times and k_hat must be finite"),  # the duration overflows: times[0] = 0 * inf
+    ("n_cycles", 5e-324, "times must be strictly increasing"),  # the step underflows: linspace's zero-step branch
+])
+def test_degenerate_helix_grid_exits_2_with_the_failed_check(tmp_path, capsys, command, field, value, message):
+    # a helix evaluated on each read fails the same first check as its held samples did
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"][field] = value
+    if command == "sweep":
+        cfg = sweep_cfg(cfg, "cone_angle", ["90 deg", 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+        assert main([command, write_config(tmp_path, "degenerate.json", cfg), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", f"config error: path: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cone, code", [(1e-160, 0), (1.0, 3)])  # the rates of a wider cone overflow
+def test_subnormal_step_helix_matches_a_path_of_held_arrays(tmp_path, monkeypatch, capsys, cone, code):
+    # omega = 1e308 gives a subnormal dt; the helix is accepted, and its
+    # outputs are those of the same samples built whole and held
+    from test_path_properties import eager_helix
+
+    import fiberphase.geometry as geometry_mod
+
+    def held_helix(cone_angle, omega, k_mag, n_cycles, n_steps):
+        times, k_hat = eager_helix(cone_angle, omega, n_cycles, n_steps)
+        return geometry_mod.FiberPath(times=times, k_hat=k_hat, k_mag=float(k_mag))
+
+    cfg = helix_cfg("out")
+    cfg["path"].update(cone_angle=cone, omega=1e308, n_steps=256)
+    config = write_config(tmp_path, "subnormal.json", cfg)
+    runs = []
+    for name in ("on_demand", "held"):
+        if name == "held":
+            monkeypatch.setattr(geometry_mod, "helix_path", held_helix)
+        out = tmp_path / name
+        runs.append((main(["run", config, "--out", str(out)]), capsys.readouterr(),
+                     {f.name: f.read_bytes() for f in out.glob("*")} if out.exists() else {}))
+    (got_code, got_std, got_files), (want_code, want_std, want_files) = runs
+    assert got_code == want_code == code
+    assert got_std.out.replace("on_demand", "held") == want_std.out and got_std.err == want_std.err
+    assert got_files == want_files and len(got_files) == (10 if code == 0 else 0)  # results, summary, 8 plots
+    if code == 0:
+        assert 0.0 < json.loads(got_files["summary.json"])["path"]["dt"] < 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("field, medium, k0", [
     ("medium", {"eps1": 1e200, "eps2": 0.0, "mu1": 1e200, "mu2": 0.0}, 1.0),  # n^2 = 1e400
     ("medium", {"eps1": 1e308, "eps2": 1e308, "mu1": 1.0, "mu2": 0.0}, 1.0),  # eps1 + eps2 overflows
@@ -458,7 +506,7 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         return values
 
     def column(values, weight=1.0):
-        return scenario_mod.Column(partial(scenario_mod._held, values), n, weight)
+        return scenario_mod.Column(lambda start, stop: values[start:stop], n, weight)
 
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
     shared = {name: column(series(), float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}

@@ -627,7 +627,26 @@ def test_path_layers_memory_budget(tmp_path):
     assert helix.n_samples == n
     assert loaded < 90, loaded
     assert angles < 110, angles
-    assert helix_peak < 90, helix_peak
+    assert helix_peak < 22, helix_peak  # one chunk of rows and checks: 18.4 (50 while the helix held its samples)
+
+
+def test_helix_path_holds_its_parameters_and_one_chunk():
+    # the checks read one chunk of rows at a time, evaluated from the closed
+    # form, and the path keeps only its parameters: the peak is 1.84 MB at
+    # every size (18.4 B/sample at 1e5 samples; 50 and 32 held while the
+    # helix held its samples)
+    import tracemalloc
+
+    for n_steps in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.n_samples == n_steps + 1
+        assert held < 4096, (n_steps, held)  # bytes
+        assert peak < 2.2e6, (n_steps, peak)
 
 
 def test_path_layers_hold_their_outputs_and_one_chunk(tmp_path):

@@ -1,12 +1,14 @@
 """Property tests: the chunked and block-wise path layers decide exactly as whole-array code.
 
 With the chunk size made small, random short paths carry random defects
-(off-grid times, non-unit samples, coarse steps) at random rows, so chunk
-edges, the one-row overlap of the step check and the last row are all hit.
-The chunked azimuth unwrap and solid angle are compared bit for bit with
-np.unwrap and one cumsum, the shared unwrap kernel on random pieces with
-np.unwrap of the whole sequence, and the block parse of ``load_path`` with a
-per-line ``float`` parse, on random tokens.
+(off-grid times, non-unit samples, coarse steps, non-finite values) at
+random rows, so chunk edges, the one-row overlap of the step check and the
+last row are all hit.  The chunked azimuth unwrap and solid angle are
+compared bit for bit with np.unwrap and one cumsum, the shared unwrap kernel
+on random pieces with np.unwrap of the whole sequence, the block parse of
+``load_path`` with a per-line ``float`` parse, on random tokens, and the
+rows of a helix, evaluated on each read, with np.linspace and the closed
+form over the whole path.
 """
 from array import array
 
@@ -15,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberphase import geometry
-from fiberphase.geometry import FiberPath
+from fiberphase import evolution, geometry
+from fiberphase.geometry import FiberPath, helix_path
 
 
 def _whole_array_checks(t, kh):
-    """FiberPath's grid, unit-norm and step checks with full-size temporaries: the oracle."""
+    """FiberPath's finite, grid, unit-norm and step checks with full-size temporaries: the oracle."""
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
+        raise ValueError("times and k_hat must be finite")
     dt = np.diff(t)
     if np.any(dt <= 0):
         raise ValueError("times must be strictly increasing")
@@ -51,6 +55,7 @@ DEFECTS = st.sampled_from([
     ("time", 1e-8), ("time", 1e-5), ("time", 0.3), ("time", -2.0),
     ("norm", 5e-10), ("norm", 2e-9), ("norm", -0.1),
     ("turn", 0.78), ("turn", 0.85), ("turn", 2.0),
+    ("value", np.nan), ("value", np.inf),
 ])
 
 
@@ -64,12 +69,14 @@ def test_chunked_validation_matches_whole_array_checks(n, chunk, defects):
     t = 0.1 * np.arange(n)
     phase = 0.05 * np.arange(n)
     kh = np.stack([0.6 * np.cos(phase), 0.6 * np.sin(phase), np.full(n, 0.8)], axis=1)
-    for (kind, size), where in defects:
+    for (kind, size), where in sorted(defects, key=lambda defect: defect[0][0] == "value"):  # turns before inf
         row = min(int(where * n), n - 1)
         if kind == "time":
             t[row] += size * 0.1
         elif kind == "norm":
             kh[row] *= 1.0 + size
+        elif kind == "value":  # a non-finite time, or k_hat component
+            (t[row:row + 1] if np.isnan(size) else kh[row, 1:2])[:] = size
         else:  # rotate rows from here on about z, so one step turns by `size`
             c, s = np.cos(size), np.sin(size)
             kh[row:, :2] = kh[row:, :2] @ np.array([[c, s], [-s, c]])
@@ -368,3 +375,101 @@ def test_unwrap_kernel_pieces_match_np_unwrap_of_the_whole(values, cuts):
         piece = seq[lo:hi].copy()
         assert unwrap(piece) is piece
         assert piece.tobytes() == want[lo:hi].tobytes(), (lo, hi)
+
+
+# ------------------------------------------------ helix rows on each read
+
+def eager_helix(cone_angle, omega, n_cycles, n_steps):
+    """``(times, k_hat)`` of helix_path's whole-array form, np.linspace and the closed form: the oracle."""
+    duration = 2.0 * np.pi * n_cycles / abs(omega)
+    t = np.linspace(0.0, duration, n_steps + 1)
+    s, c = np.sin(cone_angle), np.cos(cone_angle)
+    kh, column = np.empty((len(t), 3)), np.empty(len(t))
+    for i, turn in enumerate((np.cos, np.sin)):
+        kh[:, i] = np.multiply(s, turn(np.multiply(omega, t, out=column), out=column), out=column)
+    kh[:, 2] = c
+    return t, kh
+
+
+@st.composite
+def _helices(draw):
+    """Helix parameters: cones on and off the poles and the equator, either winding, non-integer cycles."""
+    cone = draw(st.one_of(st.sampled_from([0.0, np.pi / 3, np.pi / 2, np.pi]), st.floats(0.0, np.pi)))
+    omega = draw(st.sampled_from([1.0, -1.5, 2.0**-20, -7e3])) * draw(st.sampled_from([1.0, 1.0 + 2.0**-40]))
+    n_cycles = draw(st.one_of(st.sampled_from([1.0, 2.5, 0.1875]), st.floats(0.01, 20.0)))
+    n_steps = draw(st.integers(max(int(np.ceil(16 * n_cycles)), 2), 1500))
+    return cone, omega, n_cycles, n_steps
+
+
+# (lo, hi, width, firsts) of up to three reads, reduced modulo the path's samples; -1 stands for an end
+READS = st.lists(st.tuples(st.integers(-1, 3000), st.integers(-1, 3000), st.integers(1, 20),
+                           st.lists(st.integers(0, 3000), min_size=1, max_size=5)), min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(helix=_helices(), reads=READS)
+@example(helix=(35 * np.pi / 180, -1.5, 2.5, 4096), reads=[(-1, -1, 16, [0, 4080]), (4000, -1, 7, [4095])])
+def test_helix_rows_match_the_whole_array_form(helix, reads):
+    # times are linspace's, the last one the duration; k_hat the closed form
+    # on them; every window, and every stencil gather at the two ends, is
+    # bitwise the whole-array one
+    t, kh = eager_helix(*helix)
+    path = helix_path(helix[0], helix[1], 1.0, helix[2], helix[3])
+    n = path.n_samples
+    assert n == len(t) and path.dt == float(t[1] - t[0])
+    assert path.times.tobytes() == t.tobytes() and path.k_hat.tobytes() == kh.tobytes()
+    assert path.rows(-3, n + 3)[0].tobytes() == t.tobytes()  # clipped to [0, n)
+    for a, b, width, firsts in reads:
+        lo = 0 if a == -1 else a % (n + 1)
+        hi = n if b == -1 else lo + b % (n + 1 - lo)
+        rows_t, rows_kh = path.rows(lo, hi)
+        assert rows_t.tobytes() == t[lo:hi].tobytes() and rows_kh.tobytes() == kh[lo:hi].tobytes(), (lo, hi)
+        assert rows_kh.flags.c_contiguous
+        # the kernels' gathers: one-sided stencils at samples 0 and n - 1
+        for scale in (1.0, 2.5):
+            rate, centre = geometry._path_stencil(path, lo, hi, scale)
+            want_rate, _ = geometry._stencil(kh, lo, hi - lo, path.dt, scale)
+            assert rate.tobytes() == want_rate.tobytes() and centre.tobytes() == kh[lo:hi].tobytes(), (lo, hi)
+        # the scan's: slabs from one window of rows, with zero rates past the end
+        first = np.unique(np.array(firsts) % n)
+        window, start = geometry._path_window(path, int(first[0]), int(first[-1]) + width + 1)
+        got = evolution._slab_steps(window, start, first, width, path.dt)
+        want = evolution._slab_steps(kh, 0, first, width, path.dt)
+        for part, expected in zip(got, want):
+            assert part.tobytes() == expected.tobytes(), (first, width)
+
+
+HELIX_EDGES = {
+    "omega 1e-320": (1.0, 1e-320, 1.0, 1024),  # duration inf: times[0] = 0 * inf
+    "n_cycles 5e-324": (1.0, 1.0, 5e-324, 1024),  # the step underflows to 0: linspace's other branch
+    "omega 1e308": (1e-160, 1e308, 1.0, 256),  # subnormal step
+    "omega 1e308, 1e-10 cycles": (1.0, 1e308, 1e-10, 64),  # a step of few bits: not uniform
+    "omega 3e307": (1.0, 3e307, 1.0, 100_000),
+    "omega -2e-300": (0.3, -2e-300, 3.0, 4096),
+}
+
+
+def _verdict_of(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(HELIX_EDGES))
+def test_helix_edge_cases_match_the_whole_array_form(case):
+    # both branches of linspace, an infinite duration and subnormal steps:
+    # the same rows, or the same first failed check, as a path of the arrays
+    cone, omega, n_cycles, n_steps = HELIX_EDGES[case]
+    with np.errstate(all="ignore"):  # cos and sin of inf
+        t, kh = eager_helix(cone, omega, n_cycles, n_steps)
+        rows = geometry._HelixRows(n_steps, 2.0 * np.pi * n_cycles / abs(omega), omega, np.sin(cone), np.cos(cone))
+        for lo, hi in ((0, n_steps + 1), (0, 1), (1, 40), (n_steps - 3, n_steps + 1), (n_steps, n_steps + 1)):
+            got_t, got_kh = rows(lo, hi)
+            assert got_t.tobytes() == t[lo:hi].tobytes() and got_kh.tobytes() == kh[lo:hi].tobytes(), (lo, hi)
+        helix = _verdict_of(lambda: helix_path(cone, omega, 2.0, n_cycles, n_steps))
+        eager = _verdict_of(lambda: FiberPath(times=t, k_hat=kh, k_mag=2.0))
+    if isinstance(eager, str):  # the first failed check
+        assert helix == eager
+    else:
+        assert isinstance(helix, FiberPath) and helix.dt == eager.dt

@@ -33,7 +33,9 @@ from fiberphase.scenario import (
     NumericalError,
     Scenario,
     _reduce,
+    _residuals,
     compute_scenario,
+    run_scenario,
     run_sweep,
     write_results_csv,
 )
@@ -221,7 +223,7 @@ def test_cached_series_are_shared_and_read_only():
     # the path holds no h, or anything else derived, after a scenario
     compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     assert not hasattr(path, "h")
-    assert sorted(vars(path)) == ["k_hat", "k_mag", "times"]
+    assert sorted(vars(path)) == ["_rows", "dt", "k_mag", "n_samples"]
 
 
 def test_k_dot_computed_at_most_twice_per_scenario(monkeypatch):
@@ -287,10 +289,9 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
         tracemalloc.stop()
     assert peak / n_steps < 90, peak / n_steps  # bytes per step
     assert held / n_steps < 75, held / n_steps
-    for name, kernel in (("invariant_residual", evolution._invariant_residual_rows),
-                         ("motion_residual", geometry._motion_residual_rows)):
+    for name, method in (("invariant_residual", "invariant"), ("motion_residual", "motion")):
         column = result["tables"][1][name]
-        assert column.rows.func is kernel and column.rows.args[0] is path
+        assert column.rows.__func__ is getattr(evolution._ResidualRows, method) and column.rows.__self__.path is path
         assert column.length == path.n_samples
 
 
@@ -375,16 +376,42 @@ def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
     assert two <= 1.1 * one, (one, two)
 
 
-def test_cone_point_holds_the_path_and_no_trajectory(tmp_path, monkeypatch):
+def test_cone_point_holds_no_path_and_no_trajectory(tmp_path, monkeypatch):
     # the point reads the trajectory's five series (33 B/step) from the scan,
-    # a tile at a time, in its one reduction: 81.6 B/step at 1e5 steps when
-    # the point held them.  What grows with the path is the path (32 B/step),
-    # its build and the scan's sqrt(n)-row slabs; a held trajectory adds 33
+    # a tile at a time, in its one reduction, and the helix's rows from its
+    # closed form, a window at a time: 61.4 B/step at 1e5 steps and a slope
+    # of 33 while the path held its samples (32 B/step), 81.6 at 1e5 while
+    # the point also held the series.  What grows with the path now is only
+    # the scan's sqrt(n)-row slabs: 26.9 B/step at 1e5 steps, 14.1 at 2e5, a
+    # slope of 1.3; the bounds leave about 10% and 3 B/step
     monkeypatch.setattr(evolution, "_TILE", 1 << 12)
     peaks = {n_steps: _sweep_peak(tmp_path, ["40 deg"], n_steps) / n_steps for n_steps in (100_000, 200_000)}
-    assert peaks[100_000] < 66, peaks  # bytes per step
+    assert peaks[100_000] < 30, peaks  # bytes per step
     slope = (peaks[200_000] * 200_000 - peaks[100_000] * 100_000) / 100_000
-    assert slope < 45, (peaks, slope)
+    assert slope < 4, (peaks, slope)
+
+
+@pytest.mark.parametrize("source", ["helix", "file"])
+def test_every_stage_reads_rows_of_the_path(tmp_path, monkeypatch, source):
+    # a run and each sweep read the path only through FiberPath.rows, a
+    # window at a time; times and k_hat whole are for callers of the API
+    if source == "file":
+        _wobble_file(tmp_path)
+        path = {"type": "file", "filename": "wobble.txt"}
+    else:
+        path = {"type": "helix", "cone_angle": 1.0, "omega": -1.5, "k_mag": 1.0, "n_cycles": 2.5, "n_steps": 1500}
+    configs = {"run": {"path": path, "medium": {"eps1": 2.0, "eps2": 3.0}, "chamber_length": 5.0},
+               "occupations": {"path": path, "sweep": {"parameter": "occupations", "values": [[0, 1], [2, 0]]}}}
+    if source == "helix":
+        configs["cone_angle"] = {"path": path, "sweep": {"parameter": "cone_angle", "values": [0.3, "90 deg"]}}
+        configs["n_steps"] = {"path": path, "sweep": {"parameter": "n_steps", "values": [600, 1500]}}
+    for name in ("times", "k_hat"):
+        monkeypatch.setattr(FiberPath, name, property(lambda self, name=name: pytest.fail(f"a stage read {name}")))
+    for name, cfg in configs.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(cfg))
+        command = run_scenario if name == "run" else run_sweep
+        command(str(config), str(tmp_path / f"out_{name}"), quiet=True)
 
 
 DERIVED_CASES = {
@@ -514,8 +541,8 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
     stop = data.draw(st.integers(start, n), "stop")
     invariant, motion = _padded_whole_array_residuals(path)
     scaled = _padded_whole_array_residuals(path, scale)[0]
-    sources = {"invariant": (Column(partial(evolution._invariant_residual_rows, path), n), invariant),
-               "motion": (Column(partial(geometry._motion_residual_rows, path), n), motion)}
+    columns = _residuals(path)  # both read one window of rows per read
+    sources = {"invariant": (columns["invariant_residual"], invariant), "motion": (columns["motion_residual"], motion)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         # every row range, the whole column, single rows at both ends and the drawn one
@@ -527,6 +554,20 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
         assert sources["invariant"][0].length == n
         _assert_bitwise(invariant_residual_series(path, scale), scaled[1:-1], "invariant_residual_series")
         _assert_bitwise(geometry.motion_residual(path), motion, "motion_residual")
+
+
+def test_residual_columns_read_the_path_once_per_quarter_chunk(monkeypatch):
+    # the two residual columns, read in turn, share each window of rows and
+    # keep nothing after the second read
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 10_000)
+    columns = _residuals(path)
+    reads, original = [], FiberPath.rows
+    monkeypatch.setattr(FiberPath, "rows", lambda self, lo, hi: reads.append((lo, hi)) or original(self, lo, hi))
+    invariant, motion = (columns[name][0:5000] for name in ("invariant_residual", "motion_residual"))
+    assert reads == [(0, 4097), (4095, 5001)]  # quarter chunks of 4096 rows, one row on either side
+    assert columns["motion_residual"].rows.__self__.values is None
+    _assert_bitwise(motion, geometry.motion_residual(path)[:5000], "motion")
+    _assert_bitwise(invariant, evolution._invariant_residual_rows(path, 0, 5000), "invariant")
 
 
 def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):

@@ -183,7 +183,7 @@ def test_tiled_series_match_whole_array_forms_of_the_states(case, pol):
         states = traj.states
         handed = []
         start = evolution._start(path, pol)
-        tiles = list(evolution._scan(path, start, lambda rows, cart, h: handed.append(rows.copy())))
+        tiles = list(evolution._scan(path, start, lambda rows, cart, h, k_hat: handed.append(rows.copy())))
     # each tile hands over its samples [first, stop), consecutive and each once
     assert [stop for _, stop in tiles[:-1]] == [first for first, _ in tiles[1:]]
     assert (tiles[0][0], tiles[-1][1]) == (0, path.n_samples)
@@ -273,7 +273,7 @@ def test_chunked_unwrap_and_interpolation_match_whole_array(samples, radii, chun
     got, got_flagged = np.angle(values), np.abs(values) < evolution.OVERLAP_FLOOR
     assert _same_bits(got_flagged, flagged)
 
-    def store(reader, rows, cart, h):
+    def store(reader, rows, cart, h, k_hat):
         at = rows - reader.lo
         reader.window[0][at], reader.window[1][at] = got[rows], flagged[rows]
         for part in reader.window[2:]:
@@ -313,38 +313,42 @@ def test_scan_builds_and_hands_over_the_whole_array_generator_rows(case):
     original = evolution._slab_steps
     built, handed = [], []
 
-    def recording(path, first, width):
-        steps = original(path, first, width)
-        built.append((first[:, None] + np.arange(width + 1), steps[0]))
+    def recording(k_hat, lo, first, width, dt):
+        steps = original(k_hat, lo, first, width, dt)
+        built.append((first[:, None] + np.arange(width + 1), steps[0], steps[1]))
         return steps
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_SLAB", slab)
         mp.setattr(evolution, "_slab_steps", recording)
         tiles = list(evolution._scan(path, evolution._start(path, +1),
-                                     lambda rows, cart, h_rows: handed.append((rows, h_rows.copy()))))
+                                     lambda rows, cart, h_rows, k_rows: handed.append((rows, h_rows.copy(),
+                                                                                      k_rows.copy()))))
     covered = set()
-    for samples, rows in built:
+    for samples, rows, k_rows in built:
         real = samples < n
         assert _same_bits(rows[real], h[samples[real]])
         assert not rows[~real].any()  # past the path's end
+        assert _same_bits(k_rows, path.k_hat[np.minimum(samples, n - 1)])  # the last sample past the end
         covered.update(samples[real].tolist())
     assert {0, n - 1} <= covered
-    rows = np.concatenate([rows for rows, _ in handed])
+    rows = np.concatenate([rows for rows, _, _ in handed])
     assert _same_bits(np.sort(rows), np.arange(n))  # every sample handed over once
     assert tiles == [(0, n)]  # one tile below _TILE steps
-    for rows, h_rows in handed:
+    for rows, h_rows, k_rows in handed:
         assert _same_bits(h_rows, h[rows])
+        assert _same_bits(k_rows, path.k_hat[rows])
 
 
 def _whole_array_slab_steps(h):
     """``_slab_steps`` gathering the rows of the whole-array ``h``, as the scan did before it built slab rows."""
 
-    def slab_steps(path, first, width):
+    def slab_steps(k_hat, lo, first, width, dt):
         samples = first[:, None] + np.arange(width + 1)
         real = samples < len(h)
         rows = np.zeros(samples.shape + (3,))
         rows[real] = h[samples[real]]
+        k_rows = k_hat.take(samples - lo, axis=0, mode="clip")
         h_mid = np.add(rows[:, :-1], rows[:, 1:])
         h_mid[~real[:, 1:]] = 0.0  # no step leaves the path's last sample
         h_mid *= 0.5
@@ -352,12 +356,12 @@ def _whole_array_slab_steps(h):
         rate = squares[..., 0] + squares[..., 1]
         rate += squares[..., 2]
         np.sqrt(rate, out=rate)
-        angle = (rate * path.dt)[..., None]
+        angle = (rate * dt)[..., None]
         still = rate == 0.0
         rate[still] = 1.0
         axis = h_mid / rate[..., None]
         axis[still] = 0.0
-        return rows, axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
+        return rows, k_rows, axis, np.sin(angle), 2.0 * np.sin(0.5 * angle) ** 2
 
     return slab_steps
 
