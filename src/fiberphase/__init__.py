@@ -34,7 +34,6 @@ from .geometry import (
     load_path,
     motion_residual,
     rotation_vectors,
-    solid_angle_series,
     spherical_angles,
 )
 from .media import (

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .geometry import FiberPath, SphericalAngles, _read_only, solid_angle_series
+from .geometry import FiberPath, SphericalAngles, _read_only
 from .spin import _SQ, CARTESIAN_FROM_ANGULAR, helicity_eigenstates
 
 __all__ = [
@@ -311,18 +311,17 @@ def _passage_warning(count: int) -> OrthogonalPassageWarning:
                                     "their total phase is interpolated from neighbours")
 
 
-class _TrajectoryRows:
-    """Rows of the five series of :class:`SpinorTrajectory`, scanned a tile at a time as they are read.
+class _TrajectoryRows(geometry._OrderedRows):
+    """Rows of the results series of the scan's states, scanned a tile at a time as they are read.
 
-    ``read(start, stop)`` gives rows [start, stop) of each series (the methods
-    named after results columns, one column).  Each tile's states go into a
-    window: one tile and the rows still read, or with ``hold`` every row,
-    scanned once at construction.  Between tiles it carries the phase's
-    ``geometry._Unwrap``, the trapezoids' last energy and sum, and a flagged
-    run waiting for its next unflagged neighbour; ``hel0`` is the helicity
-    at row 0.  Every row is bitwise the whole-array form of the scan's
-    states.  Unless held, rows are read in order: a read from row 0 scans
-    again, and one that neither continues nor restarts raises ValueError.
+    A read gives total, flagged, dynamical, geometric = total - dynamical
+    and the drifts |norms - 1| and |helicity - hel0| (hel0 at row 0).  Each
+    tile's states go into a window of the five series of
+    :class:`SpinorTrajectory`: one tile and the rows still read, or with
+    ``hold`` every row, scanned once at construction.  Between tiles it
+    carries the phase's ``geometry._Unwrap``, the trapezoids' last energy
+    and sum, and a flagged run waiting for its next unflagged neighbour.
+    Every row is bitwise the whole-array form of the scan's states.
     """
 
     def __init__(self, path: FiberPath, polarization: int, hold: bool = False):
@@ -330,12 +329,16 @@ class _TrajectoryRows:
         self.ref = _angular(self.start).conj()
         size, _, per_tile = _tiling(path.n_samples - 1)
         self.tile = min(size * per_tile + 1, path.n_samples)  # samples of one tile, at most
-        self.rows = self.values = None  # the rows last read, and their five series
-        if hold:  # one scan fills every row, and rows [0, n) are the window's arrays, read-only
-            self.read(0, path.n_samples)
-            self.window = self.values = tuple(map(_read_only, self.window))
+        self.ready = 0
+        if hold:  # one scan fills every row into the window, outside the reads' memo, and reads only slice it
+            self._restart()
+            while self.ready < path.n_samples:
+                self._next_tile(0)
+            self.window = tuple(map(_read_only, self.window))
 
     def _restart(self):
+        if self.hold and self.ready:
+            return  # the window holds every row
         self.tiles = _scan(self.path, self.start, self._reduce)
         self.unwrap = geometry._Unwrap()
         # the window holds rows lo .. hi - 1, final below ready; last is the unshifted total at row ready - 1
@@ -403,37 +406,11 @@ class _TrajectoryRows:
             self.total0 = total[0] if ready == 0 else self.total0
             total[ready - lo : self.ready - lo] -= self.total0
 
-    def read(self, start: int, stop: int):
-        if (start, stop) == self.rows:
-            return self.values
-        if start == 0 and not (self.hold and self.rows):
-            self._restart()
-        elif not self.hold and (self.rows is None or start != self.rows[1]):
-            raise ValueError(f"trajectory rows are read in order from row 0; [{start}, {stop}) follows {self.rows}")
-        self.values = None  # the last rows go before this read's are computed
+    def _next(self, start: int, stop: int):
         while self.ready < stop:
             self._next_tile(start)
-        self.rows, self.values = (start, stop), tuple(part[start - self.lo : stop - self.lo] for part in self.window)
-        return self.values
-
-    def total(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[0]
-
-    def flagged(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[1]
-
-    def dynamical(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[2]
-
-    def geometric(self, start: int, stop: int) -> np.ndarray:
-        total, _, dynamical = self.read(start, stop)[:3]
-        return total - dynamical
-
-    def norm_drift(self, start: int, stop: int) -> np.ndarray:
-        return np.abs(self.read(start, stop)[4] - 1.0)
-
-    def helicity_drift(self, start: int, stop: int) -> np.ndarray:
-        return np.abs(self.read(start, stop)[3] - self.hel0)
+        total, flagged, dynamical, helicity, norms = (part[start - self.lo : stop - self.lo] for part in self.window)
+        return total, flagged, dynamical, total - dynamical, np.abs(norms - 1.0), np.abs(helicity - self.hel0)
 
 
 def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
@@ -483,26 +460,15 @@ def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: floa
     return residual[np.clip(np.arange(start, stop), 1, n - 2) - lo]  # rows 0 and n - 1 repeat their neighbours
 
 
-class _ResidualRows:
+class _ResidualRows(geometry._OrderedRows):
     """Rows of the invariant and motion residuals of a path, both computed from one read of its rows.
 
-    ``invariant(start, stop)`` and ``motion(start, stop)`` are the rows of
-    ``_invariant_residual_rows`` and ``geometry._motion_residual_rows``, in
-    quarter chunks that each read one window of the path's rows for both.
-    The next read of the same rows takes the arrays that read computed, and
-    nothing is kept after it, so the two results columns, read in turn,
-    read the path once per chunk.
+    The rows of ``_invariant_residual_rows`` and
+    ``geometry._motion_residual_rows``, in quarter chunks that each read one
+    window of the path's rows for both.
     """
 
-    def __init__(self, path: FiberPath):
-        self.path = path
-        self.rows = self.values = None  # the rows last computed, and their two residuals, until read again
-
-    def read(self, start: int, stop: int):
-        if (start, stop) == self.rows:  # the other column's read of these rows
-            values, self.rows, self.values = self.values, None, None
-            return values
-        self.values = None  # the last rows go before this read's are computed
+    def _next(self, start: int, stop: int):
         n, path = self.path.n_samples, self.path
         invariant, motion = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0))
         for rows in geometry._stencil_slices(start, stop):
@@ -511,14 +477,7 @@ class _ResidualRows:
             at = slice(rows.start - start, rows.stop - start)
             invariant[at] = _invariant_residual_rows(path, rows.start, rows.stop, window=window)
             motion[at] = geometry._motion_residual_rows(path, rows.start, rows.stop, window)
-        self.rows, self.values = (start, stop), (invariant, motion)
-        return self.values
-
-    def invariant(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[0]
-
-    def motion(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[1]
+        return invariant, motion
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:
@@ -572,4 +531,4 @@ def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    return polarization * solid_angle_series(angles) + 0.0
+    return polarization * angles.solid_angle + 0.0

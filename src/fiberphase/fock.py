@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalAngles, solid_angle_series
+from .geometry import SphericalAngles
 
 __all__ = [
     "Ordering",
@@ -115,7 +115,7 @@ def quantal_geometric_phase(n_left, n_right, angles: SphericalAngles):
     """
     n_left = _check_occupation(n_left, "n_left")
     n_right = _check_occupation(n_right, "n_right")
-    return (n_right - n_left) * solid_angle_series(angles) + 0.0
+    return (n_right - n_left) * angles.solid_angle + 0.0
 
 
 def vacuum_phase(polarization, angles: SphericalAngles, ordering=Ordering.SYMMETRIC):
@@ -129,7 +129,7 @@ def vacuum_phase(polarization, angles: SphericalAngles, ordering=Ordering.SYMMET
     """
     if polarization not in (-1, +1):
         raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    return polarization * _weight(0, Ordering.coerce(ordering)) * solid_angle_series(angles) + 0.0
+    return polarization * _weight(0, Ordering.coerce(ordering)) * angles.solid_angle + 0.0
 
 
 def mode_weights(ladder: FockLadder):

@@ -26,7 +26,6 @@ __all__ = [
     "motion_residual",
     "rotation_vectors",
     "load_path",
-    "solid_angle_series",
     "derivative_uniform",
 ]
 
@@ -187,7 +186,10 @@ class SphericalAngles:
 
     polar       : angle from the +z axis, in [0, pi]
     azimuth     : unwrapped azimuthal angle (continuous branch, jump < pi per step)
-    solid_angle : cumulative swept solid angle W(t_i), read-only; see :func:`solid_angle_series`
+    solid_angle : cumulative swept solid angle W(t_i) = Int_0^t d(azimuth)/dt' (1 - cos polar) dt',
+                  read-only: the trapezoidal rule with the azimuth rate from
+                  ``derivative_uniform``, the common kernel of the transport,
+                  occupation-number and vacuum phases
     times       : the originating sample grid
     """
 
@@ -338,20 +340,42 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth, solid_angle=_read_only(w))
 
 
-class _AngleRows:
-    """Rows of the polar angle, azimuth and W of a path, computed from its ``k_hat`` in order as they are read.
+class _OrderedRows:
+    """Rows of a tuple of series of a path, computed in order as they are read: the one ordered-read contract.
 
-    ``read(start, stop)`` gives rows [start, stop) of the three series, and
-    ``polar``, ``azimuth`` and ``solid_angle`` one of them.  A read carries
-    to the next the azimuth unwrap (``_Azimuth``), the last W and the
-    samples the next rates read; a read of the same rows again returns the
-    same arrays.  Rows are read in order from row 0: a read that neither
-    continues the last one nor restarts at row 0 raises ValueError.
+    ``read(start, stop)`` gives rows [start, stop) of every series.  A read
+    of the same rows again returns the same arrays; a read at row 0
+    restarts (``_restart``); any other read must continue the last one, or
+    it raises ValueError.  A subclass computes the rows of a read that
+    continues the last one in ``_next(start, stop)``.
     """
+
+    rows = values = None  # the rows last read, and their series
 
     def __init__(self, path: FiberPath):
         self.path = path
-        self.rows = self.values = None  # the rows last read, and their three series
+
+    def _restart(self):
+        """Forget what a pass carries from one read to the next."""
+
+    def read(self, start: int, stop: int):
+        if (start, stop) == self.rows:
+            return self.values
+        if start == 0:
+            self._restart()
+        elif self.rows is None or start != self.rows[1]:
+            raise ValueError(f"rows are read in order from row 0; [{start}, {stop}) does not follow {self.rows}")
+        self.rows = self.values = None  # the last rows go before this read's are computed
+        self.rows, self.values = (start, stop), self._next(start, stop)
+        return self.values
+
+
+class _AngleRows(_OrderedRows):
+    """Rows of the polar angle, azimuth and W of a path, computed from its ``k_hat`` in order as they are read.
+
+    A read carries to the next the azimuth unwrap (``_Azimuth``), the last
+    W and the samples the next rates read.
+    """
 
     def _restart(self):
         self.turns = _Azimuth()
@@ -359,21 +383,15 @@ class _AngleRows:
         self.window = (np.empty(0), np.empty(0))
         self.last_w = None  # W at the row before the next read
 
-    def read(self, start: int, stop: int):
+    def _next(self, start: int, stop: int):
         if stop <= start:
             return (np.empty(0),) * 3
-        if (start, stop) == self.rows:
-            return self.values
-        if start == 0:
-            self._restart()
-        elif self.rows is None or start != self.rows[1]:
-            raise ValueError(f"angle rows are read in order from row 0; [{start}, {stop}) does not follow {self.rows}")
         # trapezoid i spans samples i and i + 1, so the one ending at row start
         # reads the rate at start - 1, from samples start - 2 .. start; W
         # before it enters its term, where a whole-array cumsum adds it
         lo, first = max(start - 2, 0), max(start - 1, 0)
         held = [part[lo - self.lo :].copy() for part in self.window]  # at most 3 samples
-        self.window = self.values = None  # the last rows go before this read's are computed
+        self.window = None  # the last rows go before this read's are computed
         # the rate at row stop - 1 reads sample stop, and the one-sided stencil at row 0 samples 1 and 2
         k_hat = self.path.rows(self.hi, max(stop + 1, 3))[1]
         polar = np.clip(k_hat[:, 2], -1.0, 1.0)
@@ -392,23 +410,13 @@ class _AngleRows:
         np.cumsum(w, out=w)
         if start == 0:
             w = np.concatenate([[0.0], w])  # W is 0 at row 0
-        self.rows, self.last_w = (start, stop), w[-1]
-        self.values = (polar[start - lo : stop - lo], azimuth[start - lo : stop - lo], w)
-        return self.values
-
-    def polar(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[0]
-
-    def azimuth(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[1]
-
-    def solid_angle(self, start: int, stop: int) -> np.ndarray:
-        return self.read(start, stop)[2]
+        self.last_w = w[-1]
+        return polar[start - lo : stop - lo], azimuth[start - lo : stop - lo], w
 
     def final_solid_angle(self) -> float:
         """W at the last sample, from one pass over the rows."""
         for rows in _row_slices(0, self.path.n_samples):
-            w = self.solid_angle(rows.start, rows.stop)
+            w = self.read(rows.start, rows.stop)[2]
         return float(w[-1])
 
 
@@ -517,16 +525,6 @@ def rotation_vectors(path: FiberPath) -> np.ndarray:
     the generator, it does not depend on ``k_mag``.
     """
     return np.cross(path.k_hat[:-1], path.k_hat[1:])
-
-
-def solid_angle_series(angles: SphericalAngles) -> np.ndarray:
-    """Cumulative swept solid angle  Int_0^t  d(azimuth)/dt' (1 - cos polar) dt'.
-
-    Trapezoidal rule with the azimuth rate from ``derivative_uniform``; this is
-    the common kernel of the transport, occupation-number and vacuum phases.
-    :func:`spherical_angles` computes the series with the angles, read-only.
-    """
-    return angles.solid_angle
 
 
 def _parse_records(filename, lines, lineno, times, vecs):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import Ordering, _weight
-from .geometry import SphericalAngles, solid_angle_series
+from .geometry import SphericalAngles
 
 __all__ = [
     "GyrotropicMedium",
@@ -136,7 +136,7 @@ def net_vacuum_phase(
     ordering there is no zero-point term, so the phase is 0 whichever modes
     survive.
     """
-    return _net_vacuum_phase(medium, k0, float(solid_angle_series(angles)[-1]), chamber_length, ordering)
+    return _net_vacuum_phase(medium, k0, float(angles.solid_angle[-1]), chamber_length, ordering)
 
 
 def _net_vacuum_phase(medium, k0, swept: float, chamber_length, ordering) -> NetVacuumPhase:

@@ -14,7 +14,6 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -68,22 +67,24 @@ def parse_angle(value, field):
     raise ScenarioError(f"{field}: expected a number or 'NNN deg' string, got {value!r}")
 
 
-def _require(cfg, key, kind, field=None):
+def _require(cfg, key, check, field=None):
+    """``cfg[key]``, checked by ``check``: a type, or a function of the value and ``field`` (default ``key``)."""
     field = field or key
     if key not in cfg:
         raise ScenarioError(f"missing required field '{field}'")
     value = cfg[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{field}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{field}: expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise ScenarioError(f"{field}: expected {kind.__name__}, got {value!r}")
+    if not isinstance(check, type):
+        return check(value, field)
+    if not isinstance(value, check):
+        raise ScenarioError(f"{field}: expected {check.__name__}, got {value!r}")
     return value
+
+
+def _number(value, field):
+    """``value`` as a float if it is an int or a float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{field}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _check_keys(section, known, prefix=""):
@@ -136,14 +137,14 @@ def build_path(cfg, base_dir=".") -> geometry.FiberPath:
     kind = section.get("type")
     if kind == "helix":
         _check_keys(section, ("type", "cone_angle", "omega", "k_mag", "n_cycles", "n_steps"), "path.")
-        cone = _cone_angle(_require(section, "cone_angle", object, "path.cone_angle"), "path.cone_angle")
-        n_steps = _n_steps(_require(section, "n_steps", object, "path.n_steps"), "path.n_steps")
+        cone = _require(section, "cone_angle", _cone_angle, "path.cone_angle")
+        n_steps = _require(section, "n_steps", _n_steps, "path.n_steps")
         try:
             return geometry.helix_path(
                 cone_angle=cone,
-                omega=_require(section, "omega", float, "path.omega"),
-                k_mag=_require(section, "k_mag", float, "path.k_mag"),
-                n_cycles=_require(section, "n_cycles", float, "path.n_cycles"),
+                omega=_require(section, "omega", _number, "path.omega"),
+                k_mag=_require(section, "k_mag", _number, "path.k_mag"),
+                n_cycles=_require(section, "n_cycles", _number, "path.n_cycles"),
                 n_steps=n_steps,
             )
         except ValueError as exc:
@@ -199,7 +200,7 @@ def _parse_medium(cfg):
     if not isinstance(raw, dict):
         raise ScenarioError(f"medium: expected an object, got {raw!r}")
     _check_keys(raw, ("eps1", "eps2", "mu1", "mu2"), "medium.")
-    kwargs = {name: _require(raw, name, float, f"medium.{name}") for name in raw}
+    kwargs = {name: _require(raw, name, _number, f"medium.{name}") for name in raw}
     for name in ("eps1", "eps2"):
         if name not in kwargs:
             raise ScenarioError(f"medium.{name}: required when a medium is given")
@@ -255,38 +256,32 @@ FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 @dataclass(frozen=True)
 class Column:
-    """A results column of ``length`` rows: rows [start, stop) are ``rows(start, stop) * weight + 0.0``.
+    """A results column of ``length`` rows: rows [start, stop) are ``rows(start, stop)[index] * weight + 0.0``.
 
-    ``rows`` computes rows of the column's series; a column is read only by
-    a slice of rows (``column[a:b]``), so no reader builds a full-length
-    temporary, and its rows are read in order from row 0: a read continues
-    the last one of the pass, repeats it or restarts at row 0 (the angle
-    columns raise on any other read, see ``geometry._AngleRows``).  The
-    columns that are multiples of one series share its ``rows``, so
-    ``(rows, abs(weight))`` keys the distinct values of a table.  The + 0.0
-    turns -0.0 into 0.0 and nothing else.
+    ``rows`` gives rows of a tuple of series: ``FiberPath.rows``, or the
+    ``read`` of a ``geometry._OrderedRows``, in order from row 0.  A column
+    is read only by a slice of rows, so no reader builds a full-length
+    temporary.  The multiples of one series share its ``rows`` and
+    ``index``, so ``(rows, index, abs(weight))`` keys the distinct values of
+    a table.  The + 0.0 turns -0.0 into 0.0 and nothing else.
     """
 
-    rows: Callable[[int, int], np.ndarray]
+    rows: Callable[[int, int], tuple]
     length: int
+    index: int = 0
     weight: float = 1.0
 
     def __getitem__(self, index: slice) -> np.ndarray:
         start, stop, _ = index.indices(self.length)
-        return self.rows(start, stop) * self.weight + 0.0
-
-
-def _times(path, start, stop):
-    """Rows [start, stop) of the path's times: the ``rows`` of the ``t`` column, via ``partial``."""
-    return path.rows(start, stop)[0]
+        return self.rows(start, stop)[self.index] * self.weight + 0.0
 
 
 def _residuals(path):
     """The two residual columns of ``path``, computed together from its ``k_hat`` rows when read."""
-    residuals = evolution._ResidualRows(path)
+    read = evolution._ResidualRows(path).read
     return {
-        "invariant_residual": Column(residuals.invariant, path.n_samples),
-        "motion_residual": Column(residuals.motion, path.n_samples),
+        "invariant_residual": Column(read, path.n_samples, 0),
+        "motion_residual": Column(read, path.n_samples, 1),
     }
 
 
@@ -307,7 +302,8 @@ def compute_scenario(path, scenario: Scenario, hold: bool = True):
     With ``hold`` (a run, whose reduction and writer passes all read the
     trajectory) one scan fills its five series into arrays the result
     holds; without it (a sweep point, whose reduction is its one pass) the
-    phase, drift and flag columns scan them a tile at a time in each pass.
+    phase, drift and flag columns, which read one
+    ``evolution._TrajectoryRows``, scan them a tile at a time in each pass.
     The residuals are computed from ``k_hat``, and ``lambda``, ``gamma``
     and ``W`` read one ``geometry._AngleRows``, one pass of which gives the
     final ``W`` of the net vacuum phase here.  The command prints the
@@ -315,33 +311,33 @@ def compute_scenario(path, scenario: Scenario, hold: bool = True):
     """
     n = path.n_samples
     first = scenario.polarizations[0]
-    traj = evolution._TrajectoryRows(path, first, hold)
-    phases = {"phase_total": traj.total, "phase_dynamical": traj.dynamical, "phase_geometric": traj.geometric}
-    angles = geometry._AngleRows(path)
-    net = media._net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, angles.final_solid_angle(),
+    traj = evolution._TrajectoryRows(path, first, hold).read
+    reader = geometry._AngleRows(path)
+    net = media._net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, reader.final_solid_angle(),
                                   scenario.chamber_length, scenario.ordering)
-    w = angles.solid_angle
+    angles = reader.read
     z = fock._weight(0, scenario.ordering)
     shared = {
-        "t": Column(partial(_times, path), n),
-        "lambda": Column(angles.polar, n),
-        "gamma": Column(angles.azimuth, n),
-        "phase_quantal": Column(w, n, float(scenario.n_right - scenario.n_left)),
-        "phase_vacuum_L": Column(w, n, -z),
-        "phase_vacuum_R": Column(w, n, +z),
-        "phase_vacuum_net": Column(w, n, z * (net.plus_survives - net.minus_survives)),
-        "norm_drift": Column(traj.norm_drift, n),
-        "helicity_drift": Column(traj.helicity_drift, n),
+        "t": Column(path.rows, n),
+        "lambda": Column(angles, n, 0),
+        "gamma": Column(angles, n, 1),
+        "phase_quantal": Column(angles, n, 2, float(scenario.n_right - scenario.n_left)),
+        "phase_vacuum_L": Column(angles, n, 2, -z),
+        "phase_vacuum_R": Column(angles, n, 2, +z),
+        "phase_vacuum_net": Column(angles, n, 2, z * (net.plus_survives - net.minus_survives)),
+        "norm_drift": Column(traj, n, 4),
+        "helicity_drift": Column(traj, n, 5),
         **_residuals(path),
-        "flagged": Column(traj.flagged, n),
+        "flagged": Column(traj, n, 1),
     }
     tables = {}
     for pol in scenario.polarizations:
         sign = 1.0 if pol == first else -1.0
         tables[pol] = {
             **shared,
-            **{name: Column(rows, n, sign) for name, rows in phases.items()},
-            "phase_analytic": Column(w, n, float(pol)),
+            **{name: Column(traj, n, index, sign)
+               for name, index in (("phase_total", 0), ("phase_dynamical", 2), ("phase_geometric", 3))},
+            "phase_analytic": Column(angles, n, 2, float(pol)),
         }
     return {
         "tables": tables,
@@ -359,15 +355,16 @@ def _warn_passages(pol, count):
 def _reduce(columns):
     """Dicts of each distinct column's last value, maximum and number of nonzero rows.
 
-    Every column has the same length, and the pass reads one chunk of rows
-    of every distinct column before the next chunk, as the writer does, so
-    a reader that serves several columns (the angles) computes each chunk
-    once.  Raises NumericalError on a non-finite value; a command reduces
+    Every column has the same length, and the pass reads one quarter chunk
+    of rows (``geometry._stencil_slices``) of every distinct column before
+    the next, as the writer reads its chunks, so a reader that serves
+    several columns computes each chunk once and keeps only one quarter
+    chunk.  Raises NumericalError on a non-finite value; a command reduces
     its columns before it writes a file, so a failure leaves no file behind.
     """
     columns = list(dict.fromkeys(columns))
     last, peak, nonzero = dict.fromkeys(columns), dict.fromkeys(columns, -np.inf), dict.fromkeys(columns, 0)
-    for rows in geometry._row_slices(0, columns[0].length):
+    for rows in geometry._stencil_slices(0, columns[0].length):
         for column in columns:
             values = column[rows]
             if not np.isfinite(values).all():
@@ -573,12 +570,6 @@ def _cone_row(cfg, base_dir, value, scenario):
     return row
 
 
-def _sweep_rows_cone(cfg, base_dir, values, scenario):
-    rows = [_cone_row(cfg, base_dir, value, scenario) for value in values]
-    rows.sort(key=lambda r: r["cone_angle"])
-    return rows
-
-
 def _steps_row(cfg, base_dir, value):
     _n_steps(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
@@ -588,21 +579,14 @@ def _steps_row(cfg, base_dir, value):
 
 
 def _sweep_rows_steps(cfg, base_dir, values):
-    rows = [_steps_row(cfg, base_dir, value) for value in values]
-    rows.sort(key=lambda r: r["n_steps"])
-    floor = 1e-10
-    for i, row in enumerate(rows):
+    rows = sorted((_steps_row(cfg, base_dir, value) for value in values), key=lambda r: r["n_steps"])
+    for prev, row in zip([None, *rows], rows):  # no ratio for the first row, or to an exact zero
         for kind in ("invariant", "motion"):
             cur = row[f"max_{kind}_residual"]
-            if i == 0:
-                row[f"{kind}_ratio"] = None
-                row[f"{kind}_order"] = None
-            else:
-                prev = rows[i - 1][f"max_{kind}_residual"]
-                ratio = prev / cur if cur > 0 else None  # no ratio to an exact zero
-                row[f"{kind}_ratio"] = ratio
-                row[f"{kind}_order"] = float(np.log2(ratio)) if ratio else None
-            row[f"{kind}_at_rounding_floor"] = bool(cur < floor)
+            ratio = prev[f"max_{kind}_residual"] / cur if prev and cur > 0 else None
+            row[f"{kind}_ratio"] = ratio
+            row[f"{kind}_order"] = float(np.log2(ratio)) if ratio else None
+            row[f"{kind}_at_rounding_floor"] = bool(cur < 1e-10)
     return rows
 
 
@@ -656,7 +640,7 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
             raise ScenarioError(f"{key}: not read by a sweep over '{parameter}'; remove it")
 
     if parameter == "cone_angle":
-        rows = _sweep_rows_cone(cfg, base_dir, values, scenario)
+        rows = sorted((_cone_row(cfg, base_dir, value, scenario) for value in values), key=lambda r: r["cone_angle"])
     elif parameter == "n_steps":
         rows = _sweep_rows_steps(cfg, base_dir, values)
     else:

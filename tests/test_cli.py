@@ -265,6 +265,69 @@ def test_bad_steps_exits_2(tmp_path):
     assert main(["run", config]) == 2
 
 
+_DELETE = object()  # removes the field
+
+# (command: run or the swept parameter, dotted field, its value, the stderr line after "config error: ")
+CONFIG_ERRORS = [
+    ("run", "path", _DELETE, "missing required field 'path'"),
+    ("run", "path", 3, "path: expected dict, got 3"),
+    ("run", "path.k_mag", _DELETE, "missing required field 'path.k_mag'"),
+    ("run", "path.cone_angle", _DELETE, "missing required field 'path.cone_angle'"),
+    ("run", "path.n_steps", _DELETE, "missing required field 'path.n_steps'"),
+    ("run", "path.omega", "fast", "path.omega: expected a number, got 'fast'"),
+    ("run", "path.n_cycles", True, "path.n_cycles: expected a number, got True"),
+    ("run", "path.n_steps", 100.0, "path.n_steps: expected an integer, got 100.0"),
+    ("run", "path.n_steps", True, "path.n_steps: expected an integer, got True"),
+    ("run", "path.n_steps", 63, "path.n_steps: at least 64 steps required, got 63"),
+    ("run", "path.cone_angle", 4.0, "path.cone_angle: cone angle must lie in [0, pi], got 4.0"),
+    ("run", "path.cone_angle", "-1 deg", "path.cone_angle: cone angle must lie in [0, pi], got -0.017453292519943295"),
+    ("run", "path.cone_angle", "abc deg", "path.cone_angle: cannot parse degrees value 'abc deg'"),
+    ("run", "path.cone_angle", "1.0 rad", "path.cone_angle: angle strings must end in 'deg', got '1.0 rad'"),
+    ("run", "path.cone_angle", [1], "path.cone_angle: expected a number or 'NNN deg' string, got [1]"),
+    ("run", "path.cone_angle", True, "path.cone_angle: expected a number or 'NNN deg' string, got True"),
+    ("run", "path", {"type": "file"}, "missing required field 'path.filename'"),
+    ("run", "path", {"type": "file", "filename": 5}, "path.filename: expected str, got 5"),
+    ("run", "k0", -1, "k0: expected a positive finite number, got -1"),
+    ("run", "k0", "1", "k0: expected a positive finite number, got '1'"),
+    ("run", "chamber_length", 0, "chamber_length: expected a positive finite number, got 0"),
+    ("run", "medium", {"eps1": "x", "eps2": 1.0}, "medium.eps1: expected a number, got 'x'"),
+    ("run", "occupations.n_left", -1, "occupations.n_left: expected a nonnegative integer below 2**52, got -1"),
+    ("run", "occupations.n_right", 1.0, "occupations.n_right: expected a nonnegative integer below 2**52, got 1.0"),
+    ("cone_angle", "sweep", _DELETE, "missing required field 'sweep'"),
+    ("cone_angle", "sweep", [], "sweep: expected dict, got []"),
+    ("cone_angle", "sweep.values", ["abc deg"], "sweep.values: cannot parse degrees value 'abc deg'"),
+    ("cone_angle", "sweep.values", [3.5], "sweep.values: cone angle must lie in [0, pi], got 3.5"),
+    ("cone_angle", "path.cone_angle", "2 rad", "path.cone_angle: angle strings must end in 'deg', got '2 rad'"),
+    ("n_steps", "sweep.values", [10], "sweep.values: at least 64 steps required, got 10"),
+    ("n_steps", "sweep.values", [64.0], "sweep.values: expected an integer, got 64.0"),
+    ("n_steps", "path.n_steps", 1.5, "path.n_steps: expected an integer, got 1.5"),
+    ("occupations", "sweep.values", [[0, -2]],
+     "sweep.values: n_right: expected a nonnegative integer below 2**52, got -2"),
+]
+VALID_SWEEP_VALUES = {"cone_angle": ["30 deg"], "n_steps": [128], "occupations": [[0, 1]]}
+
+
+@pytest.mark.parametrize("command, field, value, message", CONFIG_ERRORS,
+                         ids=[f"{command}-{field}-{i}" for i, (command, field, _, _) in enumerate(CONFIG_ERRORS)])
+def test_each_validator_exits_2_with_its_message(tmp_path, capsys, command, field, value, message):
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    if command != "run":
+        cfg = sweep_cfg(cfg, command, VALID_SWEEP_VALUES[command])
+    *parents, key = field.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    if value is _DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    config = write_config(tmp_path, "invalid.json", cfg)
+    assert main(["run" if command == "run" else "sweep", config, "--quiet"]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_4(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
@@ -450,7 +513,7 @@ def _joined_outputs(result):
 
     def column(table, name):
         col = table[name]
-        return col.rows(0, col.length) * col.weight + 0.0
+        return col.rows(0, col.length)[col.index] * col.weight + 0.0
 
     lines = [",".join(RESULT_COLUMNS)]
     plots = {}
@@ -506,7 +569,7 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         return values
 
     def column(values, weight=1.0):
-        return scenario_mod.Column(lambda start, stop: values[start:stop], n, weight)
+        return scenario_mod.Column(lambda start, stop: (values[start:stop],), n, 0, weight)
 
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
     shared = {name: column(series(), float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
@@ -756,7 +819,7 @@ def test_sweep_occupations_matches_inline_weights(tmp_path, ordering):
 
     # the weights as they were written inline before the sweep reused fock._weight;
     # + 0.0 writes a zero phase as 0.0, never -0.0
-    swept = float(geometry.solid_angle_series(geometry.spherical_angles(build_path(cfg)))[-1])
+    swept = float(geometry.spherical_angles(build_path(cfg)).solid_angle[-1])
     half = 0.5 if ordering == "symmetric" else 0.0
     expected = [
         {"n_left": nl, "n_right": nr, "quantal": float((nr - nl) * swept) + 0.0,

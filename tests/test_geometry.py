@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fiberphase import geometry
+from fiberphase import evolution, geometry
 from fiberphase.evolution import hamiltonian_coefficients
 from fiberphase.geometry import (
     FiberPath,
@@ -12,7 +12,6 @@ from fiberphase.geometry import (
     load_path,
     motion_residual,
     rotation_vectors,
-    solid_angle_series,
     spherical_angles,
 )
 
@@ -285,14 +284,14 @@ def test_rotation_vectors_match_per_step_cross_products(k_mag):
 def test_solid_angle_full_cycle_closed_form():
     for cone in (np.pi / 6, np.pi / 3, np.pi / 2):
         p = helix_path(cone, 1.0, 1.0, 1.0, 512)
-        series = solid_angle_series(spherical_angles(p))
+        series = spherical_angles(p).solid_angle
         assert series[0] == 0.0
         assert abs(series[-1] - 2.0 * np.pi * (1.0 - np.cos(cone))) < 1e-9
 
 
 def test_solid_angle_zero_at_pole():
     p = helix_path(0.0, 1.0, 1.0, 1.0, 64)
-    assert np.abs(solid_angle_series(spherical_angles(p))).max() == 0.0
+    assert np.abs(spherical_angles(p).solid_angle).max() == 0.0
 
 
 # ----------------------------------------------------------------- load_path
@@ -667,7 +666,7 @@ def test_path_layers_hold_their_outputs_and_one_chunk(tmp_path):
         angles = spherical_angles(path)
         with_angles = tracemalloc.get_traced_memory()[1] / n
         tracemalloc.reset_peak()
-        solid_angle_series(angles)
+        assert not angles.solid_angle.flags.writeable  # W is held with the angles
         w_step = tracemalloc.get_traced_memory()[1] / n  # the path is still held
     finally:
         tracemalloc.stop()
@@ -721,6 +720,48 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
         got_rate, got_centre = geometry._stencil(values, firsts, 3, dt, scale)
         assert _same_bits(got_rate, np.stack([[rate[f : f + 3] for f in row] for row in firsts]))
         assert _same_bits(got_centre, np.stack([[centre[f : f + 3] for f in row] for row in firsts]))
+
+
+# ------------------------------------------------------ ordered-read contract
+
+ORDERED_READERS = {  # each reader and the number of series a read gives
+    "angles": (geometry._AngleRows, 3),
+    "trajectory-streamed": (lambda path: evolution._TrajectoryRows(path, +1), 6),
+    "trajectory-held": (lambda path: evolution._TrajectoryRows(path, +1, hold=True), 6),
+    "residuals": (evolution._ResidualRows, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERED_READERS))
+def test_ordered_readers_keep_one_contract(monkeypatch, kind):
+    # a read of the same rows returns the same arrays; a read at row 0
+    # restarts; any other read must continue the last one, or it raises
+    monkeypatch.setattr(evolution, "_TILE", 64)  # the streamed scan goes in several tiles
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 64)
+    path = wobble_path(300)
+    n = path.n_samples
+    make, count = ORDERED_READERS[kind]
+    reader = make(path)
+    assert isinstance(reader, geometry._OrderedRows)
+    pieces = [(0, 100), (100, 101), (101, 250), (250, n), (n, n)]
+    passes = []
+    for _ in range(2):  # the second pass restarts at row 0
+        values = []
+        for lo, hi in pieces:
+            values.append(reader.read(lo, hi))
+            assert len(values[-1]) == count and all(len(series) == hi - lo for series in values[-1])
+            assert reader.read(lo, hi) is values[-1]
+            for bad in ((lo + 1, hi + 1), (1, 2), (hi + 1, hi + 2)):  # skips, goes back, or repeats other rows
+                if bad[0] not in (0, hi) and bad != (lo, hi):
+                    with pytest.raises(ValueError, match="read in order from row 0"):
+                        reader.read(*bad)
+            assert reader.read(lo, hi) is values[-1]  # a refused read changes nothing
+        passes.append(values)
+    for first, second in zip(*passes):
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
+    whole = make(path).read(0, n)  # the pieces are the rows of one read
+    for i in range(count):
+        assert np.concatenate([values[i] for values in passes[0]]).tobytes() == whole[i].tobytes()
 
 
 # ------------------------------------------------- k_dot consumers in chunks

@@ -230,25 +230,24 @@ def test_ordered_angle_reader_matches_spherical_angles(case, order):
     path, chunk = case
     n = path.n_samples
     angles = geometry.spherical_angles(path)
-    want = (angles.polar, angles.azimuth, geometry.solid_angle_series(angles))
+    want = (angles.polar, angles.azimuth, angles.solid_angle)
     reader = geometry._AngleRows(path)
-    series = (reader.polar, reader.azimuth, reader.solid_angle)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         for _ in range(2):  # a second pass from row 0 gives the same bits
             got = ([], [], [])
             for rows in geometry._row_slices(0, n):
                 for i in order:  # the three series, read in any order, come from one computation of the rows
-                    got[i].append(series[i](rows.start, rows.stop))
+                    got[i].append(reader.read(rows.start, rows.stop)[i])
             for i in range(3):
                 assert np.concatenate(got[i]).tobytes() == want[i].tobytes(), i
     # rows are read in order from row 0: a read that skips rows, or goes back without restarting, raises
     with pytest.raises(ValueError, match="in order from row 0"):
-        reader.polar(1, n)
-    reader.azimuth(0, 1)
+        reader.read(1, n)
+    reader.read(0, 1)
     with pytest.raises(ValueError, match="in order from row 0"):
-        reader.solid_angle(2, n)
-    assert reader.solid_angle(1, n).tobytes() == want[2][1:].tobytes()
+        reader.read(2, n)
+    assert reader.read(1, n)[2].tobytes() == want[2][1:].tobytes()
 
 
 # ------------------------------------------------------- load_path grammar

@@ -25,7 +25,7 @@ from fiberphase.evolution import (
     phase_decomposition,
 )
 from fiberphase.fock import Ordering
-from fiberphase.geometry import FiberPath, helix_path, load_path, solid_angle_series, spherical_angles
+from fiberphase.geometry import FiberPath, helix_path, load_path, spherical_angles
 from fiberphase.scenario import (
     FREE_SPACE,
     RESULT_COLUMNS,
@@ -174,18 +174,19 @@ def test_result_tables_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     first, derived = result["tables"][1], result["tables"][-1]
-    # W is read from the path's one ordered angle reader, which also serves lambda and gamma
+    # W is series 2 of the path's one ordered angle reader, whose series 0 and 1 are lambda and gamma
     w = first["phase_analytic"].rows
     reader = w.__self__
-    assert isinstance(reader, geometry._AngleRows) and reader.path is path
-    assert (w, first["lambda"].rows, first["gamma"].rows) == (reader.solid_angle, reader.polar, reader.azimuth)
-    _assert_bitwise(w(0, path.n_samples), solid_angle_series(_angles(path)), "W")
+    assert isinstance(reader, geometry._AngleRows) and reader.path is path and w == reader.read
+    assert [(first[name].rows, first[name].index) for name in ("lambda", "gamma", "phase_analytic")] == [
+        (w, 0), (w, 1), (w, 2)]
+    _assert_bitwise(w(0, path.n_samples)[2], _angles(path).solid_angle, "W")
     for pol, table in result["tables"].items():
         # every results.csv column after sigma, each a Column of n rows
         assert sorted(table) == sorted(RESULT_COLUMNS[1:])
         assert all(isinstance(column, Column) and column.length == path.n_samples for column in table.values())
         # the W-proportional columns all read the one W, and differ only in their weights
-        assert {table[name].rows for name in W_WEIGHTS} == {w}
+        assert {(table[name].rows, table[name].index) for name in W_WEIGHTS} == {(w, 2)}
         assert {name: table[name].weight for name in W_WEIGHTS} == {
             "phase_quantal": 3.0, "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
             "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
@@ -194,7 +195,7 @@ def test_result_tables_pair_every_csv_column():
     for name in RESULT_COLUMNS[1:]:
         if name not in W_WEIGHTS:
             # the derived polarization reads the evolved one's series
-            assert derived[name].rows is first[name].rows, name
+            assert (derived[name].rows, derived[name].index) == (first[name].rows, first[name].index), name
             assert first[name].weight == 1.0
             assert derived[name].weight == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
 
@@ -207,7 +208,6 @@ def test_cached_series_are_shared_and_read_only():
     h = hamiltonian_coefficients(path)
     _assert_bitwise(h, np.cross(path.k_hat, geometry.derivative_uniform(path.k_hat, path.dt)), "h")
     assert hamiltonian_coefficients(path) is not h
-    assert solid_angle_series(angles) is angles.solid_angle
     helicity_expectations(traj, path)
     states = traj.states
     phase_decomposition(traj, path)
@@ -226,23 +226,21 @@ def test_cached_series_are_shared_and_read_only():
     assert sorted(vars(path)) == ["_rows", "dt", "k_mag", "n_samples"]
 
 
-def test_k_dot_computed_at_most_twice_per_scenario(monkeypatch):
-    original = geometry.k_dot
-    calls = []
-
-    def counting(path):
-        calls.append(path)
-        return original(path)
-
-    # rebind every module attribute that holds k_dot, so imports by name count too
-    for name, module in list(sys.modules.items()):
-        if name == "fiberphase" or name.startswith("fiberphase."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    assert len(calls) <= 2
+@pytest.mark.parametrize("hold", [True, False], ids=["held", "streamed"])
+def test_helix_rows_evaluated_six_times_per_scenario(monkeypatch, hold):
+    # a helix's rows are evaluated on each read: the construction's check,
+    # the scan, the final W, and in the reduction the angles, the residual
+    # pair and the t column, each a pass over the n + 1 samples, plus 64
+    # rows that windows overlap at 1e5 steps (6.00064 (n + 1) in all); one
+    # more pass over the path would add another n + 1
+    evaluated, original = [], geometry._HelixRows.__call__
+    monkeypatch.setattr(geometry._HelixRows, "__call__",
+                        lambda rows, lo, hi: evaluated.append(hi - lo) or original(rows, lo, hi))
+    n_steps = 100_000
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
+    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None), hold)
+    _reduce(_all_columns(result))
+    assert sum(evaluated) <= 6 * (n_steps + 1) + 64, sum(evaluated) - 6 * (n_steps + 1)
 
 
 def _sweep_peak(tmp_path, values, n_steps=50_000):
@@ -289,10 +287,11 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
         tracemalloc.stop()
     assert peak / n_steps < 90, peak / n_steps  # bytes per step
     assert held / n_steps < 75, held / n_steps
-    for name, method in (("invariant_residual", "invariant"), ("motion_residual", "motion")):
+    for index, name in enumerate(("invariant_residual", "motion_residual")):
         column = result["tables"][1][name]
-        assert column.rows.__func__ is getattr(evolution._ResidualRows, method) and column.rows.__self__.path is path
-        assert column.length == path.n_samples
+        reader = column.rows.__self__
+        assert isinstance(reader, evolution._ResidualRows) and reader.path is path and column.rows == reader.read
+        assert (column.index, column.length) == (index, path.n_samples)
 
 
 def test_stage_peaks_stay_near_the_held_result():
@@ -446,13 +445,15 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     # the phases, drifts and flags are read from one reader of held, read-only series, shared by both polarizations
     reader = got["tables"][first]["phase_total"].rows.__self__
     assert isinstance(reader, evolution._TrajectoryRows) and reader.hold
-    for name in ("phase_total", "phase_dynamical", "phase_geometric", "norm_drift", "helicity_drift", "flagged"):
-        rows = got["tables"][-first][name].rows
-        assert rows is got["tables"][first][name].rows and rows.__self__ is reader, name
+    for index, name in enumerate(("phase_total", "flagged", "phase_dynamical", "phase_geometric", "norm_drift",
+                                  "helicity_drift")):
+        column = got["tables"][-first][name]
+        assert (column.rows, column.index) == (got["tables"][first][name].rows, index), name
+        assert column.rows.__self__ is reader, name
     assert not any(part.flags.writeable for part in reader.window)
     # and the geometric phase is read as total - dynamical of those series
     total, _, dynamical = reader.window[:3]
-    assert got["tables"][-first]["phase_geometric"].rows(0, path.n_samples).tobytes() == (total - dynamical).tobytes()
+    assert reader.read(0, path.n_samples)[3].tobytes() == (total - dynamical).tobytes()
 
 
 def _count_calls(monkeypatch, original):
@@ -542,30 +543,34 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
     invariant, motion = _padded_whole_array_residuals(path)
     scaled = _padded_whole_array_residuals(path, scale)[0]
     columns = _residuals(path)  # both read one window of rows per read
-    sources = {"invariant": (columns["invariant_residual"], invariant), "motion": (columns["motion_residual"], motion)}
+    reader = columns["invariant_residual"].rows.__self__
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        # every row range, the whole column, single rows at both ends and the drawn one
-        for rows in (slice(start, stop), slice(0, n), slice(0, 1), slice(n - 1, n), slice(n, n), slice(-1, None)):
-            for name, (source, want) in sources.items():
-                _assert_bitwise(source[rows], want[rows], f"{name} {rows}")
-            _assert_bitwise(evolution._invariant_residual_rows(path, *rows.indices(n)[:2], scale), scaled[rows],
-                            f"scaled {rows}")
-        assert sources["invariant"][0].length == n
+        # the reader's kernel on any row range: the drawn one, the whole column, single rows at both ends, none
+        for lo, hi in ((start, stop), (0, n), (0, 1), (n - 1, n), (n, n)):
+            for index, want in enumerate((invariant, motion)):
+                _assert_bitwise(reader._next(lo, hi)[index], want[lo:hi], f"residual {index} [{lo}, {hi})")
+            _assert_bitwise(evolution._invariant_residual_rows(path, lo, hi, scale), scaled[lo:hi],
+                            f"scaled [{lo}, {hi})")
+        # the columns, each read in turn, in order: three pieces split at the drawn rows, and an empty read at the end
+        for rows in (slice(0, start), slice(start, stop), slice(stop, None), slice(n, n)):
+            for name, want in (("invariant_residual", invariant), ("motion_residual", motion)):
+                _assert_bitwise(columns[name][rows], want[rows], f"{name} {rows}")
+        assert columns["invariant_residual"].length == n
         _assert_bitwise(invariant_residual_series(path, scale), scaled[1:-1], "invariant_residual_series")
         _assert_bitwise(geometry.motion_residual(path), motion, "motion_residual")
 
 
 def test_residual_columns_read_the_path_once_per_quarter_chunk(monkeypatch):
-    # the two residual columns, read in turn, share each window of rows and
-    # keep nothing after the second read
+    # the two residual columns, read in turn, share each window of rows: the
+    # second column's read takes the arrays the first one's computed
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 10_000)
     columns = _residuals(path)
     reads, original = [], FiberPath.rows
     monkeypatch.setattr(FiberPath, "rows", lambda self, lo, hi: reads.append((lo, hi)) or original(self, lo, hi))
     invariant, motion = (columns[name][0:5000] for name in ("invariant_residual", "motion_residual"))
     assert reads == [(0, 4097), (4095, 5001)]  # quarter chunks of 4096 rows, one row on either side
-    assert columns["motion_residual"].rows.__self__.values is None
+    assert columns["motion_residual"].rows.__self__.rows == (0, 5000)
     _assert_bitwise(motion, geometry.motion_residual(path)[:5000], "motion")
     _assert_bitwise(invariant, evolution._invariant_residual_rows(path, 0, 5000), "invariant")
 
@@ -580,7 +585,7 @@ def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
     def last_row_nan(path, start, stop):
         values = geometry._motion_residual_rows(path, start, stop)
         values[np.arange(start, stop) == path.n_samples - 1] = np.nan
-        return values
+        return (values,)
 
     result["tables"][-1]["motion_residual"] = Column(partial(last_row_nan, path), path.n_samples)
     with pytest.raises(NumericalError):
@@ -597,7 +602,7 @@ def test_reduce_matches_whole_array_reductions(monkeypatch, chunk):
     assert list(last) == list(peak) == list(nonzero) == list(dict.fromkeys(_all_columns(result)))
     assert nonzero[result["tables"][1]["flagged"]] > 0
     for column in last:
-        whole = column.rows(0, column.length) * column.weight + 0.0
+        whole = column.rows(0, column.length)[column.index] * column.weight + 0.0
         assert (last[column], peak[column], nonzero[column]) == (whole[-1], whole.max(), np.count_nonzero(whole))
 
 
@@ -606,10 +611,10 @@ def test_reduce_reads_each_distinct_column_once(monkeypatch):
 
     def counted(values, start, stop):
         reads.append((start, stop))
-        return values[start:stop]
+        return (values[start:stop],)
 
     rows = partial(counted, np.arange(10.0) - 3.0)
-    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 4)
-    last, peak, nonzero = _reduce([Column(rows, 10), Column(rows, 10, -1.0), Column(rows, 10)])
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 16)  # the reduction reads quarter chunks, of 4 rows
+    last, peak, nonzero = _reduce([Column(rows, 10), Column(rows, 10, 0, -1.0), Column(rows, 10)])
     assert sorted(reads) == [(0, 4), (0, 4), (4, 8), (4, 8), (8, 10), (8, 10)]
     assert [list(values.values()) for values in (last, peak, nonzero)] == [[6.0, -6.0], [6.0, 3.0], [9, 9]]

@@ -213,8 +213,11 @@ def test_reader_rows_are_evolves_arrays_for_any_reads(case, data):
                 lo = hi
         with pytest.raises(ValueError, match="read in order"):
             reader.read(1, 2) if n > 2 else reader.read(2, 3)
-    for i, name in enumerate(SERIES):
-        assert _same_bits(np.concatenate([piece[i] for piece in pieces]), getattr(traj, name)), name
+    # the six results series: the phases and flags, and the geometric phase and drifts from evolve's arrays
+    want = (traj.total, traj.flagged, traj.dynamical, traj.total - traj.dynamical, np.abs(traj.norms - 1.0),
+            np.abs(traj.helicity - traj.helicity[0]))
+    for i, series in enumerate(want):
+        assert _same_bits(np.concatenate([piece[i] for piece in pieces]), series), i
     assert reader.hel0 == traj.helicity[0]
 
 
