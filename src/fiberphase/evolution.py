@@ -36,7 +36,6 @@ from .spin import _SQ, CARTESIAN_FROM_ANGULAR, helicity_eigenstates
 
 __all__ = [
     "SpinorTrajectory",
-    "PhaseDecomposition",
     "OrthogonalPassageWarning",
     "hamiltonian_coefficients",
     "evolve",
@@ -61,9 +60,11 @@ class SpinorTrajectory:
     the conserved spin projection onto k_hat equals ``-polarization``.
     :func:`evolve` reduces each state to what the phases and drifts read, as
     read-only series: ``total`` = arg <psi(0)|psi>, unwrapped, ``flagged``
-    (see :class:`PhaseDecomposition`), ``dynamical`` = -Int h . <S> dt,
-    ``helicity`` = k_hat . <S> and ``norms`` = ||psi||.  The states themselves
-    are rebuilt on first use of :attr:`states` by running the same scan again.
+    where |<psi(0)|psi>| < OVERLAP_FLOOR (their total is interpolated from
+    neighbours and untrustworthy), ``dynamical`` = -Int h . <S> dt,
+    ``helicity`` = k_hat . <S> and ``norms`` = ||psi||; :attr:`geometric` =
+    total - dynamical is taken on every read.  The states themselves are
+    rebuilt on first use of :attr:`states` by running the same scan again.
     """
 
     path: FiberPath
@@ -79,6 +80,10 @@ class SpinorTrajectory:
         return self.path.times
 
     @property
+    def geometric(self) -> np.ndarray:
+        return self.total - self.dynamical
+
+    @property
     def spin_projection(self) -> int:
         return -self.polarization
 
@@ -92,27 +97,6 @@ class SpinorTrajectory:
 
         list(_scan(self.path, _start(self.path, self.polarization), store))  # every tile
         return _read_only(states)
-
-
-@dataclass(frozen=True)
-class PhaseDecomposition:
-    """Unwrapped phase record along a trajectory (radians).
-
-    total      : arg <psi(0)|psi(t)>, continuous branch
-    dynamical  : -Int_0^t <psi|H|psi> dt'
-    geometric  : total - dynamical, computed on every read
-    flagged    : samples where |<psi(0)|psi(t)>| < OVERLAP_FLOOR; their phases
-                 are interpolated from neighbours and untrustworthy
-    """
-
-    times: np.ndarray
-    total: np.ndarray
-    dynamical: np.ndarray
-    flagged: np.ndarray
-
-    @property
-    def geometric(self) -> np.ndarray:
-        return self.total - self.dynamical
 
 
 def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
@@ -508,19 +492,18 @@ def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray
     return traj.helicity
 
 
-def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> PhaseDecomposition:
-    """Split the accumulated phase into total, dynamical and geometric parts.
+def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> SpinorTrajectory:
+    """Split the accumulated phase into total, dynamical and geometric parts: the trajectory itself.
 
     The total is the unwrapped overlap phase arg <psi(0)|psi(t)>; the
     dynamical part integrates -<H> = -h . <S> by the trapezoidal rule on the
     shared grid; the geometric part is their difference, taken when it is
-    read (see :attr:`PhaseDecomposition.geometric`).  :func:`evolve` computed
+    read (see :attr:`SpinorTrajectory.geometric`).  :func:`evolve` computed
     the first two and the flags along the trajectory's own path, which must
-    share ``path``'s grid; they are returned as read-only views, not copied.
+    share ``path``'s grid; after that check ``traj`` itself is returned.
     """
     _check_grid(traj, path)
-    return PhaseDecomposition(times=path.times, total=traj.total[:], dynamical=traj.dynamical[:],
-                              flagged=traj.flagged[:])
+    return traj
 
 
 def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):

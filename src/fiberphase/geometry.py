@@ -26,7 +26,6 @@ __all__ = [
     "motion_residual",
     "rotation_vectors",
     "load_path",
-    "derivative_uniform",
 ]
 
 POLE_SIN_TOL = 1e-9  # below this sin(polar), the azimuth is held constant

@@ -306,7 +306,7 @@ def compute_scenario(path, scenario: Scenario, hold: bool = True):
     ``evolution._TrajectoryRows``, scan them a tile at a time in each pass.
     The residuals are computed from ``k_hat``, and ``lambda``, ``gamma``
     and ``W`` read one ``geometry._AngleRows``, one pass of which gives the
-    final ``W`` of the net vacuum phase here.  The command prints the
+    final ``W`` of the net vacuum phase here.  :func:`summarize` prints the
     warnings of flagged samples once its reduction has counted them.
     """
     n = path.n_samples
@@ -344,12 +344,6 @@ def compute_scenario(path, scenario: Scenario, hold: bool = True):
         "vacuum_net": net,
         "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
     }
-
-
-def _warn_passages(pol, count):
-    """Print the orthogonal-passage warning of polarization ``pol``, whose reduction counted ``count`` flags."""
-    if count:
-        print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
 
 
 def _reduce(columns):
@@ -414,7 +408,11 @@ def write_results_csv(out_dir, result):
 
 
 def summarize(result, path, scenario: Scenario):
-    """The summary of a run; its one read of every column raises NumericalError on a non-finite value."""
+    """The summary of a result; its one read of every column raises NumericalError on a non-finite value.
+
+    Once that read has counted each polarization's flagged samples, their
+    orthogonal-passage warnings are printed to stderr.
+    """
     tables = result["tables"]
     t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
     last, peak, nonzero = _reduce(column for table in tables.values() for column in table.values())
@@ -426,6 +424,8 @@ def summarize(result, path, scenario: Scenario):
             "max_norm_drift": peak[table["norm_drift"]],
             "max_helicity_drift": peak[table["helicity_drift"]],
         }
+        if count := phases[f"{pol:+d}"]["flagged_samples"]:
+            print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
     shared = tables[scenario.polarizations[0]]  # the columns every table shares
     net = result["vacuum_net"]
     summary = {
@@ -503,8 +503,6 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     result = compute_scenario(path, scenario)
     summary = summarize(result, path, scenario)
     summary["command"] = "run"
-    for pol in scenario.polarizations:
-        _warn_passages(pol, summary["phases"][f"{pol:+d}"]["flagged_samples"])
 
     os.makedirs(out_dir, exist_ok=True)
     write_results_csv(out_dir, result)
@@ -555,18 +553,15 @@ def _with_path_value(cfg, key, value):
 def _cone_row(cfg, base_dir, value, scenario):
     cone = _cone_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
-    result = compute_scenario(path, scenario, hold=False)
-    tables = result["tables"]
-    last, _, nonzero = _reduce(column for table in tables.values() for column in table.values())
+    summary = summarize(compute_scenario(path, scenario, hold=False), path, scenario)
     row = {"cone_angle": cone}
-    for pol, table in tables.items():
-        suffix = _SIGMA_SUFFIX[pol]
-        row[f"geometric_{suffix}"] = last[table["phase_geometric"]]
-        row[f"analytic_{suffix}"] = last[table["phase_analytic"]]
-        row[f"flagged_{suffix}"] = nonzero[table["flagged"]]
-        _warn_passages(pol, nonzero[table["flagged"]])
-    row["quantal"] = last[tables[scenario.polarizations[0]]["phase_quantal"]]
-    row["vacuum_net"] = float(result["vacuum_net"].phase)
+    for pol in scenario.polarizations:
+        phases, suffix = summary["phases"][f"{pol:+d}"], _SIGMA_SUFFIX[pol]
+        row[f"geometric_{suffix}"] = phases["geometric"]
+        row[f"analytic_{suffix}"] = phases["analytic"]
+        row[f"flagged_{suffix}"] = phases["flagged_samples"]
+    row["quantal"] = summary["quantal_final"]
+    row["vacuum_net"] = summary["vacuum"]["net_final"]
     return row
 
 

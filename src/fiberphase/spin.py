@@ -19,7 +19,6 @@ __all__ = [
     "helicity_operator",
     "helicity_eigenstates",
     "CARTESIAN_FROM_ANGULAR",
-    "GAUGE_TAG",
 ]
 
 _SQ = 1.0 / np.sqrt(2.0)

@@ -196,7 +196,7 @@ def test_half_cycle_matches_closed_form():
 
 def test_orthogonal_passage_flagged_on_equator():
     # the overlap touches zero half way around the equator
-    # evolve warns, and phase_decomposition only hands its series over
+    # evolve warns, and phase_decomposition only hands the trajectory over
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 4096)
     with pytest.warns(OrthogonalPassageWarning):
         traj = evolve(p, +1)
@@ -207,7 +207,7 @@ def test_orthogonal_passage_flagged_on_equator():
     assert np.all(np.isfinite(dec.total))
     for name in ("total", "dynamical", "flagged"):
         series = getattr(dec, name)
-        assert series.base is getattr(traj, name) and not series.flags.writeable, name
+        assert series is getattr(traj, name) and not series.flags.writeable, name
 
 
 def test_phase_decomposition_grid_mismatch():

@@ -155,7 +155,7 @@ def test_reduced_observables_match_whole_array_forms_of_the_states(case, pol):
 @given(case=PATHS.flatmap(_with_chunk))
 def test_chunked_phase_decomposition_matches_whole_array(case):
     # the unwrap and the trapezoids go in chunks inside evolve;
-    # phase_decomposition hands the trajectory's series over as views
+    # phase_decomposition hands the trajectory itself over, not copies
     path, chunk = case
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
@@ -165,7 +165,7 @@ def test_chunked_phase_decomposition_matches_whole_array(case):
     dec = phase_decomposition(traj, path)
     for name in ("total", "dynamical", "flagged"):
         assert _same_bits(getattr(dec, name), want[name]), name
-        assert getattr(dec, name).base is getattr(traj, name), name
+        assert getattr(dec, name) is getattr(traj, name), name
     assert _same_bits(dec.geometric, want["total"] - want["dynamical"])
 
 
