@@ -261,6 +261,11 @@ def _scan(path: FiberPath, start: np.ndarray, consume):
             axis, sin, vers = _slab_steps(k_hat, lo, starts + j0, width, dt)[2:]
             for t in range(width):
                 frames = _rotate(frames, axis[:, t, None], sin[:, t, None], vers[:, t, None])
+        # one polar Newton-Schulz step, F <- 1.5 F - 0.5 F F^T F (Higham, Functions of Matrices, ch. 8), takes
+        # each frame back to the nearest rotation, to second order in its rounding, so the carry does not chain
+        # that rounding; einsum, not a BLAS product, whose first call raises a sweep point's peak RSS by ~0.1 MB
+        gram = np.einsum("bij,bkj->bik", frames, frames)
+        frames = 1.5 * frames - 0.5 * np.einsum("bik,bkl->bil", gram, frames)
 
         columns = np.empty((len(starts), _SLAB, 3), dtype=complex)
         for b in range(len(starts)):

@@ -118,6 +118,16 @@ def test_evolve_norm_preservation():
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
+def test_norm_drift_stays_at_rounding_over_many_tiles():
+    # 1e5 steps run in 4 tiles of 80-step block frames; re-orthogonalising
+    # each frame before the carry keeps the drift at one frame's rounding
+    # (7.0e-14 here; 8.5e-13 when the frames' rounding chains through the carry)
+    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100_000)
+    traj = evolve(p, +1)
+    assert np.abs(traj.norms - 1.0).max() <= 2e-13
+    assert np.abs(traj.helicity - traj.helicity[0]).max() <= 2e-13
+
+
 def test_evolve_helicity_conserved_on_equator():
     p = helix_path(np.pi / 2, 1.0, 1.0, 1.0, 1024)
     with pytest.warns(OrthogonalPassageWarning):  # half way round, the state is orthogonal to its start
