@@ -424,7 +424,7 @@ def summarize(result, path, scenario: Scenario):
             "max_norm_drift": peak[table["norm_drift"]],
             "max_helicity_drift": peak[table["helicity_drift"]],
         }
-        if count := phases[f"{pol:+d}"]["flagged_samples"]:
+        if count := nonzero[table["flagged"]]:
             print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
     shared = tables[scenario.polarizations[0]]  # the columns every table shares
     net = result["vacuum_net"]

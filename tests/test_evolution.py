@@ -204,6 +204,32 @@ def test_half_cycle_matches_closed_form():
         assert abs(dec.geometric[-1] - pol * np.pi / 2) < 5e-3
 
 
+def _three_lobe_loop(t0=0.0, scale=1.0, n_steps=4096):
+    """The closed loop theta = 0.8 + 0.25 sin 3 phi, sampled at t = t0 + scale * phi."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n_steps + 1)
+    theta = 0.8 + 0.25 * np.sin(3.0 * phi)
+    kh = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+    return FiberPath(times=t0 + scale * phi, k_hat=kh, k_mag=1.0)
+
+
+def _phase_columns(p):
+    dec = phase_decomposition(evolve(p, +1), p)
+    return {"total": dec.total, "dynamical": dec.dynamical, "geometric": dec.geometric,
+            "W": spherical_angles(p).solid_angle}
+
+
+@pytest.mark.parametrize("t0, scale", [(5.0, 1.0), (1e3, 1.0), (0.0, 3.7), (0.0, 1e-3)],
+                         ids=["shift5", "shift1e3", "scale3.7", "scale1e-3"])
+def test_phases_do_not_depend_on_the_time_origin_or_unit(t0, scale):
+    # only k_hat's sequence of directions enters: each step turns by |h| dt,
+    # and h ~ 1/dt, so a shifted or rescaled clock moves no column beyond
+    # rounding (1.3e-15 measured, over the whole column)
+    want = _phase_columns(_three_lobe_loop())
+    got = _phase_columns(_three_lobe_loop(t0, scale))
+    for name in want:
+        assert np.abs(got[name] - want[name]).max() <= 1e-13, name
+
+
 def test_orthogonal_passage_flagged_on_equator():
     # the overlap touches zero half way around the equator
     # evolve warns, and phase_decomposition only hands the trajectory over
