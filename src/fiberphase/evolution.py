@@ -483,7 +483,9 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
 
 
 def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:
-    if len(traj.norms) != path.n_samples:
+    """Raise ValueError unless ``traj``'s path has ``path``'s sample count, first time and step."""
+    grids = [(p.n_samples, p.rows(0, 1)[0][0], p.dt) for p in (traj.path, path)]
+    if grids[0] != grids[1]:
         raise ValueError("trajectory and path do not share a time grid")
 
 

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Callable
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -369,42 +373,54 @@ def _reduce(columns):
     return last, peak, nonzero
 
 
-def _fmt(x) -> str:
-    return f"{x:.16e}"
+_fmt = float.__repr__  # a float field: the shortest text that reads back as the same double, as in summary.json
+
+
+def _negated(strings):
+    """The fields of -x from those of finite x: IEEE negation is exact, and the + 0.0 keeps zero '0.0'."""
+    return [s[1:] if s[0] == "-" else s if s == "0.0" else "-" + s for s in strings]
 
 
 _WRITE_ROWS = 256  # samples per writer chunk, whose columns are held as lists of strings
 
 
 def write_results_csv(out_dir, result):
-    """Write results.csv and every plot file, formatting each chunk of a table's columns once.
+    """Write results.csv and every plot file in one pass, formatting each distinct column once per chunk.
 
-    results.csv lists each polarization's rows in turn.  A table's plot
-    lines are joined from the strings of its rows, and the plots of the
-    columns every table shares (quantal, net vacuum) go with the first
-    table.  One chunk of strings is held at a time, not a full-length column.
+    A column whose weight is the negative of a column already formatted in
+    the chunk takes its strings with each leading '-' toggled.  results.csv
+    lists each polarization's rows in turn, so a later one's rows go to an
+    unnamed temporary file in ``out_dir``, appended at the end and gone on
+    every exit path.  The plots of the columns every table shares (quantal,
+    net vacuum) go with the first table.  One chunk of strings is held at a time.
     """
-    def open_text(name):
-        return open(os.path.join(out_dir, name), "w", newline="\n")
+    tables = result["tables"]
+    first, *later = tables
+    columns = list(dict.fromkeys(table[name] for table in tables.values() for name in RESULT_COLUMNS[1:-1]))
+    names = [(pol, kind, f"{kind}_{_SIGMA_SUFFIX[pol]}") for pol in tables for kind in ("total", "geometric", "analytic")]
+    names += [(first, kind, kind) for kind in ("quantal", "vacuum_net")]
+    with ExitStack() as stack:
+        def open_text(name):
+            return stack.enter_context(open(os.path.join(out_dir, name), "w", newline="\n"))
 
-    with open_text("results.csv") as csv:
-        csv.write(",".join(RESULT_COLUMNS) + "\n")
-        for i, (pol, table) in enumerate(result["tables"].items()):
-            plots = [(kind, f"{kind}_{_SIGMA_SUFFIX[pol]}") for kind in ("total", "geometric", "analytic")]
-            plots += [(kind, kind) for kind in ("quantal", "vacuum_net")] if i == 0 else []
-            files = []
-            try:
-                for kind, name in plots:
-                    files.append((open_text(f"plot_{name}.dat"), f"phase_{kind}"))
-                for rows in geometry._row_slices(0, table["t"].length, _WRITE_ROWS):
-                    text = {name: list(map(_fmt, table[name][rows].tolist())) for name in RESULT_COLUMNS[1:-1]}
-                    flags = ["1" if flag else "0" for flag in table["flagged"][rows].tolist()]
-                    csv.writelines(",".join((str(pol), *row)) + "\n" for row in zip(*text.values(), flags))
-                    for fh, column in files:
-                        fh.writelines(f"{t} {v}\n" for t, v in zip(text["t"], text[column]))
-            finally:
-                for fh, _ in files:
-                    fh.close()
+        sinks = {first: open_text("results.csv")}
+        sinks |= {pol: stack.enter_context(tempfile.TemporaryFile("w+", newline="\n", dir=out_dir)) for pol in later}
+        plots = [(open_text(f"plot_{name}.dat"), tables[pol]["t"], tables[pol][f"phase_{kind}"]) for pol, kind, name in names]
+        sinks[first].write(",".join(RESULT_COLUMNS) + "\n")
+        for rows in geometry._row_slices(0, tables[first]["t"].length, _WRITE_ROWS):
+            text = {}
+            for column in columns:
+                mirror = text.get(replace(column, weight=-column.weight))
+                text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, column[rows].tolist()))
+            for pol, table in tables.items():
+                flags = ["1" if flag else "0" for flag in table["flagged"][rows].tolist()]
+                fields = zip(repeat(str(pol)), *(text[table[name]] for name in RESULT_COLUMNS[1:-1]), flags)
+                sinks[pol].write("\n".join(map(",".join, fields)) + "\n")
+            for fh, t, column in plots:
+                fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
+        for pol in later:
+            sinks[pol].seek(0)
+            shutil.copyfileobj(sinks[pol], sinks[first])
 
 
 def summarize(result, path, scenario: Scenario):

@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -134,7 +137,7 @@ def test_normal_ordering_deletes_the_vacuum_columns(tmp_path):
     for sym_row, norm_row in zip(tables["symmetric"], tables["normal"], strict=True):
         for name, sym, norm in zip(RESULT_COLUMNS, sym_row, norm_row, strict=True):
             if name in vacuum:
-                assert norm == "0.0000000000000000e+00", (name, norm)
+                assert norm == "0.0", (name, norm)
             if sym != norm:
                 changed.add(name)
     assert changed == vacuum
@@ -604,6 +607,101 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
     assert len(list(tmp_path.iterdir())) == 6  # results.csv and five plot files
 
 
+def _check_field(x):
+    # a float field reads back as the same double, sign included, is no longer
+    # than the 17-digit "%.16e", and toggling its '-' gives the field of -x
+    from fiberphase.scenario import _fmt, _negated
+
+    text = _fmt(x)
+    assert float(text).hex() == x.hex(), (x, text)
+    assert len(text) <= len("%.16e" % x), (x, text)
+    assert _negated([text]) == [_fmt(-x) if x != 0 else "0.0"], (x, text)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(bits=st.integers(0, 2**64 - 1))
+def test_float_field_of_any_bit_pattern(bits):
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    if math.isfinite(x):  # every finite double, subnormals and both zeros included
+        _check_field(x)
+
+
+def _edge_doubles():
+    powers = [float(f"1e{k}") for k in range(-308, 309)]
+    powers += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values = [0.0, 5e-324, sys.float_info.min, sys.float_info.max, 0.1, 1e23, 2.0**53 - 0.5, 2.0**52 + 0.5]
+    values += [k + 0.5 for k in range(-64, 64)]  # exact halves
+    for x in powers:
+        values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    return values + [-x for x in values]
+
+
+def test_float_field_of_edge_doubles():
+    for x in _edge_doubles():
+        _check_field(x)
+
+
+_RUN_FILES = {"results.csv", "summary.json", "plot_quantal.dat", "plot_vacuum_net.dat"}
+
+
+def _plots(pols):
+    return {f"plot_{kind}_{'R' if pol == 1 else 'L'}.dat" for pol in pols for kind in ("total", "geometric", "analytic")}
+
+
+def _spy_temporary_files(monkeypatch):
+    import tempfile
+
+    made, original = [], tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    return made
+
+
+@pytest.mark.parametrize("pols", [[1, -1], [-1]], ids=["R,L", "L"])
+def test_run_writes_exactly_the_documented_files(tmp_path, monkeypatch, pols):
+    # a later polarization's rows pass through one unnamed temporary file,
+    # closed (and so removed) once appended; one polarization needs none
+    made = _spy_temporary_files(monkeypatch)
+    cfg = helix_cfg(str(tmp_path / "out"), polarizations=pols)
+    cfg["path"]["n_steps"] = 700  # three writer chunks
+    assert main(["run", write_config(tmp_path, "run.json", cfg), "--quiet"]) == 0
+    assert set(os.listdir(tmp_path / "out")) == _RUN_FILES | _plots(pols)
+    assert len(made) == len(pols) - 1 and all(fh.closed for fh in made)
+
+
+@pytest.mark.parametrize("where", ["chunk", "append"])
+def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
+    # an OSError in the second chunk, or while the later rows are appended,
+    # propagates with every file closed and no temporary file left
+    import errno
+    import shutil
+
+    import fiberphase.scenario as scenario_mod
+    from fiberphase.fock import Ordering
+    from fiberphase.geometry import helix_path
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    made = _spy_temporary_files(monkeypatch)
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 700)
+    result = scenario_mod.compute_scenario(path, scenario_mod.Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+    if where == "chunk":
+        rows = lambda start, stop: full() if start else path.rows(start, stop)  # noqa: E731
+        for table in result["tables"].values():
+            table["t"] = replace(table["t"], rows=rows)
+    else:
+        monkeypatch.setattr(shutil, "copyfileobj", full)
+    with pytest.raises(OSError, match="No space left"):
+        scenario_mod.write_results_csv(str(tmp_path), result)
+    assert set(os.listdir(tmp_path)) == {"results.csv", "plot_quantal.dat", "plot_vacuum_net.dat"} | _plots((1, -1))
+    assert len(made) == 1 and made[0].closed
+
+
 def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = helix_cfg(out)
@@ -644,7 +742,7 @@ def test_derived_phases_start_at_positive_zero(tmp_path, pols):
     header, derived = rows[0], str(pols[1])
     first_row = dict(zip(header, next(row for row in rows[1:] if row[0] == derived)))
     for kind in ("total", "dynamical", "geometric"):
-        assert first_row[f"phase_{kind}"] == "0.0000000000000000e+00", kind
+        assert first_row[f"phase_{kind}"] == "0.0", kind
 
 
 def _has_negative_zero(value):
@@ -673,7 +771,7 @@ def test_no_output_writes_negative_zero(tmp_path):
         if f.suffix == ".json":
             assert not _has_negative_zero(json.loads(text)), f
         else:
-            assert "-0.0000000000000000e+00" not in text, f
+            assert "-0.0" not in re.split(r"[ ,\n]", text), f
     assert read_summary(str(tmp_path / "run"))["quantal_final"] == 0.0
 
 

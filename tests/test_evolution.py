@@ -254,6 +254,29 @@ def test_phase_decomposition_grid_mismatch():
         phase_decomposition(traj, p2)
 
 
+def _unit_step_path(first_time):
+    k_hat = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256).k_hat
+    return FiberPath(first_time + np.arange(len(k_hat), dtype=float), k_hat, 1.0)
+
+
+@pytest.mark.parametrize("traj_path, other", [
+    (lambda: helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256), lambda: helix_path(np.pi / 4, 2.0, 1.0, 3.0, 256)),
+    (lambda: _unit_step_path(0.0), lambda: _unit_step_path(5.0)),
+], ids=["step", "first time"])
+def test_grid_check_compares_step_and_first_time(traj_path, other):
+    # as many samples as the trajectory's path, on another grid
+    traj = evolve(traj_path(), +1)
+    for reader in (phase_decomposition, helicity_expectations):
+        with pytest.raises(ValueError, match="grid"):
+            reader(traj, other())
+
+
+def test_phase_decomposition_accepts_another_path_on_the_same_grid():
+    traj = evolve(_unit_step_path(0.0), +1)
+    other = FiberPath(traj.path.times, traj.path.k_hat[::-1], 2.0)
+    assert phase_decomposition(traj, other) is traj
+
+
 # -------------------------------------------------- analytic_noncyclic_phase
 
 def test_analytic_phase_full_cycle():

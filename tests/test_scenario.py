@@ -341,7 +341,7 @@ def test_result_holds_only_the_five_trajectory_series():
 def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols):
     # the reduction reads one chunk of every column at a time, so the one
     # reader of lambda, gamma and W restarts once per pass and computes each
-    # chunk once; the writer restarts it once per table
+    # chunk once; the writer, which formats every table in one pass, too
     restarts, computed = [], []
     original_restart, original_turns = geometry._AngleRows._restart, geometry._Azimuth.__call__
 
@@ -361,7 +361,7 @@ def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols)
     reader = result["tables"][pols[0]]["lambda"].rows.__self__
     assert restarts == [reader]  # one pass for the final W of the net vacuum phase
     for run, expected in ((lambda: _reduce(_all_columns(result)), 1),
-                          (lambda: write_results_csv(str(tmp_path), result), len(pols))):
+                          (lambda: write_results_csv(str(tmp_path), result), 1)):
         restarts.clear()
         computed.clear()
         run()
@@ -475,8 +475,8 @@ def _count_calls(monkeypatch, original):
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
     # held, the trajectory is one scan in compute_scenario, which every pass
-    # reads; streamed, it is one scan per pass: the reduction's, and one per
-    # table of the writer.  Neither stores the (n, 3) states, which would need
+    # reads; streamed, it is one scan per pass: the reduction's, and the
+    # writer's one for every table.  Neither stores the (n, 3) states, which would need
     # a scan of their own
     scans = _count_calls(monkeypatch, evolution._scan)
 
@@ -493,7 +493,7 @@ def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
         _reduce(_all_columns(result))
         assert len(scans) == int(hold) + per_pass
         write_results_csv(str(tmp_path), result)
-        assert len(scans) == int(hold) + per_pass * (1 + len(pols))
+        assert len(scans) == int(hold) + 2 * per_pass
         assert all(np.array_equal(start, evolution._start(path, pols[0])) for _, start, _ in scans)
 
 
