@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .geometry import FiberPath, SphericalAngles, _read_only
+from .geometry import FiberPath, SphericalAngles, _cross, _read_only
 from .spin import _SQ, CARTESIAN_FROM_ANGULAR, helicity_eigenstates
 
 __all__ = [
@@ -110,25 +110,10 @@ def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
     """
     h = np.empty((path.n_samples, 3))
     for rows in geometry._stencil_slices(0, path.n_samples):
-        rate, k_hat = geometry._path_stencil(path, rows.start, rows.stop)
-        h[rows] = _cross(k_hat, rate)
+        k_hat, lo = geometry._path_window(path, rows.start, rows.stop)
+        rate = geometry._stencil(k_hat, rows.start - lo, rows.stop - rows.start, path.dt)[0]
+        h[rows] = _cross(k_hat[rows.start - lo : rows.stop - lo], rate)
     return _read_only(h)
-
-
-def _cross(a, b):
-    """``np.cross(a, b)`` over the last axis (length 3), without copying the operands.
-
-    Component i is a_j b_k - a_k b_j with the same float operations as
-    ``np.cross``, so the result is bitwise equal; the only scratch is one
-    component-sized array.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    tmp = np.empty(out.shape[:-1], dtype=out.dtype)
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[..., j], b[..., k], out=out[..., i])
-        np.multiply(a[..., k], b[..., j], out=tmp)
-        out[..., i] -= tmp
-    return out
 
 
 def _rotate(x, axis, sin, vers):
@@ -422,53 +407,6 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     return SpinorTrajectory(path, polarization, *series)
 
 
-def _invariant_residual_rows(path: FiberPath, start: int, stop: int, scale: float = 1.0, window=None) -> np.ndarray:
-    """Rows [start, stop) of the invariant residual with one value per sample; ``scale`` multiplies H.
-
-    Row i is the residual at the interior sample nearest it, min(max(i, 1),
-    n - 2): the central difference has no value at the two end samples,
-    which repeat their neighbours'.  Each chunk of rows forms its ``h``
-    from the D k_hat and k_hat of ``geometry._path_stencil`` (which reads
-    ``window`` when given), with the float operations of the whole-array
-    expression.
-    """
-    n = path.n_samples
-    lo, hi = min(max(start, 1), n - 2), min(max(stop, 2), n - 1)  # the interior samples read
-    residual = np.empty(hi - lo)
-    for rows in geometry._stencil_slices(lo, hi):
-        rate, k_hat = geometry._path_stencil(path, rows.start, rows.stop, window=window)
-        vec = _cross(k_hat, scale * _cross(k_hat, rate))
-        vec += rate
-        np.square(vec, out=vec)
-        out = residual[rows.start - lo : rows.stop - lo]
-        np.add.reduce(vec, axis=1, out=out)
-        np.sqrt(out, out=out)
-        out *= np.sqrt(2.0)
-    if (lo, hi) == (start, stop):
-        return residual
-    return residual[np.clip(np.arange(start, stop), 1, n - 2) - lo]  # rows 0 and n - 1 repeat their neighbours
-
-
-class _ResidualRows(geometry._OrderedRows):
-    """Rows of the invariant and motion residuals of a path, both computed from one read of its rows.
-
-    The rows of ``_invariant_residual_rows`` and
-    ``geometry._motion_residual_rows``, in quarter chunks that each read one
-    window of the path's rows for both.
-    """
-
-    def _next(self, start: int, stop: int):
-        n, path = self.path.n_samples, self.path
-        invariant, motion = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0))
-        for rows in geometry._stencil_slices(start, stop):
-            # the invariant residual of rows 0 and n - 1 reads samples 1 and n - 2
-            window = geometry._path_window(path, min(rows.start, n - 2), max(rows.stop, 2))
-            at = slice(rows.start - start, rows.stop - start)
-            invariant[at] = _invariant_residual_rows(path, rows.start, rows.stop, window=window)
-            motion[at] = geometry._motion_residual_rows(path, rows.start, rows.stop, window)
-        return invariant, motion
-
-
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:
     """Residuals at all interior samples (length n-2); ``scale`` multiplies H.
 
@@ -476,10 +414,10 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
     than the effective one leaves an O(1) residual.  These are the rows
-    1 .. n-2 of ``_invariant_residual_rows``, whose n rows a results column
+    1 .. n-2 of ``geometry._ResidualRows``, whose n rows a results column
     reads a chunk at a time.
     """
-    return _invariant_residual_rows(path, 1, path.n_samples - 1, scale)
+    return geometry._ResidualRows(path, scale).read(0, path.n_samples)[0][1:-1]
 
 
 def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:

@@ -69,8 +69,8 @@ class FockLadder:
     ordering: Ordering = Ordering.SYMMETRIC
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer of at least 1, got {self.n_max!r}")
         object.__setattr__(self, "ordering", Ordering.coerce(self.ordering))
 
     @property

@@ -56,13 +56,11 @@ def _stencil_slices(start: int, stop: int):
     return _row_slices(start, stop, max(_CHUNK_ROWS // 4, 1))
 
 
-def _row_norms(x: np.ndarray, adjacent: bool = False) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1)``, or of ``np.diff(x, axis=0)`` when ``adjacent``, a chunk of rows at a time."""
-    lag = int(adjacent)
-    out = np.empty(len(x) - lag)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)``, a chunk of rows at a time."""
+    out = np.empty(len(x))
     for rows in _row_slices(0, len(out)):
-        block = x[rows.start : rows.stop + lag]
-        out[rows] = np.linalg.norm(np.diff(block, axis=0) if adjacent else block, axis=1)
+        out[rows] = np.linalg.norm(x[rows], axis=1)
     return out
 
 
@@ -143,11 +141,11 @@ class FiberPath:
                 if spread > 1e-6 * dt0:
                     continue
             del dt
-            norms = _row_norms(kh[rows.start - lo :])
+            norms = np.linalg.norm(kh[rows.start - lo :], axis=1)
             norms -= 1.0
             off_unit = max(off_unit, np.max(np.abs(norms, out=norms)))
             if off_unit <= 1e-9 and len(kh) > 1:
-                jump = max(jump, np.max(_row_norms(kh, adjacent=True)))
+                jump = max(jump, np.max(np.linalg.norm(np.diff(kh, axis=0), axis=1)))
         if not (np.isfinite(self.k_mag) and self.k_mag > 0):
             raise ValueError(f"k_mag must be a positive finite number, got {self.k_mag!r}")
         if not increasing:
@@ -477,29 +475,64 @@ def _path_window(path: FiberPath, start: int, stop: int):
     return path.rows(lo, hi)[1], lo
 
 
-def _path_stencil(path: FiberPath, start: int, stop: int, scale: float = 1.0, window=None):
-    """The rates of ``scale * k_hat`` at the samples [start, stop), and k_hat there.
-
-    From one read of the path's rows, or from ``window``, a ``_path_window``
-    of rows around them that a caller has read for more rows.
-    """
-    k_hat, lo = _path_window(path, start, stop) if window is None else window
-    rate = _stencil(k_hat, start - lo, stop - start, path.dt, scale)[0]
-    return rate, k_hat[start - lo : stop - lo]
-
-
 def k_dot(path: FiberPath) -> np.ndarray:
     """Time derivative of the full wave vector k(t) = k_mag k_hat(t), shape (n, 3)."""
     return derivative_uniform(path.k_mag * path.k_hat, path.dt)
 
 
-def _motion_residual_rows(path: FiberPath, start: int, stop: int, window=None) -> np.ndarray:
-    """Rows [start, stop) of :func:`motion_residual`, from the path's ``k_hat`` rows around them (see ``_path_stencil``)."""
-    out = np.empty(max(stop - start, 0))
-    for rows in _stencil_slices(start, stop):
-        rate, k_hat = _path_stencil(path, rows.start, rows.stop, path.k_mag, window)
-        np.abs(np.einsum("ni,ni->n", k_hat, rate), out=out[rows.start - start : rows.stop - start])
+def _cross(a, b):
+    """``np.cross(a, b)`` over the last axis (length 3), without copying the operands.
+
+    Component i is a_j b_k - a_k b_j with the same float operations as
+    ``np.cross``, so the result is bitwise equal; the only scratch is one
+    component-sized array.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    tmp = np.empty(out.shape[:-1], dtype=out.dtype)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        np.multiply(a[..., k], b[..., j], out=tmp)
+        out[..., i] -= tmp
     return out
+
+
+class _ResidualRows(_OrderedRows):
+    """Rows of the invariant and motion residuals of a path, both from one read of its rows per quarter chunk.
+
+    Row i of the motion residual is |k_hat . D(k_mag k_hat)| (see
+    :func:`motion_residual`); of the invariant residual, sqrt(2) |D k_hat +
+    k_hat x (scale h)| (see ``evolution.invariant_residual_series``) at the
+    interior sample min(max(i, 1), n - 2), as the central difference has no
+    value at the two end samples.  Both rates come from ``_stencil`` on one
+    ``_path_window``, with the float operations of the whole-array forms.
+    """
+
+    def __init__(self, path: FiberPath, scale: float = 1.0):
+        super().__init__(path)
+        self.scale = scale
+
+    def _next(self, start: int, stop: int):
+        n, dt = self.path.n_samples, self.path.dt
+        invariant, motion = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0))
+        for rows in _stencil_slices(start, stop):
+            first, last = min(max(rows.start, 1), n - 2), min(max(rows.stop, 2), n - 1)  # the interior samples read
+            k_hat, lo = _path_window(self.path, min(rows.start, n - 2), max(rows.stop, 2))
+            at = slice(rows.start - start, rows.stop - start)
+            rate = _stencil(k_hat, rows.start - lo, rows.stop - rows.start, dt, self.path.k_mag)[0]
+            np.abs(np.einsum("ni,ni->n", k_hat[rows.start - lo : rows.stop - lo], rate), out=motion[at])
+            del rate  # before the invariant's is gathered
+            rate, centre = _stencil(k_hat, first - lo, last - first, dt)[0], k_hat[first - lo : last - lo]
+            vec = _cross(centre, self.scale * _cross(centre, rate))
+            vec += rate
+            np.square(vec, out=vec)
+            interior = (first, last) == (rows.start, rows.stop)
+            out = invariant[at] if interior else np.empty(last - first)
+            np.add.reduce(vec, axis=1, out=out)
+            np.sqrt(out, out=out)
+            out *= np.sqrt(2.0)
+            if not interior:  # rows 0 and n - 1 repeat their neighbours
+                invariant[at] = out[np.clip(np.arange(rows.start, rows.stop), 1, n - 2) - first]
+        return invariant, motion
 
 
 def motion_residual(path: FiberPath) -> np.ndarray:
@@ -510,10 +543,10 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     stencil order under grid refinement.  Expanding the double cross product,
     k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot): the residual is the
     radial part of the stencil derivative, taken without cancelling two
-    O(|k_dot|) vectors against each other.  A results column reads its
-    rows from ``_motion_residual_rows`` a chunk at a time.
+    O(|k_dot|) vectors against each other.  These are the rows of
+    ``_ResidualRows``, which a results column reads a chunk at a time.
     """
-    return _motion_residual_rows(path, 0, path.n_samples)
+    return _ResidualRows(path).read(0, path.n_samples)[1]
 
 
 def rotation_vectors(path: FiberPath) -> np.ndarray:

@@ -86,18 +86,19 @@ def casimir_cutoff(k, chamber_length) -> bool:
 
     Inside a region of scale ``chamber_length`` = a, zero-point modes with
     k strictly below pi / a cannot form; k = pi / a exactly still propagates.
+    ``chamber_length`` must be finite; an overflowed k = inf is not expelled.
     """
-    if k <= 0:
+    if not k > 0:
         raise ValueError(f"wave vector must be positive, got {k!r}")
-    if chamber_length <= 0:
-        raise ValueError(f"chamber_length must be positive, got {chamber_length!r}")
+    if not 0 < chamber_length < np.inf:
+        raise ValueError(f"chamber_length must be positive and finite, got {chamber_length!r}")
     return k < np.pi / chamber_length
 
 
 def effective_wave_vector(medium: GyrotropicMedium, k0, polarization):
-    """In-medium wave vector n_pm * k0, or None when the mode is evanescent."""
-    if k0 <= 0:
-        raise ValueError(f"k0 must be positive, got {k0!r}")
+    """In-medium wave vector n_pm * k0, or None when the mode is evanescent; ``k0`` must be positive and finite."""
+    if not 0 < k0 < np.inf:
+        raise ValueError(f"k0 must be positive and finite, got {k0!r}")
     n2p, n2m = refractive_indices_squared(medium)
     if polarization == +1:
         n2 = n2p

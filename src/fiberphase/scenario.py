@@ -282,7 +282,7 @@ class Column:
 
 def _residuals(path):
     """The two residual columns of ``path``, computed together from its ``k_hat`` rows when read."""
-    read = evolution._ResidualRows(path).read
+    read = geometry._ResidualRows(path).read
     return {
         "invariant_residual": Column(read, path.n_samples, 0),
         "motion_residual": Column(read, path.n_samples, 1),

@@ -170,6 +170,17 @@ def test_ladder_rejects_bad_truncation():
         FockLadder(n_max=0)
 
 
+@pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, True, False, "3", None, np.float64(2.0)])
+def test_ladder_rejects_non_integer_truncation(n_max):
+    # a fractional n_max gave a fractional dim, and a bool passed as 0 or 1
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        FockLadder(n_max=n_max)
+
+
+def test_ladder_takes_numpy_integers():
+    assert FockLadder(n_max=np.int64(2)).dim == 9
+
+
 def _occupations(ladder):
     """Oracle: n_left and n_right of every basis state, from the labels."""
     labels = np.array(ladder.labels(), dtype=float)

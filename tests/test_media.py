@@ -102,6 +102,29 @@ def test_cutoff_rejects_nonpositive():
         casimir_cutoff(1.0, -2.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: effective_wave_vector(ISOTROPIC, np.nan, +1),
+        lambda: effective_wave_vector(ISOTROPIC, np.inf, -1),
+        lambda: casimir_cutoff(np.nan, 1.0),
+        lambda: casimir_cutoff(1.0, np.nan),
+        lambda: casimir_cutoff(1.0, np.inf),
+        lambda: net_vacuum_phase(ONE_MODE, np.nan, helix_angles()),
+        lambda: net_vacuum_phase(ONE_MODE, 1.0, helix_angles(), chamber_length=np.nan),
+    ],
+    ids=["k0-nan", "k0-inf", "k-nan", "chamber-nan", "chamber-inf", "net-k0-nan", "net-chamber-nan"],
+)
+def test_non_finite_inputs_are_rejected(call):
+    # NaN fails every comparison, so a "<= 0" test let it through
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_overflowed_wave_vector_is_not_expelled():
+    assert not casimir_cutoff(np.inf, 1.0)
+
+
 # -------------------------------------------------------- effective_wave_vector
 
 def test_effective_wave_vector_isotropic():

@@ -290,7 +290,7 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
     for index, name in enumerate(("invariant_residual", "motion_residual")):
         column = result["tables"][1][name]
         reader = column.rows.__self__
-        assert isinstance(reader, evolution._ResidualRows) and reader.path is path and column.rows == reader.read
+        assert isinstance(reader, geometry._ResidualRows) and reader.path is path and column.rows == reader.read
         assert (column.index, column.length) == (index, path.n_samples)
 
 
@@ -550,7 +550,7 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
         for lo, hi in ((start, stop), (0, n), (0, 1), (n - 1, n), (n, n)):
             for index, want in enumerate((invariant, motion)):
                 _assert_bitwise(reader._next(lo, hi)[index], want[lo:hi], f"residual {index} [{lo}, {hi})")
-            _assert_bitwise(evolution._invariant_residual_rows(path, lo, hi, scale), scaled[lo:hi],
+            _assert_bitwise(geometry._ResidualRows(path, scale)._next(lo, hi)[0], scaled[lo:hi],
                             f"scaled [{lo}, {hi})")
         # the columns, each read in turn, in order: three pieces split at the drawn rows, and an empty read at the end
         for rows in (slice(0, start), slice(start, stop), slice(stop, None), slice(n, n)):
@@ -572,7 +572,7 @@ def test_residual_columns_read_the_path_once_per_quarter_chunk(monkeypatch):
     assert reads == [(0, 4097), (4095, 5001)]  # quarter chunks of 4096 rows, one row on either side
     assert columns["motion_residual"].rows.__self__.rows == (0, 5000)
     _assert_bitwise(motion, geometry.motion_residual(path)[:5000], "motion")
-    _assert_bitwise(invariant, evolution._invariant_residual_rows(path, 0, 5000), "invariant")
+    _assert_bitwise(invariant, geometry._ResidualRows(path)._next(0, 5000)[0], "invariant")
 
 
 def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
@@ -583,7 +583,7 @@ def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
     _reduce(_all_columns(result))
 
     def last_row_nan(path, start, stop):
-        values = geometry._motion_residual_rows(path, start, stop)
+        values = geometry._ResidualRows(path)._next(start, stop)[1]
         values[np.arange(start, stop) == path.n_samples - 1] = np.nan
         return (values,)
 
