@@ -290,35 +290,27 @@ class _TrajectoryRows(geometry._OrderedRows):
 
     A read gives total, flagged, dynamical, geometric = total - dynamical
     and the drifts |norms - 1| and |helicity - hel0| (hel0 at row 0).  Each
-    tile's states go into a window of the five series of
-    :class:`SpinorTrajectory`: one tile and the rows still read, or with
-    ``hold`` every row, scanned once at construction.  Between tiles it
-    carries the phase's ``geometry._Unwrap``, the trapezoids' last energy
-    and sum, and a flagged run waiting for its next unflagged neighbour.
-    Every row is bitwise the whole-array form of the scan's states.
+    pass from row 0 runs the scan once, and each tile's states go into a
+    window of the five series of :class:`SpinorTrajectory` that keeps one
+    tile and the rows still read.  Between tiles it carries the phase's
+    ``geometry._Unwrap``, the trapezoids' last energy and sum, and a flagged
+    run waiting for its next unflagged neighbour.  Every row is bitwise the
+    whole-array form of the scan's states.
     """
 
-    def __init__(self, path: FiberPath, polarization: int, hold: bool = False):
-        self.path, self.start, self.hold = path, _start(path, polarization), hold
+    def __init__(self, path: FiberPath, polarization: int):
+        self.path, self.start = path, _start(path, polarization)
         self.ref = _angular(self.start).conj()
         size, _, per_tile = _tiling(path.n_samples - 1)
         self.tile = min(size * per_tile + 1, path.n_samples)  # samples of one tile, at most
-        self.ready = 0
-        if hold:  # one scan fills every row into the window, outside the reads' memo, and reads only slice it
-            self._restart()
-            while self.ready < path.n_samples:
-                self._next_tile(0)
-            self.window = tuple(map(_read_only, self.window))
 
     def _restart(self):
-        if self.hold and self.ready:
-            return  # the window holds every row
         self.tiles = _scan(self.path, self.start, self._reduce)
         self.unwrap = geometry._Unwrap()
         # the window holds rows lo .. hi - 1, final below ready; last is the unshifted total at row ready - 1
         self.lo = self.hi = self.ready = self.last = 0
         dtypes = (float, bool, float, float, float)  # total, flagged, dynamical (the energy at first), helicity, norms
-        self.window = tuple(np.empty(self.path.n_samples if self.hold else 0, dtype) for dtype in dtypes)
+        self.window = tuple(np.empty(0, dtype) for dtype in dtypes)
 
     def _reduce(self, rows, cart, h, k_hat):
         # each row is reduced on its own (einsum too, whatever the strides): the whole-array forms' bits,
@@ -337,12 +329,10 @@ class _TrajectoryRows(geometry._OrderedRows):
 
     def _next_tile(self, keep: int):
         """Scan the next tile into the window, which keeps the rows from ``keep`` and the last final one on."""
-        if not self.hold:
-            lo = max(min(keep, self.ready - 1), self.lo)
-            window = tuple(np.empty(self.hi - lo + self.tile, part.dtype) for part in self.window)
-            for new, old in zip(window, self.window):
-                new[: self.hi - lo] = old[lo - self.lo : self.hi - self.lo]
-            self.window, self.lo = window, lo
+        lo = max(min(keep, self.ready - 1), self.lo)
+        kept = slice(lo - self.lo, self.hi - self.lo)
+        self.window = tuple(np.concatenate([part[kept], np.empty(self.tile, part.dtype)]) for part in self.window)
+        self.lo = lo
         first, stop = next(self.tiles)
         lo, ready, n, self.hi = self.lo, self.ready, self.path.n_samples, stop
         self.tiles = None if stop == n else self.tiles  # the scan's frame refers to the reader
@@ -396,15 +386,24 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     midpoint-interpolated coefficient vector h_mid.  In the Cartesian
     representation (S_i)_jk = -i eps_ijk that unitary is the real rotation by
     |h_mid| dt about h_mid (closed-form Rodrigues formula), so norms are
-    preserved to rounding.  One held ``_TrajectoryRows`` runs the tiled scan
-    (:func:`_scan`) and reduces its states on the spot.  Samples passing
-    nearly orthogonal to the initial state are flagged and their total phase
-    is interpolated (an :class:`OrthogonalPassageWarning` is emitted).
+    preserved to rounding.  One pass of a ``_TrajectoryRows`` runs the tiled
+    scan (:func:`_scan`) and reduces its states on the spot; the rows each
+    tile makes final are copied out of its window into the five series.
+    Samples passing nearly orthogonal to the initial state are flagged and
+    their total phase is interpolated (an :class:`OrthogonalPassageWarning`
+    is emitted).
     """
-    series = _TrajectoryRows(path, polarization, hold=True).window
+    reader, n = _TrajectoryRows(path, polarization), path.n_samples
+    reader._restart()
+    series = tuple(np.empty(n, part.dtype) for part in reader.window)
+    while (ready := reader.ready) < n:
+        reader._next_tile(ready)
+        final = slice(ready - reader.lo, reader.ready - reader.lo)
+        for i, out in enumerate(series):  # no name is left bound to a window, which goes with the next tile
+            out[ready : reader.ready] = reader.window[i][final]
     if count := int(np.count_nonzero(series[1])):
         warnings.warn(_passage_warning(count), stacklevel=2)
-    return SpinorTrajectory(path, polarization, *series)
+    return SpinorTrajectory(path, polarization, *map(_read_only, series))
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:

@@ -113,11 +113,9 @@ def effective_wave_vector(medium: GyrotropicMedium, k0, polarization):
 
 def _survives(medium: GyrotropicMedium, k0, chamber_length, polarization) -> bool:
     k_eff = effective_wave_vector(medium, k0, polarization)
-    if k_eff is None:
-        return False
-    if chamber_length is None:
-        return True
-    return not casimir_cutoff(k_eff, chamber_length)
+    # an evanescent mode's chamber length is checked too: casimir_cutoff never expels k = inf
+    expelled = chamber_length is not None and casimir_cutoff(np.inf if k_eff is None else k_eff, chamber_length)
+    return k_eff is not None and not expelled
 
 
 def net_vacuum_phase(

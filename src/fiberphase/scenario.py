@@ -289,7 +289,7 @@ def _residuals(path):
     }
 
 
-def compute_scenario(path, scenario: Scenario, hold: bool = True):
+def compute_scenario(path, scenario: Scenario):
     """Set up every pipeline stage on one path; returns one results.csv table per polarization.
 
     ``tables[pol]`` maps every results.csv column after ``sigma`` to a
@@ -303,19 +303,18 @@ def compute_scenario(path, scenario: Scenario, hold: bool = True):
     and geometric phases are the first's with weight -1, and it shares the
     drifts (<S> only flips sign) and flags.  Every other weight is 1.
 
-    With ``hold`` (a run, whose reduction and writer passes all read the
-    trajectory) one scan fills its five series into arrays the result
-    holds; without it (a sweep point, whose reduction is its one pass) the
-    phase, drift and flag columns, which read one
-    ``evolution._TrajectoryRows``, scan them a tile at a time in each pass.
-    The residuals are computed from ``k_hat``, and ``lambda``, ``gamma``
-    and ``W`` read one ``geometry._AngleRows``, one pass of which gives the
-    final ``W`` of the net vacuum phase here.  :func:`summarize` prints the
-    warnings of flagged samples once its reduction has counted them.
+    The phase, drift and flag columns read one
+    ``evolution._TrajectoryRows``, which runs the scan a tile at a time in
+    each pass (a run's reduction and writer, a sweep point's reduction), so
+    the result holds no per-step series.  The residuals are computed from
+    ``k_hat``, and ``lambda``, ``gamma`` and ``W`` read one
+    ``geometry._AngleRows``, one pass of which gives the final ``W`` of the
+    net vacuum phase here.  :func:`summarize` prints the warnings of
+    flagged samples once its reduction has counted them.
     """
     n = path.n_samples
     first = scenario.polarizations[0]
-    traj = evolution._TrajectoryRows(path, first, hold).read
+    traj = evolution._TrajectoryRows(path, first).read
     reader = geometry._AngleRows(path)
     net = media._net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, reader.final_solid_angle(),
                                   scenario.chamber_length, scenario.ordering)
@@ -569,7 +568,7 @@ def _with_path_value(cfg, key, value):
 def _cone_row(cfg, base_dir, value, scenario):
     cone = _cone_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
-    summary = summarize(compute_scenario(path, scenario, hold=False), path, scenario)
+    summary = summarize(compute_scenario(path, scenario), path, scenario)
     row = {"cone_angle": cone}
     for pol in scenario.polarizations:
         phases, suffix = summary["phases"][f"{pol:+d}"], _SIGMA_SUFFIX[pol]

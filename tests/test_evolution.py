@@ -413,40 +413,32 @@ def test_evolve_block_scan_any_length():
         assert np.abs(evolve(p, -1).states - _dense_states(p, -1)).max() <= 1e-13
 
 
-def test_compute_scenario_memory_budget():
+def _scenario_peak(n_steps=100_000):
+    """tracemalloc peak of compute_scenario and its reduction, whose pass runs the scan, in bytes per step."""
     import tracemalloc
 
     from fiberphase.fock import Ordering
-    from fiberphase.scenario import Scenario, compute_scenario
+    from fiberphase.scenario import Scenario, _reduce, compute_scenario
 
-    n_steps = 100_000
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
     tracemalloc.start()
     try:
-        compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        result = compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        _reduce([column for table in result["tables"].values() for column in table.values()])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / n_steps < 600  # bytes per step
+    return peak / n_steps
+
+
+def test_compute_scenario_memory_budget():
+    assert _scenario_peak() < 600  # bytes per step
 
 
 def test_compute_scenario_evolves_once_within_budget():
     # one evolve serves both polarizations, so the transient working set of a
     # second decomposition is gone (315 B/step when each one was evolved)
-    import tracemalloc
-
-    from fiberphase.fock import Ordering
-    from fiberphase.scenario import Scenario, compute_scenario
-
-    n_steps = 100_000
-    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
-    tracemalloc.start()
-    try:
-        compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / n_steps < 280  # bytes per step
+    assert _scenario_peak() < 280  # bytes per step
 
 
 def test_compute_scenario_holds_transport_at_its_output_size():
@@ -454,20 +446,43 @@ def test_compute_scenario_holds_transport_at_its_output_size():
     # states, h and the motion residual read k_dot one chunk at a time, and
     # the unwrap and the invariant residual go in chunks: about 210 B/step
     # with whole-array layers
-    import tracemalloc
+    peak = _scenario_peak()
+    assert peak < 170, peak  # bytes per step
 
-    from fiberphase.fock import Ordering
-    from fiberphase.scenario import Scenario, compute_scenario
+
+def test_evolve_fills_its_series_from_one_streamed_pass(monkeypatch):
+    # evolve runs one scan and copies each tile's final rows out of the
+    # reader's window into its five series, which are read-only and bitwise
+    # the rows of a streamed reader.  Its peak is the series, one tile's
+    # window and the scan's scratch: 59.6 B/step at 1e5 steps (4 tiles), and
+    # 51.4 while the reader's window was the full-length series (the held
+    # bound here was 62); a fill that read(0, n) through a window grown on
+    # every tile peaks at 98
+    import tracemalloc
 
     n_steps = 100_000
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
     tracemalloc.start()
     try:
-        compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+        evolve(p, +1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / n_steps < 170, peak / n_steps  # bytes per step
+    assert peak / n_steps <= 62, peak / n_steps  # bytes per step
+    scans = []
+    original = evolution._scan
+    monkeypatch.setattr(evolution, "_scan", lambda *args: scans.append(args) or original(*args))
+    traj = evolve(p, -1)
+    assert len(scans) == 1
+    series = (traj.total, traj.flagged, traj.dynamical, traj.helicity, traj.norms)
+    assert not any(part.flags.writeable for part in series)
+    reader, pieces = evolution._TrajectoryRows(p, -1), []
+    for lo in range(0, p.n_samples, 256):  # as the writer reads; each read's rows are final in the window
+        hi = min(lo + 256, p.n_samples)
+        reader.read(lo, hi)
+        pieces.append([part[lo - reader.lo : hi - reader.lo].copy() for part in reader.window])
+    for i, values in enumerate(series):
+        assert np.concatenate([piece[i] for piece in pieces]).tobytes() == values.tobytes(), i
 
 
 # ------------------------------------------------- cross product without copies

@@ -725,7 +725,7 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
 ORDERED_READERS = {  # each reader and the number of series a read gives
     "angles": (geometry._AngleRows, 3),
     "trajectory-streamed": (lambda path: evolution._TrajectoryRows(path, +1), 6),
-    "trajectory-held": (lambda path: evolution._TrajectoryRows(path, +1, hold=True), 6),
+    "trajectory-one-tile": (lambda path: evolution._TrajectoryRows(path, +1), 6),
     "residuals": (geometry._ResidualRows, 2),
 }
 
@@ -733,8 +733,9 @@ ORDERED_READERS = {  # each reader and the number of series a read gives
 @pytest.mark.parametrize("kind", sorted(ORDERED_READERS))
 def test_ordered_readers_keep_one_contract(monkeypatch, kind):
     # a read of the same rows returns the same arrays; a read at row 0
-    # restarts; any other read must continue the last one, or it raises
-    monkeypatch.setattr(evolution, "_TILE", 64)  # the streamed scan goes in several tiles
+    # restarts; any other read must continue the last one, or it raises.
+    # The scan goes in several tiles, or in one whose window takes every row
+    monkeypatch.setattr(evolution, "_TILE", 1 << 15 if kind == "trajectory-one-tile" else 64)
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 64)
     path = wobble_path(300)
     n = path.n_samples

@@ -112,8 +112,12 @@ def test_cutoff_rejects_nonpositive():
         lambda: casimir_cutoff(1.0, np.inf),
         lambda: net_vacuum_phase(ONE_MODE, np.nan, helix_angles()),
         lambda: net_vacuum_phase(ONE_MODE, 1.0, helix_angles(), chamber_length=np.nan),
+        # neither mode propagates, and the length is still checked
+        lambda: net_vacuum_phase(GyrotropicMedium(-2.0, 0.5), 1.0, helix_angles(), chamber_length=np.nan),
+        lambda: net_vacuum_phase(GyrotropicMedium(-2.0, 0.5), 1.0, helix_angles(), chamber_length=-1.0),
     ],
-    ids=["k0-nan", "k0-inf", "k-nan", "chamber-nan", "chamber-inf", "net-k0-nan", "net-chamber-nan"],
+    ids=["k0-nan", "k0-inf", "k-nan", "chamber-nan", "chamber-inf", "net-k0-nan", "net-chamber-nan",
+         "net-evanescent-chamber-nan", "net-evanescent-chamber-negative"],
 )
 def test_non_finite_inputs_are_rejected(call):
     # NaN fails every comparison, so a "<= 0" test let it through

@@ -226,10 +226,9 @@ def test_cached_series_are_shared_and_read_only():
     assert sorted(vars(path)) == ["_rows", "dt", "k_mag", "n_samples"]
 
 
-@pytest.mark.parametrize("hold", [True, False], ids=["held", "streamed"])
-def test_helix_rows_evaluated_six_times_per_scenario(monkeypatch, hold):
+def test_helix_rows_evaluated_six_times_per_scenario(monkeypatch):
     # a helix's rows are evaluated on each read: the construction's check,
-    # the scan, the final W, and in the reduction the angles, the residual
+    # the final W, and in the reduction the scan, the angles, the residual
     # pair and the t column, each a pass over the n + 1 samples, plus 64
     # rows that windows overlap at 1e5 steps (6.00064 (n + 1) in all); one
     # more pass over the path would add another n + 1
@@ -238,7 +237,7 @@ def test_helix_rows_evaluated_six_times_per_scenario(monkeypatch, hold):
                         lambda rows, lo, hi: evaluated.append(hi - lo) or original(rows, lo, hi))
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
-    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None), hold)
+    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     _reduce(_all_columns(result))
     assert sum(evaluated) <= 6 * (n_steps + 1) + 64, sum(evaluated) - 6 * (n_steps + 1)
 
@@ -298,7 +297,8 @@ def test_stage_peaks_stay_near_the_held_result():
     # evolve builds each slab's h from k_hat, phase_geometric is computed on
     # read and the k_dot kernels go in quarter chunks; with a whole-array h,
     # a stored geometric series and full k_dot chunks these were 76, 76, 65
-    # and 89 B/step
+    # and 89 B/step.  The reduction's pass runs the scan: 29 B/step, against
+    # 40.5 while the result held the trajectory's five series
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -317,13 +317,15 @@ def test_stage_peaks_stay_near_the_held_result():
     assert evolved < 62, evolved  # bytes per step
     assert peak < 70, peak
     assert held < 60, held
-    assert checked < 74, checked
+    assert checked < 36, checked
 
 
-def test_result_holds_only_the_five_trajectory_series():
-    # evolve unwraps the overlap phase and integrates the energy in place, the
-    # drifts and the angle columns are computed when read: 57 B/step held and
-    # 64 peak when the result held the drifts, the angles and W
+def test_result_holds_no_per_step_series():
+    # the trajectory's columns scan it in each pass and the drifts and the
+    # angle columns are computed when read, so the peak is the final W's
+    # pass: 33.6 B/step held and 51.4 peak while the result held the
+    # trajectory's five series, 57 and 64 while it also held the drifts,
+    # the angles and W
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -332,8 +334,8 @@ def test_result_holds_only_the_five_trajectory_series():
         held, peak = (value / n_steps for value in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert held <= 36, held  # bytes per step
-    assert peak <= 52, peak
+    assert held <= 2, held  # bytes per step
+    assert peak <= 18, peak
     assert len(result["tables"]) == 2
 
 
@@ -442,18 +444,17 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
         assert np.abs(derived[f"phase_{kind}"] - getattr(dec, kind))[clear].max() <= 1e-12, kind
     assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
-    # the phases, drifts and flags are read from one reader of held, read-only series, shared by both polarizations
+    # the phases, drifts and flags are read from one streamed reader, shared by both polarizations
     reader = got["tables"][first]["phase_total"].rows.__self__
-    assert isinstance(reader, evolution._TrajectoryRows) and reader.hold
+    assert isinstance(reader, evolution._TrajectoryRows)
     for index, name in enumerate(("phase_total", "flagged", "phase_dynamical", "phase_geometric", "norm_drift",
                                   "helicity_drift")):
         column = got["tables"][-first][name]
         assert (column.rows, column.index) == (got["tables"][first][name].rows, index), name
         assert column.rows.__self__ is reader, name
-    assert not any(part.flags.writeable for part in reader.window)
     # and the geometric phase is read as total - dynamical of those series
-    total, _, dynamical = reader.window[:3]
-    assert reader.read(0, path.n_samples)[3].tobytes() == (total - dynamical).tobytes()
+    total, _, dynamical, geometric = reader.read(0, path.n_samples)[:4]
+    assert geometric.tobytes() == (total - dynamical).tobytes()
 
 
 def _count_calls(monkeypatch, original):
@@ -474,10 +475,9 @@ def _count_calls(monkeypatch, original):
 
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
-    # held, the trajectory is one scan in compute_scenario, which every pass
-    # reads; streamed, it is one scan per pass: the reduction's, and the
-    # writer's one for every table.  Neither stores the (n, 3) states, which would need
-    # a scan of their own
+    # the trajectory is one scan per pass: none in compute_scenario, the
+    # reduction's, and the writer's one for every table.  No pass stores the
+    # (n, 3) states, which would need a scan of their own
     scans = _count_calls(monkeypatch, evolution._scan)
 
     def no_states(traj):
@@ -485,16 +485,14 @@ def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
 
     monkeypatch.setattr(evolution.SpinorTrajectory, "states", property(no_states))
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    for hold, per_pass in ((True, 0), (False, 1)):
-        scans.clear()
-        result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None), hold)
-        assert list(result["tables"]) == list(pols)
-        assert len(scans) == int(hold)
-        _reduce(_all_columns(result))
-        assert len(scans) == int(hold) + per_pass
-        write_results_csv(str(tmp_path), result)
-        assert len(scans) == int(hold) + 2 * per_pass
-        assert all(np.array_equal(start, evolution._start(path, pols[0])) for _, start, _ in scans)
+    result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    assert list(result["tables"]) == list(pols)
+    assert len(scans) == 0
+    _reduce(_all_columns(result))
+    assert len(scans) == 1
+    write_results_csv(str(tmp_path), result)
+    assert len(scans) == 2
+    assert all(np.array_equal(start, evolution._start(path, pols[0])) for _, start, _ in scans)
 
 
 # ------------------------------------------- residual columns computed when read
