@@ -32,7 +32,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import FiberPath, SphericalAngles, _cross, _read_only
-from .spin import _SQ, CARTESIAN_FROM_ANGULAR, helicity_eigenstates
+from .spin import _SQ, CARTESIAN_FROM_ANGULAR, _check_polarization, helicity_eigenstates
 
 __all__ = [
     "SpinorTrajectory",
@@ -164,12 +164,8 @@ def _spin_vectors(ang):
 
 def _start(path: FiberPath, polarization: int) -> np.ndarray:
     """Cartesian form of the gauge-fixed eigenstate of k_hat(t0) . S with eigenvalue -polarization."""
-    if polarization not in (-1, +1):
-        raise ValueError(
-            f"polarization must be +1 (right) or -1 (left), got {polarization!r}; "
-            "helicity-0 photon states are unphysical for transverse light"
-        )
-    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0]).state(-polarization)
+    spin_projection = -_check_polarization(polarization)
+    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0]).state(spin_projection)
 
 
 _SLAB = 16  # columns of the scan whose steps and states are handled in one set of array operations
@@ -456,6 +452,4 @@ def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):
     Reduces to sigma * 2 pi (1 - cos c) per full cycle of a cone of
     half-angle c.  Adding 0.0 writes no sample as -0.0.
     """
-    if polarization not in (-1, +1):
-        raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    return polarization * angles.solid_angle + 0.0
+    return _check_polarization(polarization) * angles.solid_angle + 0.0

@@ -5,7 +5,7 @@ occupation basis: the left-handed mode contributes -weight_L(n_L) * W and the
 right-handed mode +weight_R(n_R) * W, where the weight per mode is n under
 normal ordering and n + 1/2 under symmetric (Weyl) ordering.  The +-1/2
 pieces are the zero-point contribution; they cancel in the sum, which is why
-the per-mode weights are exposed separately and never only as a total.
+the per-mode phases are exposed separately and never only as a total.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SphericalAngles
+from .geometry import SphericalAngles, _check_cone_angle, _is_integer
+from .spin import _check_polarization
 
 __all__ = [
     "Ordering",
@@ -22,7 +23,6 @@ __all__ = [
     "cyclic_phases",
     "quantal_geometric_phase",
     "vacuum_phase",
-    "mode_weights",
     "phase_spectrum",
 ]
 
@@ -51,7 +51,7 @@ def _weight(n, ordering: Ordering) -> float:
 
 def _check_occupation(n, name) -> int:
     """``n`` as an int if it is an integer in [0, 2**52); from 2**52 on, n + 1/2 is not exact in float64."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < 2**52:
+    if not (_is_integer(n) and 0 <= n < 2**52):
         raise ValueError(f"{name}: expected a nonnegative integer below 2**52, got {n!r}")
     return int(n)
 
@@ -69,7 +69,7 @@ class FockLadder:
     ordering: Ordering = Ordering.SYMMETRIC
 
     def __post_init__(self):
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+        if not (_is_integer(self.n_max) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer of at least 1, got {self.n_max!r}")
         object.__setattr__(self, "ordering", Ordering.coerce(self.ordering))
 
@@ -99,8 +99,7 @@ def cyclic_phases(n_left, n_right, cone_angle, ordering=Ordering.SYMMETRIC):
     """
     n_left = _check_occupation(n_left, "n_left")
     n_right = _check_occupation(n_right, "n_right")
-    if not 0.0 <= cone_angle <= np.pi:
-        raise ValueError(f"cone_angle must lie in [0, pi], got {cone_angle!r}")
+    _check_cone_angle(cone_angle)
     ordering = Ordering.coerce(ordering)
     cycle = 2.0 * np.pi * (1.0 - np.cos(cone_angle))
     return -_weight(n_left, ordering) * cycle, +_weight(n_right, ordering) * cycle
@@ -127,27 +126,7 @@ def vacuum_phase(polarization, angles: SphericalAngles, ordering=Ordering.SYMMET
     the zero-point term (its weight is 0), so the phase is then 0.0 at
     every sample; adding 0.0 writes no sample as -0.0.
     """
-    if polarization not in (-1, +1):
-        raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
-    return polarization * _weight(0, Ordering.coerce(ordering)) * angles.solid_angle + 0.0
-
-
-def mode_weights(ladder: FockLadder):
-    """Per-mode weight arrays (weight_left, weight_right) over the basis.
-
-    Entry b of weight_left is weight(n_left(b)) and likewise for the right
-    mode; under symmetric ordering each is its occupation plus one half, under
-    normal ordering the occupation itself.  Over a swept solid angle W, basis
-    state b gains -weight_left[b] * W in the left mode and +weight_right[b] * W
-    in the right one; at the vacuum under symmetric ordering these are the
-    -1/2 and +1/2 that cancel in the sum.
-    """
-    per = ladder.n_max + 1
-    occ = np.arange(per, dtype=float)
-    w = occ + 0.5 if ladder.ordering is Ordering.SYMMETRIC else occ
-    weight_left = np.repeat(w, per)
-    weight_right = np.tile(w, per)
-    return weight_left, weight_right
+    return _check_polarization(polarization) * _weight(0, Ordering.coerce(ordering)) * angles.solid_angle + 0.0
 
 
 def phase_spectrum(ladder: FockLadder, cone_angle) -> np.ndarray:

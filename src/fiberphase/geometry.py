@@ -196,20 +196,32 @@ class SphericalAngles:
     solid_angle: np.ndarray
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_cone_angle(cone_angle) -> None:
+    if not 0.0 <= cone_angle <= np.pi:
+        raise ValueError(f"cone_angle must lie in [0, pi], got {cone_angle!r}")
+
+
 def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     """Uniform helix: k_hat(t) = (sin c cos wt, sin c sin wt, cos c).
 
-    ``n_steps`` counts time steps (n_steps + 1 samples) over ``n_cycles`` full
-    turns of the azimuth; at least 16 steps per cycle are required.  ``omega``
-    may be negative for clockwise winding.  The path holds only these
-    parameters: its rows are evaluated on each read (see ``_HelixRows``).
+    ``n_steps``, a Python or numpy integer, counts time steps (n_steps + 1
+    samples) over ``n_cycles`` full turns of the azimuth; at least 16 steps
+    per cycle are required.  ``omega`` may be negative for clockwise
+    winding.  The path holds only these parameters: its rows are evaluated
+    on each read (see ``_HelixRows``).
     """
-    if not 0.0 <= cone_angle <= np.pi:
-        raise ValueError(f"cone_angle must lie in [0, pi], got {cone_angle!r}")
+    _check_cone_angle(cone_angle)
     if not (np.isfinite(omega) and omega != 0):
         raise ValueError(f"omega must be finite and nonzero, got {omega!r}")
     if not 0 < n_cycles < np.inf:
         raise ValueError(f"n_cycles must be positive and finite, got {n_cycles!r}")
+    if not _is_integer(n_steps):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     n_steps = int(n_steps)
     if n_steps < 16 * n_cycles:
         raise ValueError("need at least 16 steps per cycle")

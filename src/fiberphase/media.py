@@ -16,6 +16,7 @@ import numpy as np
 
 from .fock import Ordering, _weight
 from .geometry import SphericalAngles
+from .spin import _check_polarization
 
 __all__ = [
     "GyrotropicMedium",
@@ -100,12 +101,7 @@ def effective_wave_vector(medium: GyrotropicMedium, k0, polarization):
     if not 0 < k0 < np.inf:
         raise ValueError(f"k0 must be positive and finite, got {k0!r}")
     n2p, n2m = refractive_indices_squared(medium)
-    if polarization == +1:
-        n2 = n2p
-    elif polarization == -1:
-        n2 = n2m
-    else:
-        raise ValueError(f"polarization must be +1 or -1, got {polarization!r}")
+    n2 = n2p if _check_polarization(polarization) == +1 else n2m
     if n2 <= 0.0:
         return None
     return float(np.sqrt(n2) * k0)

@@ -122,14 +122,16 @@ def load_config(path) -> dict:
 def _cone_angle(value, field):
     """A helix cone half-angle in [0, pi], from a number or a 'NNN deg' string."""
     cone = parse_angle(value, field)
-    if not 0.0 <= cone <= np.pi:
-        raise ScenarioError(f"{field}: cone angle must lie in [0, pi], got {cone!r}")
+    try:
+        geometry._check_cone_angle(cone)
+    except ValueError:
+        raise ScenarioError(f"{field}: cone angle must lie in [0, pi], got {cone!r}") from None
     return cone
 
 
 def _n_steps(value, field):
     """A helix step count: an integer of at least 64."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not geometry._is_integer(value):
         raise ScenarioError(f"{field}: expected an integer, got {value!r}")
     if value < 64:
         raise ScenarioError(f"{field}: at least 64 steps required, got {value}")
@@ -174,8 +176,10 @@ def _parse_polarizations(cfg):
         raise ScenarioError(f"polarizations: expected a nonempty list, got {values!r}")
     out = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v not in (-1, +1):
-            raise ScenarioError(f"polarizations: entries must be the integers 1 or -1, got {v!r}")
+        try:
+            spin._check_polarization(v)
+        except ValueError:
+            raise ScenarioError(f"polarizations: entries must be the integers 1 or -1, got {v!r}") from None
         if v not in out:
             out.append(v)
     return tuple(out)
@@ -691,11 +695,11 @@ def self_check(quiet=False) -> bool:
     for _ in range(1000):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        op = spin.helicity_operator(v, S)
+        op = spin.helicity_operator(v)
         worst_herm = max(worst_herm, np.abs(op - op.conj().T).max())
         w = np.linalg.eigvalsh(op)
         worst_eig = max(worst_eig, np.abs(w - [-1.0, 0.0, 1.0]).max())
-        basis = spin.helicity_eigenstates(v, S)
+        basis = spin.helicity_eigenstates(v)
         for val, vec in ((-1, basis.e_minus), (0, basis.e_zero), (1, basis.e_plus)):
             worst_res = max(worst_res, np.linalg.norm(op @ vec - val * vec))
     checks.append(("helicity operator Hermitian (1000 random directions)", worst_herm < 1e-14))
@@ -703,8 +707,8 @@ def self_check(quiet=False) -> bool:
     checks.append(("helicity eigenpair residuals", worst_res < 1e-12))
 
     d = np.array([0.3, -0.5, np.sqrt(1 - 0.09 - 0.25)])
-    a = spin.helicity_eigenstates(d, S)
-    b = spin.helicity_eigenstates(d, S)
+    a = spin.helicity_eigenstates(d)
+    b = spin.helicity_eigenstates(d)
     same = all(np.array_equal(x, y) for x, y in ((a.e_minus, b.e_minus), (a.e_zero, b.e_zero), (a.e_plus, b.e_plus)))
     checks.append(("gauge determinism (bitwise repeatable eigenvectors)", same))
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _is_integer
+
 __all__ = [
     "SpinTriple",
     "HelicityBasis",
@@ -22,10 +24,6 @@ __all__ = [
 ]
 
 _SQ = 1.0 / np.sqrt(2.0)
-
-# Gauge convention tag for eigenvectors: the component of largest magnitude is
-# made real and positive; magnitude ties break toward the lowest index.
-GAUGE_TAG = "largest-component-real-positive"
 
 # Unitary taking angular-momentum components to Cartesian ones: its columns
 # are the spherical unit vectors -(x+iy)/sqrt2, z, (x-iy)/sqrt2, so
@@ -49,10 +47,6 @@ class SpinTriple:
     s2: np.ndarray
     s3: np.ndarray
 
-    def as_array(self):
-        """Stack into shape (3, 3, 3): component index first."""
-        return np.array([self.s1, self.s2, self.s3])
-
     def along(self, direction):
         """Contract with a 3-vector: direction[0]*s1 + direction[1]*s2 + direction[2]*s3."""
         d = np.asarray(direction, dtype=float)
@@ -61,17 +55,16 @@ class SpinTriple:
 
 @dataclass(frozen=True)
 class HelicityBasis:
-    """Orthonormal eigentriple of the helicity operator along ``direction``.
+    """Orthonormal eigentriple of the helicity operator along a direction.
 
     ``e_minus``, ``e_zero``, ``e_plus`` carry eigenvalues -1, 0, +1 of
-    direction . S, phase-fixed per ``gauge``.
+    direction . S; in each, the component of largest magnitude is real and
+    positive, magnitude ties breaking toward the lowest index.
     """
 
-    direction: np.ndarray
     e_minus: np.ndarray
     e_zero: np.ndarray
     e_plus: np.ndarray
-    gauge: str = GAUGE_TAG
 
     def state(self, eigenvalue):
         """Return the eigenvector for spin projection -1, 0 or +1."""
@@ -95,6 +88,17 @@ def spin1_matrices() -> SpinTriple:
     return SpinTriple(s1, s2, s3)
 
 
+def _check_polarization(polarization) -> int:
+    """``polarization`` as an int if it is the Python or numpy integer +1 (right) or -1 (left).
+
+    Its photon's spin projection onto k_hat is -polarization; the helicity-0
+    state is unphysical for transverse light.
+    """
+    if not (_is_integer(polarization) and polarization in (-1, 1)):
+        raise ValueError(f"polarization must be the integer +1 (right) or -1 (left), got {polarization!r}")
+    return int(polarization)
+
+
 def _check_unit(direction) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
@@ -105,16 +109,13 @@ def _check_unit(direction) -> np.ndarray:
     return d
 
 
-def helicity_operator(direction, spin: SpinTriple | None = None) -> np.ndarray:
+def helicity_operator(direction) -> np.ndarray:
     """Projection of the spin onto a unit propagation direction.
 
-    Returns the Hermitian 3x3 matrix d . S with eigenvalues {-1, 0, +1}.
-    Rejects non-unit ``direction``.
+    Returns the Hermitian 3x3 matrix d . S of :func:`spin1_matrices`, with
+    eigenvalues {-1, 0, +1}.  Rejects non-unit ``direction``.
     """
-    d = _check_unit(direction)
-    if spin is None:
-        spin = spin1_matrices()
-    return spin.along(d)
+    return spin1_matrices().along(_check_unit(direction))
 
 
 def _fix_gauge(vec: np.ndarray) -> np.ndarray:
@@ -123,18 +124,15 @@ def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     return vec * (vec[j].conjugate() / abs(vec[j]))
 
 
-def helicity_eigenstates(direction, spin: SpinTriple | None = None) -> HelicityBasis:
-    """Orthonormal helicity eigenbasis along ``direction``, deterministically phased.
+def helicity_eigenstates(direction) -> HelicityBasis:
+    """Orthonormal eigenbasis of :func:`helicity_operator` along ``direction``, deterministically phased.
 
-    The eigenvector phases follow ``GAUGE_TAG``: in each eigenvector the
-    component of largest magnitude is real and positive, ties breaking toward
-    the lowest component index.  Identical inputs give bitwise-identical
-    outputs.
+    In each eigenvector the component of largest magnitude is made real and
+    positive, magnitude ties breaking toward the lowest component index (of
+    ``eigh``'s rounded output, so at an exact tie its rounding picks the
+    component).  Identical inputs give bitwise-identical outputs.
     """
-    d = _check_unit(direction)
-    op = helicity_operator(d, spin)
-    w, v = np.linalg.eigh(op)  # ascending eigenvalues ~ (-1, 0, +1)
+    w, v = np.linalg.eigh(helicity_operator(direction))  # ascending eigenvalues ~ (-1, 0, +1)
     if np.max(np.abs(w - np.array([-1.0, 0.0, 1.0]))) > 1e-9:
         raise ValueError(f"helicity spectrum deviates from (-1, 0, 1): {w!r}")
-    cols = [_fix_gauge(v[:, i]) for i in range(3)]
-    return HelicityBasis(direction=d, e_minus=cols[0], e_zero=cols[1], e_plus=cols[2])
+    return HelicityBasis(*(_fix_gauge(v[:, i]) for i in range(3)))

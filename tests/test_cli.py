@@ -585,18 +585,22 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
 
 
 def test_writer_holds_one_chunk_of_strings(tmp_path):
-    # one chunk of formatted columns at a time: about 6 bytes per step with
-    # 256-row chunks; a full-length column of strings alone would be about
-    # 70.  The writer's pass runs the scan, as the reduction's does, so what
-    # the writer adds is its peak above the reduction's.  One polarization,
-    # as tracing every string is slow.
+    # one chunk of formatted columns at a time; a full-length column of
+    # strings alone would be about 70 bytes per step.  The writer's pass runs
+    # the scan, as the reduction's does, so what the writer adds is its peak
+    # above the reduction's: -3.8 B/step at 4000 steps (1.4 at 1e5), where
+    # the reduction's temporaries outweigh one chunk of strings, and 949
+    # (1044 at 1e5) for a writer that keeps every chunk's strings.  4000 is
+    # the smallest multiple of 1000 at which the writer stays within half the
+    # bound (3800 is within it by 1.9 B/step); 1e5 steps took 14-21 s under
+    # tracemalloc.  One polarization, as tracing every string is slow.
     import tracemalloc
 
     import fiberphase.scenario as scenario_mod
     from fiberphase.fock import Ordering
     from fiberphase.geometry import helix_path
 
-    n_steps = 100_000
+    n_steps = 4000
     scenario = scenario_mod.Scenario((1,), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
     result = scenario_mod.compute_scenario(helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps), scenario)
     peaks = []

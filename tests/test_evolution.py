@@ -13,7 +13,9 @@ from fiberphase.evolution import (
     invariant_residual_series,
     phase_decomposition,
 )
-from fiberphase.geometry import FiberPath, helix_path, rotation_vectors, spherical_angles
+from fiberphase.fock import vacuum_phase
+from fiberphase.geometry import FiberPath, helix_path, load_path, rotation_vectors, spherical_angles
+from fiberphase.media import GyrotropicMedium, effective_wave_vector
 from fiberphase.spin import CARTESIAN_FROM_ANGULAR, helicity_eigenstates, spin1_matrices
 
 S = spin1_matrices()
@@ -88,10 +90,27 @@ def test_evolve_constant_path_freezes_state():
     assert np.abs(traj.states - traj.states[0]).max() < 1e-14
 
 
-def test_evolve_rejects_zero_polarization():
-    p = constant_path()
-    with pytest.raises(ValueError, match="polarization"):
-        evolve(p, 0)
+POLARIZATION_CALLS = {
+    "evolve": lambda pol: evolve(constant_path(), pol).polarization,
+    "analytic_noncyclic_phase": lambda pol: analytic_noncyclic_phase(spherical_angles(constant_path()), pol)[-1],
+    "vacuum_phase": lambda pol: vacuum_phase(pol, spherical_angles(constant_path()))[-1],
+    "effective_wave_vector": lambda pol: effective_wave_vector(GyrotropicMedium(2.0, 1.0), 1.0, pol),
+}
+
+
+@pytest.mark.parametrize("pol", [True, False, 1.0, -1.0, np.float64(1.0), np.bool_(True), 0, 2, "1", None],
+                         ids=["True", "False", "1.0", "-1.0", "np.float64", "np.bool_", "0", "2", "'1'", "None"])
+@pytest.mark.parametrize("call", sorted(POLARIZATION_CALLS))
+def test_polarization_must_be_the_integer_plus_or_minus_one(call, pol):
+    # True and 1.0 equal 1: evolve kept True as the label, and the others took them as the + mode
+    with pytest.raises(ValueError, match=r"^polarization must be the integer \+1 \(right\) or -1 \(left\), got "):
+        POLARIZATION_CALLS[call](pol)
+
+
+@pytest.mark.parametrize("call", sorted(POLARIZATION_CALLS))
+def test_numpy_integer_polarizations_are_accepted(call):
+    for pol in (+1, -1):
+        assert POLARIZATION_CALLS[call](np.int64(pol)) == POLARIZATION_CALLS[call](pol)
 
 
 def test_evolve_initial_state_spin_projection():
@@ -204,12 +223,16 @@ def test_half_cycle_matches_closed_form():
         assert abs(dec.geometric[-1] - pol * np.pi / 2) < 5e-3
 
 
+def _three_lobe(phi):
+    """k_hat at azimuths ``phi`` of the closed loop theta = 0.8 + 0.25 sin 3 phi."""
+    theta = 0.8 + 0.25 * np.sin(3.0 * phi)
+    return np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+
+
 def _three_lobe_loop(t0=0.0, scale=1.0, n_steps=4096):
     """The closed loop theta = 0.8 + 0.25 sin 3 phi, sampled at t = t0 + scale * phi."""
     phi = np.linspace(0.0, 2.0 * np.pi, n_steps + 1)
-    theta = 0.8 + 0.25 * np.sin(3.0 * phi)
-    kh = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
-    return FiberPath(times=t0 + scale * phi, k_hat=kh, k_mag=1.0)
+    return FiberPath(times=t0 + scale * phi, k_hat=_three_lobe(phi), k_mag=1.0)
 
 
 def _phase_columns(p):
@@ -228,6 +251,27 @@ def test_phases_do_not_depend_on_the_time_origin_or_unit(t0, scale):
     got = _phase_columns(_three_lobe_loop(t0, scale))
     for name in want:
         assert np.abs(got[name] - want[name]).max() <= 1e-13, name
+
+
+def test_final_phases_do_not_depend_on_how_the_loop_is_parametrised(tmp_path):
+    # the loop sampled at phi = f(t) = 2 pi (s + 0.1 sin 2 pi s), s = t / T, monotone but not uniform, and read from a
+    # file (Chiao & Wu, PRL 57, 933 (1986); Tomita & Chiao, PRL 57, 937 (1986)).  Each final value's gap to the
+    # uniform-phi loop at the same step count is the difference of their discretisation errors, so it shrinks with
+    # the step: a phase that depended on the parametrisation would not.  Measured at 1024 and 2048 steps: the
+    # geometric phases' gaps 5.77e-5 and 1.43e-5, 4.03x, the midpoint rule's second order; W's 6.3e-9 and 1.2e-9,
+    # 5.3x but only 1.85x at the next doubling (the uniform loop's W is exact to rounding)
+    gaps = []
+    for n in (1024, 2048):
+        s = np.linspace(0.0, 1.0, n + 1)
+        filename = tmp_path / f"loop_{n}.txt"
+        np.savetxt(filename, np.column_stack([5.0 * s, _three_lobe(2.0 * np.pi * (s + 0.1 * np.sin(2.0 * np.pi * s)))]),
+                   fmt="%.17g")
+        finals = [[evolve(p, +1).geometric[-1], evolve(p, -1).geometric[-1], spherical_angles(p).solid_angle[-1]]
+                  for p in (load_path(str(filename)), _three_lobe_loop(n_steps=n))]
+        gaps.append(np.subtract(*finals))
+    coarse, fine = np.abs(gaps)
+    assert np.all(fine <= coarse / 1.5), gaps
+    assert np.all((3.5 <= coarse[:2] / fine[:2]) & (coarse[:2] / fine[:2] <= 4.5)), gaps
 
 
 def test_orthogonal_passage_flagged_on_equator():
@@ -331,7 +375,7 @@ ORACLE_PATHS = [
 
 
 def _operators(vectors):
-    return np.einsum("ni,ijk->njk", vectors, S.as_array())
+    return np.einsum("ni,ijk->njk", vectors, np.array([S.s1, S.s2, S.s3]))
 
 
 def _dense_states(path, pol):

@@ -5,7 +5,6 @@ from fiberphase.fock import (
     FockLadder,
     Ordering,
     cyclic_phases,
-    mode_weights,
     phase_spectrum,
     quantal_geometric_phase,
     vacuum_phase,
@@ -139,12 +138,6 @@ def test_vacuum_phase_final_values():
     assert abs(vacuum_phase(-1, ang2)[-1] - (-np.pi)) < 1e-9
 
 
-def test_vacuum_phase_rejects_bad_polarization():
-    ang = helix_angles(np.pi / 3)
-    with pytest.raises(ValueError):
-        vacuum_phase(0, ang)
-
-
 def test_quantal_equals_cyclic_difference_with_halves_cancelled():
     cone = np.pi / 3
     ang = helix_angles(cone)
@@ -187,46 +180,17 @@ def _occupations(ladder):
     return labels[:, 0], labels[:, 1]
 
 
-def test_number_operators_integer_spectrum():
-    # under normal ordering the weights are the occupation numbers themselves
-    ladder = FockLadder(n_max=4, ordering=Ordering.NORMAL)
-    for values, occ in zip(mode_weights(ladder), _occupations(ladder)):
-        assert np.array_equal(values, values.astype(int).astype(float))
-        assert np.array_equal(values, occ)
-        assert values.min() == 0.0
-        assert values.max() == 4.0
-
-
-def test_mode_weights_symmetric_offset_exact():
-    ladder = FockLadder(n_max=6, ordering=Ordering.SYMMETRIC)
-    wl, wr = mode_weights(ladder)
+@pytest.mark.parametrize("ordering, offset", [(Ordering.NORMAL, 0.0), (Ordering.SYMMETRIC, 0.5)],
+                         ids=["normal", "symmetric"])
+def test_phase_spectrum_weights_are_the_occupations_plus_the_ordering_offset(ordering, offset):
+    # each basis state's per-mode weight, n or n + 1/2, times -cycle in the
+    # left mode and +cycle in the right one, bit for bit
+    ladder = FockLadder(n_max=4, ordering=ordering)
+    table = phase_spectrum(ladder, 1.1)
     nl, nr = _occupations(ladder)
-    assert np.array_equal(wl - nl, np.full(ladder.dim, 0.5))
-    assert np.array_equal(wr - nr, np.full(ladder.dim, 0.5))
-
-
-def test_mode_weights_normal_vacuum_deleted():
-    ladder = FockLadder(n_max=3, ordering=Ordering.NORMAL)
-    wl, wr = mode_weights(ladder)
-    b = ladder.index(0, 0)
-    assert wl[b] == 0.0 and wr[b] == 0.0
-
-
-def test_phase_operator_entries():
-    # signed per-mode phase weights: -weight_left and +weight_right per unit W
-    ladder = FockLadder(n_max=3, ordering=Ordering.SYMMETRIC)
-    wl, wr = mode_weights(ladder)
-    gen_l, gen_r, combined = -wl, +wr, wr - wl
-    b = ladder.index(0, 0)
-    assert (gen_l[b], gen_r[b]) == (-0.5, +0.5)
-    assert combined[b] == 0.0
-    b = ladder.index(2, 1)
-    assert (gen_l[b], gen_r[b]) == (-2.5, +1.5)
-    assert combined[b] == -1.0
-    assert np.array_equal(gen_l + gen_r, combined)
-    norm = FockLadder(n_max=3, ordering=Ordering.NORMAL)
-    wl, wr = mode_weights(norm)
-    assert (wr - wl)[norm.index(0, 0)] == 0.0
+    assert np.array_equal(table["phi_left"], -(nl + offset) * CYCLE(1.1))
+    assert np.array_equal(table["phi_right"], (nr + offset) * CYCLE(1.1))
+    assert np.array_equal(table["phi_total"], table["phi_left"] + table["phi_right"])
 
 
 # -------------------------------------------------------------- phase_spectrum

@@ -52,6 +52,21 @@ def test_helix_rejects_bad_cone():
         helix_path(1.0, 1.0, 1.0, 4.0, 32)
 
 
+@pytest.mark.parametrize("n_steps", [100.7, 100.0, "100", True, np.float64(100.0), float("inf"), float("nan"), None],
+                         ids=["100.7", "100.0", "'100'", "True", "np.float64", "inf", "nan", "None"])
+def test_helix_rejects_non_integer_step_counts(n_steps):
+    # 100.7 and '100' silently built 100 steps, and inf raised OverflowError
+    with pytest.raises(ValueError, match=r"^n_steps must be an integer, got "):
+        helix_path(1.0, 1.0, 1.0, 1.0, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [np.int64(100), np.uint16(100)], ids=["np.int64", "np.uint16"])
+def test_helix_takes_numpy_integer_step_counts(n_steps):
+    path = helix_path(1.0, 1.0, 1.0, 1.0, n_steps)
+    assert path.n_samples == 101
+    assert np.array_equal(path.k_hat, helix_path(1.0, 1.0, 1.0, 1.0, 100).k_hat)
+
+
 # ---------------------------------------------------------- spherical_angles
 
 def test_angles_pole_convention():

@@ -3,7 +3,6 @@ import pytest
 
 from fiberphase.spin import (
     CARTESIAN_FROM_ANGULAR,
-    GAUGE_TAG,
     helicity_eigenstates,
     helicity_operator,
     spin1_matrices,
@@ -49,33 +48,32 @@ def test_cartesian_change_of_basis():
 
 
 def test_helicity_operator_axis_aligned():
-    assert np.array_equal(helicity_operator([0.0, 0.0, 1.0], S), S.s3)
-    assert np.array_equal(helicity_operator([1.0, 0.0, 0.0], S), S.s1)
+    assert np.array_equal(helicity_operator([0.0, 0.0, 1.0]), S.s3)
+    assert np.array_equal(helicity_operator([1.0, 0.0, 0.0]), S.s1)
 
 
 def test_helicity_operator_tilted_spectrum():
     # oracle: dense eigensolver on the 3x3 matrix
     d = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    w = np.linalg.eigvalsh(helicity_operator(d, S))
+    w = np.linalg.eigvalsh(helicity_operator(d))
     assert np.abs(w - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
 
 
 def test_helicity_operator_rejects_non_unit():
     with pytest.raises(ValueError, match="unit"):
-        helicity_operator([0.0, 0.0, 2.0], S)
+        helicity_operator([0.0, 0.0, 2.0])
 
 
 def test_eigenstates_along_z():
-    basis = helicity_eigenstates([0.0, 0.0, 1.0], S)
+    basis = helicity_eigenstates([0.0, 0.0, 1.0])
     assert np.array_equal(basis.e_plus, np.array([1.0, 0.0, 0.0], dtype=complex))
     assert np.array_equal(basis.e_zero, np.array([0.0, 1.0, 0.0], dtype=complex))
     assert np.array_equal(basis.e_minus, np.array([0.0, 0.0, 1.0], dtype=complex))
-    assert basis.gauge == GAUGE_TAG
 
 
 def test_eigenvalue_labels_flip_with_direction():
-    up = helicity_eigenstates([0.0, 0.0, 1.0], S)
-    down = helicity_eigenstates([0.0, 0.0, -1.0], S)
+    up = helicity_eigenstates([0.0, 0.0, 1.0])
+    down = helicity_eigenstates([0.0, 0.0, -1.0])
     assert np.abs(np.abs(np.vdot(down.e_plus, up.e_minus)) - 1.0) < 1e-14
     assert np.abs(np.abs(np.vdot(down.e_minus, up.e_plus)) - 1.0) < 1e-14
 
@@ -83,8 +81,8 @@ def test_eigenvalue_labels_flip_with_direction():
 def test_eigenpair_residuals_tilted():
     lam = np.pi / 3
     d = np.array([np.sin(lam), 0.0, np.cos(lam)])
-    op = helicity_operator(d, S)
-    basis = helicity_eigenstates(d, S)
+    op = helicity_operator(d)
+    basis = helicity_eigenstates(d)
     for val, vec in ((-1, basis.e_minus), (0, basis.e_zero), (1, basis.e_plus)):
         assert np.linalg.norm(op @ vec - val * vec) < 1e-12
 
@@ -93,7 +91,7 @@ def test_eigenstates_orthonormal():
     rng = np.random.default_rng(7)
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
-    basis = helicity_eigenstates(v, S)
+    basis = helicity_eigenstates(v)
     mat = np.stack([basis.e_minus, basis.e_zero, basis.e_plus], axis=1)
     assert np.abs(mat.conj().T @ mat - np.eye(3)).max() < 1e-13
 
@@ -103,7 +101,7 @@ def test_gauge_largest_component_real_positive():
     for _ in range(50):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        basis = helicity_eigenstates(v, S)
+        basis = helicity_eigenstates(v)
         for vec in (basis.e_minus, basis.e_zero, basis.e_plus):
             j = int(np.argmax(np.abs(vec)))
             assert vec[j].real > 0
@@ -112,8 +110,8 @@ def test_gauge_largest_component_real_positive():
 
 def test_gauge_determinism_bitwise():
     d = np.array([0.3, -0.5, np.sqrt(1 - 0.09 - 0.25)])
-    a = helicity_eigenstates(d, S)
-    b = helicity_eigenstates(d, S)
+    a = helicity_eigenstates(d)
+    b = helicity_eigenstates(d)
     assert np.array_equal(a.e_minus, b.e_minus)
     assert np.array_equal(a.e_zero, b.e_zero)
     assert np.array_equal(a.e_plus, b.e_plus)
@@ -124,8 +122,8 @@ def test_gauge_continuity_under_small_perturbation():
     base = np.array([np.sin(lam), 0.0, np.cos(lam)])
     eps = 1e-7
     tilted = np.array([np.sin(lam + eps), 0.0, np.cos(lam + eps)])
-    a = helicity_eigenstates(base, S)
-    b = helicity_eigenstates(tilted, S)
+    a = helicity_eigenstates(base)
+    b = helicity_eigenstates(tilted)
     for x, y in ((a.e_minus, b.e_minus), (a.e_zero, b.e_zero), (a.e_plus, b.e_plus)):
         assert np.abs(x - y).max() < 1e-5
 
@@ -135,13 +133,13 @@ def test_random_directions_hermitian_and_spectrum():
     for _ in range(1000):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        op = helicity_operator(v, S)
+        op = helicity_operator(v)
         assert np.abs(op - op.conj().T).max() < 1e-14
         w = np.linalg.eigvalsh(op)
         assert np.abs(w - np.array([-1.0, 0.0, 1.0])).max() < 1e-10
 
 
 def test_state_accessor_rejects_bad_label():
-    basis = helicity_eigenstates([0.0, 0.0, 1.0], S)
+    basis = helicity_eigenstates([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         basis.state(2)

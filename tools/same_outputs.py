@@ -16,9 +16,14 @@ OTHER_CHECKOUT's, each in a fresh empty working directory:
 Each checkout runs its own demo configs and scripts.  For every command it
 compares the exit code, stdout and stderr (the working directory and the
 checkout's root replaced by placeholders) and every file the command
-wrote (SHA-256).  Exits 0 when all are identical, else 1 naming the first
-difference.  A kernel change that moves last digits on purpose differs
-here by design, so this is a tool to run by hand, not a test.
+wrote (SHA-256).  It goes through every command and prints each
+difference: the first differing line of stdout or stderr, and for a
+differing CSV, ``.dat`` or ``summary.json`` file the largest absolute
+difference of each column or key that moved, with its row (counted from 1
+below any header) or its JSON list indices.  Exits 0 when all are
+identical, else 1.  A kernel change that moves last digits on purpose
+differs here by design, and this report is the deviation to record, so
+this is a tool to run by hand, not a test.
 """
 from __future__ import annotations
 
@@ -26,11 +31,14 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -79,22 +87,92 @@ def _outcome(tree: Path, argv, work: Path) -> dict:
     outcome = {"exit code": proc.returncode, "stdout": normalised(proc.stdout), "stderr": normalised(proc.stderr)}
     for file in sorted(p for p in work.rglob("*") if p.is_file()):
         outcome[f"file {file.relative_to(work).as_posix()}"] = hashlib.sha256(file.read_bytes()).hexdigest()
-    shutil.rmtree(work)
     return outcome
 
 
-def _difference(this: dict, other: dict) -> str | None:
-    """The first item on which two outcomes differ, in words; None if they are identical."""
+class _Largest:
+    """The largest absolute difference of each column or key, where it is, and both values."""
+
+    def __init__(self):
+        self.worst = {}
+
+    def add(self, name, where, a, b):
+        try:
+            moved = abs(float(a) - float(b))
+        except (TypeError, ValueError):  # text, a missing field, or a JSON object or null
+            moved = math.inf
+        moved = math.inf if math.isnan(moved) else moved
+        if name not in self.worst or moved > self.worst[name][0]:
+            self.worst[name] = (moved, where, a, b)
+
+    def lines(self, file: str) -> list[str]:
+        return [f"{file} {name}: largest |difference| {moved:.3g}{where} ({a!r} here, {b!r} in the other checkout)"
+                for name, (moved, where, a, b) in self.worst.items()]
+
+
+def _table_moves(file: str, a: Path, b: Path) -> list[str]:
+    """The largest move of each column of two CSV (header first) or whitespace-separated ``.dat`` files."""
+    largest, sep = _Largest(), "," if a.suffix == ".csv" else None
+    with open(a) as fa, open(b) as fb:
+        header = fa.readline().rstrip("\n").split(sep) if sep else []
+        if sep and fb.readline().rstrip("\n").split(sep) != header:
+            return [f"{file}: the headers differ"]
+        for row, (line_a, line_b) in enumerate(zip_longest(fa, fb), 1):
+            if line_a is None or line_b is None:
+                side = "this" if line_a is None else "the other"
+                return [*largest.lines(file), f"{file}: {side} checkout's file ends before row {row}"]
+            if line_a == line_b:
+                continue
+            fields = zip_longest(line_a.rstrip("\n").split(sep), line_b.rstrip("\n").split(sep))
+            for i, (x, y) in enumerate(fields):
+                if x != y:
+                    largest.add(f"column {header[i] if i < len(header) else i + 1}", f" at row {row}", x, y)
+    return largest.lines(file)
+
+
+def _leaves(value, key="", index=""):
+    """(key, list indices, value) of every leaf of a JSON value; a list's items share the key ``name[]``."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _leaves(item, f"{key}.{name}" if key else name, index)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{key}[]", f"{index}[{i}]")
+    else:
+        yield key, index, value
+
+
+def _json_moves(file: str, a: Path, b: Path) -> list[str]:
+    """The largest move of each key of two JSON files; a key inside lists names the list indices of its move."""
+    largest = _Largest()
+    leaves = [{(key, index): value for key, index, value in _leaves(json.loads(p.read_text()))} for p in (a, b)]
+    for key, index in dict.fromkeys([*leaves[0], *leaves[1]]):
+        x, y = (side.get((key, index), "(absent)") for side in leaves)
+        if x != y or type(x) is not type(y):
+            largest.add(f"key {key}", f" at {index}" if index else "", x, y)
+    return largest.lines(file)
+
+
+def _differences(this: dict, other: dict, works) -> list[str]:
+    """Every item on which two outcomes differ, in words; a differing table or summary gives its largest moves."""
+    found = []
     for key in [*this, *(k for k in other if k not in this)]:
         a, b = this.get(key, "(absent)"), other.get(key, "(absent)")
         if a == b:
             continue
-        if isinstance(a, bytes) and isinstance(b, bytes):
-            lines = zip(a.splitlines() + [b"(end)"], b.splitlines() + [b"(end)"])
-            if found := next(((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1]), None):
-                key, (a, b) = f"{key} line {found[0]}", found[1]
-        return f"{key}: {a!r} here, {b!r} in the other checkout"
-    return None
+        name = key.removeprefix("file ")
+        both = key.startswith("file ") and "(absent)" not in (a, b)
+        if both and re.search(r"\.(csv|dat)$", name):
+            found += _table_moves(key, *(work / name for work in works)) or [f"{key}: same fields, other bytes"]
+        elif both and name.endswith("summary.json"):
+            found += _json_moves(key, *(work / name for work in works)) or [f"{key}: same values, other bytes"]
+        else:
+            if isinstance(a, bytes) and isinstance(b, bytes):
+                lines = zip(a.splitlines() + [b"(end)"], b.splitlines() + [b"(end)"])
+                if hit := next(((i, pair) for i, pair in enumerate(lines, 1) if pair[0] != pair[1]), None):
+                    key, (a, b) = f"{key} line {hit[0]}", hit[1]
+            found.append(f"{key}: {a!r} here, {b!r} in the other checkout")
+    return found
 
 
 def main(argv=None) -> int:
@@ -103,15 +181,21 @@ def main(argv=None) -> int:
     other = parser.parse_args(argv).other.resolve()
     if not (other / "src" / "fiberphase").is_dir():
         parser.error(f"{other} has no src/fiberphase")
-    count = files = 0
+    count = files = differing = 0
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
+        works = (scratch / "this", scratch / "other")
         for label, command in _commands(scratch):
-            this, that = (_outcome(tree, command(tree), scratch / "work") for tree in (HERE, other))
-            if (difference := _difference(this, that)) is not None:
-                print(f"differ: {label}: {difference}")
-                return 1
+            this, that = (_outcome(tree, command(tree), work) for tree, work in zip((HERE, other), works))
+            if found := _differences(this, that, works):
+                differing += 1
+                print(f"differ: {label}:", *found, sep="\n  ", flush=True)
             count, files = count + 1, files + sum(key.startswith("file ") for key in this)
+            for work in works:
+                shutil.rmtree(work)
+    if differing:
+        print(f"{differing} of {count} commands differ")
+        return 1
     print(f"same outputs: {count} commands, {files} files, every exit code, stdout, stderr and file identical")
     return 0
 
