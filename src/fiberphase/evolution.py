@@ -163,9 +163,8 @@ def _spin_vectors(ang):
 
 
 def _start(path: FiberPath, polarization: int) -> np.ndarray:
-    """Cartesian form of the gauge-fixed eigenstate of k_hat(t0) . S with eigenvalue -polarization."""
-    spin_projection = -_check_polarization(polarization)
-    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0]).state(spin_projection)
+    """Cartesian form of the gauge-fixed closed-form eigenstate of k_hat(t0) . S with eigenvalue -polarization."""
+    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0]).state(-_check_polarization(polarization))
 
 
 _SLAB = 16  # columns of the scan whose steps and states are handled in one set of array operations

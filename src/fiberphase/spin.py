@@ -1,10 +1,9 @@
-"""Spin-1 operator algebra and helicity eigenstructure.
+"""Spin-1 operator algebra and helicity eigenstructure, hbar = 1.
 
-Matrices are given in the angular-momentum basis (|m=+1>, |m=0>, |m=-1>),
-so the z component is diagonal.  hbar = 1 throughout.  The Cartesian
-(antisymmetric) representation (S_i)_{jk} = -i eps_{ijk} is unitarily
-equivalent via ``CARTESIAN_FROM_ANGULAR``; it is documented here but not a
-second code path.
+Matrices are given in the angular-momentum basis (|m=+1>, |m=0>, |m=-1>), so
+s3 is diagonal; the Cartesian representation (S_i)_{jk} = -i eps_{ijk} is
+unitarily equivalent via ``CARTESIAN_FROM_ANGULAR`` (documented, not a second
+code path).  The helicity eigenstates are Wigner D^1 columns in closed form.
 """
 from __future__ import annotations
 
@@ -59,7 +58,7 @@ class HelicityBasis:
 
     ``e_minus``, ``e_zero``, ``e_plus`` carry eigenvalues -1, 0, +1 of
     direction . S; in each, the component of largest magnitude is real and
-    positive, magnitude ties breaking toward the lowest index.
+    positive, exact magnitude ties breaking toward the lowest index.
     """
 
     e_minus: np.ndarray
@@ -67,14 +66,10 @@ class HelicityBasis:
     e_plus: np.ndarray
 
     def state(self, eigenvalue):
-        """Return the eigenvector for spin projection -1, 0 or +1."""
-        if eigenvalue == -1:
-            return self.e_minus
-        if eigenvalue == 0:
-            return self.e_zero
-        if eigenvalue == +1:
-            return self.e_plus
-        raise ValueError(f"spin projection must be -1, 0 or +1, got {eigenvalue}")
+        """Return the eigenvector for spin projection ``eigenvalue``, the Python or numpy integer -1, 0 or +1."""
+        if not (_is_integer(eigenvalue) and eigenvalue in (-1, 0, 1)):
+            raise ValueError(f"spin projection must be the integer -1, 0 or +1, got {eigenvalue!r}")
+        return (self.e_minus, self.e_zero, self.e_plus)[eigenvalue + 1]
 
 
 def spin1_matrices() -> SpinTriple:
@@ -104,16 +99,16 @@ def _check_unit(direction) -> np.ndarray:
     if d.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {d.shape}")
     norm = np.linalg.norm(d)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be unit length (|v| = {norm!r})")
-    return d
+    if not abs(norm - 1.0) <= 1e-9:  # also rejects a NaN or infinite component
+        raise ValueError(f"direction must be finite and of unit length (|v| = {norm!r})")
+    return d / norm  # so that eigenstates built from it are normalised to rounding
 
 
 def helicity_operator(direction) -> np.ndarray:
     """Projection of the spin onto a unit propagation direction.
 
-    Returns the Hermitian 3x3 matrix d . S of :func:`spin1_matrices`, with
-    eigenvalues {-1, 0, +1}.  Rejects non-unit ``direction``.
+    Returns the Hermitian 3x3 matrix d . S of :func:`spin1_matrices`, d the
+    normalised ``direction``, with eigenvalues {-1, 0, +1}; rejects a non-unit one.
     """
     return spin1_matrices().along(_check_unit(direction))
 
@@ -121,18 +116,24 @@ def helicity_operator(direction) -> np.ndarray:
 def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximum, which is the lowest-index tie-break.
     j = int(np.argmax(np.abs(vec)))
-    return vec * (vec[j].conjugate() / abs(vec[j]))
+    out = vec * (vec[j].conjugate() / abs(vec[j]))
+    out[j] = np.abs(out).max()  # the product can round a tied partner one ulp above the chosen component
+    return out
 
 
 def helicity_eigenstates(direction) -> HelicityBasis:
     """Orthonormal eigenbasis of :func:`helicity_operator` along ``direction``, deterministically phased.
 
-    In each eigenvector the component of largest magnitude is made real and
-    positive, magnitude ties breaking toward the lowest component index (of
-    ``eigh``'s rounded output, so at an exact tie its rounding picks the
-    component).  Identical inputs give bitwise-identical outputs.
+    The -1, 0, +1 states are the m' = -1, 0, +1 columns of D^1(phi, theta, 0)
+    for the normalised ``direction`` (x, y, z): cos(theta) = z and e^{i phi} =
+    (x + iy)/sin(theta), or 1 at a pole.  The 0 state's tied outer components
+    are the conjugate pair -+(x -+ iy)/sqrt2, of bitwise-equal magnitude.  Each
+    state's largest-magnitude component is made real and positive, exact ties
+    going to the lowest index; identical inputs give bitwise-identical outputs.
     """
-    w, v = np.linalg.eigh(helicity_operator(direction))  # ascending eigenvalues ~ (-1, 0, +1)
-    if np.max(np.abs(w - np.array([-1.0, 0.0, 1.0]))) > 1e-9:
-        raise ValueError(f"helicity spectrum deviates from (-1, 0, 1): {w!r}")
-    return HelicityBasis(*(_fix_gauge(v[:, i]) for i in range(3)))
+    x, y, z = _check_unit(direction)
+    sin = np.hypot(x, y)
+    phase = complex(x / sin, y / sin) if sin else 1.0 + 0.0j  # e^{i phi}
+    up, down, tilt, back = (1.0 + z) / 2.0, (1.0 - z) / 2.0, sin * _SQ, phase.conjugate()
+    columns = ([back * down, -tilt, phase * up], [complex(-x, y) * _SQ, z, complex(x, y) * _SQ], [back * up, tilt, phase * down])
+    return HelicityBasis(*(_fix_gauge(np.array(c, dtype=complex)) for c in columns))
