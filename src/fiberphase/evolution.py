@@ -83,10 +83,6 @@ class SpinorTrajectory:
     def geometric(self) -> np.ndarray:
         return self.total - self.dynamical
 
-    @property
-    def spin_projection(self) -> int:
-        return -self.polarization
-
     @cached_property
     def states(self) -> np.ndarray:
         """The evolved states in the angular-momentum basis, shape (n, 3), computed once and read-only."""
@@ -221,8 +217,9 @@ def _scan(path: FiberPath, start: np.ndarray, consume):
     at a time, ``_SLAB`` columns per set of array operations (see
     ``_slab_steps``).  A tile reads its rows of the path once, as one
     window of k_hat.  Each slab's states go to ``consume(rows, cart, h,
-    k_hat)``: the sample indices, the (len(rows), 3) Cartesian states, which
-    the scan overwrites afterwards, and their h and k_hat rows.  Once a tile
+    k_hat)``: the sample indices, shape (blocks, columns), and views of the
+    slab's (blocks, columns, 3) Cartesian states, which the scan overwrites
+    afterwards, and of their h and k_hat rows.  Once a tile
     has handed over each of its samples [first, stop) once, the scan yields
     (first, stop) and carries the state at ``stop`` into the next tile.
     """
@@ -261,14 +258,14 @@ def _scan(path: FiberPath, start: np.ndarray, consume):
             # the next slab starts one step on
             following = _rotate(columns[:, -1], axis[:, -1], sin[:, -1], vers[:, -1]) if j0 + width < size else None
             del axis, sin, vers  # before the states are handed over
-            consume((starts[:-1, None] + np.arange(j0, j0 + width)).ravel(), columns[:-1, :width].reshape(-1, 3),
-                    h[:-1, :width].reshape(-1, 3), k_rows[:-1, :width].reshape(-1, 3))
+            consume(starts[:-1, None] + np.arange(j0, j0 + width), columns[:-1, :width], h[:-1, :width],
+                    k_rows[:-1, :width])
             tail = np.arange(full + j0, min(full + j0 + width, stop))
-            consume(tail, columns[-1, : len(tail)], h[-1, : len(tail)], k_rows[-1, : len(tail)])
+            consume(tail[None], columns[-1:, : len(tail)], h[-1:, : len(tail)], k_rows[-1:, : len(tail)])
             if following is not None:
                 columns[:, 0] = following
             elif stop == n_steps:  # the last slab's rows end at this sample, the path's last
-                consume(np.array([stop]), current[None], h[-1, -1:], k_rows[-1, -1:])
+                consume(np.array([[stop]]), current[None, None], h[-1:, -1:], k_rows[-1:, -1:])
                 stop = n_samples
             del h, k_rows  # before the next slab's are built
         del k_hat, columns  # the tile's scratch goes before its rows are used
@@ -309,18 +306,18 @@ class _TrajectoryRows(geometry._OrderedRows):
 
     def _reduce(self, rows, cart, h, k_hat):
         # each row is reduced on its own (einsum too, whatever the strides): the whole-array forms' bits,
-        # in pieces of _REDUCE_ROWS rows, whose temporaries stay below the tile's window of k_hat
+        # in pieces of whole blocks, about _REDUCE_ROWS rows, whose temporaries stay below the tile's window of k_hat
         total, flagged, energy, helicity, norms = self.window
-        for part in geometry._row_slices(0, len(rows), _REDUCE_ROWS):
+        for part in geometry._row_slices(0, len(rows), max(_REDUCE_ROWS // max(rows.shape[1], 1), 1)):
             at = rows[part] - self.lo
             ang = _angular(cart[part])
-            overlap = ang[:, 0] * self.ref[0] + ang[:, 1] * self.ref[1] + ang[:, 2] * self.ref[2]
+            overlap = ang[..., 0] * self.ref[0] + ang[..., 1] * self.ref[1] + ang[..., 2] * self.ref[2]
             flagged[at] = np.abs(overlap) < OVERLAP_FLOOR
             total[at] = np.angle(overlap)  # unwrapped, and the energy integrated, when the tile is done
-            norms[at] = np.linalg.norm(ang, axis=1)
+            norms[at] = np.linalg.norm(ang, axis=-1)
             spin = _spin_vectors(ang)
-            energy[at] = np.einsum("ni,ni->n", h[part], spin)
-            helicity[at] = np.einsum("ni,ni->n", k_hat[part], spin)
+            energy[at] = np.einsum("...i,...i->...", h[part], spin)
+            helicity[at] = np.einsum("...i,...i->...", k_hat[part], spin)
 
     def _next_tile(self, keep: int):
         """Scan the next tile into the window, which keeps the rows from ``keep`` and the last final one on."""

@@ -77,13 +77,6 @@ class FockLadder:
     def dim(self) -> int:
         return (self.n_max + 1) ** 2
 
-    def index(self, n_left: int, n_right: int) -> int:
-        n_left = _check_occupation(n_left, "n_left")
-        n_right = _check_occupation(n_right, "n_right")
-        if n_left > self.n_max or n_right > self.n_max:
-            raise ValueError(f"occupation exceeds truncation n_max={self.n_max}")
-        return n_left * (self.n_max + 1) + n_right
-
     def labels(self):
         """(n_left, n_right) pairs in basis order."""
         per = self.n_max + 1

@@ -126,7 +126,7 @@ def _cone_angle(value, field):
         geometry._check_cone_angle(cone)
     except ValueError:
         raise ScenarioError(f"{field}: cone angle must lie in [0, pi], got {cone!r}") from None
-    return cone
+    return cone + 0.0  # -0.0 (from -0.0 or '-0 deg') is written as 0.0
 
 
 def _n_steps(value, field):
@@ -312,17 +312,17 @@ def compute_scenario(path, scenario: Scenario):
     each pass (a run's reduction and writer, a sweep point's reduction), so
     the result holds no per-step series.  The residuals are computed from
     ``k_hat``, and ``lambda``, ``gamma`` and ``W`` read one
-    ``geometry._AngleRows``, one pass of which gives the final ``W`` of the
-    net vacuum phase here.  :func:`summarize` prints the warnings of
-    flagged samples once its reduction has counted them.
+    ``geometry._AngleRows``.  Nothing is computed here: the survival flags
+    need no ``W``, and the net vacuum phase is the last row of its column.
+    :func:`summarize` prints the warnings of flagged samples once its
+    reduction has counted them.
     """
     n = path.n_samples
     first = scenario.polarizations[0]
     traj = evolution._TrajectoryRows(path, first).read
-    reader = geometry._AngleRows(path)
-    net = media._net_vacuum_phase(scenario.medium or FREE_SPACE, scenario.k0, reader.final_solid_angle(),
-                                  scenario.chamber_length, scenario.ordering)
-    angles = reader.read
+    angles = geometry._AngleRows(path).read
+    medium = scenario.medium or FREE_SPACE
+    plus, minus = (media._survives(medium, scenario.k0, scenario.chamber_length, pol) for pol in (+1, -1))
     z = fock._weight(0, scenario.ordering)
     shared = {
         "t": Column(path.rows, n),
@@ -331,7 +331,7 @@ def compute_scenario(path, scenario: Scenario):
         "phase_quantal": Column(angles, n, 2, float(scenario.n_right - scenario.n_left)),
         "phase_vacuum_L": Column(angles, n, 2, -z),
         "phase_vacuum_R": Column(angles, n, 2, +z),
-        "phase_vacuum_net": Column(angles, n, 2, z * (net.plus_survives - net.minus_survives)),
+        "phase_vacuum_net": Column(angles, n, 2, z * (plus - minus)),
         "norm_drift": Column(traj, n, 4),
         "helicity_drift": Column(traj, n, 5),
         **_residuals(path),
@@ -348,7 +348,7 @@ def compute_scenario(path, scenario: Scenario):
         }
     return {
         "tables": tables,
-        "vacuum_net": net,
+        "survives": (plus, minus),
         "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
     }
 
@@ -446,7 +446,7 @@ def summarize(result, path, scenario: Scenario):
         if count := nonzero[table["flagged"]]:
             print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
     shared = tables[scenario.polarizations[0]]  # the columns every table shares
-    net = result["vacuum_net"]
+    plus, minus = result["survives"]
     summary = {
         "schema_version": SCHEMA_VERSION,
         "path": {
@@ -462,10 +462,10 @@ def summarize(result, path, scenario: Scenario):
         "vacuum": {
             "left_final": last[shared["phase_vacuum_L"]],
             "right_final": last[shared["phase_vacuum_R"]],
-            "net_final": float(net.phase),
-            "plus_survives": bool(net.plus_survives),
-            "minus_survives": bool(net.minus_survives),
-            "no_propagating_modes": bool(net.no_propagating_modes),
+            "net_final": last[shared["phase_vacuum_net"]],  # 0.0 + z W (plus - minus) of net_vacuum_phase: exact
+            "plus_survives": plus,
+            "minus_survives": minus,
+            "no_propagating_modes": not (plus or minus),
         },
         "diagnostics": {
             "max_invariant_residual": peak[shared["invariant_residual"]],
@@ -478,8 +478,8 @@ def summarize(result, path, scenario: Scenario):
     status = result["mode_status"]
     if status is not None:
         summary["medium"] = {
-            "n2_plus": float(status.n2_plus),
-            "n2_minus": float(status.n2_minus),
+            "n2_plus": float(status.n2_plus) + 0.0,  # + 0.0: no field of a file is -0.0
+            "n2_minus": float(status.n2_minus) + 0.0,
             "plus_propagates": bool(status.plus_propagates),
             "minus_propagates": bool(status.minus_propagates),
             "k_plus": media.effective_wave_vector(scenario.medium, scenario.k0, +1),

@@ -778,13 +778,32 @@ def test_no_output_writes_negative_zero(tmp_path):
 
     written = sorted((tmp_path / "run").glob("*.*")) + sorted((tmp_path / "sweep").glob("*.*"))
     assert {f.name for f in written} >= {"results.csv", "plot_analytic_L.dat", "plot_quantal.dat", "sweep.csv"}
-    for f in written:
+    _assert_no_negative_zero(written)
+    assert read_summary(str(tmp_path / "run"))["quantal_final"] == 0.0
+
+
+def _assert_no_negative_zero(files):
+    for f in files:
         text = f.read_text()
         if f.suffix == ".json":
             assert not _has_negative_zero(json.loads(text)), f
         else:
             assert "-0.0" not in re.split(r"[ ,\n]", text), f
-    assert read_summary(str(tmp_path / "run"))["quantal_final"] == 0.0
+
+
+@pytest.mark.parametrize("cone", [-0.0, "-0 deg"], ids=["-0.0", "-0 deg"])
+def test_negative_zero_inputs_are_written_as_zero(tmp_path, cone):
+    # (1 + -1)(-0.5 + -0.5) is -0.0, and so are the cone angles -0.0 and -0 deg
+    medium = {"eps1": 1.0, "eps2": -1.0, "mu1": -0.5, "mu2": -0.5}
+    cfg = helix_cfg(str(tmp_path / "run"), medium=medium)
+    cfg["path"]["n_steps"] = 256
+    assert main(["run", write_config(tmp_path, "run.json", cfg), "--quiet"]) == 0
+    assert read_summary(str(tmp_path / "run"))["medium"]["n2_plus"] == 0.0
+    cfg = sweep_cfg(cfg, "cone_angle", [cone, 0.5])
+    cfg["output_dir"] = str(tmp_path / "sweep")
+    assert main(["sweep", write_config(tmp_path, "sweep.json", cfg), "--quiet"]) == 0
+    assert read_summary(str(tmp_path / "sweep"))["rows"][0]["cone_angle"] == 0.0
+    _assert_no_negative_zero(sorted((tmp_path / "run").glob("*.*")) + sorted((tmp_path / "sweep").glob("*.*")))
 
 
 # --------------------------------------------------------------------- sweeps

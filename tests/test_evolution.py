@@ -120,7 +120,6 @@ def test_evolve_initial_state_spin_projection():
         traj = evolve(p, pol)
         hel = helicity_expectations(traj, p)
         assert abs(hel[0] - (-pol)) < 1e-12
-        assert traj.spin_projection == -pol
 
 
 def test_evolve_cyclic_return_unit_overlap():

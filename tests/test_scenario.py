@@ -37,6 +37,7 @@ from fiberphase.scenario import (
     compute_scenario,
     run_scenario,
     run_sweep,
+    summarize,
     write_results_csv,
 )
 
@@ -103,7 +104,7 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
             "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
         }
         tables[pol] = {name: values + 0.0 for name, values in columns.items()}
-    return {"tables": tables, "vacuum_net": net}
+    return {"tables": tables, "survives": (net.plus_survives, net.minus_survives)}
 
 
 def _assert_bitwise(got, want, label):
@@ -149,7 +150,12 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         assert table.keys() == ref.keys(), pol
         for key in ref:
             _assert_bitwise(table[key][:], ref[key], f"{pol} {key}")
-    assert got["vacuum_net"] == want["vacuum_net"]
+    assert got["survives"] == want["survives"]
+    # the net vacuum phase is the last row of its column, bitwise the library's from the final W
+    net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
+    summary = summarize(got, path, Scenario(tuple(pols), nl, nr, ordering, medium, k0, chamber))
+    _assert_bitwise(summary["vacuum"]["net_final"], net.phase, "net_final")
+    assert (summary["vacuum"]["plus_survives"], summary["vacuum"]["minus_survives"]) == got["survives"]
     if case == "equator-flagged":
         assert all(got["tables"][pol]["flagged"][:].any() for pol in pols)
 
@@ -297,8 +303,9 @@ def test_stage_peaks_stay_near_the_held_result():
     # evolve builds each slab's h from k_hat, phase_geometric is computed on
     # read and the k_dot kernels go in quarter chunks; with a whole-array h,
     # a stored geometric series and full k_dot chunks these were 76, 76, 65
-    # and 89 B/step.  The reduction's pass runs the scan: 29 B/step, against
-    # 40.5 while the result held the trajectory's five series
+    # and 89 B/step.  The reduction's pass runs the scan: 27.5 B/step, against
+    # 29.1 while the scan handed its slabs over as reshaped copies and 40.5
+    # while the result held the trajectory's five series
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -322,10 +329,11 @@ def test_stage_peaks_stay_near_the_held_result():
 
 def test_result_holds_no_per_step_series():
     # the trajectory's columns scan it in each pass and the drifts and the
-    # angle columns are computed when read, so the peak is the final W's
-    # pass: 33.6 B/step held and 51.4 peak while the result held the
-    # trajectory's five series, 57 and 64 while it also held the drifts,
-    # the angles and W
+    # angle columns are computed when read, and compute_scenario reads no
+    # rows: 0.15 B/step held and 0.16 peak (0.58 and 14.9 while it made a
+    # pass of the angle reader for the final W; 33.6 and 51.4 while the
+    # result held the trajectory's five series, 57 and 64 while it also
+    # held the drifts, the angles and W)
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -341,9 +349,11 @@ def test_result_holds_no_per_step_series():
 
 @pytest.mark.parametrize("pols", [(1, -1), (-1,)], ids=["R,L", "L"])
 def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols):
-    # the reduction reads one chunk of every column at a time, so the one
-    # reader of lambda, gamma and W restarts once per pass and computes each
-    # chunk once; the writer, which formats every table in one pass, too
+    # compute_scenario makes no pass (the net vacuum phase is its column's
+    # last row); the reduction reads one chunk of every column at a time, so
+    # the one reader of lambda, gamma and W restarts once per pass and
+    # computes each chunk once; the writer, which formats every table in one
+    # pass, too
     restarts, computed = [], []
     original_restart, original_turns = geometry._AngleRows._restart, geometry._Azimuth.__call__
 
@@ -361,7 +371,7 @@ def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 2000)
     result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     reader = result["tables"][pols[0]]["lambda"].rows.__self__
-    assert restarts == [reader]  # one pass for the final W of the net vacuum phase
+    assert restarts == [] and computed == []
     for run, expected in ((lambda: _reduce(_all_columns(result)), 1),
                           (lambda: write_results_csv(str(tmp_path), result), 1)):
         restarts.clear()

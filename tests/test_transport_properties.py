@@ -183,7 +183,7 @@ def test_tiled_series_match_whole_array_forms_of_the_states(case, pol):
         states = traj.states
         handed = []
         start = evolution._start(path, pol)
-        tiles = list(evolution._scan(path, start, lambda rows, cart, h, k_hat: handed.append(rows.copy())))
+        tiles = list(evolution._scan(path, start, lambda rows, cart, h, k_hat: handed.append(rows.ravel())))
     # each tile hands over its samples [first, stop), consecutive and each once
     assert [stop for _, stop in tiles[:-1]] == [first for first, _ in tiles[1:]]
     assert (tiles[0][0], tiles[-1][1]) == (0, path.n_samples)
@@ -335,7 +335,7 @@ def test_scan_builds_and_hands_over_the_whole_array_generator_rows(case):
         assert _same_bits(k_rows, path.k_hat[np.minimum(samples, n - 1)])  # the last sample past the end
         covered.update(samples[real].tolist())
     assert {0, n - 1} <= covered
-    rows = np.concatenate([rows for rows, _, _ in handed])
+    rows = np.concatenate([rows.ravel() for rows, _, _ in handed])
     assert _same_bits(np.sort(rows), np.arange(n))  # every sample handed over once
     assert tiles == [(0, n)]  # one tile below _TILE steps
     for rows, h_rows, k_rows in handed:
