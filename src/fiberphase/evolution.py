@@ -20,7 +20,9 @@ Because h . S lies in so(3), every kernel here works on 3-vectors, not on
 step exp(-i theta n . S) is the real rotation by theta about n (closed-form
 Rodrigues formula), <psi|S|psi> = 2 Re psi x Im psi, and the residual
 follows from [a . S, b . S] = i (a x b) . S with ||v . S||_F = sqrt(2) |v|.
-Stored states are in the angular-momentum basis of :mod:`fiberphase.spin`.
+The scan and its reduction work on the Cartesian states; only the stored
+states of :attr:`SpinorTrajectory.states` are in the angular-momentum basis
+of :mod:`fiberphase.spin`.
 """
 from __future__ import annotations
 
@@ -129,32 +131,19 @@ def _rotate(x, axis, sin, vers):
     return out
 
 
-# The two basis changes act on the last axis (length 3) element by element,
-# not as matrix products: BLAS rounds a product differently for different
-# operand shapes, and they must give the same bits on a slab of the scan as on
-# the whole trajectory.
-
 def _angular(cart):
-    """psi_ang = C^dagger psi_cart (C = ``CARTESIAN_FROM_ANGULAR``), skipping C's exact zeros."""
+    """psi_ang = C^dagger psi_cart (C = ``CARTESIAN_FROM_ANGULAR``), skipping C's exact zeros.
+
+    Element by element on the last axis (length 3), not a matrix product:
+    BLAS rounds a product differently for different operand shapes, and a
+    slab of the scan must give the bits of the whole trajectory.
+    """
     out = np.empty(cart.shape, dtype=complex)
     x = cart[..., 0] * _SQ
     y = cart[..., 1] * (1j * _SQ)
     np.subtract(y, x, out=out[..., 0])
     out[..., 1] = cart[..., 2]
     np.add(x, y, out=out[..., 2])
-    return out
-
-
-def _spin_vectors(ang):
-    """<psi|S|psi> of angular-basis states: 2 Re psi x Im psi of psi_cart = C psi_ang."""
-    cart = np.empty(ang.shape, dtype=complex)
-    np.subtract(ang[..., 2], ang[..., 0], out=cart[..., 0])
-    cart[..., 0] *= _SQ
-    np.add(ang[..., 0], ang[..., 2], out=cart[..., 1])
-    cart[..., 1] *= -1j * _SQ
-    cart[..., 2] = ang[..., 1]
-    out = _cross(cart.real, cart.imag)
-    out *= 2.0
     return out
 
 
@@ -292,7 +281,7 @@ class _TrajectoryRows(geometry._OrderedRows):
 
     def __init__(self, path: FiberPath, polarization: int):
         self.path, self.start = path, _start(path, polarization)
-        self.ref = _angular(self.start).conj()
+        self.ref = self.start.conj()
         size, _, per_tile = _tiling(path.n_samples - 1)
         self.tile = min(size * per_tile + 1, path.n_samples)  # samples of one tile, at most
 
@@ -308,14 +297,15 @@ class _TrajectoryRows(geometry._OrderedRows):
         # each row is reduced on its own (einsum too, whatever the strides): the whole-array forms' bits,
         # in pieces of whole blocks, about _REDUCE_ROWS rows, whose temporaries stay below the tile's window of k_hat
         total, flagged, energy, helicity, norms = self.window
-        for part in geometry._row_slices(0, len(rows), max(_REDUCE_ROWS // max(rows.shape[1], 1), 1)):
-            at = rows[part] - self.lo
-            ang = _angular(cart[part])
-            overlap = ang[..., 0] * self.ref[0] + ang[..., 1] * self.ref[1] + ang[..., 2] * self.ref[2]
+        blocks = max(_REDUCE_ROWS // max(rows.shape[1], 1), 1)  # a tail slab may have no columns
+        for part in geometry._row_slices(0, len(rows), blocks):
+            at, psi = rows[part] - self.lo, cart[part]
+            overlap = psi[..., 0] * self.ref[0] + psi[..., 1] * self.ref[1] + psi[..., 2] * self.ref[2]
             flagged[at] = np.abs(overlap) < OVERLAP_FLOOR
             total[at] = np.angle(overlap)  # unwrapped, and the energy integrated, when the tile is done
-            norms[at] = np.linalg.norm(ang, axis=-1)
-            spin = _spin_vectors(ang)
+            norms[at] = np.linalg.norm(psi, axis=-1)
+            spin = _cross(psi.real, psi.imag)  # <S> = 2 Re psi x Im psi
+            spin *= 2.0
             energy[at] = np.einsum("...i,...i->...", h[part], spin)
             helicity[at] = np.einsum("...i,...i->...", k_hat[part], spin)
 

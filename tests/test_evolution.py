@@ -551,13 +551,6 @@ def test_kernels_match_whole_array_forms_bitwise(scale):
     vec += np.cross(kh[1:-1], scale * hamiltonian_coefficients(p)[1:-1])
     want = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
     assert invariant_residual_series(p, scale).tobytes() == want.tobytes()
-    traj = evolve(p, -1)
-    cart = np.stack([
-        (traj.states[:, 2] - traj.states[:, 0]) * evolution._SQ,
-        (traj.states[:, 0] + traj.states[:, 2]) * (-1j * evolution._SQ),
-        traj.states[:, 1],
-    ], axis=1)
-    assert evolution._spin_vectors(traj.states).tobytes() == (2.0 * np.cross(cart.real, cart.imag)).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 38, 39, 40])
@@ -573,15 +566,13 @@ def test_chunked_invariant_residual_matches_whole_array_form(monkeypatch, chunk,
     assert invariant_residual_series(p, scale).tobytes() == want.tobytes()
 
 
-def test_element_wise_basis_changes_match_the_matrix_products():
-    # the kernels skip the exact zeros of C instead of calling BLAS, whose
-    # rounding depends on the operand shapes; they agree with it to rounding
+def test_element_wise_basis_change_matches_the_matrix_product():
+    # the kernel skips the exact zeros of C instead of calling BLAS, whose
+    # rounding depends on the operand shapes; it agrees with it to rounding
     rng = np.random.default_rng(5)
     cart = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
     ang = evolution._angular(cart)
     assert np.abs(ang - cart @ CARTESIAN_FROM_ANGULAR.conj()).max() <= 1e-15
-    back = CARTESIAN_FROM_ANGULAR @ ang.T
-    assert np.abs(evolution._spin_vectors(ang) - 2.0 * np.cross(back.T.real, back.T.imag)).max() <= 1e-14
 
 
 def test_cross_product_kernels_memory_budget():

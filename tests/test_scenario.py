@@ -56,6 +56,17 @@ def _angles(path):
     return spherical_angles(_fresh(path))
 
 
+def _cartesian_states(path, pol):
+    """The scan's Cartesian states, stored as each slab hands them over."""
+    states = np.empty((path.n_samples, 3), dtype=complex)
+
+    def store(rows, cart, h, k_hat):
+        states[rows] = cart
+
+    list(evolution._scan(path, evolution._start(path, pol), store))
+    return states
+
+
 def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     """compute_scenario's columns from the stage functions, each on a fresh path copy, plus 0.0.
 
@@ -66,7 +77,7 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     first = pols[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
-        states = evolve(_fresh(path), first).states
+        states = _cartesian_states(_fresh(path), first)
         dec = phase_decomposition(evolve(_fresh(path), first), _fresh(path))
         hel = helicity_expectations(evolve(_fresh(path), first), _fresh(path))
     inv = invariant_residual_series(_fresh(path))
@@ -379,6 +390,24 @@ def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols)
         run()
         assert restarts == [reader] * expected
         assert sum(computed) == expected * path.n_samples  # every sample's angles once per pass
+
+
+def test_the_passes_reduce_the_scans_cartesian_states(tmp_path, monkeypatch):
+    # the overlap, the norm and <S> = 2 Re psi x Im psi are taken in the
+    # scan's own frame: only SpinorTrajectory.states changes basis
+    def refuse(cart):
+        raise AssertionError("a basis change on a run path")
+
+    monkeypatch.setattr(evolution, "_angular", refuse)
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
+    scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
+    result = compute_scenario(path, scenario)
+    assert np.isfinite(summarize(result, path, scenario)["phases"]["-1"]["geometric"])
+    write_results_csv(str(tmp_path), result)
+    assert np.isfinite(evolve(path, 1).geometric).all()
+    with pytest.raises(AssertionError, match="basis change"):
+        evolve(path, 1).states
+    assert not hasattr(evolution, "_spin_vectors")
 
 
 def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):

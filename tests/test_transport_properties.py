@@ -6,11 +6,11 @@ h . <S>, k_hat . <S> and the norm, never holding the (n, 3) states or
 generator coefficients (each slab builds its own rows of h from k_hat), and
 hands the tile's rows over in sample order, the phase unwrapped and the
 energy integrated; ``evolve`` is one pass of it into arrays.
-``SpinorTrajectory.states`` runs the same scan again and stores the states.
-With the chunk, slab and tile sizes made small, random short paths (some
-passing orthogonal to their start state, so samples get flagged) must give
-bit for bit the series that whole-array numpy computes from the stored
-states.
+``SpinorTrajectory.states`` runs the same scan again and stores the states
+in the angular-momentum basis.  With the chunk, slab and tile sizes made
+small, random short paths (some passing orthogonal to their start state, so
+samples get flagged) must give bit for bit the series that whole-array numpy
+computes from the scan's Cartesian states, stored as they are handed over.
 """
 import warnings
 
@@ -97,11 +97,22 @@ def test_half_turn_paths_are_flagged():
         assert traj.flagged[m]
 
 
+def _cartesian_states(path, pol):
+    """The scan's Cartesian states, stored as each slab hands them over."""
+    states = np.empty((path.n_samples, 3), dtype=complex)
+
+    def store(rows, cart, h, k_hat):
+        states[rows] = cart
+
+    list(evolution._scan(path, evolution._start(path, pol), store))
+    return states
+
+
 def _whole_array_observables(path, states):
-    """Overlaps, h . <S>, k_hat . <S> and norms of the stored states, each over the whole array."""
+    """Overlaps, h . <S>, k_hat . <S> and norms of the Cartesian states, each over the whole array."""
     ref = states[0].conj()
     overlaps = states[:, 0] * ref[0] + states[:, 1] * ref[1] + states[:, 2] * ref[2]
-    spin = evolution._spin_vectors(states)
+    spin = 2.0 * np.cross(states.real, states.imag)
     energy = np.einsum("ni,ni->n", evolution.hamiltonian_coefficients(path), spin)
     helicity = np.einsum("ni,ni->n", path.k_hat, spin)
     return overlaps, energy, helicity, np.linalg.norm(states, axis=1)
@@ -112,7 +123,7 @@ def _same_bits(a, b):
 
 
 def _whole_array_series(path, states):
-    """The five trajectory series from the stored states with whole-array numpy: the oracle.
+    """The five trajectory series from the Cartesian states with whole-array numpy: the oracle.
 
     The total phase is np.unwrap of the unflagged overlap angles, np.interp
     over the flagged samples and shifted to start at 0; the dynamical phase
@@ -140,11 +151,12 @@ def test_reduced_observables_match_whole_array_forms_of_the_states(case, pol):
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         mp.setattr(evolution, "_SLAB", slab)
         traj = evolve(path, pol)
-        states = traj.states
+        states, cart = traj.states, _cartesian_states(path, pol)
         mp.undo()
         # the stored states are the scan's, whatever the slab width
         assert _same_bits(states, evolve(path, pol).states)
-    want = _whole_array_series(path, states)
+        assert _same_bits(cart, _cartesian_states(path, pol))
+    want = _whole_array_series(path, cart)
     assert list(want) == list(SERIES)
     for name in SERIES:
         assert _same_bits(getattr(traj, name), want[name]), name
@@ -161,7 +173,7 @@ def test_chunked_phase_decomposition_matches_whole_array(case):
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         traj = evolve(path, +1)
-    want = _whole_array_series(path, traj.states)
+    want = _whole_array_series(path, _cartesian_states(path, +1))
     dec = phase_decomposition(traj, path)
     for name in ("total", "dynamical", "flagged"):
         assert _same_bits(getattr(dec, name), want[name]), name
@@ -180,7 +192,7 @@ def test_tiled_series_match_whole_array_forms_of_the_states(case, pol):
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         mp.setattr(evolution, "_TILE", tile)
         traj = evolve(path, pol)
-        states = traj.states
+        states = _cartesian_states(path, pol)
         handed = []
         start = evolution._start(path, pol)
         tiles = list(evolution._scan(path, start, lambda rows, cart, h, k_hat: handed.append(rows.ravel())))
@@ -236,7 +248,7 @@ def test_flagged_run_across_tile_and_read_edges_takes_np_interp_values(n, m, rea
         total = np.concatenate([reader.read(lo, min(lo + read, n))[0] for lo in range(0, n, read)])
     assert traj.flagged[m] and traj.flagged.sum() == 1
     assert _same_bits(total, traj.total)
-    assert _same_bits(traj.total, _whole_array_series(path, traj.states)["total"])
+    assert _same_bits(traj.total, _whole_array_series(path, _cartesian_states(path, +1))["total"])
 
 
 # angles whose steps land on and next to the branch cut at +-pi
