@@ -108,6 +108,7 @@ def effective_wave_vector(medium: GyrotropicMedium, k0, polarization):
 
 
 def _survives(medium: GyrotropicMedium, k0, chamber_length, polarization) -> bool:
+    """Whether the ``polarization`` mode propagates and, given a chamber length, is not expelled."""
     k_eff = effective_wave_vector(medium, k0, polarization)
     # an evanescent mode's chamber length is checked too: casimir_cutoff never expels k = inf
     expelled = chamber_length is not None and casimir_cutoff(np.inf if k_eff is None else k_eff, chamber_length)

@@ -312,8 +312,8 @@ def compute_scenario(path, scenario: Scenario):
     each pass (a run's reduction and writer, a sweep point's reduction), so
     the result holds no per-step series.  The residuals are computed from
     ``k_hat``, and ``lambda``, ``gamma`` and ``W`` read one
-    ``geometry._AngleRows``.  Nothing is computed here: the survival flags
-    need no ``W``, and the net vacuum phase is the last row of its column.
+    ``geometry._AngleRows``.  No row is read here: the survival flags need
+    no ``W``, and the final net vacuum phase is the last row of its column.
     :func:`summarize` prints the warnings of flagged samples once its
     reduction has counted them.
     """
@@ -462,7 +462,8 @@ def summarize(result, path, scenario: Scenario):
         "vacuum": {
             "left_final": last[shared["phase_vacuum_L"]],
             "right_final": last[shared["phase_vacuum_R"]],
-            "net_final": last[shared["phase_vacuum_net"]],  # 0.0 + z W (plus - minus) of net_vacuum_phase: exact
+            # bitwise net_vacuum_phase's 0.0 + z W (plus - minus): z in {1/2, 0} makes both products exact
+            "net_final": last[shared["phase_vacuum_net"]],
             "plus_survives": plus,
             "minus_survives": minus,
             "no_propagating_modes": not (plus or minus),
