@@ -301,21 +301,21 @@ def compute_scenario(path, scenario: Scenario):
     the one ``W``, with weights sigma (analytic), n_R - n_L (quantal), -+z
     (vacuum L/R) and z * (plus survives - minus survives) (vacuum net),
     where z is the zero-point weight: 1/2, or 0 under normal ordering.
-    Only the first polarization is evolved: every step is a real rotation
-    in the Cartesian representation, so the opposite helicity is the
-    conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total, dynamical
-    and geometric phases are the first's with weight -1, and it shares the
-    drifts (<S> only flips sign) and flags.  Every other weight is 1.
+    Only the first polarization's transport is read: every step is a real
+    rotation in the Cartesian representation, so the opposite helicity is
+    the conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total,
+    dynamical and geometric phases are the first's with weight -1, and it
+    shares the drifts and flags.  Every other weight is 1.
 
     The phase, drift and flag columns read one
-    ``evolution._TrajectoryRows``, which runs the scan a tile at a time in
-    each pass (a run's reduction and writer, a sweep point's reduction), so
-    the result holds no per-step series.  The residuals are computed from
-    ``k_hat``, and ``lambda``, ``gamma`` and ``W`` read one
-    ``geometry._AngleRows``.  No row is read here: the survival flags need
-    no ``W``, and the final net vacuum phase is the last row of its column.
-    :func:`summarize` prints the warnings of flagged samples once its
-    reduction has counted them.
+    ``evolution._TrajectoryRows``, the transport in closed form from the
+    swept areas, a chunk at a time in each pass (a run's reduction and
+    writer, a sweep point's reduction), so the result holds no per-step
+    series.  The residuals are computed from ``k_hat``, and ``lambda``,
+    ``gamma`` and ``W`` read one ``geometry._AngleRows``.  No row is read
+    here: the survival flags need no ``W``, and the final net vacuum phase
+    is the last row of its column.  :func:`summarize` prints the warnings
+    of flagged samples once its reduction has counted them.
     """
     n = path.n_samples
     first = scenario.polarizations[0]
@@ -713,21 +713,29 @@ def self_check(quiet=False) -> bool:
     same = all(np.array_equal(x, y) for x, y in ((a.e_minus, b.e_minus), (a.e_zero, b.e_zero), (a.e_plus, b.e_plus)))
     checks.append(("gauge determinism (bitwise repeatable eigenvectors)", same))
 
+    def direction(polar, azimuth):
+        return np.stack([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)], axis=1)
+
     ok_roundtrip = True
     for cone in (0.1, np.pi / 3, np.pi / 2, 2.8):
         p = geometry.helix_path(cone, 1.0, 1.0, 2.0, 256)
         ang = geometry.spherical_angles(p)
-        rebuilt = np.stack([
-            np.sin(ang.polar) * np.cos(ang.azimuth),
-            np.sin(ang.polar) * np.sin(ang.azimuth),
-            np.cos(ang.polar),
-        ], axis=1)
-        ok_roundtrip &= bool(np.abs(rebuilt - p.k_hat).max() < 1e-9)
+        ok_roundtrip &= bool(np.abs(direction(ang.polar, ang.azimuth) - p.k_hat).max() < 1e-9)
     checks.append(("helix angle round trip", ok_roundtrip))
 
     p = geometry.helix_path(np.pi / 3, 1.0, 1.0, 1.0, 512)
     checks.append(("motion residual small on smooth path", float(geometry.motion_residual(p).max()) < 1e-3))
     checks.append(("invariant residual small on smooth path", float(evolution.invariant_residual_series(p).max()) < 1e-3))
+
+    p = geometry.helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096)
+    error = abs(float(evolution.evolve(p, +1).geometric[-1]) - 2.0 * np.pi * (1.0 - np.cos(np.pi / 3)))
+    phi = np.linspace(0.0, 2.0 * np.pi, 257)
+    loop = geometry.FiberPath(phi, direction(0.8 + 0.25 * np.sin(3.0 * phi), phi), 1.0)
+    closed_form = evolution._TrajectoryRows(loop, +1).read(0, loop.n_samples)[0]
+    gap = float(np.abs(closed_form - evolution.evolve(loop, +1).total).max())
+    for name, value, bound in (("evolve's cycle phase on the pi/3 helix, 4096 steps, against 2 pi (1 - cos c)", error, 1e-5),
+                               ("swept-area transport against evolve, row by row, 256-step three-lobe loop", gap, 1e-13)):
+        checks.append((f"{name}: {value:.2e} <= {bound:g}", value <= bound))
 
     all_ok = True
     for name, ok in checks:

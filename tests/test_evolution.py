@@ -16,7 +16,7 @@ from fiberphase.evolution import (
 from fiberphase.fock import vacuum_phase
 from fiberphase.geometry import FiberPath, helix_path, load_path, rotation_vectors, spherical_angles
 from fiberphase.media import GyrotropicMedium, effective_wave_vector
-from fiberphase.spin import CARTESIAN_FROM_ANGULAR, helicity_eigenstates, spin1_matrices
+from fiberphase.spin import helicity_eigenstates, spin1_matrices
 
 S = spin1_matrices()
 
@@ -136,10 +136,12 @@ def test_evolve_norm_preservation():
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
-def test_norm_drift_stays_at_rounding_over_many_tiles():
-    # 1e5 steps run in 4 tiles of 80-step block frames; re-orthogonalising
-    # each frame before the carry keeps the drift at one frame's rounding
-    # (7.0e-14 here; 8.5e-13 when the frames' rounding chains through the carry)
+def test_norm_drift_stays_at_rounding_at_1e5_steps():
+    # 1e5 steps compose 317 block frames of 317 chord steps; re-orthogonalising
+    # each frame before the carry keeps the drift at one frame's rounding:
+    # 3.6e-15 norm and 7.3e-15 helicity drift here (7.0e-14 and 1.7e-12 for
+    # the midpoint rule's tiled scan, 8.5e-13 when the frames' rounding
+    # chained through the carry)
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100_000)
     traj = evolve(p, +1)
     assert np.abs(traj.norms - 1.0).max() <= 2e-13
@@ -243,9 +245,9 @@ def _phase_columns(p):
 @pytest.mark.parametrize("t0, scale", [(5.0, 1.0), (1e3, 1.0), (0.0, 3.7), (0.0, 1e-3)],
                          ids=["shift5", "shift1e3", "scale3.7", "scale1e-3"])
 def test_phases_do_not_depend_on_the_time_origin_or_unit(t0, scale):
-    # only k_hat's sequence of directions enters: each step turns by |h| dt,
-    # and h ~ 1/dt, so a shifted or rescaled clock moves no column beyond
-    # rounding (1.3e-15 measured, over the whole column)
+    # only k_hat's sequence of directions enters: each step is the chord
+    # rotation between two samples, and h ~ 1/dt enters the dynamical phase
+    # as h dt, so a shifted or rescaled clock moves no column beyond rounding
     want = _phase_columns(_three_lobe_loop())
     got = _phase_columns(_three_lobe_loop(t0, scale))
     for name in want:
@@ -257,8 +259,9 @@ def test_final_phases_do_not_depend_on_how_the_loop_is_parametrised(tmp_path):
     # file (Chiao & Wu, PRL 57, 933 (1986); Tomita & Chiao, PRL 57, 937 (1986)).  Each final value's gap to the
     # uniform-phi loop at the same step count is the difference of their discretisation errors, so it shrinks with
     # the step: a phase that depended on the parametrisation would not.  Measured at 1024 and 2048 steps: the
-    # geometric phases' gaps 5.77e-5 and 1.43e-5, 4.03x, the midpoint rule's second order; W's 6.3e-9 and 1.2e-9,
-    # 5.3x but only 1.85x at the next doubling (the uniform loop's W is exact to rounding)
+    # geometric phases' gaps 1.07e-5 and 2.67e-6, 4.00x, the chord polygon's second order (5.77e-5 and 1.43e-5,
+    # 4.03x, for the midpoint rule); W's 6.3e-9 and 1.2e-9, 5.3x but only 1.85x at the next doubling (the uniform
+    # loop's W is exact to rounding)
     gaps = []
     for n in (1024, 2048):
         s = np.linspace(0.0, 1.0, n + 1)
@@ -355,8 +358,9 @@ def test_numeric_matches_analytic_at_cycle_end():
 
 # ------------------------------------------- dense 3x3 oracles for the kernels
 #
-# The matrix forms the vector kernels replace: a per-step eigh exponential,
-# the commutator Frobenius residual and einsum expectations.
+# The matrix forms the vector kernels replace: a per-step eigh exponential
+# of the chord's rotation vector, the commutator Frobenius residual and
+# einsum expectations.
 
 def _wobble(n):
     t = np.linspace(0.0, 2.0 * np.pi, n + 1)
@@ -378,9 +382,12 @@ def _operators(vectors):
 
 
 def _dense_states(path, pol):
-    h = hamiltonian_coefficients(path)
-    w, v = np.linalg.eigh(_operators(0.5 * (h[:-1] + h[1:])))
-    steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * path.dt), v.conj())
+    # step i is exp(-i theta n . S), theta n the rotation vector taking k_hat_i onto k_hat_(i+1)
+    axes, kh = rotation_vectors(path), path.k_hat
+    sines = np.linalg.norm(axes, axis=1)
+    angles = np.arctan2(sines, np.einsum("ni,ni->n", kh[:-1], kh[1:]))
+    w, v = np.linalg.eigh(_operators(axes * (angles / sines)[:, None]))
+    steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj())
     states = np.empty((path.n_samples, 3), dtype=complex)
     states[0] = helicity_eigenstates(path.k_hat[0]).state(-pol)
     for i, step in enumerate(steps):
@@ -426,25 +433,6 @@ def test_invariant_residual_matches_commutator_form(make_path, scale):
     assert np.abs(invariant_residual_series(p, scale=scale) - _dense_residual(p, scale)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("make_path", ORACLE_PATHS)
-@pytest.mark.parametrize("tile", [5, 37, 1000])
-def test_tiled_scan_matches_dense_exponential(monkeypatch, make_path, tile):
-    # every tile carries the state into the next: 1 to about 800 tiles
-    monkeypatch.setattr(evolution, "_TILE", tile)
-    p = make_path()
-    assert np.abs(evolve(p, -1).states - _dense_states(p, -1)).max() <= 1e-12
-
-
-def test_multi_tile_scan_matches_dense_exponential():
-    # 2 ** 15 + 2 ** 12 steps: two tiles of blocks of 96 steps, against 192 in one tile
-    p = helix_path(0.9, 1.0, 1.0, 2.0, (1 << 15) + (1 << 12))
-    assert evolution._tiling(p.n_samples - 1) == (96, 384, 192)
-    traj = evolve(p, +1)
-    states = _dense_states(p, +1)
-    assert np.abs(traj.states - states).max() <= 1e-12
-    assert np.abs(traj.helicity - _dense_expectation(states, p.k_hat)).max() <= 1e-12
-
-
 def test_evolve_block_scan_any_length():
     # step counts around the sqrt(n) x sqrt(n) block edges, including a
     # padded last block and a single block
@@ -457,7 +445,7 @@ def test_evolve_block_scan_any_length():
 
 
 def _scenario_peak(n_steps=100_000):
-    """tracemalloc peak of compute_scenario and its reduction, whose pass runs the scan, in bytes per step."""
+    """tracemalloc peak of compute_scenario and its reduction, whose pass reads the transport, in bytes per step."""
     import tracemalloc
 
     from fiberphase.fock import Ordering
@@ -491,41 +479,6 @@ def test_compute_scenario_holds_transport_at_its_output_size():
     # with whole-array layers
     peak = _scenario_peak()
     assert peak < 170, peak  # bytes per step
-
-
-def test_evolve_fills_its_series_from_one_streamed_pass(monkeypatch):
-    # evolve runs one scan and copies each tile's final rows out of the
-    # reader's window into its five series, which are read-only and bitwise
-    # the rows of a streamed reader.  Its peak is the series, one tile's
-    # window and the scan's scratch: 59.6 B/step at 1e5 steps (4 tiles), and
-    # 51.4 while the reader's window was the full-length series (the held
-    # bound here was 62); a fill that read(0, n) through a window grown on
-    # every tile peaks at 98
-    import tracemalloc
-
-    n_steps = 100_000
-    p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
-    tracemalloc.start()
-    try:
-        evolve(p, +1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / n_steps <= 62, peak / n_steps  # bytes per step
-    scans = []
-    original = evolution._scan
-    monkeypatch.setattr(evolution, "_scan", lambda *args: scans.append(args) or original(*args))
-    traj = evolve(p, -1)
-    assert len(scans) == 1
-    series = (traj.total, traj.flagged, traj.dynamical, traj.helicity, traj.norms)
-    assert not any(part.flags.writeable for part in series)
-    reader, pieces = evolution._TrajectoryRows(p, -1), []
-    for lo in range(0, p.n_samples, 256):  # as the writer reads; each read's rows are final in the window
-        hi = min(lo + 256, p.n_samples)
-        reader.read(lo, hi)
-        pieces.append([part[lo - reader.lo : hi - reader.lo].copy() for part in reader.window])
-    for i, values in enumerate(series):
-        assert np.concatenate([piece[i] for piece in pieces]).tobytes() == values.tobytes(), i
 
 
 # ------------------------------------------------- cross product without copies
@@ -564,15 +517,6 @@ def test_chunked_invariant_residual_matches_whole_array_form(monkeypatch, chunk,
     want = np.sqrt(2.0) * np.linalg.norm(vec, axis=1)
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
     assert invariant_residual_series(p, scale).tobytes() == want.tobytes()
-
-
-def test_element_wise_basis_change_matches_the_matrix_product():
-    # the kernel skips the exact zeros of C instead of calling BLAS, whose
-    # rounding depends on the operand shapes; it agrees with it to rounding
-    rng = np.random.default_rng(5)
-    cart = rng.normal(size=(1000, 3)) + 1j * rng.normal(size=(1000, 3))
-    ang = evolution._angular(cart)
-    assert np.abs(ang - cart @ CARTESIAN_FROM_ANGULAR.conj()).max() <= 1e-15
 
 
 def test_cross_product_kernels_memory_budget():

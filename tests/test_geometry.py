@@ -739,8 +739,7 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
 
 ORDERED_READERS = {  # each reader and the number of series a read gives
     "angles": (geometry._AngleRows, 3),
-    "trajectory-streamed": (lambda path: evolution._TrajectoryRows(path, +1), 6),
-    "trajectory-one-tile": (lambda path: evolution._TrajectoryRows(path, +1), 6),
+    "trajectory": (lambda path: evolution._TrajectoryRows(path, +1), 6),
     "residuals": (geometry._ResidualRows, 2),
 }
 
@@ -749,8 +748,7 @@ ORDERED_READERS = {  # each reader and the number of series a read gives
 def test_ordered_readers_keep_one_contract(monkeypatch, kind):
     # a read of the same rows returns the same arrays; a read at row 0
     # restarts; any other read must continue the last one, or it raises.
-    # The scan goes in several tiles, or in one whose window takes every row
-    monkeypatch.setattr(evolution, "_TILE", 1 << 15 if kind == "trajectory-one-tile" else 64)
+    # Every reader computes its rows in several chunks
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 64)
     path = wobble_path(300)
     n = path.n_samples

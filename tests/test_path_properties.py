@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fiberphase import evolution, geometry
+from fiberphase import geometry
 from fiberphase.geometry import FiberPath, helix_path
 
 
@@ -431,11 +431,11 @@ def test_helix_rows_match_the_whole_array_form(helix, reads):
             want_rate, _ = geometry._stencil(kh, lo, hi - lo, path.dt, scale)
             assert rate.tobytes() == want_rate.tobytes(), (lo, hi)
             assert window[lo - start : hi - start].tobytes() == kh[lo:hi].tobytes(), (lo, hi)
-        # the scan's: slabs from one window of rows, with zero rates past the end
+        # a gather of several blocks from one window of rows, with zero rates past the end
         first = np.unique(np.array(firsts) % n)
         window, start = geometry._path_window(path, int(first[0]), int(first[-1]) + width + 1)
-        got = evolution._slab_steps(window, start, first, width, path.dt)
-        want = evolution._slab_steps(kh, 0, first, width, path.dt)
+        got = geometry._stencil(window, first - start, width + 1, path.dt)
+        want = geometry._stencil(kh, first, width + 1, path.dt)
         for part, expected in zip(got, want):
             assert part.tobytes() == expected.tobytes(), (first, width)
 

@@ -1,8 +1,10 @@
 """compute_scenario computes each per-path series once and frees what it no longer reads.
 
-The oracle runs the public stage functions on a fresh, never-cached copy of
-the path for every call, so a stale or shared cached series would show up as
-a bitwise difference.
+The oracle runs the stage functions on a fresh, never-cached copy of the
+path for every call, so a stale or shared cached series would show up as a
+bitwise difference.  The transport's stage is one whole read of the closed
+form, ``evolution._TrajectoryRows``; the tests below compare it with
+``evolve``, and test_transport_properties with the whole-array closed form.
 """
 import json
 import sys
@@ -56,30 +58,17 @@ def _angles(path):
     return spherical_angles(_fresh(path))
 
 
-def _cartesian_states(path, pol):
-    """The scan's Cartesian states, stored as each slab hands them over."""
-    states = np.empty((path.n_samples, 3), dtype=complex)
-
-    def store(rows, cart, h, k_hat):
-        states[rows] = cart
-
-    list(evolution._scan(path, evolution._start(path, pol), store))
-    return states
-
-
 def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     """compute_scenario's columns from the stage functions, each on a fresh path copy, plus 0.0.
 
-    Only the first polarization is evolved; the other is its conjugate, with
-    the three transported phases negated (as 0.0 - x) and the drifts and
-    flags unchanged.  Every column gets + 0.0, which only turns -0.0 into 0.0.
+    Only the first polarization's transport is read; the other is its
+    conjugate, with the three transported phases negated (as 0.0 - x) and
+    the drifts and flags unchanged.  Every column gets + 0.0, which only
+    turns -0.0 into 0.0.
     """
     first = pols[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
-        states = _cartesian_states(_fresh(path), first)
-        dec = phase_decomposition(evolve(_fresh(path), first), _fresh(path))
-        hel = helicity_expectations(evolve(_fresh(path), first), _fresh(path))
+    total, flagged, dynamical, geometric, norm_drift, helicity_drift = evolution._TrajectoryRows(
+        _fresh(path), first).read(0, path.n_samples)
     inv = invariant_residual_series(_fresh(path))
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
     vac_left = fock.vacuum_phase(-1, _angles(path), ordering)
@@ -98,20 +87,20 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
         "phase_vacuum_L": vac_left,
         "phase_vacuum_R": vac_right,
         "phase_vacuum_net": net_series,
-        "norm_drift": np.abs(np.linalg.norm(states, axis=1) - 1.0),
-        "helicity_drift": np.abs(hel - hel[0]),
+        "norm_drift": norm_drift,
+        "helicity_drift": helicity_drift,
         "invariant_residual": np.concatenate([[inv[0]], inv, [inv[-1]]]),
         "motion_residual": geometry.motion_residual(_fresh(path)),
-        "flagged": dec.flagged,
+        "flagged": flagged,
     }
     tables = {}
     for pol in pols:
         sign = (lambda x: x) if pol == first else (lambda x: 0.0 - x)
         columns = {
             **shared,
-            "phase_total": sign(dec.total),
-            "phase_dynamical": sign(dec.dynamical),
-            "phase_geometric": sign(dec.geometric),
+            "phase_total": sign(total),
+            "phase_dynamical": sign(dynamical),
+            "phase_geometric": sign(geometric),
             "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
         }
         tables[pol] = {name: values + 0.0 for name, values in columns.items()}
@@ -169,6 +158,12 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
     assert (summary["vacuum"]["plus_survives"], summary["vacuum"]["minus_survives"]) == got["survives"]
     if case == "equator-flagged":
         assert all(got["tables"][pol]["flagged"][:].any() for pol in pols)
+    # what the chord transport conserves is written as exact zeros, and the geometric phase is the total
+    for pol in pols:
+        table = got["tables"][pol]
+        for name in ("phase_dynamical", "norm_drift", "helicity_drift"):
+            assert not table[name][:].any() and not np.signbit(table[name][:]).any(), (pol, name)
+        _assert_bitwise(table["phase_geometric"][:], table["phase_total"][:], f"{pol} geometric")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -311,12 +306,14 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
 
 
 def test_stage_peaks_stay_near_the_held_result():
-    # evolve builds each slab's h from k_hat, phase_geometric is computed on
-    # read and the k_dot kernels go in quarter chunks; with a whole-array h,
-    # a stored geometric series and full k_dot chunks these were 76, 76, 65
-    # and 89 B/step.  The reduction's pass runs the scan: 27.5 B/step, against
-    # 29.1 while the scan handed its slabs over as reshaped copies and 40.5
-    # while the result held the trajectory's five series
+    # evolve holds k_hat and its five series (57 B/step) and builds each
+    # column's h from k_hat, phase_geometric is computed on read and the
+    # k_dot kernels go in quarter chunks; with a whole-array h, a stored
+    # geometric series and full k_dot chunks these were 76, 76, 65 and 89
+    # B/step.  Now 59.1, 0.14, 0.13 and 15.5: the reduction's pass reads the
+    # transport in closed form, against 27.5 B/step while it ran the tiled
+    # scan, 29.1 while the scan handed its slabs over as reshaped copies and
+    # 40.5 while the result held the trajectory's five series
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -339,12 +336,12 @@ def test_stage_peaks_stay_near_the_held_result():
 
 
 def test_result_holds_no_per_step_series():
-    # the trajectory's columns scan it in each pass and the drifts and the
-    # angle columns are computed when read, and compute_scenario reads no
-    # rows: 0.15 B/step held and 0.16 peak (0.58 and 14.9 while it made a
-    # pass of the angle reader for the final W; 33.6 and 51.4 while the
-    # result held the trajectory's five series, 57 and 64 while it also
-    # held the drifts, the angles and W)
+    # the trajectory's and the angle columns are computed when read, and
+    # compute_scenario reads no rows: 0.05 B/step held and 0.08 peak, so one
+    # pass of any reader, of about 15 B/step, would break the bound (0.58
+    # and 14.9 while it made a pass of the angle reader for the final W;
+    # 33.6 and 51.4 while the result held the trajectory's five series, 57
+    # and 64 while it also held the drifts, the angles and W)
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -353,8 +350,8 @@ def test_result_holds_no_per_step_series():
         held, peak = (value / n_steps for value in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert held <= 2, held  # bytes per step
-    assert peak <= 18, peak
+    assert held <= 1, held  # bytes per step
+    assert peak <= 1, peak
     assert len(result["tables"]) == 2
 
 
@@ -392,22 +389,21 @@ def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols)
         assert sum(computed) == expected * path.n_samples  # every sample's angles once per pass
 
 
-def test_the_passes_reduce_the_scans_cartesian_states(tmp_path, monkeypatch):
-    # the overlap, the norm and <S> = 2 Re psi x Im psi are taken in the
-    # scan's own frame: only SpinorTrajectory.states changes basis
-    def refuse(cart):
-        raise AssertionError("a basis change on a run path")
+def test_the_passes_transport_no_state(tmp_path, monkeypatch):
+    # a run's columns read the transport in closed form, from the swept
+    # areas: no pass carries a state along the path, as evolve does
+    def refuse(k_hat, start):
+        raise AssertionError("a state transported on a run path")
 
-    monkeypatch.setattr(evolution, "_angular", refuse)
+    monkeypatch.setattr(evolution, "_chord_columns", refuse)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
     result = compute_scenario(path, scenario)
     assert np.isfinite(summarize(result, path, scenario)["phases"]["-1"]["geometric"])
     write_results_csv(str(tmp_path), result)
-    assert np.isfinite(evolve(path, 1).geometric).all()
-    with pytest.raises(AssertionError, match="basis change"):
-        evolve(path, 1).states
-    assert not hasattr(evolution, "_spin_vectors")
+    with pytest.raises(AssertionError, match="transported"):
+        evolve(path, 1)
+    assert not hasattr(evolution, "_scan")
 
 
 def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
@@ -417,14 +413,13 @@ def test_sweep_point_arrays_are_freed_before_the_next_point(tmp_path):
 
 
 def test_cone_point_holds_no_path_and_no_trajectory(tmp_path, monkeypatch):
-    # the point reads the trajectory's five series (33 B/step) from the scan,
-    # a tile at a time, in its one reduction, and the helix's rows from its
-    # closed form, a window at a time: 61.4 B/step at 1e5 steps and a slope
-    # of 33 while the path held its samples (32 B/step), 81.6 at 1e5 while
-    # the point also held the series.  What grows with the path now is only
-    # the scan's sqrt(n)-row slabs: 26.9 B/step at 1e5 steps, 14.1 at 2e5, a
-    # slope of 1.3; the bounds leave about 10% and 3 B/step
-    monkeypatch.setattr(evolution, "_TILE", 1 << 12)
+    # the point reads the trajectory's series in closed form, a chunk at a
+    # time, in its one reduction, and the helix's rows from its closed form,
+    # a window at a time: 61.4 B/step at 1e5 steps and a slope of 33 while
+    # the path held its samples (32 B/step), 81.6 at 1e5 while the point also
+    # held the series.  Nothing grows with the path now: 17.1 B/step at 1e5
+    # steps, 8.5 at 2e5, a slope of 0.0 (26.9, 14.1 and 1.3 while the scan's
+    # sqrt(n)-row slabs did, in tiles of 2^12 steps)
     peaks = {n_steps: _sweep_peak(tmp_path, ["40 deg"], n_steps) / n_steps for n_steps in (100_000, 200_000)}
     assert peaks[100_000] < 30, peaks  # bytes per step
     slope = (peaks[200_000] * 200_000 - peaks[100_000] * 100_000) / 100_000
@@ -514,24 +509,30 @@ def _count_calls(monkeypatch, original):
 
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
-    # the trajectory is one scan per pass: none in compute_scenario, the
-    # reduction's, and the writer's one for every table.  No pass stores the
-    # (n, 3) states, which would need a scan of their own
-    scans = _count_calls(monkeypatch, evolution._scan)
+    # the trajectory is one closed-form pass per pass: none in
+    # compute_scenario, the reduction's, and the writer's one for every
+    # table.  No pass transports or stores the (n, 3) states
+    restarts, original = [], evolution._TrajectoryRows._restart
+
+    def restart(reader):
+        restarts.append(reader)
+        original(reader)
 
     def no_states(traj):
         raise AssertionError("compute_scenario materialised the (n, 3) states")
 
+    monkeypatch.setattr(evolution._TrajectoryRows, "_restart", restart)
     monkeypatch.setattr(evolution.SpinorTrajectory, "states", property(no_states))
+    transported = _count_calls(monkeypatch, evolution._chord_columns)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
     result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     assert list(result["tables"]) == list(pols)
-    assert len(scans) == 0
+    assert len(restarts) == 0
     _reduce(_all_columns(result))
-    assert len(scans) == 1
+    assert len(restarts) == 1
     write_results_csv(str(tmp_path), result)
-    assert len(scans) == 2
-    assert all(np.array_equal(start, evolution._start(path, pols[0])) for _, start, _ in scans)
+    assert len(restarts) == 2 and restarts[0] is restarts[1]
+    assert restarts[0].sign == pols[0] and not transported
 
 
 # ------------------------------------------- residual columns computed when read
