@@ -433,6 +433,61 @@ def test_invariant_residual_matches_commutator_form(make_path, scale):
     assert np.abs(invariant_residual_series(p, scale=scale) - _dense_residual(p, scale)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("make_path", ORACLE_PATHS)
+@pytest.mark.parametrize("chunk", [5, 37, 1000])
+def test_chunked_closed_form_matches_dense_exponential(monkeypatch, make_path, chunk):
+    # the results columns' closed form, read in 1 to about 800 chunks, is the
+    # overlap phase of the dense per-step exponentials (3.0e-13 at most
+    # measured); those states keep their norm and their helicity -sigma to
+    # rounding (1.5e-12 at most), which the zero drift columns write exactly
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+    p = make_path()
+    for pol in (+1, -1):
+        states = _dense_states(p, pol)
+        total, flagged, dynamical, geometric, norm_drift, helicity_drift = evolution._TrajectoryRows(p, pol).read(
+            0, p.n_samples)
+        assert not flagged.any()
+        assert np.abs(total - np.unwrap(np.angle(states @ states[0].conj()))).max() <= 1e-12
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 5e-12
+        assert np.abs(_dense_expectation(states, p.k_hat) + pol).max() <= 5e-12
+        assert geometric is total and not (dynamical.any() or norm_drift.any() or helicity_drift.any())
+
+
+def test_many_block_evolve_matches_dense_exponential():
+    # 2 ** 15 + 2 ** 12 steps: 192 blocks of 193 samples, the last one of 2,
+    # whose frames are composed through the carry (4.5e-13 and 9.3e-13 measured)
+    p = helix_path(0.9, 1.0, 1.0, 2.0, (1 << 15) + (1 << 12))
+    traj = evolve(p, +1)
+    states = _dense_states(p, +1)
+    assert np.abs(traj.states - states).max() <= 5e-12
+    assert np.abs(traj.helicity - _dense_expectation(states, p.k_hat)).max() <= 5e-12
+
+
+@pytest.mark.parametrize("pol", [+1, -1])
+def test_states_in_the_angular_basis_are_helicity_eigenstates(pol):
+    # the chord steps run in the Cartesian frame and states changes basis row
+    # by row: each row is the eigenstate of k_hat . S with eigenvalue -sigma
+    p = _wobble(4096)
+    states = evolve(p, pol).states
+    image = np.einsum("njk,nk->nj", _operators(p.k_hat), states)
+    assert np.abs(image + pol * states).max() <= 1e-12
+
+
+def test_evolve_transports_once_and_its_states_once_more(monkeypatch):
+    # evolve measures its five read-only series in one transport; the states
+    # are transported again on their first read only, and cached read-only
+    calls, original = [], evolution._chord_columns
+    monkeypatch.setattr(evolution, "_chord_columns", lambda *args: calls.append(args) or original(*args))
+    p = _wobble(1000)
+    traj = evolve(p, -1)
+    assert len(calls) == 1
+    assert not any(part.flags.writeable for part in (traj.total, traj.flagged, traj.dynamical, traj.helicity,
+                                                     traj.norms))
+    states = traj.states
+    assert len(calls) == 2 and traj.states is states and not states.flags.writeable
+    assert np.abs(np.linalg.norm(states, axis=1) - traj.norms).max() <= 1e-15
+
+
 def test_evolve_block_scan_any_length():
     # step counts around the sqrt(n) x sqrt(n) block edges, including a
     # padded last block and a single block

@@ -740,6 +740,7 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
 ORDERED_READERS = {  # each reader and the number of series a read gives
     "angles": (geometry._AngleRows, 3),
     "trajectory": (lambda path: evolution._TrajectoryRows(path, +1), 6),
+    "trajectory-one-chunk": (lambda path: evolution._TrajectoryRows(path, +1), 6),
     "residuals": (geometry._ResidualRows, 2),
 }
 
@@ -748,8 +749,9 @@ ORDERED_READERS = {  # each reader and the number of series a read gives
 def test_ordered_readers_keep_one_contract(monkeypatch, kind):
     # a read of the same rows returns the same arrays; a read at row 0
     # restarts; any other read must continue the last one, or it raises.
-    # Every reader computes its rows in several chunks
-    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 64)
+    # Every reader computes its rows in several chunks, or the trajectory's
+    # in one whose window takes every row
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 15 if kind == "trajectory-one-chunk" else 64)
     path = wobble_path(300)
     n = path.n_samples
     make, count = ORDERED_READERS[kind]

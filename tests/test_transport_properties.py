@@ -7,8 +7,9 @@ and interpolated over the flagged ones, computed ``_CHUNK_ROWS`` rows at a
 time as they are read.  Whatever the chunks and the reads, its rows must be
 bit for bit the whole-array form, and they must agree row by row with
 ``evolve``, which carries the state along the same chords under H and
-measures every series from it.  Some paths pass through the antipode of
-their start, so samples get flagged.
+measures every series from it; those series in turn must be bit for bit
+the whole-array forms of the states it carried.  Some paths pass through
+the antipode of their start, so samples get flagged.
 """
 import warnings
 
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberphase import evolution, geometry
-from fiberphase.evolution import evolve
+from fiberphase.evolution import evolve, phase_decomposition
 from fiberphase.geometry import FiberPath, helix_path
 
 
@@ -184,6 +185,94 @@ def test_closed_form_matches_evolve_row_by_row(path):
         assert np.abs(total - traj.total)[clear].max(initial=0.0) <= 1e-13, pol
         assert np.abs(traj.norms - 1.0).max() <= 1e-13 and np.abs(traj.dynamical).max() <= 1e-13, pol
     assert np.abs(trajs[-1].total + trajs[1].total)[clear].max(initial=0.0) <= 1e-13
+
+
+# ------------------------------------------------ evolve against its own states
+
+def _cartesian_states(path, pol):
+    """The Cartesian states of evolve's transport, stored as each column of blocks hands them over."""
+    states = np.empty((path.n_samples, 3), dtype=complex)
+    for rows, psi in evolution._chord_columns(path.k_hat, evolution._start(path, pol)):
+        states[rows] = psi
+    return states
+
+
+def _whole_array_series(path, states):
+    """The five trajectory series from the Cartesian states with whole-array numpy: the oracle.
+
+    The total phase is np.unwrap of the unflagged overlap angles and
+    np.interp over the flagged samples; the dynamical phase is the cumsum of
+    the trapezoids of -h . <S>, with <S> = 2 Re psi x Im psi.
+    """
+    ref = states[0].conj()
+    overlaps = states[:, 0] * ref[0] + states[:, 1] * ref[1] + states[:, 2] * ref[2]
+    spin = 2.0 * np.cross(states.real, states.imag)
+    energy = _dot(evolution.hamiltonian_coefficients(path), spin)
+    flagged = np.abs(overlaps) < evolution.OVERLAP_FLOOR
+    total = _unwrapped(np.angle(overlaps), flagged)
+    dynamical = np.cumsum(np.concatenate([[0.0], (energy[1:] + energy[:-1]) * (-0.5 * path.dt)]))
+    return {"total": total, "flagged": flagged, "dynamical": dynamical, "helicity": _dot(path.k_hat, spin),
+            "norms": np.linalg.norm(states, axis=1)}
+
+
+SERIES = ("total", "flagged", "dynamical", "helicity", "norms")
+
+
+@settings(max_examples=120, deadline=None)
+@given(path=PATHS, pol=st.sampled_from([1, -1]))
+@example(path=_half_turn_path(12, 9), pol=1)
+def test_reduced_observables_match_whole_array_forms_of_the_states(path, pol):
+    # evolve measures each column of blocks as the transport hands it over;
+    # its series are bit for bit those of the states it carried, read-only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        traj = evolve(path, pol)
+    want = _whole_array_series(path, _cartesian_states(path, pol))
+    for name in SERIES:
+        assert _same_bits(getattr(traj, name), want[name]), name
+        assert not getattr(traj, name).flags.writeable, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=PATHS.flatmap(_with_chunk))
+def test_chunked_phase_decomposition_matches_whole_array(case):
+    # the unwrap goes in chunks inside evolve; phase_decomposition hands the
+    # trajectory itself over, not copies
+    path, chunk = case
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        traj = evolve(path, +1)
+    want = _whole_array_series(path, _cartesian_states(path, +1))
+    dec = phase_decomposition(traj, path)
+    assert dec is traj
+    for name in ("total", "dynamical", "flagged"):
+        assert _same_bits(getattr(dec, name), want[name]), name
+    assert _same_bits(dec.geometric, want["total"] - want["dynamical"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=PATHS, pol=st.sampled_from([1, -1]))
+def test_chord_columns_hand_over_every_row_once_as_the_stepwise_transport(path, pol):
+    # the columns of about sqrt(n) blocks give every sample once, column by
+    # column; the composed block frames carry the state as one chord rotation
+    # after another, R = I + K + K^2 / (1 + a . b) with K the cross-product
+    # matrix of a x b, does to rounding
+    start = evolution._start(path, pol)
+    handed = [rows for rows, _ in evolution._chord_columns(path.k_hat, start)]
+    assert all(np.all(np.diff(rows) > 0) for rows in handed)
+    assert _same_bits(np.sort(np.concatenate(handed)), np.arange(path.n_samples))
+    kh = path.k_hat
+    v = np.cross(kh[:-1], kh[1:])
+    cross = np.zeros((len(v), 3, 3))
+    cross[:, [2, 0, 1], [1, 2, 0]] = v
+    cross[:, [1, 2, 0], [2, 0, 1]] = -v
+    steps = np.eye(3) + cross + cross @ cross / (1.0 + _dot(kh[:-1], kh[1:]))[:, None, None]
+    want = np.empty((path.n_samples, 3), dtype=complex)
+    want[0] = start
+    for i, step in enumerate(steps):
+        want[i + 1] = step @ want[i]
+    assert np.abs(_cartesian_states(path, pol) - want).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n, m", [(40, 20), (41, 38), (300, 150)])
