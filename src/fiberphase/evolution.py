@@ -181,9 +181,9 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     ``-polarization``.  Step i is H's exact propagator along the geodesic
     from k_hat_i to k_hat_(i+1), a real rotation, so norms are preserved to
     rounding.  Each series is measured from the states, a column of blocks
-    at a time, with h from the stencil; the unflagged overlap angles are
-    unwrapped a chunk at a time, and samples passing nearly orthogonal to
-    the initial state are flagged and interpolated, with an
+    at a time, with h from the stencil; the overlap angles are unwrapped,
+    and those of samples passing nearly orthogonal to the initial state
+    flagged and interpolated, by the results columns' reader, with an
     :class:`OrthogonalPassageWarning`.  No run path calls it: the results
     columns read the closed form of ``_TrajectoryRows``.
     """
@@ -203,13 +203,10 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     energy[1:] = (energy[1:] + energy[:-1]) * (-0.5 * dt)  # trapezoid i of -h . <S>, then their running sum
     energy[0] = 0.0
     dynamical = np.cumsum(energy, out=energy)
-    good = ~flagged
-    angles, unwrap = total[good], geometry._Unwrap()
-    for rows in geometry._row_slices(0, len(angles)):
-        unwrap(angles[rows])
-    total[good] = angles
+    reader = _TrajectoryRows(path, polarization, (total, flagged))  # the closed form's unwrap and interpolation
+    for rows in geometry._row_slices(0, len(total)):
+        total[rows] = reader.read(rows.start, rows.stop)[0]  # the reader has copied these rows of total
     if count := int(np.count_nonzero(flagged)):
-        total[flagged] = np.interp(np.flatnonzero(flagged), np.flatnonzero(good), angles)
         warnings.warn(_passage_warning(count), stacklevel=2)
     return SpinorTrajectory(path, polarization, *map(_read_only, (total, flagged, dynamical, helicity, norms)))
 
@@ -246,12 +243,14 @@ class _TrajectoryRows(geometry._OrderedRows):
     :func:`evolve`'s angles are.  The dynamical phase and the drifts are
     exact zeros, and the geometric phase is the total.  Rows are computed
     ``_CHUNK_ROWS`` at a time; the fan's sum, the unwrap and a flagged run
-    waiting for its next unflagged neighbour carry from chunk to chunk.
+    waiting for its next unflagged neighbour carry from chunk to chunk, and
+    a read copies its rows out as they become final.  Given ``measured``,
+    :func:`evolve`'s (angles, flags), it reads those rows instead of the fan.
     """
 
-    def __init__(self, path: FiberPath, polarization: int):
+    def __init__(self, path: FiberPath, polarization: int, measured=None):
         super().__init__(path)
-        self.sign = _check_polarization(polarization)
+        self.sign, self.measured = _check_polarization(polarization), measured
         self.k0 = path.rows(0, 1)[1][0]
         apex = _cross(self.k0, np.eye(3)[np.argmin(np.abs(self.k0))])
         self.apex = apex / np.linalg.norm(apex)
@@ -263,6 +262,8 @@ class _TrajectoryRows(geometry._OrderedRows):
 
     def _angles(self, first: int, stop: int):
         """The wrapped overlap angles and the flags of rows [first, stop); the fan's sum is carried to the next rows."""
+        if self.measured is not None:
+            return tuple(series[first:stop] for series in self.measured)
         k_hat = self.path.rows(max(first - 1, 0), stop)[1]  # the triangles that end at rows first .. stop - 1
         k0, apex = self.k0, self.apex
         a, b = k_hat[:-1], k_hat[1:]
@@ -279,12 +280,12 @@ class _TrajectoryRows(geometry._OrderedRows):
         angle = np.remainder(self.sign * fan + np.pi, 2.0 * np.pi) - np.pi
         return angle, (1.0 + height[len(height) - len(fan) :]) * 0.5 < OVERLAP_FLOOR
 
-    def _next_chunk(self, keep: int):
-        """Compute the next chunk of rows into the window, which keeps the rows from ``keep`` and the last final one on."""
+    def _next_chunk(self):
+        """Compute the next chunk of rows into the window, which keeps the rows from the last final one on."""
         first, n, ready = self.hi, self.path.n_samples, self.ready
         stop = min(first + geometry._CHUNK_ROWS, n)
         angle, flags = self._angles(first, stop)
-        lo = max(min(keep, ready - 1), self.lo)
+        lo = max(ready - 1, 0)
         self.total = total = np.concatenate([self.total[lo - self.lo :], angle])
         self.flagged = flagged = np.concatenate([self.flagged[lo - self.lo :], flags])
         self.lo, self.hi = lo, stop
@@ -300,10 +301,16 @@ class _TrajectoryRows(geometry._OrderedRows):
             total[hits - lo] = np.interp(hits, nodes, total[nodes - lo])
 
     def _next(self, start: int, stop: int):
-        while self.ready < stop:
-            self._next_chunk(start)
-        total, zeros = self.total[start - self.lo : stop - self.lo], np.zeros(max(stop - start, 0))
-        return total, self.flagged[start - self.lo : stop - self.lo], zeros, total, zeros, zeros
+        total, flagged = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0), bool)
+        while True:  # copy the window's final rows of this read out (none is below the window), then compute more
+            lo, hi = max(start, self.lo), max(min(stop, self.ready), start)
+            total[lo - start : hi - start] = self.total[lo - self.lo : hi - self.lo]
+            flagged[lo - start : hi - start] = self.flagged[lo - self.lo : hi - self.lo]
+            if self.ready >= stop:
+                break
+            self._next_chunk()
+        zeros = np.zeros(len(total))
+        return total, flagged, zeros, total, zeros, zeros
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:

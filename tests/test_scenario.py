@@ -310,7 +310,7 @@ def test_stage_peaks_stay_near_the_held_result():
     # column's h from k_hat, phase_geometric is computed on read and the
     # k_dot kernels go in quarter chunks; with a whole-array h, a stored
     # geometric series and full k_dot chunks these were 76, 76, 65 and 89
-    # B/step.  Now 59.1, 0.14, 0.13 and 15.5: the reduction's pass reads the
+    # B/step.  Now 59.1, 0.16, 0.15 and 15.9: the reduction's pass reads the
     # transport in closed form, against 27.5 B/step while it ran the tiled
     # scan, 29.1 while the scan handed its slabs over as reshaped copies and
     # 40.5 while the result held the trajectory's five series
