@@ -459,8 +459,8 @@ def test_many_block_evolve_matches_dense_exponential():
     p = helix_path(0.9, 1.0, 1.0, 2.0, (1 << 15) + (1 << 12))
     traj = evolve(p, +1)
     states = _dense_states(p, +1)
-    assert np.abs(traj.states - states).max() <= 5e-12
-    assert np.abs(traj.helicity - _dense_expectation(states, p.k_hat)).max() <= 5e-12
+    assert np.abs(traj.states - states).max() <= 1e-12
+    assert np.abs(traj.helicity - _dense_expectation(states, p.k_hat)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("pol", [+1, -1])
