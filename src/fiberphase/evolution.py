@@ -205,7 +205,7 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     dynamical = np.cumsum(energy, out=energy)
     reader = _TrajectoryRows(path, polarization, (total, flagged))  # the closed form's unwrap and interpolation
     for rows in geometry._row_slices(0, len(total)):
-        total[rows] = reader.read(rows.start, rows.stop)[0]  # the reader has copied these rows of total
+        total[rows] = reader.read(rows.start, rows.stop)[0]  # rows its window has already copied from total
     if count := int(np.count_nonzero(flagged)):
         warnings.warn(_passage_warning(count), stacklevel=2)
     return SpinorTrajectory(path, polarization, *map(_read_only, (total, flagged, dynamical, helicity, norms)))
