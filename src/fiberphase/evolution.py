@@ -24,13 +24,15 @@ which H is constant, so its exact step is the paper's finite rotation
 between the samples (``geometry.rotation_vectors``).  :func:`evolve`
 composes these steps and measures every series from the states; the
 results columns read the same transport in closed form, from the swept
-areas (``_TrajectoryRows``).
+areas (``_fan`` and ``_unwrapped``).
 """
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -102,8 +104,7 @@ def hamiltonian_coefficients(path: FiberPath) -> np.ndarray:
     agrees with ``h[:-1]`` to first order in dt.
     """
     h = np.empty((path.n_samples, 3))
-    for rows in geometry._stencil_slices(0, path.n_samples):
-        k_hat, lo = geometry._path_window(path, rows.start, rows.stop)
+    for rows, _, k_hat, lo in geometry._windows(path):
         rate = geometry._stencil(k_hat, rows.start - lo, rows.stop - rows.start, path.dt)[0]
         h[rows] = _cross(k_hat[rows.start - lo : rows.stop - lo], rate)
     return _read_only(h)
@@ -183,9 +184,9 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     rounding.  Each series is measured from the states, a column of blocks
     at a time, with h from the stencil; the overlap angles are unwrapped,
     and those of samples passing nearly orthogonal to the initial state
-    flagged and interpolated, by the results columns' reader, with an
-    :class:`OrthogonalPassageWarning`.  No run path calls it: the results
-    columns read the closed form of ``_TrajectoryRows``.
+    flagged and interpolated, by the results columns' ``_unwrapped``, with
+    an :class:`OrthogonalPassageWarning`.  No run path calls it: the results
+    columns read the closed form of ``_fan``.
     """
     k_hat, dt = path.k_hat, path.dt
     start = _start(path, polarization)
@@ -203,9 +204,9 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     energy[1:] = (energy[1:] + energy[:-1]) * (-0.5 * dt)  # trapezoid i of -h . <S>, then their running sum
     energy[0] = 0.0
     dynamical = np.cumsum(energy, out=energy)
-    reader = _TrajectoryRows(path, polarization, (total, flagged))  # the closed form's unwrap and interpolation
-    for rows in geometry._row_slices(0, len(total)):
-        total[rows] = reader.read(rows.start, rows.stop)[0]  # rows its window has already copied from total
+    pieces = ((total[rows], flagged[rows], rows) for rows in geometry._row_slices(0, len(total)))
+    for angle, _, rows in _unwrapped(pieces):
+        total[rows] = angle  # rows the unwrap has already copied from total
     if count := int(np.count_nonzero(flagged)):
         warnings.warn(_passage_warning(count), stacklevel=2)
     return SpinorTrajectory(path, polarization, *map(_read_only, (total, flagged, dynamical, helicity, norms)))
@@ -222,8 +223,8 @@ def _area(p, a, b):
     return 2.0 * np.arctan2(_dot(p, _cross(a, b)), 1.0 + _dot(p, a) + _dot(p, b) + _dot(a, b))
 
 
-class _TrajectoryRows(geometry._OrderedRows):
-    """Rows of the results series of the chord-transported state, in closed form from the path's k_hat rows.
+def _fan(windows, polarization: int):
+    """(wrapped overlap angle, flags, window) of the chord transport, per window of ``geometry._windows``; a generator.
 
     Each chord step turns psi about k_i x k_(i+1), perpendicular to <S> =
     -sigma k_hat, and keeps it a unit helicity eigenstate, so <psi_0|psi_i>
@@ -234,83 +235,70 @@ class _TrajectoryRows(geometry._OrderedRows):
     ill-conditioned, and its rounding would stay in every later row, so one
     with a vertex where k0 . k < ``_FAR`` is split about an apex p
     perpendicular to k0, as (p, a, b) + (p, b, k0) - (p, a, k0), whose
-    closing triangles cancel from one step to the next.
-
-    A read gives total, flagged, dynamical, geometric and the norm and
-    helicity drifts.  A row is flagged where (1 + k0 . k_i) / 2 <
-    ``OVERLAP_FLOOR``; sigma fan_i, wrapped to [-pi, pi), is unwrapped over
-    the unflagged rows and interpolated over the flagged ones, as
-    :func:`evolve`'s angles are.  The dynamical phase and the drifts are
-    exact zeros, and the geometric phase is the total.  Rows are computed
-    ``_CHUNK_ROWS`` at a time; the fan's sum, the unwrap and a flagged run
-    waiting for its next unflagged neighbour carry from chunk to chunk, and
-    a read copies its rows out as they become final.  Given ``measured``,
-    :func:`evolve`'s (angles, flags), it reads those rows instead of the fan.
+    closing triangles cancel from one step to the next.  The angle is sigma
+    fan_i wrapped to [-pi, pi), and a row is flagged where (1 + k0 . k_i) /
+    2 < ``OVERLAP_FLOOR``; the fan's sum carries from chunk to chunk.
     """
-
-    def __init__(self, path: FiberPath, polarization: int, measured=None):
-        super().__init__(path)
-        self.sign, self.measured = _check_polarization(polarization), measured
-        self.k0 = path.rows(0, 1)[1][0]
-        apex = _cross(self.k0, np.eye(3)[np.argmin(np.abs(self.k0))])
-        self.apex = apex / np.linalg.norm(apex)
-
-    def _restart(self):
-        self.unwrap, self.fan = geometry._Unwrap(), 0.0
-        self.lo = self.hi = self.ready = 0  # the window holds rows lo .. hi - 1, final below ready
-        self.total, self.flagged = np.empty(0), np.empty(0, bool)
-
-    def _angles(self, first: int, stop: int):
-        """The wrapped overlap angles and the flags of rows [first, stop); the fan's sum is carried to the next rows."""
-        if self.measured is not None:
-            return tuple(series[first:stop] for series in self.measured)
-        k_hat = self.path.rows(max(first - 1, 0), stop)[1]  # the triangles that end at rows first .. stop - 1
-        k0, apex = self.k0, self.apex
+    sign, fan = _check_polarization(polarization), 0.0
+    for window in windows:
+        rows, _, k_hat, lo = window
+        if rows.start == 0:
+            k0 = k_hat[0]
+            apex = _cross(k0, np.eye(3)[np.argmin(np.abs(k0))])
+            apex = apex / np.linalg.norm(apex)
+        k_hat = k_hat[max(rows.start - 1, 0) - lo : rows.stop - lo]  # the triangles that end at the chunk's rows
         a, b = k_hat[:-1], k_hat[1:]
         area, height = _area(k0, a, b), _dot(k_hat, k0)
         split = (height[:-1] < _FAR) | (height[1:] < _FAR)
         area[split] = _area(apex, a[split], b[split]) + _area(apex, b[split], k0) - _area(apex, a[split], k0)
-        if first <= 1:
+        if rows.start <= 1:
             area[:1] = 0.0  # the degenerate triangle (k0, k0, k1)
-        if first == 0:
+        if rows.start == 0:
             area = np.concatenate([[0.0], area])  # row 0
-        area[0] += self.fan  # where a whole-array cumsum adds it
-        fan = np.cumsum(area, out=area)
-        self.fan = fan[-1]
-        angle = np.remainder(self.sign * fan + np.pi, 2.0 * np.pi) - np.pi
-        return angle, (1.0 + height[len(height) - len(fan) :]) * 0.5 < OVERLAP_FLOOR
+        area[0] += fan  # where a whole-array cumsum adds it
+        np.cumsum(area, out=area)
+        fan = area[-1]
+        angle = np.remainder(sign * area + np.pi, 2.0 * np.pi) - np.pi
+        yield angle, (1.0 + height[len(height) - len(area) :]) * 0.5 < OVERLAP_FLOOR, window
 
-    def _next_chunk(self):
-        """Compute the next chunk of rows into the window, which keeps the rows from the last final one on."""
-        first, n, ready = self.hi, self.path.n_samples, self.ready
-        stop = min(first + geometry._CHUNK_ROWS, n)
-        angle, flags = self._angles(first, stop)
-        lo = max(ready - 1, 0)
-        self.total = total = np.concatenate([self.total[lo - self.lo :], angle])
-        self.flagged = flagged = np.concatenate([self.flagged[lo - self.lo :], flags])
-        self.lo, self.hi = lo, stop
-        kept = np.flatnonzero(~flags) + (first - lo)
-        total[kept] = self.unwrap(total[kept])  # bitwise np.unwrap of all the unflagged angles so far
-        # np.interp's value at a point reads only the two unflagged rows around it: the rows up to the last
-        # unflagged one are final, and a flagged run after it waits for its next unflagged neighbour
-        clear = np.flatnonzero(~flagged[ready - lo :]) + ready
-        self.ready = n if stop == n else clear[-1] + 1 if len(clear) else ready
-        hits = np.flatnonzero(flagged[ready - lo : self.ready - lo]) + ready
+
+def _unwrapped(pieces):
+    """(total phase, flags, tag) of each (wrapped angle, flagged, tag) piece, in order; a generator.
+
+    The unflagged angles are unwrapped as one sequence (``geometry._Unwrap``)
+    and the flagged ones interpolated between their unflagged neighbours:
+    bit for bit ``np.interp`` over ``np.unwrap`` of the whole series.  As
+    np.interp's value at a row reads only the two unflagged rows around it,
+    a piece is handed on once its last flagged run has met its next
+    unflagged row, or the pieces have ended.  The window kept holds the rows
+    from the first one not handed on, or the last final one.
+    """
+    unwrap, stops = geometry._Unwrap(), deque()
+    lo = ready = done = 0  # the window's first row, the first row not final, the first not handed over
+    total, flagged = np.empty(0), np.empty(0, bool)
+    for piece in chain(pieces, [None]):
+        if piece is None:  # past the last piece, every row is final
+            final = lo + len(total)
+        else:
+            angle, flags, tag = piece
+            keep, first = min(done, max(ready - 1, 0)), lo + len(total)
+            total = np.concatenate([total[keep - lo :], angle])
+            flagged = np.concatenate([flagged[keep - lo :], flags])
+            lo = keep
+            stops.append((first + len(angle), tag))
+            kept = np.flatnonzero(~flags) + (first - lo)
+            total[kept] = unwrap(total[kept])  # bitwise np.unwrap of all the unflagged angles so far
+            clear = np.flatnonzero(~flagged[ready - lo :]) + ready
+            final = clear[-1] + 1 if len(clear) else ready
+        hits = np.flatnonzero(flagged[ready - lo : final - lo]) + ready
         if len(hits):
-            nodes = np.flatnonzero(~flagged[max(ready - 1, 0) - lo : self.ready + 1 - lo]) + max(ready - 1, 0)
+            nodes = np.flatnonzero(~flagged[max(ready - 1, 0) - lo : final + 1 - lo]) + max(ready - 1, 0)
             total[hits - lo] = np.interp(hits, nodes, total[nodes - lo])
-
-    def _next(self, start: int, stop: int):
-        total, flagged = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0), bool)
-        while True:  # copy the window's final rows of this read out (none is below the window), then compute more
-            lo, hi = max(start, self.lo), max(min(stop, self.ready), start)
-            total[lo - start : hi - start] = self.total[lo - self.lo : hi - self.lo]
-            flagged[lo - start : hi - start] = self.flagged[lo - self.lo : hi - self.lo]
-            if self.ready >= stop:
-                break
-            self._next_chunk()
-        zeros = np.zeros(len(total))
-        return total, flagged, zeros, total, zeros, zeros
+        ready = final
+        while stops and stops[0][0] <= ready:
+            stop, tag = stops.popleft()
+            yield total[done - lo : stop - lo], flagged[done - lo : stop - lo], tag
+            done = stop
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:
@@ -320,10 +308,10 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
     than the effective one leaves an O(1) residual.  These are the rows
-    1 .. n-2 of ``geometry._ResidualRows``, whose n rows a results column
+    1 .. n-2 of ``geometry._residuals``, whose n rows a results column
     reads a chunk at a time.
     """
-    return geometry._ResidualRows(path, scale).read(0, path.n_samples)[0][1:-1]
+    return np.concatenate([geometry._residuals(path, window, scale)[0] for window in geometry._windows(path)])[1:-1]
 
 
 def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 POLE_SIN_TOL = 1e-9  # below this sin(polar), the azimuth is held constant
-_CHUNK_ROWS = 1 << 14  # rows per chunk of a row-wise pass; bounds its temporaries
+_CHUNK_ROWS = 1 << 12  # rows per chunk of a row-wise pass; bounds its temporaries, of up to about 150 B per row
 _PARSE_LINES = 1 << 13  # lines per parse block of load_path; bounds the lines held at once
 
 
@@ -49,11 +49,6 @@ def _row_slices(start: int, stop: int, step: int | None = None):
     step = _CHUNK_ROWS if step is None else step
     for lo in range(start, stop, step):
         yield slice(lo, min(lo + step, stop))
-
-
-def _stencil_slices(start: int, stop: int):
-    """``_row_slices`` in quarter chunks, for the kernels of up to about 150 B per row (residuals, h, angles)."""
-    return _row_slices(start, stop, max(_CHUNK_ROWS // 4, 1))
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -85,6 +80,12 @@ class FiberPath:
     order, and keeps the grid step ``dt``.  The path holds nothing else
     derived, and the arrays of a held path must not be modified once a
     stage has read them.
+
+    The transport's closed form (the swept areas) and :func:`evolve
+    <fiberphase.evolution.evolve>` agree to about 1e-13 only on rows that
+    are unit to rounding: rows off unit by up to the accepted 1e-9 gave
+    final phases 1.2e-9 apart at 1e5 steps.  ``load_path`` and
+    ``helix_path`` give rows unit to rounding.
     """
 
     n_samples: int
@@ -209,7 +210,8 @@ def _check_cone_angle(cone_angle) -> None:
 def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     """Uniform helix: k_hat(t) = (sin c cos wt, sin c sin wt, cos c).
 
-    ``n_steps``, a Python or numpy integer, counts time steps (n_steps + 1
+    ``n_steps``, a Python or numpy integer below 2**53 (past it the sample
+    times i * step are no longer exact), counts time steps (n_steps + 1
     samples) over ``n_cycles`` full turns of the azimuth; at least 16 steps
     per cycle are required.  ``omega`` may be negative for clockwise
     winding.  The path holds only these parameters: its rows are evaluated
@@ -223,6 +225,8 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     if not _is_integer(n_steps):
         raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     n_steps = int(n_steps)
+    if n_steps >= 2**53:
+        raise ValueError(f"n_steps must be below 2**53, got {n_steps!r}")
     if n_steps < 16 * n_cycles:
         raise ValueError("need at least 16 steps per cycle")
     duration = 2.0 * np.pi * n_cycles / abs(omega)
@@ -338,95 +342,50 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
     is taken, so steps stay below pi.  The three series are one pass of
-    ``_AngleRows`` over quarter chunks of samples.
+    ``_angle_chunks``.
     """
     n = path.n_samples
-    reader, series = _AngleRows(path), (np.empty(n), np.empty(n), np.empty(n))
-    for rows in _stencil_slices(0, n):
-        for out, values in zip(series, reader.read(rows.start, rows.stop)):
-            out[rows] = values
-    polar, azimuth, w = series
+    polar, azimuth, w = series = (np.empty(n), np.empty(n), np.empty(n))
+    for rows, values in zip(_row_slices(0, n), _angle_chunks(_windows(path), path.dt)):
+        for out, part in zip(series, values):
+            out[rows] = part
     return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth, solid_angle=_read_only(w))
 
 
-class _OrderedRows:
-    """Rows of a tuple of series of a path, computed in order as they are read: the one ordered-read contract.
+def _angle_chunks(windows, dt: float):
+    """The polar angle, azimuth and W of each chunk of rows, from the chunks' ``_windows``; a generator.
 
-    ``read(start, stop)`` gives rows [start, stop) of every series.  A read
-    of the same rows again returns the same arrays; a read at row 0
-    restarts (``_restart``); any other read must continue the last one, or
-    it raises ValueError.  A subclass computes the rows of a read that
-    continues the last one in ``_next(start, stop)``.
+    The azimuth unwrap (``_Azimuth``), the last W and the at most 3 samples
+    the next chunk's rates read carry from chunk to chunk; each row's angles
+    are computed once.
     """
-
-    rows = values = None  # the rows last read, and their series
-
-    def __init__(self, path: FiberPath):
-        self.path = path
-
-    def _restart(self):
-        """Forget what a pass carries from one read to the next."""
-
-    def read(self, start: int, stop: int):
-        if (start, stop) == self.rows:
-            return self.values
-        if start == 0:
-            self._restart()
-        elif self.rows is None or start != self.rows[1]:
-            raise ValueError(f"rows are read in order from row 0; [{start}, {stop}) does not follow {self.rows}")
-        self.rows = self.values = None  # the last rows go before this read's are computed
-        self.rows, self.values = (start, stop), self._next(start, stop)
-        return self.values
-
-
-class _AngleRows(_OrderedRows):
-    """Rows of the polar angle, azimuth and W of a path, computed from its ``k_hat`` in order as they are read.
-
-    A read carries to the next the azimuth unwrap (``_Azimuth``), the last
-    W and the samples the next rates read.
-    """
-
-    def _restart(self):
-        self.turns = _Azimuth()
-        self.lo = self.hi = 0  # the window: polar angle and azimuth of samples lo .. hi - 1
-        self.window = (np.empty(0), np.empty(0))
-        self.last_w = None  # W at the row before the next read
-
-    def _next(self, start: int, stop: int):
-        if stop <= start:
-            return (np.empty(0),) * 3
+    turns, last_w = _Azimuth(), None
+    lo = hi = 0  # the angles held: polar angle and azimuth of samples lo .. hi - 1
+    held = (np.empty(0), np.empty(0))
+    for rows, _, k_hat, first_row in windows:
+        start, stop = rows.start, rows.stop
         # trapezoid i spans samples i and i + 1, so the one ending at row start
         # reads the rate at start - 1, from samples start - 2 .. start; W
         # before it enters its term, where a whole-array cumsum adds it
-        lo, first = max(start - 2, 0), max(start - 1, 0)
-        held = [part[lo - self.lo :].copy() for part in self.window]  # at most 3 samples
-        self.window = None  # the last rows go before this read's are computed
-        # the rate at row stop - 1 reads sample stop, and the one-sided stencil at row 0 samples 1 and 2
-        k_hat = self.path.rows(self.hi, max(stop + 1, 3))[1]
+        keep, first = max(start - 2, 0), max(start - 1, 0)
+        k_hat = k_hat[hi - first_row :]  # the rate at row stop - 1 reads sample stop, and row 0's samples 1 and 2
         polar = np.clip(k_hat[:, 2], -1.0, 1.0)
         np.arccos(polar, out=polar)
         azimuth = np.arctan2(k_hat[:, 1], k_hat[:, 0])
         if len(azimuth):
-            self.turns(azimuth, np.hypot(k_hat[:, 0], k_hat[:, 1]) >= POLE_SIN_TOL)
-        polar, azimuth = (np.concatenate([part, new]) for part, new in zip(held, (polar, azimuth)))
-        self.lo, self.hi, self.window = lo, self.hi + len(k_hat), (polar, azimuth)
-        dt = self.path.dt
+            turns(azimuth, np.hypot(k_hat[:, 0], k_hat[:, 1]) >= POLE_SIN_TOL)
+        polar, azimuth = held = tuple(np.concatenate([part[keep - lo :], new]) for part, new in zip(held, (polar, azimuth)))
+        lo, hi = keep, hi + len(k_hat)
         rate = _stencil(azimuth, first - lo, stop - first, dt)[0]
         rate *= 1.0 - np.cos(polar[first - lo : stop - lo])
         w = (rate[1:] + rate[:-1]) * (0.5 * dt)
         if first > 0:
-            w[0] += self.last_w
+            w[0] += last_w
         np.cumsum(w, out=w)
         if start == 0:
             w = np.concatenate([[0.0], w])  # W is 0 at row 0
-        self.last_w = w[-1]
-        return polar[start - lo : stop - lo], azimuth[start - lo : stop - lo], w
-
-    def final_solid_angle(self) -> float:
-        """W at the last sample, from one pass over the rows."""
-        for rows in _row_slices(0, self.path.n_samples):
-            w = self.read(rows.start, rows.stop)[2]
-        return float(w[-1])
+        last_w = w[-1]
+        yield polar[start - lo : stop - lo], azimuth[start - lo : stop - lo], w
 
 
 def derivative_uniform(values, dt) -> np.ndarray:
@@ -474,8 +433,8 @@ def _stencil(values: np.ndarray, first, width: int, dt: float, scale: float = 1.
     return rate.reshape(shape), window[:, 1:-1].reshape(shape)
 
 
-def _path_window(path: FiberPath, start: int, stop: int):
-    """The path's k_hat rows that ``_stencil`` reads for the samples [start, stop), and the first row's index.
+def _path_window(path: FiberPath, start: int, stop: int) -> tuple[int, int]:
+    """The rows [lo, hi) of the path that ``_stencil`` reads for the samples [start, stop).
 
     One row on either side of them, and three rows at an end of the path,
     for its one-sided stencil.
@@ -484,7 +443,19 @@ def _path_window(path: FiberPath, start: int, stop: int):
     lo, hi = max(start - 1, 0), min(stop + 1, n)
     lo = min(lo, n - 3) if hi == n else lo
     hi = max(hi, 3) if lo == 0 else hi
-    return path.rows(lo, hi)[1], lo
+    return lo, hi
+
+
+def _windows(path: FiberPath):
+    """(rows, times, k_hat, lo) of each chunk of rows, from one ``rows`` read each: a pass's reads; a generator.
+
+    ``times`` are the chunk's; ``k_hat`` holds the rows from ``lo`` that its
+    stencils read (``_path_window``), for every kernel of the pass.
+    """
+    for rows in _row_slices(0, path.n_samples):
+        lo, hi = _path_window(path, rows.start, rows.stop)
+        t, k_hat = path.rows(lo, hi)
+        yield rows, t[rows.start - lo : rows.stop - lo], k_hat, lo
 
 
 def k_dot(path: FiberPath) -> np.ndarray:
@@ -508,43 +479,32 @@ def _cross(a, b):
     return out
 
 
-class _ResidualRows(_OrderedRows):
-    """Rows of the invariant and motion residuals of a path, both from one read of its rows per quarter chunk.
+def _residuals(path: FiberPath, window, scale: float = 1.0):
+    """The invariant and motion residuals of a window's rows (see ``_windows``), from its k_hat rows.
 
     Row i of the motion residual is |k_hat . D(k_mag k_hat)| (see
     :func:`motion_residual`); of the invariant residual, sqrt(2) |D k_hat +
     k_hat x (scale h)| (see ``evolution.invariant_residual_series``) at the
     interior sample min(max(i, 1), n - 2), as the central difference has no
-    value at the two end samples.  Both rates come from ``_stencil`` on one
-    ``_path_window``, with the float operations of the whole-array forms.
+    value at the two end samples.  Both rates come from ``_stencil`` on the
+    window, with the float operations of the whole-array forms.
     """
-
-    def __init__(self, path: FiberPath, scale: float = 1.0):
-        super().__init__(path)
-        self.scale = scale
-
-    def _next(self, start: int, stop: int):
-        n, dt = self.path.n_samples, self.path.dt
-        invariant, motion = np.empty(max(stop - start, 0)), np.empty(max(stop - start, 0))
-        for rows in _stencil_slices(start, stop):
-            first, last = min(max(rows.start, 1), n - 2), min(max(rows.stop, 2), n - 1)  # the interior samples read
-            k_hat, lo = _path_window(self.path, min(rows.start, n - 2), max(rows.stop, 2))
-            at = slice(rows.start - start, rows.stop - start)
-            rate = _stencil(k_hat, rows.start - lo, rows.stop - rows.start, dt, self.path.k_mag)[0]
-            np.abs(np.einsum("ni,ni->n", k_hat[rows.start - lo : rows.stop - lo], rate), out=motion[at])
-            del rate  # before the invariant's is gathered
-            rate, centre = _stencil(k_hat, first - lo, last - first, dt)[0], k_hat[first - lo : last - lo]
-            vec = _cross(centre, self.scale * _cross(centre, rate))
-            vec += rate
-            np.square(vec, out=vec)
-            interior = (first, last) == (rows.start, rows.stop)
-            out = invariant[at] if interior else np.empty(last - first)
-            np.add.reduce(vec, axis=1, out=out)
-            np.sqrt(out, out=out)
-            out *= np.sqrt(2.0)
-            if not interior:  # rows 0 and n - 1 repeat their neighbours
-                invariant[at] = out[np.clip(np.arange(rows.start, rows.stop), 1, n - 2) - first]
-        return invariant, motion
+    rows, _, k_hat, lo = window
+    n, dt = path.n_samples, path.dt
+    first, last = min(max(rows.start, 1), n - 2), min(max(rows.stop, 2), n - 1)  # the interior samples read
+    rate = _stencil(k_hat, rows.start - lo, rows.stop - rows.start, dt, path.k_mag)[0]
+    motion = np.abs(np.einsum("ni,ni->n", k_hat[rows.start - lo : rows.stop - lo], rate))
+    del rate  # before the invariant's is gathered
+    rate, centre = _stencil(k_hat, first - lo, last - first, dt)[0], k_hat[first - lo : last - lo]
+    vec = _cross(centre, scale * _cross(centre, rate))
+    vec += rate
+    np.square(vec, out=vec)
+    invariant = np.add.reduce(vec, axis=1)
+    np.sqrt(invariant, out=invariant)
+    invariant *= np.sqrt(2.0)
+    if (first, last) != (rows.start, rows.stop):  # rows 0 and n - 1 repeat their neighbours
+        invariant = invariant[np.clip(np.arange(rows.start, rows.stop), 1, n - 2) - first]
+    return invariant, motion
 
 
 def motion_residual(path: FiberPath) -> np.ndarray:
@@ -556,9 +516,9 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot): the residual is the
     radial part of the stencil derivative, taken without cancelling two
     O(|k_dot|) vectors against each other.  These are the rows of
-    ``_ResidualRows``, which a results column reads a chunk at a time.
+    ``_residuals``, which a results column reads a chunk at a time.
     """
-    return _ResidualRows(path).read(0, path.n_samples)[1]
+    return np.concatenate([_residuals(path, window)[1] for window in _windows(path)])
 
 
 def rotation_vectors(path: FiberPath) -> np.ndarray:

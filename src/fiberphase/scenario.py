@@ -14,9 +14,10 @@ import os
 import shutil
 import sys
 import tempfile
-from collections.abc import Callable
+from collections import deque
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -130,11 +131,13 @@ def _cone_angle(value, field):
 
 
 def _n_steps(value, field):
-    """A helix step count: an integer of at least 64."""
+    """A helix step count: an integer of at least 64 and below 2**53 (``geometry.helix_path``'s bound)."""
     if not geometry._is_integer(value):
         raise ScenarioError(f"{field}: expected an integer, got {value!r}")
     if value < 64:
         raise ScenarioError(f"{field}: at least 64 steps required, got {value}")
+    if value >= 2**53:
+        raise ScenarioError(f"{field}: expected fewer than 2**53 steps, got {value}")
     return value
 
 
@@ -262,112 +265,102 @@ def _parse_common(cfg) -> Scenario:
 FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 
 
-@dataclass(frozen=True)
-class Column:
-    """A results column of ``length`` rows: rows [start, stop) are ``rows(start, stop)[index] * weight + 0.0``.
+def _series(path, polarization):
+    """One pass over the path: per chunk of rows, a dict of the series that the results columns read.
 
-    ``rows`` gives rows of a tuple of series: ``FiberPath.rows``, or the
-    ``read`` of a ``geometry._OrderedRows``, in order from row 0.  A column
-    is read only by a slice of rows, so no reader builds a full-length
-    temporary.  The multiples of one series share its ``rows`` and
-    ``index``, so ``(rows, index, abs(weight))`` keys the distinct values of
-    a table.  The + 0.0 turns -0.0 into 0.0 and nothing else.
+    Each chunk's window of rows (``geometry._windows``) is read once and
+    handed to three kernels: the transport in closed form for
+    ``polarization`` (total and flagged), which hands a chunk on with its
+    window once a flagged run in it has met its next unflagged row, then the
+    angles (lambda, gamma and W) and the residuals; ``zero`` is what the
+    conserved quantities' columns read.
     """
+    transported = deque()  # the chunk the transport handed on last, with its window (tee would hold 57 windows)
 
-    rows: Callable[[int, int], tuple]
-    length: int
-    index: int = 0
-    weight: float = 1.0
+    def windows():
+        for total, flagged, window in evolution._unwrapped(evolution._fan(geometry._windows(path), polarization)):
+            transported.append((total, flagged, window))
+            yield window
 
-    def __getitem__(self, index: slice) -> np.ndarray:
-        start, stop, _ = index.indices(self.length)
-        return self.rows(start, stop)[self.index] * self.weight + 0.0
+    for polar, azimuth, w in geometry._angle_chunks(windows(), path.dt):
+        total, flagged, window = transported.popleft()
+        invariant, motion = geometry._residuals(path, window)
+        yield {"t": window[1], "lambda": polar, "gamma": azimuth, "W": w, "total": total, "flagged": flagged,
+               "zero": np.zeros(len(w)), "invariant_residual": invariant, "motion_residual": motion}
 
 
-def _residuals(path):
-    """The two residual columns of ``path``, computed together from its ``k_hat`` rows when read."""
-    read = geometry._ResidualRows(path).read
-    return {
-        "invariant_residual": Column(read, path.n_samples, 0),
-        "motion_residual": Column(read, path.n_samples, 1),
-    }
+def _values(series, column, rows=slice(None)):
+    """Rows of a column (key, weight) of a chunk's ``series``: series[key][rows] * weight + 0.0 (never -0.0)."""
+    key, weight = column
+    return series[key][rows] * weight + 0.0
 
 
 def compute_scenario(path, scenario: Scenario):
     """Set up every pipeline stage on one path; returns one results.csv table per polarization.
 
     ``tables[pol]`` maps every results.csv column after ``sigma`` to a
-    :class:`Column`.  The phases proportional to the swept solid angle read
-    the one ``W``, with weights sigma (analytic), n_R - n_L (quantal), -+z
-    (vacuum L/R) and z * (plus survives - minus survives) (vacuum net),
-    where z is the zero-point weight: 1/2, or 0 under normal ordering.
-    Only the first polarization's transport is read: every step is a real
-    rotation in the Cartesian representation, so the opposite helicity is
-    the conjugate state, psi_{-s} = e^{i a} conj psi_s.  Its total,
-    dynamical and geometric phases are the first's with weight -1, and it
-    shares the drifts and flags.  Every other weight is 1.
+    column (key, weight) of the series of a pass (see ``_values``).  The
+    phases proportional to the swept solid angle read the one ``W``, with
+    weights sigma (analytic), n_R - n_L (quantal), -+z (vacuum L/R) and z *
+    (plus survives - minus survives) (vacuum net), where z is the
+    zero-point weight: 1/2, or 0 under normal ordering.  Only the first
+    polarization's transport is read: every step is a real rotation in the
+    Cartesian representation, so the opposite helicity is the conjugate
+    state, psi_{-s} = e^{i a} conj psi_s.  Its total and geometric phases
+    (the dynamical phase is an exact zero) are the first's with weight -1,
+    and it shares the drifts and flags.  Every other weight is 1.
 
-    The phase, drift and flag columns read one
-    ``evolution._TrajectoryRows``, the transport in closed form from the
-    swept areas, a chunk at a time in each pass (a run's reduction and
-    writer, a sweep point's reduction), so the result holds no per-step
-    series.  The residuals are computed from ``k_hat``, and ``lambda``,
-    ``gamma`` and ``W`` read one ``geometry._AngleRows``.  No row is read
-    here: the survival flags need no ``W``, and the final net vacuum phase
-    is the last row of its column.  :func:`summarize` prints the warnings
-    of flagged samples once its reduction has counted them.
+    ``series()`` starts a pass (``_series``), so the result holds no
+    per-step series; a run's reduction and writer, and a sweep point's
+    reduction, are one pass each.  No row is read here: the survival flags
+    need no ``W``, and the final net vacuum phase is the last row of its
+    column.  :func:`summarize` prints the warnings of flagged samples once
+    its reduction has counted them.
     """
-    n = path.n_samples
     first = scenario.polarizations[0]
-    traj = evolution._TrajectoryRows(path, first).read
-    angles = geometry._AngleRows(path).read
     medium = scenario.medium or FREE_SPACE
     plus, minus = (media._survives(medium, scenario.k0, scenario.chamber_length, pol) for pol in (+1, -1))
     z = fock._weight(0, scenario.ordering)
-    shared = {
-        "t": Column(path.rows, n),
-        "lambda": Column(angles, n, 0),
-        "gamma": Column(angles, n, 1),
-        "phase_quantal": Column(angles, n, 2, float(scenario.n_right - scenario.n_left)),
-        "phase_vacuum_L": Column(angles, n, 2, -z),
-        "phase_vacuum_R": Column(angles, n, 2, +z),
-        "phase_vacuum_net": Column(angles, n, 2, z * (plus - minus)),
-        "norm_drift": Column(traj, n, 4),
-        "helicity_drift": Column(traj, n, 5),
-        **_residuals(path),
-        "flagged": Column(traj, n, 1),
+    shared = {name: (name, 1.0) for name in ("t", "lambda", "gamma", "invariant_residual", "motion_residual", "flagged")}
+    shared |= {
+        "phase_quantal": ("W", float(scenario.n_right - scenario.n_left)),
+        "phase_vacuum_L": ("W", -z),
+        "phase_vacuum_R": ("W", +z),
+        "phase_vacuum_net": ("W", z * (plus - minus)),
+        "norm_drift": ("zero", 1.0),
+        "helicity_drift": ("zero", 1.0),
     }
     tables = {}
     for pol in scenario.polarizations:
         sign = 1.0 if pol == first else -1.0
         tables[pol] = {
             **shared,
-            **{name: Column(traj, n, index, sign)
-               for name, index in (("phase_total", 0), ("phase_dynamical", 2), ("phase_geometric", 3))},
-            "phase_analytic": Column(angles, n, 2, float(pol)),
+            "phase_total": ("total", sign),
+            "phase_dynamical": ("zero", sign),
+            "phase_geometric": ("total", sign),
+            "phase_analytic": ("W", float(pol)),
         }
     return {
         "tables": tables,
+        "series": partial(_series, path, first),
         "survives": (plus, minus),
         "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
     }
 
 
-def _reduce(columns):
-    """Dicts of each distinct column's last value, maximum and number of nonzero rows.
+def _reduce(chunks, columns):
+    """Dicts of each distinct column's last value, maximum and number of nonzero rows, from one pass.
 
-    Every column has the same length, and the pass reads one quarter chunk
-    of rows (``geometry._stencil_slices``) of every distinct column before
-    the next, as the writer reads its chunks, so a reader that serves
-    several columns computes each chunk once and keeps only one quarter
-    chunk.  Raises NumericalError on a non-finite value; a command reduces
-    its columns before it writes a file, so a failure leaves no file behind.
+    ``chunks`` are a pass's dicts of series, one per chunk of rows; every
+    distinct column of ``columns`` is computed from each chunk once.
+    Raises NumericalError on a non-finite value; a command reduces its
+    columns before it writes a file, so a failure leaves no file behind.
     """
     columns = list(dict.fromkeys(columns))
     last, peak, nonzero = dict.fromkeys(columns), dict.fromkeys(columns, -np.inf), dict.fromkeys(columns, 0)
-    for rows in geometry._stencil_slices(0, columns[0].length):
+    for series in chunks:
         for column in columns:
-            values = column[rows]
+            values = _values(series, column)
             if not np.isfinite(values).all():
                 raise NumericalError("non-finite value detected in results")
             peak[column] = max(peak[column], float(values.max()))
@@ -384,18 +377,20 @@ def _negated(strings):
     return [s[1:] if s[0] == "-" else s if s == "0.0" else "-" + s for s in strings]
 
 
-_WRITE_ROWS = 256  # samples per writer chunk, whose columns are held as lists of strings
+_WRITE_ROWS = 256  # samples per writer slice, whose columns are held as lists of strings
 
 
 def write_results_csv(out_dir, result):
-    """Write results.csv and every plot file in one pass, formatting each distinct column once per chunk.
+    """Write results.csv and every plot file in one pass, formatting each distinct column once per slice of rows.
 
-    A column whose weight is the negative of a column already formatted in
-    the chunk takes its strings with each leading '-' toggled.  results.csv
-    lists each polarization's rows in turn, so a later one's rows go to an
-    unnamed temporary file in ``out_dir``, appended at the end and gone on
-    every exit path.  The plots of the columns every table shares (quantal,
-    net vacuum) go with the first table.  One chunk of strings is held at a time.
+    Each chunk of the pass is written in slices of ``_WRITE_ROWS`` rows,
+    whose strings are held one slice at a time.  A column whose weight is
+    the negative of one already formatted takes its strings with each
+    leading '-' toggled.  results.csv lists each polarization's rows in
+    turn, so a later one's rows go to an unnamed temporary file in
+    ``out_dir``, appended at the end and gone on every exit path.  The
+    plots of the columns every table shares (quantal, net vacuum) go with
+    the first table.
     """
     tables = result["tables"]
     first, *later = tables
@@ -409,18 +404,23 @@ def write_results_csv(out_dir, result):
         sinks = {first: open_text("results.csv")}
         sinks |= {pol: stack.enter_context(tempfile.TemporaryFile("w+", newline="\n", dir=out_dir)) for pol in later}
         plots = [(open_text(f"plot_{name}.dat"), tables[pol]["t"], tables[pol][f"phase_{kind}"]) for pol, kind, name in names]
-        sinks[first].write(",".join(RESULT_COLUMNS) + "\n")
-        for rows in geometry._row_slices(0, tables[first]["t"].length, _WRITE_ROWS):
+
+        def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
             text = {}
             for column in columns:
-                mirror = text.get(replace(column, weight=-column.weight))
-                text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, column[rows].tolist()))
+                mirror = text.get((column[0], -column[1]))
+                text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
             for pol, table in tables.items():
-                flags = ["1" if flag else "0" for flag in table["flagged"][rows].tolist()]
+                flags = ["1\n" if flag else "0\n" for flag in _values(series, table["flagged"], rows).tolist()]
                 fields = zip(repeat(str(pol)), *(text[table[name]] for name in RESULT_COLUMNS[1:-1]), flags)
-                sinks[pol].write("\n".join(map(",".join, fields)) + "\n")
+                sinks[pol].writelines(map(",".join, fields))
             for fh, t, column in plots:
                 fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
+
+        sinks[first].write(",".join(RESULT_COLUMNS) + "\n")
+        for series in result["series"]():
+            for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
+                write_slice(series, rows)
         for pol in later:
             sinks[pol].seek(0)
             shutil.copyfileobj(sinks[pol], sinks[first])
@@ -434,7 +434,7 @@ def summarize(result, path, scenario: Scenario):
     """
     tables = result["tables"]
     t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
-    last, peak, nonzero = _reduce(column for table in tables.values() for column in table.values())
+    last, peak, nonzero = _reduce(result["series"](), (column for table in tables.values() for column in table.values()))
     phases = {}
     for pol, table in tables.items():
         phases[f"{pol:+d}"] = {
@@ -499,14 +499,14 @@ def _write_summary(out_dir, summary):
 
 
 def _output_dir(cfg, out_dir):
-    """``out_dir`` if given, else the config's ``output_dir`` (default 'out'), as a nonempty string."""
-    if out_dir is None:
-        out_dir = cfg.get("output_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ScenarioError(f"output_dir: expected a string, got {out_dir!r}")
-    if not out_dir:
-        raise ScenarioError("output_dir: expected a directory name, got ''")
-    return out_dir
+    """``out_dir`` if given, else the config's ``output_dir`` (default 'out'); each one given must be a nonempty string."""
+    given = [cfg.get("output_dir", "out"), *([] if out_dir is None else [out_dir])]
+    for value in given:
+        if not isinstance(value, str):
+            raise ScenarioError(f"output_dir: expected a string, got {value!r}")
+        if not value:
+            raise ScenarioError("output_dir: expected a directory name, got ''")
+    return given[-1]
 
 
 @np.errstate(all="ignore")  # no floating-point warnings: _reduce reports a non-finite value, once
@@ -588,9 +588,10 @@ def _cone_row(cfg, base_dir, value, scenario):
 def _steps_row(cfg, base_dir, value):
     _n_steps(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
-    residuals = _residuals(path)
-    peak = _reduce(residuals.values())[1]
-    return {"n_steps": value, **{f"max_{name}": peak[column] for name, column in residuals.items()}}
+    names = ("invariant_residual", "motion_residual")
+    chunks = (dict(zip(names, geometry._residuals(path, window))) for window in geometry._windows(path))
+    peak = _reduce(chunks, [(name, 1.0) for name in names])[1]
+    return {"n_steps": value, **{f"max_{name}": peak[name, 1.0] for name in names}}
 
 
 def _sweep_rows_steps(cfg, base_dir, values):
@@ -606,8 +607,9 @@ def _sweep_rows_steps(cfg, base_dir, values):
 
 
 def _sweep_rows_occupations(cfg, base_dir, values, ordering):
-    w = geometry._AngleRows(build_path(cfg, base_dir)).final_solid_angle()  # each phase is a multiple of it
-    rows = []
+    path = build_path(cfg, base_dir)
+    w = float(deque(geometry._angle_chunks(geometry._windows(path), path.dt), maxlen=1)[0][2][-1])  # the final W
+    rows = []  # each phase is a multiple of w
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise ScenarioError(f"sweep.values: occupation entries must be [n_left, n_right] pairs, got {pair!r}")
@@ -731,7 +733,7 @@ def self_check(quiet=False) -> bool:
     error = abs(float(evolution.evolve(p, +1).geometric[-1]) - 2.0 * np.pi * (1.0 - np.cos(np.pi / 3)))
     phi = np.linspace(0.0, 2.0 * np.pi, 257)
     loop = geometry.FiberPath(phi, direction(0.8 + 0.25 * np.sin(3.0 * phi), phi), 1.0)
-    closed_form = evolution._TrajectoryRows(loop, +1).read(0, loop.n_samples)[0]
+    closed_form = np.concatenate([series["total"] for series in _series(loop, +1)])
     gap = float(np.abs(closed_form - evolution.evolve(loop, +1).total).max())
     for name, value, bound in (("evolve's cycle phase on the pi/3 helix, 4096 steps, against 2 pi (1 - cos c)", error, 1e-5),
                                ("swept-area transport against evolve, row by row, 256-step three-lobe loop", gap, 1e-13)):

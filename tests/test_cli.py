@@ -6,7 +6,6 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +305,12 @@ CONFIG_ERRORS = [
     ("n_steps", "path.n_steps", 1.5, "path.n_steps: expected an integer, got 1.5"),
     ("occupations", "sweep.values", [[0, -2]],
      "sweep.values: n_right: expected a nonnegative integer below 2**52, got -2"),
+    # from 2**53 steps the sample times are not exact, and the checks walked about n / 2**14 chunks:
+    # 2**60 steps ran past 8 s, and 10**30 past 60 s
+    ("run", "path.n_steps", 2**60, "path.n_steps: expected fewer than 2**53 steps, got 1152921504606846976"),
+    ("n_steps", "sweep.values", [128, 10**30],
+     "sweep.values: expected fewer than 2**53 steps, got 1000000000000000000000000000000"),
+    ("n_steps", "path.n_steps", 2**53, "path.n_steps: expected fewer than 2**53 steps, got 9007199254740992"),
 ]
 VALID_SWEEP_VALUES = {"cone_angle": ["30 deg"], "n_steps": [128], "occupations": [[0, 1]]}
 
@@ -350,8 +355,10 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
         result = original(*args, **kwargs)
         # poison the column's series in the last table only, so every table is checked
         table = list(result["tables"].values())[-1]
-        # every column is read by its rows: one whose rows are all NaN
-        table[column] = replace(table[column], rows=lambda start, stop: np.full(stop - start, np.nan))
+        # every column reads a series of the pass: one whose rows are all NaN
+        table[column] = ("nan", 1.0)
+        series = result["series"]
+        result["series"] = lambda: ({**chunk, "nan": np.full(len(chunk["t"]), np.nan)} for chunk in series())
         return result
 
     monkeypatch.setattr(scenario_mod, "compute_scenario", poisoned)
@@ -515,8 +522,8 @@ def _joined_outputs(result):
     from fiberphase.scenario import _SIGMA_SUFFIX, _fmt
 
     def column(table, name):
-        col = table[name]
-        return col.rows(0, col.length)[col.index] * col.weight + 0.0
+        key, weight = table[name]
+        return np.concatenate([series[key] for series in result["series"]()]) * weight + 0.0
 
     lines = [",".join(RESULT_COLUMNS)]
     plots = {}
@@ -571,29 +578,34 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         values[rng.random(n) < 0.2] = -0.0
         return values
 
-    def column(values, weight=1.0):
-        return scenario_mod.Column(lambda start, stop: (values[start:stop],), n, 0, weight)
-
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
-    shared = {name: column(series(), float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
-    shared["flagged"] = column(rng.random(n) < 0.3)
-    tables = {pol: {**shared, "phase_total": replace(shared["phase_total"], weight=float(pol))} for pol in pols}
-    result = {"tables": tables}
+    values = {name: series() for name in RESULT_COLUMNS[1:-1]}
+    values["flagged"] = rng.random(n) < 0.3
+    shared = {name: (name, float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
+    shared["flagged"] = ("flagged", 1.0)
+    tables = {pol: {**shared, "phase_total": ("phase_total", float(pol))} for pol in pols}
+
+    def pass_chunks():  # chunks of 2 * chunk + 1 rows, which the writer writes in slices of chunk rows
+        for lo in range(0, n, 2 * chunk + 1):
+            yield {name: series[lo : lo + 2 * chunk + 1] for name, series in values.items()}
+
+    result = {"tables": tables, "series": pass_chunks}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)
         assert _written(tmp_path_factory.mktemp("chunked"), result) == _joined_outputs(result)
 
 
 def test_writer_holds_one_chunk_of_strings(tmp_path):
-    # one chunk of formatted columns at a time; a full-length column of
-    # strings alone would be about 70 bytes per step.  The writer's pass runs
-    # the scan, as the reduction's does, so what the writer adds is its peak
-    # above the reduction's: -3.8 B/step at 4000 steps (1.4 at 1e5), where
-    # the reduction's temporaries outweigh one chunk of strings, and 949
-    # (1044 at 1e5) for a writer that keeps every chunk's strings.  4000 is
-    # the smallest multiple of 1000 at which the writer stays within half the
-    # bound (3800 is within it by 1.9 B/step); 1e5 steps took 14-21 s under
-    # tracemalloc.  One polarization, as tracing every string is slow.
+    # one slice of formatted columns at a time; a full-length column of
+    # strings alone would be about 70 bytes per step.  The writer's pass
+    # computes the series as the reduction's does, so what the writer adds is
+    # its peak above the reduction's: 9.1 B/step at 4000 steps (0.2 at 1e5),
+    # one slice of strings next to the pass's one chunk of series, less the
+    # kernels' temporaries, and 949 (1044 at 1e5) for a writer that keeps
+    # every slice's strings.  With fewer steps the slice weighs more per
+    # step (13.6 at 3800, 33 at 3000; -3.8 at 4000 while each column read
+    # its own rows); 1e5 steps took 14-21 s under tracemalloc.  One
+    # polarization, as tracing every string is slow.
     import tracemalloc
 
     import fiberphase.scenario as scenario_mod
@@ -604,7 +616,8 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
     scenario = scenario_mod.Scenario((1,), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
     result = scenario_mod.compute_scenario(helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps), scenario)
     peaks = []
-    for run in (lambda: scenario_mod._reduce([c for table in result["tables"].values() for c in table.values()]),
+    columns = [c for table in result["tables"].values() for c in table.values()]
+    for run in (lambda: scenario_mod._reduce(result["series"](), columns),
                 lambda: scenario_mod.write_results_csv(str(tmp_path), result)):
         tracemalloc.start()
         try:
@@ -701,11 +714,15 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 700)
     result = scenario_mod.compute_scenario(path, scenario_mod.Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
     if where == "chunk":
-        def rows(start, stop):  # the t column fails past the first chunk
-            return full() if start else path.rows(start, stop)
+        series = result["series"]
 
-        for table in result["tables"].values():
-            table["t"] = replace(table["t"], rows=rows)
+        def failing():  # the pass fails past its first chunk
+            chunks = series()
+            yield next(chunks)
+            full()
+
+        monkeypatch.setattr(scenario_mod.geometry, "_CHUNK_ROWS", 256)  # three chunks of the pass
+        result["series"] = failing
     else:
         monkeypatch.setattr(shutil, "copyfileobj", full)
     with pytest.raises(OSError, match="No space left"):
@@ -992,23 +1009,25 @@ def test_sweep_rejects_empty_values(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_non_string_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
+    # the config's output_dir is checked also when --out overrides it
     monkeypatch.chdir(tmp_path)
     cfg = helix_cfg(5)
     cfg["path"]["n_steps"] = 128
     cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}
     config = write_config(tmp_path, "outdir.json", cfg)
-    assert main([command, config, "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert "output_dir: expected a string, got 5" in err
-    assert "Traceback" not in err
-    assert not list(tmp_path.rglob("summary.json"))
+    for extra in ([], ["--out", "given"]):
+        assert main([command, config, "--quiet", *extra]) == 2, extra
+        err = capsys.readouterr().err
+        assert "output_dir: expected a string, got 5" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("summary.json"))
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_empty_output_dir_exits_2(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
-    # an empty output_dir in the config, and an explicit --out "" over a valid one
-    for output_dir, extra in (("", []), ("out", ["--out", ""])):
+    # an empty output_dir in the config, also under a valid --out, and an explicit --out "" over a valid one
+    for output_dir, extra in (("", []), ("", ["--out", "given"]), ("out", ["--out", ""])):
         cfg = helix_cfg(output_dir)
         cfg["path"]["n_steps"] = 128
         cfg["sweep"] = {"parameter": "cone_angle", "values": ["30 deg"]}

@@ -436,21 +436,23 @@ def test_invariant_residual_matches_commutator_form(make_path, scale):
 @pytest.mark.parametrize("make_path", ORACLE_PATHS)
 @pytest.mark.parametrize("chunk", [5, 37, 1000])
 def test_chunked_closed_form_matches_dense_exponential(monkeypatch, make_path, chunk):
-    # the results columns' closed form, read in 1 to about 800 chunks, is the
-    # overlap phase of the dense per-step exponentials (3.0e-13 at most
+    # the results columns' closed form, a pass of 1 to about 800 chunks, is
+    # the overlap phase of the dense per-step exponentials (3.0e-13 at most
     # measured); those states keep their norm and their helicity -sigma to
     # rounding (1.5e-12 at most), which the zero drift columns write exactly
+    from fiberphase.scenario import _series
+
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
     p = make_path()
     for pol in (+1, -1):
         states = _dense_states(p, pol)
-        total, flagged, dynamical, geometric, norm_drift, helicity_drift = evolution._TrajectoryRows(p, pol).read(
-            0, p.n_samples)
+        chunks = list(_series(p, pol))
+        total, flagged, zero = (np.concatenate([series[key] for series in chunks]) for key in ("total", "flagged", "zero"))
         assert not flagged.any()
         assert np.abs(total - np.unwrap(np.angle(states @ states[0].conj()))).max() <= 1e-12
         assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 5e-12
         assert np.abs(_dense_expectation(states, p.k_hat) + pol).max() <= 5e-12
-        assert geometric is total and not (dynamical.any() or norm_drift.any() or helicity_drift.any())
+        assert len(zero) == p.n_samples and not zero.any()
 
 
 def test_many_block_evolve_matches_dense_exponential():
@@ -510,7 +512,7 @@ def _scenario_peak(n_steps=100_000):
     tracemalloc.start()
     try:
         result = compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
-        _reduce([column for table in result["tables"].values() for column in table.values()])
+        _reduce(result["series"](), [column for table in result["tables"].values() for column in table.values()])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

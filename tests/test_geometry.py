@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberphase import evolution, geometry
 from fiberphase.evolution import hamiltonian_coefficients
@@ -58,6 +60,16 @@ def test_helix_rejects_non_integer_step_counts(n_steps):
     # 100.7 and '100' silently built 100 steps, and inf raised OverflowError
     with pytest.raises(ValueError, match=r"^n_steps must be an integer, got "):
         helix_path(1.0, 1.0, 1.0, 1.0, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [2**53, 2**60, np.uint64(2**63), 10**30], ids=["2**53", "2**60", "np.uint64", "10**30"])
+def test_helix_rejects_step_counts_from_2_53(n_steps):
+    # past 2**53 the sample times i * step are not exact, and the checks
+    # walked about n / 2**14 chunks: 2**60 steps ran past 8 s
+    with pytest.raises(ValueError, match=r"^n_steps must be below 2\*\*53, got "):
+        helix_path(1.0, 1.0, 1.0, 1.0, n_steps)
+    with pytest.raises(ValueError, match="16 steps"):  # 2**53 - 1 passes that bound, and fails the next
+        helix_path(1.0, 1.0, 1.0, 2.0**60, 2**53 - 1)
 
 
 @pytest.mark.parametrize("n_steps", [np.int64(100), np.uint16(100)], ids=["np.int64", "np.uint16"])
@@ -705,9 +717,8 @@ def test_row_slices_tile_every_range():
 def test_row_slices_read_the_chunk_size_at_each_call(monkeypatch):
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 3)
     assert list(geometry._row_slices(1, 8)) == [slice(1, 4), slice(4, 7), slice(7, 8)]
-    assert list(geometry._stencil_slices(0, 2)) == [slice(0, 1), slice(1, 2)]  # quarter chunks of at least a row
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 8)
-    assert list(geometry._stencil_slices(0, 5)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+    assert list(geometry._row_slices(0, 5)) == [slice(0, 5)]
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5])
@@ -735,47 +746,40 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
         assert _same_bits(got_centre, np.stack([[centre[f : f + 3] for f in row] for row in firsts]))
 
 
-# ------------------------------------------------------ ordered-read contract
+# ------------------------------------------------------ kernels of one pass
 
-ORDERED_READERS = {  # each reader and the number of series a read gives
-    "angles": (geometry._AngleRows, 3),
-    "trajectory": (lambda path: evolution._TrajectoryRows(path, +1), 6),
-    "trajectory-one-chunk": (lambda path: evolution._TrajectoryRows(path, +1), 6),
-    "residuals": (geometry._ResidualRows, 2),
+KERNEL_PASSES = {  # the series each kernel gives per chunk of one pass over a path
+    "angles": lambda path: geometry._angle_chunks(geometry._windows(path), path.dt),
+    "transport": lambda path: (piece[:2] for piece in evolution._unwrapped(evolution._fan(geometry._windows(path), +1))),
+    "residuals": lambda path: (geometry._residuals(path, window) for window in geometry._windows(path)),
+}
+PASS_PATHS = {
+    "wobble": wobble_path(300),
+    "equator": helix_path(np.pi / 2, 1.0, 1.0, 2.0, 300),  # samples 75 and 225 at the start's antipode, flagged
 }
 
 
-@pytest.mark.parametrize("kind", sorted(ORDERED_READERS))
-def test_ordered_readers_keep_one_contract(monkeypatch, kind):
-    # a read of the same rows returns the same arrays; a read at row 0
-    # restarts; any other read must continue the last one, or it raises.
-    # Every reader computes its rows in several chunks, or the trajectory's
-    # in one whose window takes every row
-    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 15 if kind == "trajectory-one-chunk" else 64)
-    path = wobble_path(300)
-    n = path.n_samples
-    make, count = ORDERED_READERS[kind]
-    reader = make(path)
-    assert isinstance(reader, geometry._OrderedRows)
-    pieces = [(0, 100), (100, 101), (101, 250), (250, n), (n, n)]
-    passes = []
-    for _ in range(2):  # the second pass restarts at row 0
-        values = []
-        for lo, hi in pieces:
-            values.append(reader.read(lo, hi))
-            assert len(values[-1]) == count and all(len(series) == hi - lo for series in values[-1])
-            assert reader.read(lo, hi) is values[-1]
-            for bad in ((lo + 1, hi + 1), (1, 2), (hi + 1, hi + 2)):  # skips, goes back, or repeats other rows
-                if bad[0] not in (0, hi) and bad != (lo, hi):
-                    with pytest.raises(ValueError, match="read in order from row 0"):
-                        reader.read(*bad)
-            assert reader.read(lo, hi) is values[-1]  # a refused read changes nothing
-        passes.append(values)
-    for first, second in zip(*passes):
-        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
-    whole = make(path).read(0, n)  # the pieces are the rows of one read
-    for i in range(count):
-        assert np.concatenate([values[i] for values in passes[0]]).tobytes() == whole[i].tobytes()
+@pytest.mark.parametrize("case", sorted(PASS_PATHS))
+@pytest.mark.parametrize("kind", sorted(KERNEL_PASSES))
+@settings(max_examples=30, deadline=None)
+@given(chunk=st.integers(1, 1300))
+def test_kernel_chunks_join_to_the_whole_array(kind, case, chunk):
+    # each kernel hands over one piece per chunk of the pass, in order, which
+    # joined are bit for bit the pass of one chunk, whatever the chunk size
+    path, make = PASS_PATHS[case], KERNEL_PASSES[kind]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK_ROWS", 1 << 20)
+        (whole,) = list(make(path))
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        pieces = list(make(path))
+        slices = list(geometry._row_slices(0, path.n_samples))
+    assert len(pieces) == len(slices)
+    for piece, rows in zip(pieces, slices):
+        assert [len(series) for series in piece] == [rows.stop - rows.start] * len(whole)
+    for i, series in enumerate(whole):
+        assert np.concatenate([piece[i] for piece in pieces]).tobytes() == series.tobytes(), i
+    if kind == "transport":
+        assert whole[1].any() == (case == "equator")
 
 
 # ------------------------------------------------- k_dot consumers in chunks

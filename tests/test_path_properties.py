@@ -182,7 +182,7 @@ def test_chunked_pole_fill_matches_whole_array_fill(runs, south):
         assert geometry.spherical_angles(path).azimuth.tobytes() == azimuth.tobytes()
 
 
-# ------------------------------------------- the ordered angle reader
+# ------------------------------------------- the angle kernel's chunks
 
 def _pole_run_path(runs):
     n, chunk, pole, steps = runs
@@ -212,7 +212,7 @@ def _with_chunk(path):
     return st.tuples(st.just(path), st.integers(1, 9) if n <= 40 else st.integers(n // 8, n + 2))
 
 
-ANGLE_READER_CASES = st.one_of(
+ANGLE_CASES = st.one_of(
     # helices, clockwise and on the pole (cone 0 and pi) among them
     st.builds(lambda n, cone, omega: geometry.helix_path(cone, omega, 1.0, (n - 1) / 32, n - 1),
               st.integers(3, 300), st.sampled_from([0.0, 0.4, np.pi / 2, 2.8, np.pi]),
@@ -224,30 +224,23 @@ ANGLE_READER_CASES = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=ANGLE_READER_CASES, order=st.permutations([0, 1, 2]))
-@example(case=(_meridian(40), 4), order=[0, 1, 2])
-def test_ordered_angle_reader_matches_spherical_angles(case, order):
+@given(case=ANGLE_CASES)
+@example(case=(_meridian(40), 4))
+def test_angle_chunks_match_spherical_angles(case):
+    # the angle kernel's pieces, one per chunk of a pass, are the rows of
+    # spherical_angles, whose pass takes these paths in one chunk; a second
+    # pass gives the same bits
     path, chunk = case
     n = path.n_samples
     angles = geometry.spherical_angles(path)
     want = (angles.polar, angles.azimuth, angles.solid_angle)
-    reader = geometry._AngleRows(path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        for _ in range(2):  # a second pass from row 0 gives the same bits
-            got = ([], [], [])
-            for rows in geometry._row_slices(0, n):
-                for i in order:  # the three series, read in any order, come from one computation of the rows
-                    got[i].append(reader.read(rows.start, rows.stop)[i])
+        for _ in range(2):
+            pieces = list(geometry._angle_chunks(geometry._windows(path), path.dt))
+            assert [len(piece[0]) for piece in pieces] == [rows.stop - rows.start for rows in geometry._row_slices(0, n)]
             for i in range(3):
-                assert np.concatenate(got[i]).tobytes() == want[i].tobytes(), i
-    # rows are read in order from row 0: a read that skips rows, or goes back without restarting, raises
-    with pytest.raises(ValueError, match="in order from row 0"):
-        reader.read(1, n)
-    reader.read(0, 1)
-    with pytest.raises(ValueError, match="in order from row 0"):
-        reader.read(2, n)
-    assert reader.read(1, n)[2].tobytes() == want[2][1:].tobytes()
+                assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want[i].tobytes(), i
 
 
 # ------------------------------------------------------- load_path grammar
@@ -426,14 +419,16 @@ def test_helix_rows_match_the_whole_array_form(helix, reads):
         assert rows_kh.flags.c_contiguous
         # the kernels' gathers: one-sided stencils at samples 0 and n - 1
         for scale in (1.0, 2.5):
-            window, start = geometry._path_window(path, lo, hi)
+            start, stop = geometry._path_window(path, lo, hi)
+            window = path.rows(start, stop)[1]
             rate = geometry._stencil(window, lo - start, hi - lo, path.dt, scale)[0]
             want_rate, _ = geometry._stencil(kh, lo, hi - lo, path.dt, scale)
             assert rate.tobytes() == want_rate.tobytes(), (lo, hi)
             assert window[lo - start : hi - start].tobytes() == kh[lo:hi].tobytes(), (lo, hi)
         # a gather of several blocks from one window of rows, with zero rates past the end
         first = np.unique(np.array(firsts) % n)
-        window, start = geometry._path_window(path, int(first[0]), int(first[-1]) + width + 1)
+        start, stop = geometry._path_window(path, int(first[0]), int(first[-1]) + width + 1)
+        window = path.rows(start, stop)[1]
         got = geometry._stencil(window, first - start, width + 1, path.dt)
         want = geometry._stencil(kh, first, width + 1, path.dt)
         for part, expected in zip(got, want):

@@ -2,15 +2,15 @@
 
 The oracle runs the stage functions on a fresh, never-cached copy of the
 path for every call, so a stale or shared cached series would show up as a
-bitwise difference.  The transport's stage is one whole read of the closed
-form, ``evolution._TrajectoryRows``; the tests below compare it with
-``evolve``, and test_transport_properties with the whole-array closed form.
+bitwise difference.  The transport's stage is one pass of the closed form's
+kernels, ``evolution._fan`` and ``evolution._unwrapped``; the tests below
+compare it with ``evolve``, and test_transport_properties with the
+whole-array closed form.
 """
 import json
 import sys
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -31,11 +31,10 @@ from fiberphase.geometry import FiberPath, helix_path, load_path, spherical_angl
 from fiberphase.scenario import (
     FREE_SPACE,
     RESULT_COLUMNS,
-    Column,
     NumericalError,
     Scenario,
     _reduce,
-    _residuals,
+    _values,
     compute_scenario,
     run_scenario,
     run_sweep,
@@ -54,6 +53,22 @@ def _all_columns(result):
     return [column for table in result["tables"].values() for column in table.values()]
 
 
+def _reduce_all(result):
+    """The reduction of every column of the result, in one pass."""
+    return _reduce(result["series"](), _all_columns(result))
+
+
+def _read(result, column):
+    """Every row of a column (key, weight) of the result, from one pass."""
+    return np.concatenate([_values(series, column) for series in result["series"]()])
+
+
+def _closed_form(path, pol):
+    """The transport's total and flags in closed form, from one pass of its two kernels."""
+    pieces = list(evolution._unwrapped(evolution._fan(geometry._windows(path), pol)))
+    return tuple(np.concatenate([piece[i] for piece in pieces]) for i in range(2))
+
+
 def _angles(path):
     return spherical_angles(_fresh(path))
 
@@ -67,8 +82,8 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     turns -0.0 into 0.0.
     """
     first = pols[0]
-    total, flagged, dynamical, geometric, norm_drift, helicity_drift = evolution._TrajectoryRows(
-        _fresh(path), first).read(0, path.n_samples)
+    total, flagged = _closed_form(_fresh(path), first)
+    zeros = np.zeros(path.n_samples)  # what the chord steps conserve: the dynamical phase and the drifts
     inv = invariant_residual_series(_fresh(path))
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
     vac_left = fock.vacuum_phase(-1, _angles(path), ordering)
@@ -87,8 +102,8 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
         "phase_vacuum_L": vac_left,
         "phase_vacuum_R": vac_right,
         "phase_vacuum_net": net_series,
-        "norm_drift": norm_drift,
-        "helicity_drift": helicity_drift,
+        "norm_drift": zeros,
+        "helicity_drift": zeros,
         "invariant_residual": np.concatenate([[inv[0]], inv, [inv[-1]]]),
         "motion_residual": geometry.motion_residual(_fresh(path)),
         "flagged": flagged,
@@ -99,8 +114,8 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
         columns = {
             **shared,
             "phase_total": sign(total),
-            "phase_dynamical": sign(dynamical),
-            "phase_geometric": sign(geometric),
+            "phase_dynamical": sign(zeros),
+            "phase_geometric": sign(total),
             "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
         }
         tables[pol] = {name: values + 0.0 for name, values in columns.items()}
@@ -149,7 +164,7 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         table, ref = got["tables"][pol], want["tables"][pol]
         assert table.keys() == ref.keys(), pol
         for key in ref:
-            _assert_bitwise(table[key][:], ref[key], f"{pol} {key}")
+            _assert_bitwise(_read(got, table[key]), ref[key], f"{pol} {key}")
     assert got["survives"] == want["survives"]
     # the net vacuum phase is the last row of its column, bitwise the library's from the final W
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
@@ -157,7 +172,7 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
     _assert_bitwise(summary["vacuum"]["net_final"], net.phase, "net_final")
     assert (summary["vacuum"]["plus_survives"], summary["vacuum"]["minus_survives"]) == got["survives"]
     if case == "equator-flagged":
-        assert all(got["tables"][pol]["flagged"][:].any() for pol in pols)
+        assert all(_read(got, got["tables"][pol]["flagged"]).any() for pol in pols)
     # against an oracle independent of the closed form, evolve's transport
     # under H of each polarization, outside 20 rows of a flagged sample (at
     # most 1.8e-14 measured)
@@ -168,13 +183,14 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         clear = np.ones(path.n_samples, dtype=bool)
         for row in np.flatnonzero(traj.flagged):
             clear[max(row - 20, 0) : row + 21] = False
-        assert np.abs(got["tables"][pol]["phase_total"][:] - traj.total)[clear].max() <= 1e-13, pol
+        assert np.abs(_read(got, got["tables"][pol]["phase_total"]) - traj.total)[clear].max() <= 1e-13, pol
     # what the chord transport conserves is written as exact zeros, and the geometric phase is the total
     for pol in pols:
         table = got["tables"][pol]
         for name in ("phase_dynamical", "norm_drift", "helicity_drift"):
-            assert not table[name][:].any() and not np.signbit(table[name][:]).any(), (pol, name)
-        _assert_bitwise(table["phase_geometric"][:], table["phase_total"][:], f"{pol} geometric")
+            values = _read(got, table[name])
+            assert not values.any() and not np.signbit(values).any(), (pol, name)
+        _assert_bitwise(_read(got, table["phase_geometric"]), _read(got, table["phase_total"]), f"{pol} geometric")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -183,34 +199,33 @@ def test_library_phases_equal_their_columns_bitwise(tmp_path, case):
     # sigma = -1, with n_L == n_R and on clockwise paths W * 0 and -W are -0.0
     make, nl, nr, medium, k0, chamber, ordering = CASES[case]
     path = make(tmp_path)
-    tables = compute_scenario(path, Scenario((1, -1), nl, nr, ordering, medium, k0, chamber))["tables"]
+    result = compute_scenario(path, Scenario((1, -1), nl, nr, ordering, medium, k0, chamber))
     angles = _angles(path)
     for pol in (1, -1):
-        table = tables[pol]
-        _assert_bitwise(analytic_noncyclic_phase(angles, pol), table["phase_analytic"][:], f"{pol} analytic")
-        _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), table["phase_quantal"][:], "quantal")
-        _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), table["phase_vacuum_L"][:], "vacuum L")
-        _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), table["phase_vacuum_R"][:], "vacuum R")
+        table = result["tables"][pol]
+        _assert_bitwise(analytic_noncyclic_phase(angles, pol), _read(result, table["phase_analytic"]), f"{pol} analytic")
+        _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), _read(result, table["phase_quantal"]), "quantal")
+        _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), _read(result, table["phase_vacuum_L"]), "vacuum L")
+        _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), _read(result, table["phase_vacuum_R"]), "vacuum R")
 
 
 def test_result_tables_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
     first, derived = result["tables"][1], result["tables"][-1]
-    # W is series 2 of the path's one ordered angle reader, whose series 0 and 1 are lambda and gamma
-    w = first["phase_analytic"].rows
-    reader = w.__self__
-    assert isinstance(reader, geometry._AngleRows) and reader.path is path and w == reader.read
-    assert [(first[name].rows, first[name].index) for name in ("lambda", "gamma", "phase_analytic")] == [
-        (w, 0), (w, 1), (w, 2)]
-    _assert_bitwise(w(0, path.n_samples)[2], _angles(path).solid_angle, "W")
+    # lambda, gamma and W are the three series of the pass's angle kernel; one pass starts from the path
+    assert [first[name] for name in ("lambda", "gamma", "phase_analytic")] == [
+        ("lambda", 1.0), ("gamma", 1.0), ("W", 1.0)]
+    assert result["series"].args == (path, 1)
+    _assert_bitwise(_read(result, ("W", 1.0)), _angles(path).solid_angle, "W")
     for pol, table in result["tables"].items():
-        # every results.csv column after sigma, each a Column of n rows
+        # every results.csv column after sigma, each a (series key, weight) of n rows
         assert sorted(table) == sorted(RESULT_COLUMNS[1:])
-        assert all(isinstance(column, Column) and column.length == path.n_samples for column in table.values())
+        assert all(isinstance(column, tuple) and len(_read(result, column)) == path.n_samples
+                   for column in table.values())
         # the W-proportional columns all read the one W, and differ only in their weights
-        assert {(table[name].rows, table[name].index) for name in W_WEIGHTS} == {(w, 2)}
-        assert {name: table[name].weight for name in W_WEIGHTS} == {
+        assert {table[name][0] for name in W_WEIGHTS} == {"W"}
+        assert {name: table[name][1] for name in W_WEIGHTS} == {
             "phase_quantal": 3.0, "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
             "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
             "phase_analytic": float(pol),
@@ -218,9 +233,9 @@ def test_result_tables_pair_every_csv_column():
     for name in RESULT_COLUMNS[1:]:
         if name not in W_WEIGHTS:
             # the derived polarization reads the evolved one's series
-            assert (derived[name].rows, derived[name].index) == (first[name].rows, first[name].index), name
-            assert first[name].weight == 1.0
-            assert derived[name].weight == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
+            assert derived[name][0] == first[name][0], name
+            assert first[name][1] == 1.0
+            assert derived[name][1] == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
 
 
 def test_cached_series_are_shared_and_read_only():
@@ -249,20 +264,21 @@ def test_cached_series_are_shared_and_read_only():
     assert sorted(vars(path)) == ["_rows", "dt", "k_mag", "n_samples"]
 
 
-def test_helix_rows_evaluated_six_times_per_scenario(monkeypatch):
-    # a helix's rows are evaluated on each read: the construction's check,
-    # the final W, and in the reduction the scan, the angles, the residual
-    # pair and the t column, each a pass over the n + 1 samples, plus 64
-    # rows that windows overlap at 1e5 steps (6.00064 (n + 1) in all); one
-    # more pass over the path would add another n + 1
+def test_helix_rows_evaluated_twice_per_scenario(monkeypatch):
+    # a helix's rows are evaluated on each read: the construction's check
+    # and the reduction's one pass, whose kernels share each window of rows,
+    # each over the n + 1 samples, plus 72 rows that windows overlap at 1e5
+    # steps (6.00064 (n + 1) in all while the scan, the angles, the residual
+    # pair, the t column and the final W each read the rows); one more pass
+    # over the path would add another n + 1
     evaluated, original = [], geometry._HelixRows.__call__
     monkeypatch.setattr(geometry._HelixRows, "__call__",
                         lambda rows, lo, hi: evaluated.append(hi - lo) or original(rows, lo, hi))
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
     result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    _reduce(_all_columns(result))
-    assert sum(evaluated) <= 6 * (n_steps + 1) + 64, sum(evaluated) - 6 * (n_steps + 1)
+    _reduce_all(result)
+    assert sum(evaluated) <= 2 * (n_steps + 1) + 80, sum(evaluated) - 2 * (n_steps + 1)
 
 
 def _sweep_peak(tmp_path, values, n_steps=50_000):
@@ -309,22 +325,20 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
         tracemalloc.stop()
     assert peak / n_steps < 90, peak / n_steps  # bytes per step
     assert held / n_steps < 75, held / n_steps
-    for index, name in enumerate(("invariant_residual", "motion_residual")):
-        column = result["tables"][1][name]
-        reader = column.rows.__self__
-        assert isinstance(reader, geometry._ResidualRows) and reader.path is path and column.rows == reader.read
-        assert (column.index, column.length) == (index, path.n_samples)
+    for name in ("invariant_residual", "motion_residual"):
+        assert result["tables"][1][name] == (name, 1.0)  # a series of the pass, computed when read
 
 
 def test_stage_peaks_stay_near_the_held_result():
     # evolve holds k_hat and its five series (57 B/step) and builds each
     # column's h from k_hat, phase_geometric is computed on read and the
-    # k_dot kernels go in quarter chunks; with a whole-array h, a stored
+    # k_dot kernels go in chunks; with a whole-array h, a stored
     # geometric series and full k_dot chunks these were 76, 76, 65 and 89
-    # B/step.  Now 59.1, 0.16, 0.15 and 15.9: the reduction's pass reads the
-    # transport in closed form, against 27.5 B/step while it ran the tiled
-    # scan, 29.1 while the scan handed its slabs over as reshaped copies and
-    # 40.5 while the result held the trajectory's five series
+    # B/step.  Now 59.1, 0.09, 0.08 and 12.6: the reduction's pass reads the
+    # transport in closed form, one chunk for all its kernels, against 15.9
+    # B/step while each column read its own rows, 27.5 while it ran the
+    # tiled scan, 29.1 while the scan handed its slabs over as reshaped
+    # copies and 40.5 while the result held the trajectory's five series
     n_steps = 100_000
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)  # built before tracing
     tracemalloc.start()
@@ -336,7 +350,7 @@ def test_stage_peaks_stay_near_the_held_result():
         result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
         held, peak = (value / n_steps for value in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
-        _reduce(_all_columns(result))
+        _reduce_all(result)
         checked = tracemalloc.get_traced_memory()[1] / n_steps
     finally:
         tracemalloc.stop()
@@ -348,8 +362,9 @@ def test_stage_peaks_stay_near_the_held_result():
 
 def test_result_holds_no_per_step_series():
     # the trajectory's and the angle columns are computed when read, and
-    # compute_scenario reads no rows: 0.05 B/step held and 0.08 peak, so one
-    # pass of any reader, of about 15 B/step, would break the bound (0.58
+    # compute_scenario reads no rows: 0.01 B/step held and 0.02 peak, so one
+    # pass, of about 13 B/step, would break the bound (0.08 and 0.08 while
+    # it set up a reader per series, 0.58
     # and 14.9 while it made a pass of the angle reader for the final W;
     # 33.6 and 51.4 while the result held the trajectory's five series, 57
     # and 64 while it also held the drifts, the angles and W)
@@ -366,38 +381,42 @@ def test_result_holds_no_per_step_series():
     assert len(result["tables"]) == 2
 
 
+def _count_passes(monkeypatch):
+    """Record each pass: the windows of rows it reads, and the rows of the azimuths it unwraps.
+
+    A pass calls ``geometry._windows`` once, and states are never
+    transported (``evolution._chord_columns``) or materialised.
+    """
+    passes, unwrapped = [], []
+    windows, turns = geometry._windows, geometry._Azimuth.__call__
+
+    def no_states(traj):
+        raise AssertionError("a pass materialised the (n, 3) states")
+
+    monkeypatch.setattr(geometry, "_windows", lambda path: passes.append(path) or windows(path))
+    monkeypatch.setattr(geometry._Azimuth, "__call__",
+                        lambda kernel, raw, off_pole: unwrapped.append(len(raw)) or turns(kernel, raw, off_pole))
+    monkeypatch.setattr(evolution, "_chord_columns", lambda *args: pytest.fail("a pass transported a state"))
+    monkeypatch.setattr(evolution.SpinorTrajectory, "states", property(no_states))
+    return passes, unwrapped
+
+
 @pytest.mark.parametrize("pols", [(1, -1), (-1,)], ids=["R,L", "L"])
 def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols):
     # compute_scenario makes no pass (the net vacuum phase is its column's
-    # last row); the reduction reads one chunk of every column at a time, so
-    # the one reader of lambda, gamma and W restarts once per pass and
-    # computes each chunk once; the writer, which formats every table in one
-    # pass, too
-    restarts, computed = [], []
-    original_restart, original_turns = geometry._AngleRows._restart, geometry._Azimuth.__call__
-
-    def restart(reader):
-        restarts.append(reader)
-        original_restart(reader)
-
-    def turns(kernel, raw, off_pole):
-        computed.append(len(raw))
-        return original_turns(kernel, raw, off_pole)
-
-    monkeypatch.setattr(geometry._AngleRows, "_restart", restart)
-    monkeypatch.setattr(geometry._Azimuth, "__call__", turns)
+    # last row); the reduction and the writer, which formats every table,
+    # are one pass each, which computes every sample's angles once
+    passes, unwrapped = _count_passes(monkeypatch)
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 300)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 2000)
     result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    reader = result["tables"][pols[0]]["lambda"].rows.__self__
-    assert restarts == [] and computed == []
-    for run, expected in ((lambda: _reduce(_all_columns(result)), 1),
-                          (lambda: write_results_csv(str(tmp_path), result), 1)):
-        restarts.clear()
-        computed.clear()
+    assert passes == [] and unwrapped == []
+    for run in (lambda: _reduce_all(result), lambda: write_results_csv(str(tmp_path), result)):
+        passes.clear()
+        unwrapped.clear()
         run()
-        assert restarts == [reader] * expected
-        assert sum(computed) == expected * path.n_samples  # every sample's angles once per pass
+        assert passes == [path]
+        assert sum(unwrapped) == path.n_samples  # every sample's angles once per pass
 
 
 def test_the_passes_transport_no_state(tmp_path, monkeypatch):
@@ -428,9 +447,10 @@ def test_cone_point_holds_no_path_and_no_trajectory(tmp_path, monkeypatch):
     # time, in its one reduction, and the helix's rows from its closed form,
     # a window at a time: 61.4 B/step at 1e5 steps and a slope of 33 while
     # the path held its samples (32 B/step), 81.6 at 1e5 while the point also
-    # held the series.  Nothing grows with the path now: 17.1 B/step at 1e5
-    # steps, 8.5 at 2e5, a slope of 0.0 (26.9, 14.1 and 1.3 while the scan's
-    # sqrt(n)-row slabs did, in tiles of 2^12 steps)
+    # held the series.  Nothing grows with the path now: 12.6 B/step at 1e5
+    # steps, 6.3 at 2e5, a slope of 0.0 (17.1 and 8.5 while each column read
+    # its own rows; 26.9, 14.1 and 1.3 while the scan's sqrt(n)-row slabs
+    # did, in tiles of 2^12 steps)
     peaks = {n_steps: _sweep_peak(tmp_path, ["40 deg"], n_steps) / n_steps for n_steps in (100_000, 200_000)}
     assert peaks[100_000] < 30, peaks  # bytes per step
     slope = (peaks[200_000] * 200_000 - peaks[100_000] * 100_000) / 100_000
@@ -473,7 +493,7 @@ DERIVED_CASES = {
 def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     path = DERIVED_CASES[case](tmp_path)
     got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
-    derived = {name: column[:] for name, column in got["tables"][-first].items()}
+    derived = {name: _read(got, column) for name, column in got["tables"][-first].items()}
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
@@ -489,17 +509,12 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
         assert np.abs(derived[f"phase_{kind}"] - getattr(dec, kind))[clear].max() <= 1e-12, kind
     assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
-    # the phases, drifts and flags are read from one streamed reader, shared by both polarizations
-    reader = got["tables"][first]["phase_total"].rows.__self__
-    assert isinstance(reader, evolution._TrajectoryRows)
-    for index, name in enumerate(("phase_total", "flagged", "phase_dynamical", "phase_geometric", "norm_drift",
-                                  "helicity_drift")):
-        column = got["tables"][-first][name]
-        assert (column.rows, column.index) == (got["tables"][first][name].rows, index), name
-        assert column.rows.__self__ is reader, name
-    # and the geometric phase is read as total - dynamical of those series
-    total, _, dynamical, geometric = reader.read(0, path.n_samples)[:4]
-    assert geometric.tobytes() == (total - dynamical).tobytes()
+    # the phases, drifts and flags read the series of one pass's transport, the first polarization's
+    assert got["series"].args == (path, first)
+    for name in ("phase_total", "flagged", "phase_dynamical", "phase_geometric", "norm_drift", "helicity_drift"):
+        assert got["tables"][-first][name][0] == got["tables"][first][name][0], name
+    # and the geometric phase is the total, the dynamical phase being an exact zero
+    assert got["tables"][-first]["phase_geometric"] == got["tables"][-first]["phase_total"]
 
 
 def _count_calls(monkeypatch, original):
@@ -520,30 +535,40 @@ def _count_calls(monkeypatch, original):
 
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
-    # the trajectory is one closed-form pass per pass: none in
-    # compute_scenario, the reduction's, and the writer's one for every
-    # table.  No pass transports or stores the (n, 3) states
-    restarts, original = [], evolution._TrajectoryRows._restart
-
-    def restart(reader):
-        restarts.append(reader)
-        original(reader)
-
-    def no_states(traj):
-        raise AssertionError("compute_scenario materialised the (n, 3) states")
-
-    monkeypatch.setattr(evolution._TrajectoryRows, "_restart", restart)
-    monkeypatch.setattr(evolution.SpinorTrajectory, "states", property(no_states))
-    transported = _count_calls(monkeypatch, evolution._chord_columns)
+    # the transport is one closed-form pass of the first polarization per
+    # pass: none in compute_scenario, the reduction's, and the writer's one
+    # for every table.  No pass transports or stores the (n, 3) states
+    passes, _ = _count_passes(monkeypatch)
+    fans, fan = [], evolution._fan
+    monkeypatch.setattr(evolution, "_fan", lambda windows, pol: fans.append(pol) or fan(windows, pol))
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    scenario = Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
+    result = compute_scenario(path, scenario)
     assert list(result["tables"]) == list(pols)
-    assert len(restarts) == 0
-    _reduce(_all_columns(result))
-    assert len(restarts) == 1
+    assert passes == fans == []
+    summarize(result, path, scenario)
+    assert passes == [path] and fans == [pols[0]]
     write_results_csv(str(tmp_path), result)
-    assert len(restarts) == 2 and restarts[0] is restarts[1]
-    assert restarts[0].sign == pols[0] and not transported
+    assert passes == [path] * 2 and fans == [pols[0]] * 2
+
+
+def test_each_pass_reads_a_helix_once_per_chunk(tmp_path, monkeypatch):
+    # a pass hands each chunk's window of rows to all its kernels, so it
+    # evaluates a helix's rows ceil(n / chunk) times (the summary reads the
+    # first and last times too); while each column read its own rows, a pass
+    # made about 3 reads per 256-row slice of the writer
+    evaluated, original = [], geometry._HelixRows.__call__
+    monkeypatch.setattr(geometry._HelixRows, "__call__",
+                        lambda rows, lo, hi: evaluated.append((lo, hi)) or original(rows, lo, hi))
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 256)
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 5000)
+    scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
+    result = compute_scenario(path, scenario)
+    bound = -(-path.n_samples // 256) + 2
+    for run in (lambda: summarize(result, path, scenario), lambda: write_results_csv(str(tmp_path), result)):
+        evaluated.clear()
+        run()
+        assert len(evaluated) <= bound, (len(evaluated), bound)
 
 
 # ------------------------------------------- residual columns computed when read
@@ -562,13 +587,11 @@ def _padded_whole_array_residuals(path, scale=1.0):
 def _residual_paths(draw):
     """Helices and smooth random walks on the sphere of 3 to 300 samples, and a ``_CHUNK_ROWS`` for them.
 
-    The residual kernels go in quarter chunks of at least a row.  Paths of
-    up to 40 samples take chunks of 1 to 9 rows, so one or two rows at a
-    time; a longer path takes 1 to 9 chunks, the last one partial or longer
-    than the path.
+    Paths of up to 40 samples take chunks of 1 to 9 rows; a longer path
+    takes 1 to 9 chunks, the last one partial or longer than the path.
     """
     n = draw(st.integers(3, 300))
-    chunk = draw(st.integers(1, 9) if n <= 40 else st.integers(n // 2, 4 * n + 8))
+    chunk = draw(st.integers(1, 9) if n <= 40 else st.integers(n // 8, n + 2))
     k_mag = draw(st.sampled_from([1.0, 2.5]))
     t = 0.1 * np.arange(n)
     if draw(st.booleans()):
@@ -587,41 +610,44 @@ def _residual_paths(draw):
 def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
     path, chunk = case
     n = path.n_samples
-    start = data.draw(st.integers(0, n), "start")
-    stop = data.draw(st.integers(start, n), "stop")
+    start = data.draw(st.integers(0, n - 1), "start")
+    stop = data.draw(st.integers(start + 1, n), "stop")
     invariant, motion = _padded_whole_array_residuals(path)
     scaled = _padded_whole_array_residuals(path, scale)[0]
-    columns = _residuals(path)  # both read one window of rows per read
-    reader = columns["invariant_residual"].rows.__self__
+
+    def kernel(lo, hi, scale=1.0):  # the kernel on the window of rows [lo, hi)
+        first, last = geometry._path_window(path, lo, hi)
+        t, k_hat = path.rows(first, last)
+        return geometry._residuals(path, (slice(lo, hi), t[lo - first : hi - first], k_hat, first), scale)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        # the reader's kernel on any row range: the drawn one, the whole column, single rows at both ends, none
-        for lo, hi in ((start, stop), (0, n), (0, 1), (n - 1, n), (n, n)):
+        # the kernel on any rows: the drawn ones, the whole column, single rows at both ends
+        for lo, hi in ((start, stop), (0, n), (0, 1), (n - 1, n)):
             for index, want in enumerate((invariant, motion)):
-                _assert_bitwise(reader._next(lo, hi)[index], want[lo:hi], f"residual {index} [{lo}, {hi})")
-            _assert_bitwise(geometry._ResidualRows(path, scale)._next(lo, hi)[0], scaled[lo:hi],
-                            f"scaled [{lo}, {hi})")
-        # the columns, each read in turn, in order: three pieces split at the drawn rows, and an empty read at the end
-        for rows in (slice(0, start), slice(start, stop), slice(stop, None), slice(n, n)):
-            for name, want in (("invariant_residual", invariant), ("motion_residual", motion)):
-                _assert_bitwise(columns[name][rows], want[rows], f"{name} {rows}")
-        assert columns["invariant_residual"].length == n
+                _assert_bitwise(kernel(lo, hi)[index], want[lo:hi], f"residual {index} [{lo}, {hi})")
+            _assert_bitwise(kernel(lo, hi, scale)[0], scaled[lo:hi], f"scaled [{lo}, {hi})")
+        # one pass's chunks, joined
+        chunks = [geometry._residuals(path, window) for window in geometry._windows(path)]
+        for index, want in enumerate((invariant, motion)):
+            _assert_bitwise(np.concatenate([pair[index] for pair in chunks]), want, f"pass {index}")
         _assert_bitwise(invariant_residual_series(path, scale), scaled[1:-1], "invariant_residual_series")
         _assert_bitwise(geometry.motion_residual(path), motion, "motion_residual")
 
 
-def test_residual_columns_read_the_path_once_per_quarter_chunk(monkeypatch):
-    # the two residual columns, read in turn, share each window of rows: the
-    # second column's read takes the arrays the first one's computed
+def test_residual_columns_read_the_path_once_per_chunk(monkeypatch):
+    # the pass reads each chunk's window of rows once, one row on either
+    # side of it, for the residuals and every other kernel
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 10_000)
-    columns = _residuals(path)
+    result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
     reads, original = [], FiberPath.rows
     monkeypatch.setattr(FiberPath, "rows", lambda self, lo, hi: reads.append((lo, hi)) or original(self, lo, hi))
-    invariant, motion = (columns[name][0:5000] for name in ("invariant_residual", "motion_residual"))
-    assert reads == [(0, 4097), (4095, 5001)]  # quarter chunks of 4096 rows, one row on either side
-    assert columns["motion_residual"].rows.__self__.rows == (0, 5000)
-    _assert_bitwise(motion, geometry.motion_residual(path)[:5000], "motion")
-    _assert_bitwise(invariant, geometry._ResidualRows(path)._next(0, 5000)[0], "invariant")
+    chunks = list(result["series"]())
+    assert reads == [(0, 4097), (4095, 8193), (8191, 10_001)]  # chunks of 4096 rows
+    monkeypatch.setattr(FiberPath, "rows", original)
+    for name, want in (("invariant_residual", _padded_whole_array_residuals(path)[0]),
+                       ("motion_residual", geometry.motion_residual(path))):
+        _assert_bitwise(np.concatenate([series[name] for series in chunks]), want, name)
 
 
 def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
@@ -629,16 +655,18 @@ def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
     result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 7)
-    _reduce(_all_columns(result))
+    _reduce_all(result)
 
-    def last_row_nan(path, start, stop):
-        values = geometry._ResidualRows(path)._next(start, stop)[1]
-        values[np.arange(start, stop) == path.n_samples - 1] = np.nan
-        return (values,)
+    def last_row_nan(chunks):
+        rows = 0
+        for series in chunks:
+            rows += len(series["t"])
+            if rows == path.n_samples:
+                series["motion_residual"][-1] = np.nan
+            yield series
 
-    result["tables"][-1]["motion_residual"] = Column(partial(last_row_nan, path), path.n_samples)
     with pytest.raises(NumericalError):
-        _reduce(_all_columns(result))
+        _reduce(last_row_nan(result["series"]()), _all_columns(result))
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 14])
@@ -646,24 +674,26 @@ def test_reduce_matches_whole_array_reductions(monkeypatch, chunk):
     # on a flagged equator, so the flag counts are not all zero
     path = helix_path(np.pi / 2, 1.0, 1.0, 2.0, 2000)
     result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 20)  # one chunk: the whole arrays
+    whole = {column: _read(result, column) for column in _all_columns(result)}
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
-    last, peak, nonzero = _reduce(_all_columns(result))
-    assert list(last) == list(peak) == list(nonzero) == list(dict.fromkeys(_all_columns(result)))
+    last, peak, nonzero = _reduce_all(result)
+    assert list(last) == list(peak) == list(nonzero) == list(whole)
     assert nonzero[result["tables"][1]["flagged"]] > 0
-    for column in last:
-        whole = column.rows(0, column.length)[column.index] * column.weight + 0.0
-        assert (last[column], peak[column], nonzero[column]) == (whole[-1], whole.max(), np.count_nonzero(whole))
+    for column, values in whole.items():
+        assert (last[column], peak[column], nonzero[column]) == (values[-1], values.max(), np.count_nonzero(values))
 
 
-def test_reduce_reads_each_distinct_column_once(monkeypatch):
+def test_reduce_reads_each_distinct_column_once():
     reads = []
 
-    def counted(values, start, stop):
-        reads.append((start, stop))
-        return (values[start:stop],)
+    class Counted(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
 
-    rows = partial(counted, np.arange(10.0) - 3.0)
-    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 16)  # the reduction reads quarter chunks, of 4 rows
-    last, peak, nonzero = _reduce([Column(rows, 10), Column(rows, 10, 0, -1.0), Column(rows, 10)])
-    assert sorted(reads) == [(0, 4), (0, 4), (4, 8), (4, 8), (8, 10), (8, 10)]
+    values = np.arange(10.0) - 3.0
+    chunks = [Counted(x=values[rows]) for rows in (slice(0, 4), slice(4, 8), slice(8, 10))]
+    last, peak, nonzero = _reduce(chunks, [("x", 1.0), ("x", -1.0), ("x", 1.0)])
+    assert reads == ["x"] * 6  # two distinct columns, once per chunk each
     assert [list(values.values()) for values in (last, peak, nonzero)] == [[6.0, -6.0], [6.0, 3.0], [9, 9]]

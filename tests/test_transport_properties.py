@@ -1,10 +1,10 @@
-"""Property tests: the transport's closed form, read in chunks, is its whole-array form and agrees with evolve.
+"""Property tests: the transport's closed form, a chunk at a time, is its whole-array form and agrees with evolve.
 
-``evolution._TrajectoryRows`` gives the results columns of the chord
-transport in closed form: the overlap angle sigma fan_i, from the swept
-areas of the triangles (k0, k_j, k_(j+1)), unwrapped over the unflagged rows
-and interpolated over the flagged ones, computed ``_CHUNK_ROWS`` rows at a
-time as they are read.  Whatever the chunks and the reads, its rows must be
+``evolution._fan`` and ``evolution._unwrapped`` give the results columns of
+the chord transport in closed form: the overlap angle sigma fan_i, from the
+swept areas of the triangles (k0, k_j, k_(j+1)), unwrapped over the
+unflagged rows and interpolated over the flagged ones, a chunk of a pass at
+a time.  Whatever the chunks, its rows must be
 bit for bit the whole-array form, and they must agree row by row with
 ``evolve``, which carries the state along the same chords under H and
 measures every series from it; those series in turn must be bit for bit
@@ -49,13 +49,19 @@ PATHS = st.one_of(
 )
 
 
+def _closed_form(path, pol):
+    """The closed form's total and flags of every row, from one pass of its two kernels."""
+    pieces = list(evolution._unwrapped(evolution._fan(geometry._windows(path), pol)))
+    return tuple(np.concatenate([piece[i] for piece in pieces]) for i in range(2))
+
+
 def test_half_turn_paths_are_flagged():
     for n, m in ((10, 8), (40, 20), (300, 298), (300, 150)):
         path = _half_turn_path(n, m)
         with pytest.warns(evolution.OrthogonalPassageWarning):
             traj = evolve(path, +1)
         assert traj.flagged[m]
-        assert evolution._TrajectoryRows(path, +1).read(0, n)[1][m]
+        assert _closed_form(path, +1)[1][m]
 
 
 def _same_bits(a, b):
@@ -108,35 +114,27 @@ def _with_chunk(path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=PATHS.flatmap(_with_chunk), pol=st.sampled_from([1, -1]), data=st.data())
-@example(case=(_half_turn_path(12, 9), 1), pol=1, data=None)
-@example(case=(_random_path(38, 227, 1.0), 1), pol=1, data=None)  # a chunk that starts at row 1
-def test_reader_rows_are_the_whole_array_closed_form_for_any_reads(case, pol, data):
+@given(case=PATHS.flatmap(_with_chunk), pol=st.sampled_from([1, -1]))
+@example(case=(_half_turn_path(12, 9), 1), pol=1)
+@example(case=(_random_path(38, 227, 1.0), 1), pol=1)  # a chunk that starts at row 1
+def test_transport_chunks_are_the_whole_array_closed_form_for_any_chunks(case, pol):
     # the fan's sum, the unwrap and the flagged runs carry from one chunk to
-    # the next; a partial pass, then a restart at row 0 and a full pass in
-    # drawn reads (one read of every row for the explicit example)
+    # the next; the pass's pieces, one per chunk, are the whole-array form,
+    # and its zero series, which the dynamical phase and the drifts read, is
+    # what the chord steps conserve, as exact zeros
+    from fiberphase.scenario import _series
+
     path, chunk = case
     n = path.n_samples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        reader = evolution._TrajectoryRows(path, pol)
-        for stop in ((n,) if data is None else (data.draw(st.integers(1, n), "partial"), n)):
-            lo, pieces = 0, []
-            while lo < stop:
-                hi = n if data is None else min(lo + data.draw(st.integers(1, n), "read"), stop)
-                pieces.append(reader.read(lo, hi))
-                assert reader.read(lo, hi) is pieces[-1]  # the same rows again
-                lo = hi
-        with pytest.raises(ValueError, match="read in order"):
-            reader.read(1, 2) if n > 2 else reader.read(2, 3)
-    total, flagged, dynamical, geometric, norm_drift, helicity_drift = (
-        np.concatenate([piece[i] for piece in pieces]) for i in range(6))
+        chunks = list(_series(path, pol))
+    assert [len(series["t"]) for series in chunks] == [len(series["total"]) for series in chunks]
+    total, flagged, zero = (np.concatenate([series[key] for series in chunks]) for key in ("total", "flagged", "zero"))
     want_total, want_flagged = _whole_array_closed_form(path, pol)
     assert _same_bits(total, want_total)
     assert _same_bits(flagged, want_flagged)
-    assert _same_bits(geometric, total)
-    for zeros in (dynamical, norm_drift, helicity_drift):  # what the chord steps conserve, as exact zeros
-        assert _same_bits(zeros, np.zeros(n))
+    assert _same_bits(zero, np.zeros(n))
 
 
 @st.composite
@@ -193,7 +191,7 @@ def test_closed_form_matches_evolve_row_by_row(path):
         clear[max(row - 20, 0) : row + 21] = False
     bound = _phase_bound(path)[clear]
     for pol, traj in trajs.items():
-        total, flagged = evolution._TrajectoryRows(path, pol).read(0, n)[:2]
+        total, flagged = _closed_form(path, pol)
         assert _same_bits(flagged, traj.flagged), pol
         assert (np.abs(total - traj.total)[clear] <= bound).all(), pol
         assert np.abs(traj.norms - 1.0).max() <= 1e-13 and np.abs(traj.dynamical).max() <= 1e-13, pol
@@ -237,7 +235,7 @@ def test_closed_form_is_accurate_near_the_antipode(pol):
     def error(phase):
         return np.abs(np.remainder(phase - want + np.pi, 2.0 * np.pi) - np.pi).astype(float)
 
-    closed = evolution._TrajectoryRows(path, pol).read(0, path.n_samples)[0]
+    closed = _closed_form(path, pol)[0]
     assert error(closed).max() <= 1e-13
     assert (error(evolve(path, pol).total) <= _phase_bound(path)).all()
 
@@ -331,16 +329,14 @@ def test_chord_columns_hand_over_every_row_once_as_the_stepwise_transport(path, 
 
 
 @pytest.mark.parametrize("n, m", [(40, 20), (41, 38), (300, 150)])
-@pytest.mark.parametrize("read", [1, 2, 7])
-def test_flagged_run_across_chunk_and_read_edges_takes_np_interp_values(n, m, read):
-    # one-row chunks: the flagged sample m ends its chunk and waits for the
-    # next one's unflagged sample; the reads end on it, or take it inside
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_flagged_run_across_chunk_and_read_edges_takes_np_interp_values(n, m, chunk):
+    # chunks of 1, 2 and 7 rows: the flagged sample m ends its chunk and
+    # waits for the next one's unflagged sample, or lies inside its chunk
     path = _half_turn_path(n, m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_CHUNK_ROWS", 1)
-        reader = evolution._TrajectoryRows(path, +1)
-        pieces = [reader.read(lo, min(lo + read, n))[:2] for lo in range(0, n, read)]
-    total, flagged = (np.concatenate([piece[i] for piece in pieces]) for i in range(2))
+        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
+        total, flagged = _closed_form(path, +1)
     assert flagged[m] and flagged.sum() == 1
     want_total, want_flagged = _whole_array_closed_form(path, +1)
     assert _same_bits(total, want_total) and _same_bits(flagged, want_flagged)
@@ -372,20 +368,18 @@ WINDING = [
 @example(samples=[(angle, False) for angle in WINDING], chunk=4, read=3)
 def test_chunked_unwrap_and_interpolation_match_whole_array(samples, chunk, read):
     # the unflagged angles are unwrapped as one sequence, and the flagged
-    # ones are interpolated between them, whatever the chunks and reads; the
-    # reader's angles are replaced by the drawn angles and flags, row 0
-    # unflagged as the reader's always is
+    # ones are interpolated between them, whatever the pieces: the drawn
+    # angles and flags, row 0 unflagged as the fan's always is, in pieces of
+    # chunk and read rows in turn, each handed back with its own tag
     angles = np.array([angle for angle, _ in samples], dtype=float)
     flagged = np.array([flag for _, flag in samples], dtype=bool)
     flagged[0] = False
-
-    def drawn(reader, first, stop):
-        return angles[first:stop].copy(), flagged[first:stop]
-
-    n = len(samples)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        mp.setattr(evolution._TrajectoryRows, "_angles", drawn)
-        reader = evolution._TrajectoryRows(_random_path(n, 0, 1.0), +1)
-        total = np.concatenate([reader.read(lo, min(lo + read, n))[0] for lo in range(0, n, read)])
-    assert _same_bits(total, _unwrapped(angles, flagged))
+    n, edges = len(samples), [0]
+    while edges[-1] < n:
+        edges.append(min(edges[-1] + (chunk, read)[len(edges) % 2], n))
+    pieces = [(angles[lo:hi], flagged[lo:hi], (lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    handed = list(evolution._unwrapped(iter(pieces)))
+    assert [tag for *_, tag in handed] == [tag for *_, tag in pieces]
+    assert all(len(total) == hi - lo for total, _, (lo, hi) in handed)
+    assert _same_bits(np.concatenate([total for total, *_ in handed]), _unwrapped(angles, flagged))
+    assert _same_bits(np.concatenate([flags for _, flags, _ in handed]), flagged)
