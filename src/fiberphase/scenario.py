@@ -3,9 +3,11 @@
 A scenario is a JSON file naming one path source (helix parameters or a
 trajectory file), the polarizations to transport, the mode occupations and
 ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
-produces results.csv / summary.json / plot_*.dat in the output directory;
-``sweep`` repeats the pipeline over one swept parameter.  All emitted files
-are byte-deterministic for a given config.
+writes results.csv, summary.json and plot_*.dat (geometric and analytic per
+polarization, quantal, net vacuum) to the output directory in one pass over
+the path, and a failed run leaves no file behind; ``sweep`` repeats the
+pipeline over one swept parameter.  All emitted files are byte-deterministic
+for a given config.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ import json
 import os
 import shutil
 import sys
-import tempfile
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -311,11 +312,11 @@ def compute_scenario(path, scenario: Scenario):
     and it shares the drifts and flags.  Every other weight is 1.
 
     ``series()`` starts a pass (``_series``), so the result holds no
-    per-step series; a run's reduction and writer, and a sweep point's
-    reduction, are one pass each.  No row is read here: the survival flags
-    need no ``W``, and the final net vacuum phase is the last row of its
-    column.  :func:`summarize` prints the warnings of flagged samples once
-    its reduction has counted them.
+    per-step series; a run's writer, which also reduces every column, and
+    a cone sweep point's reduction are one pass each.  No row is read here:
+    the survival flags need no ``W``, and the final net vacuum phase is the
+    last row of its column.  :func:`summarize` prints the warnings of
+    flagged samples once the reduction has counted them.
     """
     first = scenario.polarizations[0]
     medium = scenario.medium or FREE_SPACE
@@ -348,24 +349,30 @@ def compute_scenario(path, scenario: Scenario):
     }
 
 
-def _reduce(chunks, columns):
+def _reduce(chunks, columns, each=None):
     """Dicts of each distinct column's last value, maximum and number of nonzero rows, from one pass.
 
     ``chunks`` are a pass's dicts of series, one per chunk of rows; every
-    distinct column of ``columns`` is computed from each chunk once.
-    Raises NumericalError on a non-finite value; a command reduces its
-    columns before it writes a file, so a failure leaves no file behind.
+    distinct column of ``columns`` is computed from each chunk once, and
+    the chunk is then handed to ``each``, if given (a run's writer).
+    Raises NumericalError on a non-finite value, before its chunk is
+    handed on.
     """
     columns = list(dict.fromkeys(columns))
     last, peak, nonzero = dict.fromkeys(columns), dict.fromkeys(columns, -np.inf), dict.fromkeys(columns, 0)
+
+    def fold(column, values):  # which frees the chunk's column before ``each`` runs
+        if not np.isfinite(values).all():
+            raise NumericalError("non-finite value detected in results")
+        peak[column] = max(peak[column], float(values.max()))
+        nonzero[column] += int(np.count_nonzero(values))
+        last[column] = float(values[-1])
+
     for series in chunks:
         for column in columns:
-            values = _values(series, column)
-            if not np.isfinite(values).all():
-                raise NumericalError("non-finite value detected in results")
-            peak[column] = max(peak[column], float(values.max()))
-            nonzero[column] += int(np.count_nonzero(values))
-            last[column] = float(values[-1])
+            fold(column, _values(series, column))
+        if each is not None:
+            each(series)
     return last, peak, nonzero
 
 
@@ -380,61 +387,84 @@ def _negated(strings):
 _WRITE_ROWS = 256  # samples per writer slice, whose columns are held as lists of strings
 
 
-def write_results_csv(out_dir, result):
-    """Write results.csv and every plot file in one pass, formatting each distinct column once per slice of rows.
+def write_results_csv(out_dir, result, summary_of):
+    """Write every file of a run in one pass, whose ``_reduce`` gives ``summary_of`` its input; returns the summary.
 
-    Each chunk of the pass is written in slices of ``_WRITE_ROWS`` rows,
-    whose strings are held one slice at a time.  A column whose weight is
-    the negative of one already formatted takes its strings with each
-    leading '-' toggled.  results.csv lists each polarization's rows in
-    turn, so a later one's rows go to an unnamed temporary file in
-    ``out_dir``, appended at the end and gone on every exit path.  The
-    plots of the columns every table shares (quantal, net vacuum) go with
-    the first table.
+    Each chunk is written, once reduced and checked, in slices of
+    ``_WRITE_ROWS`` rows whose strings are held one slice at a time; a
+    column whose weight is the negative of one already formatted takes its
+    strings with each leading '-' toggled.  Every file is written under a
+    hidden temporary name in ``out_dir`` and renamed after the summary,
+    summary.json last; on any exception every temporary file is removed.
+    results.csv lists each polarization's rows in turn, so a later one's
+    rows go to a temporary file of their own, appended at the end.  The
+    plots of the columns every table shares go with the first table.
     """
     tables = result["tables"]
     first, *later = tables
     columns = list(dict.fromkeys(table[name] for table in tables.values() for name in RESULT_COLUMNS[1:-1]))
-    names = [(pol, kind, f"{kind}_{_SIGMA_SUFFIX[pol]}") for pol in tables for kind in ("total", "geometric", "analytic")]
-    names += [(first, kind, kind) for kind in ("quantal", "vacuum_net")]
-    with ExitStack() as stack:
-        def open_text(name):
-            return stack.enter_context(open(os.path.join(out_dir, name), "w", newline="\n"))
+    rows_of = {pol: f"results_{_SIGMA_SUFFIX[pol]}.csv" for pol in later}  # appended, never renamed
+    plots = [(pol, kind, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat") for pol in tables for kind in ("geometric", "analytic")]
+    plots += [(first, kind, f"plot_{kind}.dat") for kind in ("quantal", "vacuum_net")]
+    made = {}  # file name -> the temporary path it is written to
 
-        sinks = {first: open_text("results.csv")}
-        sinks |= {pol: stack.enter_context(tempfile.TemporaryFile("w+", newline="\n", dir=out_dir)) for pol in later}
-        plots = [(open_text(f"plot_{name}.dat"), tables[pol]["t"], tables[pol][f"phase_{kind}"]) for pol, kind, name in names]
+    def create(name):
+        temporary = os.path.join(out_dir, f".{name}.{os.urandom(6).hex()}.tmp")
+        fh = open(temporary, "x", newline="\n")  # write-only; created here, so never another's to remove
+        made[name] = temporary
+        return fh
 
-        def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
-            text = {}
-            for column in columns:
-                mirror = text.get((column[0], -column[1]))
-                text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
-            for pol, table in tables.items():
-                flags = ["1\n" if flag else "0\n" for flag in _values(series, table["flagged"], rows).tolist()]
-                fields = zip(repeat(str(pol)), *(text[table[name]] for name in RESULT_COLUMNS[1:-1]), flags)
-                sinks[pol].writelines(map(",".join, fields))
-            for fh, t, column in plots:
-                fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
+    try:
+        with ExitStack() as stack:
+            sinks = {pol: stack.enter_context(create(rows_of.get(pol, "results.csv"))) for pol in tables}
+            lines = [(stack.enter_context(create(name)), tables[pol]["t"], tables[pol][f"phase_{kind}"])
+                     for pol, kind, name in plots]
 
-        sinks[first].write(",".join(RESULT_COLUMNS) + "\n")
-        for series in result["series"]():
-            for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
-                write_slice(series, rows)
+            def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
+                text = {}
+                for column in columns:
+                    mirror = text.get((column[0], -column[1]))
+                    text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
+                for pol, table in tables.items():
+                    flags = ["1\n" if flag else "0\n" for flag in _values(series, table["flagged"], rows).tolist()]
+                    fields = zip(repeat(str(pol)), *(text[table[name]] for name in RESULT_COLUMNS[1:-1]), flags)
+                    sinks[pol].writelines(map(",".join, fields))
+                for fh, t, column in lines:
+                    fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
+
+            def write_chunk(series):
+                for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
+                    write_slice(series, rows)
+
+            sinks[first].write(",".join(RESULT_COLUMNS) + "\n")
+            reduced = _reduce(result["series"](), [c for table in tables.values() for c in table.values()], write_chunk)
+        summary = {**summary_of(reduced), "command": "run"}
+        with create("summary.json") as fh:
+            fh.write(_json(summary))
         for pol in later:
-            sinks[pol].seek(0)
-            shutil.copyfileobj(sinks[pol], sinks[first])
+            with open(made[rows_of[pol]], "rb") as rows, open(made["results.csv"], "ab") as csv:
+                shutil.copyfileobj(rows, csv)
+        for name in ["results.csv", *(name for _, _, name in plots), "summary.json"]:
+            os.replace(made[name], os.path.join(out_dir, name))
+            del made[name]
+    finally:
+        for temporary in made.values():  # every file on an exception, else the later rows
+            os.remove(temporary)
+    return summary
 
 
-def summarize(result, path, scenario: Scenario):
-    """The summary of a result; its one read of every column raises NumericalError on a non-finite value.
+def summarize(result, path, scenario: Scenario, reduced=None):
+    """The summary of a result, from the reduction of every column: ``reduced``, else a pass of ``_reduce``.
 
-    Once that read has counted each polarization's flagged samples, their
-    orthogonal-passage warnings are printed to stderr.
+    The pass raises NumericalError on a non-finite value.  Each
+    polarization's orthogonal-passage warning, with the count of its
+    flagged samples, is printed to stderr.
     """
     tables = result["tables"]
     t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
-    last, peak, nonzero = _reduce(result["series"](), (column for table in tables.values() for column in table.values()))
+    if reduced is None:
+        reduced = _reduce(result["series"](), (column for table in tables.values() for column in table.values()))
+    last, peak, nonzero = reduced
     phases = {}
     for pol, table in tables.items():
         phases[f"{pol:+d}"] = {
@@ -489,13 +519,12 @@ def summarize(result, path, scenario: Scenario):
     return summary
 
 
-def _write_summary(out_dir, summary):
+def _json(summary):
+    """summary.json's text; NumericalError on a non-finite value."""
     try:
-        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise NumericalError("non-finite value in summary.json") from None
-    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        fh.write(text + "\n")
 
 
 def _output_dir(cfg, out_dir):
@@ -509,7 +538,7 @@ def _output_dir(cfg, out_dir):
     return given[-1]
 
 
-@np.errstate(all="ignore")  # no floating-point warnings: _reduce reports a non-finite value, once
+@np.errstate(all="ignore")  # no floating-point warnings: the writer reports a non-finite value, once
 def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     """Execute a 'run' scenario; returns the summary dict after writing files."""
     cfg = load_config(config_path)
@@ -521,12 +550,8 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
         raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
     result = compute_scenario(path, scenario)
-    summary = summarize(result, path, scenario)
-    summary["command"] = "run"
-
     os.makedirs(out_dir, exist_ok=True)
-    write_results_csv(out_dir, result)
-    _write_summary(out_dir, summary)
+    summary = write_results_csv(out_dir, result, partial(summarize, result, path, scenario))
     if not quiet:
         print(f"wrote {out_dir}/results.csv, summary.json and plot files")
         for key in sorted(summary["phases"]):
@@ -673,7 +698,9 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
         "parameter": parameter,
         "rows": rows,
     }
-    _write_summary(out_dir, summary)
+    text = _json(summary)
+    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
+        fh.write(text)
     if not quiet:
         print(f"wrote {out_dir}/sweep.csv and summary.json ({len(rows)} points)")
     return summary

@@ -75,9 +75,7 @@ def test_run_helix_scenario(tmp_path):
     assert abs(summary["phases"]["-1"]["geometric"] + np.pi) < 1e-3
     assert summary["vacuum"]["net_final"] == 0.0  # free space: exact cancellation
     assert abs(summary["quantal_final"] - np.pi) < 1e-6
-    assert os.path.exists(os.path.join(out, "results.csv"))
-    for name in ("plot_total_R.dat", "plot_geometric_L.dat", "plot_quantal.dat", "plot_vacuum_net.dat"):
-        assert os.path.exists(os.path.join(out, name))
+    assert sorted(os.listdir(out)) == sorted(_RUN_FILES | _plots((1, -1)))
 
 
 def test_run_results_csv_schema(tmp_path):
@@ -367,7 +365,36 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
     cfg["path"]["n_steps"] = 128
     config = write_config(tmp_path, "nan.json", cfg)
     assert main(["run", config, "--quiet"]) == 3
-    assert not (out / "results.csv").exists()
+    assert os.listdir(out) == []  # no file: neither a final nor a temporary one
+
+
+@pytest.mark.parametrize("polarizations", [[1, -1], [-1]], ids=["R,L", "L"])
+def test_non_finite_late_chunk_exits_3_and_leaves_the_directory_as_it_was(tmp_path, monkeypatch, polarizations):
+    # a NaN in the last row of the last of three chunks, after the writer has
+    # written every earlier row under its temporary names: they are removed,
+    # and a results.csv from an earlier run keeps its bytes
+    import fiberphase.scenario as scenario_mod
+
+    original = scenario_mod._series
+
+    def poisoned(path, polarization):
+        rows = 0
+        for series in original(path, polarization):
+            rows += len(series["t"])
+            if rows == path.n_samples:
+                series["motion_residual"][-1] = np.nan
+            yield series
+
+    monkeypatch.setattr(scenario_mod, "_series", poisoned)
+    monkeypatch.setattr(scenario_mod.geometry, "_CHUNK_ROWS", 256)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "results.csv").write_bytes(b"an earlier run's rows\n")
+    cfg = helix_cfg(str(out), polarizations=polarizations)
+    cfg["path"]["n_steps"] = 700  # three chunks of the pass
+    assert main(["run", write_config(tmp_path, "late_nan.json", cfg), "--quiet"]) == 3
+    assert os.listdir(out) == ["results.csv"]
+    assert (out / "results.csv").read_bytes() == b"an earlier run's rows\n"
 
 
 def _fiberphase(*argv):
@@ -437,7 +464,7 @@ def test_subnormal_step_helix_matches_a_path_of_held_arrays(tmp_path, monkeypatc
     (got_code, got_std, got_files), (want_code, want_std, want_files) = runs
     assert got_code == want_code == code
     assert got_std.out.replace("on_demand", "held") == want_std.out and got_std.err == want_std.err
-    assert got_files == want_files and len(got_files) == (10 if code == 0 else 0)  # results, summary, 8 plots
+    assert got_files == want_files and len(got_files) == (8 if code == 0 else 0)  # results, summary, 6 plots
     if code == 0:
         assert 0.0 < json.loads(got_files["summary.json"])["path"]["dt"] < 2.2250738585072014e-308
 
@@ -510,7 +537,7 @@ def test_non_finite_summary_exits_3_without_writing(tmp_path, monkeypatch):
     cfg["path"]["n_steps"] = 128
     config = write_config(tmp_path, "nan_summary.json", cfg)
     assert main(["run", config, "--quiet"]) == 3
-    assert not (out / "summary.json").exists()
+    assert os.listdir(out) == []  # every row was written, under temporary names that are gone
 
 
 def _joined_outputs(result):
@@ -532,7 +559,7 @@ def _joined_outputs(result):
         for i in range(len(columns[0])):
             row = [str(pol)] + [_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]
             lines.append(",".join(row))
-        names = [(f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat", f"phase_{kind}") for kind in ("total", "geometric", "analytic")]
+        names = [(f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat", f"phase_{kind}") for kind in ("geometric", "analytic")]
         names += [(f"plot_{kind}.dat", f"phase_{kind}") for kind in ("quantal", "vacuum_net")]
         for filename, name in names:
             t, values = column(table, "t"), column(table, name)
@@ -540,11 +567,11 @@ def _joined_outputs(result):
     return ("\n".join(lines) + "\n").encode(), plots
 
 
-def _written(tmp_path, result):
+def _written(tmp_path, result, summary_of=lambda reduced: {}):
     import fiberphase.scenario as scenario_mod
 
     tmp_path.mkdir(parents=True, exist_ok=True)
-    scenario_mod.write_results_csv(str(tmp_path), result)
+    scenario_mod.write_results_csv(str(tmp_path), result, summary_of)
     plots = {f.name: f.read_bytes() for f in tmp_path.glob("plot_*.dat")}
     return (tmp_path / "results.csv").read_bytes(), plots
 
@@ -590,44 +617,98 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
             yield {name: series[lo : lo + 2 * chunk + 1] for name, series in values.items()}
 
     result = {"tables": tables, "series": pass_chunks}
+    reduced = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)
-        assert _written(tmp_path_factory.mktemp("chunked"), result) == _joined_outputs(result)
+        written = _written(tmp_path_factory.mktemp("chunked"), result, lambda got: reduced.append(got) or {})
+        assert written == _joined_outputs(result)
+    # and the writer's reduction of the slices it formats is _reduce's, bitwise (repr keeps the sign of zero)
+    want = scenario_mod._reduce(pass_chunks(), [column for table in tables.values() for column in table.values()])
+    assert [{column: repr(value) for column, value in part.items()} for part in reduced[0]] == \
+        [{column: repr(value) for column, value in part.items()} for part in want]
 
 
-def test_writer_holds_one_chunk_of_strings(tmp_path):
-    # one slice of formatted columns at a time; a full-length column of
-    # strings alone would be about 70 bytes per step.  The writer's pass
-    # computes the series as the reduction's does, so what the writer adds is
-    # its peak above the reduction's: 9.1 B/step at 4000 steps (0.2 at 1e5),
-    # one slice of strings next to the pass's one chunk of series, less the
-    # kernels' temporaries, and 949 (1044 at 1e5) for a writer that keeps
-    # every slice's strings.  With fewer steps the slice weighs more per
-    # step (13.6 at 3800, 33 at 3000; -3.8 at 4000 while each column read
-    # its own rows); 1e5 steps took 14-21 s under tracemalloc.  One
-    # polarization, as tracing every string is slow.
+def _writer_peaks(tmp_path, n_steps, slices=None):
+    """Traced peaks of a one-polarization run's passes: _reduce's alone, then the writer's, which also reduces.
+
+    With a list ``slices``, the peak of each writer slice above what was in
+    use when it began is appended to it, and the writer's own peak is lost.
+    One polarization, as tracing every string is slow.
+    """
     import tracemalloc
+    from functools import partial
 
     import fiberphase.scenario as scenario_mod
     from fiberphase.fock import Ordering
     from fiberphase.geometry import helix_path
 
-    n_steps = 4000
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
     scenario = scenario_mod.Scenario((1,), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
-    result = scenario_mod.compute_scenario(helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps), scenario)
+    result = scenario_mod.compute_scenario(path, scenario)
+    tmp_path.mkdir()
+    original = scenario_mod.geometry._row_slices
+
+    def measured(start, stop, step=None):  # the writer's slices are the ones with an explicit size
+        for rows in original(start, stop, step):
+            if step is None or slices is None:
+                yield rows
+                continue
+            in_use = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield rows
+            slices.append(tracemalloc.get_traced_memory()[1] - in_use)
+
     peaks = []
     columns = [c for table in result["tables"].values() for c in table.values()]
-    for run in (lambda: scenario_mod._reduce(result["series"](), columns),
-                lambda: scenario_mod.write_results_csv(str(tmp_path), result)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] / n_steps)
-        finally:
-            tracemalloc.stop()
-    reduction, writer = peaks
-    assert writer - reduction < 12, peaks  # bytes per step
-    assert len(list(tmp_path.iterdir())) == 6  # results.csv and five plot files
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario_mod.geometry, "_row_slices", measured)
+        for run in (lambda: scenario_mod._reduce(result["series"](), columns),
+                    lambda: scenario_mod.write_results_csv(str(tmp_path), result, partial(scenario_mod.summarize, result, path, scenario))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    return peaks
+
+
+def test_writer_holds_one_chunk_of_strings(tmp_path):
+    # one slice of formatted columns at a time; a full-length column of
+    # strings alone would be about 70 bytes per step.  The writer's pass
+    # computes and reduces the series as the reduction's does, so what the
+    # writer adds is its peak above the reduction's: 8.9 B/step at 4000
+    # steps (9.1 while the reduction was a pass of its own, 0.2 at 1e5),
+    # one slice of strings next to the pass's one chunk of series, less the
+    # kernels' temporaries, and 949 (1044 at 1e5) for a writer that keeps
+    # every slice's strings.  With fewer steps the slice weighs more per
+    # step (12.7 at 3800, 32.8 at 3000; 15.1 while the writer held each
+    # slice's columns as one array for its reduction); 1e5 steps took
+    # 14-21 s under tracemalloc
+    n_steps = 4000
+    reduction, writer = _writer_peaks(tmp_path / "out", n_steps)
+    assert (writer - reduction) / n_steps < 12, (reduction, writer)  # bytes per step
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES | _plots((1,)))
+
+
+@pytest.mark.parametrize("n_steps", [3000, 8000])
+def test_writer_adds_at_most_one_slice_of_strings(tmp_path, n_steps):
+    # the same bound at any size, per slice: a slice holds its own strings
+    # and one column's floats, about 1010 bytes per row of the slice (1190
+    # with two polarizations), wherever it sits in its chunk; the writer's
+    # peak above the reduction's (98 kB at 3000 steps, one chunk; 45 kB at
+    # 8000, two) is no more than one slice's, so it measures only the
+    # strings and not the reduction the writer now does.  A writer that
+    # kept every slice's strings would add about 7.6 MB at 8000 steps
+    from fiberphase.scenario import _WRITE_ROWS
+
+    reduction, writer = _writer_peaks(tmp_path / "whole", n_steps)
+    slices = []
+    _writer_peaks(tmp_path / "slices", n_steps, slices)
+    assert len(slices) >= (n_steps + 1) / _WRITE_ROWS  # every slice measured
+    one_slice = max(slices)
+    assert one_slice / _WRITE_ROWS < 1300, slices  # bytes per row of a slice
+    assert writer - reduction < one_slice, (reduction, writer, one_slice)
 
 
 def _check_field(x):
@@ -668,38 +749,87 @@ _RUN_FILES = {"results.csv", "summary.json", "plot_quantal.dat", "plot_vacuum_ne
 
 
 def _plots(pols):
-    return {f"plot_{kind}_{'R' if pol == 1 else 'L'}.dat" for pol in pols for kind in ("total", "geometric", "analytic")}
+    """The plots of each polarization: its geometric and analytic phases (its total phase is its geometric one)."""
+    return {f"plot_{kind}_{'R' if pol == 1 else 'L'}.dat" for pol in pols for kind in ("geometric", "analytic")}
 
 
-def _spy_temporary_files(monkeypatch):
-    import tempfile
+def _spy_open(monkeypatch):
+    """Every file the writer opens, as (name, mode, handle), through the module's ``open``."""
+    import builtins
 
-    made, original = [], tempfile.TemporaryFile
+    import fiberphase.scenario as scenario_mod
 
-    def spy(*args, **kwargs):
-        made.append(original(*args, **kwargs))
-        return made[-1]
+    opened = []
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
-    return made
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(file), mode, builtins.open(file, mode, *args, **kwargs)))
+        return opened[-1][2]
+
+    monkeypatch.setattr(scenario_mod, "open", spy, raising=False)
+    return opened
 
 
 @pytest.mark.parametrize("pols", [[1, -1], [-1]], ids=["R,L", "L"])
 def test_run_writes_exactly_the_documented_files(tmp_path, monkeypatch, pols):
-    # a later polarization's rows pass through one unnamed temporary file,
-    # closed (and so removed) once appended; one polarization needs none
-    made = _spy_temporary_files(monkeypatch)
+    # each file is created under a hidden temporary name, write-only, and
+    # renamed; a later polarization's rows go to a temporary file of their
+    # own, reopened once to be appended to results.csv and then removed.
+    # One polarization needs none
+    opened = _spy_open(monkeypatch)
     cfg = helix_cfg(str(tmp_path / "out"), polarizations=pols)
-    cfg["path"]["n_steps"] = 700  # three writer chunks
+    cfg["path"]["n_steps"] = 700  # three writer slices
     assert main(["run", write_config(tmp_path, "run.json", cfg), "--quiet"]) == 0
-    assert set(os.listdir(tmp_path / "out")) == _RUN_FILES | _plots(pols)
-    assert len(made) == len(pols) - 1 and all(fh.closed for fh in made)
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES | _plots(pols))
+    created = [name for name, mode, fh in opened if mode == "x"]
+    assert all(name.startswith(".") and name.endswith(".tmp") and not fh.readable() and fh.closed
+               for name, mode, fh in opened if mode == "x")
+    later = [name for name in created if name.startswith(".results_")]
+    assert len(created) == len(_RUN_FILES | _plots(pols)) + len(later) and len(later) == len(pols) - 1
+    reopened = [(name, mode) for name, mode, _ in opened if mode != "x" and name.startswith(".")]
+    results = [name for name in created if name.startswith(".results.csv.")]
+    assert reopened == ([(later[0], "rb"), (results[0], "ab")] if later else [])
 
 
-@pytest.mark.parametrize("where", ["chunk", "append"])
+@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
+def test_each_geometric_plot_is_its_rows_of_results_csv(tmp_path, pols):
+    # plot_geometric_X.dat is the t and phase_geometric fields of that
+    # sigma's rows of results.csv, byte for byte; phase_total, whose plot
+    # was a byte copy, is the same field of every row (the dynamical phase
+    # is an exact zero), here on an equator with flagged samples
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), polarizations=pols)
+    cfg["path"].update(cone_angle=np.pi / 2, n_cycles=2.0, n_steps=1500)
+    assert main(["run", write_config(tmp_path, "equator.json", cfg), "--quiet"]) == 0
+    header, *rows = [line.split(b",") for line in (out / "results.csv").read_bytes().splitlines()]
+    t, total, geometric = (header.index(name.encode()) for name in ("t", "phase_total", "phase_geometric"))
+    assert all(row[total] == row[geometric] for row in rows)
+    for pol in pols:
+        want = b"".join(row[t] + b" " + row[geometric] + b"\n" for row in rows if row[0] == str(pol).encode())
+        assert (out / f"plot_geometric_{'R' if pol == 1 else 'L'}.dat").read_bytes() == want
+
+
+def test_no_two_files_of_a_bench_run_are_byte_identical(tmp_path):
+    # the bench's run config at 2000 steps: plot_total_X.dat were copies of
+    # plot_geometric_X.dat.  One pair stays equal on this config, as two
+    # quantities are: n_R - n_L = 1 makes the quantal phase (n_R - n_L) W
+    # the sigma = +1 analytic phase, W
+    from itertools import combinations
+
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), medium={"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0}, chamber_length=10.0)
+    cfg["path"].update(cone_angle=0.9, n_steps=2000)
+    assert main(["run", write_config(tmp_path, "bench.json", cfg), "--quiet"]) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert set(files) == _RUN_FILES | _plots((1, -1))
+    same = {pair for pair in combinations(sorted(files), 2) if files[pair[0]] == files[pair[1]]}
+    assert same == {("plot_analytic_R.dat", "plot_quantal.dat")}
+
+
+@pytest.mark.parametrize("where", ["chunk", "append", "rename"])
 def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
-    # an OSError in the second chunk, or while the later rows are appended,
-    # propagates with every file closed and no temporary file left
+    # an OSError in the second chunk, while the later rows are appended or
+    # at the first rename propagates with every file closed, and leaves no
+    # file in the directory
     import errno
     import shutil
 
@@ -710,9 +840,10 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
     def full(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    made = _spy_temporary_files(monkeypatch)
+    opened = _spy_open(monkeypatch)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 700)
-    result = scenario_mod.compute_scenario(path, scenario_mod.Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
+    scenario = scenario_mod.Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    result = scenario_mod.compute_scenario(path, scenario)
     if where == "chunk":
         series = result["series"]
 
@@ -723,12 +854,35 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
 
         monkeypatch.setattr(scenario_mod.geometry, "_CHUNK_ROWS", 256)  # three chunks of the pass
         result["series"] = failing
-    else:
+    elif where == "append":
         monkeypatch.setattr(shutil, "copyfileobj", full)
+    else:
+        monkeypatch.setattr(os, "replace", full)
     with pytest.raises(OSError, match="No space left"):
-        scenario_mod.write_results_csv(str(tmp_path), result)
-    assert set(os.listdir(tmp_path)) == {"results.csv", "plot_quantal.dat", "plot_vacuum_net.dat"} | _plots((1, -1))
-    assert len(made) == 1 and made[0].closed
+        scenario_mod.write_results_csv(str(tmp_path), result, lambda reduced: {})
+    assert os.listdir(tmp_path) == []
+    assert opened and all(fh.closed for _, _, fh in opened)
+
+
+def test_io_error_exits_4_and_leaves_the_directory_as_it_was(tmp_path, monkeypatch, capsys):
+    # a full disk while the second polarization's rows are appended: exit 4,
+    # no temporary file, and a results.csv from an earlier run keeps its bytes
+    import errno
+    import shutil
+
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(shutil, "copyfileobj", full)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "results.csv").write_bytes(b"an earlier run's rows\n")
+    cfg = helix_cfg(str(out))
+    cfg["path"]["n_steps"] = 128
+    assert main(["run", write_config(tmp_path, "full.json", cfg), "--quiet"]) == 4
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+    assert os.listdir(out) == ["results.csv"]
+    assert (out / "results.csv").read_bytes() == b"an earlier run's rows\n"
 
 
 def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):

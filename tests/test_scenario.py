@@ -11,12 +11,14 @@ import json
 import sys
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberphase.scenario as scenario_module
 from fiberphase import evolution, fock, geometry, media
 from fiberphase.evolution import (
     analytic_noncyclic_phase,
@@ -56,6 +58,12 @@ def _all_columns(result):
 def _reduce_all(result):
     """The reduction of every column of the result, in one pass."""
     return _reduce(result["series"](), _all_columns(result))
+
+
+def _write(out_dir, result, path, scenario):
+    """A run's one pass: every file written to ``out_dir`` (made if missing), and the summary."""
+    out_dir.mkdir(exist_ok=True)
+    return write_results_csv(str(out_dir), result, partial(summarize, result, path, scenario))
 
 
 def _read(result, column):
@@ -404,14 +412,16 @@ def _count_passes(monkeypatch):
 @pytest.mark.parametrize("pols", [(1, -1), (-1,)], ids=["R,L", "L"])
 def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols):
     # compute_scenario makes no pass (the net vacuum phase is its column's
-    # last row); the reduction and the writer, which formats every table,
-    # are one pass each, which computes every sample's angles once
+    # last row); a cone sweep point's reduction and a run's writer, which
+    # formats and reduces every table, are one pass each, which computes
+    # every sample's angles once
     passes, unwrapped = _count_passes(monkeypatch)
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 300)
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 2000)
-    result = compute_scenario(path, Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
+    scenario = Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
+    result = compute_scenario(path, scenario)
     assert passes == [] and unwrapped == []
-    for run in (lambda: _reduce_all(result), lambda: write_results_csv(str(tmp_path), result)):
+    for run in (lambda: _reduce_all(result), lambda: _write(tmp_path, result, path, scenario)):
         passes.clear()
         unwrapped.clear()
         run()
@@ -430,7 +440,7 @@ def test_the_passes_transport_no_state(tmp_path, monkeypatch):
     scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
     result = compute_scenario(path, scenario)
     assert np.isfinite(summarize(result, path, scenario)["phases"]["-1"]["geometric"])
-    write_results_csv(str(tmp_path), result)
+    assert np.isfinite(_write(tmp_path, result, path, scenario)["phases"]["-1"]["geometric"])
     with pytest.raises(AssertionError, match="transported"):
         evolve(path, 1)
     assert not hasattr(evolution, "_scan")
@@ -535,21 +545,44 @@ def _count_calls(monkeypatch, original):
 
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
-    # the transport is one closed-form pass of the first polarization per
-    # pass: none in compute_scenario, the reduction's, and the writer's one
-    # for every table.  No pass transports or stores the (n, 3) states
+    # a run is one pass (_series) with one closed-form transport (_fan) of
+    # the first polarization: the writer formats every table and reduces
+    # every column from it, so summary.json needs no pass of its own.  No
+    # pass transports or stores the (n, 3) states
     passes, _ = _count_passes(monkeypatch)
     fans, fan = [], evolution._fan
     monkeypatch.setattr(evolution, "_fan", lambda windows, pol: fans.append(pol) or fan(windows, pol))
-    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 1024)
-    scenario = Scenario(pols, 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
-    result = compute_scenario(path, scenario)
-    assert list(result["tables"]) == list(pols)
-    assert passes == fans == []
-    summarize(result, path, scenario)
-    assert passes == [path] and fans == [pols[0]]
-    write_results_csv(str(tmp_path), result)
-    assert passes == [path] * 2 and fans == [pols[0]] * 2
+    series, pass_of = [], scenario_module._series
+    monkeypatch.setattr(scenario_module, "_series", lambda path, pol: series.append(pol) or pass_of(path, pol))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "path": {"type": "helix", "cone_angle": 1.0, "omega": 1.0, "k_mag": 1.0, "n_cycles": 1.0, "n_steps": 1024},
+        "polarizations": list(pols),
+        "occupations": {"n_left": 0, "n_right": 1},
+        "medium": {"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0},
+    }))
+    summary = run_scenario(str(config), str(tmp_path / "out"), quiet=True)
+    assert len(passes) == 1 and series == fans == [pols[0]]
+    assert list(summary["phases"]) == [f"{pol:+d}" for pol in pols]
+
+
+@pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
+@pytest.mark.parametrize("case", sorted(DERIVED_CASES))
+def test_writer_summary_is_the_reductions(tmp_path, monkeypatch, case, pols):
+    # the writer's reduction, from the slices it formats (a mirrored
+    # column's from the negated last value and minimum of the one it
+    # mirrors), gives summary.json's text bitwise as _reduce's pass does,
+    # -0.0 included; the equator flags samples, the clockwise helix makes
+    # W < 0, and normal ordering and n_R = n_L weight W by 0
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 700)
+    path = DERIVED_CASES[case](tmp_path)
+    for ordering, (nl, nr) in ((Ordering.SYMMETRIC, (0, 1)), (Ordering.NORMAL, (2, 2))):
+        scenario = Scenario(pols, nl, nr, ordering, GYROTROPIC, 1.0, 10.0)
+        result = compute_scenario(path, scenario)
+        want = json.dumps({**summarize(result, path, scenario), "command": "run"}, sort_keys=True)
+        assert json.dumps(_write(tmp_path / f"out_{ordering.value}", result, path, scenario), sort_keys=True) == want
+        with open(tmp_path / f"out_{ordering.value}" / "summary.json") as fh:
+            assert json.dumps(json.load(fh), sort_keys=True) == want
 
 
 def test_each_pass_reads_a_helix_once_per_chunk(tmp_path, monkeypatch):
@@ -565,7 +598,7 @@ def test_each_pass_reads_a_helix_once_per_chunk(tmp_path, monkeypatch):
     scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
     result = compute_scenario(path, scenario)
     bound = -(-path.n_samples // 256) + 2
-    for run in (lambda: summarize(result, path, scenario), lambda: write_results_csv(str(tmp_path), result)):
+    for run in (lambda: summarize(result, path, scenario), lambda: _write(tmp_path, result, path, scenario)):
         evaluated.clear()
         run()
         assert len(evaluated) <= bound, (len(evaluated), bound)
