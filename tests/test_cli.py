@@ -567,11 +567,11 @@ def _joined_outputs(result):
     return ("\n".join(lines) + "\n").encode(), plots
 
 
-def _written(tmp_path, result, summary_of=lambda reduced: {}):
+def _written(tmp_path, result):
     import fiberphase.scenario as scenario_mod
 
     tmp_path.mkdir(parents=True, exist_ok=True)
-    scenario_mod.write_results_csv(str(tmp_path), result, summary_of)
+    scenario_mod.write_results_csv(str(tmp_path), result, lambda reduced: {})
     plots = {f.name: f.read_bytes() for f in tmp_path.glob("plot_*.dat")}
     return (tmp_path / "results.csv").read_bytes(), plots
 
@@ -617,15 +617,9 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
             yield {name: series[lo : lo + 2 * chunk + 1] for name, series in values.items()}
 
     result = {"tables": tables, "series": pass_chunks}
-    reduced = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)
-        written = _written(tmp_path_factory.mktemp("chunked"), result, lambda got: reduced.append(got) or {})
-        assert written == _joined_outputs(result)
-    # and the writer's reduction of the slices it formats is _reduce's, bitwise (repr keeps the sign of zero)
-    want = scenario_mod._reduce(pass_chunks(), [column for table in tables.values() for column in table.values()])
-    assert [{column: repr(value) for column, value in part.items()} for part in reduced[0]] == \
-        [{column: repr(value) for column, value in part.items()} for part in want]
+        assert _written(tmp_path_factory.mktemp("chunked"), result) == _joined_outputs(result)
 
 
 def _writer_peaks(tmp_path, n_steps, slices=None):

@@ -569,11 +569,10 @@ def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 @pytest.mark.parametrize("case", sorted(DERIVED_CASES))
 def test_writer_summary_is_the_reductions(tmp_path, monkeypatch, case, pols):
-    # the writer's reduction, from the slices it formats (a mirrored
-    # column's from the negated last value and minimum of the one it
-    # mirrors), gives summary.json's text bitwise as _reduce's pass does,
-    # -0.0 included; the equator flags samples, the clockwise helix makes
-    # W < 0, and normal ordering and n_R = n_L weight W by 0
+    # the reduction in the writer's pass gives summary.json's text bitwise
+    # as summarize's own pass does, -0.0 included; the equator flags
+    # samples, the clockwise helix makes W < 0, and normal ordering and
+    # n_R = n_L weight W by 0
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 700)
     path = DERIVED_CASES[case](tmp_path)
     for ordering, (nl, nr) in ((Ordering.SYMMETRIC, (0, 1)), (Ordering.NORMAL, (2, 2))):
