@@ -184,9 +184,9 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     rounding.  Each series is measured from the states, a column of blocks
     at a time, with h from the stencil; the overlap angles are unwrapped,
     and those of samples passing nearly orthogonal to the initial state
-    flagged and interpolated, by the results columns' ``_unwrapped``, with
-    an :class:`OrthogonalPassageWarning`.  No run path calls it: the results
-    columns read the closed form of ``_fan``.
+    flagged and interpolated, in place in chunks of ``total`` by
+    ``_unwrapped``, with an :class:`OrthogonalPassageWarning`.  No run path
+    calls it: the results columns read the closed form of ``_fan``.
     """
     k_hat, dt = path.k_hat, path.dt
     start = _start(path, polarization)
@@ -204,9 +204,7 @@ def evolve(path: FiberPath, polarization: int = +1) -> SpinorTrajectory:
     energy[1:] = (energy[1:] + energy[:-1]) * (-0.5 * dt)  # trapezoid i of -h . <S>, then their running sum
     energy[0] = 0.0
     dynamical = np.cumsum(energy, out=energy)
-    pieces = ((total[rows], flagged[rows], rows) for rows in geometry._row_slices(0, len(total)))
-    for angle, _, rows in _unwrapped(pieces):
-        total[rows] = angle  # rows the unwrap has already copied from total
+    deque(_unwrapped((total[rows], flagged[rows], rows) for rows in geometry._row_slices(0, len(total))), maxlen=0)
     if count := int(np.count_nonzero(flagged)):
         warnings.warn(_passage_warning(count), stacklevel=2)
     return SpinorTrajectory(path, polarization, *map(_read_only, (total, flagged, dynamical, helicity, norms)))
@@ -263,42 +261,31 @@ def _fan(windows, polarization: int):
 
 
 def _unwrapped(pieces):
-    """(total phase, flags, tag) of each (wrapped angle, flagged, tag) piece, in order; a generator.
+    """The (wrapped angle, flagged, tag) pieces, in order, each angle replaced in place by the total phase; a generator.
 
     The unflagged angles are unwrapped as one sequence (``geometry._Unwrap``)
-    and the flagged ones interpolated between their unflagged neighbours:
-    bit for bit ``np.interp`` over ``np.unwrap`` of the whole series.  As
-    np.interp's value at a row reads only the two unflagged rows around it,
-    a piece is handed on once its last flagged run has met its next
-    unflagged row, or the pieces have ended.  The window kept holds the rows
-    from the first one not handed on, or the last final one.
+    as each piece arrives, and the flagged ones interpolated between their
+    unflagged neighbours: bit for bit ``np.interp`` over ``np.unwrap`` of
+    the whole series.  As np.interp's value at a row reads only the two
+    unflagged rows around it, the pieces are held until one ends on an
+    unflagged row, or the pieces have ended; the flagged rows held are then
+    interpolated over the held rows and the last row handed on.
     """
-    unwrap, stops = geometry._Unwrap(), deque()
-    lo = ready = done = 0  # the window's first row, the first row not final, the first not handed over
-    total, flagged = np.empty(0), np.empty(0, bool)
+    unwrap, held, last = geometry._Unwrap(), [], []  # last: the total of the last row handed on, unflagged
     for piece in chain(pieces, [None]):
-        if piece is None:  # past the last piece, every row is final
-            final = lo + len(total)
-        else:
-            angle, flags, tag = piece
-            keep, first = min(done, max(ready - 1, 0)), lo + len(total)
-            total = np.concatenate([total[keep - lo :], angle])
-            flagged = np.concatenate([flagged[keep - lo :], flags])
-            lo = keep
-            stops.append((first + len(angle), tag))
-            kept = np.flatnonzero(~flags) + (first - lo)
-            total[kept] = unwrap(total[kept])  # bitwise np.unwrap of all the unflagged angles so far
-            clear = np.flatnonzero(~flagged[ready - lo :]) + ready
-            final = clear[-1] + 1 if len(clear) else ready
-        hits = np.flatnonzero(flagged[ready - lo : final - lo]) + ready
-        if len(hits):
-            nodes = np.flatnonzero(~flagged[max(ready - 1, 0) - lo : final + 1 - lo]) + max(ready - 1, 0)
-            total[hits - lo] = np.interp(hits, nodes, total[nodes - lo])
-        ready = final
-        while stops and stops[0][0] <= ready:
-            stop, tag = stops.popleft()
-            yield total[done - lo : stop - lo], flagged[done - lo : stop - lo], tag
-            done = stop
+        if piece is not None:
+            angle, flags, _ = piece
+            angle[~flags] = unwrap(angle[~flags])
+            held.append(piece)
+        if held and (piece is None or not flags[-1]):
+            if any(flags.any() for _, flags, _ in held):
+                total = np.concatenate([last, *(angle for angle, _, _ in held)])
+                flagged = np.concatenate([np.zeros(len(last), bool), *(flags for _, flags, _ in held)])
+                total[flagged] = np.interp(np.flatnonzero(flagged), np.flatnonzero(~flagged), total[~flagged])
+                for (angle, _, _), part in zip(held, np.split(total[len(last) :], np.cumsum([len(a) for a, _, _ in held]))):
+                    angle[:] = part
+            yield from held
+            last, held = [held[-1][0][-1]], []
 
 
 def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray:

@@ -342,50 +342,53 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     ``POLE_SIN_TOL`` the azimuth is held at its previous value (0 before the
     first off-pole sample); elsewhere the branch nearest the previous sample
     is taken, so steps stay below pi.  The three series are one pass of
-    ``_angle_chunks``.
+    ``_Angles``.
     """
-    n = path.n_samples
+    n, angles = path.n_samples, _Angles(path.dt)
     polar, azimuth, w = series = (np.empty(n), np.empty(n), np.empty(n))
-    for rows, values in zip(_row_slices(0, n), _angle_chunks(_windows(path), path.dt)):
-        for out, part in zip(series, values):
-            out[rows] = part
+    for window in _windows(path):
+        for out, part in zip(series, angles(window)):
+            out[window[0]] = part
     return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth, solid_angle=_read_only(w))
 
 
-def _angle_chunks(windows, dt: float):
-    """The polar angle, azimuth and W of each chunk of rows, from the chunks' ``_windows``; a generator.
+class _Angles:
+    """The polar angle, azimuth and W of each chunk of rows, called with the chunks' ``_windows`` in turn.
 
     The azimuth unwrap (``_Azimuth``), the last W and the at most 3 samples
-    the next chunk's rates read carry from chunk to chunk; each row's angles
+    the next chunk's rates read carry from call to call; each row's angles
     are computed once.
     """
-    turns, last_w = _Azimuth(), None
-    lo = hi = 0  # the angles held: polar angle and azimuth of samples lo .. hi - 1
-    held = (np.empty(0), np.empty(0))
-    for rows, _, k_hat, first_row in windows:
-        start, stop = rows.start, rows.stop
+
+    def __init__(self, dt: float):
+        self.dt, self.turns, self.last_w = dt, _Azimuth(), None
+        self.lo, self.hi, self.held = 0, 0, (np.empty(0), np.empty(0))  # polar angle and azimuth of samples lo .. hi - 1
+
+    def __call__(self, window):
+        rows, _, k_hat, first_row = window
+        start, stop, dt = rows.start, rows.stop, self.dt
         # trapezoid i spans samples i and i + 1, so the one ending at row start
         # reads the rate at start - 1, from samples start - 2 .. start; W
         # before it enters its term, where a whole-array cumsum adds it
         keep, first = max(start - 2, 0), max(start - 1, 0)
-        k_hat = k_hat[hi - first_row :]  # the rate at row stop - 1 reads sample stop, and row 0's samples 1 and 2
+        k_hat = k_hat[self.hi - first_row :]  # the rate at row stop - 1 reads sample stop, and row 0's samples 1 and 2
         polar = np.clip(k_hat[:, 2], -1.0, 1.0)
         np.arccos(polar, out=polar)
         azimuth = np.arctan2(k_hat[:, 1], k_hat[:, 0])
         if len(azimuth):
-            turns(azimuth, np.hypot(k_hat[:, 0], k_hat[:, 1]) >= POLE_SIN_TOL)
-        polar, azimuth = held = tuple(np.concatenate([part[keep - lo :], new]) for part, new in zip(held, (polar, azimuth)))
-        lo, hi = keep, hi + len(k_hat)
-        rate = _stencil(azimuth, first - lo, stop - first, dt)[0]
-        rate *= 1.0 - np.cos(polar[first - lo : stop - lo])
+            self.turns(azimuth, np.hypot(k_hat[:, 0], k_hat[:, 1]) >= POLE_SIN_TOL)
+        polar, azimuth = self.held = tuple(np.concatenate([part[keep - self.lo :], new]) for part, new in zip(self.held, (polar, azimuth)))
+        self.lo, self.hi = keep, self.hi + len(k_hat)
+        rate = _stencil(azimuth, first - keep, stop - first, dt)[0]
+        rate *= 1.0 - np.cos(polar[first - keep : stop - keep])
         w = (rate[1:] + rate[:-1]) * (0.5 * dt)
         if first > 0:
-            w[0] += last_w
+            w[0] += self.last_w
         np.cumsum(w, out=w)
         if start == 0:
             w = np.concatenate([[0.0], w])  # W is 0 at row 0
-        last_w = w[-1]
-        yield polar[start - lo : stop - lo], azimuth[start - lo : stop - lo], w
+        self.last_w = w[-1]
+        return polar[start - keep : stop - keep], azimuth[start - keep : stop - keep], w
 
 
 def derivative_uniform(values, dt) -> np.ndarray:

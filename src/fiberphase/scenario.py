@@ -5,9 +5,9 @@ trajectory file), the polarizations to transport, the mode occupations and
 ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
 writes results.csv, summary.json and plot_*.dat (geometric and analytic per
 polarization, quantal, net vacuum) to the output directory in one pass over
-the path, and a failed run leaves no file behind; ``sweep`` repeats the
-pipeline over one swept parameter.  All emitted files are byte-deterministic
-for a given config.
+the path, and a failed run leaves no file or directory of its own behind;
+``sweep`` repeats the pipeline over one swept parameter.  All emitted files
+are byte-deterministic for a given config.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import os
 import shutil
 import sys
 from collections import deque
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -270,24 +270,24 @@ def _series(path, polarization):
     """One pass over the path: per chunk of rows, a dict of the series that the results columns read.
 
     Each chunk's window of rows (``geometry._windows``) is read once and
-    handed to three kernels: the transport in closed form for
-    ``polarization`` (total and flagged), which hands a chunk on with its
-    window once a flagged run in it has met its next unflagged row, then the
-    angles (lambda, gamma and W) and the residuals; ``zero`` is what the
-    conserved quantities' columns read.
+    handed to three kernels at once: the transport in closed form for
+    ``polarization`` (total and flagged), the angles (lambda, gamma and W)
+    and the residuals; ``zero`` is what the conserved quantities' columns
+    read.  The last stage, the transport's hold (``evolution._unwrapped``),
+    unwraps each chunk's total in place and hands its dict on once the
+    flagged runs in it have met their next unflagged row.
     """
-    transported = deque()  # the chunk the transport handed on last, with its window (tee would hold 57 windows)
+    angles = geometry._Angles(path.dt)
 
-    def windows():
-        for total, flagged, window in evolution._unwrapped(evolution._fan(geometry._windows(path), polarization)):
-            transported.append((total, flagged, window))
-            yield window
+    def chunks():
+        for total, flagged, window in evolution._fan(geometry._windows(path), polarization):
+            (polar, azimuth, w), (invariant, motion) = angles(window), geometry._residuals(path, window)
+            yield total, flagged, {"t": window[1], "lambda": polar, "gamma": azimuth, "W": w, "total": total,
+                                   "flagged": flagged, "zero": np.zeros(len(w)), "invariant_residual": invariant,
+                                   "motion_residual": motion}
 
-    for polar, azimuth, w in geometry._angle_chunks(windows(), path.dt):
-        total, flagged, window = transported.popleft()
-        invariant, motion = geometry._residuals(path, window)
-        yield {"t": window[1], "lambda": polar, "gamma": azimuth, "W": w, "total": total, "flagged": flagged,
-               "zero": np.zeros(len(w)), "invariant_residual": invariant, "motion_residual": motion}
+    for _, _, series in evolution._unwrapped(chunks()):
+        yield series
 
 
 def _values(series, column, rows=slice(None)):
@@ -550,8 +550,17 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
         raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
     result = compute_scenario(path, scenario)
-    os.makedirs(out_dir, exist_ok=True)
-    summary = write_results_csv(out_dir, result, partial(summarize, result, path, scenario))
+    made = [out_dir]  # out_dir and its parents up to the first that exists, which os.makedirs leaves as it is
+    while made[-1] and not os.path.exists(made[-1]):
+        made.append(os.path.dirname(made[-1]))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        summary = write_results_csv(out_dir, result, partial(summarize, result, path, scenario))
+    except BaseException:
+        for directory in made[:-1]:  # the ones it made for this run, deepest first
+            with suppress(OSError):  # one never made, or holding another's file, stays as it is
+                os.rmdir(directory)
+        raise
     if not quiet:
         print(f"wrote {out_dir}/results.csv, summary.json and plot files")
         for key in sorted(summary["phases"]):
@@ -633,7 +642,7 @@ def _sweep_rows_steps(cfg, base_dir, values):
 
 def _sweep_rows_occupations(cfg, base_dir, values, ordering):
     path = build_path(cfg, base_dir)
-    w = float(deque(geometry._angle_chunks(geometry._windows(path), path.dt), maxlen=1)[0][2][-1])  # the final W
+    w = float(deque(map(geometry._Angles(path.dt), geometry._windows(path)), maxlen=1)[0][2][-1])  # the final W
     rows = []  # each phase is a multiple of w
     for pair in values:
         if (not isinstance(pair, list)) or len(pair) != 2:

@@ -360,12 +360,12 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
         return result
 
     monkeypatch.setattr(scenario_mod, "compute_scenario", poisoned)
-    out = tmp_path / "out"
-    cfg = helix_cfg(str(out))
+    (tmp_path / "kept").mkdir()
+    cfg = helix_cfg(str(tmp_path / "kept" / "made" / "out"))
     cfg["path"]["n_steps"] = 128
     config = write_config(tmp_path, "nan.json", cfg)
     assert main(["run", config, "--quiet"]) == 3
-    assert os.listdir(out) == []  # no file: neither a final nor a temporary one
+    assert os.listdir(tmp_path / "kept") == []  # no file and no directory that the run made; the one it found stays
 
 
 @pytest.mark.parametrize("polarizations", [[1, -1], [-1]], ids=["R,L", "L"])
@@ -537,7 +537,7 @@ def test_non_finite_summary_exits_3_without_writing(tmp_path, monkeypatch):
     cfg["path"]["n_steps"] = 128
     config = write_config(tmp_path, "nan_summary.json", cfg)
     assert main(["run", config, "--quiet"]) == 3
-    assert os.listdir(out) == []  # every row was written, under temporary names that are gone
+    assert not out.exists()  # every row was written, under temporary names, in a directory that is gone
 
 
 def _joined_outputs(result):
@@ -671,8 +671,10 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
     # one slice of formatted columns at a time; a full-length column of
     # strings alone would be about 70 bytes per step.  The writer's pass
     # computes and reduces the series as the reduction's does, so what the
-    # writer adds is its peak above the reduction's: 8.9 B/step at 4000
-    # steps (9.1 while the reduction was a pass of its own, 0.2 at 1e5),
+    # writer adds is its peak above the reduction's: 9.3 B/step at 4000
+    # steps (9.2 while the transport's hold copied each chunk's angles into
+    # a window of its own, 18.4 for a hold that joins every chunk it holds,
+    # 9.1 while the reduction was a pass of its own, 0.2 at 1e5),
     # one slice of strings next to the pass's one chunk of series, less the
     # kernels' temporaries, and 949 (1044 at 1e5) for a writer that keeps
     # every slice's strings.  With fewer steps the slice weighs more per

@@ -749,7 +749,7 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
 # ------------------------------------------------------ kernels of one pass
 
 KERNEL_PASSES = {  # the series each kernel gives per chunk of one pass over a path
-    "angles": lambda path: geometry._angle_chunks(geometry._windows(path), path.dt),
+    "angles": lambda path: map(geometry._Angles(path.dt), geometry._windows(path)),
     "transport": lambda path: (piece[:2] for piece in evolution._unwrapped(evolution._fan(geometry._windows(path), +1))),
     "residuals": lambda path: (geometry._residuals(path, window) for window in geometry._windows(path)),
 }

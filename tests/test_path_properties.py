@@ -237,7 +237,7 @@ def test_angle_chunks_match_spherical_angles(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         for _ in range(2):
-            pieces = list(geometry._angle_chunks(geometry._windows(path), path.dt))
+            pieces = list(map(geometry._Angles(path.dt), geometry._windows(path)))
             assert [len(piece[0]) for piece in pieces] == [rows.stop - rows.start for rows in geometry._row_slices(0, n)]
             for i in range(3):
                 assert np.concatenate([piece[i] for piece in pieces]).tobytes() == want[i].tobytes(), i

@@ -342,8 +342,9 @@ def test_stage_peaks_stay_near_the_held_result():
     # column's h from k_hat, phase_geometric is computed on read and the
     # k_dot kernels go in chunks; with a whole-array h, a stored
     # geometric series and full k_dot chunks these were 76, 76, 65 and 89
-    # B/step.  Now 59.1, 0.09, 0.08 and 12.6: the reduction's pass reads the
-    # transport in closed form, one chunk for all its kernels, against 15.9
+    # B/step.  Now 59.1, 0.1, 0.1 and 10.9: the reduction's pass reads the
+    # transport in closed form, one chunk for all its kernels, against 12.3
+    # while the transport's hold copied the angles into its own window, 15.9
     # B/step while each column read its own rows, 27.5 while it ran the
     # tiled scan, 29.1 while the scan handed its slabs over as reshaped
     # copies and 40.5 while the result held the trajectory's five series
@@ -457,10 +458,11 @@ def test_cone_point_holds_no_path_and_no_trajectory(tmp_path, monkeypatch):
     # time, in its one reduction, and the helix's rows from its closed form,
     # a window at a time: 61.4 B/step at 1e5 steps and a slope of 33 while
     # the path held its samples (32 B/step), 81.6 at 1e5 while the point also
-    # held the series.  Nothing grows with the path now: 12.6 B/step at 1e5
-    # steps, 6.3 at 2e5, a slope of 0.0 (17.1 and 8.5 while each column read
-    # its own rows; 26.9, 14.1 and 1.3 while the scan's sqrt(n)-row slabs
-    # did, in tiles of 2^12 steps)
+    # held the series.  Nothing grows with the path now: 10.9 B/step at 1e5
+    # steps, 5.4 at 2e5, a slope of 0.0 (12.3 and 6.1 while the transport's
+    # hold copied the angles into its own window, 17.1 and 8.5 while each
+    # column read its own rows; 26.9, 14.1 and 1.3 while the scan's
+    # sqrt(n)-row slabs did, in tiles of 2^12 steps)
     peaks = {n_steps: _sweep_peak(tmp_path, ["40 deg"], n_steps) / n_steps for n_steps in (100_000, 200_000)}
     assert peaks[100_000] < 30, peaks  # bytes per step
     slope = (peaks[200_000] * 200_000 - peaks[100_000] * 100_000) / 100_000
@@ -714,6 +716,40 @@ def test_reduce_matches_whole_array_reductions(monkeypatch, chunk):
     assert nonzero[result["tables"][1]["flagged"]] > 0
     for column, values in whole.items():
         assert (last[column], peak[column], nonzero[column]) == (values[-1], values.max(), np.count_nonzero(values))
+
+
+def _held_antipode():
+    """An equator walk in steps of pi / 16 that stays at the start's antipode for three samples: rows 16, 17 and 18."""
+    phi = np.concatenate([np.arange(17), [16, 16], np.arange(17, 40)]) * (np.pi / 16)
+    return FiberPath(times=np.arange(len(phi), dtype=float),
+                     k_hat=np.stack([np.cos(phi), np.sin(phi), 0.0 * phi], axis=1), k_mag=1.0)
+
+
+PASS_PATHS = {
+    "equator": lambda: helix_path(np.pi / 2, 1.0, 1.0, 2.0, 300),  # samples 75 and 225 flagged
+    "held-antipode": _held_antipode,
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 300])
+@pytest.mark.parametrize("case", sorted(PASS_PATHS))
+def test_pass_chunks_join_to_the_one_chunk_pass(monkeypatch, case, chunk):
+    # every series of the pass, joined over its chunks, is bit for bit the
+    # pass of one chunk, also where a flagged run is held across chunks (at
+    # chunk 1, the held antipode's run spans three)
+    path = PASS_PATHS[case]()
+    for pol in (1, -1):
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", 1 << 20)
+        (whole,) = scenario_module._series(path, pol)
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
+        chunks = list(scenario_module._series(path, pol))
+        slices = geometry._row_slices(0, path.n_samples)
+        assert [len(series["t"]) for series in chunks] == [rows.stop - rows.start for rows in slices]
+        for key, values in whole.items():
+            joined = np.concatenate([series[key] for series in chunks])
+            assert joined.dtype == values.dtype and joined.tobytes() == values.tobytes(), (pol, key)
+        want = [75, 225] if case == "equator" else [16, 17, 18]
+        assert np.flatnonzero(whole["flagged"]).tolist() == want
 
 
 def test_reduce_reads_each_distinct_column_once():

@@ -370,16 +370,19 @@ def test_chunked_unwrap_and_interpolation_match_whole_array(samples, chunk, read
     # the unflagged angles are unwrapped as one sequence, and the flagged
     # ones are interpolated between them, whatever the pieces: the drawn
     # angles and flags, row 0 unflagged as the fan's always is, in pieces of
-    # chunk and read rows in turn, each handed back with its own tag
+    # chunk and read rows in turn, each handed back with its own tag and
+    # its own angle array, which holds the totals in place
     angles = np.array([angle for angle, _ in samples], dtype=float)
     flagged = np.array([flag for _, flag in samples], dtype=bool)
     flagged[0] = False
+    want = _unwrapped(angles, flagged)  # before the pieces, views of angles, are replaced in place
     n, edges = len(samples), [0]
     while edges[-1] < n:
         edges.append(min(edges[-1] + (chunk, read)[len(edges) % 2], n))
     pieces = [(angles[lo:hi], flagged[lo:hi], (lo, hi)) for lo, hi in zip(edges, edges[1:])]
     handed = list(evolution._unwrapped(iter(pieces)))
     assert [tag for *_, tag in handed] == [tag for *_, tag in pieces]
-    assert all(len(total) == hi - lo for total, _, (lo, hi) in handed)
-    assert _same_bits(np.concatenate([total for total, *_ in handed]), _unwrapped(angles, flagged))
+    assert all(total is piece[0] for (total, *_), piece in zip(handed, pieces))
+    assert _same_bits(np.concatenate([total for total, *_ in handed]), want)
+    assert _same_bits(angles, want)
     assert _same_bits(np.concatenate([flags for _, flags, _ in handed]), flagged)
