@@ -3,23 +3,21 @@
 A scenario is a JSON file naming one path source (helix parameters or a
 trajectory file), the polarizations to transport, the mode occupations and
 ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
-writes results.csv, summary.json and plot_*.dat (geometric and analytic per
-polarization, quantal, net vacuum) to the output directory in one pass over
-the path, and a failed run leaves no file or directory of its own behind;
-``sweep`` repeats the pipeline over one swept parameter.  All emitted files
-are byte-deterministic for a given config.
+writes results.csv (one row per sample), summary.json and plot_*.dat
+(geometric and analytic per polarization, quantal, net vacuum) to the
+output directory in one pass over the path, and a failed run leaves no file
+or directory of its own behind; ``sweep`` repeats the pipeline over one
+swept parameter.  All emitted files are byte-deterministic for a given config.
 """
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import sys
 from collections import deque
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from . import evolution, fock, geometry, media, spin
 SCHEMA_VERSION = 1
 
 RESULT_COLUMNS = [
-    "sigma",
     "t",
     "lambda",
     "gamma",
@@ -297,10 +294,10 @@ def _values(series, column, rows=slice(None)):
 
 
 def compute_scenario(path, scenario: Scenario):
-    """Set up every pipeline stage on one path; returns one results.csv table per polarization.
+    """Set up every pipeline stage on one path; returns one table of the results columns per polarization.
 
-    ``tables[pol]`` maps every results.csv column after ``sigma`` to a
-    column (key, weight) of the series of a pass (see ``_values``).  The
+    ``tables[pol]`` maps each of ``RESULT_COLUMNS`` to a column (key,
+    weight) of the series of a pass (see ``_values``).  The
     phases proportional to the swept solid angle read the one ``W``, with
     weights sigma (analytic), n_R - n_L (quantal), -+z (vacuum L/R) and z *
     (plus survives - minus survives) (vacuum net), where z is the
@@ -393,17 +390,20 @@ def write_results_csv(out_dir, result, summary_of):
     Each chunk is written, once reduced and checked, in slices of
     ``_WRITE_ROWS`` rows whose strings are held one slice at a time; a
     column whose weight is the negative of one already formatted takes its
-    strings with each leading '-' toggled.  Every file is written under a
-    hidden temporary name in ``out_dir`` and renamed after the summary,
-    summary.json last; on any exception every temporary file is removed.
-    results.csv lists each polarization's rows in turn, so a later one's
-    rows go to a temporary file of their own, appended at the end.  The
-    plots of the columns every table shares go with the first table.
+    strings with each leading '-' toggled.  results.csv has one row per
+    sample: the columns every table shares, from the first table as their
+    plots are, and in place of phase_total to phase_analytic each table's
+    four, suffixed R or L.  Every file is written under a hidden temporary
+    name in ``out_dir`` and renamed after the summary, summary.json last;
+    on any exception every temporary file is removed.
     """
     tables = result["tables"]
-    first, *later = tables
-    columns = list(dict.fromkeys(table[name] for table in tables.values() for name in RESULT_COLUMNS[1:-1]))
-    rows_of = {pol: f"results_{_SIGMA_SUFFIX[pol]}.csv" for pol in later}  # appended, never renamed
+    first, shared = next(iter(tables.items()))
+    header = {name: shared[name] for name in RESULT_COLUMNS[:3]}
+    header |= {f"{name}_{_SIGMA_SUFFIX[pol]}": table[name] for pol, table in tables.items() for name in RESULT_COLUMNS[3:7]}
+    header |= {name: shared[name] for name in RESULT_COLUMNS[7:]}
+    *fields, flagged = header.values()
+    columns = list(dict.fromkeys(fields))
     plots = [(pol, kind, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat") for pol in tables for kind in ("geometric", "analytic")]
     plots += [(first, kind, f"plot_{kind}.dat") for kind in ("quantal", "vacuum_net")]
     made = {}  # file name -> the temporary path it is written to
@@ -416,7 +416,7 @@ def write_results_csv(out_dir, result, summary_of):
 
     try:
         with ExitStack() as stack:
-            sinks = {pol: stack.enter_context(create(rows_of.get(pol, "results.csv"))) for pol in tables}
+            csv = stack.enter_context(create("results.csv"))
             lines = [(stack.enter_context(create(name)), tables[pol]["t"], tables[pol][f"phase_{kind}"])
                      for pol, kind, name in plots]
 
@@ -425,10 +425,8 @@ def write_results_csv(out_dir, result, summary_of):
                 for column in columns:
                     mirror = text.get((column[0], -column[1]))
                     text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
-                for pol, table in tables.items():
-                    flags = ["1\n" if flag else "0\n" for flag in _values(series, table["flagged"], rows).tolist()]
-                    fields = zip(repeat(str(pol)), *(text[table[name]] for name in RESULT_COLUMNS[1:-1]), flags)
-                    sinks[pol].writelines(map(",".join, fields))
+                flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
+                csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
                 for fh, t, column in lines:
                     fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
 
@@ -436,19 +434,16 @@ def write_results_csv(out_dir, result, summary_of):
                 for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
                     write_slice(series, rows)
 
-            sinks[first].write(",".join(RESULT_COLUMNS) + "\n")
+            csv.write(",".join(header) + "\n")
             reduced = _reduce(result["series"](), [c for table in tables.values() for c in table.values()], write_chunk)
         summary = {**summary_of(reduced), "command": "run"}
         with create("summary.json") as fh:
             fh.write(_json(summary))
-        for pol in later:
-            with open(made[rows_of[pol]], "rb") as rows, open(made["results.csv"], "ab") as csv:
-                shutil.copyfileobj(rows, csv)
         for name in ["results.csv", *(name for _, _, name in plots), "summary.json"]:
             os.replace(made[name], os.path.join(out_dir, name))
             del made[name]
     finally:
-        for temporary in made.values():  # every file on an exception, else the later rows
+        for temporary in made.values():  # those not yet renamed, on an exception
             os.remove(temporary)
     return summary
 

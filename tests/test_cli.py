@@ -59,6 +59,13 @@ def sweep_cfg(cfg, parameter, values):
     return out
 
 
+def results_header(pols):
+    """results.csv's header: the four per-polarization phase columns in place, once per polarization, in order."""
+    polarized = [f"phase_{kind}_{'R' if pol == 1 else 'L'}" for pol in pols
+                 for kind in ("total", "dynamical", "geometric", "analytic")]
+    return [*RESULT_COLUMNS[:3], *polarized, *RESULT_COLUMNS[7:]]
+
+
 def read_summary(out_dir):
     with open(os.path.join(out_dir, "summary.json")) as fh:
         return json.load(fh)
@@ -89,15 +96,17 @@ def test_run_results_csv_schema(tmp_path):
         header = fh.readline().strip().split(",")
         first = fh.readline().strip().split(",")
     assert header == [
-        "sigma", "t", "lambda", "gamma", "phase_total", "phase_dynamical",
-        "phase_geometric", "phase_analytic", "phase_quantal", "phase_vacuum_L",
-        "phase_vacuum_R", "phase_vacuum_net", "norm_drift", "helicity_drift",
-        "invariant_residual", "motion_residual", "flagged",
+        "t", "lambda", "gamma",
+        "phase_total_R", "phase_dynamical_R", "phase_geometric_R", "phase_analytic_R",
+        "phase_total_L", "phase_dynamical_L", "phase_geometric_L", "phase_analytic_L",
+        "phase_quantal", "phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net",
+        "norm_drift", "helicity_drift", "invariant_residual", "motion_residual", "flagged",
     ]
+    assert header == results_header((1, -1))
     assert len(first) == len(header)
-    # 129 samples x 2 polarizations + header
+    # one row per sample, both polarizations side by side: 129 samples + header
     with open(os.path.join(out, "results.csv")) as fh:
-        assert len(fh.readlines()) == 1 + 2 * 129
+        assert len(fh.readlines()) == 1 + 129
 
 
 def test_run_gyrotropic_scenario(tmp_path):
@@ -125,14 +134,14 @@ def test_normal_ordering_deletes_the_vacuum_columns(tmp_path):
         cfg["path"]["n_steps"] = 512
         assert main(["run", write_config(tmp_path, f"{ordering}.json", cfg), "--quiet"]) == 0
         lines = (out / "results.csv").read_text().splitlines()
-        assert lines[0] == ",".join(RESULT_COLUMNS)
+        assert lines[0] == ",".join(results_header((1, -1)))
         tables[ordering] = [line.split(",") for line in lines[1:]]
         summaries[ordering] = read_summary(str(out))
 
     vacuum = {"phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net"}
     changed = set()
     for sym_row, norm_row in zip(tables["symmetric"], tables["normal"], strict=True):
-        for name, sym, norm in zip(RESULT_COLUMNS, sym_row, norm_row, strict=True):
+        for name, sym, norm in zip(results_header((1, -1)), sym_row, norm_row, strict=True):
             if name in vacuum:
                 assert norm == "0.0", (name, norm)
             if sym != norm:
@@ -343,7 +352,7 @@ def test_unwritable_output_exits_4(tmp_path):
     assert main(["run", config, "--quiet"]) == 4
 
 
-@pytest.mark.parametrize("column", RESULT_COLUMNS[1:-1])  # every float column; sigma and flagged are not floats
+@pytest.mark.parametrize("column", RESULT_COLUMNS[:-1])  # every float column; flagged is not a float
 def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
     import fiberphase.scenario as scenario_mod
 
@@ -544,7 +553,9 @@ def _joined_outputs(result):
     """results.csv and the plot files as the writers' whole-array join: the byte oracle.
 
     Each column is computed whole as series * weight + 0.0 and every file is
-    joined from one list of lines.
+    joined from one list of lines.  results.csv has one row per sample:
+    the four per-polarization phase columns of each table in turn, between
+    the first table's t, lambda, gamma and its other columns.
     """
     from fiberphase.scenario import _SIGMA_SUFFIX, _fmt
 
@@ -552,13 +563,16 @@ def _joined_outputs(result):
         key, weight = table[name]
         return np.concatenate([series[key] for series in result["series"]()]) * weight + 0.0
 
-    lines = [",".join(RESULT_COLUMNS)]
+    tables = result["tables"]
+    first = next(iter(tables.values()))
+    polarized = [(table, f"phase_{kind}") for table in tables.values() for kind in ("total", "dynamical", "geometric", "analytic")]
+    columns = [column(table, name) for table, name in
+               [(first, name) for name in RESULT_COLUMNS[:3]] + polarized + [(first, name) for name in RESULT_COLUMNS[7:]]]
+    lines = [",".join(results_header(tables))]
+    for i in range(len(columns[0])):
+        lines.append(",".join([_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]))
     plots = {}
-    for pol, table in result["tables"].items():
-        columns = [column(table, name) for name in RESULT_COLUMNS[1:]]
-        for i in range(len(columns[0])):
-            row = [str(pol)] + [_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]
-            lines.append(",".join(row))
+    for pol, table in tables.items():
         names = [(f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat", f"phase_{kind}") for kind in ("geometric", "analytic")]
         names += [(f"plot_{kind}.dat", f"phase_{kind}") for kind in ("quantal", "vacuum_net")]
         for filename, name in names:
@@ -587,7 +601,7 @@ def test_results_csv_streaming_is_byte_identical(tmp_path):
     written, plots = _written(tmp_path, result)
     assert (written, plots) == _joined_outputs(result)
     lines = written.decode().split("\n")
-    assert len(lines) == 1 + 2 * p.n_samples + 1 and lines[-1] == ""
+    assert len(lines) == 1 + p.n_samples + 1 and lines[-1] == ""
 
 
 @settings(max_examples=60, deadline=None)
@@ -606,11 +620,13 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         return values
 
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
-    values = {name: series() for name in RESULT_COLUMNS[1:-1]}
+    values = {name: series() for name in RESULT_COLUMNS[:-1]}
     values["flagged"] = rng.random(n) < 0.3
-    shared = {name: (name, float(rng.choice(weights))) for name in RESULT_COLUMNS[1:-1]}
+    shared = {name: (name, float(rng.choice(weights))) for name in RESULT_COLUMNS[:-1]}
     shared["flagged"] = ("flagged", 1.0)
-    tables = {pol: {**shared, "phase_total": ("phase_total", float(pol))} for pol in pols}
+    # each table's own weights for the four per-polarization columns, which results.csv writes from every table
+    tables = {pol: {**shared, **{name: (name, float(rng.choice(weights))) for name in RESULT_COLUMNS[3:7]},
+                    "phase_total": ("phase_total", float(pol))} for pol in pols}
 
     def pass_chunks():  # chunks of 2 * chunk + 1 rows, which the writer writes in slices of chunk rows
         for lo in range(0, n, 2 * chunk + 1):
@@ -671,14 +687,15 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
     # one slice of formatted columns at a time; a full-length column of
     # strings alone would be about 70 bytes per step.  The writer's pass
     # computes and reduces the series as the reduction's does, so what the
-    # writer adds is its peak above the reduction's: 9.3 B/step at 4000
-    # steps (9.2 while the transport's hold copied each chunk's angles into
+    # writer adds is its peak above the reduction's: 9.5 B/step at 4000
+    # steps (9.4 while results.csv had a row per polarization and sample,
+    # 9.2 while the transport's hold copied each chunk's angles into
     # a window of its own, 18.4 for a hold that joins every chunk it holds,
     # 9.1 while the reduction was a pass of its own, 0.2 at 1e5),
     # one slice of strings next to the pass's one chunk of series, less the
     # kernels' temporaries, and 949 (1044 at 1e5) for a writer that keeps
     # every slice's strings.  With fewer steps the slice weighs more per
-    # step (12.7 at 3800, 32.8 at 3000; 15.1 while the writer held each
+    # step (13.3 at 3800, 32.8 at 3000; 15.1 while the writer held each
     # slice's columns as one array for its reduction); 1e5 steps took
     # 14-21 s under tracemalloc
     n_steps = 4000
@@ -690,12 +707,13 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
 @pytest.mark.parametrize("n_steps", [3000, 8000])
 def test_writer_adds_at_most_one_slice_of_strings(tmp_path, n_steps):
     # the same bound at any size, per slice: a slice holds its own strings
-    # and one column's floats, about 1010 bytes per row of the slice (1190
-    # with two polarizations), wherever it sits in its chunk; the writer's
-    # peak above the reduction's (98 kB at 3000 steps, one chunk; 45 kB at
-    # 8000, two) is no more than one slice's, so it measures only the
-    # strings and not the reduction the writer now does.  A writer that
-    # kept every slice's strings would add about 7.6 MB at 8000 steps
+    # and one column's floats, about 1010 bytes per row of the slice (1160
+    # with two polarizations, 1220 while each had rows of its own), wherever
+    # it sits in its chunk; the writer's peak above the reduction's (98 kB
+    # at 3000 steps, one chunk; 45 kB at 8000, two) is no more than one
+    # slice's, so it measures only the strings and not the reduction the
+    # writer now does.  A writer that kept every slice's strings would add
+    # about 7.6 MB at 8000 steps
     from fiberphase.scenario import _WRITE_ROWS
 
     reduction, writer = _writer_peaks(tmp_path / "whole", n_steps)
@@ -768,9 +786,8 @@ def _spy_open(monkeypatch):
 @pytest.mark.parametrize("pols", [[1, -1], [-1]], ids=["R,L", "L"])
 def test_run_writes_exactly_the_documented_files(tmp_path, monkeypatch, pols):
     # each file is created under a hidden temporary name, write-only, and
-    # renamed; a later polarization's rows go to a temporary file of their
-    # own, reopened once to be appended to results.csv and then removed.
-    # One polarization needs none
+    # renamed: one per documented file, results.csv holding every
+    # polarization's columns, and none is reopened
     opened = _spy_open(monkeypatch)
     cfg = helix_cfg(str(tmp_path / "out"), polarizations=pols)
     cfg["path"]["n_steps"] = 700  # three writer slices
@@ -779,29 +796,45 @@ def test_run_writes_exactly_the_documented_files(tmp_path, monkeypatch, pols):
     created = [name for name, mode, fh in opened if mode == "x"]
     assert all(name.startswith(".") and name.endswith(".tmp") and not fh.readable() and fh.closed
                for name, mode, fh in opened if mode == "x")
-    later = [name for name in created if name.startswith(".results_")]
-    assert len(created) == len(_RUN_FILES | _plots(pols)) + len(later) and len(later) == len(pols) - 1
-    reopened = [(name, mode) for name, mode, _ in opened if mode != "x" and name.startswith(".")]
-    results = [name for name in created if name.startswith(".results.csv.")]
-    assert reopened == ([(later[0], "rb"), (results[0], "ab")] if later else [])
+    assert sorted(name[1:].rsplit(".", 2)[0] for name in created) == sorted(_RUN_FILES | _plots(pols))
+    assert [(name, mode) for name, mode, _ in opened if mode != "x" and name.startswith(".")] == []
 
 
 @pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
 def test_each_geometric_plot_is_its_rows_of_results_csv(tmp_path, pols):
-    # plot_geometric_X.dat is the t and phase_geometric fields of that
-    # sigma's rows of results.csv, byte for byte; phase_total, whose plot
-    # was a byte copy, is the same field of every row (the dynamical phase
-    # is an exact zero), here on an equator with flagged samples
+    # plot_geometric_X.dat is the t and phase_geometric_X fields of
+    # results.csv, byte for byte, here on an equator with flagged samples
     out = tmp_path / "out"
     cfg = helix_cfg(str(out), polarizations=pols)
     cfg["path"].update(cone_angle=np.pi / 2, n_cycles=2.0, n_steps=1500)
     assert main(["run", write_config(tmp_path, "equator.json", cfg), "--quiet"]) == 0
     header, *rows = [line.split(b",") for line in (out / "results.csv").read_bytes().splitlines()]
-    t, total, geometric = (header.index(name.encode()) for name in ("t", "phase_total", "phase_geometric"))
-    assert all(row[total] == row[geometric] for row in rows)
-    for pol in pols:
-        want = b"".join(row[t] + b" " + row[geometric] + b"\n" for row in rows if row[0] == str(pol).encode())
-        assert (out / f"plot_geometric_{'R' if pol == 1 else 'L'}.dat").read_bytes() == want
+    assert any(row[header.index(b"flagged")] == b"1" for row in rows)
+    for suffix in ("R" if pol == 1 else "L" for pol in pols):
+        t, geometric = header.index(b"t"), header.index(f"phase_geometric_{suffix}".encode())
+        want = b"".join(row[t] + b" " + row[geometric] + b"\n" for row in rows)
+        assert (out / f"plot_geometric_{suffix}.dat").read_bytes() == want
+
+
+@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
+def test_polarized_columns_are_written_sigma_conjugate(tmp_path, pols):
+    # the opposite helicity picks up the opposite transport phase along the
+    # same path: each _L column's text is that of its _R column with the sign
+    # toggled, whichever polarization is transported, and phase_total_X is
+    # phase_geometric_X (the dynamical phase is an exact zero), field for
+    # field, on an equator with flagged samples
+    from fiberphase.scenario import _negated
+
+    out, config = _equator_two_cycles(tmp_path, pols)
+    assert main(["run", config, "--quiet"]) == 0
+    with open(os.path.join(out, "results.csv")) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    columns = dict(zip(header, zip(*rows)))
+    assert columns["flagged"].count("1") == 2
+    for kind in ("total", "dynamical", "geometric", "analytic"):
+        assert list(columns[f"phase_{kind}_L"]) == _negated(columns[f"phase_{kind}_R"]), kind
+    for suffix in ("R", "L"):
+        assert columns[f"phase_total_{suffix}"] == columns[f"phase_geometric_{suffix}"], suffix
 
 
 def test_no_two_files_of_a_bench_run_are_byte_identical(tmp_path):
@@ -821,13 +854,12 @@ def test_no_two_files_of_a_bench_run_are_byte_identical(tmp_path):
     assert same == {("plot_analytic_R.dat", "plot_quantal.dat")}
 
 
-@pytest.mark.parametrize("where", ["chunk", "append", "rename"])
+@pytest.mark.parametrize("where", ["chunk", "summary", "rename"])
 def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
-    # an OSError in the second chunk, while the later rows are appended or
-    # at the first rename propagates with every file closed, and leaves no
-    # file in the directory
+    # an OSError in the second chunk, once every row is written but before
+    # summary.json is made, or at the first rename propagates with every
+    # file closed, and leaves no file in the directory
     import errno
-    import shutil
 
     import fiberphase.scenario as scenario_mod
     from fiberphase.fock import Ordering
@@ -850,26 +882,23 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
 
         monkeypatch.setattr(scenario_mod.geometry, "_CHUNK_ROWS", 256)  # three chunks of the pass
         result["series"] = failing
-    elif where == "append":
-        monkeypatch.setattr(shutil, "copyfileobj", full)
-    else:
+    elif where == "rename":
         monkeypatch.setattr(os, "replace", full)
-    with pytest.raises(OSError, match="No space left"):
-        scenario_mod.write_results_csv(str(tmp_path), result, lambda reduced: {})
+    with pytest.raises(OSError, match="No space left"):  # "summary": every row is written, then summary_of fails
+        scenario_mod.write_results_csv(str(tmp_path), result, full if where == "summary" else lambda reduced: {})
     assert os.listdir(tmp_path) == []
     assert opened and all(fh.closed for _, _, fh in opened)
 
 
 def test_io_error_exits_4_and_leaves_the_directory_as_it_was(tmp_path, monkeypatch, capsys):
-    # a full disk while the second polarization's rows are appended: exit 4,
+    # a full disk at the first rename, once every file is written: exit 4,
     # no temporary file, and a results.csv from an earlier run keeps its bytes
     import errno
-    import shutil
 
     def full(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(shutil, "copyfileobj", full)
+    monkeypatch.setattr(os, "replace", full)
     out = tmp_path / "out"
     out.mkdir()
     (out / "results.csv").write_bytes(b"an earlier run's rows\n")
@@ -917,11 +946,10 @@ def test_derived_phases_start_at_positive_zero(tmp_path, pols):
     out, config = _equator_two_cycles(tmp_path, pols)
     assert main(["run", config, "--quiet"]) == 0
     with open(os.path.join(out, "results.csv")) as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh]
-    header, derived = rows[0], str(pols[1])
-    first_row = dict(zip(header, next(row for row in rows[1:] if row[0] == derived)))
+        first_row = dict(zip(fh.readline().rstrip("\n").split(","), fh.readline().rstrip("\n").split(",")))
+    derived = "R" if pols[1] == 1 else "L"
     for kind in ("total", "dynamical", "geometric"):
-        assert first_row[f"phase_{kind}"] == "0.0", kind
+        assert first_row[f"phase_{kind}_{derived}"] == "0.0", kind
 
 
 def _has_negative_zero(value):

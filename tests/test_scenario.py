@@ -227,8 +227,8 @@ def test_result_tables_pair_every_csv_column():
     assert result["series"].args == (path, 1)
     _assert_bitwise(_read(result, ("W", 1.0)), _angles(path).solid_angle, "W")
     for pol, table in result["tables"].items():
-        # every results.csv column after sigma, each a (series key, weight) of n rows
-        assert sorted(table) == sorted(RESULT_COLUMNS[1:])
+        # every results column, each a (series key, weight) of n rows
+        assert sorted(table) == sorted(RESULT_COLUMNS)
         assert all(isinstance(column, tuple) and len(_read(result, column)) == path.n_samples
                    for column in table.values())
         # the W-proportional columns all read the one W, and differ only in their weights
@@ -238,7 +238,7 @@ def test_result_tables_pair_every_csv_column():
             "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
             "phase_analytic": float(pol),
         }
-    for name in RESULT_COLUMNS[1:]:
+    for name in RESULT_COLUMNS:
         if name not in W_WEIGHTS:
             # the derived polarization reads the evolved one's series
             assert derived[name][0] == first[name][0], name

@@ -20,7 +20,9 @@ wrote (SHA-256).  It goes through every command and prints each
 difference: the first differing line of stdout or stderr, and for a
 differing CSV, ``.dat`` or ``summary.json`` file the largest absolute
 difference of each column or key that moved, with its row (counted from 1
-below any header) or its JSON list indices.  Exits 0 when all are
+below any header) or its JSON list indices.  CSV columns are matched by
+header name: the columns found in only one file are listed, and the
+shared ones compared.  Exits 0 when all are
 identical, else 1.  A kernel change that moves last digits on purpose
 differs here by design, and this report is the deviation to record, so
 this is a tool to run by hand, not a test.
@@ -110,24 +112,38 @@ class _Largest:
                 for name, (moved, where, a, b) in self.worst.items()]
 
 
+def _named(line: str, sep, header: list[str]) -> dict:
+    """A row's fields by column name; a field past the header, or of a file without one, by its position from 1."""
+    return {header[i] if i < len(header) else i + 1: x for i, x in enumerate(line.rstrip("\n").split(sep))}
+
+
 def _table_moves(file: str, a: Path, b: Path) -> list[str]:
-    """The largest move of each column of two CSV (header first) or whitespace-separated ``.dat`` files."""
+    """The largest move of each column of two CSV (header first) or whitespace-separated ``.dat`` files.
+
+    Columns are matched by name, so two CSV headers that differ name the
+    columns found on only one side, and the shared columns are compared.
+    """
     largest, sep = _Largest(), "," if a.suffix == ".csv" else None
+    found = []
     with open(a) as fa, open(b) as fb:
-        header = fa.readline().rstrip("\n").split(sep) if sep else []
-        if sep and fb.readline().rstrip("\n").split(sep) != header:
-            return [f"{file}: the headers differ"]
+        headers = [fh.readline().rstrip("\n").split(sep) if sep else [] for fh in (fa, fb)]
+        one_side = set(headers[0]).symmetric_difference(headers[1])
+        for side, mine in (("this", headers[0]), ("the other", headers[1])):
+            if only := [name for name in mine if name in one_side]:
+                found.append(f"{file}: columns only in {side} checkout's file: {', '.join(only)}")
+        if not one_side and headers[0] != headers[1]:
+            found.append(f"{file}: the headers list the same columns in another order")
         for row, (line_a, line_b) in enumerate(zip_longest(fa, fb), 1):
             if line_a is None or line_b is None:
                 side = "this" if line_a is None else "the other"
-                return [*largest.lines(file), f"{file}: {side} checkout's file ends before row {row}"]
+                return [*found, *largest.lines(file), f"{file}: {side} checkout's file ends before row {row}"]
             if line_a == line_b:
                 continue
-            fields = zip_longest(line_a.rstrip("\n").split(sep), line_b.rstrip("\n").split(sep))
-            for i, (x, y) in enumerate(fields):
-                if x != y:
-                    largest.add(f"column {header[i] if i < len(header) else i + 1}", f" at row {row}", x, y)
-    return largest.lines(file)
+            x, y = _named(line_a, sep, headers[0]), _named(line_b, sep, headers[1])
+            for name in dict.fromkeys([*x, *y]):
+                if name not in one_side and x.get(name) != y.get(name):
+                    largest.add(f"column {name}", f" at row {row}", x.get(name), y.get(name))
+    return [*found, *largest.lines(file)]
 
 
 def _leaves(value, key="", index=""):
