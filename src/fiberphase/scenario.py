@@ -25,25 +25,6 @@ from . import evolution, fock, geometry, media, spin
 
 SCHEMA_VERSION = 1
 
-RESULT_COLUMNS = [
-    "t",
-    "lambda",
-    "gamma",
-    "phase_total",
-    "phase_dynamical",
-    "phase_geometric",
-    "phase_analytic",
-    "phase_quantal",
-    "phase_vacuum_L",
-    "phase_vacuum_R",
-    "phase_vacuum_net",
-    "norm_drift",
-    "helicity_drift",
-    "invariant_residual",
-    "motion_residual",
-    "flagged",
-]
-
 _SIGMA_SUFFIX = {+1: "R", -1: "L"}
 
 
@@ -294,19 +275,22 @@ def _values(series, column, rows=slice(None)):
 
 
 def compute_scenario(path, scenario: Scenario):
-    """Set up every pipeline stage on one path; returns one table of the results columns per polarization.
+    """Set up every pipeline stage on one path; returns the results layout as one map, ``columns``.
 
-    ``tables[pol]`` maps each of ``RESULT_COLUMNS`` to a column (key,
-    weight) of the series of a pass (see ``_values``).  The
-    phases proportional to the swept solid angle read the one ``W``, with
-    weights sigma (analytic), n_R - n_L (quantal), -+z (vacuum L/R) and z *
-    (plus survives - minus survives) (vacuum net), where z is the
-    zero-point weight: 1/2, or 0 under normal ordering.  Only the first
-    polarization's transport is read: every step is a real rotation in the
-    Cartesian representation, so the opposite helicity is the conjugate
-    state, psi_{-s} = e^{i a} conj psi_s.  Its total and geometric phases
-    (the dynamical phase is an exact zero) are the first's with weight -1,
-    and it shares the drifts and flags.  Every other weight is 1.
+    ``columns`` maps each results.csv header name, in order, to a column
+    (key, weight) of the series of a pass (see ``_values``): t, lambda and
+    gamma; phase_total, phase_dynamical, phase_geometric and phase_analytic
+    of each polarization in turn, suffixed R or L; then the columns every
+    polarization shares, ending in flagged.  The phases proportional to the
+    swept solid angle read the one ``W``, with weights sigma (analytic),
+    n_R - n_L (quantal), -+z (vacuum L/R) and z * (plus survives - minus
+    survives) (vacuum net), where z is the zero-point weight: 1/2, or 0
+    under normal ordering.  Only the first polarization's transport is
+    read: every step is a real rotation in the Cartesian representation, so
+    the opposite helicity is the conjugate state, psi_{-s} = e^{i a} conj
+    psi_s.  Its total and geometric phases (the dynamical phase is an exact
+    zero) are the first's with weight -1, and it shares the drifts and
+    flags.  Every other weight is 1.
 
     ``series()`` starts a pass (``_series``), so the result holds no
     per-step series; a run's writer, which also reduces every column, and
@@ -319,27 +303,22 @@ def compute_scenario(path, scenario: Scenario):
     medium = scenario.medium or FREE_SPACE
     plus, minus = (media._survives(medium, scenario.k0, scenario.chamber_length, pol) for pol in (+1, -1))
     z = fock._weight(0, scenario.ordering)
-    shared = {name: (name, 1.0) for name in ("t", "lambda", "gamma", "invariant_residual", "motion_residual", "flagged")}
-    shared |= {
+    columns = {name: (name, 1.0) for name in ("t", "lambda", "gamma")}
+    for pol in scenario.polarizations:
+        sign, suffix = 1.0 if pol == first else -1.0, _SIGMA_SUFFIX[pol]
+        columns |= {f"phase_total_{suffix}": ("total", sign), f"phase_dynamical_{suffix}": ("zero", sign),
+                    f"phase_geometric_{suffix}": ("total", sign), f"phase_analytic_{suffix}": ("W", float(pol))}
+    columns |= {
         "phase_quantal": ("W", float(scenario.n_right - scenario.n_left)),
         "phase_vacuum_L": ("W", -z),
         "phase_vacuum_R": ("W", +z),
         "phase_vacuum_net": ("W", z * (plus - minus)),
         "norm_drift": ("zero", 1.0),
         "helicity_drift": ("zero", 1.0),
+        **{name: (name, 1.0) for name in ("invariant_residual", "motion_residual", "flagged")},
     }
-    tables = {}
-    for pol in scenario.polarizations:
-        sign = 1.0 if pol == first else -1.0
-        tables[pol] = {
-            **shared,
-            "phase_total": ("total", sign),
-            "phase_dynamical": ("zero", sign),
-            "phase_geometric": ("total", sign),
-            "phase_analytic": ("W", float(pol)),
-        }
     return {
-        "tables": tables,
+        "columns": columns,
         "series": partial(_series, path, first),
         "survives": (plus, minus),
         "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
@@ -382,31 +361,27 @@ def _negated(strings):
 
 
 _WRITE_ROWS = 256  # samples per writer slice, whose columns are held as lists of strings
+_PLOTTED = ("phase_geometric_", "phase_analytic_", "phase_quantal", "phase_vacuum_net")  # prefixes of the plotted columns
 
 
 def write_results_csv(out_dir, result, summary_of):
     """Write every file of a run in one pass, whose ``_reduce`` gives ``summary_of`` its input; returns the summary.
 
-    Each chunk is written, once reduced and checked, in slices of
-    ``_WRITE_ROWS`` rows whose strings are held one slice at a time; a
-    column whose weight is the negative of one already formatted takes its
-    strings with each leading '-' toggled.  results.csv has one row per
-    sample: the columns every table shares, from the first table as their
-    plots are, and in place of phase_total to phase_analytic each table's
-    four, suffixed R or L.  Every file is written under a hidden temporary
-    name in ``out_dir`` and renamed after the summary, summary.json last;
-    on any exception every temporary file is removed.
+    results.csv has one row per sample, headed by the names of
+    ``result["columns"]`` in order; each column named by a prefix in
+    ``_PLOTTED`` is also written against t to plot_<its name without
+    'phase_'>.dat.  Each chunk is written, once reduced and checked, in
+    slices of ``_WRITE_ROWS`` rows whose strings are held one slice at a
+    time; a column whose weight is the negative of one already formatted
+    takes its strings with each leading '-' toggled.  Every file is written
+    under a hidden temporary name in ``out_dir`` and renamed after the
+    summary, summary.json last; on any exception every temporary file, and
+    every file this run has already renamed, is removed.
     """
-    tables = result["tables"]
-    first, shared = next(iter(tables.items()))
-    header = {name: shared[name] for name in RESULT_COLUMNS[:3]}
-    header |= {f"{name}_{_SIGMA_SUFFIX[pol]}": table[name] for pol, table in tables.items() for name in RESULT_COLUMNS[3:7]}
-    header |= {name: shared[name] for name in RESULT_COLUMNS[7:]}
-    *fields, flagged = header.values()
-    columns = list(dict.fromkeys(fields))
-    plots = [(pol, kind, f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat") for pol in tables for kind in ("geometric", "analytic")]
-    plots += [(first, kind, f"plot_{kind}.dat") for kind in ("quantal", "vacuum_net")]
-    made = {}  # file name -> the temporary path it is written to
+    columns = result["columns"]
+    *fields, flagged = columns.values()
+    distinct, t = list(dict.fromkeys(fields)), columns["t"]
+    made = {}  # file name -> the temporary path it is written to, then the path it is renamed to
 
     def create(name):
         temporary = os.path.join(out_dir, f".{name}.{os.urandom(6).hex()}.tmp")
@@ -417,34 +392,35 @@ def write_results_csv(out_dir, result, summary_of):
     try:
         with ExitStack() as stack:
             csv = stack.enter_context(create("results.csv"))
-            lines = [(stack.enter_context(create(name)), tables[pol]["t"], tables[pol][f"phase_{kind}"])
-                     for pol, kind, name in plots]
+            lines = [(stack.enter_context(create(f"plot_{name.removeprefix('phase_')}.dat")), column)
+                     for name, column in columns.items() if name.startswith(_PLOTTED)]
 
             def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
                 text = {}
-                for column in columns:
+                for column in distinct:
                     mirror = text.get((column[0], -column[1]))
                     text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
                 flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
                 csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
-                for fh, t, column in lines:
+                for fh, column in lines:
                     fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
 
             def write_chunk(series):
                 for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
                     write_slice(series, rows)
 
-            csv.write(",".join(header) + "\n")
-            reduced = _reduce(result["series"](), [c for table in tables.values() for c in table.values()], write_chunk)
+            csv.write(",".join(columns) + "\n")
+            reduced = _reduce(result["series"](), columns.values(), write_chunk)
         summary = {**summary_of(reduced), "command": "run"}
         with create("summary.json") as fh:
             fh.write(_json(summary))
-        for name in ["results.csv", *(name for _, _, name in plots), "summary.json"]:
-            os.replace(made[name], os.path.join(out_dir, name))
-            del made[name]
+        for name, temporary in made.items():  # in the order made, summary.json last
+            os.replace(temporary, renamed := os.path.join(out_dir, name))
+            made[name] = renamed
+        made.clear()
     finally:
-        for temporary in made.values():  # those not yet renamed, on an exception
-            os.remove(temporary)
+        for written in made.values():  # on an exception: every file of this run, renamed or not
+            os.remove(written)
     return summary
 
 
@@ -455,22 +431,22 @@ def summarize(result, path, scenario: Scenario, reduced=None):
     polarization's orthogonal-passage warning, with the count of its
     flagged samples, is printed to stderr.
     """
-    tables = result["tables"]
+    columns = result["columns"]
     t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
     if reduced is None:
-        reduced = _reduce(result["series"](), (column for table in tables.values() for column in table.values()))
+        reduced = _reduce(result["series"](), columns.values())
     last, peak, nonzero = reduced
     phases = {}
-    for pol, table in tables.items():
+    for pol in scenario.polarizations:
+        suffix = _SIGMA_SUFFIX[pol]
         phases[f"{pol:+d}"] = {
-            **{kind: last[table[f"phase_{kind}"]] for kind in ("total", "dynamical", "geometric", "analytic")},
-            "flagged_samples": nonzero[table["flagged"]],
-            "max_norm_drift": peak[table["norm_drift"]],
-            "max_helicity_drift": peak[table["helicity_drift"]],
+            **{kind: last[columns[f"phase_{kind}_{suffix}"]] for kind in ("total", "dynamical", "geometric", "analytic")},
+            "flagged_samples": nonzero[columns["flagged"]],
+            "max_norm_drift": peak[columns["norm_drift"]],
+            "max_helicity_drift": peak[columns["helicity_drift"]],
         }
-        if count := nonzero[table["flagged"]]:
+        if count := nonzero[columns["flagged"]]:
             print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
-    shared = tables[scenario.polarizations[0]]  # the columns every table shares
     plus, minus = result["survives"]
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -483,19 +459,19 @@ def summarize(result, path, scenario: Scenario, reduced=None):
         "ordering": scenario.ordering.value,
         "occupations": {"n_left": scenario.n_left, "n_right": scenario.n_right},
         "phases": phases,
-        "quantal_final": last[shared["phase_quantal"]],
+        "quantal_final": last[columns["phase_quantal"]],
         "vacuum": {
-            "left_final": last[shared["phase_vacuum_L"]],
-            "right_final": last[shared["phase_vacuum_R"]],
+            "left_final": last[columns["phase_vacuum_L"]],
+            "right_final": last[columns["phase_vacuum_R"]],
             # bitwise net_vacuum_phase's 0.0 + z W (plus - minus): z in {1/2, 0} makes both products exact
-            "net_final": last[shared["phase_vacuum_net"]],
+            "net_final": last[columns["phase_vacuum_net"]],
             "plus_survives": plus,
             "minus_survives": minus,
             "no_propagating_modes": not (plus or minus),
         },
         "diagnostics": {
-            "max_invariant_residual": peak[shared["invariant_residual"]],
-            "max_motion_residual": peak[shared["motion_residual"]],
+            "max_invariant_residual": peak[columns["invariant_residual"]],
+            "max_motion_residual": peak[columns["motion_residual"]],
         },
         "k0": scenario.k0,
         "chamber_length": scenario.chamber_length,

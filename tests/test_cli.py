@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberphase.cli import main
-from fiberphase.scenario import RESULT_COLUMNS
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -60,10 +59,11 @@ def sweep_cfg(cfg, parameter, values):
 
 
 def results_header(pols):
-    """results.csv's header: the four per-polarization phase columns in place, once per polarization, in order."""
+    """results.csv's header: the four per-polarization phase columns once per polarization, in order, then the rest."""
     polarized = [f"phase_{kind}_{'R' if pol == 1 else 'L'}" for pol in pols
                  for kind in ("total", "dynamical", "geometric", "analytic")]
-    return [*RESULT_COLUMNS[:3], *polarized, *RESULT_COLUMNS[7:]]
+    return ["t", "lambda", "gamma", *polarized, "phase_quantal", "phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net",
+            "norm_drift", "helicity_drift", "invariant_residual", "motion_residual", "flagged"]
 
 
 def read_summary(out_dir):
@@ -226,6 +226,39 @@ def test_run_phases_do_not_depend_on_k_mag(tmp_path, capsys, k_mag):
     assert runs[k_mag] == runs[1.0]
 
 
+def _results_columns(out_dir):
+    """results.csv's columns by header name, each as the tuple of its written fields."""
+    with open(os.path.join(out_dir, "results.csv")) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    return dict(zip(header, zip(*rows)))
+
+
+def test_run_transport_does_not_depend_on_the_clock(tmp_path):
+    # the transport reads the sequence of directions alone, never t or dt: the
+    # demo loop's k rows under a shifted, a rescaled and a shifted and
+    # rescaled clock write the same angles, flags and transport phases, byte
+    # for byte, and the multiples of W move by rounding at most (4.4e-16
+    # measured)
+    rows = np.loadtxt(os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs", "loop_1025.txt"))
+    runs = []
+    for clock in (lambda t: t, lambda t: 1234.5 + t, lambda t: 3.7e-3 * t, lambda t: -7.25 + 40.0 * t):
+        name = f"clock_{len(runs)}"
+        np.savetxt(tmp_path / f"{name}.txt", np.column_stack([clock(rows[:, 0]), rows[:, 1:]]), fmt="%.17g")
+        cfg = helix_cfg(str(tmp_path / name), path={"type": "file", "filename": f"{name}.txt"})
+        assert main(["run", write_config(tmp_path, f"{name}.json", cfg), "--quiet"]) == 0
+        runs.append(_results_columns(tmp_path / name))
+    first, *others = runs
+    transport = ["lambda", "gamma", "flagged", *(f"phase_{kind}_{s}" for kind in ("total", "geometric") for s in "RL")]
+    w_based = ["phase_analytic_R", "phase_analytic_L", "phase_quantal", "phase_vacuum_L", "phase_vacuum_R",
+               "phase_vacuum_net"]
+    for run in others:
+        assert run["t"] != first["t"]
+        for name in transport:
+            assert run[name] == first[name], name
+        for name in w_based:
+            assert np.abs(np.array(run[name], dtype=float) - np.array(first[name], dtype=float)).max() <= 1e-13, name
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
 def test_run_file_path_non_finite_token_exits_2(tmp_path, capsys, token):
     from fiberphase.geometry import helix_path
@@ -352,7 +385,7 @@ def test_unwritable_output_exits_4(tmp_path):
     assert main(["run", config, "--quiet"]) == 4
 
 
-@pytest.mark.parametrize("column", RESULT_COLUMNS[:-1])  # every float column; flagged is not a float
+@pytest.mark.parametrize("column", results_header((1, -1))[:-1])  # every float column; flagged is not a float
 def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
     import fiberphase.scenario as scenario_mod
 
@@ -360,10 +393,8 @@ def test_non_finite_results_exit_3(tmp_path, monkeypatch, column):
 
     def poisoned(*args, **kwargs):
         result = original(*args, **kwargs)
-        # poison the column's series in the last table only, so every table is checked
-        table = list(result["tables"].values())[-1]
-        # every column reads a series of the pass: one whose rows are all NaN
-        table[column] = ("nan", 1.0)
+        # every column reads a series of the pass: poison this one alone with a series whose rows are all NaN
+        result["columns"][column] = ("nan", 1.0)
         series = result["series"]
         result["series"] = lambda: ({**chunk, "nan": np.full(len(chunk["t"]), np.nan)} for chunk in series())
         return result
@@ -553,31 +584,28 @@ def _joined_outputs(result):
     """results.csv and the plot files as the writers' whole-array join: the byte oracle.
 
     Each column is computed whole as series * weight + 0.0 and every file is
-    joined from one list of lines.  results.csv has one row per sample:
-    the four per-polarization phase columns of each table in turn, between
-    the first table's t, lambda, gamma and its other columns.
+    joined from one list of lines.  results.csv has one row per sample,
+    headed by the names of the result's columns; each polarization found
+    there, by its phase_total_<R|L> column, has a geometric and an analytic
+    plot, and the quantal and net vacuum phases have one each.
     """
-    from fiberphase.scenario import _SIGMA_SUFFIX, _fmt
+    from fiberphase.scenario import _fmt
 
-    def column(table, name):
-        key, weight = table[name]
+    def whole(name):
+        key, weight = result["columns"][name]
         return np.concatenate([series[key] for series in result["series"]()]) * weight + 0.0
 
-    tables = result["tables"]
-    first = next(iter(tables.values()))
-    polarized = [(table, f"phase_{kind}") for table in tables.values() for kind in ("total", "dynamical", "geometric", "analytic")]
-    columns = [column(table, name) for table, name in
-               [(first, name) for name in RESULT_COLUMNS[:3]] + polarized + [(first, name) for name in RESULT_COLUMNS[7:]]]
-    lines = [",".join(results_header(tables))]
+    names = list(result["columns"])
+    columns = [whole(name) for name in names]
+    lines = [",".join(names)]
     for i in range(len(columns[0])):
         lines.append(",".join([_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]))
-    plots = {}
-    for pol, table in tables.items():
-        names = [(f"plot_{kind}_{_SIGMA_SUFFIX[pol]}.dat", f"phase_{kind}") for kind in ("geometric", "analytic")]
-        names += [(f"plot_{kind}.dat", f"phase_{kind}") for kind in ("quantal", "vacuum_net")]
-        for filename, name in names:
-            t, values = column(table, "t"), column(table, name)
-            plots[filename] = "".join(f"{_fmt(t[i])} {_fmt(values[i])}\n" for i in range(len(t))).encode()
+    suffixes = [name.removeprefix("phase_total_") for name in names if name.startswith("phase_total_")]
+    plotted = [f"{kind}_{suffix}" for suffix in suffixes for kind in ("geometric", "analytic")] + ["quantal", "vacuum_net"]
+    t, plots = whole("t"), {}
+    for name in plotted:
+        values = whole(f"phase_{name}")
+        plots[f"plot_{name}.dat"] = "".join(f"{_fmt(t[i])} {_fmt(values[i])}\n" for i in range(len(t))).encode()
     return ("\n".join(lines) + "\n").encode(), plots
 
 
@@ -620,30 +648,33 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         return values
 
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
-    values = {name: series() for name in RESULT_COLUMNS[:-1]}
+    # each polarization's four columns read one series per kind, each column with its own weight, so a writer
+    # that took one polarization's column for another's fails; phase_total_<S> has weight sigma, as in a run,
+    # so the writer toggles the signs of one polarization's fields for the other's
+    polarized = ("phase_total", "phase_dynamical", "phase_geometric", "phase_analytic")
+    columns = {name: (name[:-2] if name[:-2] in polarized else name, float(rng.choice(weights)))
+               for name in results_header(pols)}
+    columns |= {f"phase_total_{'R' if pol == 1 else 'L'}": ("phase_total", float(pol)) for pol in pols}
+    columns["flagged"] = ("flagged", 1.0)
+    values = {key: series() for key in dict.fromkeys(key for key, _ in columns.values())}
     values["flagged"] = rng.random(n) < 0.3
-    shared = {name: (name, float(rng.choice(weights))) for name in RESULT_COLUMNS[:-1]}
-    shared["flagged"] = ("flagged", 1.0)
-    # each table's own weights for the four per-polarization columns, which results.csv writes from every table
-    tables = {pol: {**shared, **{name: (name, float(rng.choice(weights))) for name in RESULT_COLUMNS[3:7]},
-                    "phase_total": ("phase_total", float(pol))} for pol in pols}
 
     def pass_chunks():  # chunks of 2 * chunk + 1 rows, which the writer writes in slices of chunk rows
         for lo in range(0, n, 2 * chunk + 1):
             yield {name: series[lo : lo + 2 * chunk + 1] for name, series in values.items()}
 
-    result = {"tables": tables, "series": pass_chunks}
+    result = {"columns": columns, "series": pass_chunks}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod, "_WRITE_ROWS", chunk)
         assert _written(tmp_path_factory.mktemp("chunked"), result) == _joined_outputs(result)
 
 
-def _writer_peaks(tmp_path, n_steps, slices=None):
-    """Traced peaks of a one-polarization run's passes: _reduce's alone, then the writer's, which also reduces.
+def _writer_peaks(tmp_path, n_steps, slices=None, pols=(1,)):
+    """Traced peaks of a run's passes: _reduce's alone, then the writer's, which also reduces.
 
     With a list ``slices``, the peak of each writer slice above what was in
     use when it began is appended to it, and the writer's own peak is lost.
-    One polarization, as tracing every string is slow.
+    One polarization by default, as tracing every string is slow.
     """
     import tracemalloc
     from functools import partial
@@ -653,7 +684,7 @@ def _writer_peaks(tmp_path, n_steps, slices=None):
     from fiberphase.geometry import helix_path
 
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, n_steps)
-    scenario = scenario_mod.Scenario((1,), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
+    scenario = scenario_mod.Scenario(pols, 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
     result = scenario_mod.compute_scenario(path, scenario)
     tmp_path.mkdir()
     original = scenario_mod.geometry._row_slices
@@ -669,10 +700,9 @@ def _writer_peaks(tmp_path, n_steps, slices=None):
             slices.append(tracemalloc.get_traced_memory()[1] - in_use)
 
     peaks = []
-    columns = [c for table in result["tables"].values() for c in table.values()]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod.geometry, "_row_slices", measured)
-        for run in (lambda: scenario_mod._reduce(result["series"](), columns),
+        for run in (lambda: scenario_mod._reduce(result["series"](), result["columns"].values()),
                     lambda: scenario_mod.write_results_csv(str(tmp_path), result, partial(scenario_mod.summarize, result, path, scenario))):
             tracemalloc.start()
             try:
@@ -704,21 +734,22 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
     assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES | _plots((1,)))
 
 
-@pytest.mark.parametrize("n_steps", [3000, 8000])
-def test_writer_adds_at_most_one_slice_of_strings(tmp_path, n_steps):
-    # the same bound at any size, per slice: a slice holds its own strings
-    # and one column's floats, about 1010 bytes per row of the slice (1160
-    # with two polarizations, 1220 while each had rows of its own), wherever
-    # it sits in its chunk; the writer's peak above the reduction's (98 kB
-    # at 3000 steps, one chunk; 45 kB at 8000, two) is no more than one
-    # slice's, so it measures only the strings and not the reduction the
-    # writer now does.  A writer that kept every slice's strings would add
-    # about 7.6 MB at 8000 steps
+@pytest.mark.parametrize(("n_steps", "pols"), [(3000, (1,)), (8000, (1,)), (8000, (1, -1))], ids=["3000", "8000", "8000-R,L"])
+def test_writer_adds_at_most_one_slice_of_strings(tmp_path, n_steps, pols):
+    # the same bound at any size and for the bench's two polarizations, per
+    # slice: a slice holds its own strings and one column's floats, about
+    # 1010 bytes per row of the slice with one polarization and 1160 with
+    # two (1220 while each had rows of its own), wherever it sits in its
+    # chunk; the writer's peak above the reduction's (98 kB at 3000 steps,
+    # one chunk; 45 kB at 8000, two; 61 kB at 8000 with two polarizations)
+    # is no more than one slice's, so it measures only the strings and not
+    # the reduction the writer now does.  A writer that kept every slice's
+    # strings would add about 7.6 MB at 8000 steps
     from fiberphase.scenario import _WRITE_ROWS
 
-    reduction, writer = _writer_peaks(tmp_path / "whole", n_steps)
+    reduction, writer = _writer_peaks(tmp_path / "whole", n_steps, pols=pols)
     slices = []
-    _writer_peaks(tmp_path / "slices", n_steps, slices)
+    _writer_peaks(tmp_path / "slices", n_steps, slices, pols)
     assert len(slices) >= (n_steps + 1) / _WRITE_ROWS  # every slice measured
     one_slice = max(slices)
     assert one_slice / _WRITE_ROWS < 1300, slices  # bytes per row of a slice
@@ -854,11 +885,12 @@ def test_no_two_files_of_a_bench_run_are_byte_identical(tmp_path):
     assert same == {("plot_analytic_R.dat", "plot_quantal.dat")}
 
 
-@pytest.mark.parametrize("where", ["chunk", "summary", "rename"])
+@pytest.mark.parametrize("where", ["chunk", "summary", "rename", "last_rename"])
 def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
     # an OSError in the second chunk, once every row is written but before
-    # summary.json is made, or at the first rename propagates with every
-    # file closed, and leaves no file in the directory
+    # summary.json is made, at the first rename or at the last one (once
+    # every other file is renamed) propagates with every file closed, and
+    # leaves no file in the directory
     import errno
 
     import fiberphase.scenario as scenario_mod
@@ -884,9 +916,21 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
         result["series"] = failing
     elif where == "rename":
         monkeypatch.setattr(os, "replace", full)
+    elif where == "last_rename":
+        replace, renamed = os.replace, []
+
+        def last_fails(src, dst):
+            if os.path.basename(dst) == "summary.json":
+                full()
+            replace(src, dst)
+            renamed.append(os.path.basename(dst))
+
+        monkeypatch.setattr(os, "replace", last_fails)
     with pytest.raises(OSError, match="No space left"):  # "summary": every row is written, then summary_of fails
         scenario_mod.write_results_csv(str(tmp_path), result, full if where == "summary" else lambda reduced: {})
     assert os.listdir(tmp_path) == []
+    if where == "last_rename":
+        assert sorted(renamed) == sorted((_RUN_FILES - {"summary.json"}) | _plots((1, -1)))
     assert opened and all(fh.closed for _, _, fh in opened)
 
 

@@ -512,7 +512,7 @@ def _scenario_peak(n_steps=100_000):
     tracemalloc.start()
     try:
         result = compute_scenario(p, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
-        _reduce(result["series"](), [column for table in result["tables"].values() for column in table.values()])
+        _reduce(result["series"](), result["columns"].values())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -32,7 +32,6 @@ from fiberphase.fock import Ordering
 from fiberphase.geometry import FiberPath, helix_path, load_path, spherical_angles
 from fiberphase.scenario import (
     FREE_SPACE,
-    RESULT_COLUMNS,
     NumericalError,
     Scenario,
     _reduce,
@@ -52,7 +51,7 @@ def _fresh(path):
 
 
 def _all_columns(result):
-    return [column for table in result["tables"].values() for column in table.values()]
+    return list(result["columns"].values())
 
 
 def _reduce_all(result):
@@ -82,7 +81,7 @@ def _angles(path):
 
 
 def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
-    """compute_scenario's columns from the stage functions, each on a fresh path copy, plus 0.0.
+    """compute_scenario's columns, by results.csv header name, from the stage functions, each on a fresh path copy, plus 0.0.
 
     Only the first polarization's transport is read; the other is its
     conjugate, with the three transported phases negated (as 0.0 - x) and
@@ -102,10 +101,16 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     if net.minus_survives:
         net_series = net_series + vac_left
     angles = _angles(path)
-    shared = {
-        "t": _fresh(path).times,
-        "lambda": angles.polar,
-        "gamma": angles.azimuth,
+    columns = {"t": _fresh(path).times, "lambda": angles.polar, "gamma": angles.azimuth}
+    for pol in pols:
+        sign, suffix = (lambda x: x) if pol == first else (lambda x: 0.0 - x), "R" if pol == 1 else "L"
+        columns |= {
+            f"phase_total_{suffix}": sign(total),
+            f"phase_dynamical_{suffix}": sign(zeros),
+            f"phase_geometric_{suffix}": sign(total),
+            f"phase_analytic_{suffix}": analytic_noncyclic_phase(_angles(path), pol),
+        }
+    columns |= {
         "phase_quantal": fock.quantal_geometric_phase(n_left, n_right, _angles(path)),
         "phase_vacuum_L": vac_left,
         "phase_vacuum_R": vac_right,
@@ -116,18 +121,8 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
         "motion_residual": geometry.motion_residual(_fresh(path)),
         "flagged": flagged,
     }
-    tables = {}
-    for pol in pols:
-        sign = (lambda x: x) if pol == first else (lambda x: 0.0 - x)
-        columns = {
-            **shared,
-            "phase_total": sign(total),
-            "phase_dynamical": sign(zeros),
-            "phase_geometric": sign(total),
-            "phase_analytic": analytic_noncyclic_phase(_angles(path), pol),
-        }
-        tables[pol] = {name: values + 0.0 for name, values in columns.items()}
-    return {"tables": tables, "survives": (net.plus_survives, net.minus_survives)}
+    return {"columns": {name: values + 0.0 for name, values in columns.items()},
+            "survives": (net.plus_survives, net.minus_survives)}
 
 
 def _assert_bitwise(got, want, label):
@@ -156,7 +151,6 @@ CASES = {
     "clockwise-normal": (lambda tmp: helix_path(np.pi / 3, -1.0, 1.0, 1.0, 2000), 2, 2, GYROTROPIC, 1.0, None,
                          Ordering.NORMAL),
 }
-W_WEIGHTS = {"phase_quantal", "phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net", "phase_analytic"}
 
 
 @pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
@@ -167,12 +161,10 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
     got = compute_scenario(path, Scenario(tuple(pols), nl, nr, ordering, medium, k0, chamber))
     want = _oracle(path, pols, nl, nr, medium, k0, chamber, ordering)
 
-    assert list(got["tables"]) == pols
-    for pol in pols:
-        table, ref = got["tables"][pol], want["tables"][pol]
-        assert table.keys() == ref.keys(), pol
-        for key in ref:
-            _assert_bitwise(_read(got, table[key]), ref[key], f"{pol} {key}")
+    columns = got["columns"]
+    assert list(columns) == list(want["columns"])  # the results.csv header, in order
+    for name, values in want["columns"].items():
+        _assert_bitwise(_read(got, columns[name]), values, name)
     assert got["survives"] == want["survives"]
     # the net vacuum phase is the last row of its column, bitwise the library's from the final W
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
@@ -180,7 +172,7 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
     _assert_bitwise(summary["vacuum"]["net_final"], net.phase, "net_final")
     assert (summary["vacuum"]["plus_survives"], summary["vacuum"]["minus_survives"]) == got["survives"]
     if case == "equator-flagged":
-        assert all(_read(got, got["tables"][pol]["flagged"]).any() for pol in pols)
+        assert _read(got, columns["flagged"]).any()
     # against an oracle independent of the closed form, evolve's transport
     # under H of each polarization, outside 20 rows of a flagged sample (at
     # most 1.8e-14 measured)
@@ -191,14 +183,15 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         clear = np.ones(path.n_samples, dtype=bool)
         for row in np.flatnonzero(traj.flagged):
             clear[max(row - 20, 0) : row + 21] = False
-        assert np.abs(_read(got, got["tables"][pol]["phase_total"]) - traj.total)[clear].max() <= 1e-13, pol
+        total = _read(got, columns[f"phase_total_{'R' if pol == 1 else 'L'}"])
+        assert np.abs(total - traj.total)[clear].max() <= 1e-13, pol
     # what the chord transport conserves is written as exact zeros, and the geometric phase is the total
-    for pol in pols:
-        table = got["tables"][pol]
-        for name in ("phase_dynamical", "norm_drift", "helicity_drift"):
-            values = _read(got, table[name])
-            assert not values.any() and not np.signbit(values).any(), (pol, name)
-        _assert_bitwise(_read(got, table["phase_geometric"]), _read(got, table["phase_total"]), f"{pol} geometric")
+    for suffix in ("R", "L"):
+        for name in (f"phase_dynamical_{suffix}", "norm_drift", "helicity_drift"):
+            values = _read(got, columns[name])
+            assert not values.any() and not np.signbit(values).any(), name
+        _assert_bitwise(_read(got, columns[f"phase_geometric_{suffix}"]), _read(got, columns[f"phase_total_{suffix}"]),
+                        f"geometric {suffix}")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -209,41 +202,37 @@ def test_library_phases_equal_their_columns_bitwise(tmp_path, case):
     path = make(tmp_path)
     result = compute_scenario(path, Scenario((1, -1), nl, nr, ordering, medium, k0, chamber))
     angles = _angles(path)
-    for pol in (1, -1):
-        table = result["tables"][pol]
-        _assert_bitwise(analytic_noncyclic_phase(angles, pol), _read(result, table["phase_analytic"]), f"{pol} analytic")
-        _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), _read(result, table["phase_quantal"]), "quantal")
-        _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), _read(result, table["phase_vacuum_L"]), "vacuum L")
-        _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), _read(result, table["phase_vacuum_R"]), "vacuum R")
+    columns = result["columns"]
+    for pol, suffix in ((1, "R"), (-1, "L")):
+        _assert_bitwise(analytic_noncyclic_phase(angles, pol), _read(result, columns[f"phase_analytic_{suffix}"]), suffix)
+    _assert_bitwise(fock.quantal_geometric_phase(nl, nr, angles), _read(result, columns["phase_quantal"]), "quantal")
+    _assert_bitwise(fock.vacuum_phase(-1, angles, ordering), _read(result, columns["phase_vacuum_L"]), "vacuum L")
+    _assert_bitwise(fock.vacuum_phase(+1, angles, ordering), _read(result, columns["phase_vacuum_R"]), "vacuum R")
 
 
-def test_result_tables_pair_every_csv_column():
+def test_result_columns_pair_every_csv_column():
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     result = compute_scenario(path, Scenario((1, -1), 0, 3, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None))
-    first, derived = result["tables"][1], result["tables"][-1]
+    columns = result["columns"]
     # lambda, gamma and W are the three series of the pass's angle kernel; one pass starts from the path
-    assert [first[name] for name in ("lambda", "gamma", "phase_analytic")] == [
+    assert [columns[name] for name in ("lambda", "gamma", "phase_analytic_R")] == [
         ("lambda", 1.0), ("gamma", 1.0), ("W", 1.0)]
     assert result["series"].args == (path, 1)
     _assert_bitwise(_read(result, ("W", 1.0)), _angles(path).solid_angle, "W")
-    for pol, table in result["tables"].items():
-        # every results column, each a (series key, weight) of n rows
-        assert sorted(table) == sorted(RESULT_COLUMNS)
-        assert all(isinstance(column, tuple) and len(_read(result, column)) == path.n_samples
-                   for column in table.values())
-        # the W-proportional columns all read the one W, and differ only in their weights
-        assert {table[name][0] for name in W_WEIGHTS} == {"W"}
-        assert {name: table[name][1] for name in W_WEIGHTS} == {
-            "phase_quantal": 3.0, "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
-            "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
-            "phase_analytic": float(pol),
-        }
-    for name in RESULT_COLUMNS:
-        if name not in W_WEIGHTS:
-            # the derived polarization reads the evolved one's series
-            assert derived[name][0] == first[name][0], name
-            assert first[name][1] == 1.0
-            assert derived[name][1] == (-1.0 if name in ("phase_total", "phase_dynamical", "phase_geometric") else 1.0)
+    # every results column, each a (series key, weight) of n rows
+    assert all(isinstance(column, tuple) and len(_read(result, column)) == path.n_samples
+               for column in columns.values())
+    # the W-proportional columns all read the one W, and differ only in their weights
+    assert {name: weight for name, (key, weight) in columns.items() if key == "W"} == {
+        "phase_analytic_R": 1.0, "phase_analytic_L": -1.0, "phase_quantal": 3.0,
+        "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
+        "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
+    }
+    # the derived polarization reads the evolved one's series, its three transported phases with weight -1
+    for kind in ("total", "dynamical", "geometric"):
+        assert columns[f"phase_{kind}_L"] == (columns[f"phase_{kind}_R"][0], -1.0), kind
+    derived = {f"phase_{kind}_L" for kind in ("total", "dynamical", "geometric")}
+    assert all(weight == 1.0 for name, (key, weight) in columns.items() if key != "W" and name not in derived)
 
 
 def test_cached_series_are_shared_and_read_only():
@@ -317,7 +306,7 @@ def test_result_holds_one_W_and_no_derived_columns():
     finally:
         tracemalloc.stop()
     assert held / n_steps <= 120  # bytes per step
-    assert len(result["tables"]) == 2
+    assert len(result["columns"]) == 20  # both polarizations' columns
 
 
 def test_compute_scenario_holds_only_what_its_outputs_read():
@@ -334,7 +323,7 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
     assert peak / n_steps < 90, peak / n_steps  # bytes per step
     assert held / n_steps < 75, held / n_steps
     for name in ("invariant_residual", "motion_residual"):
-        assert result["tables"][1][name] == (name, 1.0)  # a series of the pass, computed when read
+        assert result["columns"][name] == (name, 1.0)  # a series of the pass, computed when read
 
 
 def test_stage_peaks_stay_near_the_held_result():
@@ -387,7 +376,7 @@ def test_result_holds_no_per_step_series():
         tracemalloc.stop()
     assert held <= 1, held  # bytes per step
     assert peak <= 1, peak
-    assert len(result["tables"]) == 2
+    assert len(result["columns"]) == 20  # both polarizations' columns
 
 
 def _count_passes(monkeypatch):
@@ -414,7 +403,7 @@ def _count_passes(monkeypatch):
 def test_each_pass_reads_the_angles_once_from_row_0(tmp_path, monkeypatch, pols):
     # compute_scenario makes no pass (the net vacuum phase is its column's
     # last row); a cone sweep point's reduction and a run's writer, which
-    # formats and reduces every table, are one pass each, which computes
+    # formats and reduces every column, are one pass each, which computes
     # every sample's angles once
     passes, unwrapped = _count_passes(monkeypatch)
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 300)
@@ -505,7 +494,10 @@ DERIVED_CASES = {
 def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     path = DERIVED_CASES[case](tmp_path)
     got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
-    derived = {name: _read(got, column) for name, column in got["tables"][-first].items()}
+    columns = got["columns"]
+    evolved, suffix = ("R", "L") if first == 1 else ("L", "R")  # of the first polarization and of the derived one
+    derived = {name: _read(got, columns[name]) for name in ("flagged", "norm_drift", "helicity_drift")}
+    derived |= {kind: _read(got, columns[f"phase_{kind}_{suffix}"]) for kind in ("total", "dynamical", "geometric")}
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
@@ -518,15 +510,15 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     # phases are only trustworthy away from the orthogonal passage
     clear = np.abs(traj.states @ traj.states[0].conj()) > 1e-3
     for kind in ("total", "dynamical", "geometric"):
-        assert np.abs(derived[f"phase_{kind}"] - getattr(dec, kind))[clear].max() <= 1e-12, kind
+        assert np.abs(derived[kind] - getattr(dec, kind))[clear].max() <= 1e-12, kind
     assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
     assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
     # the phases, drifts and flags read the series of one pass's transport, the first polarization's
     assert got["series"].args == (path, first)
-    for name in ("phase_total", "flagged", "phase_dynamical", "phase_geometric", "norm_drift", "helicity_drift"):
-        assert got["tables"][-first][name][0] == got["tables"][first][name][0], name
+    for kind in ("total", "dynamical", "geometric"):
+        assert columns[f"phase_{kind}_{suffix}"][0] == columns[f"phase_{kind}_{evolved}"][0], kind
     # and the geometric phase is the total, the dynamical phase being an exact zero
-    assert got["tables"][-first]["phase_geometric"] == got["tables"][-first]["phase_total"]
+    assert columns[f"phase_geometric_{suffix}"] == columns[f"phase_total_{suffix}"]
 
 
 def _count_calls(monkeypatch, original):
@@ -548,9 +540,9 @@ def _count_calls(monkeypatch, original):
 @pytest.mark.parametrize("pols", [(1, -1), (-1, 1), (-1,)], ids=["R,L", "L,R", "L"])
 def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
     # a run is one pass (_series) with one closed-form transport (_fan) of
-    # the first polarization: the writer formats every table and reduces
-    # every column from it, so summary.json needs no pass of its own.  No
-    # pass transports or stores the (n, 3) states
+    # the first polarization: the writer formats and reduces every column
+    # from it, so summary.json needs no pass of its own.  No pass
+    # transports or stores the (n, 3) states
     passes, _ = _count_passes(monkeypatch)
     fans, fan = [], evolution._fan
     monkeypatch.setattr(evolution, "_fan", lambda windows, pol: fans.append(pol) or fan(windows, pol))
@@ -713,7 +705,7 @@ def test_reduce_matches_whole_array_reductions(monkeypatch, chunk):
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
     last, peak, nonzero = _reduce_all(result)
     assert list(last) == list(peak) == list(nonzero) == list(whole)
-    assert nonzero[result["tables"][1]["flagged"]] > 0
+    assert nonzero[result["columns"]["flagged"]] > 0
     for column, values in whole.items():
         assert (last[column], peak[column], nonzero[column]) == (values[-1], values.max(), np.count_nonzero(values))
 
