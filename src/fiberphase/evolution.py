@@ -295,10 +295,10 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     residual is sqrt(2) |D k_hat + k_hat x (scale h)| with D the central
     difference.  ``scale`` != 1 is a negative control: any generator other
     than the effective one leaves an O(1) residual.  These are the rows
-    1 .. n-2 of ``geometry._residuals``, whose n rows a results column
-    reads a chunk at a time.
+    1 .. n-2 of ``geometry._invariant_residual``, whose n rows a results
+    column reads a chunk at a time.
     """
-    return np.concatenate([geometry._residuals(path, window, scale)[0] for window in geometry._windows(path)])[1:-1]
+    return np.concatenate([geometry._invariant_residual(path, window, scale) for window in geometry._windows(path)])[1:-1]
 
 
 def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:

@@ -482,23 +482,23 @@ def _cross(a, b):
     return out
 
 
-def _residuals(path: FiberPath, window, scale: float = 1.0):
-    """The invariant and motion residuals of a window's rows (see ``_windows``), from its k_hat rows.
+def _motion_residual(path: FiberPath, window):
+    """The rows of :func:`motion_residual`, |k_hat . D(k_mag k_hat)|, of a window (see ``_windows``)."""
+    rows, _, k_hat, lo = window
+    rate = _stencil(k_hat, rows.start - lo, rows.stop - rows.start, path.dt, path.k_mag)[0]
+    return np.abs(np.einsum("ni,ni->n", k_hat[rows.start - lo : rows.stop - lo], rate))
 
-    Row i of the motion residual is |k_hat . D(k_mag k_hat)| (see
-    :func:`motion_residual`); of the invariant residual, sqrt(2) |D k_hat +
-    k_hat x (scale h)| (see ``evolution.invariant_residual_series``) at the
-    interior sample min(max(i, 1), n - 2), as the central difference has no
-    value at the two end samples.  Both rates come from ``_stencil`` on the
-    window, with the float operations of the whole-array forms.
+
+def _invariant_residual(path: FiberPath, window, scale: float = 1.0):
+    """The rows of the invariant residual, sqrt(2) |D k_hat + k_hat x (scale h)|, of a window.
+
+    Row i is at the interior sample min(max(i, 1), n - 2) (``evolution.invariant_residual_series``); both
+    residuals take their rates from ``_stencil`` on the window, with the whole-array forms' float operations.
     """
     rows, _, k_hat, lo = window
-    n, dt = path.n_samples, path.dt
+    n = path.n_samples
     first, last = min(max(rows.start, 1), n - 2), min(max(rows.stop, 2), n - 1)  # the interior samples read
-    rate = _stencil(k_hat, rows.start - lo, rows.stop - rows.start, dt, path.k_mag)[0]
-    motion = np.abs(np.einsum("ni,ni->n", k_hat[rows.start - lo : rows.stop - lo], rate))
-    del rate  # before the invariant's is gathered
-    rate, centre = _stencil(k_hat, first - lo, last - first, dt)[0], k_hat[first - lo : last - lo]
+    rate, centre = _stencil(k_hat, first - lo, last - first, path.dt)[0], k_hat[first - lo : last - lo]
     vec = _cross(centre, scale * _cross(centre, rate))
     vec += rate
     np.square(vec, out=vec)
@@ -507,7 +507,7 @@ def _residuals(path: FiberPath, window, scale: float = 1.0):
     invariant *= np.sqrt(2.0)
     if (first, last) != (rows.start, rows.stop):  # rows 0 and n - 1 repeat their neighbours
         invariant = invariant[np.clip(np.arange(rows.start, rows.stop), 1, n - 2) - first]
-    return invariant, motion
+    return invariant
 
 
 def motion_residual(path: FiberPath) -> np.ndarray:
@@ -519,9 +519,9 @@ def motion_residual(path: FiberPath) -> np.ndarray:
     k_dot + k x (k x k_dot)/k^2 = k_hat (k_hat . k_dot): the residual is the
     radial part of the stencil derivative, taken without cancelling two
     O(|k_dot|) vectors against each other.  These are the rows of
-    ``_residuals``, which a results column reads a chunk at a time.
+    ``_motion_residual``, which the ``n_steps`` sweep reads a chunk at a time.
     """
-    return np.concatenate([_residuals(path, window)[1] for window in _windows(path)])
+    return np.concatenate([_motion_residual(path, window) for window in _windows(path)])
 
 
 def rotation_vectors(path: FiberPath) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evolution, fock, geometry, media, spin
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SIGMA_SUFFIX = {+1: "R", -1: "L"}
 
@@ -250,19 +250,18 @@ def _series(path, polarization):
     Each chunk's window of rows (``geometry._windows``) is read once and
     handed to three kernels at once: the transport in closed form for
     ``polarization`` (total and flagged), the angles (lambda, gamma and W)
-    and the residuals; ``zero`` is what the conserved quantities' columns
-    read.  The last stage, the transport's hold (``evolution._unwrapped``),
-    unwraps each chunk's total in place and hands its dict on once the
-    flagged runs in it have met their next unflagged row.
+    and the invariant residual.  The last stage, the transport's hold
+    (``evolution._unwrapped``), unwraps each chunk's total in place and
+    hands its dict on once the flagged runs in it have met their next
+    unflagged row.
     """
     angles = geometry._Angles(path.dt)
 
     def chunks():
         for total, flagged, window in evolution._fan(geometry._windows(path), polarization):
-            (polar, azimuth, w), (invariant, motion) = angles(window), geometry._residuals(path, window)
+            polar, azimuth, w = angles(window)
             yield total, flagged, {"t": window[1], "lambda": polar, "gamma": azimuth, "W": w, "total": total,
-                                   "flagged": flagged, "zero": np.zeros(len(w)), "invariant_residual": invariant,
-                                   "motion_residual": motion}
+                                   "flagged": flagged, "invariant_residual": geometry._invariant_residual(path, window)}
 
     for _, _, series in evolution._unwrapped(chunks()):
         yield series
@@ -279,18 +278,18 @@ def compute_scenario(path, scenario: Scenario):
 
     ``columns`` maps each results.csv header name, in order, to a column
     (key, weight) of the series of a pass (see ``_values``): t, lambda and
-    gamma; phase_total, phase_dynamical, phase_geometric and phase_analytic
-    of each polarization in turn, suffixed R or L; then the columns every
-    polarization shares, ending in flagged.  The phases proportional to the
+    gamma; phase_geometric and phase_analytic of each polarization in turn,
+    suffixed R or L; then the columns every polarization shares: the
+    quantal and vacuum phases, invariant_residual and flagged.  Every column
+    reads a series the pass computes.  The phases proportional to the
     swept solid angle read the one ``W``, with weights sigma (analytic),
     n_R - n_L (quantal), -+z (vacuum L/R) and z * (plus survives - minus
     survives) (vacuum net), where z is the zero-point weight: 1/2, or 0
     under normal ordering.  Only the first polarization's transport is
     read: every step is a real rotation in the Cartesian representation, so
     the opposite helicity is the conjugate state, psi_{-s} = e^{i a} conj
-    psi_s.  Its total and geometric phases (the dynamical phase is an exact
-    zero) are the first's with weight -1, and it shares the drifts and
-    flags.  Every other weight is 1.
+    psi_s.  Its geometric phase is the first's with weight -1, and it
+    shares the flags.  Every other weight is 1.
 
     ``series()`` starts a pass (``_series``), so the result holds no
     per-step series; a run's writer, which also reduces every column, and
@@ -306,16 +305,13 @@ def compute_scenario(path, scenario: Scenario):
     columns = {name: (name, 1.0) for name in ("t", "lambda", "gamma")}
     for pol in scenario.polarizations:
         sign, suffix = 1.0 if pol == first else -1.0, _SIGMA_SUFFIX[pol]
-        columns |= {f"phase_total_{suffix}": ("total", sign), f"phase_dynamical_{suffix}": ("zero", sign),
-                    f"phase_geometric_{suffix}": ("total", sign), f"phase_analytic_{suffix}": ("W", float(pol))}
+        columns |= {f"phase_geometric_{suffix}": ("total", sign), f"phase_analytic_{suffix}": ("W", float(pol))}
     columns |= {
         "phase_quantal": ("W", float(scenario.n_right - scenario.n_left)),
         "phase_vacuum_L": ("W", -z),
         "phase_vacuum_R": ("W", +z),
         "phase_vacuum_net": ("W", z * (plus - minus)),
-        "norm_drift": ("zero", 1.0),
-        "helicity_drift": ("zero", 1.0),
-        **{name: (name, 1.0) for name in ("invariant_residual", "motion_residual", "flagged")},
+        **{name: (name, 1.0) for name in ("invariant_residual", "flagged")},
     }
     return {
         "columns": columns,
@@ -375,7 +371,8 @@ def write_results_csv(out_dir, result, summary_of):
     time; a column whose weight is the negative of one already formatted
     takes its strings with each leading '-' toggled.  Every file is written
     under a hidden temporary name in ``out_dir`` and renamed after the
-    summary, summary.json last; on any exception every temporary file, and
+    summary, summary.json last, once no target is found to be a directory
+    or other non-regular file; on any exception every temporary file, and
     every file this run has already renamed, is removed.
     """
     columns = result["columns"]
@@ -414,6 +411,9 @@ def write_results_csv(out_dir, result, summary_of):
         summary = {**summary_of(reduced), "command": "run"}
         with create("summary.json") as fh:
             fh.write(_json(summary))
+        for name in made:  # before the first rename, so that a failed run replaces none of an earlier run's files
+            if os.path.lexists(target := os.path.join(out_dir, name)) and not os.path.isfile(target):
+                raise FileExistsError(f"{target}: exists and is not a regular file")
         for name, temporary in made.items():  # in the order made, summary.json last
             os.replace(temporary, renamed := os.path.join(out_dir, name))
             made[name] = renamed
@@ -427,9 +427,11 @@ def write_results_csv(out_dir, result, summary_of):
 def summarize(result, path, scenario: Scenario, reduced=None):
     """The summary of a result, from the reduction of every column: ``reduced``, else a pass of ``_reduce``.
 
-    The pass raises NumericalError on a non-finite value.  Each
-    polarization's orthogonal-passage warning, with the count of its
-    flagged samples, is printed to stderr.
+    Schema 2: each polarization's final geometric and analytic phases and
+    flag count, the final quantal and vacuum phases, the invariant
+    residual's maximum.  The pass raises NumericalError on a non-finite
+    value; each polarization's orthogonal-passage warning, with the count
+    of its flagged samples, is printed to stderr.
     """
     columns = result["columns"]
     t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
@@ -439,12 +441,8 @@ def summarize(result, path, scenario: Scenario, reduced=None):
     phases = {}
     for pol in scenario.polarizations:
         suffix = _SIGMA_SUFFIX[pol]
-        phases[f"{pol:+d}"] = {
-            **{kind: last[columns[f"phase_{kind}_{suffix}"]] for kind in ("total", "dynamical", "geometric", "analytic")},
-            "flagged_samples": nonzero[columns["flagged"]],
-            "max_norm_drift": peak[columns["norm_drift"]],
-            "max_helicity_drift": peak[columns["helicity_drift"]],
-        }
+        phases[f"{pol:+d}"] = {**{kind: last[columns[f"phase_{kind}_{suffix}"]] for kind in ("geometric", "analytic")},
+                               "flagged_samples": nonzero[columns["flagged"]]}
         if count := nonzero[columns["flagged"]]:
             print(f"warning: sigma={pol:+d}: {evolution._passage_warning(count)}", file=sys.stderr)
     plus, minus = result["survives"]
@@ -469,10 +467,7 @@ def summarize(result, path, scenario: Scenario, reduced=None):
             "minus_survives": minus,
             "no_propagating_modes": not (plus or minus),
         },
-        "diagnostics": {
-            "max_invariant_residual": peak[columns["invariant_residual"]],
-            "max_motion_residual": peak[columns["motion_residual"]],
-        },
+        "diagnostics": {"max_invariant_residual": peak[columns["invariant_residual"]]},
         "k0": scenario.k0,
         "chamber_length": scenario.chamber_length,
         "medium": None,
@@ -593,10 +588,10 @@ def _cone_row(cfg, base_dir, value, scenario):
 def _steps_row(cfg, base_dir, value):
     _n_steps(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
-    names = ("invariant_residual", "motion_residual")
-    chunks = (dict(zip(names, geometry._residuals(path, window))) for window in geometry._windows(path))
-    peak = _reduce(chunks, [(name, 1.0) for name in names])[1]
-    return {"n_steps": value, **{f"max_{name}": peak[name, 1.0] for name in names}}
+    kernels = {"invariant_residual": geometry._invariant_residual, "motion_residual": geometry._motion_residual}
+    chunks = ({name: kernel(path, window) for name, kernel in kernels.items()} for window in geometry._windows(path))
+    peak = _reduce(chunks, [(name, 1.0) for name in kernels])[1]
+    return {"n_steps": value, **{f"max_{name}": peak[name, 1.0] for name in kernels}}
 
 
 def _sweep_rows_steps(cfg, base_dir, values):
@@ -736,15 +731,18 @@ def self_check(quiet=False) -> bool:
     checks.append(("motion residual small on smooth path", float(geometry.motion_residual(p).max()) < 1e-3))
     checks.append(("invariant residual small on smooth path", float(evolution.invariant_residual_series(p).max()) < 1e-3))
 
-    p = geometry.helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096)
-    error = abs(float(evolution.evolve(p, +1).geometric[-1]) - 2.0 * np.pi * (1.0 - np.cos(np.pi / 3)))
+    traj = evolution.evolve(geometry.helix_path(np.pi / 3, 1.0, 1.0, 1.0, 4096), +1)
+    error = abs(float(traj.geometric[-1]) - 2.0 * np.pi * (1.0 - np.cos(np.pi / 3)))
     phi = np.linspace(0.0, 2.0 * np.pi, 257)
     loop = geometry.FiberPath(phi, direction(0.8 + 0.25 * np.sin(3.0 * phi), phi), 1.0)
     closed_form = np.concatenate([series["total"] for series in _series(loop, +1)])
     gap = float(np.abs(closed_form - evolution.evolve(loop, +1).total).max())
     for name, value, bound in (("evolve's cycle phase on the pi/3 helix, 4096 steps, against 2 pi (1 - cos c)", error, 1e-5),
+                               ("evolve's norm drift there, max |norm - 1|", np.abs(traj.norms - 1.0).max(), 1e-10),
+                               ("evolve's helicity drift there", np.abs(traj.helicity - traj.helicity[0]).max(), 1e-5),
+                               ("evolve's dynamical phase there, max |phase|", np.abs(traj.dynamical).max(), 1e-10),
                                ("swept-area transport against evolve, row by row, 256-step three-lobe loop", gap, 1e-13)):
-        checks.append((f"{name}: {value:.2e} <= {bound:g}", value <= bound))
+        checks.append((f"{name}: {value:.2e} <= {bound:g}", bool(value <= bound)))
 
     all_ok = True
     for name, ok in checks:

@@ -59,11 +59,10 @@ def sweep_cfg(cfg, parameter, values):
 
 
 def results_header(pols):
-    """results.csv's header: the four per-polarization phase columns once per polarization, in order, then the rest."""
-    polarized = [f"phase_{kind}_{'R' if pol == 1 else 'L'}" for pol in pols
-                 for kind in ("total", "dynamical", "geometric", "analytic")]
+    """results.csv's header: the two per-polarization phase columns once per polarization, in order, then the rest."""
+    polarized = [f"phase_{kind}_{'R' if pol == 1 else 'L'}" for pol in pols for kind in ("geometric", "analytic")]
     return ["t", "lambda", "gamma", *polarized, "phase_quantal", "phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net",
-            "norm_drift", "helicity_drift", "invariant_residual", "motion_residual", "flagged"]
+            "invariant_residual", "flagged"]
 
 
 def read_summary(out_dir):
@@ -97,16 +96,32 @@ def test_run_results_csv_schema(tmp_path):
         first = fh.readline().strip().split(",")
     assert header == [
         "t", "lambda", "gamma",
-        "phase_total_R", "phase_dynamical_R", "phase_geometric_R", "phase_analytic_R",
-        "phase_total_L", "phase_dynamical_L", "phase_geometric_L", "phase_analytic_L",
+        "phase_geometric_R", "phase_analytic_R",
+        "phase_geometric_L", "phase_analytic_L",
         "phase_quantal", "phase_vacuum_L", "phase_vacuum_R", "phase_vacuum_net",
-        "norm_drift", "helicity_drift", "invariant_residual", "motion_residual", "flagged",
+        "invariant_residual", "flagged",
     ]
     assert header == results_header((1, -1))
     assert len(first) == len(header)
     # one row per sample, both polarizations side by side: 129 samples + header
     with open(os.path.join(out, "results.csv")) as fh:
         assert len(fh.readlines()) == 1 + 129
+
+
+def test_run_summary_holds_only_computed_fields(tmp_path):
+    # schema 2: each polarization's geometric and analytic phases and flag
+    # count, and the invariant residual; what each transport step conserves
+    # is measured by evolve and `fiberphase check`, not written
+    out = str(tmp_path / "out")
+    cfg = helix_cfg(out)
+    cfg["path"]["n_steps"] = 128
+    assert main(["run", write_config(tmp_path, "helix.json", cfg), "--quiet"]) == 0
+    summary = read_summary(out)
+    assert summary["schema_version"] == 2
+    for key in ("+1", "-1"):
+        assert sorted(summary["phases"][key]) == ["analytic", "flagged_samples", "geometric"]
+    assert list(summary["diagnostics"]) == ["max_invariant_residual"]
+    assert 0.0 < summary["diagnostics"]["max_invariant_residual"] < 1e-3
 
 
 def test_run_gyrotropic_scenario(tmp_path):
@@ -248,7 +263,7 @@ def test_run_transport_does_not_depend_on_the_clock(tmp_path):
         assert main(["run", write_config(tmp_path, f"{name}.json", cfg), "--quiet"]) == 0
         runs.append(_results_columns(tmp_path / name))
     first, *others = runs
-    transport = ["lambda", "gamma", "flagged", *(f"phase_{kind}_{s}" for kind in ("total", "geometric") for s in "RL")]
+    transport = ["lambda", "gamma", "flagged", "phase_geometric_R", "phase_geometric_L"]
     w_based = ["phase_analytic_R", "phase_analytic_L", "phase_quantal", "phase_vacuum_L", "phase_vacuum_R",
                "phase_vacuum_net"]
     for run in others:
@@ -422,7 +437,7 @@ def test_non_finite_late_chunk_exits_3_and_leaves_the_directory_as_it_was(tmp_pa
         for series in original(path, polarization):
             rows += len(series["t"])
             if rows == path.n_samples:
-                series["motion_residual"][-1] = np.nan
+                series["invariant_residual"][-1] = np.nan
             yield series
 
     monkeypatch.setattr(scenario_mod, "_series", poisoned)
@@ -586,7 +601,7 @@ def _joined_outputs(result):
     Each column is computed whole as series * weight + 0.0 and every file is
     joined from one list of lines.  results.csv has one row per sample,
     headed by the names of the result's columns; each polarization found
-    there, by its phase_total_<R|L> column, has a geometric and an analytic
+    there, by its phase_geometric_<R|L> column, has a geometric and an analytic
     plot, and the quantal and net vacuum phases have one each.
     """
     from fiberphase.scenario import _fmt
@@ -600,7 +615,7 @@ def _joined_outputs(result):
     lines = [",".join(names)]
     for i in range(len(columns[0])):
         lines.append(",".join([_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]))
-    suffixes = [name.removeprefix("phase_total_") for name in names if name.startswith("phase_total_")]
+    suffixes = [name.removeprefix("phase_geometric_") for name in names if name.startswith("phase_geometric_")]
     plotted = [f"{kind}_{suffix}" for suffix in suffixes for kind in ("geometric", "analytic")] + ["quantal", "vacuum_net"]
     t, plots = whole("t"), {}
     for name in plotted:
@@ -648,13 +663,13 @@ def test_chunked_writers_match_whole_array_join(tmp_path_factory, n, chunk, seed
         return values
 
     weights = [1.0, -1.0, 0.5, -0.5, 0.0, 3.0]
-    # each polarization's four columns read one series per kind, each column with its own weight, so a writer
-    # that took one polarization's column for another's fails; phase_total_<S> has weight sigma, as in a run,
-    # so the writer toggles the signs of one polarization's fields for the other's
-    polarized = ("phase_total", "phase_dynamical", "phase_geometric", "phase_analytic")
+    # each polarization's two columns read one series per kind, each column with its own weight, so a writer
+    # that took one polarization's column for another's fails; phase_geometric_<S> has weight sigma, as in a
+    # run, so the writer toggles the signs of one polarization's fields for the other's
+    polarized = ("phase_geometric", "phase_analytic")
     columns = {name: (name[:-2] if name[:-2] in polarized else name, float(rng.choice(weights)))
                for name in results_header(pols)}
-    columns |= {f"phase_total_{'R' if pol == 1 else 'L'}": ("phase_total", float(pol)) for pol in pols}
+    columns |= {f"phase_geometric_{'R' if pol == 1 else 'L'}": ("phase_geometric", float(pol)) for pol in pols}
     columns["flagged"] = ("flagged", 1.0)
     values = {key: series() for key in dict.fromkeys(key for key, _ in columns.values())}
     values["flagged"] = rng.random(n) < 0.3
@@ -794,7 +809,7 @@ _RUN_FILES = {"results.csv", "summary.json", "plot_quantal.dat", "plot_vacuum_ne
 
 
 def _plots(pols):
-    """The plots of each polarization: its geometric and analytic phases (its total phase is its geometric one)."""
+    """The plots of each polarization: its geometric and analytic phases."""
     return {f"plot_{kind}_{'R' if pol == 1 else 'L'}.dat" for pol in pols for kind in ("geometric", "analytic")}
 
 
@@ -851,9 +866,8 @@ def test_each_geometric_plot_is_its_rows_of_results_csv(tmp_path, pols):
 def test_polarized_columns_are_written_sigma_conjugate(tmp_path, pols):
     # the opposite helicity picks up the opposite transport phase along the
     # same path: each _L column's text is that of its _R column with the sign
-    # toggled, whichever polarization is transported, and phase_total_X is
-    # phase_geometric_X (the dynamical phase is an exact zero), field for
-    # field, on an equator with flagged samples
+    # toggled, field for field, whichever polarization is transported, on an
+    # equator with flagged samples
     from fiberphase.scenario import _negated
 
     out, config = _equator_two_cycles(tmp_path, pols)
@@ -862,10 +876,8 @@ def test_polarized_columns_are_written_sigma_conjugate(tmp_path, pols):
         header, *rows = [line.rstrip("\n").split(",") for line in fh]
     columns = dict(zip(header, zip(*rows)))
     assert columns["flagged"].count("1") == 2
-    for kind in ("total", "dynamical", "geometric", "analytic"):
+    for kind in ("geometric", "analytic"):
         assert list(columns[f"phase_{kind}_L"]) == _negated(columns[f"phase_{kind}_R"]), kind
-    for suffix in ("R", "L"):
-        assert columns[f"phase_total_{suffix}"] == columns[f"phase_geometric_{suffix}"], suffix
 
 
 def test_no_two_files_of_a_bench_run_are_byte_identical(tmp_path):
@@ -954,6 +966,28 @@ def test_io_error_exits_4_and_leaves_the_directory_as_it_was(tmp_path, monkeypat
     assert (out / "results.csv").read_bytes() == b"an earlier run's rows\n"
 
 
+@pytest.mark.parametrize("blocked", ["summary.json", "plot_quantal.dat", "results.csv"])
+def test_a_target_that_is_not_a_file_exits_4_before_any_rename(tmp_path, capsys, blocked):
+    # an earlier run's file replaced by a directory: every target is checked
+    # before the first rename, so the run exits 4 and the earlier run's other
+    # files keep their bytes, even where a rename before the blocked one's
+    # would have replaced them (summary.json is renamed last)
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out))
+    cfg["path"]["n_steps"] = 128
+    assert main(["run", write_config(tmp_path, "first.json", cfg), "--quiet"]) == 0
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    earlier = {f.name: f.read_bytes() for f in out.iterdir() if f.is_file()}
+    assert "results.csv" in earlier or blocked == "results.csv"
+    cfg["path"]["n_steps"] = 256  # every file of this run would differ from the earlier one's
+    assert main(["run", write_config(tmp_path, "second.json", cfg), "--quiet"]) == 4
+    assert capsys.readouterr().err == f"i/o error: {out / blocked}: exists and is not a regular file\n"
+    assert sorted(os.listdir(out)) == sorted([*earlier, blocked])  # no temporary file left
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+    assert (out / blocked).is_dir() and not os.listdir(out / blocked)
+
+
 def test_orthogonal_passage_warns_but_run_continues(tmp_path, capsys):
     out = str(tmp_path / "out")
     cfg = helix_cfg(out)
@@ -992,7 +1026,7 @@ def test_derived_phases_start_at_positive_zero(tmp_path, pols):
     with open(os.path.join(out, "results.csv")) as fh:
         first_row = dict(zip(fh.readline().rstrip("\n").split(","), fh.readline().rstrip("\n").split(",")))
     derived = "R" if pols[1] == 1 else "L"
-    for kind in ("total", "dynamical", "geometric"):
+    for kind in ("geometric", "analytic"):
         assert first_row[f"phase_{kind}_{derived}"] == "0.0", kind
 
 
@@ -1433,6 +1467,42 @@ def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_check_measures_what_each_step_conserves(capsys):
+    # results.csv writes no drift and no dynamical phase: the check prints
+    # each as evolve measures it, with acceptance criterion 7's bounds
+    assert main(["check"]) == 0
+    lines = {line.split(": ")[0]: line.split(": ")[-1] for line in capsys.readouterr().out.splitlines()}
+    for name, bound in (("PASS  evolve's norm drift there, max |norm - 1|", "1e-10"),
+                        ("PASS  evolve's helicity drift there", "1e-05"),
+                        ("PASS  evolve's dynamical phase there, max |phase|", "1e-10")):
+        value, limit = lines[name].split(" <= ")
+        assert limit == bound and float(value) <= 1e-14, name
+
+
+@pytest.mark.parametrize("series", ["norms", "helicity", "dynamical"])
+def test_check_fails_on_a_drifting_trajectory(monkeypatch, capsys, series):
+    # a trajectory whose series drifts past its bound fails the check with exit 3
+    import dataclasses
+
+    from fiberphase import evolution
+
+    evolve = evolution.evolve
+
+    def drifting(path, polarization):
+        traj = evolve(path, polarization)
+        drift = np.linspace(0.0, 2e-5, path.n_samples)  # past every bound at the last row
+        return dataclasses.replace(traj, **{series: getattr(traj, series) + drift})
+
+    monkeypatch.setattr(evolution, "evolve", drifting)
+    assert main(["check"]) == 3
+    captured = capsys.readouterr()
+    failed = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    # the geometric phase is total - dynamical, so a drifting dynamical phase also moves the cycle phase
+    want = {"norms": ["norm drift"], "helicity": ["helicity drift"], "dynamical": ["cycle phase", "dynamical phase"]}
+    assert len(failed) == len(want[series]) and all(w in f for w, f in zip(want[series], failed)), failed
+    assert captured.err == "self-check failed\n"
 
 
 def test_check_quiet_is_silent(capsys):

@@ -439,7 +439,7 @@ def test_chunked_closed_form_matches_dense_exponential(monkeypatch, make_path, c
     # the results columns' closed form, a pass of 1 to about 800 chunks, is
     # the overlap phase of the dense per-step exponentials (3.0e-13 at most
     # measured); those states keep their norm and their helicity -sigma to
-    # rounding (1.5e-12 at most), which the zero drift columns write exactly
+    # rounding (1.5e-12 at most), which evolve measures and no column writes
     from fiberphase.scenario import _series
 
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk)
@@ -447,12 +447,11 @@ def test_chunked_closed_form_matches_dense_exponential(monkeypatch, make_path, c
     for pol in (+1, -1):
         states = _dense_states(p, pol)
         chunks = list(_series(p, pol))
-        total, flagged, zero = (np.concatenate([series[key] for series in chunks]) for key in ("total", "flagged", "zero"))
-        assert not flagged.any()
+        total, flagged = (np.concatenate([series[key] for series in chunks]) for key in ("total", "flagged"))
+        assert len(total) == p.n_samples and not flagged.any()
         assert np.abs(total - np.unwrap(np.angle(states @ states[0].conj()))).max() <= 1e-12
         assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 5e-12
         assert np.abs(_dense_expectation(states, p.k_hat) + pol).max() <= 5e-12
-        assert len(zero) == p.n_samples and not zero.any()
 
 
 def test_many_block_evolve_matches_dense_exponential():

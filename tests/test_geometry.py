@@ -751,7 +751,8 @@ def test_stencil_matches_derivative_uniform_at_every_block(trailing, scale):
 KERNEL_PASSES = {  # the series each kernel gives per chunk of one pass over a path
     "angles": lambda path: map(geometry._Angles(path.dt), geometry._windows(path)),
     "transport": lambda path: (piece[:2] for piece in evolution._unwrapped(evolution._fan(geometry._windows(path), +1))),
-    "residuals": lambda path: (geometry._residuals(path, window) for window in geometry._windows(path)),
+    "residuals": lambda path: ((geometry._invariant_residual(path, window), geometry._motion_residual(path, window))
+                               for window in geometry._windows(path)),
 }
 PASS_PATHS = {
     "wobble": wobble_path(300),

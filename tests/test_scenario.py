@@ -84,13 +84,11 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     """compute_scenario's columns, by results.csv header name, from the stage functions, each on a fresh path copy, plus 0.0.
 
     Only the first polarization's transport is read; the other is its
-    conjugate, with the three transported phases negated (as 0.0 - x) and
-    the drifts and flags unchanged.  Every column gets + 0.0, which only
-    turns -0.0 into 0.0.
+    conjugate, with the geometric phase negated (as 0.0 - x) and the flags
+    unchanged.  Every column gets + 0.0, which only turns -0.0 into 0.0.
     """
     first = pols[0]
     total, flagged = _closed_form(_fresh(path), first)
-    zeros = np.zeros(path.n_samples)  # what the chord steps conserve: the dynamical phase and the drifts
     inv = invariant_residual_series(_fresh(path))
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
     vac_left = fock.vacuum_phase(-1, _angles(path), ordering)
@@ -105,8 +103,6 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
     for pol in pols:
         sign, suffix = (lambda x: x) if pol == first else (lambda x: 0.0 - x), "R" if pol == 1 else "L"
         columns |= {
-            f"phase_total_{suffix}": sign(total),
-            f"phase_dynamical_{suffix}": sign(zeros),
             f"phase_geometric_{suffix}": sign(total),
             f"phase_analytic_{suffix}": analytic_noncyclic_phase(_angles(path), pol),
         }
@@ -115,10 +111,7 @@ def _oracle(path, pols, n_left, n_right, medium, k0, chamber, ordering):
         "phase_vacuum_L": vac_left,
         "phase_vacuum_R": vac_right,
         "phase_vacuum_net": net_series,
-        "norm_drift": zeros,
-        "helicity_drift": zeros,
         "invariant_residual": np.concatenate([[inv[0]], inv, [inv[-1]]]),
-        "motion_residual": geometry.motion_residual(_fresh(path)),
         "flagged": flagged,
     }
     return {"columns": {name: values + 0.0 for name, values in columns.items()},
@@ -175,7 +168,8 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         assert _read(got, columns["flagged"]).any()
     # against an oracle independent of the closed form, evolve's transport
     # under H of each polarization, outside 20 rows of a flagged sample (at
-    # most 1.8e-14 measured)
+    # most 1.8e-14 measured), whose total is the geometric phase: evolve
+    # measures what each chord step conserves, and no column writes it
     for pol in pols:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
@@ -183,15 +177,11 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
         clear = np.ones(path.n_samples, dtype=bool)
         for row in np.flatnonzero(traj.flagged):
             clear[max(row - 20, 0) : row + 21] = False
-        total = _read(got, columns[f"phase_total_{'R' if pol == 1 else 'L'}"])
-        assert np.abs(total - traj.total)[clear].max() <= 1e-13, pol
-    # what the chord transport conserves is written as exact zeros, and the geometric phase is the total
-    for suffix in ("R", "L"):
-        for name in (f"phase_dynamical_{suffix}", "norm_drift", "helicity_drift"):
-            values = _read(got, columns[name])
-            assert not values.any() and not np.signbit(values).any(), name
-        _assert_bitwise(_read(got, columns[f"phase_geometric_{suffix}"]), _read(got, columns[f"phase_total_{suffix}"]),
-                        f"geometric {suffix}")
+        geometric = _read(got, columns[f"phase_geometric_{'R' if pol == 1 else 'L'}"])
+        assert np.abs(geometric - traj.total)[clear].max() <= 1e-13, pol
+        for name, drift in (("dynamical", traj.dynamical), ("norm", traj.norms - 1.0),
+                            ("helicity", traj.helicity + pol)):
+            assert np.abs(drift).max() <= 1e-12, (pol, name)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -228,11 +218,9 @@ def test_result_columns_pair_every_csv_column():
         "phase_vacuum_L": -0.5, "phase_vacuum_R": 0.5,
         "phase_vacuum_net": 0.5,  # the left mode is evanescent in GYROTROPIC
     }
-    # the derived polarization reads the evolved one's series, its three transported phases with weight -1
-    for kind in ("total", "dynamical", "geometric"):
-        assert columns[f"phase_{kind}_L"] == (columns[f"phase_{kind}_R"][0], -1.0), kind
-    derived = {f"phase_{kind}_L" for kind in ("total", "dynamical", "geometric")}
-    assert all(weight == 1.0 for name, (key, weight) in columns.items() if key != "W" and name not in derived)
+    # the derived polarization reads the evolved one's transport, its geometric phase with weight -1
+    assert columns["phase_geometric_L"] == (columns["phase_geometric_R"][0], -1.0)
+    assert all(weight == 1.0 for name, (key, weight) in columns.items() if key != "W" and name != "phase_geometric_L")
 
 
 def test_cached_series_are_shared_and_read_only():
@@ -265,8 +253,8 @@ def test_helix_rows_evaluated_twice_per_scenario(monkeypatch):
     # a helix's rows are evaluated on each read: the construction's check
     # and the reduction's one pass, whose kernels share each window of rows,
     # each over the n + 1 samples, plus 72 rows that windows overlap at 1e5
-    # steps (6.00064 (n + 1) in all while the scan, the angles, the residual
-    # pair, the t column and the final W each read the rows); one more pass
+    # steps (6.00064 (n + 1) in all while the scan, the angles, the
+    # residuals, the t column and the final W each read the rows); one more pass
     # over the path would add another n + 1
     evaluated, original = [], geometry._HelixRows.__call__
     monkeypatch.setattr(geometry._HelixRows, "__call__",
@@ -306,7 +294,7 @@ def test_result_holds_one_W_and_no_derived_columns():
     finally:
         tracemalloc.stop()
     assert held / n_steps <= 120  # bytes per step
-    assert len(result["columns"]) == 20  # both polarizations' columns
+    assert len(result["columns"]) == 13  # both polarizations' columns
 
 
 def test_compute_scenario_holds_only_what_its_outputs_read():
@@ -322,8 +310,8 @@ def test_compute_scenario_holds_only_what_its_outputs_read():
         tracemalloc.stop()
     assert peak / n_steps < 90, peak / n_steps  # bytes per step
     assert held / n_steps < 75, held / n_steps
-    for name in ("invariant_residual", "motion_residual"):
-        assert result["columns"][name] == (name, 1.0)  # a series of the pass, computed when read
+    assert result["columns"]["invariant_residual"] == ("invariant_residual", 1.0)  # a series of the pass
+    assert "motion_residual" not in result["columns"]
 
 
 def test_stage_peaks_stay_near_the_held_result():
@@ -376,7 +364,7 @@ def test_result_holds_no_per_step_series():
         tracemalloc.stop()
     assert held <= 1, held  # bytes per step
     assert peak <= 1, peak
-    assert len(result["columns"]) == 20  # both polarizations' columns
+    assert len(result["columns"]) == 13  # both polarizations' columns
 
 
 def _count_passes(monkeypatch):
@@ -496,29 +484,28 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     got = compute_scenario(path, Scenario((first, -first), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
     columns = got["columns"]
     evolved, suffix = ("R", "L") if first == 1 else ("L", "R")  # of the first polarization and of the derived one
-    derived = {name: _read(got, columns[name]) for name in ("flagged", "norm_drift", "helicity_drift")}
-    derived |= {kind: _read(got, columns[f"phase_{kind}_{suffix}"]) for kind in ("total", "dynamical", "geometric")}
+    flagged, geometric = (_read(got, columns[name]) for name in ("flagged", f"phase_geometric_{suffix}"))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", evolution.OrthogonalPassageWarning)
         traj = evolve(_fresh(path), -first)
     dec = phase_decomposition(traj, _fresh(path))
     hel = helicity_expectations(traj, _fresh(path))
-    assert np.array_equal(derived["flagged"], dec.flagged)
+    assert np.array_equal(flagged, dec.flagged)
     if case == "equator-flagged":
         assert dec.flagged.any()
-    # phases are only trustworthy away from the orthogonal passage
+    # phases are only trustworthy away from the orthogonal passage; the
+    # column is evolve's geometric phase and its total alike: evolve's own
+    # dynamical phase stays at rounding, as do its norm and helicity drifts
     clear = np.abs(traj.states @ traj.states[0].conj()) > 1e-3
-    for kind in ("total", "dynamical", "geometric"):
-        assert np.abs(derived[kind] - getattr(dec, kind))[clear].max() <= 1e-12, kind
-    assert np.abs(derived["norm_drift"] - np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)).max() <= 1e-12
-    assert np.abs(derived["helicity_drift"] - np.abs(hel - hel[0])).max() <= 1e-12
-    # the phases, drifts and flags read the series of one pass's transport, the first polarization's
+    for kind in ("total", "geometric"):
+        assert np.abs(geometric - getattr(dec, kind))[clear].max() <= 1e-12, kind
+    for name, drift in (("dynamical", dec.dynamical), ("norms", traj.norms - 1.0),
+                        ("states", np.linalg.norm(traj.states, axis=1) - 1.0), ("helicity", hel - hel[0])):
+        assert np.abs(drift).max() <= 1e-12, name
+    # the phase and flags read the series of one pass's transport, the first polarization's
     assert got["series"].args == (path, first)
-    for kind in ("total", "dynamical", "geometric"):
-        assert columns[f"phase_{kind}_{suffix}"][0] == columns[f"phase_{kind}_{evolved}"][0], kind
-    # and the geometric phase is the total, the dynamical phase being an exact zero
-    assert columns[f"phase_geometric_{suffix}"] == columns[f"phase_total_{suffix}"]
+    assert columns[f"phase_geometric_{suffix}"] == (columns[f"phase_geometric_{evolved}"][0], -1.0)
 
 
 def _count_calls(monkeypatch, original):
@@ -609,6 +596,11 @@ def _padded_whole_array_residuals(path, scale=1.0):
     return np.concatenate([[inv[0]], inv, [inv[-1]]]), np.abs(np.einsum("ni,ni->n", kh, rate))
 
 
+def _residuals(path, window, scale=1.0):
+    """The invariant and motion residuals of a window's rows, from their two kernels."""
+    return geometry._invariant_residual(path, window, scale), geometry._motion_residual(path, window)
+
+
 @st.composite
 def _residual_paths(draw):
     """Helices and smooth random walks on the sphere of 3 to 300 samples, and a ``_CHUNK_ROWS`` for them.
@@ -641,10 +633,10 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
     invariant, motion = _padded_whole_array_residuals(path)
     scaled = _padded_whole_array_residuals(path, scale)[0]
 
-    def kernel(lo, hi, scale=1.0):  # the kernel on the window of rows [lo, hi)
+    def kernel(lo, hi, scale=1.0):  # the two kernels on the window of rows [lo, hi)
         first, last = geometry._path_window(path, lo, hi)
         t, k_hat = path.rows(first, last)
-        return geometry._residuals(path, (slice(lo, hi), t[lo - first : hi - first], k_hat, first), scale)
+        return _residuals(path, (slice(lo, hi), t[lo - first : hi - first], k_hat, first), scale)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
@@ -654,7 +646,7 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
                 _assert_bitwise(kernel(lo, hi)[index], want[lo:hi], f"residual {index} [{lo}, {hi})")
             _assert_bitwise(kernel(lo, hi, scale)[0], scaled[lo:hi], f"scaled [{lo}, {hi})")
         # one pass's chunks, joined
-        chunks = [geometry._residuals(path, window) for window in geometry._windows(path)]
+        chunks = [_residuals(path, window) for window in geometry._windows(path)]
         for index, want in enumerate((invariant, motion)):
             _assert_bitwise(np.concatenate([pair[index] for pair in chunks]), want, f"pass {index}")
         _assert_bitwise(invariant_residual_series(path, scale), scaled[1:-1], "invariant_residual_series")
@@ -663,7 +655,8 @@ def test_residual_sources_match_padded_whole_array_forms(case, scale, data):
 
 def test_residual_columns_read_the_path_once_per_chunk(monkeypatch):
     # the pass reads each chunk's window of rows once, one row on either
-    # side of it, for the residuals and every other kernel
+    # side of it, for the invariant residual and every other kernel; it
+    # computes no motion residual, which no column reads
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 10_000)
     result = compute_scenario(path, Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None))
     reads, original = [], FiberPath.rows
@@ -671,9 +664,9 @@ def test_residual_columns_read_the_path_once_per_chunk(monkeypatch):
     chunks = list(result["series"]())
     assert reads == [(0, 4097), (4095, 8193), (8191, 10_001)]  # chunks of 4096 rows
     monkeypatch.setattr(FiberPath, "rows", original)
-    for name, want in (("invariant_residual", _padded_whole_array_residuals(path)[0]),
-                       ("motion_residual", geometry.motion_residual(path))):
-        _assert_bitwise(np.concatenate([series[name] for series in chunks]), want, name)
+    want = _padded_whole_array_residuals(path)[0]
+    _assert_bitwise(np.concatenate([series["invariant_residual"] for series in chunks]), want, "invariant_residual")
+    assert not any("motion_residual" in series for series in chunks)
 
 
 def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
@@ -688,7 +681,7 @@ def test_reduce_reads_every_row_of_a_derived_column(monkeypatch):
         for series in chunks:
             rows += len(series["t"])
             if rows == path.n_samples:
-                series["motion_residual"][-1] = np.nan
+                series["invariant_residual"][-1] = np.nan
             yield series
 
     with pytest.raises(NumericalError):

@@ -119,22 +119,18 @@ def _with_chunk(path):
 @example(case=(_random_path(38, 227, 1.0), 1), pol=1)  # a chunk that starts at row 1
 def test_transport_chunks_are_the_whole_array_closed_form_for_any_chunks(case, pol):
     # the fan's sum, the unwrap and the flagged runs carry from one chunk to
-    # the next; the pass's pieces, one per chunk, are the whole-array form,
-    # and its zero series, which the dynamical phase and the drifts read, is
-    # what the chord steps conserve, as exact zeros
+    # the next; the pass's pieces, one per chunk, are the whole-array form
     from fiberphase.scenario import _series
 
     path, chunk = case
-    n = path.n_samples
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
         chunks = list(_series(path, pol))
     assert [len(series["t"]) for series in chunks] == [len(series["total"]) for series in chunks]
-    total, flagged, zero = (np.concatenate([series[key] for series in chunks]) for key in ("total", "flagged", "zero"))
+    total, flagged = (np.concatenate([series[key] for series in chunks]) for key in ("total", "flagged"))
     want_total, want_flagged = _whole_array_closed_form(path, pol)
     assert _same_bits(total, want_total)
     assert _same_bits(flagged, want_flagged)
-    assert _same_bits(zero, np.zeros(n))
 
 
 @st.composite
