@@ -29,8 +29,7 @@ areas (``_fan`` and ``_unwrapped``).
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain
 
@@ -58,8 +57,7 @@ class OrthogonalPassageWarning(UserWarning):
     """The running state passed (nearly) orthogonal to the initial one."""
 
 
-@dataclass(frozen=True)
-class SpinorTrajectory:
+class SpinorTrajectory(namedtuple("SpinorTrajectory", "path polarization total flagged dynamical helicity norms")):
     """Per-sample observables of the spinor evolved along ``path``.
 
     ``polarization`` is the circular-polarization label (+1 right, -1 left);
@@ -70,16 +68,9 @@ class SpinorTrajectory:
     neighbours and untrustworthy), ``dynamical`` = -Int h . <S> dt,
     ``helicity`` = k_hat . <S> and ``norms`` = ||psi||; :attr:`geometric` =
     total - dynamical is taken on every read.  The states themselves are
-    transported again on first use of :attr:`states`.
+    transported again on first use of :attr:`states`, which the instance's
+    ``__dict__`` caches (so the class declares no ``__slots__``).
     """
-
-    path: FiberPath
-    polarization: int
-    total: np.ndarray
-    flagged: np.ndarray
-    dynamical: np.ndarray
-    helicity: np.ndarray
-    norms: np.ndarray
 
     @property
     def geometric(self) -> np.ndarray:

@@ -10,7 +10,7 @@ the per-mode phases are exposed separately and never only as a total.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ def _check_occupation(n, name) -> int:
     return int(n)
 
 
-@dataclass(frozen=True)
-class FockLadder:
+class FockLadder(namedtuple("FockLadder", "n_max ordering")):
     """Two-mode (left/right circular) occupation space truncated at ``n_max``.
 
     Basis states |n_left, n_right> are indexed n_left * (n_max + 1) + n_right,
@@ -65,13 +64,16 @@ class FockLadder:
     the phase weights are exact in n.
     """
 
-    n_max: int = 8
-    ordering: Ordering = Ordering.SYMMETRIC
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (_is_integer(self.n_max) and self.n_max >= 1):
-            raise ValueError(f"n_max must be an integer of at least 1, got {self.n_max!r}")
-        object.__setattr__(self, "ordering", Ordering.coerce(self.ordering))
+    def __new__(cls, n_max=8, ordering=Ordering.SYMMETRIC):
+        if not (_is_integer(n_max) and n_max >= 1):
+            raise ValueError(f"n_max must be an integer of at least 1, got {n_max!r}")
+        return super().__new__(cls, n_max, Ordering.coerce(ordering))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so its values are checked too
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:

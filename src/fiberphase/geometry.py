@@ -10,10 +10,10 @@ from __future__ import annotations
 import warnings
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +59,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class FiberPath:
     """Sampled wave-vector direction trajectory with constant magnitude.
 
@@ -79,7 +78,8 @@ class FiberPath:
     and adjacent steps below 0.5, raising the first failed check in that
     order, and keeps the grid step ``dt``.  The path holds nothing else
     derived, and the arrays of a held path must not be modified once a
-    stage has read them.
+    stage has read them.  A path is a plain read-only object: assigning or
+    deleting an attribute raises AttributeError, and it equals only itself.
 
     The transport's closed form (the swept areas) and :func:`evolve
     <fiberphase.evolution.evolve>` agree to about 1e-13 only on rows that
@@ -91,7 +91,7 @@ class FiberPath:
     n_samples: int
     k_mag: float
     dt: float  # the grid step, times[1] - times[0]
-    _rows: Callable[[int, int], tuple] = field(repr=False)
+    _rows: Callable[[int, int], tuple]
 
     def __init__(self, times, k_hat, k_mag):
         t = np.asarray(times, dtype=float)
@@ -159,6 +159,14 @@ class FiberPath:
             raise ValueError("adjacent k_hat samples differ by >= 0.5; grid too coarse for finite differencing")
         return float(dt0)
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a FiberPath is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"FiberPath(n_samples={self.n_samples!r}, k_mag={self.k_mag!r}, dt={self.dt!r})"
+
     def rows(self, lo: int, hi: int):
         """``(times, k_hat)`` of the samples [lo, hi), clipped to [0, n): contiguous, shapes (m,) and (m, 3)."""
         lo = min(max(lo, 0), self.n_samples)
@@ -178,8 +186,7 @@ def _held_rows(times, k_hat, lo, hi):
     return _read_only(times[lo:hi]), _read_only(k_hat[lo:hi])
 
 
-@dataclass(frozen=True)
-class SphericalAngles:
+class SphericalAngles(NamedTuple):
     """Polar/azimuthal decomposition of a direction trajectory.
 
     polar       : angle from the +z axis, in [0, pi]
@@ -234,8 +241,7 @@ def helix_path(cone_angle, omega, k_mag, n_cycles, n_steps) -> FiberPath:
     return FiberPath._evaluated(rows, n_steps + 1, float(k_mag))
 
 
-@dataclass(frozen=True)
-class _HelixRows:
+class _HelixRows(NamedTuple):
     """Rows of a helix's samples, bitwise those of ``np.linspace(0, duration, n_steps + 1)`` and its closed form.
 
     The times are linspace's: sample i is i * step + 0.0 with step =

@@ -9,7 +9,7 @@ field, leaving an uncancelled vacuum phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -30,23 +30,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GyrotropicMedium:
-    """Transverse tensor parameters of a gyrotropic medium (dimensionless).
+class GyrotropicMedium(namedtuple("GyrotropicMedium", "eps1 eps2 mu1 mu2")):
+    """Transverse tensor parameters of a gyrotropic medium (dimensionless), each finite.
 
     The on-axis dispersion along the third axis involves only these
     transverse components, so the axial ones are not held.
     """
 
-    eps1: float
-    eps2: float
-    mu1: float = 1.0
-    mu2: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("eps1", "eps2", "mu1", "mu2"):
-            if not np.isfinite(getattr(self, name)):
+    def __new__(cls, eps1, eps2, mu1=1.0, mu2=0.0):
+        for name, value in zip(cls._fields, (eps1, eps2, mu1, mu2)):
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        return super().__new__(cls, eps1, eps2, mu1, mu2)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so its values are checked too
+        return cls(*iterable)
 
 
 class ModeStatus(NamedTuple):

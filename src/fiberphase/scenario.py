@@ -16,8 +16,8 @@ import os
 import sys
 from collections import deque
 from contextlib import ExitStack, suppress
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,8 +207,7 @@ def _positive_number(value, field):
     return float(value)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """The parsed config fields that every point of a run or sweep shares."""
 
     polarizations: tuple[int, ...]

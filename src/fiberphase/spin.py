@@ -7,7 +7,7 @@ code path).  The helicity eigenstates are Wigner D^1 columns in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ CARTESIAN_FROM_ANGULAR = np.array(
 )
 
 
-@dataclass(frozen=True)
-class SpinTriple:
+class SpinTriple(NamedTuple):
     """The three spin-1 matrices (s1, s2, s3), each 3x3 complex Hermitian."""
 
     s1: np.ndarray
@@ -52,8 +51,7 @@ class SpinTriple:
         return d[0] * self.s1 + d[1] * self.s2 + d[2] * self.s3
 
 
-@dataclass(frozen=True)
-class HelicityBasis:
+class HelicityBasis(NamedTuple):
     """Orthonormal eigentriple of the helicity operator along a direction.
 
     ``e_minus``, ``e_zero``, ``e_plus`` carry eigenvalues -1, 0, +1 of

@@ -1484,8 +1484,6 @@ def test_check_measures_what_each_step_conserves(capsys):
 @pytest.mark.parametrize("series", ["norms", "helicity", "dynamical"])
 def test_check_fails_on_a_drifting_trajectory(monkeypatch, capsys, series):
     # a trajectory whose series drifts past its bound fails the check with exit 3
-    import dataclasses
-
     from fiberphase import evolution
 
     evolve = evolution.evolve
@@ -1493,7 +1491,7 @@ def test_check_fails_on_a_drifting_trajectory(monkeypatch, capsys, series):
     def drifting(path, polarization):
         traj = evolve(path, polarization)
         drift = np.linspace(0.0, 2e-5, path.n_samples)  # past every bound at the last row
-        return dataclasses.replace(traj, **{series: getattr(traj, series) + drift})
+        return traj._replace(**{series: getattr(traj, series) + drift})
 
     monkeypatch.setattr(evolution, "evolve", drifting)
     assert main(["check"]) == 3

@@ -508,6 +508,19 @@ def test_derived_polarization_matches_separate_evolution(tmp_path, case, first):
     assert columns[f"phase_geometric_{suffix}"] == (columns[f"phase_geometric_{evolved}"][0], -1.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.05, np.pi - 0.05), st.integers(256, 4096), st.sampled_from([1.0, -1.0]), st.sampled_from([1, -1]))
+def test_cone_cycle_phase_is_sigma_times_the_enclosed_solid_angle(cone, n_steps, omega, pol):
+    # acceptance criterion 1 on any cone: one cycle's final phase_geometric is
+    # sigma times the swept solid angle 2 pi (1 - cos c), mod 2 pi, within
+    # 1e-3; clockwise winding (omega = -1) sweeps it with the opposite sign
+    path = helix_path(cone, omega, 1.0, 1, n_steps)
+    result = compute_scenario(path, Scenario((pol,), 0, 0, Ordering.SYMMETRIC, None, 1.0, None))
+    final = _read(result, result["columns"][f"phase_geometric_{'R' if pol == 1 else 'L'}"])[-1]
+    error = (final - pol * omega * 2.0 * np.pi * (1.0 - np.cos(cone)) + np.pi) % (2.0 * np.pi) - np.pi
+    assert abs(error) <= 1e-3, (cone, n_steps, omega, pol, final)
+
+
 def _count_calls(monkeypatch, original):
     """Replace ``original`` in every fiberphase module that holds it; returns the call list."""
     calls = []

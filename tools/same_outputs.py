@@ -21,9 +21,9 @@ difference: the first differing line of stdout or stderr, and for a
 differing CSV, ``.dat`` or ``summary.json`` file the largest absolute
 difference of each column or key that moved, with its row (counted from 1
 below any header) or its JSON list indices.  CSV columns are matched by
-header name: the columns found in only one file are listed, and the
-shared ones compared.  Exits 0 when all are
-identical, else 1.  A kernel change that moves last digits on purpose
+header name and summary.json keys by name: the columns or keys found in
+only one file are listed, and the shared ones compared.  Exits 0 when all
+are identical, else 1.  A kernel change that moves last digits on purpose
 differs here by design, and this report is the deviation to record, so
 this is a tool to run by hand, not a test.
 """
@@ -159,14 +159,23 @@ def _leaves(value, key="", index=""):
 
 
 def _json_moves(file: str, a: Path, b: Path) -> list[str]:
-    """The largest move of each key of two JSON files; a key inside lists names the list indices of its move."""
+    """The largest move of each key of two JSON files; a key inside lists names the list indices of its move.
+
+    Keys are matched by name, as ``_table_moves`` matches columns: the keys
+    found in only one file are listed once, and the shared keys compared.
+    """
     largest = _Largest()
     leaves = [{(key, index): value for key, index, value in _leaves(json.loads(p.read_text()))} for p in (a, b)]
+    keys = [dict.fromkeys(key for key, _ in side) for side in leaves]
+    one_side = set(keys[0]).symmetric_difference(keys[1])
+    found = [f"{file}: keys only in {side} checkout's summary.json: {', '.join(only)}"
+             for side, mine in (("this", keys[0]), ("the other", keys[1]))
+             if (only := [key for key in mine if key in one_side])]
     for key, index in dict.fromkeys([*leaves[0], *leaves[1]]):
         x, y = (side.get((key, index), "(absent)") for side in leaves)
-        if x != y or type(x) is not type(y):
+        if key not in one_side and (x != y or type(x) is not type(y)):
             largest.add(f"key {key}", f" at {index}" if index else "", x, y)
-    return largest.lines(file)
+    return [*found, *largest.lines(file)]
 
 
 def _differences(this: dict, other: dict, works) -> list[str]:
