@@ -5,9 +5,9 @@ trajectory file), the polarizations to transport, the mode occupations and
 ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
 writes results.csv (one row per sample), summary.json and plot_*.dat
 (geometric and analytic per polarization, quantal, net vacuum) to the
-output directory in one pass over the path, and a failed run leaves no file
-or directory of its own behind; ``sweep`` repeats the pipeline over one
-swept parameter.  All emitted files are byte-deterministic for a given config.
+output directory in one pass over the path; ``sweep`` repeats the pipeline
+over one swept parameter.  A failed command, either one, leaves no file or
+directory of its own behind.  All emitted files are byte-deterministic for a given config.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import deque
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 from typing import NamedTuple
 
@@ -359,6 +359,42 @@ _WRITE_ROWS = 256  # samples per writer slice, whose columns are held as lists o
 _PLOTTED = ("phase_geometric_", "phase_analytic_", "phase_quantal", "phase_vacuum_net")  # prefixes of the plotted columns
 
 
+@contextmanager
+def _committed(out_dir):
+    """Make ``out_dir`` and its missing parents; yields ``create(name)``, a write-only handle to the file ``name``.
+
+    Each file is written under a hidden name, ``.<name>.<random hex>.tmp``; once the body returns, every
+    handle is closed and each file renamed, in the order made, if no target is a non-regular file.  On
+    any exception every file and directory made here is removed, deepest first.
+    """
+    made = [out_dir]  # out_dir and its parents up to the first that exists, which os.makedirs leaves as it is
+    while made[-1] and not os.path.exists(made[-1]):
+        made.append(os.path.dirname(made[-1]))
+    files = {}  # file name -> the temporary path it is written to, then the path it is renamed to
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with ExitStack() as stack:
+            def create(name):
+                temporary = os.path.join(out_dir, f".{name}.{os.urandom(6).hex()}.tmp")
+                fh = stack.enter_context(open(temporary, "x", newline="\n"))  # created here, so never another's to remove
+                files[name] = temporary
+                return fh
+            yield create
+        for name in files:  # before the first rename, so that a failed command replaces none of an earlier one's files
+            if os.path.lexists(target := os.path.join(out_dir, name)) and not os.path.isfile(target):
+                raise FileExistsError(f"{target}: exists and is not a regular file")
+        for name, temporary in files.items():
+            os.replace(temporary, renamed := os.path.join(out_dir, name))
+            files[name] = renamed
+    except BaseException:
+        for written in files.values():
+            os.remove(written)
+        for directory in made[:-1]:
+            with suppress(OSError):  # one never made, or holding another's file, stays as it is
+                os.rmdir(directory)
+        raise
+
+
 def write_results_csv(out_dir, result, summary_of):
     """Write every file of a run in one pass, whose ``_reduce`` gives ``summary_of`` its input; returns the summary.
 
@@ -368,58 +404,36 @@ def write_results_csv(out_dir, result, summary_of):
     'phase_'>.dat.  Each chunk is written, once reduced and checked, in
     slices of ``_WRITE_ROWS`` rows whose strings are held one slice at a
     time; a column whose weight is the negative of one already formatted
-    takes its strings with each leading '-' toggled.  Every file is written
-    under a hidden temporary name in ``out_dir`` and renamed after the
-    summary, summary.json last, once no target is found to be a directory
-    or other non-regular file; on any exception every temporary file, and
-    every file this run has already renamed, is removed.
+    takes its strings with each leading '-' toggled.  The files are
+    committed by ``_committed``, summary.json last, once it is made from
+    the reduction.
     """
     columns = result["columns"]
     *fields, flagged = columns.values()
     distinct, t = list(dict.fromkeys(fields)), columns["t"]
-    made = {}  # file name -> the temporary path it is written to, then the path it is renamed to
+    with _committed(out_dir) as create:
+        csv = create("results.csv")
+        lines = [(create(f"plot_{name.removeprefix('phase_')}.dat"), column)
+                 for name, column in columns.items() if name.startswith(_PLOTTED)]
 
-    def create(name):
-        temporary = os.path.join(out_dir, f".{name}.{os.urandom(6).hex()}.tmp")
-        fh = open(temporary, "x", newline="\n")  # write-only; created here, so never another's to remove
-        made[name] = temporary
-        return fh
+        def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
+            text = {}
+            for column in distinct:
+                mirror = text.get((column[0], -column[1]))
+                text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
+            flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
+            csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
+            for fh, column in lines:
+                fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
 
-    try:
-        with ExitStack() as stack:
-            csv = stack.enter_context(create("results.csv"))
-            lines = [(stack.enter_context(create(f"plot_{name.removeprefix('phase_')}.dat")), column)
-                     for name, column in columns.items() if name.startswith(_PLOTTED)]
+        def write_chunk(series):
+            for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
+                write_slice(series, rows)
 
-            def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
-                text = {}
-                for column in distinct:
-                    mirror = text.get((column[0], -column[1]))
-                    text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
-                flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
-                csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
-                for fh, column in lines:
-                    fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
-
-            def write_chunk(series):
-                for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
-                    write_slice(series, rows)
-
-            csv.write(",".join(columns) + "\n")
-            reduced = _reduce(result["series"](), columns.values(), write_chunk)
+        csv.write(",".join(columns) + "\n")
+        reduced = _reduce(result["series"](), columns.values(), write_chunk)
         summary = {**summary_of(reduced), "command": "run"}
-        with create("summary.json") as fh:
-            fh.write(_json(summary))
-        for name in made:  # before the first rename, so that a failed run replaces none of an earlier run's files
-            if os.path.lexists(target := os.path.join(out_dir, name)) and not os.path.isfile(target):
-                raise FileExistsError(f"{target}: exists and is not a regular file")
-        for name, temporary in made.items():  # in the order made, summary.json last
-            os.replace(temporary, renamed := os.path.join(out_dir, name))
-            made[name] = renamed
-        made.clear()
-    finally:
-        for written in made.values():  # on an exception: every file of this run, renamed or not
-            os.remove(written)
+        create("summary.json").write(_json(summary))
     return summary
 
 
@@ -515,17 +529,7 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
         raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
     result = compute_scenario(path, scenario)
-    made = [out_dir]  # out_dir and its parents up to the first that exists, which os.makedirs leaves as it is
-    while made[-1] and not os.path.exists(made[-1]):
-        made.append(os.path.dirname(made[-1]))
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        summary = write_results_csv(out_dir, result, partial(summarize, result, path, scenario))
-    except BaseException:
-        for directory in made[:-1]:  # the ones it made for this run, deepest first
-            with suppress(OSError):  # one never made, or holding another's file, stays as it is
-                os.rmdir(directory)
-        raise
+    summary = write_results_csv(out_dir, result, partial(summarize, result, path, scenario))
     if not quiet:
         print(f"wrote {out_dir}/results.csv, summary.json and plot files")
         for key in sorted(summary["phases"]):
@@ -662,19 +666,16 @@ def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
     else:
         rows = _sweep_rows_occupations(cfg, base_dir, values, scenario.ordering)
 
-    os.makedirs(out_dir, exist_ok=True)
     lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]  # every row has one key order
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
         "parameter": parameter,
         "rows": rows,
     }
-    text = _json(summary)
-    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        fh.write(text)
+    with _committed(out_dir) as create:
+        create("sweep.csv").write("\n".join(lines) + "\n")
+        create("summary.json").write(_json(summary))
     if not quiet:
         print(f"wrote {out_dir}/sweep.csv and summary.json ({len(rows)} points)")
     return summary

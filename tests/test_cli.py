@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -946,42 +947,81 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
     assert opened and all(fh.closed for _, _, fh in opened)
 
 
+def _small_cfg(out, command):
+    """A 128-step helix run, or a two-point cone sweep of it, into ``out``."""
+    cfg = helix_cfg(str(out))
+    cfg["path"]["n_steps"] = 128
+    if command == "sweep":
+        cfg["sweep"] = {"parameter": "cone_angle", "values": [np.pi / 6, np.pi / 3]}
+    return cfg
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 def test_io_error_exits_4_and_leaves_the_directory_as_it_was(tmp_path, monkeypatch, capsys):
     # a full disk at the first rename, once every file is written: exit 4,
-    # no temporary file, and a results.csv from an earlier run keeps its bytes
-    import errno
+    # no temporary file, and a results.csv or sweep.csv from an earlier
+    # command keeps its bytes
+    monkeypatch.setattr(os, "replace", _disk_full)
+    for command, earlier in (("run", "results.csv"), ("sweep", "sweep.csv")):
+        out = tmp_path / command
+        out.mkdir()
+        (out / earlier).write_bytes(b"an earlier command's rows\n")
+        assert main([command, write_config(tmp_path, "full.json", _small_cfg(out, command)), "--quiet"]) == 4
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        assert os.listdir(out) == [earlier]
+        assert (out / earlier).read_bytes() == b"an earlier command's rows\n"
 
-    def full(*args):
-        raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr(os, "replace", full)
+def test_sweep_failing_at_a_rename_removes_the_directories_it_made(tmp_path, monkeypatch):
+    # as a failed run's (test_non_finite_results_exit_3): no file and no
+    # directory that the sweep made is left; the one it found stays
+    monkeypatch.setattr(os, "replace", _disk_full)
+    (tmp_path / "kept").mkdir()
+    config = write_config(tmp_path, "sweep.json", _small_cfg(tmp_path / "kept" / "made" / "out", "sweep"))
+    assert main(["sweep", config, "--quiet"]) == 4
+    assert os.listdir(tmp_path / "kept") == []
+
+
+def test_sweep_writes_exactly_the_documented_files(tmp_path, monkeypatch):
+    # sweep.csv, then summary.json, each created once under a hidden
+    # temporary name, write-only, closed and renamed; the config is the only
+    # other file opened
+    opened = _spy_open(monkeypatch)
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "results.csv").write_bytes(b"an earlier run's rows\n")
-    cfg = helix_cfg(str(out))
-    cfg["path"]["n_steps"] = 128
-    assert main(["run", write_config(tmp_path, "full.json", cfg), "--quiet"]) == 4
-    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
-    assert os.listdir(out) == ["results.csv"]
-    assert (out / "results.csv").read_bytes() == b"an earlier run's rows\n"
+    assert main(["sweep", write_config(tmp_path, "sweep.json", _small_cfg(out, "sweep")), "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == ["summary.json", "sweep.csv"]
+    created = [(name, fh) for name, mode, fh in opened if mode == "x"]
+    assert [name[1:].rsplit(".", 2)[0] for name, _ in created] == ["sweep.csv", "summary.json"]
+    assert all(name.startswith(".") and name.endswith(".tmp") and not fh.readable() for name, fh in created)
+    assert [(name, mode) for name, mode, _ in opened if mode != "x"] == [("sweep.json", "r")]
+    assert all(fh.closed for _, _, fh in opened)
 
 
-@pytest.mark.parametrize("blocked", ["summary.json", "plot_quantal.dat", "results.csv"])
-def test_a_target_that_is_not_a_file_exits_4_before_any_rename(tmp_path, capsys, blocked):
-    # an earlier run's file replaced by a directory: every target is checked
-    # before the first rename, so the run exits 4 and the earlier run's other
-    # files keep their bytes, even where a rename before the blocked one's
-    # would have replaced them (summary.json is renamed last)
+@pytest.mark.parametrize("command, blocked", [
+    pytest.param("run", "summary.json", id="summary.json"),
+    pytest.param("run", "plot_quantal.dat", id="plot_quantal.dat"),
+    pytest.param("run", "results.csv", id="results.csv"),
+    pytest.param("sweep", "summary.json", id="sweep-summary.json"),
+    pytest.param("sweep", "sweep.csv", id="sweep-sweep.csv"),
+])
+def test_a_target_that_is_not_a_file_exits_4_before_any_rename(tmp_path, capsys, command, blocked):
+    # an earlier command's file replaced by a directory: every target is
+    # checked before the first rename, so the command exits 4 and the earlier
+    # command's other files keep their bytes, even where a rename before the
+    # blocked one's would have replaced them (summary.json is renamed last)
     out = tmp_path / "out"
-    cfg = helix_cfg(str(out))
-    cfg["path"]["n_steps"] = 128
-    assert main(["run", write_config(tmp_path, "first.json", cfg), "--quiet"]) == 0
+    cfg = _small_cfg(out, command)
+    assert main([command, write_config(tmp_path, "first.json", cfg), "--quiet"]) == 0
     (out / blocked).unlink()
     (out / blocked).mkdir()
     earlier = {f.name: f.read_bytes() for f in out.iterdir() if f.is_file()}
-    assert "results.csv" in earlier or blocked == "results.csv"
-    cfg["path"]["n_steps"] = 256  # every file of this run would differ from the earlier one's
-    assert main(["run", write_config(tmp_path, "second.json", cfg), "--quiet"]) == 4
+    first = "results.csv" if command == "run" else "sweep.csv"
+    assert first in earlier or blocked == first
+    cfg["path"]["n_steps"] = 256  # every file of this command would differ from the earlier one's
+    assert main([command, write_config(tmp_path, "second.json", cfg), "--quiet"]) == 4
     assert capsys.readouterr().err == f"i/o error: {out / blocked}: exists and is not a regular file\n"
     assert sorted(os.listdir(out)) == sorted([*earlier, blocked])  # no temporary file left
     assert {name: (out / name).read_bytes() for name in earlier} == earlier
