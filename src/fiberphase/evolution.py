@@ -292,29 +292,24 @@ def invariant_residual_series(path: FiberPath, scale: float = 1.0) -> np.ndarray
     return np.concatenate([geometry._invariant_residual(path, window, scale) for window in geometry._windows(path)])[1:-1]
 
 
-def _check_grid(traj: SpinorTrajectory, path: FiberPath) -> None:
-    """Raise ValueError unless ``traj``'s path has ``path``'s sample count, first time and step."""
-    grids = [(p.n_samples, p.rows(0, 1)[0][0], p.dt) for p in (traj.path, path)]
-    if grids[0] != grids[1]:
-        raise ValueError("trajectory and path do not share a time grid")
-
-
-def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray:
-    """<psi | k_hat . S | psi> at every sample (read-only), conserved at -polarization; ``path`` must share traj's grid."""
-    _check_grid(traj, path)
-    return traj.helicity
-
-
 def phase_decomposition(traj: SpinorTrajectory, path: FiberPath) -> SpinorTrajectory:
     """Split the accumulated phase into total, dynamical and geometric parts: the trajectory itself.
 
     :func:`evolve` computed the unwrapped total arg <psi(0)|psi(t)>, the
     trapezoidal -Int h . <S> dt and the flags along the trajectory's own
-    path, which must share ``path``'s grid; after that check ``traj`` itself
-    is returned, and its geometric part is taken when it is read.
+    path, which must share ``path``'s grid (sample count, first time and
+    step; ValueError otherwise); after that check ``traj`` itself is
+    returned, and its geometric part is taken when it is read.
     """
-    _check_grid(traj, path)
+    grids = [(p.n_samples, p.rows(0, 1)[0][0], p.dt) for p in (traj.path, path)]
+    if grids[0] != grids[1]:
+        raise ValueError("trajectory and path do not share a time grid")
     return traj
+
+
+def helicity_expectations(traj: SpinorTrajectory, path: FiberPath) -> np.ndarray:
+    """<psi | k_hat . S | psi> at every sample (read-only), conserved at -polarization; ``path`` must share traj's grid."""
+    return phase_decomposition(traj, path).helicity
 
 
 def analytic_noncyclic_phase(angles: SphericalAngles, polarization: int):

@@ -587,7 +587,7 @@ def _fast_block(lines):
 def _read_records(filename):
     """The file's times and vectors as two flat float64 buffers, read one block of lines at a time."""
     times, vecs = array("d"), array("d")
-    with open(filename) as fh:
+    with open(filename, encoding="utf-8", errors="surrogateescape") as fh:  # any byte in a comment, whatever the locale
         lineno = 0
         while lines := list(islice(fh, _PARSE_LINES)):
             block = _fast_block(lines)
@@ -605,7 +605,8 @@ def load_path(filename) -> FiberPath:
     """Read a trajectory from a line-oriented text file.
 
     Each record holds four whitespace-separated floats ``t kx ky kz``;
-    ``#`` starts a comment.  Every value must be finite.  The magnitude is
+    ``#`` starts a comment, which may hold any bytes: the file is read as
+    UTF-8 whatever the locale.  Every value must be finite.  The magnitude is
     inferred from the first record and every subsequent vector norm must
     match it within 1e-6 (relative); a nonzero vector whose norm overflows
     to inf or underflows to 0 in float64 is rejected, and one whose |k|^2 is

@@ -6,8 +6,9 @@ ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
 writes results.csv (one row per sample), summary.json and plot_*.dat
 (geometric and analytic per polarization, quantal, net vacuum) to the
 output directory in one pass over the path; ``sweep`` repeats the pipeline
-over one swept parameter.  A failed command, either one, leaves no file or
-directory of its own behind.  All emitted files are byte-deterministic for a given config.
+over one swept parameter.  Each command commits its files through one
+``_committed``, summary.json last; a failed command, either one, leaves no
+file or directory of its own behind.  All emitted files are byte-deterministic for a given config.
 """
 from __future__ import annotations
 
@@ -312,12 +313,7 @@ def compute_scenario(path, scenario: Scenario):
         "phase_vacuum_net": ("W", z * (plus - minus)),
         **{name: (name, 1.0) for name in ("invariant_residual", "flagged")},
     }
-    return {
-        "columns": columns,
-        "series": partial(_series, path, first),
-        "survives": (plus, minus),
-        "mode_status": media.mode_status(scenario.medium) if scenario.medium is not None else None,
-    }
+    return {"columns": columns, "series": partial(_series, path, first), "survives": (plus, minus)}
 
 
 def _reduce(chunks, columns, each=None):
@@ -395,61 +391,59 @@ def _committed(out_dir):
         raise
 
 
-def write_results_csv(out_dir, result, summary_of):
-    """Write every file of a run in one pass, whose ``_reduce`` gives ``summary_of`` its input; returns the summary.
+def _formatted(series, columns, rows):
+    """Each distinct column's fields in ``rows`` of a chunk's ``series``: ``_fmt`` of its values, or, when
+    one already formatted has the opposite weight, that one's fields ``_negated``."""
+    text = {}
+    for column in columns:
+        mirror = text.get((column[0], -column[1]))
+        text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
+    return text
 
-    results.csv has one row per sample, headed by the names of
-    ``result["columns"]`` in order; each column named by a prefix in
-    ``_PLOTTED`` is also written against t to plot_<its name without
-    'phase_'>.dat.  Each chunk is written, once reduced and checked, in
-    slices of ``_WRITE_ROWS`` rows whose strings are held one slice at a
-    time; a column whose weight is the negative of one already formatted
-    takes its strings with each leading '-' toggled.  The files are
-    committed by ``_committed``, summary.json last, once it is made from
-    the reduction.
+
+def write_results_csv(create, result):
+    """Write results.csv and the plot files through ``create`` in one pass; returns the pass's ``_reduce``.
+
+    ``create`` is what an open ``_committed`` yields.  results.csv has one
+    row per sample, headed by the names of ``result["columns"]`` in order;
+    each column named by a prefix in ``_PLOTTED`` is also written against t
+    to plot_<its name without 'phase_'>.dat.  Each chunk is written, once
+    reduced and checked, in slices of ``_WRITE_ROWS`` rows whose strings
+    (``_formatted``) are held one slice at a time.
     """
     columns = result["columns"]
     *fields, flagged = columns.values()
     distinct, t = list(dict.fromkeys(fields)), columns["t"]
-    with _committed(out_dir) as create:
-        csv = create("results.csv")
-        lines = [(create(f"plot_{name.removeprefix('phase_')}.dat"), column)
-                 for name, column in columns.items() if name.startswith(_PLOTTED)]
+    csv = create("results.csv")
+    lines = [(create(f"plot_{name.removeprefix('phase_')}.dat"), column)
+             for name, column in columns.items() if name.startswith(_PLOTTED)]
 
-        def write_slice(series, rows):  # whose strings go when it returns, before the pass computes its next chunk
-            text = {}
-            for column in distinct:
-                mirror = text.get((column[0], -column[1]))
-                text[column] = _negated(mirror) if mirror is not None else list(map(_fmt, _values(series, column, rows).tolist()))
-            flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
-            csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
-            for fh, column in lines:
-                fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
+    def write_slice(series, rows):  # whose strings go when it returns, before the next slice is formatted
+        text = _formatted(series, distinct, rows)
+        flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
+        csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
+        for fh, column in lines:
+            fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
 
-        def write_chunk(series):
-            for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
-                write_slice(series, rows)
+    def write_chunk(series):
+        for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
+            write_slice(series, rows)
 
-        csv.write(",".join(columns) + "\n")
-        reduced = _reduce(result["series"](), columns.values(), write_chunk)
-        summary = {**summary_of(reduced), "command": "run"}
-        create("summary.json").write(_json(summary))
-    return summary
+    csv.write(",".join(columns) + "\n")
+    return _reduce(result["series"](), columns.values(), write_chunk)
 
 
-def summarize(result, path, scenario: Scenario, reduced=None):
-    """The summary of a result, from the reduction of every column: ``reduced``, else a pass of ``_reduce``.
+def summarize(result, path, scenario: Scenario, reduced):
+    """The summary of a result, from ``reduced``, the ``_reduce`` of every column of one pass.
 
     Schema 2: each polarization's final geometric and analytic phases and
     flag count, the final quantal and vacuum phases, the invariant
-    residual's maximum.  The pass raises NumericalError on a non-finite
-    value; each polarization's orthogonal-passage warning, with the count
-    of its flagged samples, is printed to stderr.
+    residual's maximum, and the medium's mode status.  Each polarization's
+    orthogonal-passage warning, with the count of its flagged samples, is
+    printed to stderr.
     """
     columns = result["columns"]
     t_first, t_last = (path.rows(i, i + 1)[0][0] for i in (0, path.n_samples - 1))
-    if reduced is None:
-        reduced = _reduce(result["series"](), columns.values())
     last, peak, nonzero = reduced
     phases = {}
     for pol in scenario.polarizations:
@@ -485,8 +479,8 @@ def summarize(result, path, scenario: Scenario, reduced=None):
         "chamber_length": scenario.chamber_length,
         "medium": None,
     }
-    status = result["mode_status"]
-    if status is not None:
+    if scenario.medium is not None:
+        status = media.mode_status(scenario.medium)
         summary["medium"] = {
             "n2_plus": float(status.n2_plus) + 0.0,  # + 0.0: no field of a file is -0.0
             "n2_minus": float(status.n2_minus) + 0.0,
@@ -519,7 +513,7 @@ def _output_dir(cfg, out_dir):
 
 @np.errstate(all="ignore")  # no floating-point warnings: the writer reports a non-finite value, once
 def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
-    """Execute a 'run' scenario; returns the summary dict after writing files."""
+    """Execute a 'run' scenario; returns the summary, made from the writer's pass and committed last."""
     cfg = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_dir = _output_dir(cfg, out_dir)
@@ -529,7 +523,9 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
         raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
     result = compute_scenario(path, scenario)
-    summary = write_results_csv(out_dir, result, partial(summarize, result, path, scenario))
+    with _committed(out_dir) as create:
+        summary = {**summarize(result, path, scenario, write_results_csv(create, result)), "command": "run"}
+        create("summary.json").write(_json(summary))
     if not quiet:
         print(f"wrote {out_dir}/results.csv, summary.json and plot files")
         for key in sorted(summary["phases"]):
@@ -576,7 +572,8 @@ def _with_path_value(cfg, key, value):
 def _cone_row(cfg, base_dir, value, scenario):
     cone = _cone_angle(value, "sweep.values")
     path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
-    summary = summarize(compute_scenario(path, scenario), path, scenario)
+    result = compute_scenario(path, scenario)
+    summary = summarize(result, path, scenario, _reduce(result["series"](), result["columns"].values()))
     row = {"cone_angle": cone}
     for pol in scenario.polarizations:
         phases, suffix = summary["phases"][f"{pol:+d}"], _SIGMA_SUFFIX[pol]

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -275,6 +276,22 @@ def test_run_transport_does_not_depend_on_the_clock(tmp_path):
             assert np.abs(np.array(run[name], dtype=float) - np.array(first[name], dtype=float)).max() <= 1e-13, name
 
 
+def test_a_utf8_comment_loads_whatever_the_locale(tmp_path):
+    # the file was decoded in the locale's encoding: under the C locale a
+    # UTF-8 comment exited 2 with "path.filename: 'ascii' codec can't decode
+    # byte 0xce in position 2"
+    from fiberphase.geometry import helix_path
+
+    p = helix_path(np.pi / 3, 1.0, 2.0, 1.0, 128)
+    lines = [f"{float(t)!r} {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for t, v in zip(p.times, p.k_mag * p.k_hat)]
+    (tmp_path / "traj.txt").write_bytes(("# \u03b8 loop\n" + "\n".join(lines) + "\n").encode())
+    out = tmp_path / "out"
+    config = write_config(tmp_path, "filepath.json", helix_cfg(str(out), path={"type": "file", "filename": "traj.txt"}))
+    proc = _fiberphase("run", config, "--quiet", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert read_summary(str(out))["path"]["n_samples"] == 129
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
 def test_run_file_path_non_finite_token_exits_2(tmp_path, capsys, token):
     from fiberphase.geometry import helix_path
@@ -453,9 +470,9 @@ def test_non_finite_late_chunk_exits_3_and_leaves_the_directory_as_it_was(tmp_pa
     assert (out / "results.csv").read_bytes() == b"an earlier run's rows\n"
 
 
-def _fiberphase(*argv):
-    """``python -m fiberphase`` in a child process, whose stderr shows any numpy RuntimeWarning."""
-    env = dict(os.environ)
+def _fiberphase(*argv, **environ):
+    """``python -m fiberphase`` in a child process, with ``environ`` set, whose stderr shows any numpy RuntimeWarning."""
+    env = {**os.environ, **environ}
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "fiberphase", *argv], capture_output=True, text=True, env=env)
 
@@ -625,11 +642,23 @@ def _joined_outputs(result):
     return ("\n".join(lines) + "\n").encode(), plots
 
 
+def _run_pass(out_dir, result, path, scenario, summarize=None):
+    """A run's one pass committed into ``out_dir`` as ``run_scenario`` commits it, summary.json last; the summary."""
+    import fiberphase.scenario as scenario_mod
+
+    with scenario_mod._committed(str(out_dir)) as create:
+        reduced = scenario_mod.write_results_csv(create, result)
+        summary = {**(summarize or scenario_mod.summarize)(result, path, scenario, reduced), "command": "run"}
+        create("summary.json").write(scenario_mod._json(summary))
+    return summary
+
+
 def _written(tmp_path, result):
     import fiberphase.scenario as scenario_mod
 
     tmp_path.mkdir(parents=True, exist_ok=True)
-    scenario_mod.write_results_csv(str(tmp_path), result, lambda reduced: {})
+    with scenario_mod._committed(str(tmp_path)) as create:
+        scenario_mod.write_results_csv(create, result)
     plots = {f.name: f.read_bytes() for f in tmp_path.glob("plot_*.dat")}
     return (tmp_path / "results.csv").read_bytes(), plots
 
@@ -693,7 +722,6 @@ def _writer_peaks(tmp_path, n_steps, slices=None, pols=(1,)):
     One polarization by default, as tracing every string is slow.
     """
     import tracemalloc
-    from functools import partial
 
     import fiberphase.scenario as scenario_mod
     from fiberphase.fock import Ordering
@@ -719,7 +747,7 @@ def _writer_peaks(tmp_path, n_steps, slices=None, pols=(1,)):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenario_mod.geometry, "_row_slices", measured)
         for run in (lambda: scenario_mod._reduce(result["series"](), result["columns"].values()),
-                    lambda: scenario_mod.write_results_csv(str(tmp_path), result, partial(scenario_mod.summarize, result, path, scenario))):
+                    lambda: _run_pass(tmp_path, result, path, scenario)):
             tracemalloc.start()
             try:
                 run()
@@ -804,6 +832,33 @@ def _edge_doubles():
 def test_float_field_of_edge_doubles():
     for x in _edge_doubles():
         _check_field(x)
+
+
+def test_formatted_fields_are_the_repr_of_each_weighted_column():
+    # the writer's per-slice formatter, which any faster one must match: each
+    # distinct column's fields are repr(x * w + 0.0), and a column whose
+    # weight is the negative of one formatted before it takes that one's
+    # fields negated, the repr of its own values (zero stays '0.0')
+    import fiberphase.scenario as scenario_mod
+
+    rng = np.random.default_rng(20261021)
+    bits = np.concatenate([rng.integers(0, 2**64, size=3000, dtype=np.uint64),
+                           rng.integers(1, 2**52, size=300, dtype=np.uint64)])  # any double, then subnormals
+    edges = [0.0, 5e-324, sys.float_info.min]
+    for x in (1e-4, 2e-4, 1e16, 2e16):  # where repr turns positional or exponent, under weights 1 and 1/2
+        edges += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    values = bits.view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)], edges, np.negative(edges)])
+    rng.shuffle(values)
+    series = {"x": values, "y": values[::-1].copy()}
+    columns = [("x", 1.0), ("x", 0.5), ("y", -0.5), ("x", -1.0), ("x", -0.5), ("y", 0.5), ("y", -1.0)]
+    rows = slice(7, len(values) - 3)
+    text = scenario_mod._formatted(series, columns, rows)
+    assert list(text) == columns
+    for key, weight in columns:
+        assert text[key, weight] == [repr(x * weight + 0.0) for x in series[key][rows].tolist()], (key, weight)
+    for key, weight in columns[3:5]:  # the mirrors of columns 0 and 1: the repr of the negation
+        assert text[key, weight] == [repr(-float(field) + 0.0) for field in text[key, -weight]]
 
 
 _RUN_FILES = {"results.csv", "summary.json", "plot_quantal.dat", "plot_vacuum_net.dat"}
@@ -939,8 +994,8 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
             renamed.append(os.path.basename(dst))
 
         monkeypatch.setattr(os, "replace", last_fails)
-    with pytest.raises(OSError, match="No space left"):  # "summary": every row is written, then summary_of fails
-        scenario_mod.write_results_csv(str(tmp_path), result, full if where == "summary" else lambda reduced: {})
+    with pytest.raises(OSError, match="No space left"):  # "summary": every row is written, then the summary fails
+        _run_pass(tmp_path, result, path, scenario, full if where == "summary" else None)
     assert os.listdir(tmp_path) == []
     if where == "last_rename":
         assert sorted(renamed) == sorted((_RUN_FILES - {"summary.json"}) | _plots((1, -1)))
@@ -998,6 +1053,27 @@ def test_sweep_writes_exactly_the_documented_files(tmp_path, monkeypatch):
     assert all(name.startswith(".") and name.endswith(".tmp") and not fh.readable() for name, fh in created)
     assert [(name, mode) for name, mode, _ in opened if mode != "x"] == [("sweep.json", "r")]
     assert all(fh.closed for _, _, fh in opened)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_each_command_commits_its_files_through_one_committed(tmp_path, monkeypatch, command):
+    # one commit site per command: the writer only formats, and a run, as a
+    # sweep, opens the one _committed that all its files go through
+    import fiberphase.scenario as scenario_mod
+
+    entered, committed = [], scenario_mod._committed
+
+    @contextmanager
+    def spy(out_dir):
+        with committed(out_dir) as create:
+            entered.append(out_dir)
+            yield create
+
+    monkeypatch.setattr(scenario_mod, "_committed", spy)
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, f"{command}.json", _small_cfg(out, command)), "--quiet"]) == 0
+    assert entered == [str(out)]
+    assert "summary.json" in os.listdir(out)
 
 
 @pytest.mark.parametrize("command, blocked", [

@@ -459,6 +459,23 @@ def test_load_path_record_errors_name_the_line(tmp_path, line7, detail):
         assert str(info.value) == f"{filename}:7: {detail}"
 
 
+def test_load_path_reads_a_comment_of_any_bytes(tmp_path):
+    # the file is read as UTF-8 whatever the locale, and a byte that is not
+    # UTF-8 is kept as a lone surrogate: in a comment it is skipped (a Latin-1
+    # comment failed with "'utf-8' codec can't decode byte 0xe9 in position
+    # 5", naming no file or line), and in a field it fails on its line
+    filename = _loop_file(tmp_path, 65)
+    plain, lines = load_path(filename), filename.read_bytes().split(b"\n")
+    filename.write_bytes(b"\n".join([lines[0] + b" caf\xe9", lines[1] + b"  # \xff\xfe", *lines[2:]]))
+    loaded = load_path(filename)
+    assert _same_bits(loaded.times, plain.times) and _same_bits(loaded.k_hat, plain.k_hat)
+    filename.write_bytes(b"\n".join([*lines[:6], lines[6] + b"\xe9", *lines[7:]]))
+    with pytest.raises(ValueError) as info:
+        load_path(filename)
+    field = lines[6].split()[-1].decode()
+    assert str(info.value) == f"{filename}:7: could not convert string to float: '{field}\\udce9'"
+
+
 @pytest.mark.parametrize("text, message", [
     ("# two records only\n0 1 0 0\n\n0.1 1 0 0\n", "path needs at least 3 samples, got 2"),
     ("# nothing but comments\n\n   \n", "path needs at least 3 samples, got 0"),

@@ -11,7 +11,6 @@ import json
 import sys
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -59,10 +58,17 @@ def _reduce_all(result):
     return _reduce(result["series"](), _all_columns(result))
 
 
+def _summary(result, path, scenario):
+    """The summary of a result from a pass of its own."""
+    return summarize(result, path, scenario, _reduce_all(result))
+
+
 def _write(out_dir, result, path, scenario):
-    """A run's one pass: every file written to ``out_dir`` (made if missing), and the summary."""
-    out_dir.mkdir(exist_ok=True)
-    return write_results_csv(str(out_dir), result, partial(summarize, result, path, scenario))
+    """A run's one pass committed into ``out_dir`` as ``run_scenario`` commits it, summary.json last; the summary."""
+    with scenario_module._committed(str(out_dir)) as create:
+        summary = {**summarize(result, path, scenario, write_results_csv(create, result)), "command": "run"}
+        create("summary.json").write(scenario_module._json(summary))
+    return summary
 
 
 def _read(result, column):
@@ -161,7 +167,7 @@ def test_compute_scenario_matches_stage_functions_bitwise(tmp_path, case, pols):
     assert got["survives"] == want["survives"]
     # the net vacuum phase is the last row of its column, bitwise the library's from the final W
     net = media.net_vacuum_phase(medium or FREE_SPACE, k0, _angles(path), chamber, ordering)
-    summary = summarize(got, path, Scenario(tuple(pols), nl, nr, ordering, medium, k0, chamber))
+    summary = _summary(got, path, Scenario(tuple(pols), nl, nr, ordering, medium, k0, chamber))
     _assert_bitwise(summary["vacuum"]["net_final"], net.phase, "net_final")
     assert (summary["vacuum"]["plus_survives"], summary["vacuum"]["minus_survives"]) == got["survives"]
     if case == "equator-flagged":
@@ -417,7 +423,7 @@ def test_the_passes_transport_no_state(tmp_path, monkeypatch):
     path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 256)
     scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
     result = compute_scenario(path, scenario)
-    assert np.isfinite(summarize(result, path, scenario)["phases"]["-1"]["geometric"])
+    assert np.isfinite(_summary(result, path, scenario)["phases"]["-1"]["geometric"])
     assert np.isfinite(_write(tmp_path, result, path, scenario)["phases"]["-1"]["geometric"])
     with pytest.raises(AssertionError, match="transported"):
         evolve(path, 1)
@@ -564,7 +570,7 @@ def test_one_propagation_per_scenario(tmp_path, monkeypatch, pols):
 @pytest.mark.parametrize("case", sorted(DERIVED_CASES))
 def test_writer_summary_is_the_reductions(tmp_path, monkeypatch, case, pols):
     # the reduction in the writer's pass gives summary.json's text bitwise
-    # as summarize's own pass does, -0.0 included; the equator flags
+    # as a pass of the reduction alone does, -0.0 included; the equator flags
     # samples, the clockwise helix makes W < 0, and normal ordering and
     # n_R = n_L weight W by 0
     monkeypatch.setattr(geometry, "_CHUNK_ROWS", 700)
@@ -572,7 +578,7 @@ def test_writer_summary_is_the_reductions(tmp_path, monkeypatch, case, pols):
     for ordering, (nl, nr) in ((Ordering.SYMMETRIC, (0, 1)), (Ordering.NORMAL, (2, 2))):
         scenario = Scenario(pols, nl, nr, ordering, GYROTROPIC, 1.0, 10.0)
         result = compute_scenario(path, scenario)
-        want = json.dumps({**summarize(result, path, scenario), "command": "run"}, sort_keys=True)
+        want = json.dumps({**_summary(result, path, scenario), "command": "run"}, sort_keys=True)
         assert json.dumps(_write(tmp_path / f"out_{ordering.value}", result, path, scenario), sort_keys=True) == want
         with open(tmp_path / f"out_{ordering.value}" / "summary.json") as fh:
             assert json.dumps(json.load(fh), sort_keys=True) == want
@@ -591,7 +597,7 @@ def test_each_pass_reads_a_helix_once_per_chunk(tmp_path, monkeypatch):
     scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, GYROTROPIC, 1.0, None)
     result = compute_scenario(path, scenario)
     bound = -(-path.n_samples // 256) + 2
-    for run in (lambda: summarize(result, path, scenario), lambda: _write(tmp_path, result, path, scenario)):
+    for run in (lambda: _summary(result, path, scenario), lambda: _write(tmp_path, result, path, scenario)):
         evaluated.clear()
         run()
         assert len(evaluated) <= bound, (len(evaluated), bound)

@@ -4,7 +4,7 @@ import pytest
 from fiberphase.evolution import evolve
 from fiberphase.fock import Ordering
 from fiberphase.geometry import helix_path
-from fiberphase.scenario import Scenario, compute_scenario, summarize
+from fiberphase.scenario import Scenario, _reduce, compute_scenario, summarize
 from fiberphase.spin import (
     CARTESIAN_FROM_ANGULAR,
     _fix_gauge,
@@ -222,5 +222,6 @@ def test_no_eigensolver_on_the_run_path(monkeypatch):
     for pol in (1, -1):
         assert np.isfinite(evolve(path, pol).geometric).all()
     scenario = Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
-    summary = summarize(compute_scenario(path, scenario), path, scenario)
+    result = compute_scenario(path, scenario)
+    summary = summarize(result, path, scenario, _reduce(result["series"](), result["columns"].values()))
     assert set(summary["phases"]) == {"+1", "-1"}
