@@ -3,10 +3,9 @@
 A scenario is a JSON file naming one path source (helix parameters or a
 trajectory file), the polarizations to transport, the mode occupations and
 ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
-writes results.csv (one row per sample), summary.json and plot_*.dat
-(geometric and analytic per polarization, quantal, net vacuum) to the
-output directory in one pass over the path; ``sweep`` repeats the pipeline
-over one swept parameter.  Each command commits its files through one
+writes results.csv (one row per sample) and summary.json to the output
+directory in one pass over the path; ``sweep`` repeats the pipeline over
+one swept parameter.  Each command commits its files through one
 ``_committed``, summary.json last; a failed command, either one, leaves no
 file or directory of its own behind.  All emitted files are byte-deterministic for a given config.
 """
@@ -352,7 +351,6 @@ def _negated(strings):
 
 
 _WRITE_ROWS = 256  # samples per writer slice, whose columns are held as lists of strings
-_PLOTTED = ("phase_geometric_", "phase_analytic_", "phase_quantal", "phase_vacuum_net")  # prefixes of the plotted columns
 
 
 @contextmanager
@@ -402,28 +400,23 @@ def _formatted(series, columns, rows):
 
 
 def write_results_csv(create, result):
-    """Write results.csv and the plot files through ``create`` in one pass; returns the pass's ``_reduce``.
+    """Write results.csv through ``create`` in one pass; returns the pass's ``_reduce``.
 
     ``create`` is what an open ``_committed`` yields.  results.csv has one
-    row per sample, headed by the names of ``result["columns"]`` in order;
-    each column named by a prefix in ``_PLOTTED`` is also written against t
-    to plot_<its name without 'phase_'>.dat.  Each chunk is written, once
-    reduced and checked, in slices of ``_WRITE_ROWS`` rows whose strings
-    (``_formatted``) are held one slice at a time.
+    row per sample, headed by the names of ``result["columns"]`` in order.
+    Each chunk is written, once reduced and checked, in slices of
+    ``_WRITE_ROWS`` rows whose strings (``_formatted``) are held one slice
+    at a time.
     """
     columns = result["columns"]
     *fields, flagged = columns.values()
-    distinct, t = list(dict.fromkeys(fields)), columns["t"]
+    distinct = list(dict.fromkeys(fields))
     csv = create("results.csv")
-    lines = [(create(f"plot_{name.removeprefix('phase_')}.dat"), column)
-             for name, column in columns.items() if name.startswith(_PLOTTED)]
 
     def write_slice(series, rows):  # whose strings go when it returns, before the next slice is formatted
         text = _formatted(series, distinct, rows)
         flags = ["1\n" if flag else "0\n" for flag in _values(series, flagged, rows).tolist()]
         csv.writelines(map(",".join, zip(*(text[column] for column in fields), flags)))
-        for fh, column in lines:
-            fh.write("\n".join(map(" ".join, zip(text[t], text[column]))) + "\n")
 
     def write_chunk(series):
         for rows in geometry._row_slices(0, len(series["t"]), _WRITE_ROWS):
@@ -527,7 +520,7 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
         summary = {**summarize(result, path, scenario, write_results_csv(create, result)), "command": "run"}
         create("summary.json").write(_json(summary))
     if not quiet:
-        print(f"wrote {out_dir}/results.csv, summary.json and plot files")
+        print(f"wrote {out_dir}/results.csv and summary.json")
         for key in sorted(summary["phases"]):
             block = summary["phases"][key]
             print(f"  sigma {key}: geometric {block['geometric']:+.6f} rad (analytic {block['analytic']:+.6f})")

@@ -83,7 +83,7 @@ def test_run_helix_scenario(tmp_path):
     assert abs(summary["phases"]["-1"]["geometric"] + np.pi) < 1e-3
     assert summary["vacuum"]["net_final"] == 0.0  # free space: exact cancellation
     assert abs(summary["quantal_final"] - np.pi) < 1e-6
-    assert sorted(os.listdir(out)) == sorted(_RUN_FILES | _plots((1, -1)))
+    assert sorted(os.listdir(out)) == sorted(_RUN_FILES)
 
 
 def test_run_results_csv_schema(tmp_path):
@@ -489,7 +489,7 @@ def test_overflowing_path_exits_3_with_only_the_failure_line(tmp_path, command):
     proc = _fiberphase(command, write_config(tmp_path, "overflow.json", cfg), "--quiet")
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == "numerical failure: non-finite value detected in results\n"
-    for name in ("results.csv", "sweep.csv", "summary.json", "plot_quantal.dat"):
+    for name in ("results.csv", "sweep.csv", "summary.json"):
         assert not (out / name).exists(), name
 
 
@@ -537,7 +537,7 @@ def test_subnormal_step_helix_matches_a_path_of_held_arrays(tmp_path, monkeypatc
     (got_code, got_std, got_files), (want_code, want_std, want_files) = runs
     assert got_code == want_code == code
     assert got_std.out.replace("on_demand", "held") == want_std.out and got_std.err == want_std.err
-    assert got_files == want_files and len(got_files) == (8 if code == 0 else 0)  # results, summary, 6 plots
+    assert got_files == want_files and len(got_files) == (2 if code == 0 else 0)  # results.csv, summary.json
     if code == 0:
         assert 0.0 < json.loads(got_files["summary.json"])["path"]["dt"] < 2.2250738585072014e-308
 
@@ -550,7 +550,7 @@ def test_subnormal_step_helix_matches_a_path_of_held_arrays(tmp_path, monkeypatc
 ], ids=["n2", "eps-sum", "k0"])
 def test_overflowing_medium_exits_2_without_writing(tmp_path, command, field, medium, k0):
     # an infinite n^2 or k = n k0 reached only summary.json, which failed with
-    # exit 3 after results.csv and every plot file had been written
+    # exit 3 after results.csv had been written
     out = tmp_path / "out"
     cfg = helix_cfg(str(out), medium=medium, k0=k0)
     cfg["path"]["n_steps"] = 128
@@ -614,32 +614,20 @@ def test_non_finite_summary_exits_3_without_writing(tmp_path, monkeypatch):
 
 
 def _joined_outputs(result):
-    """results.csv and the plot files as the writers' whole-array join: the byte oracle.
+    """results.csv as the writer's whole-array join: the byte oracle.
 
-    Each column is computed whole as series * weight + 0.0 and every file is
-    joined from one list of lines.  results.csv has one row per sample,
-    headed by the names of the result's columns; each polarization found
-    there, by its phase_geometric_<R|L> column, has a geometric and an analytic
-    plot, and the quantal and net vacuum phases have one each.
+    Each column is computed whole as series * weight + 0.0 and the file is
+    joined from one list of lines: one row per sample, headed by the names
+    of the result's columns.
     """
     from fiberphase.scenario import _fmt
 
-    def whole(name):
-        key, weight = result["columns"][name]
-        return np.concatenate([series[key] for series in result["series"]()]) * weight + 0.0
-
-    names = list(result["columns"])
-    columns = [whole(name) for name in names]
-    lines = [",".join(names)]
+    columns = [np.concatenate([series[key] for series in result["series"]()]) * weight + 0.0
+               for key, weight in result["columns"].values()]
+    lines = [",".join(result["columns"])]
     for i in range(len(columns[0])):
         lines.append(",".join([_fmt(values[i]) for values in columns[:-1]] + ["1" if columns[-1][i] else "0"]))
-    suffixes = [name.removeprefix("phase_geometric_") for name in names if name.startswith("phase_geometric_")]
-    plotted = [f"{kind}_{suffix}" for suffix in suffixes for kind in ("geometric", "analytic")] + ["quantal", "vacuum_net"]
-    t, plots = whole("t"), {}
-    for name in plotted:
-        values = whole(f"phase_{name}")
-        plots[f"plot_{name}.dat"] = "".join(f"{_fmt(t[i])} {_fmt(values[i])}\n" for i in range(len(t))).encode()
-    return ("\n".join(lines) + "\n").encode(), plots
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _run_pass(out_dir, result, path, scenario, summarize=None):
@@ -659,8 +647,7 @@ def _written(tmp_path, result):
     tmp_path.mkdir(parents=True, exist_ok=True)
     with scenario_mod._committed(str(tmp_path)) as create:
         scenario_mod.write_results_csv(create, result)
-    plots = {f.name: f.read_bytes() for f in tmp_path.glob("plot_*.dat")}
-    return (tmp_path / "results.csv").read_bytes(), plots
+    return (tmp_path / "results.csv").read_bytes()
 
 
 def test_results_csv_streaming_is_byte_identical(tmp_path):
@@ -671,8 +658,8 @@ def test_results_csv_streaming_is_byte_identical(tmp_path):
     p = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 100)
     scenario = scenario_mod.Scenario((1, -1), 0, 1, Ordering.SYMMETRIC, None, 1.0, None)
     result = scenario_mod.compute_scenario(p, scenario)
-    written, plots = _written(tmp_path, result)
-    assert (written, plots) == _joined_outputs(result)
+    written = _written(tmp_path, result)
+    assert written == _joined_outputs(result)
     lines = written.decode().split("\n")
     assert len(lines) == 1 + p.n_samples + 1 and lines[-1] == ""
 
@@ -761,34 +748,29 @@ def test_writer_holds_one_chunk_of_strings(tmp_path):
     # one slice of formatted columns at a time; a full-length column of
     # strings alone would be about 70 bytes per step.  The writer's pass
     # computes and reduces the series as the reduction's does, so what the
-    # writer adds is its peak above the reduction's: 9.5 B/step at 4000
-    # steps (9.4 while results.csv had a row per polarization and sample,
-    # 9.2 while the transport's hold copied each chunk's angles into
-    # a window of its own, 18.4 for a hold that joins every chunk it holds,
-    # 9.1 while the reduction was a pass of its own, 0.2 at 1e5),
-    # one slice of strings next to the pass's one chunk of series, less the
-    # kernels' temporaries, and 949 (1044 at 1e5) for a writer that keeps
-    # every slice's strings.  With fewer steps the slice weighs more per
-    # step (13.3 at 3800, 32.8 at 3000; 15.1 while the writer held each
-    # slice's columns as one array for its reduction); 1e5 steps took
-    # 14-21 s under tracemalloc
+    # writer adds is its peak above the reduction's: 1.4 B/step at 4000
+    # steps and 2.7 at 3000 (a slice weighs more per step in a shorter
+    # run), one slice of strings next to the pass's one chunk of series,
+    # less the kernels' temporaries, against 949 (1044 at 1e5) for a
+    # writer that keeps every slice's strings; 1e5 steps took 14-21 s
+    # under tracemalloc
     n_steps = 4000
     reduction, writer = _writer_peaks(tmp_path / "out", n_steps)
     assert (writer - reduction) / n_steps < 12, (reduction, writer)  # bytes per step
-    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES | _plots((1,)))
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES)
 
 
 @pytest.mark.parametrize(("n_steps", "pols"), [(3000, (1,)), (8000, (1,)), (8000, (1, -1))], ids=["3000", "8000", "8000-R,L"])
 def test_writer_adds_at_most_one_slice_of_strings(tmp_path, n_steps, pols):
     # the same bound at any size and for the bench's two polarizations, per
     # slice: a slice holds its own strings and one column's floats, about
-    # 1010 bytes per row of the slice with one polarization and 1160 with
-    # two (1220 while each had rows of its own), wherever it sits in its
-    # chunk; the writer's peak above the reduction's (98 kB at 3000 steps,
-    # one chunk; 45 kB at 8000, two; 61 kB at 8000 with two polarizations)
-    # is no more than one slice's, so it measures only the strings and not
-    # the reduction the writer now does.  A writer that kept every slice's
-    # strings would add about 7.6 MB at 8000 steps
+    # 770 bytes per row of the slice with one polarization and 930 with
+    # two, wherever it sits in its chunk; the writer's peak above the
+    # reduction's (8 kB at 3000 steps, one chunk; 17 kB at 8000, two, with
+    # one or two polarizations) is no more than one slice's, so it
+    # measures only the strings and not the reduction the writer now does.
+    # A writer that kept every slice's strings would add about 7.6 MB at
+    # 8000 steps
     from fiberphase.scenario import _WRITE_ROWS
 
     reduction, writer = _writer_peaks(tmp_path / "whole", n_steps, pols=pols)
@@ -861,12 +843,7 @@ def test_formatted_fields_are_the_repr_of_each_weighted_column():
         assert text[key, weight] == [repr(-float(field) + 0.0) for field in text[key, -weight]]
 
 
-_RUN_FILES = {"results.csv", "summary.json", "plot_quantal.dat", "plot_vacuum_net.dat"}
-
-
-def _plots(pols):
-    """The plots of each polarization: its geometric and analytic phases."""
-    return {f"plot_{kind}_{'R' if pol == 1 else 'L'}.dat" for pol in pols for kind in ("geometric", "analytic")}
+_RUN_FILES = {"results.csv", "summary.json"}
 
 
 def _spy_open(monkeypatch):
@@ -894,28 +871,29 @@ def test_run_writes_exactly_the_documented_files(tmp_path, monkeypatch, pols):
     cfg = helix_cfg(str(tmp_path / "out"), polarizations=pols)
     cfg["path"]["n_steps"] = 700  # three writer slices
     assert main(["run", write_config(tmp_path, "run.json", cfg), "--quiet"]) == 0
-    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES | _plots(pols))
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RUN_FILES)
     created = [name for name, mode, fh in opened if mode == "x"]
     assert all(name.startswith(".") and name.endswith(".tmp") and not fh.readable() and fh.closed
                for name, mode, fh in opened if mode == "x")
-    assert sorted(name[1:].rsplit(".", 2)[0] for name in created) == sorted(_RUN_FILES | _plots(pols))
+    assert sorted(name[1:].rsplit(".", 2)[0] for name in created) == sorted(_RUN_FILES)
     assert [(name, mode) for name, mode, _ in opened if mode != "x" and name.startswith(".")] == []
 
 
-@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
-def test_each_geometric_plot_is_its_rows_of_results_csv(tmp_path, pols):
-    # plot_geometric_X.dat is the t and phase_geometric_X fields of
-    # results.csv, byte for byte, here on an equator with flagged samples
-    out = tmp_path / "out"
-    cfg = helix_cfg(str(out), polarizations=pols)
-    cfg["path"].update(cone_angle=np.pi / 2, n_cycles=2.0, n_steps=1500)
-    assert main(["run", write_config(tmp_path, "equator.json", cfg), "--quiet"]) == 0
-    header, *rows = [line.split(b",") for line in (out / "results.csv").read_bytes().splitlines()]
-    assert any(row[header.index(b"flagged")] == b"1" for row in rows)
-    for suffix in ("R" if pol == 1 else "L" for pol in pols):
-        t, geometric = header.index(b"t"), header.index(f"phase_geometric_{suffix}".encode())
-        want = b"".join(row[t] + b" " + row[geometric] + b"\n" for row in rows)
-        assert (out / f"plot_geometric_{suffix}.dat").read_bytes() == want
+def test_results_csv_columns_read_back_by_header_name(tmp_path):
+    # README's plotting recipe: numpy's genfromtxt reads every column of
+    # results.csv by its header name, each value the double of its field,
+    # bit for bit, here on an equator with flagged samples
+    out, config = _equator_two_cycles(tmp_path, [1, -1])
+    assert main(["run", config, "--quiet"]) == 0
+    table = np.genfromtxt(os.path.join(out, "results.csv"), delimiter=",", names=True)
+    with open(os.path.join(out, "results.csv")) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    assert table.dtype.names == tuple(header) == tuple(results_header((1, -1)))
+    fields = dict(zip(header, zip(*rows)))
+    assert fields["flagged"].count("1") == 2
+    for name in header:
+        want = np.array([float(field) for field in fields[name]])
+        assert np.array_equal(table[name].view(np.uint64), want.view(np.uint64)), name
 
 
 @pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
@@ -934,23 +912,6 @@ def test_polarized_columns_are_written_sigma_conjugate(tmp_path, pols):
     assert columns["flagged"].count("1") == 2
     for kind in ("geometric", "analytic"):
         assert list(columns[f"phase_{kind}_L"]) == _negated(columns[f"phase_{kind}_R"]), kind
-
-
-def test_no_two_files_of_a_bench_run_are_byte_identical(tmp_path):
-    # the bench's run config at 2000 steps: plot_total_X.dat were copies of
-    # plot_geometric_X.dat.  One pair stays equal on this config, as two
-    # quantities are: n_R - n_L = 1 makes the quantal phase (n_R - n_L) W
-    # the sigma = +1 analytic phase, W
-    from itertools import combinations
-
-    out = tmp_path / "out"
-    cfg = helix_cfg(str(out), medium={"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0}, chamber_length=10.0)
-    cfg["path"].update(cone_angle=0.9, n_steps=2000)
-    assert main(["run", write_config(tmp_path, "bench.json", cfg), "--quiet"]) == 0
-    files = {f.name: f.read_bytes() for f in out.iterdir()}
-    assert set(files) == _RUN_FILES | _plots((1, -1))
-    same = {pair for pair in combinations(sorted(files), 2) if files[pair[0]] == files[pair[1]]}
-    assert same == {("plot_analytic_R.dat", "plot_quantal.dat")}
 
 
 @pytest.mark.parametrize("where", ["chunk", "summary", "rename", "last_rename"])
@@ -998,7 +959,7 @@ def test_writer_error_leaves_no_temporary_file(tmp_path, monkeypatch, where):
         _run_pass(tmp_path, result, path, scenario, full if where == "summary" else None)
     assert os.listdir(tmp_path) == []
     if where == "last_rename":
-        assert sorted(renamed) == sorted((_RUN_FILES - {"summary.json"}) | _plots((1, -1)))
+        assert renamed == ["results.csv"]
     assert opened and all(fh.closed for _, _, fh in opened)
 
 
@@ -1078,7 +1039,6 @@ def test_each_command_commits_its_files_through_one_committed(tmp_path, monkeypa
 
 @pytest.mark.parametrize("command, blocked", [
     pytest.param("run", "summary.json", id="summary.json"),
-    pytest.param("run", "plot_quantal.dat", id="plot_quantal.dat"),
     pytest.param("run", "results.csv", id="results.csv"),
     pytest.param("sweep", "summary.json", id="sweep-summary.json"),
     pytest.param("sweep", "sweep.csv", id="sweep-sweep.csv"),
@@ -1166,7 +1126,7 @@ def test_no_output_writes_negative_zero(tmp_path):
     assert main(["sweep", write_config(tmp_path, "sweep.json", cfg), "--quiet"]) == 0
 
     written = sorted((tmp_path / "run").glob("*.*")) + sorted((tmp_path / "sweep").glob("*.*"))
-    assert {f.name for f in written} >= {"results.csv", "plot_analytic_L.dat", "plot_quantal.dat", "sweep.csv"}
+    assert {f.name for f in written} == {"results.csv", "summary.json", "sweep.csv"}
     _assert_no_negative_zero(written)
     assert read_summary(str(tmp_path / "run"))["quantal_final"] == 0.0
 

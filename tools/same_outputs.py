@@ -18,9 +18,9 @@ compares the exit code, stdout and stderr (the working directory and the
 checkout's root replaced by placeholders) and every file the command
 wrote (SHA-256).  It goes through every command and prints each
 difference: the first differing line of stdout or stderr, and for a
-differing CSV, ``.dat`` or ``summary.json`` file the largest absolute
+differing CSV or ``summary.json`` file the largest absolute
 difference of each column or key that moved, with its row (counted from 1
-below any header) or its JSON list indices.  CSV columns are matched by
+below the header) or its JSON list indices.  CSV columns are matched by
 header name and summary.json keys by name: the columns or keys found in
 only one file are listed, and the shared ones compared.  Exits 0 when all
 are identical, else 1.  A kernel change that moves last digits on purpose
@@ -35,7 +35,6 @@ import importlib.util
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -112,21 +111,20 @@ class _Largest:
                 for name, (moved, where, a, b) in self.worst.items()]
 
 
-def _named(line: str, sep, header: list[str]) -> dict:
-    """A row's fields by column name; a field past the header, or of a file without one, by its position from 1."""
-    return {header[i] if i < len(header) else i + 1: x for i, x in enumerate(line.rstrip("\n").split(sep))}
+def _named(line: str, header: list[str]) -> dict:
+    """A row's fields by column name; a field past the header by its position from 1."""
+    return {header[i] if i < len(header) else i + 1: x for i, x in enumerate(line.rstrip("\n").split(","))}
 
 
 def _table_moves(file: str, a: Path, b: Path) -> list[str]:
-    """The largest move of each column of two CSV (header first) or whitespace-separated ``.dat`` files.
+    """The largest move of each column of two CSV files, each headed by its column names.
 
     Columns are matched by name, so two CSV headers that differ name the
     columns found on only one side, and the shared columns are compared.
     """
-    largest, sep = _Largest(), "," if a.suffix == ".csv" else None
-    found = []
+    largest, found = _Largest(), []
     with open(a) as fa, open(b) as fb:
-        headers = [fh.readline().rstrip("\n").split(sep) if sep else [] for fh in (fa, fb)]
+        headers = [fh.readline().rstrip("\n").split(",") for fh in (fa, fb)]
         one_side = set(headers[0]).symmetric_difference(headers[1])
         for side, mine in (("this", headers[0]), ("the other", headers[1])):
             if only := [name for name in mine if name in one_side]:
@@ -139,7 +137,7 @@ def _table_moves(file: str, a: Path, b: Path) -> list[str]:
                 return [*found, *largest.lines(file), f"{file}: {side} checkout's file ends before row {row}"]
             if line_a == line_b:
                 continue
-            x, y = _named(line_a, sep, headers[0]), _named(line_b, sep, headers[1])
+            x, y = _named(line_a, headers[0]), _named(line_b, headers[1])
             for name in dict.fromkeys([*x, *y]):
                 if name not in one_side and x.get(name) != y.get(name):
                     largest.add(f"column {name}", f" at row {row}", x.get(name), y.get(name))
@@ -187,7 +185,7 @@ def _differences(this: dict, other: dict, works) -> list[str]:
             continue
         name = key.removeprefix("file ")
         both = key.startswith("file ") and "(absent)" not in (a, b)
-        if both and re.search(r"\.(csv|dat)$", name):
+        if both and name.endswith(".csv"):
             found += _table_moves(key, *(work / name for work in works)) or [f"{key}: same fields, other bytes"]
         elif both and name.endswith("summary.json"):
             found += _json_moves(key, *(work / name for work in works)) or [f"{key}: same values, other bytes"]
