@@ -879,21 +879,57 @@ def test_run_writes_exactly_the_documented_files(tmp_path, monkeypatch, pols):
     assert [(name, mode) for name, mode, _ in opened if mode != "x" and name.startswith(".")] == []
 
 
-def test_results_csv_columns_read_back_by_header_name(tmp_path):
+@pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
+def test_results_csv_columns_read_back_by_header_name(tmp_path, pols):
     # README's plotting recipe: numpy's genfromtxt reads every column of
     # results.csv by its header name, each value the double of its field,
-    # bit for bit, here on an equator with flagged samples
-    out, config = _equator_two_cycles(tmp_path, [1, -1])
+    # bit for bit, here on an equator with flagged samples and in either
+    # polarization order
+    out, config = _equator_two_cycles(tmp_path, pols)
     assert main(["run", config, "--quiet"]) == 0
     table = np.genfromtxt(os.path.join(out, "results.csv"), delimiter=",", names=True)
     with open(os.path.join(out, "results.csv")) as fh:
         header, *rows = [line.rstrip("\n").split(",") for line in fh]
-    assert table.dtype.names == tuple(header) == tuple(results_header((1, -1)))
+    assert table.dtype.names == tuple(header) == tuple(results_header(pols))
     fields = dict(zip(header, zip(*rows)))
     assert fields["flagged"].count("1") == 2
     for name in header:
         want = np.array([float(field) for field in fields[name]])
         assert np.array_equal(table[name].view(np.uint64), want.view(np.uint64)), name
+
+
+def test_a_run_leaves_an_earlier_versions_plot_files_as_they_are(tmp_path):
+    # a directory an earlier version wrote: the run replaces results.csv and
+    # summary.json and leaves each plot_*.dat with its bytes, as README says
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = {name: f"stale {name}\n".encode() for name in
+             ("results.csv", "summary.json", "plot_quantal.dat", "plot_geometric_R.dat")}
+    for name, data in stale.items():
+        (out / name).write_bytes(data)
+    assert main(["run", write_config(tmp_path, "run.json", helix_cfg(str(out))), "--quiet"]) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(files) == sorted(stale)
+    assert {name: files[name] for name in files if name.startswith("plot_")} == {
+        name: data for name, data in stale.items() if name.startswith("plot_")}
+    assert files["results.csv"].startswith(",".join(results_header((1, -1))).encode() + b"\n")
+    assert read_summary(str(out))["quantal_final"] != 0.0
+
+
+def test_quantal_column_is_the_right_analytic_column_on_the_bench_config(tmp_path):
+    # the bench's run config at 2000 steps has n_R - n_L = 1, so the quantal
+    # phase (n_R - n_L) W is the sigma = +1 analytic phase, W: the two
+    # columns of results.csv are the same strings, field for field
+    out = tmp_path / "out"
+    cfg = helix_cfg(str(out), medium={"eps1": 2.0, "eps2": 3.0, "mu1": 2.0, "mu2": 1.0}, chamber_length=10.0)
+    cfg["path"].update(cone_angle=0.9, n_steps=2000)
+    assert main(["run", write_config(tmp_path, "bench.json", cfg), "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == sorted(_RUN_FILES)
+    with open(out / "results.csv") as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    columns = dict(zip(header, zip(*rows)))
+    assert len(rows) == 2001 and any(float(field) != 0.0 for field in columns["phase_quantal"])
+    assert columns["phase_quantal"] == columns["phase_analytic_R"]
 
 
 @pytest.mark.parametrize("pols", [[1, -1], [-1, 1]], ids=["R,L", "L,R"])
