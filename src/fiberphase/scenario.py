@@ -5,9 +5,11 @@ trajectory file), the polarizations to transport, the mode occupations and
 ordering, and optionally a gyrotropic medium plus chamber length.  ``run``
 writes results.csv (one row per sample) and summary.json to the output
 directory in one pass over the path; ``sweep`` repeats the pipeline over
-one swept parameter.  Each command commits its files through one
-``_committed``, summary.json last; a failed command, either one, leaves no
-file or directory of its own behind.  All emitted files are byte-deterministic for a given config.
+one swept parameter.  Each command checks its config before it computes
+anything (``run`` rejects a ``sweep`` section once the path is built) and
+commits its files through one ``_committed``, summary.json last; a failed
+command leaves no file or directory of its own behind.  All emitted files
+are byte-deterministic for a given config.
 """
 from __future__ import annotations
 
@@ -34,21 +36,6 @@ class ScenarioError(Exception):
 
 class NumericalError(Exception):
     """A non-finite value appeared in computed results."""
-
-
-def parse_angle(value, field):
-    """Angle in radians from a number, or from a string with a 'deg' suffix."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        body = value.strip()
-        if body.endswith("deg"):
-            try:
-                return float(body[:-3].strip()) * np.pi / 180.0
-            except ValueError:
-                raise ScenarioError(f"{field}: cannot parse degrees value {value!r}") from None
-        raise ScenarioError(f"{field}: angle strings must end in 'deg', got {value!r}")
-    raise ScenarioError(f"{field}: expected a number or 'NNN deg' string, got {value!r}")
 
 
 def _require(cfg, key, check, field=None):
@@ -100,8 +87,18 @@ def load_config(path) -> dict:
 
 
 def _cone_angle(value, field):
-    """A helix cone half-angle in [0, pi], from a number or a 'NNN deg' string."""
-    cone = parse_angle(value, field)
+    """A helix cone half-angle in [0, pi], in radians from a number or from a string with a 'deg' suffix."""
+    if isinstance(value, str):
+        if not (body := value.strip()).endswith("deg"):
+            raise ScenarioError(f"{field}: angle strings must end in 'deg', got {value!r}")
+        try:
+            cone = float(body[:-3].strip()) * np.pi / 180.0
+        except ValueError:
+            raise ScenarioError(f"{field}: cannot parse degrees value {value!r}") from None
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        cone = float(value)
+    else:
+        raise ScenarioError(f"{field}: expected a number or 'NNN deg' string, got {value!r}")
     try:
         geometry._check_cone_angle(cone)
     except ValueError:
@@ -120,21 +117,18 @@ def _n_steps(value, field):
     return value
 
 
+# The helix fields, in the order of geometry.helix_path's parameters, each with its check.
+_HELIX = {"cone_angle": _cone_angle, "omega": _number, "k_mag": _number, "n_cycles": _number, "n_steps": _n_steps}
+
+
 def build_path(cfg, base_dir=".") -> geometry.FiberPath:
     section = _require(cfg, "path", dict)
     kind = section.get("type")
     if kind == "helix":
-        _check_keys(section, ("type", "cone_angle", "omega", "k_mag", "n_cycles", "n_steps"), "path.")
-        cone = _require(section, "cone_angle", _cone_angle, "path.cone_angle")
-        n_steps = _require(section, "n_steps", _n_steps, "path.n_steps")
+        _check_keys(section, ("type", *_HELIX), "path.")
+        fields = {key: _require(section, key, check, f"path.{key}") for key, check in _HELIX.items()}
         try:
-            return geometry.helix_path(
-                cone_angle=cone,
-                omega=_require(section, "omega", _number, "path.omega"),
-                k_mag=_require(section, "k_mag", _number, "path.k_mag"),
-                n_cycles=_require(section, "n_cycles", _number, "path.n_cycles"),
-                n_steps=n_steps,
-            )
+            return geometry.helix_path(**fields)
         except ValueError as exc:
             raise ScenarioError(f"path: {exc}") from None
     if kind == "file":
@@ -510,8 +504,8 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     cfg = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     out_dir = _output_dir(cfg, out_dir)
-    path = build_path(cfg, base_dir)
     scenario = _parse_common(cfg)
+    path = build_path(cfg, base_dir)
     if "sweep" in cfg:
         raise ScenarioError("sweep: not read by 'run'; remove it, or use 'fiberphase sweep'")
 
@@ -528,43 +522,20 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> dict:
     return summary
 
 
-# The top-level fields a sweep over each parameter never reads; a config that
-# gives one is rejected rather than silently ignored.
-_UNREAD = {
-    "cone_angle": (),
-    "n_steps": ("polarizations", "occupations", "ordering", "medium", "k0", "chamber_length"),
-    "occupations": ("occupations", "polarizations", "medium", "k0", "chamber_length"),
-}
-_SWEEPABLE = tuple(_UNREAD)
-
-
 def _require_helix_path(cfg, parameter):
-    """A cone_angle or n_steps sweep needs a helix; the swept field, if given, is checked as ``run`` does.
-
-    Every point replaces ``path.<parameter>`` with its own value, so the
-    field may be left out, but a value given there must still be valid.
-    """
+    """A cone_angle or n_steps sweep needs a helix; the swept field may be left out, as each point replaces
+    ``path.<parameter>``, but one given is checked as ``run`` does."""
     section = _require(cfg, "path", dict)
     if section.get("type") != "helix":
         raise ScenarioError(f"sweep.parameter '{parameter}' needs a helix path source")
     if parameter in section:
-        _SWEPT_CHECKS[parameter](section[parameter], f"path.{parameter}")
+        _HELIX[parameter](section[parameter], f"path.{parameter}")
 
 
-_SWEPT_CHECKS = {"cone_angle": _cone_angle, "n_steps": _n_steps}
+# A helix sweep's points are (value, path) pairs: a helix holds only its parameters.  Each point is
+# computed in its own call, which returns only its row, so one point's arrays are freed before the next's.
 
-
-# Each sweep point is computed in its own call, which returns only the point's
-# row, so one point's path and arrays are freed before the next is built.
-
-def _with_path_value(cfg, key, value):
-    """``cfg`` with ``path[key]`` replaced; the other sections are shared, not copied."""
-    return {**cfg, "path": {**cfg["path"], key: value}}
-
-
-def _cone_row(cfg, base_dir, value, scenario):
-    cone = _cone_angle(value, "sweep.values")
-    path = build_path(_with_path_value(cfg, "cone_angle", cone), base_dir)
+def _cone_row(cone, path, scenario):
     result = compute_scenario(path, scenario)
     summary = summarize(result, path, scenario, _reduce(result["series"](), result["columns"].values()))
     row = {"cone_angle": cone}
@@ -578,17 +549,19 @@ def _cone_row(cfg, base_dir, value, scenario):
     return row
 
 
-def _steps_row(cfg, base_dir, value):
-    _n_steps(value, "sweep.values")
-    path = build_path(_with_path_value(cfg, "n_steps", value), base_dir)
+def _sweep_rows_cone(cfg, base_dir, points, scenario):
+    return sorted((_cone_row(*point, scenario) for point in points), key=lambda r: r["cone_angle"])
+
+
+def _steps_row(n_steps, path):
     kernels = {"invariant_residual": geometry._invariant_residual, "motion_residual": geometry._motion_residual}
     chunks = ({name: kernel(path, window) for name, kernel in kernels.items()} for window in geometry._windows(path))
     peak = _reduce(chunks, [(name, 1.0) for name in kernels])[1]
-    return {"n_steps": value, **{f"max_{name}": peak[name, 1.0] for name in kernels}}
+    return {"n_steps": n_steps, **{f"max_{name}": peak[name, 1.0] for name in kernels}}
 
 
-def _sweep_rows_steps(cfg, base_dir, values):
-    rows = sorted((_steps_row(cfg, base_dir, value) for value in values), key=lambda r: r["n_steps"])
+def _sweep_rows_steps(cfg, base_dir, points, scenario):
+    rows = sorted((_steps_row(*point) for point in points), key=lambda r: r["n_steps"])
     for prev, row in zip([None, *rows], rows):  # no ratio for the first row, or to an exact zero
         for kind in ("invariant", "motion"):
             cur = row[f"max_{kind}_residual"]
@@ -599,26 +572,35 @@ def _sweep_rows_steps(cfg, base_dir, values):
     return rows
 
 
-def _sweep_rows_occupations(cfg, base_dir, values, ordering):
+def _occupation_pair(pair, field):
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ScenarioError(f"{field}: occupation entries must be [n_left, n_right] pairs, got {pair!r}")
+    return tuple(_occupation(n, f"{field}: {side}") for n, side in zip(pair, ("n_left", "n_right")))
+
+
+def _sweep_rows_occupations(cfg, base_dir, pairs, scenario):
     path = build_path(cfg, base_dir)
     w = float(deque(map(geometry._Angles(path.dt), geometry._windows(path)), maxlen=1)[0][2][-1])  # the final W
-    rows = []  # each phase is a multiple of w
-    for pair in values:
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise ScenarioError(f"sweep.values: occupation entries must be [n_left, n_right] pairs, got {pair!r}")
-        nl = _occupation(pair[0], "sweep.values: n_left")
-        nr = _occupation(pair[1], "sweep.values: n_right")
-        rows.append({
-            "n_left": nl,
-            "n_right": nr,
-            "quantal": float(w * float(nr - nl) + 0.0),  # + 0.0 as in a column
-            "phi_left": float(w * -fock._weight(nl, ordering) + 0.0),
-            "phi_right": float(w * +fock._weight(nr, ordering) + 0.0),
-        })
-    if not np.isfinite(w):  # checked after the config and before any file is written, as _reduce is
+    if not np.isfinite(w):  # before any file is written, as _reduce checks each column
         raise NumericalError("non-finite value detected in results")
-    rows.sort(key=lambda r: (r["n_left"], r["n_right"]))
-    return rows
+    return [{  # each phase is a multiple of w
+        "n_left": nl,
+        "n_right": nr,
+        "quantal": float(w * float(nr - nl) + 0.0),  # + 0.0 as in a column
+        "phi_left": float(w * -fock._weight(nl, scenario.ordering) + 0.0),
+        "phi_right": float(w * +fock._weight(nr, scenario.ordering) + 0.0),
+    } for nl, nr in sorted(pairs)]
+
+
+# Each sweep parameter: its value check, its rows from the checked values (sorted by the swept key) and the
+# top-level fields that it never reads; a config that gives one is rejected rather than silently ignored.
+_SWEEPS = {
+    "cone_angle": (_cone_angle, _sweep_rows_cone, ()),
+    "n_steps": (_n_steps, _sweep_rows_steps,
+                ("polarizations", "occupations", "ordering", "medium", "k0", "chamber_length")),
+    "occupations": (_occupation_pair, _sweep_rows_occupations,
+                    ("occupations", "polarizations", "medium", "k0", "chamber_length")),
+}
 
 
 def _cell(value) -> str:
@@ -630,31 +612,33 @@ def _cell(value) -> str:
 
 @np.errstate(all="ignore")  # as run_scenario
 def run_sweep(config_path, out_dir=None, quiet=False) -> dict:
-    """Execute a 'sweep' scenario; one row per sweep point, sorted by key."""
+    """Execute a 'sweep' scenario; one row per sweep point, sorted by key.
+
+    The shared fields, a helix sweep's path type and swept field, the unread fields and then every value
+    are checked, and each point's helix built, before the first point is computed.
+    """
     cfg = load_config(config_path)
     base_dir = os.path.dirname(os.path.abspath(config_path))
     sweep = _require(cfg, "sweep", dict)
     _check_keys(sweep, ("parameter", "values"), "sweep.")
     parameter = sweep.get("parameter")
-    if parameter not in _SWEEPABLE:
-        raise ScenarioError(f"sweep.parameter must be one of {_SWEEPABLE}, got {parameter!r}")
+    if parameter not in (sweepable := tuple(_SWEEPS)):  # a tuple: a list or a dict is not hashable
+        raise ScenarioError(f"sweep.parameter must be one of {sweepable}, got {parameter!r}")
     values = sweep.get("values")
     if not isinstance(values, list) or not values:
         raise ScenarioError("sweep.values: expected a nonempty list")
     out_dir = _output_dir(cfg, out_dir)
     scenario = _parse_common(cfg)
-    if parameter != "occupations":
+    check, sweep_rows, unread = _SWEEPS[parameter]
+    if parameter in _HELIX:
         _require_helix_path(cfg, parameter)
     for key in cfg:
-        if key in _UNREAD[parameter]:
+        if key in unread:
             raise ScenarioError(f"{key}: not read by a sweep over '{parameter}'; remove it")
-
-    if parameter == "cone_angle":
-        rows = sorted((_cone_row(cfg, base_dir, value, scenario) for value in values), key=lambda r: r["cone_angle"])
-    elif parameter == "n_steps":
-        rows = _sweep_rows_steps(cfg, base_dir, values)
-    else:
-        rows = _sweep_rows_occupations(cfg, base_dir, values, scenario.ordering)
+    points = [check(value, "sweep.values") for value in values]
+    if parameter in _HELIX:
+        points = [(point, build_path({**cfg, "path": {**cfg["path"], parameter: point}}, base_dir)) for point in points]
+    rows = sweep_rows(cfg, base_dir, points, scenario)
 
     lines = [",".join(rows[0])] + [",".join(map(_cell, row.values())) for row in rows]  # every row has one key order
     summary = {

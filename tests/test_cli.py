@@ -390,11 +390,24 @@ VALID_SWEEP_VALUES = {"cone_angle": ["30 deg"], "n_steps": [128], "occupations":
 
 @pytest.mark.parametrize("command, field, value, message", CONFIG_ERRORS,
                          ids=[f"{command}-{field}-{i}" for i, (command, field, _, _) in enumerate(CONFIG_ERRORS)])
-def test_each_validator_exits_2_with_its_message(tmp_path, capsys, command, field, value, message):
+def test_each_validator_exits_2_with_its_message(tmp_path, capsys, monkeypatch, command, field, value, message):
+    # every field and every sweep value is checked before a path is built: a bad sweep value comes after a
+    # valid one, and a bad field outside the path section exits with no path built
+    import fiberphase.scenario as scenario_mod
+
+    built, build_path = [], scenario_mod.build_path
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build_path(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_mod, "build_path", spy)
     out = tmp_path / "out"
     cfg = helix_cfg(str(out))
     if command != "run":
         cfg = sweep_cfg(cfg, command, VALID_SWEEP_VALUES[command])
+    if field == "sweep.values":
+        value = VALID_SWEEP_VALUES[command] + value
     *parents, key = field.split(".")
     section = cfg
     for name in parents:
@@ -407,6 +420,8 @@ def test_each_validator_exits_2_with_its_message(tmp_path, capsys, command, fiel
     assert main(["run" if command == "run" else "sweep", config, "--quiet"]) == 2
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
+    if field.split(".")[0] != "path":
+        assert built == []
 
 
 def test_unwritable_output_exits_4(tmp_path):
