@@ -73,12 +73,13 @@ class FiberPath:
     its closed form on each read.  ``times`` and ``k_hat`` give every row at
     once, for callers of the API.
 
-    Construction checks the samples in one pass over chunks of rows:
-    finite, a strictly increasing uniform grid, unit vectors within 1e-9
-    and adjacent steps below 0.5, raising the first failed check in that
-    order, and keeps the grid step ``dt``.  The path holds nothing else
-    derived, and the arrays of a held path must not be modified once a
-    stage has read them.  A path is a plain read-only object: assigning or
+    Construction checks ``k_mag`` first, then the samples in one pass over
+    chunks of rows: finite, a strictly increasing uniform grid, unit
+    vectors within 1e-9 and adjacent steps below 0.5.  A non-finite sample
+    raises at once and the other checks after the pass, the first failed
+    one in that order.  The path keeps the grid step ``dt`` and nothing
+    else derived, and the arrays of a held path must not be modified once
+    a stage has read them.  A path is a plain read-only object: assigning or
     deleting an attribute raises AttributeError, and it equals only itself.
 
     The transport's closed form (the swept areas) and :func:`evolve
@@ -117,39 +118,27 @@ class FiberPath:
         object.__setattr__(self, "dt", self._check())
 
     def _check(self) -> float:
-        """The sample checks, in one pass over chunks of rows with one row of overlap for the steps; the grid step.
+        """The sample checks: ``k_mag`` before any row is read, then one pass over chunks of rows; the grid step.
 
-        A check is skipped in a chunk once an earlier one has failed, as
-        the whole-array checks stop at the first failure; a non-finite
-        chunk raises at once, since that check comes first.
+        Each chunk, with one row of overlap for the steps, is reduced to its shortest step, largest |dt - dt0|,
+        largest |norm - 1| and largest adjacent step; a non-finite chunk raises at once, the rest after the pass.
         """
-        increasing, dt0, spread, off_unit, jump = True, None, 0.0, 0.0, 0.0
-        for rows in _row_slices(0, self.n_samples):
-            lo = max(rows.start - 1, 0)
-            t, kh = self.rows(lo, rows.stop)
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
-                raise ValueError("times and k_hat must be finite")
-            if not increasing:
-                continue  # only a non-finite sample comes before that
-            dt = np.diff(t)
-            if np.any(dt <= 0):
-                increasing = False
-                continue
-            if len(dt):
-                dt0 = dt[0] if dt0 is None else dt0
-                np.subtract(dt, dt0, out=dt)
-                spread = max(spread, np.max(np.abs(dt, out=dt)))
-                if spread > 1e-6 * dt0:
-                    continue
-            del dt
-            norms = np.linalg.norm(kh[rows.start - lo :], axis=1)
-            norms -= 1.0
-            off_unit = max(off_unit, np.max(np.abs(norms, out=norms)))
-            if off_unit <= 1e-9 and len(kh) > 1:
-                jump = max(jump, np.max(np.linalg.norm(np.diff(kh, axis=0), axis=1)))
         if not (np.isfinite(self.k_mag) and self.k_mag > 0):
             raise ValueError(f"k_mag must be a positive finite number, got {self.k_mag!r}")
-        if not increasing:
+        shortest, spread, off_unit, jump = np.inf, 0.0, 0.0, 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed step or norm fails, or passes, as in whole arrays
+            dt0 = np.diff(self.rows(0, 2)[0])[0]
+            for rows in _row_slices(0, self.n_samples):
+                lo = max(rows.start - 1, 0)
+                t, kh = self.rows(lo, rows.stop)
+                if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
+                    raise ValueError("times and k_hat must be finite")
+                dt = np.diff(t)
+                shortest = min(shortest, np.min(dt, initial=np.inf))
+                spread = max(spread, np.max(np.abs(dt - dt0), initial=0.0))
+                off_unit = max(off_unit, np.max(np.abs(np.linalg.norm(kh[rows.start - lo :], axis=1) - 1.0), initial=0.0))
+                jump = max(jump, np.max(np.linalg.norm(np.diff(kh, axis=0), axis=1), initial=0.0))
+        if shortest <= 0:
             raise ValueError("times must be strictly increasing")
         if spread > 1e-6 * dt0:
             raise ValueError("time grid must be uniform")

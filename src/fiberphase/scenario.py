@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import deque
 from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 from typing import NamedTuple
@@ -66,6 +65,14 @@ def _check_keys(section, known, prefix=""):
 
 
 def load_config(path) -> dict:
+    """The config file's top-level object, parsed as JSON; a key given twice in any object is rejected."""
+    def unique_keys(pairs):  # an object's dict, once no key repeats: JSON would keep only a repeated key's last value
+        cfg = {}
+        for key, value in pairs:
+            if key in cfg:
+                raise ScenarioError(f"{path}: duplicate key '{key}'")
+            cfg[key] = value
+        return cfg
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -74,7 +81,7 @@ def load_config(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
@@ -240,24 +247,18 @@ FREE_SPACE = media.GyrotropicMedium(eps1=1.0, eps2=0.0, mu1=1.0, mu2=0.0)
 def _series(path, polarization):
     """One pass over the path: per chunk of rows, a dict of the series that the results columns read.
 
-    Each chunk's window of rows (``geometry._windows``) is read once and
-    handed to three kernels at once: the transport in closed form for
-    ``polarization`` (total and flagged), the angles (lambda, gamma and W)
-    and the invariant residual.  The last stage, the transport's hold
-    (``evolution._unwrapped``), unwraps each chunk's total in place and
-    hands its dict on once the flagged runs in it have met their next
-    unflagged row.
+    Each chunk's window of rows (``geometry._windows``) is read once: the
+    transport in closed form for ``polarization`` (``evolution._fan``, total
+    and flagged), then its hold (``evolution._unwrapped``), which unwraps
+    each chunk's total in place and hands its window on once the flagged
+    runs in it have met their next unflagged row; the angles (lambda, gamma
+    and W) and the invariant residual come from each window handed on.
     """
     angles = geometry._Angles(path.dt)
-
-    def chunks():
-        for total, flagged, window in evolution._fan(geometry._windows(path), polarization):
-            polar, azimuth, w = angles(window)
-            yield total, flagged, {"t": window[1], "lambda": polar, "gamma": azimuth, "W": w, "total": total,
-                                   "flagged": flagged, "invariant_residual": geometry._invariant_residual(path, window)}
-
-    for _, _, series in evolution._unwrapped(chunks()):
-        yield series
+    for total, flagged, window in evolution._unwrapped(evolution._fan(geometry._windows(path), polarization)):
+        polar, azimuth, w = angles(window)
+        yield {"t": window[1], "lambda": polar, "gamma": azimuth, "W": w, "total": total, "flagged": flagged,
+               "invariant_residual": geometry._invariant_residual(path, window)}
 
 
 def _values(series, column, rows=slice(None)):
@@ -580,9 +581,8 @@ def _occupation_pair(pair, field):
 
 def _sweep_rows_occupations(cfg, base_dir, pairs, scenario):
     path = build_path(cfg, base_dir)
-    w = float(deque(map(geometry._Angles(path.dt), geometry._windows(path)), maxlen=1)[0][2][-1])  # the final W
-    if not np.isfinite(w):  # before any file is written, as _reduce checks each column
-        raise NumericalError("non-finite value detected in results")
+    angles = geometry._Angles(path.dt)
+    w = _reduce(({"W": angles(window)[2]} for window in geometry._windows(path)), [("W", 1.0)])[0]["W", 1.0]
     return [{  # each phase is a multiple of w
         "n_left": nl,
         "n_right": nr,

@@ -333,6 +333,22 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_duplicate_config_key_exits_2(tmp_path, capsys):
+    # JSON keeps a repeated key's last value, so a bad value given first would go unchecked
+    out = tmp_path / "out"
+    for section, key, pair in ((None, "k0", ["-5", "1.0"]), ("path", "omega", ['"fast"', "1.0"])):
+        for values in (pair, pair[::-1]):
+            cfg = helix_cfg(str(out))
+            del (cfg[section] if section else cfg)[key]
+            opening = f'"{section}": {{' if section else "{"
+            text = json.dumps(cfg).replace(opening, opening + "".join(f'"{key}": {v}, ' for v in values), 1)
+            config = tmp_path / "duplicate.json"
+            config.write_text(text)
+            assert main(["run", str(config), "--quiet"]) == 2
+            assert capsys.readouterr() == ("", f"config error: {config}: duplicate key '{key}'\n")
+            assert not out.exists()
+
+
 def test_bad_steps_exits_2(tmp_path):
     cfg = helix_cfg("out")
     cfg["path"]["n_steps"] = 32
@@ -360,6 +376,7 @@ CONFIG_ERRORS = [
     ("run", "path.cone_angle", "1.0 rad", "path.cone_angle: angle strings must end in 'deg', got '1.0 rad'"),
     ("run", "path.cone_angle", [1], "path.cone_angle: expected a number or 'NNN deg' string, got [1]"),
     ("run", "path.cone_angle", True, "path.cone_angle: expected a number or 'NNN deg' string, got True"),
+    ("run", "path.k_mag", -1, "path: k_mag must be a positive finite number, got -1.0"),
     ("run", "path", {"type": "file"}, "missing required field 'path.filename'"),
     ("run", "path", {"type": "file", "filename": 5}, "path.filename: expected str, got 5"),
     ("run", "k0", -1, "k0: expected a positive finite number, got -1"),
@@ -373,6 +390,7 @@ CONFIG_ERRORS = [
     ("cone_angle", "sweep.values", ["abc deg"], "sweep.values: cannot parse degrees value 'abc deg'"),
     ("cone_angle", "sweep.values", [3.5], "sweep.values: cone angle must lie in [0, pi], got 3.5"),
     ("cone_angle", "path.cone_angle", "2 rad", "path.cone_angle: angle strings must end in 'deg', got '2 rad'"),
+    ("cone_angle", "path.k_mag", 0, "path: k_mag must be a positive finite number, got 0.0"),
     ("n_steps", "sweep.values", [10], "sweep.values: at least 64 steps required, got 10"),
     ("n_steps", "sweep.values", [64.0], "sweep.values: expected an integer, got 64.0"),
     ("n_steps", "path.n_steps", 1.5, "path.n_steps: expected an integer, got 1.5"),
@@ -392,16 +410,24 @@ VALID_SWEEP_VALUES = {"cone_angle": ["30 deg"], "n_steps": [128], "occupations":
                          ids=[f"{command}-{field}-{i}" for i, (command, field, _, _) in enumerate(CONFIG_ERRORS)])
 def test_each_validator_exits_2_with_its_message(tmp_path, capsys, monkeypatch, command, field, value, message):
     # every field and every sweep value is checked before a path is built: a bad sweep value comes after a
-    # valid one, and a bad field outside the path section exits with no path built
+    # valid one, and a bad field outside the path section exits with no path built; a path's k_mag is
+    # checked before its samples, so no case evaluates a helix row
     import fiberphase.scenario as scenario_mod
+    from fiberphase import geometry
 
     built, build_path = [], scenario_mod.build_path
+    evaluated, helix_rows = [], geometry._HelixRows.__call__
 
     def spy(*args, **kwargs):
         built.append(args)
         return build_path(*args, **kwargs)
 
+    def rows_spy(self, lo, hi):
+        evaluated.append((lo, hi))
+        return helix_rows(self, lo, hi)
+
     monkeypatch.setattr(scenario_mod, "build_path", spy)
+    monkeypatch.setattr(geometry._HelixRows, "__call__", rows_spy)
     out = tmp_path / "out"
     cfg = helix_cfg(str(out))
     if command != "run":
@@ -420,6 +446,7 @@ def test_each_validator_exits_2_with_its_message(tmp_path, capsys, monkeypatch, 
     assert main(["run" if command == "run" else "sweep", config, "--quiet"]) == 2
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
+    assert evaluated == []
     if field.split(".")[0] != "path":
         assert built == []
 

@@ -21,8 +21,10 @@ from fiberphase import geometry
 from fiberphase.geometry import FiberPath, helix_path
 
 
-def _whole_array_checks(t, kh):
-    """FiberPath's finite, grid, unit-norm and step checks with full-size temporaries: the oracle."""
+def _whole_array_checks(t, kh, k_mag):
+    """FiberPath's k_mag, finite, grid, unit-norm and step checks with full-size temporaries: the oracle."""
+    if not (np.isfinite(k_mag) and k_mag > 0):
+        raise ValueError(f"k_mag must be a positive finite number, got {k_mag!r}")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(kh))):
         raise ValueError("times and k_hat must be finite")
     dt = np.diff(t)
@@ -38,16 +40,16 @@ def _whole_array_checks(t, kh):
         raise ValueError("adjacent k_hat samples differ by >= 0.5; grid too coarse for finite differencing")
 
 
-def _verdict(check, t, kh):
+def _verdict(check, t, kh, k_mag):
     try:
-        check(t, kh)
+        check(t, kh, k_mag)
     except ValueError as exc:
         return str(exc)
     return None
 
 
-def _fiber_path(t, kh):
-    FiberPath(times=t, k_hat=kh, k_mag=1.0)
+def _fiber_path(t, kh, k_mag):
+    FiberPath(times=t, k_hat=kh, k_mag=k_mag)
 
 
 # (kind, size): sizes on both sides of each threshold
@@ -64,8 +66,9 @@ DEFECTS = st.sampled_from([
     n=st.integers(min_value=3, max_value=40),
     chunk=st.integers(min_value=1, max_value=9),
     defects=st.lists(st.tuples(DEFECTS, st.floats(min_value=0.0, max_value=1.0)), max_size=3),
+    k_mag=st.one_of(st.just(1.0), st.sampled_from([-1.0, 0.0, np.nan, np.inf])),  # a bad one comes before any sample
 )
-def test_chunked_validation_matches_whole_array_checks(n, chunk, defects):
+def test_chunked_validation_matches_whole_array_checks(n, chunk, defects, k_mag):
     t = 0.1 * np.arange(n)
     phase = 0.05 * np.arange(n)
     kh = np.stack([0.6 * np.cos(phase), 0.6 * np.sin(phase), np.full(n, 0.8)], axis=1)
@@ -80,10 +83,10 @@ def test_chunked_validation_matches_whole_array_checks(n, chunk, defects):
         else:  # rotate rows from here on about z, so one step turns by `size`
             c, s = np.cos(size), np.sin(size)
             kh[row:, :2] = kh[row:, :2] @ np.array([[c, s], [-s, c]])
-    want = _verdict(_whole_array_checks, t, kh)
+    want = _verdict(_whole_array_checks, t, kh, k_mag)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_CHUNK_ROWS", chunk)
-        assert _verdict(_fiber_path, t, kh) == want
+        assert _verdict(_fiber_path, t, kh, k_mag) == want
 
 
 # ------------------------------------------- chunked unwrap and solid angle
