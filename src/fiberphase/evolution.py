@@ -122,8 +122,8 @@ def _rotate(x, v, inv):
 
 
 def _start(path: FiberPath, polarization: int) -> np.ndarray:
-    """Cartesian form of the gauge-fixed closed-form eigenstate of k_hat(t0) . S with eigenvalue -polarization."""
-    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0]).state(-_check_polarization(polarization))
+    """Cartesian form of the gauge-fixed eigenstate of k_hat(t0) . S with eigenvalue -polarization (field 1 - polarization)."""
+    return CARTESIAN_FROM_ANGULAR @ helicity_eigenstates(path.rows(0, 1)[1][0])[1 - _check_polarization(polarization)]
 
 
 def _chord_columns(k_hat: np.ndarray, start: np.ndarray):

@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 POLE_SIN_TOL = 1e-9  # below this sin(polar), the azimuth is held constant
-_CHUNK_ROWS = 1 << 12  # rows per chunk of a row-wise pass; bounds its temporaries, of up to about 150 B per row
-_PARSE_LINES = 1 << 13  # lines per parse block of load_path; bounds the lines held at once
+_CHUNK_ROWS = 1 << 12  # rows per chunk of a row-wise pass (temporaries of up to about 150 B per row) and lines per parse block
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -184,10 +183,8 @@ class SphericalAngles(NamedTuple):
                   read-only: the trapezoidal rule with the azimuth rate from
                   ``derivative_uniform``, the common kernel of the transport,
                   occupation-number and vacuum phases
-    times       : the originating sample grid
     """
 
-    times: np.ndarray
     polar: np.ndarray
     azimuth: np.ndarray
     solid_angle: np.ndarray
@@ -344,7 +341,7 @@ def spherical_angles(path: FiberPath) -> SphericalAngles:
     for window in _windows(path):
         for out, part in zip(series, angles(window)):
             out[window[0]] = part
-    return SphericalAngles(times=path.times, polar=polar, azimuth=azimuth, solid_angle=_read_only(w))
+    return SphericalAngles(polar=polar, azimuth=azimuth, solid_angle=_read_only(w))
 
 
 class _Angles:
@@ -576,9 +573,9 @@ def _fast_block(lines):
 def _read_records(filename):
     """The file's times and vectors as two flat float64 buffers, read one block of lines at a time."""
     times, vecs = array("d"), array("d")
-    with open(filename, encoding="utf-8", errors="surrogateescape") as fh:  # any byte in a comment, whatever the locale
+    with open(filename, encoding="utf-8-sig", errors="surrogateescape") as fh:  # any comment byte, any locale; a BOM skipped
         lineno = 0
-        while lines := list(islice(fh, _PARSE_LINES)):
+        while lines := list(islice(fh, _CHUNK_ROWS)):
             block = _fast_block(lines)
             if block is None:
                 _parse_records(filename, lines, lineno, times, vecs)
@@ -595,16 +592,17 @@ def load_path(filename) -> FiberPath:
 
     Each record holds four whitespace-separated floats ``t kx ky kz``;
     ``#`` starts a comment, which may hold any bytes: the file is read as
-    UTF-8 whatever the locale.  Every value must be finite.  The magnitude is
-    inferred from the first record and every subsequent vector norm must
-    match it within 1e-6 (relative); a nonzero vector whose norm overflows
-    to inf or underflows to 0 in float64 is rejected, and one whose |k|^2 is
-    subnormal is scaled by its largest component for its norm.  The file is
-    read ``_PARSE_LINES`` lines at a time; ``np.loadtxt`` parses each block, and
-    a block it cannot parse into finite records goes through the per-line
-    parser ``_parse_records``, so every accepted token and every message is
-    that parser's.  The two float64 buffers of times and vectors become
-    ``times`` and ``k_hat`` (normalised in place), so nothing is held twice.
+    UTF-8 whatever the locale, past a leading byte-order mark.  Every value
+    must be finite.  The magnitude is inferred from the first record and
+    every subsequent vector norm must match it within 1e-6 (relative); a
+    nonzero vector whose norm overflows to inf or underflows to 0 in float64
+    is rejected, and one whose |k|^2 is subnormal is scaled by its largest
+    component for its norm.  The file is read ``_CHUNK_ROWS`` lines at a
+    time; ``np.loadtxt`` parses each block, and a block it cannot parse into
+    finite records goes through the per-line parser ``_parse_records``, so
+    every accepted token and every message is that parser's.  The two
+    float64 buffers of times and vectors become ``times`` and ``k_hat``
+    (normalised in place), so nothing is held twice.
     """
     times, vecs = _read_records(filename)
     if len(times) < 3:

@@ -64,10 +64,6 @@ class NetVacuumPhase(NamedTuple):
     plus_survives: bool
     minus_survives: bool
 
-    @property
-    def no_propagating_modes(self) -> bool:
-        return not (self.plus_survives or self.minus_survives)
-
 
 def refractive_indices_squared(medium: GyrotropicMedium):
     """(n2_plus, n2_minus) = ((eps1+eps2)(mu1+mu2), (eps1-eps2)(mu1-mu2))."""
@@ -129,9 +125,8 @@ def net_vacuum_phase(
     length is given, its in-medium wave vector is not expelled.  Both modes
     surviving gives exact cancellation (phase 0); exactly one surviving
     leaves +-W/2, with W the swept solid angle at the last sample; none
-    surviving gives 0 with ``no_propagating_modes`` set.  Under normal
-    ordering there is no zero-point term, so the phase is 0 whichever modes
-    survive.
+    surviving gives 0.  Under normal ordering there is no zero-point term, so
+    the phase is 0 whichever modes survive.
     """
     surv = {pol: _survives(medium, k0, chamber_length, pol) for pol in (+1, -1)}
     phase = 0.0 + _weight(0, Ordering.coerce(ordering)) * float(angles.solid_angle[-1]) * (surv[+1] - surv[-1])

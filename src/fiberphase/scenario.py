@@ -74,8 +74,8 @@ def load_config(path) -> dict:
             cfg[key] = value
         return cfg
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:  # not utf-8-sig, whose error offsets would not count a BOM's 3 bytes
+            text = fh.read().removeprefix("\ufeff")
     except FileNotFoundError:
         raise ScenarioError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -674,7 +674,7 @@ def self_check(quiet=False) -> bool:
     for _ in range(1000):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        op = spin.helicity_operator(v)
+        op = S.along(v)
         worst_herm = max(worst_herm, np.abs(op - op.conj().T).max())
         w = np.linalg.eigvalsh(op)
         worst_eig = max(worst_eig, np.abs(w - [-1.0, 0.0, 1.0]).max())

@@ -17,7 +17,6 @@ __all__ = [
     "SpinTriple",
     "HelicityBasis",
     "spin1_matrices",
-    "helicity_operator",
     "helicity_eigenstates",
     "CARTESIAN_FROM_ANGULAR",
 ]
@@ -63,12 +62,6 @@ class HelicityBasis(NamedTuple):
     e_zero: np.ndarray
     e_plus: np.ndarray
 
-    def state(self, eigenvalue):
-        """Return the eigenvector for spin projection ``eigenvalue``, the Python or numpy integer -1, 0 or +1."""
-        if not (_is_integer(eigenvalue) and eigenvalue in (-1, 0, 1)):
-            raise ValueError(f"spin projection must be the integer -1, 0 or +1, got {eigenvalue!r}")
-        return (self.e_minus, self.e_zero, self.e_plus)[eigenvalue + 1]
-
 
 def spin1_matrices() -> SpinTriple:
     """Spin-1 matrices in the angular-momentum basis, s3 = diag(1, 0, -1).
@@ -102,15 +95,6 @@ def _check_unit(direction) -> np.ndarray:
     return d / norm  # so that eigenstates built from it are normalised to rounding
 
 
-def helicity_operator(direction) -> np.ndarray:
-    """Projection of the spin onto a unit propagation direction.
-
-    Returns the Hermitian 3x3 matrix d . S of :func:`spin1_matrices`, d the
-    normalised ``direction``, with eigenvalues {-1, 0, +1}; rejects a non-unit one.
-    """
-    return spin1_matrices().along(_check_unit(direction))
-
-
 def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     # np.argmax returns the first maximum, which is the lowest-index tie-break.
     j = int(np.argmax(np.abs(vec)))
@@ -120,7 +104,7 @@ def _fix_gauge(vec: np.ndarray) -> np.ndarray:
 
 
 def helicity_eigenstates(direction) -> HelicityBasis:
-    """Orthonormal eigenbasis of :func:`helicity_operator` along ``direction``, deterministically phased.
+    """Orthonormal eigenbasis of the helicity operator ``spin1_matrices().along(direction)``, deterministically phased.
 
     The -1, 0, +1 states are the m' = -1, 0, +1 columns of D^1(phi, theta, 0)
     for the normalised ``direction`` (x, y, z): cos(theta) = z and e^{i phi} =

@@ -1541,6 +1541,20 @@ def test_unreadable_config_exits_2_without_traceback(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+def test_a_byte_order_mark_before_the_config_is_skipped(tmp_path, capsys):
+    # json rejected it: "line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    plain = write_config(tmp_path, "plain.json", helix_cfg(str(tmp_path / "plain")))
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(helix_cfg(str(tmp_path / "marked"))).encode())
+    assert main(["run", plain, "--quiet"]) == 0 and main(["run", str(marked), "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "marked" / "results.csv").read_bytes() == (tmp_path / "plain" / "results.csv").read_bytes()
+    # an undecodable byte is still named by its offset in the file, the BOM's 3 bytes counted
+    marked.write_bytes(b'\xef\xbb\xbf{"path": "\xff"}')
+    assert main(["run", str(marked), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {marked}: not UTF-8 text: invalid start byte at byte 13\n"
+
+
 @pytest.mark.parametrize("parameter, values", [
     ("cone_angle", ["30 deg"]),
     ("n_steps", [128]),

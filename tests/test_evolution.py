@@ -389,7 +389,8 @@ def _dense_states(path, pol):
     w, v = np.linalg.eigh(_operators(axes * (angles / sines)[:, None]))
     steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w), v.conj())
     states = np.empty((path.n_samples, 3), dtype=complex)
-    states[0] = helicity_eigenstates(path.k_hat[0]).state(-pol)
+    basis = helicity_eigenstates(path.k_hat[0])
+    states[0] = {+1: basis.e_minus, -1: basis.e_plus}[pol]  # spin projection -pol
     for i, step in enumerate(steps):
         states[i + 1] = step @ states[i]
     return states

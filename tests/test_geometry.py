@@ -42,7 +42,7 @@ def test_helix_angle_recovery():
     p = helix_path(np.pi / 3, 2.0, 5.0, 2.0, 512)
     ang = spherical_angles(p)
     assert np.abs(ang.polar - np.pi / 3).max() < 1e-9
-    assert np.abs(ang.azimuth - 2.0 * ang.times).max() < 1e-9
+    assert np.abs(ang.azimuth - 2.0 * p.times).max() < 1e-9
 
 
 def test_helix_rejects_bad_cone():
@@ -476,6 +476,31 @@ def test_load_path_reads_a_comment_of_any_bytes(tmp_path):
     assert str(info.value) == f"{filename}:7: could not convert string to float: '{field}\\udce9'"
 
 
+@pytest.mark.parametrize("first", [0, 1], ids=["before-a-comment", "before-data"])
+def test_load_path_skips_a_leading_byte_order_mark(tmp_path, first):
+    # a BOM before a comment failed with ":1: expected 4 fields 't kx ky kz',
+    # got 1", and one before data with "could not convert string to float:
+    # '\\ufeff0.0'"; the line numbers of later errors still count from 1
+    filename = _loop_file(tmp_path, 65)
+    plain, lines = load_path(filename), filename.read_bytes().split(b"\n")[first:]
+    filename.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+    loaded = load_path(filename)
+    assert _same_bits(loaded.times, plain.times) and _same_bits(loaded.k_hat, plain.k_hat)
+    filename.write_bytes(b"\xef\xbb\xbf" + b"\n".join([*lines[:6], b"0 1 0", *lines[7:]]))
+    with pytest.raises(ValueError) as info:
+        load_path(filename)
+    assert str(info.value) == f"{filename}:7: expected 4 fields 't kx ky kz', got 3"
+
+
+def test_load_path_parses_blocks_of_chunk_rows_lines(tmp_path, monkeypatch):
+    filename = _loop_file(tmp_path, 50)  # 51 lines with the comment
+    blocks, fast_block = [], geometry._fast_block
+    monkeypatch.setattr(geometry, "_fast_block", lambda lines: blocks.append(len(lines)) or fast_block(lines))
+    monkeypatch.setattr(geometry, "_CHUNK_ROWS", 8)
+    assert load_path(filename).n_samples == 50
+    assert blocks == [8] * 6 + [3]
+
+
 @pytest.mark.parametrize("text, message", [
     ("# two records only\n0 1 0 0\n\n0.1 1 0 0\n", "path needs at least 3 samples, got 2"),
     ("# nothing but comments\n\n   \n", "path needs at least 3 samples, got 0"),
@@ -715,6 +740,17 @@ def test_path_layers_hold_their_outputs_and_one_chunk(tmp_path):
     assert loaded < 55, loaded
     assert with_angles < 70, with_angles
     assert w_step < 70, w_step
+
+
+def test_spherical_angles_evaluates_each_helix_row_once(monkeypatch):
+    # one read of each chunk's window: the rows plus at most 4 stencil rows per
+    # chunk (100048 at 1e5 samples; 200048 while the angles held path.times)
+    path = helix_path(np.pi / 3, 1.0, 1.0, 1.0, 99_999)
+    asked, evaluate = [], geometry._HelixRows.__call__
+    monkeypatch.setattr(geometry._HelixRows, "__call__", lambda rows, lo, hi: asked.append(hi - lo) or evaluate(rows, lo, hi))
+    spherical_angles(path)
+    n = path.n_samples
+    assert n < sum(asked) <= n + 4 * -(-n // geometry._CHUNK_ROWS)
 
 
 # ------------------------------------------- row iterator and stencil kernel

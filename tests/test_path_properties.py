@@ -301,7 +301,7 @@ def test_block_parse_matches_per_line_parse(tmp_path_factory, lines, block):
     filename.write_text("\n".join(lines) + "\n")
     want = _outcome(_per_line_records, filename)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_PARSE_LINES", block)
+        mp.setattr(geometry, "_CHUNK_ROWS", block)
         assert _outcome(geometry._read_records, filename) == want
 
 

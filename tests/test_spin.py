@@ -9,7 +9,6 @@ from fiberphase.spin import (
     CARTESIAN_FROM_ANGULAR,
     _fix_gauge,
     helicity_eigenstates,
-    helicity_operator,
     spin1_matrices,
 )
 
@@ -53,30 +52,29 @@ def test_cartesian_change_of_basis():
 
 
 def test_helicity_operator_axis_aligned():
-    assert np.array_equal(helicity_operator([0.0, 0.0, 1.0]), S.s3)
-    assert np.array_equal(helicity_operator([1.0, 0.0, 0.0]), S.s1)
+    assert np.array_equal(S.along([0.0, 0.0, 1.0]), S.s3)
+    assert np.array_equal(S.along([1.0, 0.0, 0.0]), S.s1)
 
 
 def test_helicity_operator_tilted_spectrum():
     # oracle: dense eigensolver on the 3x3 matrix
     d = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    w = np.linalg.eigvalsh(helicity_operator(d))
+    w = np.linalg.eigvalsh(S.along(d))
     assert np.abs(w - np.array([-1.0, 0.0, 1.0])).max() < 1e-12
 
 
 NON_FINITE = [[np.nan, 0.0, 0.0], [0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, np.inf]]
 
 
-def test_helicity_operator_rejects_non_unit():
+def test_helicity_eigenstates_reject_non_unit():
     with pytest.raises(ValueError, match="unit"):
-        helicity_operator([0.0, 0.0, 2.0])
+        helicity_eigenstates([0.0, 0.0, 2.0])
 
 
 @pytest.mark.parametrize("direction", NON_FINITE)
-@pytest.mark.parametrize("build", [helicity_operator, helicity_eigenstates])
-def test_non_finite_direction_rejected(build, direction):
+def test_non_finite_direction_rejected(direction):
     with pytest.raises(ValueError, match="finite and of unit length"):
-        build(direction)
+        helicity_eigenstates(direction)
 
 
 def test_eigenstates_along_z():
@@ -96,7 +94,7 @@ def test_eigenvalue_labels_flip_with_direction():
 def test_eigenpair_residuals_tilted():
     lam = np.pi / 3
     d = np.array([np.sin(lam), 0.0, np.cos(lam)])
-    op = helicity_operator(d)
+    op = S.along(d)
     basis = helicity_eigenstates(d)
     for val, vec in ((-1, basis.e_minus), (0, basis.e_zero), (1, basis.e_plus)):
         assert np.linalg.norm(op @ vec - val * vec) < 1e-12
@@ -149,25 +147,10 @@ def test_random_directions_hermitian_and_spectrum():
     for _ in range(1000):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        op = helicity_operator(v)
+        op = S.along(v)
         assert np.abs(op - op.conj().T).max() < 1e-14
         w = np.linalg.eigvalsh(op)
         assert np.abs(w - np.array([-1.0, 0.0, 1.0])).max() < 1e-10
-
-
-def test_state_accessor_rejects_bad_label():
-    basis = helicity_eigenstates([0.0, 0.0, 1.0])
-    for label in (2, -2, True, False, 1.0, 0.0, np.float64(-1.0), "1", None):
-        with pytest.raises(ValueError, match="integer -1, 0 or \\+1"):
-            basis.state(label)
-
-
-def test_state_accessor_takes_python_and_numpy_integers():
-    basis = helicity_eigenstates([0.6, 0.0, 0.8])
-    for label, vec in ((-1, basis.e_minus), (0, basis.e_zero), (1, basis.e_plus)):
-        assert basis.state(label) is vec
-        assert basis.state(np.int64(label)) is vec
-        assert basis.state(np.int8(label)) is vec
 
 
 def test_closed_form_matches_the_eigh_oracle():

@@ -25,7 +25,8 @@ header name and summary.json keys by name: the columns or keys found in
 only one file are listed, and the shared ones compared.  Exits 0 when all
 are identical, else 1.  A kernel change that moves last digits on purpose
 differs here by design, and this report is the deviation to record, so
-this is a tool to run by hand, not a test.
+it gates nothing: CI's same-outputs job prints it for a pull request
+against the base commit, and it is otherwise run by hand.
 """
 from __future__ import annotations
 
