@@ -100,6 +100,17 @@ def test_eigenpair_residuals_tilted():
         assert np.linalg.norm(op @ vec - val * vec) < 1e-12
 
 
+@pytest.mark.parametrize("direction", [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.6, -0.8]])
+def test_basis_index_is_spin_projection_plus_one(direction):
+    # evolve's start state is basis[1 - polarization], the spin projection -polarization
+    op = S.along(direction)
+    basis = helicity_eigenstates(direction)
+    for m in (-1, 0, 1):
+        assert basis[m + 1] is (basis.e_minus, basis.e_zero, basis.e_plus)[m + 1]
+        assert np.linalg.norm(op @ basis[m + 1] - m * basis[m + 1]) < 1e-12
+        assert basis[np.int64(m) + 1] is basis[m + 1]
+
+
 def test_eigenstates_orthonormal():
     rng = np.random.default_rng(7)
     v = rng.normal(size=3)
